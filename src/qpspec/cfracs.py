@@ -18,9 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConvergenceError, RegimeError
+from .errors import ConvergenceError
 
 _DERIV_STEP = 1e-7
 
@@ -108,47 +106,73 @@ def d2_chi_du2(node: CFNode, x: float, u: float, step: float = 1e-5) -> float:
     return (c(x, u + step) - 2.0 * c(x, u) + c(x, u - step)) / (step * step)
 
 
-def zeta_roots(node: CFNode, x: float, u_window, grid: int = 400,
-               tol: float = 1e-14):
-    """The two roots of chi(x, .) = 0 in the window, by convex bisection.
+def _bisect_root(fun, a: float, b: float, fa: float, tol: float = 1e-15) -> float:
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = fun(mid)
+        if fm == 0.0 or (b - a) < tol * max(1.0, abs(mid)):
+            return mid
+        if (fa < 0) == (fm < 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
-    chi is strictly convex in u on the class, so the root count in the
-    window must be 0 or 2 (a double root collapses within tol); anything
-    else flags a regime violation.  Returns (zeta_minus, zeta_plus) or a
-    shorter tuple.
+
+_GOLDEN_SECTION = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def convex_roots(fun, lo: float, hi: float):
+    """Roots of a convex function on [lo, hi]: 0, 1 (edge sign change) or 2.
+
+    Golden-section locates the minimizer, so root pairs far closer than the
+    window width are still resolved; bisection then refines each root.
     """
-    lo, hi = float(u_window[0]), float(u_window[1])
+    flo, fhi = fun(lo), fun(hi)
+    if flo == 0.0:
+        return [lo]
+    if fhi == 0.0:
+        return [hi]
+    if (flo < 0) != (fhi < 0):
+        return [_bisect_root(fun, lo, hi, flo)]
+    if flo < 0 and fhi < 0:
+        return []  # both ends below: no convex root inside
+    a, b = lo, hi
+    c = b - _GOLDEN_SECTION * (b - a)
+    d = a + _GOLDEN_SECTION * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(200):
+        if (b - a) < 1e-15 * max(1.0, abs(a) + abs(b)):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN_SECTION * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN_SECTION * (b - a)
+            fd = fun(d)
+        if min(fc, fd) < 0:
+            break  # negative value found: the two sign changes are bracketed
+    m = c if fc <= fd else d
+    fm = fun(m)
+    if fm > 0:
+        return []
+    if fm == 0.0:
+        return [m]
+    return [_bisect_root(fun, lo, m, flo),
+            _bisect_root(fun, m, hi, fm)]
+
+
+def zeta_roots(node: CFNode, x: float, u_window):
+    """The roots of chi(x, .) = 0 in the window, by the convex root finder.
+
+    chi is strictly convex in u on the class, so the window holds two roots
+    (zeta_minus, zeta_plus), one when it cuts the pair, or none.
+    """
     c = chi_of(node)
-    us = np.linspace(lo, hi, grid)
-    vals = np.array([c(x, u) for u in us])
-    crossings = []
-    for i in range(len(us) - 1):
-        if vals[i] == 0.0:
-            crossings.append((us[i], us[i]))
-        elif vals[i] * vals[i + 1] < 0:
-            crossings.append((us[i], us[i + 1]))
-    if vals[-1] == 0.0:
-        crossings.append((us[-1], us[-1]))
-    if len(crossings) > 2:
-        raise RegimeError(f"chi has {len(crossings)} sign changes in the window")
-    roots = []
-    for a, b in crossings:
-        if a == b:
-            roots.append(a)
-            continue
-        fa = c(x, a)
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = c(x, mid)
-            if fm == 0.0 or (b - a) < tol * max(1.0, abs(mid)):
-                a = b = mid
-                break
-            if (fa < 0) == (fm < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        roots.append(0.5 * (a + b))
-    return tuple(sorted(roots))
+    return tuple(convex_roots(lambda u: c(x, u), float(u_window[0]),
+                              float(u_window[1])))
 
 
 def zeta_separation_ok(node: CFNode, x: float, zminus: float, zplus: float) -> bool:

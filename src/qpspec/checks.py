@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,21 +24,21 @@ class CheckResult:
     detail: str
 
 
-def _hermitian(problem: Problem) -> CheckResult:
+def _hermitian(problem: Problem, seed: int) -> CheckResult:
     S = ball(2, problem.nu, budget=None)
     H = restrict(problem, S, 0.13, NORMALIZED).entries
     dev = float(np.max(np.abs(H - H.conj().T)))
     return CheckResult("hermitian-restriction", dev == 0.0, f"max dev {dev:.3g}")
 
 
-def _cocycle(problem: Problem) -> CheckResult:
+def _cocycle(problem: Problem, seed: int) -> CheckResult:
     S = ball(2, problem.nu, budget=None)
     shift = (1,) + (0,) * (problem.nu - 1)
     dev = cocycle_check(problem, shift, S, 0.21, NORMALIZED)
     return CheckResult("cocycle-identity", dev <= 1e-12, f"max dev {dev:.3g}")
 
 
-def _reflection(problem: Problem) -> CheckResult:
+def _reflection(problem: Problem, seed: int) -> CheckResult:
     S = ball(2, problem.nu, budget=None)
     dev = reflection_conjugation_check(problem, S, 0.17, NORMALIZED)
     return CheckResult("reflection-conjugation", dev <= 1e-12, f"max dev {dev:.3g}")
@@ -64,7 +63,7 @@ def _schur_oracle(problem: Problem, seed: int) -> CheckResult:
     return CheckResult("schur-vs-dense", worst <= 1e-10, f"worst rel dev {worst:.3g}")
 
 
-def _multiscale_oracle(problem: Problem) -> CheckResult:
+def _multiscale_oracle(problem: Problem, seed: int) -> CheckResult:
     S = ball(2, problem.nu, budget=None)
     H = restrict(problem, S, 0.11, RAW)
     evals, _ = dense_spectrum(H)
@@ -76,7 +75,7 @@ def _multiscale_oracle(problem: Problem) -> CheckResult:
     return CheckResult("multiscale-vs-dense", dev <= 1e-10, f"rel dev {dev:.3g}")
 
 
-def _words(problem: Problem) -> CheckResult:
+def _words(problem: Problem, seed: int) -> CheckResult:
     ok = True
     detail = []
     for s in (1, 2, 3):
@@ -87,7 +86,7 @@ def _words(problem: Problem) -> CheckResult:
     return CheckResult("correct-words", ok, " ".join(detail))
 
 
-def _ladder(problem: Problem) -> CheckResult:
+def _ladder(problem: Problem, seed: int) -> CheckResult:
     lad = problem.ladder or build_ladder(math.exp(-3.2 / 0.35), 0.35, 3)
     ok = True
     for u in range(1, lad.u_max + 1):
@@ -97,7 +96,7 @@ def _ladder(problem: Problem) -> CheckResult:
     return CheckResult("ladder-recursion", ok, f"u_max={lad.u_max}")
 
 
-def _symmetry(problem: Problem) -> CheckResult:
+def _symmetry(problem: Problem, seed: int) -> CheckResult:
     S = ball(4, problem.nu, budget=None)
     zero = tuple([0] * problem.nu)
     worst = 0.0
@@ -109,7 +108,7 @@ def _symmetry(problem: Problem) -> CheckResult:
     return CheckResult("band-symmetry", worst <= 1e-11, f"max |E(k)-E(-k)| {worst:.3g}")
 
 
-def _gap_first_order(problem: Problem) -> CheckResult:
+def _gap_first_order(problem: Problem, seed: int) -> CheckResult:
     pot = problem.potential
     support = [m for m in pot.support() if abs(pot.c0(m)) > 0]
     if not support:
@@ -140,7 +139,7 @@ def _trajectory(problem: Problem, seed: int) -> CheckResult:
     return CheckResult("trajectory-bounds", ok, "enumeration under the closed bound")
 
 
-def _feynman(problem: Problem) -> CheckResult:
+def _feynman(problem: Problem, seed: int) -> CheckResult:
     S = ball(3, problem.nu, budget=None)
     k = 0.19
     derivs, mask, evals = feynman_derivative(problem, S, k, NORMALIZED)
@@ -153,30 +152,19 @@ def _feynman(problem: Problem) -> CheckResult:
     return CheckResult("feynman-vs-fd", rel <= 1e-6, f"max rel dev {rel:.3g}")
 
 
-def run_selftest(problem: Problem, seed: int = 0, jobs: int = 1):
-    """Run the invariant suite; returns a list of CheckResult."""
-    tasks = [
-        lambda: _hermitian(problem),
-        lambda: _cocycle(problem),
-        lambda: _reflection(problem),
-        lambda: _schur_oracle(problem, seed),
-        lambda: _multiscale_oracle(problem),
-        lambda: _words(problem),
-        lambda: _ladder(problem),
-        lambda: _symmetry(problem),
-        lambda: _gap_first_order(problem),
-        lambda: _trajectory(problem, seed),
-        lambda: _feynman(problem),
-    ]
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_safe, t) for t in tasks]
-            return [f.result() for f in futures]
-    return [_safe(t) for t in tasks]
+def run_selftest(problem: Problem, seed: int = 0):
+    """Run the invariant suite; returns a list of CheckResult.
+
+    Every check takes (problem, seed); a check that raises is reported as
+    failed under its function's name.
+    """
+    suite = (_hermitian, _cocycle, _reflection, _schur_oracle, _multiscale_oracle,
+             _words, _ladder, _symmetry, _gap_first_order, _trajectory, _feynman)
+    return [_safe(check, problem, seed) for check in suite]
 
 
-def _safe(task) -> CheckResult:
+def _safe(check, problem: Problem, seed: int) -> CheckResult:
     try:
-        return task()
+        return check(problem, seed)
     except Exception as exc:
-        return CheckResult(getattr(task, "__name__", "check"), False, f"raised {exc!r}")
+        return CheckResult(check.__name__, False, f"raised {exc!r}")

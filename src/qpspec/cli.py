@@ -44,7 +44,10 @@ def fmt(x) -> str:
 
 def load_config(path):
     with open(path) as fh:
-        cfg = json.load(fh)
+        return json.load(fh)
+
+
+def build_problem(cfg) -> Problem:
     if "nu" in cfg and cfg["nu"] != len(cfg["omega"]):
         raise ValueError(f"nu={cfg['nu']} disagrees with omega of length {len(cfg['omega'])}")
     freq = Frequency(tuple(cfg["omega"]), cfg["a0"], cfg["b0"],
@@ -60,8 +63,7 @@ def load_config(path):
             lad_cfg["delta0"], lad_cfg["beta1"], lad_cfg.get("u_max", 2),
             regime=lad_cfg.get("regime", "desk"), a0=cfg["a0"], kappa0=cfg["kappa0"],
             site_budget=cfg.get("site_budget", 20_000), nu=len(cfg["omega"]))
-    problem = Problem(freq, pot, ladder, site_budget=cfg.get("site_budget", 20_000))
-    return cfg, problem
+    return Problem(freq, pot, ladder, site_budget=cfg.get("site_budget", 20_000))
 
 
 def _error_json(kind, exc):
@@ -95,7 +97,7 @@ def cmd_band(cfg, problem, out_dir, args):
     radius = cfg.get("box_radius", 8)
     host = ball(radius, problem.nu, budget=problem.site_budget)
     grid = _k_grid(cfg)
-    points = band(problem, grid, lambda k: host, jobs=args.jobs)
+    points = band(problem, grid, lambda k: host)
     path = out_dir / "band.csv"
     with open(path, "w") as fh:
         fh.write("# k: quasi-momentum; E: band energy (raw units); regime: branch tag\n")
@@ -114,8 +116,7 @@ def _m_window(cfg, problem):
 
 def cmd_gaps(cfg, problem, out_dir, args):
     ms = _m_window(cfg, problem)
-    records, failures = gap_table(problem, ms, cfg.get("box_radius", 8),
-                                  jobs=args.jobs)
+    records, failures = gap_table(problem, ms, cfg.get("box_radius", 8))
     rows = verify_forward(records, problem.potential)
     path = out_dir / "gaps.csv"
     with open(path, "w") as fh:
@@ -195,8 +196,7 @@ def cmd_traj_bound(cfg, problem, out_dir, args):
 
 def cmd_verify_forward(cfg, problem, out_dir, args):
     ms = _m_window(cfg, problem)
-    records, failures = gap_table(problem, ms, cfg.get("box_radius", 8),
-                                  jobs=args.jobs)
+    records, failures = gap_table(problem, ms, cfg.get("box_radius", 8))
     rows = verify_forward(records, problem.potential)
     bad = [r for r in rows if not r.passed]
     for row in sorted(rows, key=lambda r: (l1_norm(r.m), r.m)):
@@ -236,7 +236,7 @@ def cmd_verify_inverse(cfg, problem, out_dir, args):
 
 
 def cmd_selftest(cfg, problem, out_dir, args):
-    results = checks.run_selftest(problem, seed=cfg.get("seed", 0), jobs=args.jobs)
+    results = checks.run_selftest(problem, seed=cfg.get("seed", 0))
     failed = 0
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -263,7 +263,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--desk", dest="regime", action="store_const", const="desk")
@@ -271,7 +270,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg, problem = load_config(args.config)
+        cfg = load_config(args.config)
+        if args.regime is not None and cfg.get("ladder"):
+            cfg["ladder"]["regime"] = args.regime  # the regime only affects the ladder
+        problem = build_problem(cfg)
     except _BUDGET_ERRORS as exc:
         _error_json("regime", exc)
         return 2
@@ -280,20 +282,6 @@ def main(argv=None) -> int:
         return 1
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.regime is not None and cfg.get("ladder"):
-        cfg["ladder"]["regime"] = args.regime
-        try:
-            _, problem = load_config(args.config)  # regime only affects the ladder
-            lad = cfg["ladder"]
-            ladder = build_ladder(lad["delta0"], lad["beta1"], lad.get("u_max", 2),
-                                  regime=args.regime, a0=cfg["a0"], kappa0=cfg["kappa0"],
-                                  site_budget=cfg.get("site_budget", 20_000),
-                                  nu=problem.nu)
-            problem = Problem(problem.frequency, problem.potential, ladder,
-                              problem.site_budget)
-        except QPSpecError as exc:
-            _error_json("regime", exc)
-            return 2
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SiteBudgetError
-from .lattice import SiteSet, ball
+from .lattice import SiteSet
 from .model import Problem, gamma_for_k
 
 TWO_PI_SQ = (2.0 * math.pi) ** 2
@@ -47,7 +47,8 @@ class DualMatrix:
         return 1.0 if self.normalization == RAW else self.lam * TWO_PI_SQ
 
 
-def _diag_scale(normalization: str, gamma: float) -> float:
+def diag_scale(normalization: str, gamma: float) -> float:
+    """Factor multiplying (n.omega + k)^2 on the diagonal."""
     return TWO_PI_SQ if normalization == RAW else 1.0 / (256.0 * gamma)
 
 
@@ -58,7 +59,7 @@ def _offdiag_scale(normalization: str, gamma: float) -> float:
 def diagonal_value(problem: Problem, n, k: float, normalization: str = RAW,
                    gamma: float = None) -> float:
     g = gamma_for_k(k) if gamma is None else gamma
-    return _diag_scale(normalization, g) * (problem.frequency.dot(n) + k) ** 2
+    return diag_scale(normalization, g) * (problem.frequency.dot(n) + k) ** 2
 
 
 def entry(problem: Problem, m, n, k: float, normalization: str = RAW,
@@ -66,7 +67,7 @@ def entry(problem: Problem, m, n, k: float, normalization: str = RAW,
     """Single matrix entry h(m, n; k)."""
     g = gamma_for_k(k) if gamma is None else gamma
     if tuple(m) == tuple(n):
-        return complex(_diag_scale(normalization, g) * (problem.frequency.dot(m) + k) ** 2)
+        return complex(diag_scale(normalization, g) * (problem.frequency.dot(m) + k) ** 2)
     d = tuple(b - a for a, b in zip(m, n))
     c0 = problem.potential.c0(d)
     if c0 == 0:
@@ -87,7 +88,7 @@ def restrict(problem: Problem, S: SiteSet, k: float, normalization: str = RAW,
     A = sites.array().astype(float)
     phase = A @ np.asarray(problem.omega, dtype=float) + k
     H = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(H, _diag_scale(normalization, g) * phase ** 2)
+    np.fill_diagonal(H, diag_scale(normalization, g) * phase ** 2)
     off = problem.potential.epsilon * _offdiag_scale(normalization, g)
     index = {s: i for i, s in enumerate(sites)}
     for d, c0 in problem.potential.coefficients.items():
@@ -141,21 +142,3 @@ def dense_spectrum(M: DualMatrix, residual_tol: float = 1e-10):
     if np.any(resid > residual_tol * scale):
         raise ArithmeticError(f"eigensolver residual {resid.max():.3g} over budget")
     return evals, evecs
-
-
-def resonance_point_flags(problem: Problem, k: float, radius: int,
-                          tol: float = 1e-12):
-    """Lattice vectors m with |k - k_m| < tol, k_m = -m.omega/2, |m| <= radius.
-
-    Exact gap-edge work at such k must route through the dedicated gap
-    operation rather than generic band evaluation.
-    """
-    hits = []
-    B = ball(radius, problem.nu, budget=None)
-    for m in B:
-        if all(c == 0 for c in m):
-            continue
-        km = -0.5 * problem.frequency.dot(m)
-        if abs(k - km) < tol:
-            hits.append(m)
-    return hits

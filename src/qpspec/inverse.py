@@ -27,33 +27,17 @@ from .spectral import gap_at, paired_box
 
 
 def gap_table(problem: Problem, m_list, box_radius: float,
-              normalization: str = RAW, jobs: int = 1):
+              normalization: str = RAW):
     """One GapRecord per m via the paired-set gap solver; failures inline.
 
-    Internally parallel over m when jobs > 1; the returned dicts are
-    insertion-ordered by the input list either way.
+    The returned dicts are insertion-ordered by the input list.
     """
-
-    def solve(m):
-        S = paired_box(problem, m, box_radius)
-        return gap_at(problem, m, S, normalization)
-
-    ms = [tuple(m) for m in m_list]
     records = {}
     failures = {}
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {m: pool.submit(solve, m) for m in ms}
-        for m in ms:
-            try:
-                records[m] = futures[m].result()
-            except Exception as exc:
-                failures[m] = str(exc)
-        return records, failures
-    for m in ms:
+    for m in map(tuple, m_list):
         try:
-            records[m] = solve(m)
+            records[m] = gap_at(problem, m, paired_box(problem, m, box_radius),
+                                normalization)
         except Exception as exc:
             failures[m] = str(exc)
     return records, failures
@@ -139,8 +123,7 @@ def recovered_bound(problem: Problem, n0, box_radius: float,
     quad = float(col_0 @ np.abs(K) @ col_n0)
 
     pot = problem.potential
-    actual = abs(pot.c(n0)) if normalization == RAW else \
-        abs(pot.c(n0)) / (256.0 * solver.gamma * (2.0 * math.pi) ** 2)
+    actual = abs(pot.c(n0)) / solver.full.scale()
     eps_floor = coarse_eps_floor if coarse_eps_floor is not None else pot.epsilon
     prefactor_coarse = math.exp(pot.kappa0 * l1_norm(n0)) / eps_floor
     return RecoveredBound(

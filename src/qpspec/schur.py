@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .dual_operator import RAW, restrict
+from .dual_operator import RAW, diag_scale, restrict
 from .errors import NonResonanceFloorError, SingularBlockError
 from .lattice import SiteSet
 from .model import Problem, gamma_for_k
@@ -257,7 +257,7 @@ def resolvent_derivative(problem: Problem, E: float, S: SiteSet, k: float,
     A = E * np.eye(n) - H.entries
     Ainv = np.linalg.inv(A)
     phase = H.sites.array().astype(float) @ np.asarray(problem.omega) + k
-    scale = (2.0 * np.pi) ** 2 if normalization == RAW else 1.0 / (256.0 * g)
+    scale = diag_scale(normalization, g)
     dH = np.diag(2.0 * scale * phase)
     first = Ainv @ dH @ Ainv
     if order == 1:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfracs import CFNode, cf_evaluate, quantitative_ift, zeta_roots  # noqa: F401
-from .dual_operator import RAW, dense_spectrum, diagonal_value, restrict
+from .cfracs import convex_roots
+from .dual_operator import RAW, dense_spectrum, diag_scale, diagonal_value, restrict
 from .errors import ConvergenceError, ReconciliationError, RegimeError
 from .lattice import SiteSet, ball, l1_norm
 from .model import Problem
@@ -59,6 +59,18 @@ def _phi_residual(H: np.ndarray, phi: np.ndarray, E: float) -> float:
     return float(np.max(np.abs(r)) / max(np.max(np.abs(phi)), 1e-300))
 
 
+def _fixed_point(step, E0: float, scale: float, tol: float = FIXED_POINT_TOL) -> float:
+    """Iterate E <- step(E) from E0 until a move falls below tol * scale."""
+    E = E0
+    for _ in range(MAX_FIXED_POINT_STEPS):
+        E_next = step(E)
+        if abs(E_next - E) < tol * scale:
+            return E_next
+        E = E_next
+    raise ConvergenceError(
+        f"fixed point from E={E0:.6g} stalled after {MAX_FIXED_POINT_STEPS} steps")
+
+
 def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
                  normalization: str = RAW, tol: float = FIXED_POINT_TOL,
                  oracle_check: bool = True) -> EigenRecord:
@@ -74,21 +86,9 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
     solver = ReducedSolver(problem, S, k, [m0], normalization)
     v0 = diagonal_value(problem, m0, k, normalization, solver.gamma)
     scale = max(1.0, abs(v0))
-    E = v0
-    regime = "nonresonant"
-    converged = False
     try:
-        for _ in range(MAX_FIXED_POINT_STEPS):
-            q = solver.q(m0, E).real
-            E_next = v0 + q
-            if abs(E_next - E) < tol * scale:
-                E = E_next
-                converged = True
-                break
-            E = E_next
+        E = _fixed_point(lambda E: v0 + solver.q(m0, E).real, v0, scale, tol)
     except Exception:
-        converged = False
-    if not converged:
         # dense fallback: take the eigenvalue whose eigenvector carries m0
         evals, evecs = dense_spectrum(solver.full)
         i0 = solver.full.sites.index(m0)
@@ -119,7 +119,7 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
             raise ReconciliationError(
                 f"fixed point at k={k}, m0={m0} deviates from the dense oracle "
                 f"by {oracle_gap:.3g} (regime mismatch)")
-    return EigenRecord(float(E), phi, solver.full.sites, k, regime,
+    return EigenRecord(float(E), phi, solver.full.sites, k, "nonresonant",
                        residual, oracle_gap)
 
 
@@ -145,64 +145,6 @@ def _chi_factory(problem: Problem, S: SiteSet, k: float, mp, mm,
         return (E - a1) * (E - a2) - b * b
 
     return solver, parts, chi, (vp, vm)
-
-
-def _bisect_root(fun, a: float, b: float, fa: float, tol: float = 1e-15) -> float:
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = fun(mid)
-        if fm == 0.0 or (b - a) < tol * max(1.0, abs(mid)):
-            return mid
-        if (fa < 0) == (fm < 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-_GOLDEN_SECTION = 0.5 * (math.sqrt(5.0) - 1.0)
-
-
-def _convex_roots(fun, lo: float, hi: float):
-    """Roots of a convex function on [lo, hi]: 0, 1 (edge sign change) or 2.
-
-    Golden-section locates the minimizer, so root pairs far closer than the
-    window width are still resolved.
-    """
-    flo, fhi = fun(lo), fun(hi)
-    if flo == 0.0:
-        return [lo]
-    if fhi == 0.0:
-        return [hi]
-    if (flo < 0) != (fhi < 0):
-        return [_bisect_root(fun, lo, hi, flo)]
-    if flo < 0 and fhi < 0:
-        return []  # both ends below: no convex root inside
-    a, b = lo, hi
-    c = b - _GOLDEN_SECTION * (b - a)
-    d = a + _GOLDEN_SECTION * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(200):
-        if (b - a) < 1e-15 * max(1.0, abs(a) + abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN_SECTION * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN_SECTION * (b - a)
-            fd = fun(d)
-        if min(fc, fd) < 0:
-            break  # negative value found: the two sign changes are bracketed
-    m = c if fc <= fd else d
-    fm = fun(m)
-    if fm > 0:
-        return []
-    if fm == 0.0:
-        return [m]
-    return [_bisect_root(fun, lo, m, flo),
-            _bisect_root(fun, m, hi, fm)]
 
 
 def _pair_windows(problem: Problem, S: SiteSet, k: float, mp, mm,
@@ -251,7 +193,7 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
         solver, parts, chi, (vp, vm) = _chi_factory(problem, S, k, mp, mm, normalization)
     roots = []
     for lo, hi in _pair_windows(problem, S, k, mp, mm, normalization, solver.gamma):
-        roots.extend(_convex_roots(chi, lo, hi))
+        roots.extend(convex_roots(chi, lo, hi))
     roots = sorted(roots)
     if len(roots) != 2:
         raise RegimeError(
@@ -309,15 +251,9 @@ def gap_at(problem: Problem, n0, S: SiteSet, normalization: str = RAW,
     scale = max(1.0, abs(v0))
 
     def edge(sign: float) -> float:
-        E = v0
-        for _ in range(MAX_FIXED_POINT_STEPS):
-            q = solver.q(zero, E).real
-            g = abs(solver.g(zero, n0, E))
-            E_next = v0 + q + sign * g
-            if abs(E_next - E) < FIXED_POINT_TOL * scale:
-                return E_next
-            E = E_next
-        raise ConvergenceError(f"gap-edge fixed point stalled at n0={n0}")
+        return _fixed_point(
+            lambda E: v0 + solver.q(zero, E).real + sign * abs(solver.g(zero, n0, E)),
+            v0, scale)
 
     E_plus = edge(+1.0)
     E_minus = edge(-1.0)
@@ -332,8 +268,7 @@ def gap_at(problem: Problem, n0, S: SiteSet, normalization: str = RAW,
             f"gap edges disagree with the dense oracle by {dev:.3g} at n0={n0}")
     pot = problem.potential
     bound = 2.0 * pot.epsilon * math.exp(-0.5 * pot.kappa0 * l1_norm(n0))
-    if normalization != RAW:
-        bound /= 256.0 * solver.gamma * (2.0 * math.pi) ** 2
+    bound /= solver.full.scale()
     return GapRecord(n0, k, float(E_minus), float(E_plus),
                      float(E_plus - E_minus), dev,
                      {"v0": v0, "normalization": normalization,
@@ -360,15 +295,13 @@ class BandPoint:
 
 
 def band(problem: Problem, k_grid, S_builder, resonance_radius: int = 3,
-         resonance_tol: float = 1e-9, normalization: str = RAW,
-         jobs: int = 1):
+         resonance_tol: float = 1e-9, normalization: str = RAW):
     """E(k) along a grid; resonant points take the matching pair branch.
 
     S_builder maps k to the host set.  Points within resonance_tol of some
     k_m are classified "resonance_point"; points inside a pair window take
     the branch that continues E through the resonance (plus branch above
-    k_m, minus branch below).  Failures are collected per point, and the
-    grid is evaluated in parallel when jobs > 1 (output order preserved).
+    k_m, minus branch below).  Failures are collected per point.
     """
     zero = tuple([0] * problem.nu)
     res_points = []
@@ -406,12 +339,7 @@ def band(problem: Problem, k_grid, S_builder, resonance_radius: int = 3,
         except Exception as exc:  # collected, not fatal
             return BandPoint(k, float("nan"), "error", str(exc))
 
-    ks = [float(k) for k in k_grid]
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(solve, ks))
-    return [solve(k) for k in ks]
+    return [solve(float(k)) for k in k_grid]
 
 
 def feynman_derivative(problem: Problem, S: SiteSet, k: float,
@@ -424,8 +352,7 @@ def feynman_derivative(problem: Problem, S: SiteSet, k: float,
     H = restrict(problem, S, k, normalization)
     evals, evecs = dense_spectrum(H)
     phase = H.sites.array().astype(float) @ np.asarray(problem.omega) + k
-    scale = (2.0 * math.pi) ** 2 if normalization == RAW else 1.0 / (256.0 * H.gamma)
-    dH = 2.0 * scale * phase
+    dH = 2.0 * diag_scale(normalization, H.gamma) * phase
     derivs = (np.abs(evecs) ** 2 * dH[:, None]).sum(axis=0)
     gaps = np.full(len(evals), np.inf)
     if len(evals) > 1:

@@ -63,6 +63,14 @@ def test_zeta_roots_b_zero():
     assert (zm, zp) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
 
 
+def test_zeta_roots_close_pair():
+    # chi = u^2 - 1e-8: the two roots sit 2e-4 apart in a window of width 2
+    leaf = const_leaf(0.0, 0.0, 1e-4)
+    zm, zp = zeta_roots(leaf, 0.0, (-1.0, 1.0))
+    assert zm == pytest.approx(-1e-4, rel=1e-9)
+    assert zp == pytest.approx(1e-4, rel=1e-9)
+
+
 def test_zeta_separation_and_sandwich_random():
     rng = np.random.default_rng(23)
     for _ in range(25):

@@ -118,13 +118,13 @@ def test_cli_entrypoint_runs():
     assert proc.returncode == 0
 
 
-def test_gaps_jobs_parallel_identical(tmp_path):
-    path = write_config(tmp_path, gap_m_radius=1, box_radius=5)
-    out1, out2 = tmp_path / "seq", tmp_path / "par"
-    assert main(["gaps", "--config", str(path), "--out", str(out1)]) == 0
-    assert main(["gaps", "--config", str(path), "--out", str(out2),
-                 "--jobs", "3"]) == 0
-    assert (out1 / "gaps.csv").read_bytes() == (out2 / "gaps.csv").read_bytes()
+def test_regime_flags_select_ladder(tmp_path, capsys):
+    # the golden config carries a desk ladder; the flags override its regime
+    args = ["validate", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]
+    assert main(args + ["--desk"]) == 0
+    assert "log eps0 threshold" in capsys.readouterr().out
+    assert main(args + ["--faithful"]) == 0
+    assert "log eps0 threshold" not in capsys.readouterr().out
 
 
 def test_nu_mismatch_rejected(tmp_path, capsys):

@@ -114,11 +114,3 @@ def test_normalization_consistency(generic_problem):
     raw = restrict(generic_problem, S, 0.3, RAW)
     norm = restrict(generic_problem, S, 0.3, NORMALIZED)
     assert np.allclose(raw.entries, norm.scale() * norm.entries, rtol=1e-14)
-
-
-def test_resonance_point_flags(generic_problem):
-    from qpspec.dual_operator import resonance_point_flags
-    from qpspec.resonance import k_point
-    km = k_point(generic_problem.frequency, (0, 1))
-    assert resonance_point_flags(generic_problem, km, 2) == [(0, 1)]
-    assert resonance_point_flags(generic_problem, km + 1e-6, 2) == []

@@ -253,14 +253,6 @@ def test_band_routes_resonant_points(harmonic_problem):
     assert pts[0].E <= rec.E_minus + 1e-9
 
 
-def test_band_jobs_identical(generic_problem):
-    host = ball(4, 2)
-    grid = np.linspace(0.05, 0.45, 9)
-    seq = band(generic_problem, grid, lambda k: host)
-    par = band(generic_problem, grid, lambda k: host, jobs=3)
-    assert [(p.k, p.E, p.regime) for p in seq] == [(p.k, p.E, p.regime) for p in par]
-
-
 def test_gap_record_carries_forward_bound(generic_problem):
     rec = gap_at(generic_problem, (0, 1), paired_box(generic_problem, (0, 1), 5))
     pot = generic_problem.potential
