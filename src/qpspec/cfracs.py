@@ -203,7 +203,7 @@ def zeta_sandwich_ok(node: CFNode, x: float, zminus: float, zplus: float,
     a1p, a2p, bp = parts(zplus)
     a1m, a2m, bm = parts(zminus)
     ok_plus = (max(a1p, a2p + bp) <= zplus + slack) and (zplus <= a1p + bp + slack)
-    ok_minus = (a2m - bm - slack <= zminus) and (zminus <= min(a2m, a1p - bp) + slack)
+    ok_minus = (a2m - bm - slack <= zminus) and (zminus <= min(a2m, a1m - bm) + slack)
     return ok_plus and ok_minus
 
 

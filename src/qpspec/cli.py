@@ -271,7 +271,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.regime is not None and cfg.get("ladder"):
+        if args.regime is not None:
+            if not cfg.get("ladder"):
+                raise RegimeError(f"--{args.regime} needs a ladder in the config")
             cfg["ladder"]["regime"] = args.regime  # the regime only affects the ladder
         problem = build_problem(cfg)
     except _BUDGET_ERRORS as exc:

@@ -129,15 +129,15 @@ def dense_spectrum(M: DualMatrix, residual_tol: float = 1e-10):
     """Full Hermitian eigendecomposition, ascending eigenvalues.
 
     Residual ||M phi - E phi|| per pair is checked against
-    residual_tol * ||M||; this is the oracle every spectral claim is
-    compared against.
+    residual_tol * ||M||, where ||M||_2 = max |E| for Hermitian M; this is
+    the oracle every spectral claim is compared against.
     """
     H = M.entries
     herm = float(np.max(np.abs(H - H.conj().T)))
     if herm > 0:
         raise ValueError(f"matrix not exactly Hermitian (max dev {herm:.3g})")
     evals, evecs = np.linalg.eigh(H)
-    scale = max(1.0, float(np.linalg.norm(H, 2)))
+    scale = max(1.0, float(np.max(np.abs(evals))))
     resid = np.linalg.norm(H @ evecs - evecs * evals[None, :], axis=0)
     if np.any(resid > residual_tol * scale):
         raise ArithmeticError(f"eigensolver residual {resid.max():.3g} over budget")

@@ -2,7 +2,8 @@
 
 The non-resonant branch solves the scalar fixed point E = v(m0) + Q(E); the
 paired branch solves the 2x2 effective characteristic equation
-chi(E) = (E - v+ - Q+)(E - v- - Q-) - |G|^2 = 0 by convex bisection.  The
+chi(E) = (E - v+ - Q+)(E - v- - Q-) - |G|^2 = 0 as the fixed points
+E = lambda_max / lambda_min of the effective 2x2 matrix at E.  The
 gap edges at k_{n0} come from the limit characterization
 E = v(0, k_{n0}) + Q(E) -+ |G(E)|, solved directly to avoid cancellation,
 and every solve is reconciled against the dense eigensolver.
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfracs import convex_roots
 from .dual_operator import RAW, dense_spectrum, diag_scale, diagonal_value, restrict
 from .errors import ConvergenceError, ReconciliationError, RegimeError
 from .lattice import SiteSet, ball, l1_norm
@@ -77,8 +77,9 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
     """Fixed-point solve of E = v(m0, k) + Q(m0, S; E), eigenvector from F.
 
     Starts at E = v(m0, k); contraction is guaranteed by |d_E Q| <= |eps|
-    in the small-coupling regime.  Divergence falls back to the dense
-    eigensolver with eigenvector-overlap selection; with the oracle check
+    in the small-coupling regime.  A stalled fixed point (ConvergenceError)
+    falls back to the dense eigensolver with eigenvector-overlap selection;
+    any other error propagates.  With the oracle check
     on, a converged value that disagrees with the overlap-selected dense
     eigenvalue flags a regime mismatch.
     """
@@ -88,7 +89,7 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
     scale = max(1.0, abs(v0))
     try:
         E = _fixed_point(lambda E: v0 + solver.q(m0, E).real, v0, scale, tol)
-    except Exception:
+    except ConvergenceError:
         # dense fallback: take the eigenvalue whose eigenvector carries m0
         evals, evecs = dense_spectrum(solver.full)
         i0 = solver.full.sites.index(m0)
@@ -128,31 +129,12 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
 # ---------------------------------------------------------------------------
 
 
-def _chi_factory(problem: Problem, S: SiteSet, k: float, mp, mm,
-                 normalization: str):
-    solver = ReducedSolver(problem, S, k, [mp, mm], normalization)
-    vp = diagonal_value(problem, mp, k, normalization, solver.gamma)
-    vm = diagonal_value(problem, mm, k, normalization, solver.gamma)
-
-    def parts(E: float):
-        qp = solver.q(mp, E).real
-        qm = solver.q(mm, E).real
-        g = solver.g(mp, mm, E)
-        return vp + qp, vm + qm, abs(g)
-
-    def chi(E: float) -> float:
-        a1, a2, b = parts(E)
-        return (E - a1) * (E - a2) - b * b
-
-    return solver, parts, chi, (vp, vm)
-
-
 def _pair_windows(problem: Problem, S: SiteSet, k: float, mp, mm,
                   normalization: str, gamma: float):
-    """E-search windows around each pivot's diagonal value.
+    """E windows around each pivot's diagonal value that must hold the pair roots.
 
     Each half-width stays below the nearest foreign diagonal value, which
-    keeps the scan clear of the reduced resolvent's poles; overlapping
+    keeps the windows clear of the reduced resolvent's poles; overlapping
     windows merge (the resonant case).
     """
     vp = diagonal_value(problem, mp, k, normalization, gamma)
@@ -180,30 +162,43 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
                normalization: str = RAW, oracle_check: bool = True):
     """Both roots of the paired characteristic equation with eigenvectors.
 
-    Orders the pivots so the plus branch carries the larger diagonal-plus-
-    self-energy (the ordered-pair convention); returns
-    (E_plus, E_minus, phi_plus, phi_minus).
+    Each root is a fixed point of the effective 2x2 matrix
+    M(E) = [[v+ + Q+(E), G(E)], [conj G(E), v- + Q-(E)]]: E+ is the larger
+    eigenvalue of M(E+) and E- the smaller of M(E-), which are exactly the
+    roots of chi(E) = det(E - M(E)).  |dM/dE| = O(eps), so both iterations
+    contract in a few steps from the pivots' mean diagonal.  Orders the
+    pivots so the plus branch carries the larger diagonal-plus-self-energy
+    (the ordered-pair convention); returns (E_plus, E_minus, phi_plus,
+    phi_minus).  A root outside the pair windows is a regime error.
     """
     mp, mm = tuple(mp), tuple(mm)
-    solver, parts, chi, (vp, vm) = _chi_factory(problem, S, k, mp, mm, normalization)
+    solver = ReducedSolver(problem, S, k, [mp, mm], normalization)
+    vp = diagonal_value(problem, mp, k, normalization, solver.gamma)
+    vm = diagonal_value(problem, mm, k, normalization, solver.gamma)
     center = 0.5 * (vp + vm)
-    a1, a2, _ = parts(center)
-    if a1 < a2:
-        mp, mm = mm, mp
-        solver, parts, chi, (vp, vm) = _chi_factory(problem, S, k, mp, mm, normalization)
-    roots = []
-    for lo, hi in _pair_windows(problem, S, k, mp, mm, normalization, solver.gamma):
-        roots.extend(convex_roots(chi, lo, hi))
-    roots = sorted(roots)
-    if len(roots) != 2:
-        raise RegimeError(
-            f"paired characteristic equation has {len(roots)} roots in the window "
-            f"(regime misclassification at k={k})")
-    E_minus, E_plus = roots
+    if vp + solver.q(mp, center).real < vm + solver.q(mm, center).real:
+        mp, mm, vp, vm = mm, mp, vm, vp
+
+    def parts(E: float):
+        return (vp + solver.q(mp, E).real, vm + solver.q(mm, E).real,
+                solver.g(mp, mm, E))
+
+    def root(sign: float) -> float:
+        def step(E: float) -> float:
+            a1, a2, g = parts(E)
+            return 0.5 * (a1 + a2) + sign * math.hypot(0.5 * (a1 - a2), abs(g))
+        return _fixed_point(step, center, max(1.0, abs(center)))
+
+    E_plus, E_minus = root(+1.0), root(-1.0)
+    windows = _pair_windows(problem, S, k, mp, mm, normalization, solver.gamma)
+    for E in (E_minus, E_plus):
+        if not any(lo <= E <= hi for lo, hi in windows):
+            raise RegimeError(
+                f"pair root E={E:.6g} lies outside the pair windows "
+                f"(regime misclassification at k={k})")
 
     def vector(E: float):
-        a1, a2, _ = parts(E)
-        g = solver.g(mp, mm, E)
+        a1, a2, g = parts(E)
         # null vector of [[E-a1, -g], [-conj(g), E-a2]] at a root of chi
         if abs(E - a2) >= abs(E - a1):
             amp_p, amp_m = E - a2, np.conj(g)

@@ -89,6 +89,16 @@ def test_zeta_separation_and_sandwich_random():
         assert zeta_sandwich_ok(leaf, 0.0, *roots)
 
 
+def test_zeta_sandwich_u_dependent_leaf():
+    # a1 = a + s u varies with u, so the zeta- envelope min(a2, a1 - |b|)
+    # must take a1 at zeta-, not at zeta+
+    a, s, b = 0.615, -0.465, 0.997
+    leaf = CFNode.leaf(lambda x, u: a + s * u, lambda x, u: 0.0, lambda x, u: b)
+    roots = zeta_roots(leaf, 0.0, (-5.0, 5.0))
+    assert len(roots) == 2
+    assert zeta_sandwich_ok(leaf, 0.0, *roots)
+
+
 def test_zeta_window_regime_guard():
     # three sign changes cannot occur for convex chi; fake it with a cubic-ish
     # window catching only one root: fewer than two roots is reported, not fatal

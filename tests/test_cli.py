@@ -127,6 +127,17 @@ def test_regime_flags_select_ladder(tmp_path, capsys):
     assert "log eps0 threshold" not in capsys.readouterr().out
 
 
+def test_regime_flag_without_ladder_rejected(tmp_path, capsys):
+    cfg = json.loads(GOLDEN_CONFIG.read_text())
+    del cfg["ladder"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["validate", "--config", str(path), "--out", str(tmp_path), "--faithful"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "regime" and "needs a ladder" in err["message"]
+
+
 def test_nu_mismatch_rejected(tmp_path, capsys):
     path = write_config(tmp_path, nu=3)
     rc = main(["validate", "--config", str(path), "--out", str(tmp_path)])

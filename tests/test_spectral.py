@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from qpspec import schur, spectral
 from qpspec.dual_operator import (NORMALIZED, RAW, dense_spectrum,
                                   diagonal_value, restrict)
-from qpspec.errors import ReconciliationError
+from qpspec.errors import ReconciliationError, RegimeError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
 from qpspec.resonance import k_point
+from qpspec.schur import ReducedSolver
 from qpspec.spectral import (band, decay_envelope, eigen_pair, eigen_simple,
                              feynman_derivative, gap_at, paired_box)
 
@@ -286,6 +288,55 @@ def test_eigen_simple_dense_fallback_near_resonance(golden_freq):
     rec = eigen_simple(prob, (0, 0), S, k, oracle_check=False)
     assert rec.regime in ("nonresonant", "dense_fallback")
     assert rec.residual <= 1e-9
+
+
+def test_eigen_simple_propagates_unexpected_errors(generic_problem, monkeypatch):
+    # only a stalled fixed point falls back to the dense solver
+    def broken(self, m0, E):
+        raise TypeError("broken self-energy")
+
+    monkeypatch.setattr(ReducedSolver, "q", broken)
+    with pytest.raises(TypeError):
+        eigen_simple(generic_problem, (0, 0), ball(3, 2), 0.22, oracle_check=False)
+
+
+def test_eigen_pair_factorization_count(harmonic_problem, monkeypatch):
+    calls = []
+    lu_factor = schur.sla.lu_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(schur.sla, "lu_factor", counting)
+    n0 = (0, 1)
+    k = k_point(harmonic_problem.frequency, n0) + 2e-5
+    eigen_pair(harmonic_problem, paired_box(harmonic_problem, n0, 6), k, (0, 0), n0)
+    assert 0 < len(calls) <= 20
+
+
+def test_eigen_pair_matches_dense_through_resonance(generic_problem):
+    n0 = (0, 1)
+    S = paired_box(generic_problem, n0, 6)
+    for theta in (-4e-3, -1e-5, -1e-7, 1e-7, 1e-5, 4e-3):
+        k = k_point(generic_problem.frequency, n0) + theta
+        Ep, Em, _, _ = eigen_pair(generic_problem, S, k, (0, 0), n0,
+                                  oracle_check=False)
+        center = 0.5 * (diagonal_value(generic_problem, (0, 0), k)
+                        + diagonal_value(generic_problem, n0, k))
+        evals = np.linalg.eigvalsh(restrict(generic_problem, S, k).entries)
+        want = np.sort(evals[np.argsort(np.abs(evals - center))[:2]])
+        assert Em == pytest.approx(want[0], rel=1e-12)
+        assert Ep == pytest.approx(want[1], rel=1e-12)
+
+
+def test_eigen_pair_root_outside_window(harmonic_problem, monkeypatch):
+    monkeypatch.setattr(spectral, "_pair_windows", lambda *args: [(-2.0, -1.0)])
+    n0 = (0, 1)
+    k = k_point(harmonic_problem.frequency, n0) + 2e-5
+    with pytest.raises(RegimeError, match="regime misclassification"):
+        eigen_pair(harmonic_problem, paired_box(harmonic_problem, n0, 5), k,
+                   (0, 0), n0)
 
 
 def test_three_dimensional_eigen_solve():
