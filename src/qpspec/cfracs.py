@@ -106,11 +106,15 @@ def d2_chi_du2(node: CFNode, x: float, u: float, step: float = 1e-5) -> float:
     return (c(x, u + step) - 2.0 * c(x, u) + c(x, u - step)) / (step * step)
 
 
-def _bisect_root(fun, a: float, b: float, fa: float, tol: float = 1e-15) -> float:
+def _bisect_root(fun, a: float, b: float, fa: float) -> float:
+    """Bisect the sign change on [a, b] to 1e-15 relative, or until no
+    float lies strictly inside the bracket."""
     for _ in range(200):
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return mid
         fm = fun(mid)
-        if fm == 0.0 or (b - a) < tol * max(1.0, abs(mid)):
+        if fm == 0.0 or (b - a) < 1e-15 * abs(mid):
             return mid
         if (fa < 0) == (fm < 0):
             a, fa = mid, fm

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SiteBudgetError
+from .errors import ConvergenceError, ReconciliationError, SiteBudgetError
 from .lattice import SiteSet
 from .model import Problem, gamma_for_k
 
@@ -22,6 +22,8 @@ TWO_PI_SQ = (2.0 * math.pi) ** 2
 
 RAW = "raw"
 NORMALIZED = "lambda"
+
+ORACLE_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -125,20 +127,26 @@ def reflection_conjugation_check(problem: Problem, S: SiteSet, k: float,
     return float(np.max(np.abs(left.entries - np.conj(right.entries))))
 
 
-def dense_spectrum(M: DualMatrix, residual_tol: float = 1e-10):
+def dense_spectrum(M: DualMatrix):
     """Full Hermitian eigendecomposition, ascending eigenvalues.
 
     Residual ||M phi - E phi|| per pair is checked against
-    residual_tol * ||M||, where ||M||_2 = max |E| for Hermitian M; this is
-    the oracle every spectral claim is compared against.
+    ORACLE_RESIDUAL_TOL * ||M||, where ||M||_2 = max |E| for Hermitian M;
+    this is the oracle every spectral claim is compared against.  A
+    non-Hermitian matrix or a residual over budget is a
+    ReconciliationError, an eigensolver that does not converge a
+    ConvergenceError.
     """
     H = M.entries
     herm = float(np.max(np.abs(H - H.conj().T)))
     if herm > 0:
-        raise ValueError(f"matrix not exactly Hermitian (max dev {herm:.3g})")
-    evals, evecs = np.linalg.eigh(H)
+        raise ReconciliationError(f"matrix not exactly Hermitian (max dev {herm:.3g})")
+    try:
+        evals, evecs = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
     scale = max(1.0, float(np.max(np.abs(evals))))
     resid = np.linalg.norm(H @ evecs - evecs * evals[None, :], axis=0)
-    if np.any(resid > residual_tol * scale):
-        raise ArithmeticError(f"eigensolver residual {resid.max():.3g} over budget")
+    if np.any(resid > ORACLE_RESIDUAL_TOL * scale):
+        raise ReconciliationError(f"eigensolver residual {resid.max():.3g} over budget")
     return evals, evecs

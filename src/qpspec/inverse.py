@@ -8,7 +8,8 @@ Fourier coefficient through
 
 and the decay-improvement map (eps, kappa) -> (eps/2, 7 kappa/6) iterates to
 the square-root conclusion; at desk scale every finite inequality in the
-chain is verified pointwise rather than asymptotically.
+chain is verified pointwise rather than asymptotically.  Each label's gap is
+solved once: recovered_bound takes the GapRecord that gap_table made.
 """
 
 from __future__ import annotations
@@ -19,18 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual_operator import RAW
-from .errors import RegimeError
+from .errors import QPSpecError, RegimeError
 from .lattice import ball, l1_norm
 from .model import Potential, Problem
 from .schur import ReducedSolver
-from .spectral import gap_at, paired_box
+from .spectral import GapRecord, gap_at, paired_box
 
 
 def gap_table(problem: Problem, m_list, box_radius: float,
               normalization: str = RAW):
-    """One GapRecord per m via the paired-set gap solver; failures inline.
+    """One GapRecord per m via the paired-set gap solver.
 
-    The returned dicts are insertion-ordered by the input list.
+    A QPSpecError is collected as that m's failure; any other error
+    propagates.  The returned dicts are insertion-ordered by the input list.
     """
     records = {}
     failures = {}
@@ -38,7 +40,7 @@ def gap_table(problem: Problem, m_list, box_radius: float,
         try:
             records[m] = gap_at(problem, m, paired_box(problem, m, box_radius),
                                 normalization)
-        except Exception as exc:
+        except QPSpecError as exc:
             failures[m] = str(exc)
     return records, failures
 
@@ -81,55 +83,38 @@ class RecoveredBound:
         return self.actual <= self.bound_desk * (1 + 1e-9) + 1e-300
 
 
-def coefficient_bound(n0, gap_width: float, traj_bound_term: float,
-                      prefactor: float) -> float:
-    """Right-hand side prefactor * width + quadratic trajectory term."""
-    return prefactor * gap_width + traj_bound_term
+def recovered_bound(problem: Problem, rec: GapRecord, box_radius: float,
+                    normalization: str = RAW) -> RecoveredBound:
+    """Both variants of the coefficient-recovery inequality at rec.n0.
 
-
-def recovered_bound(problem: Problem, n0, box_radius: float,
-                    normalization: str = RAW,
-                    coarse_eps_floor: float = None) -> RecoveredBound:
-    """Compute both variants of the coefficient-recovery inequality at n0.
-
-    Desk variant: prefactor sup |d_E (E - v - Q)| over [E-, E+], quadratic
-    term from the computed reduced resolvent.  Coarse variant: the
-    worst-case prefactor (eps_floor)^-1 exp(kappa0 |n0|).  The desk
-    inequality is the one asserted; both are reported.
+    rec is the GapRecord that gap_at made on paired_box(problem, rec.n0,
+    box_radius); one ReducedSolver on that box gives every quantity.  Desk
+    variant: prefactor sup |d_E (E - v - Q)| over [E-, E+], exactly
+    1 + ||(E - H_rest)^-1 h_0||^2 since d_E Q = -||(E - H_rest)^-1 h_0||^2,
+    taken at the edges and the midpoint; quadratic term from the reduced
+    resolvent at E+.  Coarse variant: the worst-case prefactor
+    eps^-1 exp(kappa0 |n0|).  The desk inequality is the one asserted;
+    both are reported.
     """
-    n0 = tuple(n0)
+    n0 = rec.n0
     zero = tuple([0] * problem.nu)
-    S = paired_box(problem, n0, box_radius)
-    rec = gap_at(problem, n0, S, normalization)
-    k = rec.k_point
-    solver = ReducedSolver(problem, S, k, [zero, n0], normalization)
+    solver = ReducedSolver(problem, paired_box(problem, n0, box_radius),
+                           rec.k_point, [zero, n0], normalization)
+    col_0 = solver.coupling_column(zero)
+    probes = (rec.E_minus, 0.5 * (rec.E_minus + rec.E_plus), rec.E_plus)
+    prefactor_desk = 1.0 + max(float(np.linalg.norm(solver.solve(E, col_0)) ** 2)
+                               for E in probes)
 
-    # sup over the gap of |d/dE (E - v0 - Q(E))| ~ 1 + sup |dQ/dE|, by
-    # centered differences at the edges and midpoint
-    def dq(E: float) -> float:
-        h = max(1e-9, 1e-6 * max(abs(rec.width), 1e-6))
-        return (solver.q(zero, E + h).real - solver.q(zero, E - h).real) / (2.0 * h)
-
-    probes = [rec.E_minus, 0.5 * (rec.E_minus + rec.E_plus), rec.E_plus]
-    prefactor_desk = 1.0 + max(abs(dq(E)) for E in probes)
-
-    # quadratic term sum |c(m')| |K(m',n')| |c(n' - n0)| with the exact
-    # reduced resolvent at the upper edge
-    col_n0 = np.abs(solver.coupling_column(n0))
-    col_0 = np.abs(solver.coupling_column(zero))
-    n = len(solver.reduced_sites)
-    A = rec.E_plus * np.eye(n) - solver.H_rest
-    K = np.linalg.inv(A)
-    quad = float(col_0 @ np.abs(K) @ col_n0)
+    # quadratic term sum |c(m')| |K(m',n')| |c(n' - n0)|
+    K = solver.solve(rec.E_plus, np.eye(len(solver.reduced_sites)))
+    quad = float(np.abs(col_0) @ np.abs(K) @ np.abs(solver.coupling_column(n0)))
 
     pot = problem.potential
     actual = abs(pot.c(n0)) / solver.full.scale()
-    eps_floor = coarse_eps_floor if coarse_eps_floor is not None else pot.epsilon
-    prefactor_coarse = math.exp(pot.kappa0 * l1_norm(n0)) / eps_floor
+    prefactor_coarse = math.exp(pot.kappa0 * l1_norm(n0)) / pot.epsilon
     return RecoveredBound(
         n0, rec.width, prefactor_desk, prefactor_coarse, quad,
-        coefficient_bound(n0, rec.width, quad, prefactor_desk),
-        coefficient_bound(n0, rec.width, quad, prefactor_coarse),
+        prefactor_desk * rec.width + quad, prefactor_coarse * rec.width + quad,
         actual)
 
 
@@ -253,8 +238,8 @@ def verify_inverse(problem: Problem, box_radius: float, iterations: int = 5,
         return InverseReport((), (), DecayBound(pot.epsilon, pot.kappa0), False, False,
                              "gap hypothesis fails; no assertion made")
 
-    pointwise = tuple(recovered_bound(problem, m, box_radius, normalization)
-                      for m in records)
+    pointwise = tuple(recovered_bound(problem, rec, box_radius, normalization)
+                      for rec in records.values())
     steps = []
     bound = DecayBound(pot.epsilon, pot.kappa0)
     for _ in range(iterations):

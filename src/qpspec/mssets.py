@@ -10,7 +10,7 @@ stabilizes in fewer than 2^s steps by the correct-word bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,18 +153,16 @@ def validate_system(sys: SubtractionSystem):
     return report
 
 
-def subtraction_fixpoint(start: SiteSet, sys: SubtractionSystem,
-                         require_proper: bool = True):
+def subtraction_fixpoint(start: SiteSet, sys: SubtractionSystem):
     """Iterate L_l = L_{l-1} minus the union of system sets not inside L_{l-1}.
 
     Returns (final set, number of strict steps); the step count is checked
     against the 2^(max level) bound, and on exit every system set is inside
-    or disjoint from the result.
+    or disjoint from the result.  An improper system is a GeometryError.
     """
-    if require_proper:
-        bad = validate_system(sys)
-        if bad:
-            raise GeometryError(f"subtraction system not proper: {bad[0]}")
+    bad = validate_system(sys)
+    if bad:
+        raise GeometryError(f"subtraction system not proper: {bad[0]}")
     current = start
     steps = 0
     cap = 2 ** sys.max_level
@@ -201,25 +199,19 @@ class SiteClassification:
     s: int
     members: dict            # s' -> tuple of lattice vectors
     lambda_sets: dict        # (s', m) -> SiteSet
-    admissible: bool         # k outside every widened exclusion interval
-    thresholds: dict = field(default_factory=dict)
-
-    def all_lambda_sets(self):
-        return list(self.lambda_sets.items())
 
 
 class GeometryBuilder:
     """Caches the recursive Lambda-set construction for one problem."""
 
-    def __init__(self, problem: Problem, ladder: ScaleLadder = None,
-                 site_budget: int = None):
+    def __init__(self, problem: Problem, ladder: ScaleLadder = None):
         self.problem = problem
         self.ladder = ladder if ladder is not None else problem.ladder
         if self.ladder is None:
             raise ValueError("geometry requires a scale ladder")
         if self.ladder.regime == "faithful":
             raise RegimeError("faithful ladders refuse set materialization; use a desk ladder")
-        self.budget = site_budget if site_budget is not None else problem.site_budget
+        self.budget = problem.site_budget
         self._plain_cache = {}
 
     # -- diagonal differences ------------------------------------------------
@@ -249,46 +241,40 @@ class GeometryBuilder:
         return base - shave
 
     def admissible_k(self, k: float, s: int, window_radius: int) -> bool:
-        """k outside every (k^-_{m,s-1}, k^+_{m,s-1}) for 0 < |m| <= radius."""
-        try:
-            pts = self._candidates(window_radius)
-        except CombinatorialBudgetError:
-            return False
-        for m in pts:
-            mt = tuple(int(c) for c in m)
-            try:
-                iv = interval(self.problem.frequency, mt, max(s - 1, 0), self.ladder)
-            except Exception:
-                continue
+        """k outside every (k^-_{m,s-1}, k^+_{m,s-1}) for 0 < |m| <= radius.
+
+        Every m in the window is checked: an m beyond the ladder
+        (LadderRangeError) or a window over the point cap
+        (CombinatorialBudgetError) raises rather than answering.
+        """
+        for m in self._candidates(window_radius):
+            iv = interval(self.problem.frequency, tuple(int(c) for c in m),
+                          max(s - 1, 0), self.ladder)
             if iv.contains(k):
                 return False
         return True
 
-    def site_classes(self, k: float, s: int, window_radius: int = None,
-                     pair=None) -> SiteClassification:
+    def site_classes(self, k: float, s: int, pair=None) -> SiteClassification:
         """The classification M^(s')_{k, s-1}, s' = 1..s-1, with Lambda sets.
 
         Separation |m1 - m2| > 12 R^(s') is enforced within each class;
         a declared principal pair is exempt.  The sigma-interval
-        admissibility of k is reported, not enforced (it fails for every k
-        at desk scale).
+        admissibility of k is not part of the classification; admissible_k
+        answers it on request.
         """
         if s < 2:
             raise ValueError("site classes exist for s >= 2")
-        if window_radius is None:
-            # must reach every potential straddler of B(3 R^(s))
-            window_radius = int(math.floor(
-                3.0 * self.ladder.R(s) + 3.0 * self.ladder.R(s - 1))) + 1
+        # the window must reach every potential straddler of B(3 R^(s))
+        window_radius = int(math.floor(
+            3.0 * self.ladder.R(s) + 3.0 * self.ladder.R(s - 1))) + 1
         pts = self._candidates(window_radius, include_zero=True)
         diffs = self._v_diff(pts.astype(float), k)
         members = {}
         lambda_sets = {}
-        thresholds = {}
         taken = set()
         pair_pts = {tuple(p) for p in pair} if pair else set()
         for s_prime in range(s - 1, 0, -1):
             thr = self.threshold(s_prime, s)
-            thresholds[s_prime] = thr
             mem = []
             if thr > 0:
                 for i in np.flatnonzero(diffs <= thr):
@@ -314,8 +300,7 @@ class GeometryBuilder:
                 lam_m = lam.translate(m)
                 lambda_sets[(s_prime, m)] = lam_m
                 taken.update(lam_m.sites)
-        admissible = self.admissible_k(k, s, min(window_radius, 64))
-        return SiteClassification(k, s, members, lambda_sets, admissible, thresholds)
+        return SiteClassification(k, s, members, lambda_sets)
 
     # -- the Lambda sets -----------------------------------------------------
 
@@ -466,25 +451,3 @@ def _iterated_straddle_removal(start: SiteSet, groups, cap: int):
         if steps >= cap:
             raise GeometryError(f"straddle removal failed to stabilize within {cap} steps")
 
-
-# -- module-level convenience wrappers ---------------------------------------
-
-
-def site_classes(problem: Problem, k: float, s: int, window_radius: int = None,
-                 ladder: ScaleLadder = None) -> SiteClassification:
-    return GeometryBuilder(problem, ladder).site_classes(k, s, window_radius)
-
-
-def lambda_plain(problem: Problem, k: float, s: int,
-                 ladder: ScaleLadder = None) -> SiteSet:
-    return GeometryBuilder(problem, ladder).lambda_plain(k, s)
-
-
-def lambda_sym(problem: Problem, k: float, s: int,
-               ladder: ScaleLadder = None) -> SiteSet:
-    return GeometryBuilder(problem, ladder).lambda_sym(k, s)
-
-
-def lambda_pair(problem: Problem, k: float, s: int, n0,
-                ladder: ScaleLadder = None) -> SiteSet:
-    return GeometryBuilder(problem, ladder).lambda_pair(k, s, n0)

@@ -107,13 +107,13 @@ def block_inverse(M: np.ndarray, blocks) -> ResolventHandle:
 
 def multiscale_inverse(problem: Problem, E: float, S: SiteSet, k: float,
                        clusters=(), normalization: str = RAW,
-                       floor: float = None, gamma: float = None) -> ResolventHandle:
+                       floor: float = None) -> ResolventHandle:
     """Invert (E - H_S) by non-resonant elimination plus cluster Schur steps.
 
     Every site outside all clusters must satisfy |E - v(n,k)| >= floor;
     violations report the site.  Clusters are folded in increasing size.
     """
-    H = restrict(problem, S, k, normalization, gamma=gamma)
+    H = restrict(problem, S, k, normalization)
     A = E * np.eye(len(S)) - H.entries
     cluster_sets = [SiteSet.from_iterable(c) for c in clusters]
     in_cluster = set()
@@ -155,13 +155,13 @@ class ReducedSolver:
     """
 
     def __init__(self, problem: Problem, S: SiteSet, k: float, pivots,
-                 normalization: str = RAW, gamma: float = None):
+                 normalization: str = RAW):
         self.problem = problem
         self.k = k
         self.normalization = normalization
-        self.gamma = gamma_for_k(k) if gamma is None else gamma
         self.pivots = [tuple(p) for p in pivots]
-        self.full = restrict(problem, S, k, normalization, gamma=self.gamma)
+        self.full = restrict(problem, S, k, normalization)
+        self.gamma = self.full.gamma
         keep = [i for i, s in enumerate(self.full.sites) if s not in set(self.pivots)]
         self.reduced_sites = [self.full.sites.sites[i] for i in keep]
         self._keep = np.asarray(keep, dtype=int)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual_operator import RAW, dense_spectrum, diag_scale, diagonal_value, restrict
-from .errors import ConvergenceError, ReconciliationError, RegimeError
+from .errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
 from .lattice import SiteSet, ball, l1_norm
 from .model import Problem
 from .resonance import k_point
@@ -26,6 +26,8 @@ from .schur import ReducedSolver
 FIXED_POINT_TOL = 1e-13
 MAX_FIXED_POINT_STEPS = 100
 DEGENERACY_GAP = 1e-10
+RESONANCE_RADIUS = 3
+RESONANCE_POINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,7 @@ def _fixed_point(step, E0: float, scale: float, tol: float = FIXED_POINT_TOL) ->
 
 
 def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
-                 normalization: str = RAW, tol: float = FIXED_POINT_TOL,
-                 oracle_check: bool = True) -> EigenRecord:
+                 normalization: str = RAW, oracle_check: bool = True) -> EigenRecord:
     """Fixed-point solve of E = v(m0, k) + Q(m0, S; E), eigenvector from F.
 
     Starts at E = v(m0, k); contraction is guaranteed by |d_E Q| <= |eps|
@@ -88,7 +89,7 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
     v0 = diagonal_value(problem, m0, k, normalization, solver.gamma)
     scale = max(1.0, abs(v0))
     try:
-        E = _fixed_point(lambda E: v0 + solver.q(m0, E).real, v0, scale, tol)
+        E = _fixed_point(lambda E: v0 + solver.q(m0, E).real, v0, scale)
     except ConvergenceError:
         # dense fallback: take the eigenvalue whose eigenvector carries m0
         evals, evecs = dense_spectrum(solver.full)
@@ -289,18 +290,19 @@ class BandPoint:
     error: str = ""
 
 
-def band(problem: Problem, k_grid, S_builder, resonance_radius: int = 3,
-         resonance_tol: float = 1e-9, normalization: str = RAW):
+def band(problem: Problem, k_grid, S_builder, normalization: str = RAW):
     """E(k) along a grid; resonant points take the matching pair branch.
 
-    S_builder maps k to the host set.  Points within resonance_tol of some
-    k_m are classified "resonance_point"; points inside a pair window take
-    the branch that continues E through the resonance (plus branch above
-    k_m, minus branch below).  Failures are collected per point.
+    S_builder maps k to the host set.  Points within RESONANCE_POINT_TOL of
+    some k_m, |m| <= RESONANCE_RADIUS, are classified "resonance_point";
+    points inside a pair window take the branch that continues E through
+    the resonance (plus branch above k_m, minus branch below).  A
+    QPSpecError is collected as that point's error; any other error
+    propagates.
     """
     zero = tuple([0] * problem.nu)
     res_points = []
-    B = ball(resonance_radius, problem.nu, budget=None)
+    B = ball(RESONANCE_RADIUS, problem.nu, budget=None)
     for m in B:
         if any(m):
             res_points.append((tuple(m), k_point(problem.frequency, m)))
@@ -309,7 +311,7 @@ def band(problem: Problem, k_grid, S_builder, resonance_radius: int = 3,
         S = S_builder(k)
         hit = None
         for m, km in res_points:
-            if abs(k - km) < resonance_tol:
+            if abs(k - km) < RESONANCE_POINT_TOL:
                 hit = (m, km, "resonance_point")
                 break
             # pair handling window: strongest coupling heuristic
@@ -331,7 +333,7 @@ def band(problem: Problem, k_grid, S_builder, resonance_radius: int = 3,
             E_plus, E_minus, _, _ = eigen_pair(problem, host, k, zero, m,
                                                normalization, oracle_check=False)
             return BandPoint(k, E_plus if k > km else E_minus, "paired")
-        except Exception as exc:  # collected, not fatal
+        except QPSpecError as exc:  # collected, not fatal
             return BandPoint(k, float("nan"), "error", str(exc))
 
     return [solve(float(k)) for k in k_grid]

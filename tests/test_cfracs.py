@@ -71,6 +71,15 @@ def test_zeta_roots_close_pair():
     assert zp == pytest.approx(1e-4, rel=1e-9)
 
 
+def test_zeta_roots_small_roots_relative_accuracy():
+    # roots near 4e-4: an absolute 1e-15 stop leaves ~1e-12 relative error
+    a1, a2, b = 5e-4, 3e-4, 1e-5
+    zm, zp = zeta_roots(const_leaf(a1, a2, b), 0.0, (0.0, 1e-3))
+    half = math.hypot(0.5 * (a1 - a2), b)
+    assert zm == pytest.approx(0.5 * (a1 + a2) - half, rel=1e-14, abs=0)
+    assert zp == pytest.approx(0.5 * (a1 + a2) + half, rel=1e-14, abs=0)
+
+
 def test_zeta_separation_and_sandwich_random():
     rng = np.random.default_rng(23)
     for _ in range(25):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qpspec.dual_operator import (NORMALIZED, RAW, cocycle_check,
+from qpspec.dual_operator import (NORMALIZED, RAW, DualMatrix, cocycle_check,
                                   dense_spectrum, entry,
                                   reflection_conjugation_check, restrict)
+from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
 
@@ -96,6 +97,33 @@ def test_dense_spectrum_zero_potential(zero_problem):
     # residual budget
     resid = np.linalg.norm(M.entries @ evecs - evecs * evals[None, :], axis=0)
     assert np.all(resid <= 1e-10 * max(1.0, np.linalg.norm(M.entries, 2)))
+
+
+def test_dense_spectrum_bad_residual_is_typed(generic_problem, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def off_by_a_bit(H):
+        evals, evecs = eigh(H)
+        return evals + 1e-6, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", off_by_a_bit)
+    with pytest.raises(ReconciliationError):
+        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29))
+
+
+def test_dense_spectrum_eigensolver_failure_is_typed(generic_problem, monkeypatch):
+    def fails(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(ConvergenceError):
+        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29))
+
+
+def test_dense_spectrum_non_hermitian_is_typed():
+    M = DualMatrix(ball(1, 2), 0.1, np.triu(np.ones((5, 5))), RAW)
+    with pytest.raises(QPSpecError):
+        dense_spectrum(M)
 
 
 def test_dense_spectrum_order_invariant(generic_problem):

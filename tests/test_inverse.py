@@ -3,18 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from qpspec import inverse, spectral
+from qpspec.dual_operator import NORMALIZED, RAW, restrict
 from qpspec.errors import RegimeError
-from qpspec.inverse import (DecayBound, DecayLadder, coefficient_bound,
-                            gap_table, improve_decay, improved_rate_factor,
-                            recovered_bound, verify_forward, verify_inverse)
+from qpspec.inverse import (DecayBound, DecayLadder, gap_table, improve_decay,
+                            improved_rate_factor, recovered_bound,
+                            verify_forward, verify_inverse)
 from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
+from qpspec.spectral import gap_at, paired_box
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def chain_problem(golden_freq, eps=1e-4):
     return Problem(golden_freq, Potential.from_harmonics({(0, 2): 1.0}, eps, 0.5))
+
+
+def bound_at(problem, n0, radius, normalization=RAW):
+    rec = gap_at(problem, n0, paired_box(problem, n0, radius), normalization)
+    return recovered_bound(problem, rec, radius, normalization)
 
 
 @pytest.fixture(scope="module")
@@ -60,27 +68,92 @@ def test_verify_forward_reports_violations(golden_freq):
     assert isinstance(rows, list)
 
 
-def test_coefficient_bound_monotone():
-    assert coefficient_bound((0, 1), 2.0, 0.5, 1.5) == pytest.approx(3.5)
-    assert coefficient_bound((0, 1), 3.0, 0.5, 1.5) > coefficient_bound(
-        (0, 1), 2.0, 0.5, 1.5)
-    assert coefficient_bound((0, 1), 2.0, 0.9, 1.5) > coefficient_bound(
-        (0, 1), 2.0, 0.5, 1.5)
-
-
 def test_recovered_bound_holds_and_reports_both(golden_freq):
     prob = chain_problem(golden_freq)
-    rb = recovered_bound(prob, (0, 2), 6)
+    rb = bound_at(prob, (0, 2), 6)
     assert rb.holds
     assert rb.bound_coarse >= rb.actual
     assert rb.prefactor_coarse > rb.prefactor_desk
+
+
+@pytest.mark.parametrize("normalization", [RAW, NORMALIZED])
+def test_desk_prefactor_is_exact_derivative(golden_freq, normalization):
+    # eps = 3 makes |d_E Q| ~ 1e-2, so prefactor - 1 carries 13 digits
+    pot = Potential.from_harmonics(
+        {(0, 1): 0.55, (1, 0): 0.3 + 0.2j, (1, 1): 0.2 - 0.1j}, 3.0, 0.5)
+    prob, n0, radius = Problem(golden_freq, pot), (0, 1), 4
+    rec = gap_at(prob, n0, paired_box(prob, n0, radius), normalization)
+    rb = recovered_bound(prob, rec, radius, normalization)
+    H = restrict(prob, paired_box(prob, n0, radius), rec.k_point, normalization)
+    piv = [H.sites.index((0, 0)), H.sites.index(n0)]
+    rest = [i for i in range(len(H.sites)) if i not in piv]
+    H_rest = H.entries[np.ix_(rest, rest)]
+    h0 = H.entries[rest, piv[0]]
+    want = max(np.linalg.norm(np.linalg.solve(E * np.eye(len(rest)) - H_rest, h0)) ** 2
+               for E in (rec.E_minus, 0.5 * (rec.E_minus + rec.E_plus), rec.E_plus))
+    assert want > 1e-3
+    assert rb.prefactor_desk - 1.0 == pytest.approx(want, rel=1e-12, abs=0)
+    assert rb.quadratic_term > 0
+    assert rb.bound_desk == rb.prefactor_desk * rb.gap_width + rb.quadratic_term
+    assert rb.bound_coarse == rb.prefactor_coarse * rb.gap_width + rb.quadratic_term
+
+
+def test_recovered_bound_reuses_the_gap_record(golden_freq, monkeypatch):
+    prob = chain_problem(golden_freq)
+    rec = gap_at(prob, (0, 2), paired_box(prob, (0, 2), 6))
+    built = []
+
+    class CountingSolver(inverse.ReducedSolver):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recovered_bound must not solve the gap again")
+
+    monkeypatch.setattr(inverse, "ReducedSolver", CountingSolver)
+    monkeypatch.setattr(inverse, "gap_at", refuse)
+    monkeypatch.setattr(spectral, "dense_spectrum", refuse)
+    rb = recovered_bound(prob, rec, 6)
+    assert len(built) == 1
+    assert rb.gap_width == rec.width and rb.holds
+
+
+def test_verify_inverse_one_gap_solve_per_label(compliant_problem, monkeypatch):
+    gaps, oracles = [], []
+    real_gap_at, real_dense = inverse.gap_at, spectral.dense_spectrum
+
+    def counting_gap_at(problem, n0, *args, **kwargs):
+        gaps.append(tuple(n0))
+        return real_gap_at(problem, n0, *args, **kwargs)
+
+    def counting_dense(*args, **kwargs):
+        oracles.append(1)
+        return real_dense(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "gap_at", counting_gap_at)
+    monkeypatch.setattr(spectral, "dense_spectrum", counting_dense)
+    report = verify_inverse(compliant_problem, 6, iterations=1, window_norm=4)
+    labels = [r.n0 for r in report.pointwise]
+    assert len(labels) == 8
+    assert sorted(gaps) == sorted(labels)
+    assert len(oracles) == len(labels)
+
+
+def test_gap_table_propagates_unexpected_errors(harmonic_problem, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(inverse, "gap_at", broken)
+    with pytest.raises(TypeError):
+        gap_table(harmonic_problem, [(0, 1)], 4)
 
 
 def test_quadratic_term_slope(golden_freq):
     vals = []
     eps_list = (1e-3, 1e-4, 1e-5)
     for eps in eps_list:
-        rb = recovered_bound(chain_problem(golden_freq, eps), (0, 4), 6)
+        rb = bound_at(chain_problem(golden_freq, eps), (0, 4), 6)
         vals.append(rb.quadratic_term)
     slope = np.polyfit(np.log(eps_list), np.log(vals), 1)[0]
     assert abs(slope - 2.0) <= 0.1

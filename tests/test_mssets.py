@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpspec.errors import GeometryError, RegimeError
+from qpspec.errors import GeometryError, LadderRangeError, RegimeError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Frequency, Potential, Problem, ScaleLadder
 from qpspec.mssets import (GeometryBuilder, SubtractionSystem,
@@ -130,6 +130,35 @@ def test_zero_always_in_top_class(builder):
     for k in (0.11, 0.2088, 0.41):
         cls = builder.site_classes(k, 2)
         assert (0, 0) in cls.members[1]
+
+
+def test_site_classes_never_ask_admissibility(geometry_problem, monkeypatch):
+    want = GeometryBuilder(geometry_problem).site_classes(0.2088, 2).members
+
+    def refuse(self, *args):
+        raise AssertionError("site_classes must not scan admissibility")
+
+    monkeypatch.setattr(GeometryBuilder, "admissible_k", refuse)
+    assert GeometryBuilder(geometry_problem).site_classes(0.2088, 2).members == want
+
+
+def narrow_delta_builder(log_R, log_delta):
+    freq = Frequency((1.0, GOLDEN), 0.1, 3.0, window_n=300)
+    lad = ScaleLadder.from_sequences(0.35, log_R, log_delta)
+    return GeometryBuilder(Problem(freq, Potential.from_harmonics({(0, 1): 0.6}, 1e-4, 0.5), lad))
+
+
+def test_admissible_k_checks_every_m():
+    # |m| up to 60 lies beyond 12 R^(2) = 24: the predicate must not answer
+    b = narrow_delta_builder((math.log(1.5), math.log(2.0)), (-32.0, -36.0, -40.0))
+    with pytest.raises(LadderRangeError):
+        b.admissible_k(0.2, 2, 30)
+
+
+def test_admissible_k_values():
+    b = narrow_delta_builder((math.log(5.0), math.log(31.0)), (-100.0, -110.0, -120.0))
+    assert not b.admissible_k(k_point(b.problem.frequency, (0, 1)), 2, 30)
+    assert b.admissible_k(0.2088, 2, 30)
 
 
 def test_lambda_plain_s1_is_inner_ball(builder, geometry_problem):

@@ -300,6 +300,16 @@ def test_eigen_simple_propagates_unexpected_errors(generic_problem, monkeypatch)
         eigen_simple(generic_problem, (0, 0), ball(3, 2), 0.22, oracle_check=False)
 
 
+def test_band_propagates_unexpected_errors(zero_problem, monkeypatch):
+    # band collects QPSpecErrors per point; anything else is a defect
+    def broken(*args, **kwargs):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(spectral, "eigen_simple", broken)
+    with pytest.raises(TypeError):
+        band(zero_problem, [0.2], lambda k: ball(2, 2))
+
+
 def test_eigen_pair_factorization_count(harmonic_problem, monkeypatch):
     calls = []
     lu_factor = schur.sla.lu_factor
