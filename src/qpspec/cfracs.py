@@ -146,7 +146,7 @@ def convex_roots(fun, lo: float, hi: float):
     d = a + _GOLDEN_SECTION * (b - a)
     fc, fd = fun(c), fun(d)
     for _ in range(200):
-        if (b - a) < 1e-15 * max(1.0, abs(a) + abs(b)):
+        if not a < 0.5 * (a + b) < b or (b - a) < 1e-15 * max(abs(a), abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc

@@ -112,7 +112,7 @@ def cocycle_check(problem: Problem, m_shift, S: SiteSet, k: float,
     k_shift = k + problem.frequency.dot(l)
     g = gamma_for_k(k)
     left = restrict(problem, S, k_shift, normalization, gamma=g)
-    right = restrict(problem, S.translate(l), k, normalization, gamma=g,
+    right = restrict(problem, S, k, normalization, gamma=g,
                      order=[tuple(a + b for a, b in zip(s, l)) for s in S])
     return float(np.max(np.abs(left.entries - right.entries)))
 
@@ -122,7 +122,7 @@ def reflection_conjugation_check(problem: Problem, S: SiteSet, k: float,
     """Max deviation in H_{S,k}(m,n) = conj H_{-S,-k}(-m,-n)."""
     g = gamma_for_k(k)
     left = restrict(problem, S, k, normalization, gamma=g)
-    right = restrict(problem, S.reflect(), -k, normalization, gamma=g,
+    right = restrict(problem, S, -k, normalization, gamma=g,
                      order=[tuple(-c for c in s) for s in S])
     return float(np.max(np.abs(left.entries - np.conj(right.entries))))
 

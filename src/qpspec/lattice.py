@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, floor
+from operator import add, neg, sub
 
 import numpy as np
 
@@ -22,7 +23,7 @@ DEFAULT_SITE_BUDGET = 20_000
 
 def l1_norm(n) -> int:
     """Sum of absolute coordinates."""
-    return sum(abs(c) for c in n)
+    return sum(map(abs, n))
 
 
 def l1_ball_size(radius: int, nu: int) -> int:
@@ -34,28 +35,37 @@ def l1_ball_size(radius: int, nu: int) -> int:
 
 def canonical_order(sites) -> tuple:
     """Deterministic ordering: by l1 norm, then lexicographic."""
-    return tuple(sorted(set(map(tuple, sites)), key=lambda s: (l1_norm(s), s)))
+    return tuple(sorted(dict.fromkeys(map(tuple, sites)), key=lambda s: (sum(map(abs, s)), s)))
+
+
+def _members(sites):
+    """Membership table of a site collection; a SiteSet's own index when it is one."""
+    return sites._index if isinstance(sites, SiteSet) else set(map(tuple, sites))
 
 
 @dataclass(frozen=True)
 class SiteSet:
     """Finite subset of Z^nu with canonical ordering.
 
+    The canonical order is l1 norm, then lexicographic.  ``ball``,
+    ``difference`` and ``intersection`` keep it by construction, with no
+    sort; ``from_iterable``, ``union``, ``translate``, ``reflect`` and
+    ``reflect_through`` sort once.  The one SiteSet that is not canonical
+    is the one ``dual_operator.restrict(order=...)`` builds in caller order.
+
     Immutable after construction; all derived data is precomputed so
     concurrent reads are safe.
     """
 
     sites: tuple
-    _index: dict = field(repr=False, compare=False, default=None)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def from_iterable(sites) -> "SiteSet":
-        ordered = canonical_order(sites)
-        return SiteSet(ordered, {s: i for i, s in enumerate(ordered)})
+        return SiteSet(canonical_order(sites))
 
     def __post_init__(self):
-        if self._index is None:
-            object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.sites)})
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.sites)})
 
     def __len__(self):
         return len(self.sites)
@@ -78,45 +88,54 @@ class SiteSet:
 
     def translate(self, m) -> "SiteSet":
         m = tuple(m)
-        return SiteSet.from_iterable(tuple(a + b for a, b in zip(s, m)) for s in self.sites)
+        return SiteSet.from_iterable(tuple(map(add, s, m)) for s in self.sites)
 
     def reflect(self) -> "SiteSet":
-        return SiteSet.from_iterable(tuple(-c for c in s) for s in self.sites)
+        return SiteSet.from_iterable(tuple(map(neg, s)) for s in self.sites)
 
     def reflect_through(self, m) -> "SiteSet":
         m = tuple(m)
-        return SiteSet.from_iterable(tuple(a - b for a, b in zip(m, s)) for s in self.sites)
+        return SiteSet.from_iterable(tuple(map(sub, m, s)) for s in self.sites)
 
     def union(self, other) -> "SiteSet":
         return SiteSet.from_iterable(itertools.chain(self.sites, other))
 
     def difference(self, other) -> "SiteSet":
-        drop = set(map(tuple, other))
-        return SiteSet.from_iterable(s for s in self.sites if s not in drop)
+        drop = _members(other)
+        return SiteSet(tuple(s for s in self.sites if s not in drop))
 
     def intersection(self, other) -> "SiteSet":
-        keep = set(map(tuple, other))
-        return SiteSet.from_iterable(s for s in self.sites if s in keep)
+        keep = _members(other)
+        return SiteSet(tuple(s for s in self.sites if s in keep))
 
     def issubset(self, other) -> bool:
-        if isinstance(other, SiteSet):
-            return all(s in other._index for s in self.sites)
-        keep = set(map(tuple, other))
+        keep = _members(other)
         return all(s in keep for s in self.sites)
 
+    def issuperset(self, sites) -> bool:
+        """True iff every site of `sites`, each a tuple, is in this set."""
+        return all(s in self._index for s in sites)
+
     def isdisjoint(self, other) -> bool:
-        if isinstance(other, SiteSet):
-            small, big = (self, other) if len(self) <= len(other) else (other, self)
-            return all(s not in big._index for s in small.sites)
-        keep = set(map(tuple, other))
+        if isinstance(other, SiteSet) and len(other) < len(self):
+            return other.isdisjoint(self)
+        keep = _members(other)
         return all(s not in keep for s in self.sites)
+
+
+def _shell(r: int, nu: int) -> list:
+    """The sites of l1 norm exactly r in Z^nu, in lexicographic order."""
+    if nu == 1:
+        return [(-r,), (r,)] if r else [(0,)]
+    return [(c,) + rest for c in range(-r, r + 1) for rest in _shell(r - abs(c), nu - 1)]
 
 
 def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:
     """All n in Z^nu with l1_norm(n) <= R.  Symmetric under n -> -n.
 
-    Refuses to materialize more than `budget` sites; the budget guards
-    desk-scale memory against faithful-constant radii.
+    Built shell by shell, lexicographic within a shell: canonical order
+    with no sort.  Refuses to materialize more than `budget` sites; the
+    budget guards desk-scale memory against faithful-constant radii.
     """
     if R < 0:
         raise ValueError("ball radius must be nonnegative")
@@ -124,46 +143,16 @@ def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:
     size = l1_ball_size(r, nu)
     if budget is not None and size > budget:
         raise SiteBudgetError(f"ball(R={R}, nu={nu}) holds {size} sites, over budget {budget}")
-    sites = []
-
-    def extend(prefix, remaining, dims_left):
-        if dims_left == 1:
-            for c in range(-remaining, remaining + 1):
-                sites.append(prefix + (c,))
-            return
-        for c in range(-remaining, remaining + 1):
-            extend(prefix + (c,), remaining - abs(c), dims_left - 1)
-
-    extend((), r, nu)
-    return SiteSet.from_iterable(sites)
-
-
-def transform(S: SiteSet, kind: str, m=None) -> SiteSet:
-    """Apply one of the standard lattice maps to a site set.
-
-    kind is one of "translate", "reflect", "reflect_through"; the first and
-    last take the lattice vector m.
-    """
-    if kind == "translate":
-        return S.translate(m)
-    if kind == "reflect":
-        return S.reflect()
-    if kind == "reflect_through":
-        return S.reflect_through(m)
-    raise ValueError(f"unknown transform kind {kind!r}")
+    return SiteSet(tuple(itertools.chain.from_iterable(_shell(j, nu) for j in range(r + 1))))
 
 
 def straddles(S1, S2) -> bool:
     """True iff S1 meets S2 and also meets the complement of S2."""
-    S1 = S1 if isinstance(S1, SiteSet) else SiteSet.from_iterable(S1)
-    S2set = set(map(tuple, S2))
-    hit = miss = False
-    for s in S1:
-        if s in S2set:
-            hit = True
-        else:
-            miss = True
-        if hit and miss:
+    inside = _members(S2)
+    seen = set()
+    for s in map(tuple, S1):
+        seen.add(s in inside)
+        if len(seen) == 2:
             return True
     return False
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, neg, sub
 
 import numpy as np
 
@@ -213,6 +214,14 @@ class GeometryBuilder:
             raise RegimeError("faithful ladders refuse set materialization; use a desk ladder")
         self.budget = problem.site_budget
         self._plain_cache = {}
+        self._balls = {}
+
+    def _ball(self, R: float) -> SiteSet:
+        """ball(R, nu) under the problem's budget, built once per builder."""
+        hit = self._balls.get(R)
+        if hit is None:
+            hit = self._balls[R] = ball(R, self.problem.nu, budget=self.budget)
+        return hit
 
     # -- diagonal differences ------------------------------------------------
 
@@ -310,11 +319,10 @@ class GeometryBuilder:
         hit = self._plain_cache.get(key)
         if hit is not None:
             return hit
-        nu = self.problem.nu
         if s == 1:
-            out = ball(2.0 * self.ladder.R(1), nu, budget=self.budget)
+            out = self._ball(2.0 * self.ladder.R(1))
         else:
-            big = ball(3.0 * self.ladder.R(s), nu, budget=self.budget)
+            big = self._ball(3.0 * self.ladder.R(s))
             classes = self.site_classes(k, s)
             drop = set()
             for (s_prime, m), lam in classes.lambda_sets.items():
@@ -339,10 +347,10 @@ class GeometryBuilder:
             raise RegimeError(
                 f"|k| = {abs(k):.3g} outside the small-k regime delta^(s-2)")
         classes = self.site_classes(k, s)
-        groups = _reflection_groups(classes, reflect=lambda m: tuple(-c for c in m))
-        start = ball(3.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
+        groups = _reflection_groups(classes, reflect=lambda m: tuple(map(neg, m)))
+        start = self._ball(3.0 * self.ladder.R(s))
         out, steps = _iterated_straddle_removal(start, groups, 2 ** s)
-        if out.reflect().sites != out.sites:
+        if not out.issuperset(tuple(map(neg, x)) for x in out):
             raise GeometryError("symmetrized set is not reflection invariant")
         self._require_sandwich(out, s, k)
         self._require_dichotomy(out, classes)
@@ -358,19 +366,21 @@ class GeometryBuilder:
         if abs(k - kn0) > 2.0 * sigma(n0, self.ladder):
             raise RegimeError(
                 f"k = {k:.6g} outside the pair window around k_n0 = {kn0:.6g}")
-        nu = self.problem.nu
-        base = ball(3.0 * self.ladder.R(s), nu, budget=self.budget)
-        start = base.union(base.reflect_through(n0))
+
+        def T(m):
+            return tuple(map(sub, n0, m))
+
+        base = self._ball(3.0 * self.ladder.R(s))
+        start = base.union(map(T, base))
         if s == 1:
             return start
-        classes = self.site_classes(k, s, pair=(tuple([0] * nu), n0))
-        groups = _reflection_groups(
-            classes, reflect=lambda m: tuple(a - b for a, b in zip(n0, m)))
+        classes = self.site_classes(k, s, pair=((0,) * self.problem.nu, n0))
+        groups = _reflection_groups(classes, reflect=T)
         out, steps = _iterated_straddle_removal(start, groups, 2 ** s)
-        if out.reflect_through(n0).sites != out.sites:
+        if not out.issuperset(map(T, out)):
             raise GeometryError("paired set is not T-invariant")
-        inner = ball(2.0 * self.ladder.R(s), nu, budget=self.budget)
-        if not inner.issubset(out) or not inner.translate(n0).issubset(out):
+        inner = self._ball(2.0 * self.ladder.R(s))
+        if not inner.issubset(out) or not out.issuperset(tuple(map(add, x, n0)) for x in inner):
             raise GeometryError("paired set lost its inner balls")
         if not out.issubset(start):
             raise GeometryError("paired set escapes its outer envelope")
@@ -380,7 +390,7 @@ class GeometryBuilder:
     # -- validations ----------------------------------------------------------
 
     def _require_sandwich(self, out: SiteSet, s: int, k: float):
-        inner = ball(2.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
+        inner = self._ball(2.0 * self.ladder.R(s))
         if not inner.issubset(out):
             raise GeometryError(f"B(2 R^({s})) not contained in the level-{s} set at k={k}")
 

@@ -80,6 +80,15 @@ def test_zeta_roots_small_roots_relative_accuracy():
     assert zp == pytest.approx(0.5 * (a1 + a2) + half, rel=1e-14, abs=0)
 
 
+@pytest.mark.parametrize("b", [1e-17, 1e-16])
+def test_zeta_roots_close_pair_at_small_scale(b):
+    # roots 4e-4 -+ b lie a few hundred ulps apart, far below an absolute 1e-15
+    zm, zp = zeta_roots(const_leaf(4e-4, 4e-4, b), 0.0, (0.0, 1e-3))
+    assert zm < zp
+    assert zm == pytest.approx(4e-4 - b, rel=1e-14, abs=0)
+    assert zp == pytest.approx(4e-4 + b, rel=1e-14, abs=0)
+
+
 def test_zeta_separation_and_sandwich_random():
     rng = np.random.default_rng(23)
     for _ in range(25):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpspec import lattice
 from qpspec.errors import SiteBudgetError
-from qpspec.lattice import (SiteSet, ball, diameter, l1_ball_size, l1_norm,
-                            set_distance, straddles, transform)
+from qpspec.lattice import (SiteSet, ball, canonical_order, diameter, l1_ball_size,
+                            l1_norm, set_distance, straddles)
 
 sites2d = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
@@ -43,6 +44,35 @@ def test_ball_budget():
         ball(500, 2, budget=1000)
 
 
+def test_ball_over_budget_raises_before_building(monkeypatch):
+    def refuse(r, nu):
+        raise AssertionError("an over-budget ball must not build any site")
+
+    monkeypatch.setattr(lattice, "_shell", refuse)
+    with pytest.raises(SiteBudgetError):
+        ball(40, 3, budget=1000)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("R", [0, 1, 2.5, 7])
+def test_ball_is_canonical(R, nu):
+    b = ball(R, nu)
+    assert b.sites == canonical_order(b.sites)
+    assert len(b) == l1_ball_size(int(R), nu)
+
+
+@given(a=st.lists(sites2d, max_size=40), b=st.lists(sites2d, max_size=40))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_difference_and_intersection_are_canonical(a, b):
+    A = SiteSet.from_iterable(a)
+    for other in (b, SiteSet.from_iterable(b), set(b)):
+        diff = A.difference(other)
+        both = A.intersection(other)
+        assert diff.sites == canonical_order(set(a) - set(b))
+        assert both.sites == canonical_order(set(a) & set(b))
+        assert all(diff.index(s) == i for i, s in enumerate(diff.sites))
+
+
 def test_ball_reflect_invariant():
     for r in (0, 1, 3):
         b = ball(r, 2)
@@ -51,7 +81,7 @@ def test_ball_reflect_invariant():
 
 def test_transform_examples():
     S = SiteSet.from_iterable([(0, 0), (1, 0)])
-    out = transform(S, "reflect_through", (2, 0))
+    out = S.reflect_through((2, 0))
     assert set(out.sites) == {(2, 0), (1, 0)}
 
 
@@ -76,6 +106,14 @@ def test_translate_roundtrip(m):
 def test_straddles_examples():
     assert not straddles(SiteSet.from_iterable([(0, 0)]), SiteSet.from_iterable([(0, 0)]))
     assert straddles(SiteSet.from_iterable([(0, 0), (5, 0)]), ball(1, 2))
+
+
+def test_straddles_accepts_plain_collections():
+    S1 = [(0, 0), (5, 0)]
+    assert straddles(S1, set(ball(1, 2).sites))
+    assert straddles(S1, list(ball(1, 2).sites))
+    assert not straddles(S1, [(0, 0), (5, 0), (9, 9)])
+    assert not straddles(S1, ball(0, 2).translate((1, 0)))
 
 
 def test_straddles_implies_intersection_and_not_subset():

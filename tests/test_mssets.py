@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpspec import mssets
 from qpspec.errors import GeometryError, LadderRangeError, RegimeError
 from qpspec.lattice import SiteSet, ball
-from qpspec.model import Frequency, Potential, Problem, ScaleLadder
+from qpspec.model import Frequency, Potential, Problem, ScaleLadder, sigma
 from qpspec.mssets import (GeometryBuilder, SubtractionSystem,
                            is_correct_word, max_correct_length,
                            minimal_incorrect_subword, subtraction_fixpoint,
@@ -230,6 +232,55 @@ def test_lambda_pair_invariance_and_sandwich(builder, geometry_problem):
     outer = ball(3.0 * R2, 2)
     assert inner.issubset(lam) and inner.translate(n0).issubset(lam)
     assert lam.issubset(outer.union(outer.translate(n0)))
+
+
+def test_invariance_checks_catch_asymmetric_sets(geometry_problem, monkeypatch):
+    # a removal that drops one site but not its mirror breaks both laws
+    def lopsided(start, groups, cap):
+        return start.difference([(-1, 0)]), 1
+
+    monkeypatch.setattr(mssets, "_iterated_straddle_removal", lopsided)
+    b = GeometryBuilder(geometry_problem)
+    with pytest.raises(GeometryError, match="reflection invariant"):
+        b.lambda_sym(1e-15, 2)
+    n0 = (0, 1)
+    with pytest.raises(GeometryError, match="T-invariant"):
+        b.lambda_pair(k_point(geometry_problem.frequency, n0) + 1e-5, 2, n0)
+
+
+def _set_pin(S):
+    return len(S), hashlib.sha256(repr(S.sites).encode()).hexdigest()
+
+
+FULL_BALL_PIN = (17485, "694a51fd2b2648542bc9e794205fa341ebb42ba155f39d17499d7e52032af66f")
+
+
+@pytest.mark.parametrize("m, pin", [
+    (None, FULL_BALL_PIN),
+    ((80, 6), (17323, "59a736beb73858ef687419845d53ba4f42f4aeaaa52de11edb822538fa40c65f")),
+    ((0, 93), (17435, "fe88310c4ac8e2686ac1b325a02c0b47137a3055e8d4542f3cfa45f1279b531d")),
+])
+def test_lambda_plain_pinned(geometry_problem, m, pin):
+    # (size, sha256 of the ordered sites): pins the content and the order
+    k = 0.2088 if m is None else k_point(geometry_problem.frequency, m)
+    assert _set_pin(GeometryBuilder(geometry_problem).lambda_plain(k, 2)) == pin
+
+
+@pytest.mark.parametrize("k", [1e-15, -6e-15, 1.1e-14])
+def test_lambda_sym_pinned(geometry_problem, k):
+    assert _set_pin(GeometryBuilder(geometry_problem).lambda_sym(k, 2)) == FULL_BALL_PIN
+
+
+@pytest.mark.parametrize("n0, offset, pin", [
+    ((0, 1), None, (17672, "e9d1f9f295b7b9cde9667e2fe2e2cbd586c5228f211f4cdabea1d70e84143415")),
+    ((1, -1), -0.5, (17672, "1e900b7b6f56e5e6b3891a07f8d5ff22c22da884bb7bf0b4580536108caec027")),
+    ((2, 0), 0.9, (17857, "841260e670ebc035579a4e4a9a059180a1858a059ac9f28dd0116362ce07eee6")),
+])
+def test_lambda_pair_pinned(geometry_problem, n0, offset, pin):
+    # offset is a share of the pair window 2 sigma(n0); None is 1e-5 from k_n0
+    kn0 = k_point(geometry_problem.frequency, n0)
+    k = kn0 + (1e-5 if offset is None else offset * 2.0 * sigma(n0, geometry_problem.ladder))
+    assert _set_pin(GeometryBuilder(geometry_problem).lambda_pair(k, 2, n0)) == pin
 
 
 def test_lambda_pair_regime_guard(builder, geometry_problem):
