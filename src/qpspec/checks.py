@@ -7,13 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cfracs import CFNode, zeta_roots, zeta_sandwich_ok, zeta_separation_ok
 from .dual_operator import (NORMALIZED, RAW, cocycle_check, dense_spectrum,
                             reflection_conjugation_check, restrict)
 from .lattice import ball
 from .mssets import is_correct_word, max_correct_length
 from .model import Problem, build_ladder
-from .schur import block_inverse, multiscale_inverse
-from .spectral import eigen_simple, feynman_derivative, gap_at, paired_box
+from .resonance import k_point
+from .schur import ReducedSolver, block_inverse, multiscale_inverse
+from .spectral import (_ordered_pair, _pair_windows, eigen_pair, eigen_simple,
+                       feynman_derivative, gap_at, paired_box)
 from .trajectories import WeightProfile, closed_bound, sum_enumerate
 
 
@@ -108,18 +111,56 @@ def _symmetry(problem: Problem, seed: int) -> CheckResult:
     return CheckResult("band-symmetry", worst <= 1e-11, f"max |E(k)-E(-k)| {worst:.3g}")
 
 
-def _gap_first_order(problem: Problem, seed: int) -> CheckResult:
+def _lowest_harmonic(problem: Problem):
+    """The potential's harmonic of least |m| (None for a zero potential)."""
     pot = problem.potential
     support = [m for m in pot.support() if abs(pot.c0(m)) > 0]
-    if not support:
+    return min(support, key=lambda m: sum(map(abs, m))) if support else None
+
+
+def _gap_first_order(problem: Problem, seed: int) -> CheckResult:
+    pot = problem.potential
+    n0 = _lowest_harmonic(problem)
+    if n0 is None:
         return CheckResult("gap-first-order", True, "zero potential, skipped")
-    n0 = min(support, key=lambda m: sum(map(abs, m)))
     rec = gap_at(problem, n0, paired_box(problem, n0, 5))
     expect = 2.0 * abs(pot.c(n0))
     dev = abs(rec.width - expect)
     tol = 50.0 * pot.epsilon ** 2 * max(1.0, abs(pot.c0(n0))) + 1e-12
     return CheckResult("gap-first-order", dev <= tol,
                        f"width {rec.width:.6g} vs 2|c| {expect:.6g}")
+
+
+def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
+    """The continued-fraction roots zeta-+ against eigen_pair's fixed points.
+
+    A level-1 node with leaves a1 = v+ + Q+, a2 = v- + Q- and b = |G| on
+    the pivots (0, n0) near k_{n0}; its roots, found by the convex root
+    finder in windows taken from H alone, must be eigen_pair's roots and
+    satisfy the separation and sandwich lemmas.
+    """
+    n0 = _lowest_harmonic(problem)
+    if n0 is None:
+        return CheckResult("zeta-pair", True, "zero potential, skipped")
+    zero = tuple([0] * problem.nu)
+    S = paired_box(problem, n0, 5)
+    k = k_point(problem.frequency, n0) + 1e-5
+    solver = ReducedSolver(problem, S, k, [zero, n0], RAW)
+    mp, mm, vp, vm = _ordered_pair(problem, solver, zero, n0)
+    node = CFNode(lambda x, u: vp + solver.q(mp, u).real,
+                  lambda x, u: vm + solver.q(mm, u).real,
+                  lambda x, u: abs(solver.g(mp, mm, u)))
+    roots = [r for window in _pair_windows(problem, S, k, mp, mm, RAW, solver.gamma)
+             for r in zeta_roots(node, 0.0, window)]
+    if len(roots) != 2:
+        return CheckResult("zeta-pair", False, f"{len(roots)} roots in the pair windows")
+    zm, zp = sorted(roots)
+    E_plus, E_minus, _, _ = eigen_pair(problem, S, k, zero, n0, RAW)
+    dev = max(abs(zp - E_plus) / max(1.0, abs(E_plus)),
+              abs(zm - E_minus) / max(1.0, abs(E_minus)))
+    ok = (dev <= 1e-12 and zeta_separation_ok(node, 0.0, zm, zp)
+          and zeta_sandwich_ok(node, 0.0, zm, zp))
+    return CheckResult("zeta-pair", ok, f"max rel dev from eigen_pair {dev:.3g}")
 
 
 def _trajectory(problem: Problem, seed: int) -> CheckResult:
@@ -159,7 +200,8 @@ def run_selftest(problem: Problem, seed: int = 0):
     failed under its function's name.
     """
     suite = (_hermitian, _cocycle, _reflection, _schur_oracle, _multiscale_oracle,
-             _words, _ladder, _symmetry, _gap_first_order, _trajectory, _feynman)
+             _words, _ladder, _symmetry, _gap_first_order, _zeta_pair, _trajectory,
+             _feynman)
     return [_safe(check, problem, seed) for check in suite]
 
 

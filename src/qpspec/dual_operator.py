@@ -64,19 +64,6 @@ def diagonal_value(problem: Problem, n, k: float, normalization: str = RAW,
     return diag_scale(normalization, g) * (problem.frequency.dot(n) + k) ** 2
 
 
-def entry(problem: Problem, m, n, k: float, normalization: str = RAW,
-          gamma: float = None) -> complex:
-    """Single matrix entry h(m, n; k)."""
-    g = gamma_for_k(k) if gamma is None else gamma
-    if tuple(m) == tuple(n):
-        return complex(diag_scale(normalization, g) * (problem.frequency.dot(m) + k) ** 2)
-    d = tuple(b - a for a, b in zip(m, n))
-    c0 = problem.potential.c0(d)
-    if c0 == 0:
-        return 0j
-    return problem.potential.epsilon * _offdiag_scale(normalization, g) * c0
-
-
 def restrict(problem: Problem, S: SiteSet, k: float, normalization: str = RAW,
              gamma: float = None, order=None) -> DualMatrix:
     """Hermitian restriction of H_k to S in canonical (or the given) order."""

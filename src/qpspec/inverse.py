@@ -163,6 +163,10 @@ class DecayLadder:
         return self.sigma_partial[min(t, len(self.sigma_partial)) - 1]
 
 
+# any R1 beyond the stored support keeps the plain window in force
+PLAIN_WINDOW_LADDER = DecayLadder.build(2.0 ** 30, 8)
+
+
 def improved_rate_factor(ladder: DecayLadder, t: int) -> float:
     """(15/16)(1 - sigma_{3t}); always above (15/16)^2."""
     return 0.9375 * (1.0 - ladder.sigma(3 * t))
@@ -176,8 +180,7 @@ class ImprovementStep:
     first_violation: tuple = None
 
 
-def improve_decay(current: DecayBound, potential: Potential,
-                  ladder: DecayLadder = None, kappa0: float = None) -> ImprovementStep:
+def improve_decay(current: DecayBound, potential: Potential) -> ImprovementStep:
     """One step of the map (eps, kappa) -> (eps/2, 7 kappa/6), verified.
 
     The scaled-window form relaxes the rate to (15/16)(1 - sigma_{3t}) kappa
@@ -185,10 +188,7 @@ def improve_decay(current: DecayBound, potential: Potential,
     """
     if current.verify(potential) is not None:
         raise RegimeError("current decay bound does not hold; nothing to improve")
-    kappa0 = potential.kappa0 if kappa0 is None else kappa0
-    if ladder is None:
-        # any R1 beyond the stored support keeps the plain window in force
-        ladder = DecayLadder.build(2.0 ** 30, 8)
+    ladder = PLAIN_WINDOW_LADDER
     after = DecayBound(current.eps_hat / 2.0, 7.0 * current.kappa_hat / 6.0)
     worst = None
     for p in sorted(potential.support(), key=l1_norm):

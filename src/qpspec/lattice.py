@@ -155,35 +155,3 @@ def straddles(S1, S2) -> bool:
         if len(seen) == 2:
             return True
     return False
-
-
-def set_distance(S1, S2) -> int:
-    """Minimum pairwise l1 distance between two non-empty site sets."""
-    A = S1.array() if isinstance(S1, SiteSet) else np.asarray(list(S1), dtype=np.int64)
-    B = S2.array() if isinstance(S2, SiteSet) else np.asarray(list(S2), dtype=np.int64)
-    if A.size == 0 or B.size == 0:
-        raise ValueError("set_distance requires non-empty sets")
-    best = None
-    # chunk the pairwise table so large sets stay within memory
-    step = max(1, int(4_000_000 // max(1, B.shape[0])))
-    for i in range(0, A.shape[0], step):
-        d = np.abs(A[i:i + step, None, :] - B[None, :, :]).sum(axis=2).min()
-        best = d if best is None else min(best, d)
-    return int(best)
-
-
-def diameter(S) -> int:
-    """Maximum pairwise l1 distance.
-
-    Uses |x - y|_1 = max over sign vectors s of s.(x - y), so the cost is
-    2^nu passes instead of a quadratic pairwise table.
-    """
-    A = S.array() if isinstance(S, SiteSet) else np.asarray(list(S), dtype=np.int64)
-    if A.size == 0:
-        raise ValueError("diameter of empty set")
-    nu = A.shape[1]
-    best = 0
-    for signs in itertools.product((1, -1), repeat=nu):
-        proj = A @ np.asarray(signs, dtype=np.int64)
-        best = max(best, int(proj.max() - proj.min()))
-    return best

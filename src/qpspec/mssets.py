@@ -1,5 +1,5 @@
-"""Multiscale set construction: site classes, plain/symmetrized/paired sets,
-correct-word combinatorics and proper subtraction systems.
+"""Multiscale set construction: site classes, plain/symmetrized/paired sets
+and correct-word combinatorics.
 
 The plain set at scale s is B(3 R^(s)) with every straddling lower-scale set
 removed; the symmetrized and paired variants instead remove whole
@@ -16,9 +16,11 @@ from operator import add, neg, sub
 import numpy as np
 
 from .errors import CombinatorialBudgetError, GeometryError, RegimeError
-from .lattice import SiteSet, ball, diameter, l1_norm, set_distance, straddles
+from .lattice import SiteSet, ball, l1_norm, straddles
 from .model import Problem, ScaleLadder, sigma
 from .resonance import interval, k_point
+
+WORD_SEARCH_BUDGET = 500_000
 
 # ---------------------------------------------------------------------------
 # Correct words
@@ -40,20 +42,7 @@ def is_correct_word(letters) -> bool:
     return True
 
 
-def minimal_incorrect_subword(letters):
-    """Shortest incorrect sub-word (j, k) indices, or None for correct words."""
-    a = list(letters)
-    n = len(a)
-    best = None
-    for j in range(n):
-        for k in range(j + 1, n):
-            if a[j] == a[k] and all(a[i] < a[j] for i in range(j + 1, k)):
-                if best is None or (k - j) < (best[1] - best[0]):
-                    best = (j, k)
-    return best
-
-
-def max_correct_length(s: int, budget: int = 500_000) -> int:
+def max_correct_length(s: int) -> int:
     """Longest correct word over {1..s}, by depth-first search over correct
     prefixes (prefixes of correct words are correct, so pruning is exact).
     """
@@ -68,7 +57,7 @@ def max_correct_length(s: int, budget: int = 500_000) -> int:
         for letter in range(1, s + 1):
             word = prefix + (letter,)
             visited += 1
-            if visited > budget:
+            if visited > WORD_SEARCH_BUDGET:
                 raise CombinatorialBudgetError("word enumeration budget exceeded")
             if _extension_correct(word):
                 stack.append(word)
@@ -83,108 +72,6 @@ def _extension_correct(word) -> bool:
         if a[j] == a[k] and all(a[i] < a[j] for i in range(j + 1, k)):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Proper subtraction systems
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubtractionSystem:
-    """A family of sets with levels; properness bounds the subtraction depth.
-
-    `lobes` optionally stores, per set, a decomposition witnessing condition
-    (ii); sets without a witness must have whole diameter below the bound.
-    """
-
-    sets: tuple
-    levels: tuple
-    lobes: tuple = None
-
-    def __post_init__(self):
-        if len(self.sets) != len(self.levels):
-            raise ValueError("one level per set required")
-        if self.lobes is not None and len(self.lobes) != len(self.sets):
-            raise ValueError("one lobe decomposition per set when given")
-
-    @property
-    def max_level(self) -> int:
-        return max(self.levels) if self.levels else 0
-
-    def separation(self, a: int) -> float:
-        """R_a: minimum distance between distinct level-a sets (inf if < 2 sets)."""
-        idx = [i for i, t in enumerate(self.levels) if t == a]
-        best = math.inf
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                best = min(best, set_distance(self.sets[idx[i]], self.sets[idx[j]]))
-        return best
-
-
-def validate_system(sys: SubtractionSystem):
-    """Violations of the properness conditions; empty report means proper."""
-    report = []
-    for a in sorted(set(sys.levels)):
-        if sys.separation(a) <= 0:
-            report.append(f"level {a} sets are not positively separated")
-    for i, (S, t) in enumerate(zip(sys.sets, sys.levels)):
-        a = t + 1
-        bound = (2.0 ** (-a)) * sys.separation(a)
-        pieces = None
-        if sys.lobes is not None and sys.lobes[i] is not None:
-            pieces = [SiteSet.from_iterable(p) for p in sys.lobes[i]]
-            union = SiteSet.from_iterable(x for p in pieces for x in p)
-            if set(union.sites) != set(S.sites):
-                report.append(f"set {i}: lobes do not cover the set")
-                continue
-        if pieces is None:
-            if len(S) and diameter(S) >= bound:
-                report.append(f"set {i}: diameter {diameter(S)} not below 2^-a R_a = {bound}")
-            continue
-        for p in pieces:
-            if diameter(p) >= bound:
-                report.append(f"set {i}: lobe diameter {diameter(p)} not below {bound}")
-        for j, other in enumerate(sys.sets):
-            if j == i or S.isdisjoint(other):
-                continue
-            for pi, p in enumerate(pieces):
-                if p.isdisjoint(other):
-                    report.append(f"set {i}: lobe {pi} misses intersecting set {j}")
-    return report
-
-
-def subtraction_fixpoint(start: SiteSet, sys: SubtractionSystem):
-    """Iterate L_l = L_{l-1} minus the union of system sets not inside L_{l-1}.
-
-    Returns (final set, number of strict steps); the step count is checked
-    against the 2^(max level) bound, and on exit every system set is inside
-    or disjoint from the result.  An improper system is a GeometryError.
-    """
-    bad = validate_system(sys)
-    if bad:
-        raise GeometryError(f"subtraction system not proper: {bad[0]}")
-    current = start
-    steps = 0
-    cap = 2 ** sys.max_level
-    while True:
-        removers = [S for S in sys.sets if not S.issubset(current)]
-        if not removers:
-            break
-        drop = set()
-        for S in removers:
-            drop.update(S.sites)
-        nxt = current.difference(drop)
-        if len(nxt) == len(current):
-            break
-        current = nxt
-        steps += 1
-        if steps > cap:
-            raise GeometryError(f"subtraction failed to stabilize within 2^s = {cap} steps")
-    for S in sys.sets:
-        if not (S.issubset(current) or S.isdisjoint(current)):
-            raise GeometryError("inside-or-disjoint dichotomy violated at the fixpoint")
-    return current, steps
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +202,10 @@ class GeometryBuilder:
 
     def lambda_plain(self, k: float, s: int) -> SiteSet:
         """Lambda^(s)_k(0): B(3 R^(s)) minus every straddling lower-scale set."""
+        return self._plain(k, s, lambda: self.site_classes(k, s))
+
+    def _plain(self, k: float, s: int, classify) -> SiteSet:
+        """lambda_plain(k, s); classify() gives site_classes(k, s) on a cache miss."""
         key = (float(k), int(s))
         hit = self._plain_cache.get(key)
         if hit is not None:
@@ -323,7 +214,7 @@ class GeometryBuilder:
             out = self._ball(2.0 * self.ladder.R(1))
         else:
             big = self._ball(3.0 * self.ladder.R(s))
-            classes = self.site_classes(k, s)
+            classes = classify()
             drop = set()
             for (s_prime, m), lam in classes.lambda_sets.items():
                 if straddles(lam, big):
@@ -354,7 +245,7 @@ class GeometryBuilder:
             raise GeometryError("symmetrized set is not reflection invariant")
         self._require_sandwich(out, s, k)
         self._require_dichotomy(out, classes)
-        plain = self.lambda_plain(k, s)
+        plain = self._plain(k, s, lambda: classes)
         if not out.issubset(plain):
             raise GeometryError("symmetrized set escapes the plain set")
         return out

@@ -35,9 +35,6 @@ class ResonanceInterval:
     def contains(self, k: float) -> bool:
         return self.k_minus < k < self.k_plus
 
-    def boundary_hit(self, k: float) -> bool:
-        return min(abs(k - self.k_minus), abs(k - self.k_plus)) <= BOUNDARY_TOL
-
 
 @dataclass(frozen=True)
 class ResonanceProfile:
@@ -75,13 +72,6 @@ def interval(freq, m, s: int, ladder: ScaleLadder) -> ResonanceInterval:
     return ResonanceInterval(tuple(m), s, km - half - widen, km + half + widen)
 
 
-def j_interval(freq: Frequency, n) -> tuple:
-    """The coarse interval (k_n - delta(n), k_n + delta(n)), delta(n) = a0 (1+|n|)^(-b0-3)."""
-    km = k_point(freq, n)
-    half = freq.a0 * (1.0 + sum(abs(c) for c in n)) ** (-freq.b0 - 3.0)
-    return (km - half, km + half)
-
-
 def _enumerate_lattice(nu: int, radius: int):
     if radius < 0:
         return np.zeros((0, nu), dtype=np.int64)
@@ -93,44 +83,6 @@ def _enumerate_lattice(nu: int, radius: int):
     pts = np.stack([g.ravel() for g in grids], axis=1)
     norms = np.abs(pts).sum(axis=1)
     return pts[(norms > 0) & (norms <= radius)]
-
-
-def components(problem: Problem, s: int, window, ladder: ScaleLadder = None,
-               m_list=None):
-    """Connected components of the window minus all level-(s+1) widened intervals.
-
-    Excluded intervals run over 0 < |m'| <= 12 R^(s) (or the explicit
-    m_list); desk ladders only, since the enumeration radius must
-    materialize.
-    """
-    ladder = ladder if ladder is not None else problem.ladder
-    lo, hi = float(window[0]), float(window[1])
-    if m_list is None:
-        radius = int(math.floor(12.0 * ladder.R(s)))
-        pts = _enumerate_lattice(problem.nu, radius)
-    else:
-        pts = np.asarray([tuple(m) for m in m_list], dtype=np.int64)
-    excluded = []
-    for m in pts:
-        iv = interval(problem.frequency, tuple(int(c) for c in m), s + 1, ladder)
-        if iv.k_plus > lo and iv.k_minus < hi:
-            excluded.append((max(iv.k_minus, lo), min(iv.k_plus, hi)))
-    excluded.sort()
-    merged = []
-    for a, b in excluded:
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    comps = []
-    cursor = lo
-    for a, b in merged:
-        if a > cursor:
-            comps.append((cursor, a))
-        cursor = max(cursor, b)
-    if cursor < hi:
-        comps.append((cursor, hi))
-    return comps
 
 
 def reset(problem: Problem, k: float, search_radius: int,

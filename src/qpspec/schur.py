@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .dual_operator import RAW, diag_scale, restrict
+from .dual_operator import RAW, restrict
 from .errors import NonResonanceFloorError, SingularBlockError
 from .lattice import SiteSet
-from .model import Problem, gamma_for_k
+from .model import Problem
 
 PIVOT_RTOL = 1e-12
 
@@ -46,25 +46,6 @@ def _check_block(block: np.ndarray, block_id):
             f"pivot block {block_id} singular: smallest singular value {small:.3g}",
             block_id=block_id)
     return norm / small
-
-
-def schur_complement(M: np.ndarray, idx1) -> np.ndarray:
-    """H~_2 = H_2 - Gamma_21 H_1^{-1} Gamma_12 for the block split given by idx1.
-
-    idx1 indexes the eliminated block; the complement keeps its original
-    order.  Hermitian input and real E give a Hermitian complement.
-    """
-    M = np.asarray(M)
-    n = M.shape[0]
-    idx1 = np.asarray(idx1, dtype=int)
-    mask = np.zeros(n, dtype=bool)
-    mask[idx1] = True
-    idx2 = np.flatnonzero(~mask)
-    H1 = M[np.ix_(idx1, idx1)]
-    _check_block(H1, "H1")
-    G12 = M[np.ix_(idx1, idx2)]
-    G21 = M[np.ix_(idx2, idx1)]
-    return M[np.ix_(idx2, idx2)] - G21 @ np.linalg.solve(H1, G12)
 
 
 def block_inverse(M: np.ndarray, blocks) -> ResolventHandle:
@@ -222,45 +203,3 @@ class ReducedSolver:
         col = self.coupling_column(m0)
         x = self.solve(E, col)
         return {s: -complex(x[i]) for i, s in enumerate(self.reduced_sites)}
-
-
-def q_function(problem: Problem, m0, S: SiteSet, k: float, E: float,
-               normalization: str = RAW) -> float:
-    val = ReducedSolver(problem, S, k, [m0], normalization).q(m0, E)
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
-        raise ArithmeticError(f"self-energy not real at E={E}: imag={val.imag:.3g}")
-    return float(val.real)
-
-
-def g_function(problem: Problem, mp, mm, S: SiteSet, k: float, E: float,
-               normalization: str = RAW) -> complex:
-    return ReducedSolver(problem, S, k, [mp, mm], normalization).g(mp, mm, E)
-
-
-def f_vector(problem: Problem, m0, S: SiteSet, k: float, E: float,
-             normalization: str = RAW) -> dict:
-    return ReducedSolver(problem, S, k, [m0], normalization).f(m0, E)
-
-
-def resolvent_derivative(problem: Problem, E: float, S: SiteSet, k: float,
-                         order: int = 1, normalization: str = RAW) -> np.ndarray:
-    """Analytic k-derivative of (E - H_{S,k})^{-1} of order 1 or 2.
-
-    Uses d(A^{-1}) = -A^{-1} (dA) A^{-1} with dA = -dH/dk; only the diagonal
-    of H depends on k.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    g = gamma_for_k(k)
-    H = restrict(problem, S, k, normalization, gamma=g)
-    n = len(S)
-    A = E * np.eye(n) - H.entries
-    Ainv = np.linalg.inv(A)
-    phase = H.sites.array().astype(float) @ np.asarray(problem.omega) + k
-    scale = diag_scale(normalization, g)
-    dH = np.diag(2.0 * scale * phase)
-    first = Ainv @ dH @ Ainv
-    if order == 1:
-        return first
-    d2H = np.diag(np.full(n, 2.0 * scale))
-    return 2.0 * (Ainv @ dH @ Ainv @ dH @ Ainv) + Ainv @ d2H @ Ainv

@@ -61,12 +61,12 @@ def _phi_residual(H: np.ndarray, phi: np.ndarray, E: float) -> float:
     return float(np.max(np.abs(r)) / max(np.max(np.abs(phi)), 1e-300))
 
 
-def _fixed_point(step, E0: float, scale: float, tol: float = FIXED_POINT_TOL) -> float:
-    """Iterate E <- step(E) from E0 until a move falls below tol * scale."""
+def _fixed_point(step, E0: float, scale: float) -> float:
+    """Iterate E <- step(E) from E0 until a move falls below FIXED_POINT_TOL * scale."""
     E = E0
     for _ in range(MAX_FIXED_POINT_STEPS):
         E_next = step(E)
-        if abs(E_next - E) < tol * scale:
+        if abs(E_next - E) < FIXED_POINT_TOL * scale:
             return E_next
         E = E_next
     raise ConvergenceError(
@@ -159,6 +159,17 @@ def _pair_windows(problem: Problem, S: SiteSet, k: float, mp, mm,
     return merged
 
 
+def _ordered_pair(problem: Problem, solver: ReducedSolver, mp, mm):
+    """(mp, mm, v+, v-) with the plus pivot carrying the larger
+    diagonal-plus-self-energy at the pivots' mean diagonal."""
+    vp = diagonal_value(problem, mp, solver.k, solver.normalization, solver.gamma)
+    vm = diagonal_value(problem, mm, solver.k, solver.normalization, solver.gamma)
+    center = 0.5 * (vp + vm)
+    if vp + solver.q(mp, center).real < vm + solver.q(mm, center).real:
+        return mm, mp, vm, vp
+    return mp, mm, vp, vm
+
+
 def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
                normalization: str = RAW, oracle_check: bool = True):
     """Both roots of the paired characteristic equation with eigenvectors.
@@ -172,13 +183,9 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
     (the ordered-pair convention); returns (E_plus, E_minus, phi_plus,
     phi_minus).  A root outside the pair windows is a regime error.
     """
-    mp, mm = tuple(mp), tuple(mm)
     solver = ReducedSolver(problem, S, k, [mp, mm], normalization)
-    vp = diagonal_value(problem, mp, k, normalization, solver.gamma)
-    vm = diagonal_value(problem, mm, k, normalization, solver.gamma)
+    mp, mm, vp, vm = _ordered_pair(problem, solver, tuple(mp), tuple(mm))
     center = 0.5 * (vp + vm)
-    if vp + solver.q(mp, center).real < vm + solver.q(mm, center).real:
-        mp, mm, vp, vm = mm, mp, vm, vp
 
     def parts(E: float):
         return (vp + solver.q(mp, E).real, vm + solver.q(mm, E).real,

@@ -52,13 +52,6 @@ class Trajectory:
         return path_norm(self.points)
 
 
-def concat(g1: Trajectory, g2: Trajectory) -> Trajectory:
-    """Concatenation, dropping the duplicated junction when endpoints meet."""
-    if g1.points[-1] == g2.points[0]:
-        return Trajectory(g1.points + g2.points[1:])
-    return Trajectory(g1.points + g2.points)
-
-
 @dataclass(frozen=True)
 class WeightProfile:
     """D-profile on a host set inside an ambient set, with (T, kappa0).
@@ -185,22 +178,6 @@ def is_admissible(g: Trajectory, prof: WeightProfile, variant: str = "plain"):
     return True, ""
 
 
-def exempt_positions(g: Trajectory, prof: WeightProfile):
-    """Positions i where the adjacent pair exceeds the single-step bound.
-
-    Defined for trajectories in the R class; this is the exceptional set
-    entering the four-case weight estimate.
-    """
-    pts = g.points
-    hi = prof.high_threshold
-    out = []
-    for i in range(len(pts) - 1):
-        dm = min(prof.D[pts[i]], prof.D[pts[i + 1]])
-        if dm >= hi and dm >= prof.T * _dist(pts[i], pts[i + 1]) ** ADMISSIBILITY_EXPONENT:
-            out.append(i)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Exact enumeration with certified tails
 # ---------------------------------------------------------------------------
@@ -280,21 +257,15 @@ class BoundResult:
     log_eps_threshold: float
 
 
-def log_smallness_threshold(prof: WeightProfile, include_exp_term: bool = False) -> float:
+def log_smallness_threshold(prof: WeightProfile) -> float:
     """log of the smallness ceiling min(2^(-24 nu - 4) kappa0^(4 nu), 2^(-10 (nu+1)) T^(-8 nu)).
 
-    The exponential third term exp(-(8 T / kappa0)^5) is below every
-    positive float; it is only included on request (faithful-regime
-    checks).
+    The ceiling's exponential third term exp(-(8 T / kappa0)^5) is below
+    every positive float, so it is left out.
     """
     nu = prof.host.nu
-    terms = [
-        (-24 * nu - 4) * math.log(2.0) + 4 * nu * math.log(prof.kappa0),
-        -10 * (nu + 1) * math.log(2.0) - 8 * nu * math.log(prof.T),
-    ]
-    if include_exp_term:
-        terms.append(-((8.0 * prof.T / prof.kappa0) ** 5))
-    return min(terms)
+    return min((-24 * nu - 4) * math.log(2.0) + 4 * nu * math.log(prof.kappa0),
+               -10 * (nu + 1) * math.log(2.0) - 8 * nu * math.log(prof.T))
 
 
 def closed_bound(m, n, prof: WeightProfile, eps0: float, strict: bool = False) -> BoundResult:
@@ -330,22 +301,3 @@ def closed_bound(m, n, prof: WeightProfile, eps0: float, strict: bool = False) -
         v1 = 3.0 * root * math.exp(-0.875 * k0 * dist + 2.0 * T * mu_min ** ADMISSIBILITY_EXPONENT)
         v2 = 2.0 * root * math.exp(-0.25 * k0 * dist + 2.0 * dbar)
     return BoundResult(min(v1, v2), ok, log_thr)
-
-
-def elementary_path_sum(m, n, k: int, host: SiteSet, alpha: float) -> float:
-    """sum over gamma in Gamma(m, n; k, host) of exp(-alpha ||gamma||).
-
-    Oracle for the (8 / alpha)^((k-1) nu) elementary bound; exact over the
-    finite host, hence a lower bound for the lattice-wide sum.
-    """
-    m, n = tuple(m), tuple(n)
-    sites = list(map(tuple, host))
-    if k == 1:
-        return 1.0 if m == n else 0.0
-    total = 0.0
-    for interior in itertools.product(sites, repeat=k - 2):
-        pts = (m,) + interior + (n,)
-        if any(a == b for a, b in zip(pts, pts[1:])):
-            continue
-        total += math.exp(-alpha * path_norm(pts))
-    return total

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qpspec.lattice import ball, l1_norm
 from qpspec.model import Frequency, Potential, Problem, ScaleLadder, build_ladder
+from qpspec.trajectories import path_norm
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -69,3 +71,22 @@ def random_potential(rng, epsilon=1e-4, kappa0=0.5, radius=3, density=0.6):
         phase = np.exp(2j * np.pi * rng.random())
         entries[n] = mag * phase
     return Potential.from_harmonics(entries, epsilon, kappa0)
+
+
+def elementary_path_sum(m, n, k: int, host, alpha: float) -> float:
+    """sum over gamma in Gamma(m, n; k, host) of exp(-alpha ||gamma||).
+
+    Oracle for the (8 / alpha)^((k-1) nu) elementary bound; exact over the
+    finite host, hence a lower bound for the lattice-wide sum.
+    """
+    m, n = tuple(m), tuple(n)
+    sites = list(map(tuple, host))
+    if k == 1:
+        return 1.0 if m == n else 0.0
+    total = 0.0
+    for interior in itertools.product(sites, repeat=k - 2):
+        pts = (m,) + interior + (n,)
+        if any(a == b for a, b in zip(pts, pts[1:])):
+            continue
+        total += math.exp(-alpha * path_norm(pts))
+    return total

@@ -4,7 +4,6 @@ Every test prints a single PASS/FAIL line (visible with -s or in captured
 output) and then asserts, so the suite doubles as a report.
 """
 
-import cmath
 import math
 import time
 
@@ -12,23 +11,21 @@ import numpy as np
 
 from qpspec.dual_operator import (NORMALIZED, cocycle_check,
                                   dense_spectrum, restrict)
-from qpspec.cfracs import (CFNode, quantitative_ift, zeta_roots,
-                           zeta_sandwich_ok, zeta_separation_ok)
+from qpspec.cfracs import (CFNode, zeta_roots, zeta_sandwich_ok,
+                           zeta_separation_ok)
 from qpspec.inverse import (DecayBound, improve_decay, recovered_bound,
                             gap_table, verify_forward)
 from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
-from qpspec.mssets import (GeometryBuilder, max_correct_length,
-                           subtraction_fixpoint, validate_system)
+from qpspec.mssets import GeometryBuilder, max_correct_length
 from qpspec.resonance import k_point
 from qpspec.schur import block_inverse, multiscale_inverse
 from qpspec.spectral import (decay_envelope, eigen_pair, eigen_simple,
                              feynman_derivative, gap_at, paired_box)
-from qpspec.trajectories import (WeightProfile, closed_bound,
-                                 elementary_path_sum, sum_enumerate,
+from qpspec.trajectories import (WeightProfile, closed_bound, sum_enumerate,
                                  validate_profile)
 
-from conftest import random_potential
+from conftest import elementary_path_sum, random_potential
 
 
 def report(num, name, failures):
@@ -213,22 +210,6 @@ def test_acceptance_6_combinatorics(geometry_problem):
         if got != 2 ** s - 1:
             failures.append(f"max correct length s={s}: {got}")
 
-    from test_mssets import random_proper_system
-    rng = np.random.default_rng(303)
-    for trial in range(100):
-        sys_ = random_proper_system(rng)
-        if validate_system(sys_) != []:
-            failures.append(f"system {trial} not proper")
-            continue
-        start = ball(10, 2).translate((int(rng.integers(-30, 30)),
-                                       int(rng.integers(-30, 30))))
-        out, steps = subtraction_fixpoint(start, sys_)
-        if steps >= 8:
-            failures.append(f"system {trial} took {steps} steps")
-        for S in sys_.sets:
-            if not (S.issubset(out) or S.isdisjoint(out)):
-                failures.append(f"system {trial}: dichotomy violated")
-
     builder = GeometryBuilder(geometry_problem)
     m_str = (80, 6)
     km = k_point(geometry_problem.frequency, m_str)
@@ -249,7 +230,7 @@ def test_acceptance_6_combinatorics(geometry_problem):
     lam_sym = builder.lambda_sym(1e-15, 2)
     if set(lam_sym.reflect().sites) != set(lam_sym.sites):
         failures.append("symmetrized set not reflection-invariant")
-    report(6, "combinatorics (words, systems, Lambda sets)", failures)
+    report(6, "combinatorics (words, Lambda sets)", failures)
 
 
 # -- 7: trajectory bounds -----------------------------------------------------------
@@ -291,38 +272,14 @@ def test_acceptance_7_trajectory_bounds():
 def test_acceptance_8_analytic_utilities(generic_problem):
     failures = []
     rng = np.random.default_rng(505)
-    for trial in range(20):
-        a = 0.5 + rng.random()
-        b = (rng.random() - 0.5) * 2.0
-        q = 0.1 * (rng.random() - 0.5)
-
-        def F(z, w, a=a, b=b, q=q):
-            return a * w + b * z + q * w * w
-
-        res, locator = quantitative_ift(F, 0.0, 0.0, 1.0, 1.0)
-        for t in (0.5, 0.95):
-            z = t * res.radius * cmath.exp(2j * math.pi * rng.random())
-            try:
-                w = locator(z)
-            except Exception as exc:
-                failures.append(f"IFT trial {trial}: {exc}")
-                continue
-            if abs(F(z, w)) > 1e-12 * res.M0:
-                failures.append(f"IFT trial {trial}: residual over budget")
-            for rr in (0.5, 0.9):
-                for ang in np.linspace(0, 2 * math.pi, 16, endpoint=False):
-                    w2 = w + res.root_radius * rr * cmath.exp(1j * ang)
-                    if abs(w2 - w) > 1e-9 and abs(F(z, w2)) == 0.0:
-                        failures.append(f"IFT trial {trial}: non-unique root")
-
     for trial in range(50):
         gap = 0.2 + 0.6 * rng.random()
         a1, a2 = 0.5 * gap, -0.5 * gap
         bcoup = 0.05 * gap * rng.random()
         s1, s2 = 0.02 * rng.random(), -0.02 * rng.random()
-        leaf = CFNode.leaf(lambda x, u, a=a1, s=s1: a + s * u,
-                           lambda x, u, a=a2, s=s2: a + s * u,
-                           lambda x, u, bb=bcoup: bb)
+        leaf = CFNode(lambda x, u, a=a1, s=s1: a + s * u,
+                      lambda x, u, a=a2, s=s2: a + s * u,
+                      lambda x, u, bb=bcoup: bb)
         roots = zeta_roots(leaf, 0.0, (-2.0, 2.0))
         if len(roots) != 2:
             failures.append(f"zeta trial {trial}: {len(roots)} roots")
@@ -343,7 +300,7 @@ def test_acceptance_8_analytic_utilities(generic_problem):
         rel = float(np.max(np.abs(derivs[sel] - fd[sel]) / np.abs(derivs[sel])))
         if rel > 1e-6:
             failures.append(f"Feynman at k={k}: rel dev {rel:.3g}")
-    report(8, "analytic utilities (IFT, zeta roots, Feynman)", failures)
+    report(8, "analytic utilities (zeta roots, Feynman)", failures)
 
 
 # -- 9: inverse-direction properties ---------------------------------------------------

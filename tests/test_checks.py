@@ -1,4 +1,12 @@
+from pathlib import Path
+
+import pytest
+
 from qpspec import checks
+from qpspec.cli import build_problem, load_config
+from qpspec.model import Potential, Problem
+
+GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golden_mean.json"
 
 
 def test_crashing_check_named_after_its_function(generic_problem, monkeypatch):
@@ -10,3 +18,37 @@ def test_crashing_check_named_after_its_function(generic_problem, monkeypatch):
     crashed = [r for r in results if not r.passed]
     assert [r.name for r in crashed] == ["_words"]
     assert "boom" in crashed[0].detail
+
+
+@pytest.fixture(params=["golden_config", "generic", "harmonic", "eps_1e-2"])
+def pair_problem(request, golden_freq, generic_problem, harmonic_problem):
+    if request.param == "golden_config":
+        return build_problem(load_config(GOLDEN_CONFIG))
+    if request.param == "generic":
+        return generic_problem
+    if request.param == "harmonic":
+        return harmonic_problem
+    return Problem(golden_freq, Potential.from_harmonics(
+        {(0, 1): 0.55, (1, 0): 0.3 + 0.2j, (1, 1): 0.2 - 0.1j}, 1e-2, 0.5))
+
+
+def test_zeta_pair_matches_eigen_pair(pair_problem):
+    result = checks._zeta_pair(pair_problem, 0)
+    assert result.passed, result.detail
+
+
+def test_zeta_pair_zero_potential_skipped(zero_problem):
+    assert checks._zeta_pair(zero_problem, 0).passed
+
+
+def test_zeta_pair_catches_a_shifted_root(generic_problem, monkeypatch):
+    eigen_pair = checks.eigen_pair
+
+    def shifted(*args, **kwargs):
+        E_plus, E_minus, phi_plus, phi_minus = eigen_pair(*args, **kwargs)
+        return E_plus + 1e-9 * max(1.0, abs(E_plus)), E_minus, phi_plus, phi_minus
+
+    monkeypatch.setattr(checks, "eigen_pair", shifted)
+    result = checks._zeta_pair(generic_problem, 0)
+    assert not result.passed
+    assert "eigen_pair" in result.detail

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qpspec.dual_operator import (NORMALIZED, RAW, DualMatrix, cocycle_check,
-                                  dense_spectrum, entry,
-                                  reflection_conjugation_check, restrict)
+                                  dense_spectrum, reflection_conjugation_check,
+                                  restrict)
 from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
@@ -14,22 +14,23 @@ TWO_PI_SQ = (2 * math.pi) ** 2
 
 
 def test_entry_zero_potential_offdiag(zero_problem):
-    assert entry(zero_problem, (0, 0), (1, 0), 0.3) == 0
+    H = restrict(zero_problem, SiteSet.from_iterable([(0, 0), (1, 0)]), 0.3)
+    assert H.entries[H.sites.index((0, 0)), H.sites.index((1, 0))] == 0
 
 
 def test_entry_diagonal_raw(zero_problem):
-    val = entry(zero_problem, (0, 0), (0, 0), 0.3)
+    val = restrict(zero_problem, SiteSet.from_iterable([(0, 0)]), 0.3).entries[0, 0]
     assert val == pytest.approx(TWO_PI_SQ * 0.09)
 
 
 def test_entry_hermitian_pairs(generic_problem):
     rng = np.random.default_rng(3)
-    sites = list(ball(3, 2))
+    H = restrict(generic_problem, ball(3, 2), 0.2)
+    n = len(H.sites)
     for _ in range(20):
-        m = sites[rng.integers(len(sites))]
-        n = sites[rng.integers(len(sites))]
-        assert entry(generic_problem, m, n, 0.2) == np.conj(
-            entry(generic_problem, n, m, 0.2))
+        i = rng.integers(n)
+        j = rng.integers(n)
+        assert H.entries[i, j] == np.conj(H.entries[j, i])
 
 
 def test_restrict_single_site(zero_problem):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from qpspec import lattice
 from qpspec.errors import SiteBudgetError
-from qpspec.lattice import (SiteSet, ball, canonical_order, diameter, l1_ball_size,
-                            l1_norm, set_distance, straddles)
+from qpspec.lattice import (SiteSet, ball, canonical_order, l1_ball_size, l1_norm,
+                            straddles)
 
 sites2d = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
@@ -122,16 +122,6 @@ def test_straddles_implies_intersection_and_not_subset():
     assert straddles(S1, S2)
     assert not S1.isdisjoint(S2)
     assert not S1.issubset(S2)
-
-
-def test_distance_and_diameter():
-    assert set_distance(SiteSet.from_iterable([(0, 0)]),
-                        SiteSet.from_iterable([(3, 4)])) == 7
-    assert diameter(ball(2, 2)) == 4
-    with pytest.raises(ValueError):
-        diameter(SiteSet.from_iterable([]))
-    with pytest.raises(ValueError):
-        set_distance(SiteSet.from_iterable([]), ball(1, 2))
 
 
 def test_canonical_order_deterministic():

@@ -3,17 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qpspec import mssets
 from qpspec.errors import GeometryError, LadderRangeError, RegimeError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Frequency, Potential, Problem, ScaleLadder, sigma
-from qpspec.mssets import (GeometryBuilder, SubtractionSystem,
-                           is_correct_word, max_correct_length,
-                           minimal_incorrect_subword, subtraction_fixpoint,
-                           validate_system)
+from qpspec.mssets import (GeometryBuilder, _iterated_straddle_removal,
+                           is_correct_word, max_correct_length)
 from qpspec.resonance import k_point
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -42,51 +38,26 @@ def test_max_correct_length_exhaustive():
         assert max_correct_length(s) == 2 ** s - 1
 
 
-@given(st.lists(st.integers(1, 3), min_size=2, max_size=8))
-@settings(max_examples=80, deadline=None, derandomize=True)
-def test_minimal_incorrect_subword_bound(letters):
-    word = tuple(letters)
-    sub = minimal_incorrect_subword(word)
-    if sub is None:
-        assert is_correct_word(word)
-    else:
-        j, k = sub
-        assert word[j] == word[k]
-        assert all(word[i] < word[j] for i in range(j + 1, k))
-        assert k - j <= 2 ** word[j] - 1
-
-
-# -- subtraction systems -----------------------------------------------------
+# -- iterated straddle removal -------------------------------------------------
 
 
 def test_empty_system_fixpoint():
     start = ball(3, 2)
-    out, steps = subtraction_fixpoint(start, SubtractionSystem((), ()))
+    out, steps = _iterated_straddle_removal(start, [], 1)
     assert out.sites == start.sites and steps == 0
 
 
 def test_single_straddler_removed_in_one_step():
     start = ball(12, 2)
     lobe = SiteSet.from_iterable([(12, 0), (13, 0)])  # straddles the ball
-    sys_ = SubtractionSystem((lobe,), (1,))
-    out, steps = subtraction_fixpoint(start, sys_)
+    out, steps = _iterated_straddle_removal(start, [(1, lobe)], 2)
     assert steps == 1
     assert (12, 0) not in out and (13, 0) not in out
 
 
-def test_improper_system_rejected():
-    # two level-1 sets touching: separation 0
-    a = SiteSet.from_iterable([(0, 0), (1, 0)])
-    b = SiteSet.from_iterable([(1, 0), (2, 0)])
-    sys_ = SubtractionSystem((a, b), (1, 1))
-    assert validate_system(sys_) != []
-    with pytest.raises(GeometryError):
-        subtraction_fixpoint(ball(3, 2), sys_)
-
-
 def random_proper_system(rng, levels_max=3):
-    """Pairs of small lobes placed on a separation-respecting grid."""
-    sets, levels, lobes = [], [], []
+    """(level, set) groups of two small lobes on a separation-respecting grid."""
+    groups = []
     spacing = {1: 40, 2: 160, 3: 640}
     for level in (1, 2, 3)[:levels_max]:
         count = int(rng.integers(1, 4))
@@ -96,22 +67,20 @@ def random_proper_system(rng, levels_max=3):
             lobe1 = [tuple(np.add(base, d)) for d in ((0, 0), (1, 0), (0, 1))]
             off = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
             lobe2 = [tuple(np.add(p, off)) for p in lobe1]
-            sets.append(SiteSet.from_iterable(lobe1 + lobe2))
-            levels.append(level)
-            lobes.append((tuple(lobe1), tuple(lobe2)))
-    return SubtractionSystem(tuple(sets), tuple(levels), tuple(lobes))
+            groups.append((level, SiteSet.from_iterable(lobe1 + lobe2)))
+    return groups
 
 
 def test_random_proper_systems_stabilize():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        sys_ = random_proper_system(rng)
-        assert validate_system(sys_) == []
+        groups = random_proper_system(rng)
+        cap = 2 ** max(level for level, _ in groups)
         start = ball(10, 2).translate((int(rng.integers(-20, 20)),
                                        int(rng.integers(-20, 20))))
-        out, steps = subtraction_fixpoint(start, sys_)
-        assert steps < 2 ** sys_.max_level
-        for S in sys_.sets:
+        out, steps = _iterated_straddle_removal(start, groups, cap)
+        assert steps < cap
+        for _, S in groups:
             assert S.issubset(out) or S.isdisjoint(out)
 
 
@@ -271,6 +240,19 @@ def test_lambda_sym_pinned(geometry_problem, k):
     assert _set_pin(GeometryBuilder(geometry_problem).lambda_sym(k, 2)) == FULL_BALL_PIN
 
 
+def test_lambda_sym_classifies_once(geometry_problem, monkeypatch):
+    calls = []
+    classify = GeometryBuilder.site_classes
+
+    def counted(self, k, s, pair=None):
+        calls.append((k, s, pair))
+        return classify(self, k, s, pair)
+
+    monkeypatch.setattr(GeometryBuilder, "site_classes", counted)
+    GeometryBuilder(geometry_problem).lambda_sym(1e-15, 2)
+    assert calls == [(1e-15, 2, None)]
+
+
 @pytest.mark.parametrize("n0, offset, pin", [
     ((0, 1), None, (17672, "e9d1f9f295b7b9cde9667e2fe2e2cbd586c5228f211f4cdabea1d70e84143415")),
     ((1, -1), -0.5, (17672, "1e900b7b6f56e5e6b3891a07f8d5ff22c22da884bb7bf0b4580536108caec027")),
@@ -313,9 +295,7 @@ def test_symmetric_pair_removed_in_one_step():
     start = ball(12, 2)
     lobe = SiteSet.from_iterable([(12, 0), (13, 0), (12, 1)])
     pair = lobe.union(lobe.reflect())
-    sys_ = SubtractionSystem((pair,), (1,), lobes=((lobe.sites, lobe.reflect().sites),))
-    assert validate_system(sys_) == []
-    out, steps = subtraction_fixpoint(start, sys_)
+    out, steps = _iterated_straddle_removal(start, [(1, pair)], 2)
     assert steps == 1
     assert set(out.reflect().sites) == set(out.sites)
     assert pair.isdisjoint(out)

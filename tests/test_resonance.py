@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from qpspec.errors import LadderRangeError
 from qpspec.model import Frequency, Potential, Problem, ScaleLadder, build_ladder
-from qpspec.resonance import (components, interval, j_interval, k_point,
-                              reset)
+from qpspec.resonance import interval, k_point, reset
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -76,34 +75,6 @@ def test_interval_widening_formula(golden_freq, geometry_ladder):
                        if math.exp(0.5 * geometry_ladder.log_delta_at(r)) <= sig)
     iv = interval(golden_freq, m, 2, geometry_ladder)
     assert iv.k_plus == pytest.approx(km + sig + widen)
-
-
-def test_components_no_exclusions(reset_problem):
-    comps = components(reset_problem, 1, (0.0, 1.0), m_list=[])
-    assert comps == [(0.0, 1.0)]
-
-
-def test_components_single_interval(reset_problem):
-    comps = components(reset_problem, 1, (0.0, 1.0), m_list=[(0, -1)])
-    assert len(comps) == 2
-    lo, hi = comps[0][1], comps[1][0]
-    assert lo < k_point(reset_problem.frequency, (0, -1)) < hi
-
-
-def test_components_nesting_and_separation():
-    freq = Frequency((1.0, GOLDEN), 0.01, 3.0, window_n=250)
-    # narrow sigma so components exist: sigma(scale 1) = 32 e^{-10}
-    lad = ScaleLadder.from_sequences(0.35, (1.2, 2.2), (-60.0, -70.0, -80.0))
-    prob = Problem(freq, Potential({}, 1e-4, 0.5), lad)
-    window = (0.02, 0.6)
-    level1 = components(prob, 1, window)
-    level2 = components(prob, 2, window)
-    assert level1 and level2
-    for a, b in level2:
-        assert any(lo - 1e-12 <= a and b <= hi + 1e-12 for lo, hi in level1)
-    sep = 64.0 * math.exp(-70.0 / 6.0)
-    for (a1, b1), (a2, b2) in zip(level2, level2[1:]):
-        assert a2 - b1 >= sep - 1e-12
 
 
 def test_reset_far_from_resonances(reset_problem):
@@ -186,10 +157,3 @@ def test_j_contains_i_at_faithful_scale(golden_freq):
         log_j = math.log(golden_freq.a0) - (golden_freq.b0 + 3.0) * math.log(
             1.0 + sum(map(abs, n)))
         assert log_i <= log_j
-
-
-def test_j_interval_shape(golden_freq):
-    lo, hi = j_interval(golden_freq, (0, 1))
-    km = k_point(golden_freq, (0, 1))
-    half = 0.1 * 2.0 ** (-6.0)
-    assert lo == pytest.approx(km - half) and hi == pytest.approx(km + half)

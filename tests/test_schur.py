@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,7 @@ from qpspec.dual_operator import dense_spectrum, diagonal_value, restrict
 from qpspec.errors import NonResonanceFloorError, SingularBlockError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
-from qpspec.schur import (block_inverse, f_vector, g_function,
-                          multiscale_inverse, q_function, resolvent_derivative,
-                          schur_complement)
+from qpspec.schur import ReducedSolver, block_inverse, multiscale_inverse
 
 
 def rand_hermitian(rng, n, shift=None):
@@ -19,20 +15,21 @@ def rand_hermitian(rng, n, shift=None):
 
 
 def test_schur_complement_2x2():
+    # folding block [1] after [0] inverts the complement 2 - 1 * 2^-1 * 1 = 1.5
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert schur_complement(M, [0])[0, 0] == pytest.approx(1.5)
+    assert block_inverse(M, [[0], [1]]).inverse[1, 1] == pytest.approx(1.0 / 1.5)
 
 
 def test_schur_complement_block_diagonal():
     M = np.diag([3.0, 4.0, 5.0])
-    out = schur_complement(M, [0])
-    assert np.array_equal(out, np.diag([4.0, 5.0]))
+    out = block_inverse(M, [[0], [1, 2]]).inverse
+    assert np.allclose(out, np.diag([1.0 / 3.0, 0.25, 0.2]), rtol=1e-15, atol=0)
 
 
 def test_schur_complement_singular_block():
     M = np.array([[0.0, 1.0], [1.0, 2.0]])
     with pytest.raises(SingularBlockError):
-        schur_complement(M, [0])
+        block_inverse(M, [[0], [1]])
 
 
 def test_block_inverse_analytic():
@@ -104,9 +101,17 @@ def test_multiscale_floor_violation(zero_problem):
     assert err.value.site == (0, 0)
 
 
+def q_at(problem, m0, S, k, E):
+    return ReducedSolver(problem, S, k, [m0]).q(m0, E)
+
+
+def g_at(problem, mp, mm, S, k, E):
+    return ReducedSolver(problem, S, k, [mp, mm]).g(mp, mm, E)
+
+
 def test_q_zero_potential(zero_problem):
     S = ball(1, 2)
-    assert q_function(zero_problem, (0, 0), S, 0.3, -5.0) == 0.0
+    assert q_at(zero_problem, (0, 0), S, 0.3, -5.0) == 0.0
 
 
 def test_q_two_site_closed_form(golden_freq):
@@ -116,38 +121,38 @@ def test_q_two_site_closed_form(golden_freq):
     E = -2.0
     vn = diagonal_value(prob, (0, 1), 0.2)
     expect = abs(pot.c((0, 1))) ** 2 / (E - vn)
-    assert q_function(prob, (0, 0), S, 0.2, E) == pytest.approx(expect, rel=1e-12)
+    assert q_at(prob, (0, 0), S, 0.2, E) == pytest.approx(expect, rel=1e-12)
 
 
 def test_q_real_for_real_E(generic_problem):
     S = ball(2, 2)
-    val = q_function(generic_problem, (0, 0), S, 0.23, -4.0)
-    assert isinstance(val, float)
+    val = q_at(generic_problem, (0, 0), S, 0.23, -4.0)
+    assert abs(val.imag) <= 1e-9 * max(1.0, abs(val))
 
 
 def test_g_zero_potential(zero_problem):
     S = ball(1, 2)
-    assert g_function(zero_problem, (0, 0), (0, 1), S, 0.3, -5.0) == 0
+    assert g_at(zero_problem, (0, 0), (0, 1), S, 0.3, -5.0) == 0
 
 
 def test_g_two_site_exact(golden_freq):
     pot = Potential.from_harmonics({(0, 1): 0.5 + 0.1j}, 1e-3, 0.5)
     prob = Problem(golden_freq, pot)
     S = SiteSet.from_iterable([(0, 0), (0, 1)])
-    got = g_function(prob, (0, 0), (0, 1), S, 0.2, -2.0)
+    got = g_at(prob, (0, 0), (0, 1), S, 0.2, -2.0)
     assert got == pot.c((0, 1))  # empty correction sum
 
 
 def test_g_conjugate_symmetry(generic_problem):
     S = ball(2, 2)
-    a = g_function(generic_problem, (0, 0), (0, 1), S, 0.2, -4.0)
-    b = g_function(generic_problem, (0, 1), (0, 0), S, 0.2, -4.0)
+    a = g_at(generic_problem, (0, 0), (0, 1), S, 0.2, -4.0)
+    b = g_at(generic_problem, (0, 1), (0, 0), S, 0.2, -4.0)
     assert a == pytest.approx(np.conj(b), abs=1e-15)
 
 
 def test_f_zero_potential(zero_problem):
     S = ball(1, 2)
-    F = f_vector(zero_problem, (0, 0), S, 0.3, -5.0)
+    F = ReducedSolver(zero_problem, S, 0.3, [(0, 0)]).f((0, 0), -5.0)
     assert all(v == 0 for v in F.values())
 
 
@@ -156,7 +161,7 @@ def test_f_two_site_magnitude(golden_freq):
     prob = Problem(golden_freq, pot)
     S = SiteSet.from_iterable([(0, 0), (0, 1)])
     E = -2.0
-    F = f_vector(prob, (0, 0), S, 0.2, E)
+    F = ReducedSolver(prob, S, 0.2, [(0, 0)]).f((0, 0), E)
     vn = diagonal_value(prob, (0, 1), 0.2)
     assert abs(F[(0, 1)]) == pytest.approx(abs(pot.c((0, 1)) / (E - vn)), rel=1e-12)
 
@@ -176,43 +181,12 @@ def test_q_g_quadratic_in_eps(golden_freq):
         pot = Potential.from_harmonics({(0, 1): 0.5, (1, 0): 0.3, (0, 2): 0.2},
                                        eps, 0.5)
         prob = Problem(golden_freq, pot)
-        q = q_function(prob, (0, 0), S, 0.21, -3.0)
-        g = g_function(prob, (0, 0), (0, 2), S, 0.21, -3.0)
+        q = q_at(prob, (0, 0), S, 0.21, -3.0).real
+        g = g_at(prob, (0, 0), (0, 2), S, 0.21, -3.0)
         ratios_q.append(q / eps ** 2)
         ratios_g.append((g - pot.c((0, 2))) / eps ** 2)
     assert max(map(abs, ratios_q)) <= 2 * min(map(abs, ratios_q)) + 1e-12
     assert max(map(abs, ratios_g)) <= 2 * min(map(abs, ratios_g)) + 1e-12
-
-
-@pytest.mark.parametrize("order", [1, 2])
-def test_resolvent_derivative_vs_fd(generic_problem, order):
-    S = ball(2, 2)
-    k, E = 0.23, -6.0
-    analytic = resolvent_derivative(generic_problem, E, S, k, order)
-    h = 1e-5
-
-    def inv_at(kk):
-        H = restrict(generic_problem, S, kk)
-        return np.linalg.inv(E * np.eye(len(S)) - H.entries)
-
-    if order == 1:
-        fd = (inv_at(k + h) - inv_at(k - h)) / (2 * h)
-    else:
-        fd = (inv_at(k + h) - 2 * inv_at(k) + inv_at(k - h)) / (h * h)
-    rel = np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic))
-    assert rel <= 1e-6
-
-
-def test_resolvent_derivative_zero_potential(zero_problem):
-    S = ball(1, 2)
-    k, E = 0.3, -4.0
-    out = resolvent_derivative(zero_problem, E, S, k, 1)
-    for i, s in enumerate(S):
-        v = diagonal_value(zero_problem, s, k)
-        dv = 2.0 * (2 * math.pi) ** 2 * (zero_problem.frequency.dot(s) + k)
-        assert out[i, i] == pytest.approx(dv / (E - v) ** 2, rel=1e-12)
-    off = out - np.diag(np.diag(out))
-    assert np.all(off == 0)
 
 
 def test_multiscale_handle_residual_invariant(generic_problem):
@@ -229,8 +203,8 @@ def test_q_derivative_bounds(generic_problem):
     k, E = 0.22, -5.0
     eps = generic_problem.potential.epsilon
     h = 1e-6
-    dq = (q_function(generic_problem, (0, 0), S, k, E + h)
-          - q_function(generic_problem, (0, 0), S, k, E - h)) / (2 * h)
+    solver = ReducedSolver(generic_problem, S, k, [(0, 0)])
+    dq = (solver.q((0, 0), E + h).real - solver.q((0, 0), E - h).real) / (2 * h)
     assert abs(dq) <= eps
 
 

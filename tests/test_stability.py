@@ -17,14 +17,14 @@ from qpspec.dual_operator import NORMALIZED, dense_spectrum, restrict
 from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
 from qpspec.resonance import k_point
-from qpspec.schur import q_function
+from qpspec.schur import ReducedSolver
 from qpspec.spectral import eigen_pair, eigen_simple, gap_at, paired_box
 
 
 def test_q_stabilizes_exponentially_in_radius(generic_problem):
     k, E = 0.22, -4.0
     zero = (0, 0)
-    values = [q_function(generic_problem, zero, ball(R, 2), k, E)
+    values = [ReducedSolver(generic_problem, ball(R, 2), k, [zero]).q(zero, E).real
               for R in (2, 3, 4, 5, 6)]
     devs = [abs(v - values[-1]) for v in values[:-1]]
     # each extra shell of radius cuts the deviation by at least e^{-kappa0}

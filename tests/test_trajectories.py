@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from qpspec.errors import EpsilonTooLargeError
 from qpspec.lattice import SiteSet, ball
 from qpspec.trajectories import (Trajectory, WeightProfile, closed_bound,
-                                 concat, elementary_path_sum,
-                                 exempt_positions, is_admissible,
-                                 log_smallness_threshold,
+                                 is_admissible, log_smallness_threshold,
                                  sum_enumerate, validate_profile, weights)
+
+from conftest import elementary_path_sum
 
 
 def flat_profile(host_r=2, ambient_r=5, d=1.0, T=8.0, kappa0=0.5):
@@ -24,20 +24,11 @@ def exp_weight(kappa0):
     return lambda a, b: math.exp(-kappa0 * sum(abs(x - y) for x, y in zip(a, b)))
 
 
-def test_concat_merges_junction():
-    g = concat(Trajectory(((0, 0), (1, 0))), Trajectory(((1, 0), (2, 0))))
-    assert g.points == ((0, 0), (1, 0), (2, 0))
-
-
-def test_concat_no_merge():
-    g = concat(Trajectory(((0, 0), (1, 0))), Trajectory(((2, 0), (3, 0))))
-    assert g.points == ((0, 0), (1, 0), (2, 0), (3, 0))
-
-
 def test_norm_additive_under_merge():
     g1 = Trajectory(((0, 0), (1, 0), (1, 1)))
     g2 = Trajectory(((1, 1), (0, 1)))
-    assert concat(g1, g2).norm == g1.norm + g2.norm
+    merged = Trajectory(((0, 0), (1, 0), (1, 1), (0, 1)))
+    assert merged.norm == g1.norm + g2.norm
 
 
 def test_weights_single_point():
@@ -82,7 +73,7 @@ def test_multiplicativity_under_merge():
     wfun = exp_weight(0.5)
     g1 = Trajectory(((0, 0), (1, 0)))
     g2 = Trajectory(((1, 0), (1, 1), (0, 1)))
-    w12 = weights(concat(g1, g2), prof, wfun)[0]
+    w12 = weights(Trajectory(((0, 0), (1, 0), (1, 1), (0, 1))), prof, wfun)[0]
     prod = weights(g1, prof, wfun)[0] * weights(g2, prof, wfun)[0]
     assert w12 == pytest.approx(prod / math.exp(prof.D[(1, 0)]))
 
@@ -94,7 +85,7 @@ def test_multiplicativity_bridged_concatenation():
     wfun = exp_weight(0.5)
     g1 = Trajectory(((0, 0), (1, 0)))
     g2 = Trajectory(((1, 1), (0, 1)))
-    w12 = weights(concat(g1, g2), prof, wfun)[0]
+    w12 = weights(Trajectory(((0, 0), (1, 0), (1, 1), (0, 1))), prof, wfun)[0]
     prod = (weights(g1, prof, wfun)[0] * wfun((1, 0), (1, 1))
             * weights(g2, prof, wfun)[0])
     assert w12 == pytest.approx(prod)
@@ -133,7 +124,6 @@ def test_high_pair_plain_rejects_R_exempts_adjacent():
     # ||gamma|| = 8, T ||.||^(1/5) = 8 * 8^0.2 = 12.1 < 41
     assert not is_admissible(adjacent, prof, "plain")[0]
     assert is_admissible(adjacent, prof, "R")[0]
-    assert exempt_positions(adjacent, prof) == [0]
     separated = Trajectory(((-4, 0), (0, 1), (4, 0)))
     assert not is_admissible(separated, prof, "plain")[0]
     assert not is_admissible(separated, prof, "R")[0]
@@ -197,8 +187,6 @@ def test_smallness_threshold_log_space():
     prof = flat_profile()
     thr = log_smallness_threshold(prof)
     assert math.log(1e-25) <= thr < math.log(1e-20)
-    faithful = log_smallness_threshold(prof, include_exp_term=True)
-    assert faithful == -((8 * 8.0 / 0.5) ** 5)
 
 
 def test_enumeration_below_closed_bound_random():
