@@ -150,7 +150,7 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     node = CFNode(lambda x, u: vp + solver.q(mp, u).real,
                   lambda x, u: vm + solver.q(mm, u).real,
                   lambda x, u: abs(solver.g(mp, mm, u)))
-    roots = [r for window in _pair_windows(problem, S, k, mp, mm, RAW, solver.gamma)
+    roots = [r for window in _pair_windows(solver, mp, mm)
              for r in zeta_roots(node, 0.0, window)]
     if len(roots) != 2:
         return CheckResult("zeta-pair", False, f"{len(roots)} roots in the pair windows")

@@ -163,7 +163,7 @@ class ReducedSolver:
             A = E * np.eye(len(self.reduced_sites)) - self.H_rest
             try:
                 lu, piv = sla.lu_factor(A)
-            except Exception as exc:  # pragma: no cover - scipy raises LinAlgError
+            except np.linalg.LinAlgError as exc:
                 raise SingularBlockError(f"reduced matrix singular at E={E}") from exc
             if np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * max(1.0, np.max(np.abs(np.diag(lu)))):
                 raise SingularBlockError(f"reduced matrix singular at E={E}")

@@ -5,8 +5,10 @@ paired branch solves the 2x2 effective characteristic equation
 chi(E) = (E - v+ - Q+)(E - v- - Q-) - |G|^2 = 0 as the fixed points
 E = lambda_max / lambda_min of the effective 2x2 matrix at E.  The
 gap edges at k_{n0} come from the limit characterization
-E = v(0, k_{n0}) + Q(E) -+ |G(E)|, solved directly to avoid cancellation,
-and every solve is reconciled against the dense eigensolver.
+E = v(0, k_{n0}) + Q(E) -+ |G(E)|, solved directly to avoid cancellation.
+Gap edges, and paired roots with the oracle check on, are reconciled with
+the dense oracle's eigenpairs in a window about their centre, the window
+chosen from H alone.
 """
 
 from __future__ import annotations
@@ -130,23 +132,19 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
 # ---------------------------------------------------------------------------
 
 
-def _pair_windows(problem: Problem, S: SiteSet, k: float, mp, mm,
-                  normalization: str, gamma: float):
+def _pair_windows(solver: ReducedSolver, mp, mm):
     """E windows around each pivot's diagonal value that must hold the pair roots.
 
     Each half-width stays below the nearest foreign diagonal value, which
     keeps the windows clear of the reduced resolvent's poles; overlapping
     windows merge (the resonant case).
     """
-    vp = diagonal_value(problem, mp, k, normalization, gamma)
-    vm = diagonal_value(problem, mm, k, normalization, gamma)
+    diag = solver.full.entries.diagonal().real
+    vp, vm = (float(diag[solver.full.sites.index(p)]) for p in (mp, mm))
+    foreign = solver.H_rest.diagonal().real
     windows = []
     for v in (vp, vm):
-        rho = math.inf
-        for s in S:
-            if tuple(s) in (tuple(mp), tuple(mm)):
-                continue
-            rho = min(rho, abs(v - diagonal_value(problem, s, k, normalization, gamma)))
+        rho = float(np.min(np.abs(foreign - v), initial=math.inf))
         half = 0.75 * min(rho, abs(vp - vm) + 1.0)
         windows.append((v - half, v + half))
     windows.sort()
@@ -198,7 +196,7 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
         return _fixed_point(step, center, max(1.0, abs(center)))
 
     E_plus, E_minus = root(+1.0), root(-1.0)
-    windows = _pair_windows(problem, S, k, mp, mm, normalization, solver.gamma)
+    windows = _pair_windows(solver, mp, mm)
     for E in (E_minus, E_plus):
         if not any(lo <= E <= hi for lo, hi in windows):
             raise RegimeError(
@@ -225,7 +223,7 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
     phi_plus, phi_minus = vector(E_plus), vector(E_minus)
 
     if oracle_check:
-        evals, _ = dense_spectrum(solver.full)
+        evals, _ = dense_spectrum(solver.full, center)
         nearest = evals[np.argsort(np.abs(evals - center))[:2]]
         got = np.sort(np.asarray([E_minus, E_plus]))
         want = np.sort(nearest)
@@ -241,7 +239,8 @@ def gap_at(problem: Problem, n0, S: SiteSet, normalization: str = RAW,
     """Gap edges at k = k_{n0} via E = v + Q -+ |G|, reconciled with the oracle.
 
     Route (i) solves the two scalar equations by fixed point; route (ii)
-    takes the two dense eigenvalues nearest v(0, k_{n0}).  Disagreement
+    takes the two dense eigenvalues nearest v(0, k_{n0}) from the oracle
+    windowed about v0, the window chosen from H alone.  Disagreement
     beyond tolerance flags a regime misclassification.
     """
     n0 = tuple(n0)
@@ -263,7 +262,7 @@ def gap_at(problem: Problem, n0, S: SiteSet, normalization: str = RAW,
     if E_plus < E_minus:
         E_plus, E_minus = E_minus, E_plus
 
-    evals, _ = dense_spectrum(solver.full)
+    evals, _ = dense_spectrum(solver.full, v0)
     nearest = np.sort(evals[np.argsort(np.abs(evals - v0))[:2]])
     dev = float(max(abs(nearest[0] - E_minus), abs(nearest[1] - E_plus)))
     if dev > reconcile_tol * scale:

@@ -1,16 +1,32 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from conftest import GOLDEN, random_potential, restrict_reference
+from qpspec.cli import build_problem, load_config
 from qpspec.dual_operator import (NORMALIZED, RAW, DualMatrix, cocycle_check,
-                                  dense_spectrum, reflection_conjugation_check,
-                                  restrict)
+                                  dense_spectrum, diagonal_value,
+                                  reflection_conjugation_check, restrict)
 from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError
 from qpspec.lattice import SiteSet, ball
-from qpspec.model import Potential, Problem
+from qpspec.model import Frequency, Potential, Problem
+from qpspec.resonance import k_point
+from qpspec.spectral import paired_box
 
 TWO_PI_SQ = (2 * math.pi) ** 2
+GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golden_mean.json"
+
+
+def _matrix(entries) -> DualMatrix:
+    H = np.asarray(entries, dtype=complex)
+    return DualMatrix(SiteSet(tuple((i,) for i in range(len(H)))), 0.0, H, RAW)
+
+
+def _nearest_two(evals, center):
+    return np.sort(evals[np.argsort(np.abs(evals - center))[:2]])
 
 
 def test_entry_zero_potential_offdiag(zero_problem):
@@ -87,8 +103,11 @@ def test_reflection_generic(generic_problem):
 
 
 def test_dense_spectrum_analytic_2x2():
-    evals = np.linalg.eigvalsh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert evals == pytest.approx([1.0, 3.0])
+    M = _matrix([[2.0, 1.0], [1.0, 2.0]])
+    for center in (None, 2.0, 100.0):
+        evals, evecs = dense_spectrum(M, center)
+        assert evals == pytest.approx([1.0, 3.0])
+        assert np.allclose(M.entries @ evecs, evecs * evals)
 
 
 def test_dense_spectrum_zero_potential(zero_problem):
@@ -143,3 +162,114 @@ def test_normalization_consistency(generic_problem):
     raw = restrict(generic_problem, S, 0.3, RAW)
     norm = restrict(generic_problem, S, 0.3, NORMALIZED)
     assert np.allclose(raw.entries, norm.scale() * norm.entries, rtol=1e-14)
+
+
+@pytest.mark.parametrize("potential", ["golden", "random"])
+def test_windowed_oracle_matches_full_nearest_two(potential):
+    golden = build_problem(load_config(GOLDEN_CONFIG))
+    prob = golden if potential == "golden" else Problem(
+        golden.frequency, random_potential(np.random.default_rng(7)))
+    zero = (0, 0)
+    for m in ball(4, 2):
+        if not any(m):
+            continue
+        S = paired_box(prob, m, 5)
+        # gap_at's center at k_m, and eigen_pair's just off it
+        for k in (k_point(prob.frequency, m), k_point(prob.frequency, m) + 1e-5):
+            M = restrict(prob, S, k)
+            center = 0.5 * (diagonal_value(prob, zero, k) + diagonal_value(prob, m, k))
+            evals, evecs = dense_spectrum(M, center)
+            assert len(evals) >= 2 and evecs.shape == (len(S), len(evals))
+            full = np.linalg.eigvalsh(M.entries)
+            scale = max(1.0, float(np.max(np.abs(M.entries.diagonal()))))
+            dev = np.max(np.abs(_nearest_two(evals, center) - _nearest_two(full, center)))
+            assert dev <= len(S) * np.finfo(float).eps * scale, (m, k)
+
+
+def test_windowed_oracle_widens_until_two_eigenvalues(monkeypatch):
+    windows = []
+    eigh = sla.eigh
+
+    def recording(H, **kwargs):
+        windows.append(kwargs["subset_by_value"])
+        return eigh(H, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", recording)
+    evals, evecs = dense_spectrum(_matrix(np.diag([0.0, 1.0, 5.0])), 0.0)
+    assert len(windows) > 1  # the first window holds only the eigenvalue 0
+    assert np.array_equal(evals, [0.0, 1.0])
+    assert np.allclose(np.abs(evecs[:2]), np.eye(2)) and np.all(evecs[2] == 0)
+
+
+def test_windowed_oracle_1x1():
+    evals, evecs = dense_spectrum(_matrix([[3.0]]), 0.0)
+    assert np.array_equal(evals, [3.0]) and np.abs(evecs[0, 0]) == pytest.approx(1.0)
+
+
+def test_windowed_oracle_bad_residual_is_typed(generic_problem, monkeypatch):
+    eigh = sla.eigh
+
+    def off_by_a_bit(H, **kwargs):
+        evals, evecs = eigh(H, **kwargs)
+        return evals + 1e-6, evecs
+
+    monkeypatch.setattr(sla, "eigh", off_by_a_bit)
+    M = restrict(generic_problem, ball(2, 2), 0.29)
+    with pytest.raises(ReconciliationError):
+        dense_spectrum(M, float(M.entries[0, 0].real))
+
+
+def test_windowed_oracle_eigensolver_failure_is_typed(generic_problem, monkeypatch):
+    def fails(H, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(sla, "eigh", fails)
+    with pytest.raises(ConvergenceError):
+        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), 1.0)
+
+
+def test_windowed_oracle_non_hermitian_is_typed():
+    M = _matrix(np.triu(np.ones((5, 5))))
+    with pytest.raises(ReconciliationError, match="not exactly Hermitian"):
+        dense_spectrum(M, 1.0)
+
+
+def _problem(nu: int, coefficients: dict) -> Problem:
+    omega = (1.0, GOLDEN, math.sqrt(2.0) - 1.0)[:nu]
+    freq = Frequency(omega, 0.1, nu + 1.0)
+    return Problem(freq, Potential.from_harmonics(coefficients, 1e-4, 0.5))
+
+
+def _random_coefficients(nu: int, seed: int) -> dict:
+    """Harmonics on half of ball(3), plus one shift that leaves every host box."""
+    rng = np.random.default_rng(seed)
+    half = [n for n in ball(3, nu) if n > tuple(-c for c in n)]
+    chosen = rng.choice(len(half), size=min(6, len(half)), replace=False)
+    coefficients = {half[i]: complex(rng.normal(), rng.normal()) for i in chosen}
+    coefficients[(9,) + (0,) * (nu - 1)] = 0.5j
+    return coefficients
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("normalization", [RAW, NORMALIZED])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_restrict_matches_reference(nu, normalization, shuffled):
+    # two balls apart: the sites' bounding box has holes, and most shifts
+    # of the outer shells leave the set
+    far = (5,) + (0,) * (nu - 1)
+    S = ball(2, nu).union(ball(2, nu).translate(far))
+    order = None
+    if shuffled:
+        order = [S.sites[i] for i in np.random.default_rng(nu).permutation(len(S))]
+    for prob in (_problem(nu, _random_coefficients(nu, nu)), _problem(nu, {})):
+        for k in (0.13, -0.41):
+            got = restrict(prob, S, k, normalization, order=order)
+            want = restrict_reference(prob, S, k, normalization, order=order)
+            assert np.array_equal(got.entries, want)
+            assert got.sites.sites == (S.sites if order is None else tuple(order))
+
+
+def test_restrict_refuses_a_box_too_large_for_int64_codes(generic_problem):
+    S = SiteSet.from_iterable([(0, 0), (2 ** 40, 2 ** 40)])
+    with pytest.raises(ValueError):
+        restrict(generic_problem, S, 0.3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from qpspec.dual_operator import dense_spectrum, diagonal_value, restrict
 from qpspec.errors import NonResonanceFloorError, SingularBlockError
@@ -216,3 +217,25 @@ def test_eigenvalue_stays_within_eps_of_diagonal(generic_problem):
                            oracle_check=False)
         v0 = diagonal_value(generic_problem, (0, 0), k)
         assert 0 < abs(rec.E - v0) < eps
+
+
+def test_lu_failure_is_a_singular_block(generic_problem, monkeypatch):
+    solver = ReducedSolver(generic_problem, ball(2, 2), 0.13, [(0, 0)])
+
+    def fails(A):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(sla, "lu_factor", fails)
+    with pytest.raises(SingularBlockError):
+        solver.q((0, 0), 1.0)
+
+
+def test_lu_unexpected_error_propagates(generic_problem, monkeypatch):
+    solver = ReducedSolver(generic_problem, ball(2, 2), 0.13, [(0, 0)])
+
+    def broken(A):
+        raise TypeError("not a factorization failure")
+
+    monkeypatch.setattr(sla, "lu_factor", broken)
+    with pytest.raises(TypeError):
+        solver.q((0, 0), 1.0)

@@ -358,3 +358,26 @@ def test_three_dimensional_eigen_solve():
     rec = eigen_simple(prob, (0, 0, 0), ball(2, 3), 0.21)
     assert rec.oracle_gap <= 1e-9 * max(1.0, abs(rec.E))
     assert rec.residual <= 1e-11
+
+
+def test_pair_windows_from_the_matrix_diagonal(generic_problem):
+    n0 = (0, 1)
+    for S in (paired_box(generic_problem, n0, 4), SiteSet.from_iterable([(0, 0), n0])):
+        for theta in (-1e-3, 0.0, 1e-5):
+            k = k_point(generic_problem.frequency, n0) + theta
+            solver = ReducedSolver(generic_problem, S, k, [(0, 0), n0])
+            # the windows as diagonal_value gives them, site by site
+            vp, vm = (diagonal_value(generic_problem, p, k) for p in ((0, 0), n0))
+            want = []
+            for v in (vp, vm):
+                rho = min((abs(v - diagonal_value(generic_problem, s, k))
+                           for s in S if s not in ((0, 0), n0)), default=math.inf)
+                half = 0.75 * min(rho, abs(vp - vm) + 1.0)
+                want.append((v - half, v + half))
+            got = spectral._pair_windows(solver, (0, 0), n0)
+            want = sorted(want)
+            if want[1][0] <= want[0][1]:
+                want = [(want[0][0], max(want[0][1], want[1][1]))]
+            assert len(got) == len(want)
+            for (a, b), (c, d) in zip(got, want):
+                assert a == pytest.approx(c, rel=1e-15) and b == pytest.approx(d, rel=1e-15)
