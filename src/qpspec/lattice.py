@@ -1,22 +1,19 @@
 """Integer lattice primitives: l1 norm, balls, reflections and set relations.
 
-Sites are plain tuples of ints.  A SiteSet keeps its sites in a canonical
-order (l1 norm, then lexicographic) so that every matrix restriction built
-on top of it is reproducible bit for bit.
+Sites are plain tuples of ints.  A SiteSet stores its sites as int64 codes
+whose numeric order is the canonical order (l1 norm, then lexicographic),
+so that every matrix restriction built on top of it is reproducible bit
+for bit and set algebra is sorting and bisection on integer arrays.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, floor
-from operator import add, neg, sub
 
 import numpy as np
 
 from .errors import SiteBudgetError
-
-Site = tuple
 
 DEFAULT_SITE_BUDGET = 20_000
 
@@ -33,42 +30,81 @@ def l1_ball_size(radius: int, nu: int) -> int:
     return sum((2 ** j) * comb(nu, j) * comb(radius, j) for j in range(0, min(nu, radius) + 1))
 
 
-def canonical_order(sites) -> tuple:
-    """Deterministic ordering: by l1 norm, then lexicographic."""
-    return tuple(sorted(dict.fromkeys(map(tuple, sites)), key=lambda s: (sum(map(abs, s)), s)))
+def _encode(A: np.ndarray) -> np.ndarray:
+    """Codes of the rows of an (n, nu) int64 array; ValueError outside the range."""
+    nu = A.shape[1]
+    bits = 62 // (nu + 1)
+    half = 1 << (bits - 1)
+    if A.size and (A.min() <= -half or A.max() >= half):
+        raise ValueError(f"site coordinates must satisfy |x_i| < 2^{bits - 1} for nu = {nu}")
+    code = np.abs(A).sum(axis=1)
+    for i in range(nu):
+        code = (code << bits) + (A[:, i] + half)
+    return code
 
 
-def _members(sites):
-    """Membership table of a site collection; a SiteSet's own index when it is one."""
-    return sites._index if isinstance(sites, SiteSet) else set(map(tuple, sites))
+def _decode(codes: np.ndarray, nu: int) -> np.ndarray:
+    bits = 62 // (nu + 1)
+    shifts = bits * np.arange(nu - 1, -1, -1, dtype=np.int64)
+    return ((codes[:, None] >> shifts) & ((1 << bits) - 1)) - (1 << (bits - 1))
 
 
-@dataclass(frozen=True)
+def _rows(sites) -> np.ndarray:
+    """A plain site collection as an (n, nu) int64 array."""
+    try:
+        A = np.asarray(sites if isinstance(sites, np.ndarray) else list(sites), dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"site coordinates out of the int64 range: {exc}") from exc
+    return A.reshape(len(A), -1) if len(A) else np.empty((0, 0), dtype=np.int64)
+
+
 class SiteSet:
-    """Finite subset of Z^nu with canonical ordering.
+    """Finite subset of Z^nu, held as an int64 code array.
 
-    The canonical order is l1 norm, then lexicographic.  ``ball``,
-    ``difference`` and ``intersection`` keep it by construction, with no
-    sort; ``from_iterable``, ``union``, ``translate``, ``reflect`` and
-    ``reflect_through`` sort once.  The one SiteSet that is not canonical
-    is the one ``dual_operator.restrict(order=...)`` builds in caller order.
+    A site x has the code ``l1(x) W^nu + sum_i (x_i + W/2) W^(nu-1-i)``
+    with ``W = 2^floor(62 / (nu + 1))``, so numeric order is the
+    canonical order, l1 norm then lexicographic.  Coordinates must satisfy
+    ``|x_i| < W/2`` (2^19 for nu = 2); a site outside raises ValueError,
+    never wraps.  Every operation returns a canonical set, sorted by code,
+    except ``SiteSet(sites)``, which keeps the given order (``restrict``
+    with ``order=`` depends on it), and ``difference`` and
+    ``intersection``, which filter ``self`` in its own order.  Set
+    relations sort and bisect codes; ``==`` compares the sites in order.
 
-    Immutable after construction; all derived data is precomputed so
-    concurrent reads are safe.
+    Immutable: the code array is read-only and no method changes a set.
+    The ``.sites`` tuples and the index behind ``in`` and ``index`` are
+    caches built on first read; a racing first read builds an equal copy.
     """
 
-    sites: tuple
-    _index: dict = field(init=False, repr=False, compare=False)
+    def __new__(cls, sites=()):
+        if isinstance(sites, SiteSet):
+            return sites
+        A = _rows(sites)
+        return cls._of(_encode(A), A.shape[1])
+
+    @classmethod
+    def _of(cls, codes: np.ndarray, nu: int) -> "SiteSet":
+        out = object.__new__(cls)
+        codes.flags.writeable = False
+        out._codes, out.nu = codes, nu if len(codes) else 0
+        out._sorted = codes if np.all(codes[1:] > codes[:-1]) else np.sort(codes)
+        return out
 
     @staticmethod
     def from_iterable(sites) -> "SiteSet":
-        return SiteSet(canonical_order(sites))
+        """The distinct sites of a collection, in canonical order."""
+        return SiteSet(sites).union()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.sites)})
+    @cached_property
+    def sites(self) -> tuple:
+        return tuple(zip(*self.array().T.tolist()))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {s: i for i, s in enumerate(self.sites)}
 
     def __len__(self):
-        return len(self.sites)
+        return len(self._codes)
 
     def __iter__(self):
         return iter(self.sites)
@@ -79,63 +115,71 @@ class SiteSet:
     def index(self, site) -> int:
         return self._index[tuple(site)]
 
-    @property
-    def nu(self) -> int:
-        return len(self.sites[0]) if self.sites else 0
+    def __eq__(self, other):
+        if not isinstance(other, SiteSet):
+            return NotImplemented
+        return self.nu == other.nu and np.array_equal(self._codes, other._codes)
+
+    def __hash__(self):
+        return hash((self.nu, self._codes.tobytes()))
+
+    def __repr__(self):
+        return f"SiteSet({self.sites!r})"
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.sites, dtype=np.int64).reshape(len(self.sites), -1)
+        return _decode(self._codes, self.nu)
+
+    def _mapped(self, f) -> "SiteSet":
+        """The canonical set of f(rows of this set)."""
+        return SiteSet._of(np.sort(_encode(f(self.array()))), self.nu) if len(self) else self
 
     def translate(self, m) -> "SiteSet":
-        m = tuple(m)
-        return SiteSet.from_iterable(tuple(map(add, s, m)) for s in self.sites)
+        return self._mapped(lambda A: A + _rows([m]))
 
     def reflect(self) -> "SiteSet":
-        return SiteSet.from_iterable(tuple(map(neg, s)) for s in self.sites)
+        return self._mapped(np.negative)
 
     def reflect_through(self, m) -> "SiteSet":
-        m = tuple(m)
-        return SiteSet.from_iterable(tuple(map(sub, m, s)) for s in self.sites)
+        return self._mapped(lambda A: _rows([m]) - A)
 
-    def union(self, other) -> "SiteSet":
-        return SiteSet.from_iterable(itertools.chain(self.sites, other))
+    def _in(self, other) -> np.ndarray:
+        """Mask of this set's codes, in its order, that lie in `other`."""
+        keys = SiteSet(other)._sorted
+        if not len(keys):
+            return np.zeros(len(self), dtype=bool)
+        return keys[np.minimum(np.searchsorted(keys, self._codes), len(keys) - 1)] == self._codes
+
+    def union(self, *others) -> "SiteSet":
+        """This set and every one of `others`, in canonical order."""
+        sets = [self, *map(SiteSet, others)]
+        codes = np.sort(np.concatenate([S._sorted for S in sets]))
+        first = np.ones(len(codes), dtype=bool)
+        first[1:] = codes[1:] != codes[:-1]
+        return SiteSet._of(codes[first], max(S.nu for S in sets))
 
     def difference(self, other) -> "SiteSet":
-        drop = _members(other)
-        return SiteSet(tuple(s for s in self.sites if s not in drop))
+        return SiteSet._of(self._codes[~self._in(other)], self.nu)
 
     def intersection(self, other) -> "SiteSet":
-        keep = _members(other)
-        return SiteSet(tuple(s for s in self.sites if s in keep))
+        return SiteSet._of(self._codes[self._in(other)], self.nu)
 
     def issubset(self, other) -> bool:
-        keep = _members(other)
-        return all(s in keep for s in self.sites)
+        return bool(self._in(other).all())
 
-    def issuperset(self, sites) -> bool:
-        """True iff every site of `sites`, each a tuple, is in this set."""
-        return all(s in self._index for s in sites)
+    def issuperset(self, other) -> bool:
+        return SiteSet(other).issubset(self)
 
     def isdisjoint(self, other) -> bool:
-        if isinstance(other, SiteSet) and len(other) < len(self):
-            return other.isdisjoint(self)
-        keep = _members(other)
-        return all(s not in keep for s in self.sites)
-
-
-def _shell(r: int, nu: int) -> list:
-    """The sites of l1 norm exactly r in Z^nu, in lexicographic order."""
-    if nu == 1:
-        return [(-r,), (r,)] if r else [(0,)]
-    return [(c,) + rest for c in range(-r, r + 1) for rest in _shell(r - abs(c), nu - 1)]
+        return not self._in(other).any()
 
 
 def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:
     """All n in Z^nu with l1_norm(n) <= R.  Symmetric under n -> -n.
 
-    Built shell by shell, lexicographic within a shell: canonical order
-    with no sort.  Refuses to materialize more than `budget` sites; the
-    budget guards desk-scale memory against faithful-constant radii.
+    The points of the (2r + 1)^nu box with l1 norm <= r, encoded and
+    sorted.  Refuses to materialize more than `budget` sites; the budget
+    guards desk-scale memory against faithful-constant radii, and is
+    checked before the box is built.
     """
     if R < 0:
         raise ValueError("ball radius must be nonnegative")
@@ -143,15 +187,11 @@ def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:
     size = l1_ball_size(r, nu)
     if budget is not None and size > budget:
         raise SiteBudgetError(f"ball(R={R}, nu={nu}) holds {size} sites, over budget {budget}")
-    return SiteSet(tuple(itertools.chain.from_iterable(_shell(j, nu) for j in range(r + 1))))
+    box = np.indices((2 * r + 1,) * nu, dtype=np.int64).reshape(nu, -1).T - r
+    return SiteSet._of(np.sort(_encode(box[np.abs(box).sum(axis=1) <= r])), nu)
 
 
 def straddles(S1, S2) -> bool:
     """True iff S1 meets S2 and also meets the complement of S2."""
-    inside = _members(S2)
-    seen = set()
-    for s in map(tuple, S1):
-        seen.add(s in inside)
-        if len(seen) == 2:
-            return True
-    return False
+    inside = SiteSet(S1)._in(S2)
+    return bool(inside.any() and not inside.all())

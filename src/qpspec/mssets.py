@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, neg, sub
 
 import numpy as np
 
 from .errors import CombinatorialBudgetError, GeometryError, RegimeError
-from .lattice import SiteSet, ball, l1_norm, straddles
+from .lattice import SiteSet, ball, straddles
 from .model import Problem, ScaleLadder, sigma
 from .resonance import interval, k_point
 
@@ -167,18 +166,12 @@ class GeometryBuilder:
         diffs = self._v_diff(pts.astype(float), k)
         members = {}
         lambda_sets = {}
-        taken = set()
+        taken = SiteSet()
         pair_pts = {tuple(p) for p in pair} if pair else set()
         for s_prime in range(s - 1, 0, -1):
             thr = self.threshold(s_prime, s)
-            mem = []
-            if thr > 0:
-                for i in np.flatnonzero(diffs <= thr):
-                    m = tuple(int(c) for c in pts[i])
-                    if m in taken:
-                        continue
-                    mem.append(m)
-            mem.sort(key=lambda m: (l1_norm(m), m))
+            near = pts[diffs <= thr] if thr > 0 else ()
+            mem = SiteSet.from_iterable(near).difference(taken).sites
             # separation within the class (principal pair exempt)
             limit = 12.0 * self.ladder.R(s_prime)
             for i in range(len(mem)):
@@ -190,12 +183,11 @@ class GeometryBuilder:
                         raise GeometryError(
                             f"class separation violated at level {s_prime}: "
                             f"{mem[i]} and {mem[j]} are {gap} <= 12 R^({s_prime}) apart")
-            members[s_prime] = tuple(mem)
+            members[s_prime] = mem
             for m in mem:
                 lam = self.lambda_plain(k + self.problem.frequency.dot(m), s_prime)
-                lam_m = lam.translate(m)
-                lambda_sets[(s_prime, m)] = lam_m
-                taken.update(lam_m.sites)
+                lambda_sets[(s_prime, m)] = lam.translate(m)
+            taken = taken.union(*(lambda_sets[(s_prime, m)] for m in mem))
         return SiteClassification(k, s, members, lambda_sets)
 
     # -- the Lambda sets -----------------------------------------------------
@@ -215,11 +207,8 @@ class GeometryBuilder:
         else:
             big = self._ball(3.0 * self.ladder.R(s))
             classes = classify()
-            drop = set()
-            for (s_prime, m), lam in classes.lambda_sets.items():
-                if straddles(lam, big):
-                    drop.update(lam.sites)
-            out = big.difference(drop) if drop else big
+            drop = [lam for lam in classes.lambda_sets.values() if straddles(lam, big)]
+            out = big.difference(SiteSet.union(*drop)) if drop else big
             self._require_sandwich(out, s, k)
             self._require_dichotomy(out, classes)
         self._plain_cache[key] = out
@@ -238,10 +227,10 @@ class GeometryBuilder:
             raise RegimeError(
                 f"|k| = {abs(k):.3g} outside the small-k regime delta^(s-2)")
         classes = self.site_classes(k, s)
-        groups = _reflection_groups(classes, reflect=lambda m: tuple(map(neg, m)))
+        groups = _reflection_groups(classes, (0,) * self.problem.nu)
         start = self._ball(3.0 * self.ladder.R(s))
         out, steps = _iterated_straddle_removal(start, groups, 2 ** s)
-        if not out.issuperset(tuple(map(neg, x)) for x in out):
+        if not out.issuperset(out.reflect()):
             raise GeometryError("symmetrized set is not reflection invariant")
         self._require_sandwich(out, s, k)
         self._require_dichotomy(out, classes)
@@ -257,21 +246,17 @@ class GeometryBuilder:
         if abs(k - kn0) > 2.0 * sigma(n0, self.ladder):
             raise RegimeError(
                 f"k = {k:.6g} outside the pair window around k_n0 = {kn0:.6g}")
-
-        def T(m):
-            return tuple(map(sub, n0, m))
-
         base = self._ball(3.0 * self.ladder.R(s))
-        start = base.union(map(T, base))
+        start = base.union(base.reflect_through(n0))
         if s == 1:
             return start
         classes = self.site_classes(k, s, pair=((0,) * self.problem.nu, n0))
-        groups = _reflection_groups(classes, reflect=T)
+        groups = _reflection_groups(classes, n0)
         out, steps = _iterated_straddle_removal(start, groups, 2 ** s)
-        if not out.issuperset(map(T, out)):
+        if not out.issuperset(out.reflect_through(n0)):
             raise GeometryError("paired set is not T-invariant")
         inner = self._ball(2.0 * self.ladder.R(s))
-        if not inner.issubset(out) or not out.issuperset(tuple(map(add, x, n0)) for x in inner):
+        if not inner.issubset(out) or not out.issuperset(inner.translate(n0)):
             raise GeometryError("paired set lost its inner balls")
         if not out.issubset(start):
             raise GeometryError("paired set escapes its outer envelope")
@@ -292,44 +277,23 @@ class GeometryBuilder:
                     f"set Lambda^({s_prime})({m}) straddles the constructed set")
 
 
-def _reflection_groups(classes: SiteClassification, reflect):
-    """Union-find grouping of Lambda(m) = Lambda^(s')(m) u reflect(Lambda^(s')(m)).
+def _reflection_groups(classes: SiteClassification, center):
+    """The groups Lambda(m) = Lambda^(s')(m) u T(Lambda^(s')(m)), T(n) = center - n.
 
-    Members m and reflect(m) of the same level share a group; each group
-    carries its level and the union of its (reflected) sets.
+    T is an involution, so m and T(m) of one level form a group (or m
+    alone); each group carries its level and the union of its sets and
+    their mirrors.
     """
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    keys = list(classes.lambda_sets.keys())
-    for key in keys:
-        parent[key] = key
-    for (s_prime, m) in keys:
-        mirror = (s_prime, reflect(m))
-        if mirror in classes.lambda_sets:
-            union((s_prime, m), mirror)
-    groups = {}
-    for key in keys:
-        groups.setdefault(find(key), []).append(key)
-    out = []
-    for members in groups.values():
-        level = members[0][0]
-        sites = set()
-        for (s_prime, m) in members:
-            lam = classes.lambda_sets[(s_prime, m)]
-            sites.update(lam.sites)
-            sites.update(reflect(x) for x in lam)
-        out.append((level, SiteSet.from_iterable(sites)))
+    out, done = [], set()
+    for key in classes.lambda_sets:
+        if key in done:
+            continue
+        s_prime, m = key
+        members = {key, (s_prime, tuple(c - x for c, x in zip(center, m)))}
+        members &= classes.lambda_sets.keys()
+        done |= members
+        lams = [classes.lambda_sets[k] for k in members]
+        out.append((s_prime, SiteSet.union(*lams, *(lam.reflect_through(center) for lam in lams))))
     return out
 
 
@@ -338,13 +302,10 @@ def _iterated_straddle_removal(start: SiteSet, groups, cap: int):
     current = start
     steps = 0
     while True:
-        drop = set()
-        for level, gset in groups:
-            if straddles(gset, current):
-                drop.update(gset.sites)
+        drop = [gset for level, gset in groups if straddles(gset, current)]
         if not drop:
             return current, steps
-        nxt = current.difference(drop)
+        nxt = current.difference(SiteSet.union(*drop))
         if len(nxt) == len(current):
             return current, steps
         current = nxt

@@ -143,8 +143,9 @@ class ReducedSolver:
         self.pivots = [tuple(p) for p in pivots]
         self.full = restrict(problem, S, k, normalization)
         self.gamma = self.full.gamma
-        keep = [i for i, s in enumerate(self.full.sites) if s not in set(self.pivots)]
-        self.reduced_sites = [self.full.sites.sites[i] for i in keep]
+        pivots, sites = set(self.pivots), self.full.sites.sites
+        keep = [i for i, s in enumerate(sites) if s not in pivots]
+        self.reduced_sites = [sites[i] for i in keep]
         self._keep = np.asarray(keep, dtype=int)
         self._piv_idx = {p: self.full.sites.index(p) for p in self.pivots}
         self.H_rest = self.full.entries[np.ix_(self._keep, self._keep)]

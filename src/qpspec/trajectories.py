@@ -17,11 +17,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import CombinatorialBudgetError, EpsilonTooLargeError
 from .lattice import SiteSet
 
 ADMISSIBILITY_EXPONENT = 0.2          # the 1/5 in the pairwise norm bound
 HIGH_D_FACTOR = 4.0                   # threshold D >= 4 T / kappa0
+CAP_SLACK = 1 + 1e-12                 # rounding allowed above the pair-weight cap
 
 
 def _dist(a, b) -> int:
@@ -121,7 +124,7 @@ def weights(g: Trajectory, prof: WeightProfile, w):
     for a, b in zip(pts, pts[1:]):
         val = w(a, b)
         cap = math.exp(-prof.kappa0 * _dist(a, b))
-        if val > cap * (1 + 1e-12):
+        if val > cap * CAP_SLACK:
             raise ValueError(f"pair weight w({a},{b}) = {val:.3g} above exp(-kappa0 d) = {cap:.3g}")
         prod *= val
     if len(pts) == 1 and abs(w(pts[0], pts[0]) - 1.0) > 1e-12:
@@ -183,6 +186,7 @@ def is_admissible(g: Trajectory, prof: WeightProfile, variant: str = "plain"):
 # ---------------------------------------------------------------------------
 
 ENUMERATION_CAP = 2_000_000
+PATH_BLOCK = 1 << 14                  # paths evaluated together; bounds the memory
 
 
 @dataclass(frozen=True)
@@ -203,36 +207,59 @@ def sum_enumerate(m, n, prof: WeightProfile, eps0: float, variant: str = "R",
     Enumerates every trajectory of length <= len_cap inside the host with
     endpoints (m, n); the tail bound sums eps0^(k-1) e^(k Dbar) (8/kappa0)^((k-1) nu)
     over k > len_cap and errors if that series diverges.
+
+    Each length's paths are host-index arrays in itertools.product order,
+    PATH_BLOCK at a time, summed with the float operations of ``weights``
+    in its order and a running total, so the result is that of the path
+    by path loop.  Paths with fewer than two high-D sites are admissible.
     """
     m, n = tuple(m), tuple(n)
-    host = list(map(tuple, prof.host))
+    host = prof.host.sites
     if m not in prof.host or n not in prof.host:
         raise ValueError("trajectory endpoints must lie in the host set")
+    if variant not in ("plain", "R"):
+        raise ValueError(f"unknown admissibility variant {variant!r}")
     if w is None:
         w = lambda a, b: math.exp(-prof.kappa0 * _dist(a, b))
     if len(host) ** max(0, len_cap - 2) > ENUMERATION_CAP:
         raise CombinatorialBudgetError(
             f"host of {len(host)} sites with len_cap {len_cap} exceeds the enumeration cap")
 
+    D = np.array([prof.D[s] for s in host])
+    high = D >= prof.high_threshold
+    pair_w, over_cap = np.ones((len(host),) * 2), np.zeros((len(host),) * 2, dtype=bool)
+    for (i, a), (j, b) in itertools.permutations(enumerate(host), 2):
+        pair_w[i, j] = val = w(a, b)
+        over_cap[i, j] = val > math.exp(-prof.kappa0 * _dist(a, b)) * CAP_SLACK
+
+    def block_total(P, total):
+        """total plus the weights of the admissible paths among the rows of P."""
+        P = P[np.all(P[:, 1:] != P[:, :-1], axis=1)]
+        keep = np.ones(len(P), dtype=bool)
+        for r in np.flatnonzero(high[P].sum(axis=1) >= 2):
+            keep[r] = is_admissible(Trajectory([host[i] for i in P[r]]), prof, variant)[0]
+        P = P[keep]
+        bad = over_cap[P[:, :-1], P[:, 1:]].any(axis=1)
+        if bad.any():  # weights() raises on the path's first pair over its cap
+            weights(Trajectory([host[i] for i in P[np.argmax(bad)]]), prof, w)
+        dsum = sum(D[col] for col in P.T)
+        prod = math.prod(pair_w[a, b] for a, b in zip(P.T, P.T[1:]))
+        vals = prod * np.fromiter(map(math.exp, dsum.tolist()), float, len(P))
+        return float(np.cumsum(np.concatenate(([total], vals)))[-1])
+
+    ends = prof.host.index(m), prof.host.index(n)
     by_length = []
     partial = 0.0
     for k in range(1, len_cap + 1):
-        total_k = 0.0
-        if k == 1:
-            if m == n:
-                g = Trajectory((m,))
-                ok, _ = is_admissible(g, prof, variant)
-                if ok:
-                    total_k = weights(g, prof, w)[0]
-        else:
-            for interior in itertools.product(host, repeat=k - 2):
-                pts = (m,) + interior + (n,)
-                if any(a == b for a, b in zip(pts, pts[1:])):
-                    continue
-                g = Trajectory(pts)
-                ok, _ = is_admissible(g, prof, variant)
-                if ok:
-                    total_k += weights(g, prof, w)[0]
+        total_k = weights(Trajectory((m,)), prof, w)[0] if k == 1 and m == n else 0.0
+        count = len(host) ** (k - 2) if k > 1 else 0
+        for start in range(0, count, PATH_BLOCK):
+            t = np.arange(start, min(start + PATH_BLOCK, count))
+            P = np.empty((len(t), k), dtype=np.int64)
+            P[:, 0], P[:, -1] = ends
+            for j in range(k - 2, 0, -1):  # the last interior site varies fastest
+                t, P[:, j] = np.divmod(t, len(host))
+            total_k = block_total(P, total_k)
         by_length.append(total_k)
         partial += (eps0 ** (k - 1)) * total_k
 

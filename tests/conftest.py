@@ -8,7 +8,8 @@ from qpspec.dual_operator import _offdiag_scale, diag_scale
 from qpspec.lattice import SiteSet, ball, l1_norm
 from qpspec.model import (Frequency, Potential, Problem, ScaleLadder, build_ladder,
                           gamma_for_k)
-from qpspec.trajectories import path_norm
+from qpspec.trajectories import (Trajectory, _dist, is_admissible, path_norm,
+                                 weights)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,6 +59,14 @@ def geometry_problem(golden_freq, geometry_ladder):
     freq = Frequency((1.0, GOLDEN), 0.1, 3.0, window_n=300)
     pot = Potential.from_harmonics({(0, 1): 0.6}, 1e-4, 0.5)
     return Problem(freq, pot, geometry_ladder, site_budget=20_000)
+
+
+def canonical_order(sites) -> tuple:
+    """Deterministic ordering: by l1 norm, then lexicographic.
+
+    Order oracle for ``SiteSet``, whose int64 codes must sort this way.
+    """
+    return tuple(sorted(dict.fromkeys(map(tuple, sites)), key=lambda s: (sum(map(abs, s)), s)))
 
 
 def random_potential(rng, epsilon=1e-4, kappa0=0.5, radius=3, density=0.6):
@@ -118,3 +127,43 @@ def restrict_reference(problem, S, k, normalization="raw", gamma=None, order=Non
             if j is not None:
                 H[i, j] = val  # h(m, n) = c(n - m) with n = m + d
     return H
+
+
+def sum_enumerate_reference(m, n, prof, eps0, variant="R", len_cap=5, w=None):
+    """The weighted trajectory sum path by path, through ``is_admissible`` and
+    ``weights``, with its certified tail.
+
+    Oracle for the array-enumerated ``trajectories.sum_enumerate``: partial,
+    tail and by_length must be equal bit for bit, and a bad pair weight must
+    raise the same error.
+    """
+    m, n = tuple(m), tuple(n)
+    host = list(map(tuple, prof.host))
+    if w is None:
+        w = lambda a, b: math.exp(-prof.kappa0 * _dist(a, b))
+    by_length = []
+    partial = 0.0
+    for k in range(1, len_cap + 1):
+        total_k = 0.0
+        if k == 1:
+            if m == n:
+                g = Trajectory((m,))
+                ok, _ = is_admissible(g, prof, variant)
+                if ok:
+                    total_k = weights(g, prof, w)[0]
+        else:
+            for interior in itertools.product(host, repeat=k - 2):
+                pts = (m,) + interior + (n,)
+                if any(a == b for a, b in zip(pts, pts[1:])):
+                    continue
+                g = Trajectory(pts)
+                ok, _ = is_admissible(g, prof, variant)
+                if ok:
+                    total_k += weights(g, prof, w)[0]
+        by_length.append(total_k)
+        partial += (eps0 ** (k - 1)) * total_k
+    if len(host) == 1:
+        return partial, 0.0, tuple(by_length)
+    dbar = prof.dbar()
+    ratio = eps0 * math.exp(dbar) * (8.0 / prof.kappa0) ** prof.host.nu
+    return partial, math.exp(dbar) * ratio ** len_cap / (1.0 - ratio), tuple(by_length)

@@ -270,6 +270,6 @@ def test_restrict_matches_reference(nu, normalization, shuffled):
 
 
 def test_restrict_refuses_a_box_too_large_for_int64_codes(generic_problem):
-    S = SiteSet.from_iterable([(0, 0), (2 ** 40, 2 ** 40)])
     with pytest.raises(ValueError):
+        S = SiteSet.from_iterable([(0, 0), (2 ** 40, 2 ** 40)])
         restrict(generic_problem, S, 0.3)

@@ -1,13 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpspec import lattice
 from qpspec.errors import SiteBudgetError
-from qpspec.lattice import (SiteSet, ball, canonical_order, l1_ball_size, l1_norm,
-                            straddles)
+from qpspec.lattice import SiteSet, ball, l1_ball_size, l1_norm, straddles
+
+from conftest import canonical_order
 
 sites2d = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
@@ -45,10 +47,10 @@ def test_ball_budget():
 
 
 def test_ball_over_budget_raises_before_building(monkeypatch):
-    def refuse(r, nu):
+    def refuse(*args, **kwargs):
         raise AssertionError("an over-budget ball must not build any site")
 
-    monkeypatch.setattr(lattice, "_shell", refuse)
+    monkeypatch.setattr(lattice.np, "indices", refuse)
     with pytest.raises(SiteBudgetError):
         ball(40, 3, budget=1000)
 
@@ -131,3 +133,70 @@ def test_canonical_order_deterministic():
     assert a.sites == b.sites
     norms = [l1_norm(s) for s in a.sites]
     assert norms == sorted(norms)
+
+
+def _half(nu):
+    """W/2 of the SiteSet code for dimension nu: coordinates satisfy |x_i| < W/2."""
+    return 2 ** (62 // (nu + 1) - 1)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_codes_cover_their_range_and_refuse_beyond_it(nu):
+    top = _half(nu) - 1
+    corners = [tuple(top if (c >> i) & 1 else -top for i in range(nu))
+               for c in range(2 ** nu)]
+    S = SiteSet.from_iterable(corners + [(0,) * nu, (1,) + (0,) * (nu - 1)])
+    assert S.sites == canonical_order(S.sites)
+    assert set(S.sites) == set(corners) | {(0,) * nu, (1,) + (0,) * (nu - 1)}
+    assert np.array_equal(SiteSet(S.array()).array(), S.array())
+    for i in range(nu):
+        for past in (top + 1, -top - 1, 2 ** 70):
+            site = tuple(past if j == i else 0 for j in range(nu))
+            with pytest.raises(ValueError):
+                SiteSet([site])
+            with pytest.raises(ValueError):
+                SiteSet.from_iterable([(0,) * nu]).translate(site)
+    with pytest.raises(ValueError):
+        SiteSet.from_iterable([(top,) * nu]).translate((1,) + (0,) * (nu - 1))
+
+
+@st.composite
+def _operands(draw):
+    """Two site lists, a shift and a reflection centre in a random dimension,
+    near the origin or near the edge of the code range."""
+    nu = draw(st.integers(1, 3))
+    base = draw(st.sampled_from([0, 1000, _half(nu) - 20]))
+    sign = draw(st.sampled_from([1, -1]))
+    small = st.tuples(*[st.integers(-6, 6)] * nu)
+    far = small.map(lambda s: tuple(sign * base + c for c in s))
+    a = draw(st.lists(far, max_size=25))
+    b = draw(st.lists(st.one_of(far, small), max_size=25))
+    return a, b, draw(small), draw(small)
+
+
+@given(ops=_operands())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_set_algebra_matches_python_sets(ops):
+    a, b, m, c = ops
+    A, B, sa, sb = SiteSet.from_iterable(a), SiteSet.from_iterable(b), set(a), set(b)
+    assert A.sites == canonical_order(a)
+    assert A.union(B).sites == A.union(b).sites == canonical_order(sa | sb)
+    assert A.difference(B).sites == canonical_order(sa - sb)
+    assert A.intersection(b).sites == canonical_order(sa & sb)
+    assert A.issubset(B) == (sa <= sb)
+    assert A.issuperset(B) == A.issuperset(b) == (sa >= sb)
+    assert A.isdisjoint(B) == (not sa & sb)
+    assert straddles(A, B) == straddles(a, b) == bool(sa & sb and sa - sb)
+    assert A.translate(m).sites == canonical_order(tuple(x + y for x, y in zip(s, m)) for s in a)
+    assert A.reflect().sites == canonical_order(tuple(-x for x in s) for s in a)
+    assert A.reflect_through(c).sites == canonical_order(
+        tuple(y - x for x, y in zip(s, c)) for s in a)
+    assert all(s in A and A.sites[A.index(s)] == s for s in a)
+    assert not any(s in A for s in sb - sa)
+    # a set built in caller order keeps it; difference and intersection filter it in order
+    given_order = list(dict.fromkeys(a))
+    G = SiteSet(given_order)
+    assert G.sites == tuple(given_order)
+    assert G.difference(B).sites == tuple(s for s in given_order if s not in sb)
+    assert G.intersection(B).sites == tuple(s for s in given_order if s in sb)
+    assert (G == A) == (G.sites == A.sites)

@@ -1,17 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpspec import trajectories
 from qpspec.errors import EpsilonTooLargeError
 from qpspec.lattice import SiteSet, ball
 from qpspec.trajectories import (Trajectory, WeightProfile, closed_bound,
                                  is_admissible, log_smallness_threshold,
                                  sum_enumerate, validate_profile, weights)
 
-from conftest import elementary_path_sum
+from conftest import elementary_path_sum, sum_enumerate_reference
 
 
 def flat_profile(host_r=2, ambient_r=5, d=1.0, T=8.0, kappa0=0.5):
@@ -222,3 +224,87 @@ def test_admissible_R_weight_cap_in_logs():
     M = 4 * prof.T / prof.kappa0
     assert dbar <= M ** 5
     assert math.log(W) <= -prof.kappa0 * norm + len(g) * M ** 5
+
+
+def _random_profile(rng, high: bool):
+    """A D-profile on ball(2); with `high`, T = 1 puts the high threshold
+    4 T / kappa0 at 8 to 13 and about a third of the sites above it."""
+    host = ball(2, 2, budget=None)
+    top = 16.0 if high else 3.0
+    return WeightProfile({s: 1.0 + (top - 1.0) * rng.random() for s in host},
+                         T=1.0 if high else 8.0, kappa0=0.3 + 0.2 * rng.random(),
+                         host=host, ambient=ball(5, 2, budget=None))
+
+
+def _wavy_weight(kappa0):
+    """A pair weight below exp(-kappa0 |a - b|) that is not a function of |a - b|."""
+    return lambda a, b: 1.0 if a == b else (
+        math.exp(-kappa0 * sum(abs(x - y) for x, y in zip(a, b)))
+        * (0.5 + 0.5 * math.cos(3 * a[0] - b[1])))
+
+
+@pytest.mark.parametrize("high", [False, True])
+@pytest.mark.parametrize("variant", ["plain", "R"])
+@pytest.mark.parametrize("custom_w", [False, True])
+@pytest.mark.parametrize("block", [None, 7])
+def test_sum_enumerate_equals_path_by_path_sum(high, variant, custom_w, block, monkeypatch):
+    # block 7 splits each length into many blocks, so the running total crosses them
+    if block:
+        monkeypatch.setattr(trajectories, "PATH_BLOCK", block)
+    rng = np.random.default_rng([high, variant == "R", custom_w])
+    for _ in range(3):
+        prof = _random_profile(rng, high)
+        assert any(d >= prof.high_threshold for d in prof.D.values()) == high
+        w = _wavy_weight(prof.kappa0) if custom_w else None
+        host = prof.host.sites
+        m = host[rng.integers(len(host))]
+        for n in (m, host[rng.integers(len(host))]):
+            got = sum_enumerate(m, n, prof, 1e-25, variant, len_cap=4, w=w)
+            want = sum_enumerate_reference(m, n, prof, 1e-25, variant, len_cap=4, w=w)
+            assert (got.partial, got.tail, got.by_length) == want
+
+
+def test_sum_enumerate_admissibility_removes_paths():
+    # with high sites the R-variant sum is not the all-paths sum, so the
+    # comparison above exercises is_admissible
+    prof = _random_profile(np.random.default_rng(3), high=True)
+    flat = WeightProfile(prof.D, T=1e9, kappa0=prof.kappa0, host=prof.host,
+                         ambient=prof.ambient)
+    got = sum_enumerate((0, 0), (1, 0), prof, 1e-25, len_cap=4)
+    assert got.by_length[3] < sum_enumerate((0, 0), (1, 0), flat, 1e-25, len_cap=4).by_length[3]
+
+
+def test_sum_enumerate_bad_pair_weight_raises_as_weights_does():
+    prof = flat_profile()
+    for bad in (lambda a, b: 1.0, lambda a, b: 1.0 if a == (2, 0) else 0.0):
+        with pytest.raises(ValueError) as got:
+            sum_enumerate((0, 0), (1, 0), prof, 1e-4, len_cap=4, w=bad)
+        with pytest.raises(ValueError) as want:
+            sum_enumerate_reference((0, 0), (1, 0), prof, 1e-4, len_cap=4, w=bad)
+        assert str(got.value) == str(want.value)
+    # a bad pair on no path of length <= 2 is never read
+    only_far = lambda a, b: 1.0 if (a, b) == ((2, 0), (0, 2)) else 0.5 ** sum(
+        abs(x - y) for x, y in zip(a, b))
+    res = sum_enumerate((0, 0), (1, 0), prof, 1e-4, len_cap=2, w=only_far)
+    assert res.by_length == (0.0, 0.5 * math.exp(2.0))
+    with pytest.raises(ValueError, match="unknown admissibility variant"):
+        sum_enumerate((0, 0), (1, 0), prof, 1e-4, variant="Q")
+
+
+def _peak_bytes(host_radius):
+    host = ball(host_radius, 2, budget=None)
+    prof = WeightProfile({s: 1.0 for s in host}, T=8.0, kappa0=0.5, host=host,
+                         ambient=ball(host_radius + 3, 2, budget=None))
+    tracemalloc.start()
+    try:
+        sum_enumerate((0, 0), (1, 0), prof, 1e-25, len_cap=5)
+        return len(host) ** 3, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sum_enumerate_memory_is_bounded_by_one_block():
+    small_paths, small = _peak_bytes(3)   # 25 sites: about one block of length-5 paths
+    large_paths, large = _peak_bytes(5)   # 61 sites: about 14 blocks
+    assert small_paths <= trajectories.PATH_BLOCK < large_paths / 10
+    assert large < 1.5 * small
