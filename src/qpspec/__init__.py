@@ -1,5 +1,5 @@
 """Dual lattice matrices for quasi-periodic Schroedinger operators:
-multiscale Schur inversion, resonance geometry, gap verification.
+reduced Schur-complement resolvent, resonance geometry, gap verification.
 """
 
 __version__ = "0.1.0"

@@ -8,13 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfracs import CFNode, zeta_roots, zeta_sandwich_ok, zeta_separation_ok
-from .dual_operator import (NORMALIZED, RAW, cocycle_check, dense_spectrum,
-                            reflection_conjugation_check, restrict)
+from .dual_operator import (cocycle_check, dense_spectrum, reflection_conjugation_check,
+                            restrict)
 from .lattice import ball
 from .mssets import is_correct_word, max_correct_length
 from .model import Problem, build_ladder
 from .resonance import k_point
-from .schur import ReducedSolver, block_inverse, multiscale_inverse
+from .schur import ReducedSolver
 from .spectral import (_ordered_pair, _pair_windows, eigen_pair, eigen_simple,
                        feynman_derivative, gap_at, paired_box)
 from .trajectories import WeightProfile, closed_bound, sum_enumerate
@@ -29,7 +29,7 @@ class CheckResult:
 
 def _hermitian(problem: Problem, seed: int) -> CheckResult:
     S = ball(2, problem.nu, budget=None)
-    H = restrict(problem, S, 0.13, NORMALIZED).entries
+    H = restrict(problem, S, 0.13).entries
     dev = float(np.max(np.abs(H - H.conj().T)))
     return CheckResult("hermitian-restriction", dev == 0.0, f"max dev {dev:.3g}")
 
@@ -37,45 +37,14 @@ def _hermitian(problem: Problem, seed: int) -> CheckResult:
 def _cocycle(problem: Problem, seed: int) -> CheckResult:
     S = ball(2, problem.nu, budget=None)
     shift = (1,) + (0,) * (problem.nu - 1)
-    dev = cocycle_check(problem, shift, S, 0.21, NORMALIZED)
+    dev = cocycle_check(problem, shift, S, 0.21)
     return CheckResult("cocycle-identity", dev <= 1e-12, f"max dev {dev:.3g}")
 
 
 def _reflection(problem: Problem, seed: int) -> CheckResult:
     S = ball(2, problem.nu, budget=None)
-    dev = reflection_conjugation_check(problem, S, 0.17, NORMALIZED)
+    dev = reflection_conjugation_check(problem, S, 0.17)
     return CheckResult("reflection-conjugation", dev <= 1e-12, f"max dev {dev:.3g}")
-
-
-def _schur_oracle(problem: Problem, seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    S = ball(2, problem.nu, budget=None)
-    n = len(S)
-    worst = 0.0
-    for _ in range(5):
-        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        H = 0.5 * (A + A.conj().T) + 3.0 * n * np.eye(n)
-        cut = sorted(rng.choice(n, size=2, replace=False))
-        blocks = [np.arange(0, cut[0] + 1), np.arange(cut[0] + 1, cut[1] + 1),
-                  np.arange(cut[1] + 1, n)]
-        blocks = [b for b in blocks if b.size]
-        handle = block_inverse(H, blocks)
-        dense = np.linalg.inv(H)
-        worst = max(worst, float(np.max(np.abs(handle.inverse - dense))
-                                 / np.max(np.abs(dense))))
-    return CheckResult("schur-vs-dense", worst <= 1e-10, f"worst rel dev {worst:.3g}")
-
-
-def _multiscale_oracle(problem: Problem, seed: int) -> CheckResult:
-    S = ball(2, problem.nu, budget=None)
-    H = restrict(problem, S, 0.11, RAW)
-    evals, _ = dense_spectrum(H)
-    E = float(evals[-1] + 1.0 + np.max(np.abs(H.entries)))
-    zero = tuple([0] * problem.nu)
-    handle = multiscale_inverse(problem, E, S, 0.11, clusters=[[zero]], floor=1e-8)
-    dense = np.linalg.inv(E * np.eye(len(S)) - H.entries)
-    dev = float(np.max(np.abs(handle.inverse - dense)) / np.max(np.abs(dense)))
-    return CheckResult("multiscale-vs-dense", dev <= 1e-10, f"rel dev {dev:.3g}")
 
 
 def _words(problem: Problem, seed: int) -> CheckResult:
@@ -104,9 +73,8 @@ def _symmetry(problem: Problem, seed: int) -> CheckResult:
     zero = tuple([0] * problem.nu)
     worst = 0.0
     for k in (0.11, 0.23, 0.37):
-        e_plus = eigen_simple(problem, zero, S, k, NORMALIZED, oracle_check=False)
-        e_minus = eigen_simple(problem, zero, S.reflect(), -k, NORMALIZED,
-                               oracle_check=False)
+        e_plus = eigen_simple(problem, zero, S, k, oracle_check=False)
+        e_minus = eigen_simple(problem, zero, S.reflect(), -k, oracle_check=False)
         worst = max(worst, abs(e_plus.E - e_minus.E))
     return CheckResult("band-symmetry", worst <= 1e-11, f"max |E(k)-E(-k)| {worst:.3g}")
 
@@ -131,6 +99,36 @@ def _gap_first_order(problem: Problem, seed: int) -> CheckResult:
                        f"width {rec.width:.6g} vs 2|c| {expect:.6g}")
 
 
+def _reduced_oracle(problem: Problem, seed: int) -> CheckResult:
+    """The Schur identity on ReducedSolver against the dense resolvent.
+
+    On the lowest harmonic's paired box near k_{n0}, with pivots (0, n0),
+    the inverse of E - (diag v + [[Q+, G], [G*, Q-]]) must be the pivot
+    block of the dense (E - H)^-1: at E midway between the pivot diagonals
+    and at E above the Gershgorin bound of H, both taken from H alone.
+    """
+    n0 = _lowest_harmonic(problem)
+    if n0 is None:
+        return CheckResult("reduced-vs-dense", True, "zero potential, skipped")
+    zero = tuple([0] * problem.nu)
+    k = k_point(problem.frequency, n0) + 1e-5
+    solver = ReducedSolver(problem, paired_box(problem, n0, 5), k, [zero, n0])
+    H = solver.full.entries
+    n = len(H)
+    idx = [solver.full.sites.index(p) for p in (zero, n0)]
+    v = H.diagonal().real[idx]
+    top = float(np.max(np.abs(H).sum(axis=1) - np.abs(H.diagonal()) + H.diagonal().real))
+    worst = 0.0
+    for E in (float(v.mean()), top + 1.0):
+        g = solver.g(zero, n0, E)
+        pivot = np.array([[E - v[0] - solver.q(zero, E), -g],
+                          [-np.conj(g), E - v[1] - solver.q(n0, E)]])
+        dense = np.linalg.solve(E * np.eye(n) - H, np.eye(n)[:, idx])[idx]
+        worst = max(worst, float(np.max(np.abs(np.linalg.inv(pivot) - dense))
+                                 / np.max(np.abs(dense))))
+    return CheckResult("reduced-vs-dense", worst <= 1e-10, f"worst rel dev {worst:.3g}")
+
+
 def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     """The continued-fraction roots zeta-+ against eigen_pair's fixed points.
 
@@ -145,7 +143,7 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     zero = tuple([0] * problem.nu)
     S = paired_box(problem, n0, 5)
     k = k_point(problem.frequency, n0) + 1e-5
-    solver = ReducedSolver(problem, S, k, [zero, n0], RAW)
+    solver = ReducedSolver(problem, S, k, [zero, n0])
     mp, mm, vp, vm = _ordered_pair(problem, solver, zero, n0)
     node = CFNode(lambda x, u: vp + solver.q(mp, u).real,
                   lambda x, u: vm + solver.q(mm, u).real,
@@ -155,7 +153,7 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     if len(roots) != 2:
         return CheckResult("zeta-pair", False, f"{len(roots)} roots in the pair windows")
     zm, zp = sorted(roots)
-    E_plus, E_minus, _, _ = eigen_pair(problem, S, k, zero, n0, RAW)
+    E_plus, E_minus, _, _ = eigen_pair(problem, S, k, zero, n0)
     dev = max(abs(zp - E_plus) / max(1.0, abs(E_plus)),
               abs(zm - E_minus) / max(1.0, abs(E_minus)))
     ok = (dev <= 1e-12 and zeta_separation_ok(node, 0.0, zm, zp)
@@ -183,10 +181,10 @@ def _trajectory(problem: Problem, seed: int) -> CheckResult:
 def _feynman(problem: Problem, seed: int) -> CheckResult:
     S = ball(3, problem.nu, budget=None)
     k = 0.19
-    derivs, mask, evals = feynman_derivative(problem, S, k, NORMALIZED)
+    derivs, mask, evals = feynman_derivative(problem, S, k)
     h = 1e-5
-    up, _ = dense_spectrum(restrict(problem, S, k + h, NORMALIZED))
-    dn, _ = dense_spectrum(restrict(problem, S, k - h, NORMALIZED))
+    up, _ = dense_spectrum(restrict(problem, S, k + h))
+    dn, _ = dense_spectrum(restrict(problem, S, k - h))
     fd = (up - dn) / (2.0 * h)
     sel = mask & (np.abs(derivs) > 1e-8)
     rel = float(np.max(np.abs(derivs[sel] - fd[sel]) / np.abs(derivs[sel])))
@@ -199,9 +197,8 @@ def run_selftest(problem: Problem, seed: int = 0):
     Every check takes (problem, seed); a check that raises is reported as
     failed under its function's name.
     """
-    suite = (_hermitian, _cocycle, _reflection, _schur_oracle, _multiscale_oracle,
-             _words, _ladder, _symmetry, _gap_first_order, _zeta_pair, _trajectory,
-             _feynman)
+    suite = (_hermitian, _cocycle, _reflection, _reduced_oracle, _words, _ladder,
+             _symmetry, _gap_first_order, _zeta_pair, _trajectory, _feynman)
     return [_safe(check, problem, seed) for check in suite]
 
 

@@ -287,11 +287,11 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = problem.validate()
-    if report and args.command != "validate":
-        _error_json("validation", "; ".join(report))
-        return 1
     try:
+        report = problem.validate()
+        if report and args.command != "validate":
+            _error_json("validation", "; ".join(report))
+            return 1
         return COMMANDS[args.command](cfg, problem, out_dir, args)
     except _BUDGET_ERRORS as exc:
         _error_json("regime", exc)

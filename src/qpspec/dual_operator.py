@@ -1,10 +1,9 @@
-"""The dual lattice matrix H_k, its lambda-normalized variant, and its symmetries.
+"""The dual lattice matrix H_k, its finite restrictions, and its symmetries.
 
-Raw entries:         h(m,n;k) = (2 pi)^2 (m.omega + k)^2 on the diagonal,
-                     eps * c0(n-m) off the diagonal.
-Normalized entries:  v(n;k) = (n.omega + k)^2 / lambda on the diagonal with
-                     lambda = 256 gamma, and eps * c0(n-m) / (lambda (2 pi)^2)
-                     off the diagonal, so H_raw = lambda (2 pi)^2 H_norm.
+Entries:  h(m,n;k) = (2 pi)^2 (m.omega + k)^2 on the diagonal,
+          eps * c0(n-m) off the diagonal.
+The paper's normalized matrix is H_k / (lambda (2 pi)^2) with lambda = 256
+gamma; every quantity here is in the raw units above.
 """
 
 from __future__ import annotations
@@ -17,12 +16,9 @@ import scipy.linalg as sla
 
 from .errors import ConvergenceError, ReconciliationError, SiteBudgetError
 from .lattice import SiteSet
-from .model import Problem, gamma_for_k
+from .model import Problem
 
 TWO_PI_SQ = (2.0 * math.pi) ** 2
-
-RAW = "raw"
-NORMALIZED = "lambda"
 
 ORACLE_RESIDUAL_TOL = 1e-10
 
@@ -34,56 +30,33 @@ class DualMatrix:
     sites: SiteSet
     k: float
     entries: np.ndarray
-    normalization: str
-    gamma: float = 1.0
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("non-finite matrix entries")
 
-    @property
-    def lam(self) -> float:
-        return 256.0 * self.gamma
 
-    def scale(self) -> float:
-        """Conversion factor to raw units (1 for raw matrices)."""
-        return 1.0 if self.normalization == RAW else self.lam * TWO_PI_SQ
+def diagonal_value(problem: Problem, n, k: float) -> float:
+    return TWO_PI_SQ * (problem.frequency.dot(n) + k) ** 2
 
 
-def diag_scale(normalization: str, gamma: float) -> float:
-    """Factor multiplying (n.omega + k)^2 on the diagonal."""
-    return TWO_PI_SQ if normalization == RAW else 1.0 / (256.0 * gamma)
-
-
-def _offdiag_scale(normalization: str, gamma: float) -> float:
-    return 1.0 if normalization == RAW else 1.0 / (256.0 * gamma * TWO_PI_SQ)
-
-
-def diagonal_value(problem: Problem, n, k: float, normalization: str = RAW,
-                   gamma: float = None) -> float:
-    g = gamma_for_k(k) if gamma is None else gamma
-    return diag_scale(normalization, g) * (problem.frequency.dot(n) + k) ** 2
-
-
-def restrict(problem: Problem, S: SiteSet, k: float, normalization: str = RAW,
-             gamma: float = None, order=None) -> DualMatrix:
+def restrict(problem: Problem, S: SiteSet, k: float, order=None) -> DualMatrix:
     """Hermitian restriction of H_k to S in canonical (or the given) order."""
     if len(S) == 0:
         raise ValueError("cannot restrict to an empty site set")
     if problem.site_budget is not None and len(S) > problem.site_budget:
         raise SiteBudgetError(f"{len(S)} sites exceed budget {problem.site_budget}")
-    g = gamma_for_k(k) if gamma is None else gamma
     sites = S if order is None else SiteSet(tuple(map(tuple, order)))
     n = len(sites)
     A = sites.array()
     phase = A.astype(float) @ np.asarray(problem.omega, dtype=float) + k
     H = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(H, diag_scale(normalization, g) * phase ** 2)
-    off = problem.potential.epsilon * _offdiag_scale(normalization, g)
+    np.fill_diagonal(H, TWO_PI_SQ * phase ** 2)
     # h(m, n) = c(n - m).  Sites are mixed-radix codes over their bounding box
     # padded by the largest shift, where n = m + d has code(m) + code(d);
     # each n is looked up among the sorted codes by bisection.
-    coeffs = {d: off * c0 for d, c0 in problem.potential.coefficients.items() if any(d)}
+    pot = problem.potential
+    coeffs = {d: pot.epsilon * c0 for d, c0 in pot.coefficients.items() if any(d)}
     D = np.array(list(coeffs), dtype=np.int64).reshape(-1, A.shape[1])
     reach = np.abs(D).max(axis=0, initial=0)
     lo = A.min(axis=0) - reach
@@ -95,28 +68,21 @@ def restrict(problem: Problem, S: SiteSet, k: float, normalization: str = RAW,
     pos = np.minimum(np.searchsorted(sorted_codes, t), n - 1)
     c, i = np.nonzero(sorted_codes[pos] == t)
     H[i, by_code[pos[c, i]]] = np.array(list(coeffs.values()), dtype=complex)[c]
-    return DualMatrix(sites, k, H, normalization, g)
+    return DualMatrix(sites, k, H)
 
 
-def cocycle_check(problem: Problem, m_shift, S: SiteSet, k: float,
-                  normalization: str = NORMALIZED) -> float:
+def cocycle_check(problem: Problem, m_shift, S: SiteSet, k: float) -> float:
     """Max deviation in H_{k + l.omega}(m, n) = H_k(m + l, n + l) over S x S."""
     l = tuple(m_shift)
-    k_shift = k + problem.frequency.dot(l)
-    g = gamma_for_k(k)
-    left = restrict(problem, S, k_shift, normalization, gamma=g)
-    right = restrict(problem, S, k, normalization, gamma=g,
-                     order=[tuple(a + b for a, b in zip(s, l)) for s in S])
+    left = restrict(problem, S, k + problem.frequency.dot(l))
+    right = restrict(problem, S, k, order=[tuple(a + b for a, b in zip(s, l)) for s in S])
     return float(np.max(np.abs(left.entries - right.entries)))
 
 
-def reflection_conjugation_check(problem: Problem, S: SiteSet, k: float,
-                                 normalization: str = NORMALIZED) -> float:
+def reflection_conjugation_check(problem: Problem, S: SiteSet, k: float) -> float:
     """Max deviation in H_{S,k}(m,n) = conj H_{-S,-k}(-m,-n)."""
-    g = gamma_for_k(k)
-    left = restrict(problem, S, k, normalization, gamma=g)
-    right = restrict(problem, S, -k, normalization, gamma=g,
-                     order=[tuple(-c for c in s) for s in S])
+    left = restrict(problem, S, k)
+    right = restrict(problem, S, -k, order=[tuple(-c for c in s) for s in S])
     return float(np.max(np.abs(left.entries - np.conj(right.entries))))
 
 

@@ -20,18 +20,6 @@ class LadderRangeError(QPSpecError):
 class SingularBlockError(QPSpecError):
     """A pivot block in a Schur elimination is singular within tolerance."""
 
-    def __init__(self, message, block_id=None):
-        super().__init__(message)
-        self.block_id = block_id
-
-
-class NonResonanceFloorError(QPSpecError):
-    """A site outside all clusters violates the non-resonance floor."""
-
-    def __init__(self, message, site=None):
-        super().__init__(message)
-        self.site = site
-
 
 class RegimeError(QPSpecError):
     """An operation was invoked outside its resonance-regime precondition."""

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_operator import RAW
 from .errors import QPSpecError, RegimeError
 from .lattice import ball, l1_norm
 from .model import Potential, Problem
@@ -27,8 +26,7 @@ from .schur import ReducedSolver
 from .spectral import GapRecord, gap_at, paired_box
 
 
-def gap_table(problem: Problem, m_list, box_radius: float,
-              normalization: str = RAW):
+def gap_table(problem: Problem, m_list, box_radius: float):
     """One GapRecord per m via the paired-set gap solver.
 
     A QPSpecError is collected as that m's failure; any other error
@@ -38,8 +36,7 @@ def gap_table(problem: Problem, m_list, box_radius: float,
     failures = {}
     for m in map(tuple, m_list):
         try:
-            records[m] = gap_at(problem, m, paired_box(problem, m, box_radius),
-                                normalization)
+            records[m] = gap_at(problem, m, paired_box(problem, m, box_radius))
         except QPSpecError as exc:
             failures[m] = str(exc)
     return records, failures
@@ -83,8 +80,7 @@ class RecoveredBound:
         return self.actual <= self.bound_desk * (1 + 1e-9) + 1e-300
 
 
-def recovered_bound(problem: Problem, rec: GapRecord, box_radius: float,
-                    normalization: str = RAW) -> RecoveredBound:
+def recovered_bound(problem: Problem, rec: GapRecord, box_radius: float) -> RecoveredBound:
     """Both variants of the coefficient-recovery inequality at rec.n0.
 
     rec is the GapRecord that gap_at made on paired_box(problem, rec.n0,
@@ -99,7 +95,7 @@ def recovered_bound(problem: Problem, rec: GapRecord, box_radius: float,
     n0 = rec.n0
     zero = tuple([0] * problem.nu)
     solver = ReducedSolver(problem, paired_box(problem, n0, box_radius),
-                           rec.k_point, [zero, n0], normalization)
+                           rec.k_point, [zero, n0])
     col_0 = solver.coupling_column(zero)
     probes = (rec.E_minus, 0.5 * (rec.E_minus + rec.E_plus), rec.E_plus)
     prefactor_desk = 1.0 + max(float(np.linalg.norm(solver.solve(E, col_0)) ** 2)
@@ -110,7 +106,7 @@ def recovered_bound(problem: Problem, rec: GapRecord, box_radius: float,
     quad = float(np.abs(col_0) @ np.abs(K) @ np.abs(solver.coupling_column(n0)))
 
     pot = problem.potential
-    actual = abs(pot.c(n0)) / solver.full.scale()
+    actual = abs(pot.c(n0))
     prefactor_coarse = math.exp(pot.kappa0 * l1_norm(n0)) / pot.epsilon
     return RecoveredBound(
         n0, rec.width, prefactor_desk, prefactor_coarse, quad,
@@ -215,8 +211,7 @@ class InverseReport:
 
 
 def verify_inverse(problem: Problem, box_radius: float, iterations: int = 5,
-                   window_norm: int = 4, normalization: str = RAW,
-                   gap_hypothesis_eps: float = None) -> InverseReport:
+                   window_norm: int = 4, gap_hypothesis_eps: float = None) -> InverseReport:
     """Desk-scale property report for the inverse direction.
 
     (a) coefficient-recovery inequality per m in the window,
@@ -230,7 +225,7 @@ def verify_inverse(problem: Problem, box_radius: float, iterations: int = 5,
           if any(m) and abs(pot.c0(m)) > 0]
     # hypothesis: gaps decay at rate kappa^0 > 4 kappa0 with a sqrt(eps) budget
     eps0 = gap_hypothesis_eps if gap_hypothesis_eps is not None else math.sqrt(pot.epsilon)
-    records, failures = gap_table(problem, ms, box_radius, normalization)
+    records, failures = gap_table(problem, ms, box_radius)
     hyp_ok = not failures and all(
         rec.width <= eps0 * math.exp(-4.0 * pot.kappa0 * l1_norm(m))
         for m, rec in records.items())
@@ -238,8 +233,7 @@ def verify_inverse(problem: Problem, box_radius: float, iterations: int = 5,
         return InverseReport((), (), DecayBound(pot.epsilon, pot.kappa0), False, False,
                              "gap hypothesis fails; no assertion made")
 
-    pointwise = tuple(recovered_bound(problem, rec, box_radius, normalization)
-                      for rec in records.values())
+    pointwise = tuple(recovered_bound(problem, rec, box_radius) for rec in records.values())
     steps = []
     bound = DecayBound(pot.epsilon, pot.kappa0)
     for _ in range(iterations):

@@ -13,9 +13,10 @@ from math import comb, floor
 
 import numpy as np
 
-from .errors import SiteBudgetError
+from .errors import CombinatorialBudgetError, SiteBudgetError
 
 DEFAULT_SITE_BUDGET = 20_000
+BOX_POINT_CAP = 4_000_000
 
 
 def l1_norm(n) -> int:
@@ -189,6 +190,21 @@ def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:
         raise SiteBudgetError(f"ball(R={R}, nu={nu}) holds {size} sites, over budget {budget}")
     box = np.indices((2 * r + 1,) * nu, dtype=np.int64).reshape(nu, -1).T - r
     return SiteSet._of(np.sort(_encode(box[np.abs(box).sum(axis=1) <= r])), nu)
+
+
+def punctured_ball(radius: int, nu: int) -> np.ndarray:
+    """The points of ball(radius, nu) other than 0, as rows in canonical order.
+
+    Exhaustive scans over a window (Diophantine margins, reset sets) read
+    these.  The (2 radius + 1)^nu box they are cut from is capped at
+    BOX_POINT_CAP points, checked before anything is built.
+    """
+    r = max(radius, 0)
+    count = (2 * r + 1) ** nu
+    if count > BOX_POINT_CAP:
+        raise CombinatorialBudgetError(
+            f"enumeration of the {count}-point box of radius {radius} exceeds the cap")
+    return ball(r, nu, budget=None).array()[1:]
 
 
 def straddles(S1, S2) -> bool:

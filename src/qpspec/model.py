@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FaithfulMaterializationError, LadderRangeError, SiteBudgetError
-from .lattice import DEFAULT_SITE_BUDGET, l1_ball_size, l1_norm
+from .lattice import DEFAULT_SITE_BUDGET, l1_ball_size, l1_norm, punctured_ball
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,12 @@ def diophantine_margin(freq: Frequency, N: int):
     """
     if N < 1:
         raise ValueError("window must contain at least the unit vectors")
-    nu = freq.nu
-    grids = np.meshgrid(*([np.arange(-N, N + 1)] * nu), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = punctured_ball(N, freq.nu)
     norms = np.abs(pts).sum(axis=1)
-    keep = (norms > 0) & (norms <= N)
-    pts, norms = pts[keep], norms[keep]
     vals = np.abs(pts @ np.asarray(freq.omega)) * norms.astype(float) ** freq.b0
-    i = int(np.argmin(vals))
+    # exact ties (rational omega) go to the lexicographically first witness
+    ties = np.flatnonzero(vals == vals.min())
+    i = int(ties[np.lexsort(pts[ties].T[::-1])[0]])
     return float(vals[i]), tuple(int(c) for c in pts[i])
 
 
@@ -329,14 +327,6 @@ class EpsilonThresholds:
 # ---------------------------------------------------------------------------
 # Problem: bundled configuration
 # ---------------------------------------------------------------------------
-
-
-def gamma_for_k(k: float) -> float:
-    """Bracketing gamma: 1 for |k| < 3/4, else smallest gamma with gamma-1 <= |k| <= gamma."""
-    ak = abs(k)
-    if ak < 0.75:
-        return 1.0
-    return max(1.0, float(math.ceil(ak)))
 
 
 @dataclass(frozen=True)

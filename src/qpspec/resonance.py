@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CombinatorialBudgetError, LadderRangeError
+from .errors import LadderRangeError
+from .lattice import punctured_ball
 from .model import Frequency, Problem, ScaleLadder, sigma
 
-GEOMETRY_POINT_CAP = 4_000_000
 BOUNDARY_TOL = 1e-14
 
 
@@ -72,19 +72,6 @@ def interval(freq, m, s: int, ladder: ScaleLadder) -> ResonanceInterval:
     return ResonanceInterval(tuple(m), s, km - half - widen, km + half + widen)
 
 
-def _enumerate_lattice(nu: int, radius: int):
-    if radius < 0:
-        return np.zeros((0, nu), dtype=np.int64)
-    count = (2 * radius + 1) ** nu
-    if count > GEOMETRY_POINT_CAP:
-        raise CombinatorialBudgetError(
-            f"geometry enumeration of {count} lattice points exceeds the cap")
-    grids = np.meshgrid(*([np.arange(-radius, radius + 1)] * nu), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    norms = np.abs(pts).sum(axis=1)
-    return pts[(norms > 0) & (norms <= radius)]
-
-
 def reset(problem: Problem, k: float, search_radius: int,
           ladder: ScaleLadder = None) -> ResonanceProfile:
     """Reset set R(k), principal sets m^(l)(k), and the regime classification.
@@ -100,7 +87,7 @@ def reset(problem: Problem, k: float, search_radius: int,
         raise LadderRangeError(
             f"search radius {search_radius} beyond the Diophantine certificate window "
             f"{freq.window_n}")
-    pts = _enumerate_lattice(problem.nu, search_radius)
+    pts = punctured_ball(search_radius, problem.nu)
     omega = np.asarray(freq.omega, dtype=float)
     kn = -0.5 * (pts @ omega)
     norms = np.abs(pts).sum(axis=1)

@@ -14,11 +14,11 @@ chosen from H alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_operator import RAW, dense_spectrum, diag_scale, diagonal_value, restrict
+from .dual_operator import TWO_PI_SQ, DualMatrix, dense_spectrum, diagonal_value, restrict
 from .errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
 from .lattice import SiteSet, ball, l1_norm
 from .model import Problem
@@ -51,7 +51,6 @@ class GapRecord:
     E_plus: float
     width: float
     reconcile_dev: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.E_plus < self.E_minus - 1e-15:
@@ -75,8 +74,26 @@ def _fixed_point(step, E0: float, scale: float) -> float:
         f"fixed point from E={E0:.6g} stalled after {MAX_FIXED_POINT_STEPS} steps")
 
 
+def _oracle_on(M: DualMatrix, m0):
+    """The oracle eigenpair whose unit eigenvector weighs most on m0.
+
+    Returns (E, vec, w): vec is that eigenvector scaled to 1 at m0, and
+    w its weight |psi(m0)| before scaling.
+    """
+    evals, evecs = dense_spectrum(M)
+    i0 = M.sites.index(m0)
+    j = int(np.argmax(np.abs(evecs[i0, :])))
+    return float(evals[j]), evecs[:, j] / evecs[i0, j], float(abs(evecs[i0, j]))
+
+
+def _oracle_nearest(M: DualMatrix, center: float) -> np.ndarray:
+    """The oracle's two eigenvalues nearest `center`, ascending."""
+    evals, _ = dense_spectrum(M, center)
+    return np.sort(evals[np.argsort(np.abs(evals - center))[:2]])
+
+
 def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
-                 normalization: str = RAW, oracle_check: bool = True) -> EigenRecord:
+                 oracle_check: bool = True) -> EigenRecord:
     """Fixed-point solve of E = v(m0, k) + Q(m0, S; E), eigenvector from F.
 
     Starts at E = v(m0, k); contraction is guaranteed by |d_E Q| <= |eps|
@@ -87,22 +104,18 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
     eigenvalue flags a regime mismatch.
     """
     m0 = tuple(m0)
-    solver = ReducedSolver(problem, S, k, [m0], normalization)
-    v0 = diagonal_value(problem, m0, k, normalization, solver.gamma)
+    solver = ReducedSolver(problem, S, k, [m0])
+    v0 = diagonal_value(problem, m0, k)
     scale = max(1.0, abs(v0))
     try:
         E = _fixed_point(lambda E: v0 + solver.q(m0, E).real, v0, scale)
     except ConvergenceError:
         # dense fallback: take the eigenvalue whose eigenvector carries m0
-        evals, evecs = dense_spectrum(solver.full)
-        i0 = solver.full.sites.index(m0)
-        j = int(np.argmax(np.abs(evecs[i0, :])))
-        if abs(evecs[i0, j]) < 2.0 / 3.0:
+        E, vec, weight = _oracle_on(solver.full, m0)
+        if weight < 2.0 / 3.0:
             raise ConvergenceError(
                 f"fixed point diverged at k={k}, m0={m0} and no dense eigenvector "
                 "concentrates on m0 (regime mismatch)")
-        E = float(evals[j])
-        vec = evecs[:, j] / evecs[i0, j]
         phi = {s: complex(vec[i]) for i, s in enumerate(solver.full.sites)}
         residual = _phi_residual(solver.full.entries, vec, E)
         return EigenRecord(E, phi, solver.full.sites, k, "dense_fallback",
@@ -114,11 +127,7 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
 
     oracle_gap = None
     if oracle_check:
-        evals, evecs = dense_spectrum(solver.full)
-        i0 = solver.full.sites.index(m0)
-        overlaps = np.abs(evecs[i0, :])
-        j = int(np.argmax(overlaps))
-        oracle_gap = abs(evals[j] - E)
+        oracle_gap = abs(_oracle_on(solver.full, m0)[0] - E)
         if oracle_gap > 1e-9 * scale:
             raise ReconciliationError(
                 f"fixed point at k={k}, m0={m0} deviates from the dense oracle "
@@ -160,8 +169,8 @@ def _pair_windows(solver: ReducedSolver, mp, mm):
 def _ordered_pair(problem: Problem, solver: ReducedSolver, mp, mm):
     """(mp, mm, v+, v-) with the plus pivot carrying the larger
     diagonal-plus-self-energy at the pivots' mean diagonal."""
-    vp = diagonal_value(problem, mp, solver.k, solver.normalization, solver.gamma)
-    vm = diagonal_value(problem, mm, solver.k, solver.normalization, solver.gamma)
+    vp = diagonal_value(problem, mp, solver.k)
+    vm = diagonal_value(problem, mm, solver.k)
     center = 0.5 * (vp + vm)
     if vp + solver.q(mp, center).real < vm + solver.q(mm, center).real:
         return mm, mp, vm, vp
@@ -169,7 +178,7 @@ def _ordered_pair(problem: Problem, solver: ReducedSolver, mp, mm):
 
 
 def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
-               normalization: str = RAW, oracle_check: bool = True):
+               oracle_check: bool = True):
     """Both roots of the paired characteristic equation with eigenvectors.
 
     Each root is a fixed point of the effective 2x2 matrix
@@ -181,7 +190,7 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
     (the ordered-pair convention); returns (E_plus, E_minus, phi_plus,
     phi_minus).  A root outside the pair windows is a regime error.
     """
-    solver = ReducedSolver(problem, S, k, [mp, mm], normalization)
+    solver = ReducedSolver(problem, S, k, [mp, mm])
     mp, mm, vp, vm = _ordered_pair(problem, solver, tuple(mp), tuple(mm))
     center = 0.5 * (vp + vm)
 
@@ -223,10 +232,8 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
     phi_plus, phi_minus = vector(E_plus), vector(E_minus)
 
     if oracle_check:
-        evals, _ = dense_spectrum(solver.full, center)
-        nearest = evals[np.argsort(np.abs(evals - center))[:2]]
         got = np.sort(np.asarray([E_minus, E_plus]))
-        want = np.sort(nearest)
+        want = _oracle_nearest(solver.full, center)
         dev = float(np.max(np.abs(got - want)))
         if dev > 1e-9 * max(1.0, float(np.max(np.abs(want)))):
             raise ReconciliationError(
@@ -234,8 +241,7 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
     return E_plus, E_minus, phi_plus, phi_minus
 
 
-def gap_at(problem: Problem, n0, S: SiteSet, normalization: str = RAW,
-           reconcile_tol: float = 1e-9) -> GapRecord:
+def gap_at(problem: Problem, n0, S: SiteSet, reconcile_tol: float = 1e-9) -> GapRecord:
     """Gap edges at k = k_{n0} via E = v + Q -+ |G|, reconciled with the oracle.
 
     Route (i) solves the two scalar equations by fixed point; route (ii)
@@ -248,8 +254,8 @@ def gap_at(problem: Problem, n0, S: SiteSet, normalization: str = RAW,
     if zero not in S or n0 not in S:
         raise ValueError("paired set must contain 0 and n0")
     k = k_point(problem.frequency, n0)
-    solver = ReducedSolver(problem, S, k, [zero, n0], normalization)
-    v0 = diagonal_value(problem, zero, k, normalization, solver.gamma)
+    solver = ReducedSolver(problem, S, k, [zero, n0])
+    v0 = diagonal_value(problem, zero, k)
     scale = max(1.0, abs(v0))
 
     def edge(sign: float) -> float:
@@ -262,19 +268,13 @@ def gap_at(problem: Problem, n0, S: SiteSet, normalization: str = RAW,
     if E_plus < E_minus:
         E_plus, E_minus = E_minus, E_plus
 
-    evals, _ = dense_spectrum(solver.full, v0)
-    nearest = np.sort(evals[np.argsort(np.abs(evals - v0))[:2]])
+    nearest = _oracle_nearest(solver.full, v0)
     dev = float(max(abs(nearest[0] - E_minus), abs(nearest[1] - E_plus)))
     if dev > reconcile_tol * scale:
         raise ReconciliationError(
             f"gap edges disagree with the dense oracle by {dev:.3g} at n0={n0}")
-    pot = problem.potential
-    bound = 2.0 * pot.epsilon * math.exp(-0.5 * pot.kappa0 * l1_norm(n0))
-    bound /= solver.full.scale()
     return GapRecord(n0, k, float(E_minus), float(E_plus),
-                     float(E_plus - E_minus), dev,
-                     {"v0": v0, "normalization": normalization,
-                      "theoremB_bound": bound})
+                     float(E_plus - E_minus), dev)
 
 
 def paired_box(problem: Problem, n0, radius: float) -> SiteSet:
@@ -296,7 +296,7 @@ class BandPoint:
     error: str = ""
 
 
-def band(problem: Problem, k_grid, S_builder, normalization: str = RAW):
+def band(problem: Problem, k_grid, S_builder):
     """E(k) along a grid; resonant points take the matching pair branch.
 
     S_builder maps k to the host set.  Points within RESONANCE_POINT_TOL of
@@ -326,18 +326,17 @@ def band(problem: Problem, k_grid, S_builder, normalization: str = RAW):
                 break
         try:
             if hit is None:
-                rec = eigen_simple(problem, zero, S, k, normalization,
-                                   oracle_check=False)
+                rec = eigen_simple(problem, zero, S, k, oracle_check=False)
                 return BandPoint(k, rec.E, "nonresonant")
             if hit[2] == "resonance_point":
                 record = gap_at(problem, hit[0], S if zero in S and hit[0] in S
-                                else paired_box(problem, hit[0], 6), normalization)
+                                else paired_box(problem, hit[0], 6))
                 return BandPoint(k, record.E_plus if k >= hit[1] else record.E_minus,
                                  "resonance_point")
             m, km, _ = hit
             host = S if (zero in S and m in S) else paired_box(problem, m, 6)
             E_plus, E_minus, _, _ = eigen_pair(problem, host, k, zero, m,
-                                               normalization, oracle_check=False)
+                                               oracle_check=False)
             return BandPoint(k, E_plus if k > km else E_minus, "paired")
         except QPSpecError as exc:  # collected, not fatal
             return BandPoint(k, float("nan"), "error", str(exc))
@@ -345,17 +344,16 @@ def band(problem: Problem, k_grid, S_builder, normalization: str = RAW):
     return [solve(float(k)) for k in k_grid]
 
 
-def feynman_derivative(problem: Problem, S: SiteSet, k: float,
-                       normalization: str = RAW):
+def feynman_derivative(problem: Problem, S: SiteSet, k: float):
     """Per-eigenvalue dE/dk = sum_n |psi(n)|^2 dH(n,n)/dk, with validity mask.
 
     Eigenvalues closer than the degeneracy threshold to a neighbor are
     masked out (the formula needs simple eigenvalues).
     """
-    H = restrict(problem, S, k, normalization)
+    H = restrict(problem, S, k)
     evals, evecs = dense_spectrum(H)
     phase = H.sites.array().astype(float) @ np.asarray(problem.omega) + k
-    dH = 2.0 * diag_scale(normalization, H.gamma) * phase
+    dH = 2.0 * TWO_PI_SQ * phase
     derivs = (np.abs(evecs) ** 2 * dH[:, None]).sum(axis=0)
     gaps = np.full(len(evals), np.inf)
     if len(evals) > 1:

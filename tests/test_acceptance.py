@@ -9,8 +9,7 @@ import time
 
 import numpy as np
 
-from qpspec.dual_operator import (NORMALIZED, cocycle_check,
-                                  dense_spectrum, restrict)
+from qpspec.dual_operator import cocycle_check, dense_spectrum, restrict
 from qpspec.cfracs import (CFNode, zeta_roots, zeta_sandwich_ok,
                            zeta_separation_ok)
 from qpspec.inverse import (DecayBound, improve_decay, recovered_bound,
@@ -19,7 +18,7 @@ from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
 from qpspec.mssets import GeometryBuilder, max_correct_length
 from qpspec.resonance import k_point
-from qpspec.schur import block_inverse, multiscale_inverse
+from qpspec.schur import ReducedSolver
 from qpspec.spectral import (decay_envelope, eigen_pair, eigen_simple,
                              feynman_derivative, gap_at, paired_box)
 from qpspec.trajectories import (WeightProfile, closed_bound, sum_enumerate,
@@ -38,6 +37,8 @@ def report(num, name, failures):
 
 
 def test_acceptance_1_oracle_equivalence(golden_freq):
+    # the Schur identity: with P the pivots, the inverse of
+    # E - (v + Q) on the diagonal and -G off it is the P block of (E - H)^-1
     failures = []
     rng = np.random.default_rng(101)
     t0 = time.time()
@@ -51,37 +52,21 @@ def test_acceptance_1_oracle_equivalence(golden_freq):
         H = restrict(prob, S, k)
         evals, _ = dense_spectrum(H)
         E = float(evals[-1] + 1.0 + rng.uniform(0, 5))
-        A = E * np.eye(n) - H.entries
-        dense = np.linalg.inv(A)
-        scale = np.max(np.abs(dense))
 
-        perm = rng.permutation(n)
-        n_blocks = int(rng.integers(1, min(4, n) + 1))
-        cuts = sorted(rng.choice(range(1, n), size=n_blocks - 1, replace=False)) \
-            if n_blocks > 1 else []
-        blocks = np.split(perm, cuts)
-        handle = block_inverse(A, blocks)
-        rel = np.max(np.abs(handle.inverse - dense)) / scale
+        idx = sorted(rng.choice(n, size=int(rng.integers(1, 4)), replace=False))
+        pivots = [S.sites[i] for i in idx]
+        solver = ReducedSolver(prob, S, k, pivots)
+        v = H.entries.diagonal().real[idx]
+        block = np.array([[E - v[i] - solver.q(p, E) if i == j else -solver.g(p, p2, E)
+                           for j, p2 in enumerate(pivots)] for i, p in enumerate(pivots)])
+        dense = np.linalg.inv(E * np.eye(n) - H.entries)[np.ix_(idx, idx)]
+        rel = np.max(np.abs(np.linalg.inv(block) - dense)) / np.max(np.abs(dense))
         if rel > 1e-10:
-            failures.append(f"block_inverse trial {trial}: rel dev {rel:.3g}")
-
-        sites = list(S)
-        rng.shuffle(sites)
-        n_clusters = int(rng.integers(0, 3))
-        clusters, used = [], 0
-        for _ in range(n_clusters):
-            size = int(rng.integers(1, 4))
-            clusters.append(sites[used:used + size])
-            used += size
-        clusters = [c for c in clusters if c]
-        handle2 = multiscale_inverse(prob, E, S, k, clusters=clusters, floor=1e-8)
-        rel2 = np.max(np.abs(handle2.inverse - dense)) / scale
-        if rel2 > 1e-10:
-            failures.append(f"multiscale trial {trial}: rel dev {rel2:.3g}")
+            failures.append(f"reduced solver trial {trial}: rel dev {rel:.3g}")
     elapsed = time.time() - t0
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 30s")
-    report(1, "oracle equivalence (50 random boxes/partitions)", failures)
+    report(1, "oracle equivalence (50 random boxes/pivot sets)", failures)
 
 
 # -- 2: first-order gap law ----------------------------------------------------
@@ -141,10 +126,8 @@ def test_acceptance_4_symmetry_suite(generic_problem, harmonic_problem):
     grid = np.linspace(0.05, 0.45, 81)
     worst_E = worst_phi = 0.0
     for k in grid:
-        plus = eigen_simple(generic_problem, (0, 0), host, float(k), NORMALIZED,
-                            oracle_check=False)
-        minus = eigen_simple(generic_problem, (0, 0), mirror, float(-k), NORMALIZED,
-                             oracle_check=False)
+        plus = eigen_simple(generic_problem, (0, 0), host, float(k), oracle_check=False)
+        minus = eigen_simple(generic_problem, (0, 0), mirror, float(-k), oracle_check=False)
         worst_E = max(worst_E, abs(plus.E - minus.E))
         worst_phi = max(worst_phi,
                         max(abs(minus.phi[tuple(-c for c in n)] - np.conj(v))
@@ -156,8 +139,7 @@ def test_acceptance_4_symmetry_suite(generic_problem, harmonic_problem):
 
     worst_c = 0.0
     for shift in ((1, 0), (0, 1), (2, -1)):
-        worst_c = max(worst_c, cocycle_check(generic_problem, shift, ball(2, 2),
-                                             0.31, NORMALIZED))
+        worst_c = max(worst_c, cocycle_check(generic_problem, shift, ball(2, 2), 0.31))
     if worst_c > 1e-12:
         failures.append(f"cocycle: {worst_c:.3e} > 1e-12")
 
@@ -291,10 +273,10 @@ def test_acceptance_8_analytic_utilities(generic_problem):
 
     S = ball(3, 2)
     for k in (0.19, 0.33):
-        derivs, mask, _ = feynman_derivative(generic_problem, S, k, NORMALIZED)
+        derivs, mask, _ = feynman_derivative(generic_problem, S, k)
         h = 1e-5
-        up, _ = dense_spectrum(restrict(generic_problem, S, k + h, NORMALIZED))
-        dn, _ = dense_spectrum(restrict(generic_problem, S, k - h, NORMALIZED))
+        up, _ = dense_spectrum(restrict(generic_problem, S, k + h))
+        dn, _ = dense_spectrum(restrict(generic_problem, S, k - h))
         fd = (up - dn) / (2 * h)
         sel = mask & (np.abs(derivs) > 1e-8)
         rel = float(np.max(np.abs(derivs[sel] - fd[sel]) / np.abs(derivs[sel])))

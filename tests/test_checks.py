@@ -52,3 +52,25 @@ def test_zeta_pair_catches_a_shifted_root(generic_problem, monkeypatch):
     result = checks._zeta_pair(generic_problem, 0)
     assert not result.passed
     assert "eigen_pair" in result.detail
+
+
+def test_reduced_oracle_matches_dense_inverse(pair_problem):
+    result = checks._reduced_oracle(pair_problem, 0)
+    assert result.name == "reduced-vs-dense"
+    assert result.passed, result.detail
+
+
+def test_reduced_oracle_zero_potential_skipped(zero_problem):
+    assert checks._reduced_oracle(zero_problem, 0).passed
+
+
+def test_reduced_oracle_catches_a_shifted_coupling(pair_problem, monkeypatch):
+    g = checks.ReducedSolver.g
+
+    def shifted(self, mp, mm, E):
+        return g(self, mp, mm, E) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(checks.ReducedSolver, "g", shifted)
+    result = checks._reduced_oracle(pair_problem, 0)
+    assert not result.passed
+    assert "rel dev" in result.detail

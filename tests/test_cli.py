@@ -1,7 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from qpspec.cli import main
 
@@ -101,6 +105,21 @@ def test_geometry_output(tmp_path):
     assert len(doc["lambda_plain"]) > 1000
 
 
+def test_huge_diophantine_window_is_a_budget_error(tmp_path, capsys, monkeypatch):
+    # every command validates the certificate window first; an over-cap
+    # window is refused as JSON with exit 2 before any point is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-cap window must not build any point")
+
+    monkeypatch.setattr(np, "indices", refuse)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    path = write_config(tmp_path, diophantine_window=10 ** 6)
+    for command in ("validate", "gaps"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "regime" and "exceeds the cap" in err["message"]
+
+
 def test_verify_inverse_report(tmp_path):
     path = write_config(tmp_path, gap_m_radius=2, box_radius=5)
     rc = main(["verify-inverse", "--config", str(path), "--out", str(tmp_path)])
@@ -143,3 +162,28 @@ def test_nu_mismatch_rejected(tmp_path, capsys):
     rc = main(["validate", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
+# sha256 of each command's output on the golden config: the file it writes,
+# or its stdout with the output directory masked.  selftest is left out on
+# purpose; its detail strings name the checks and their measured deviations.
+GOLDEN_SHA256 = {
+    "band": ("band.csv", "bc5739282cec0bcf0f8e97bb53f891fafa6b646317e7ac1d151359b395a0e546"),
+    "gaps": ("gaps.csv", "e37d9858c37016fb0e847c619e0fb42871dc46930880677758511873f3ceb394"),
+    "geometry": ("geometry.json",
+                 "e3274622790324dc27c9b3a104b10329596c75336127fce4d33f508da3596a3c"),
+    "verify-inverse": ("inverse-report.json",
+                       "952247736d51b31f117587bc0ec12e6f45e62b463021e1d5cbae0f3961be8b6e"),
+    "validate": (None, "a6bb7f05682edadad42131d77a23fbb24dee39d23eab3f8b3e61157a2ef1cd07"),
+    "traj-bound": (None, "dfe3b89b17a3359b9d5718d2d2ae801e3de5c902cff56d7587ac96bd56777992"),
+    "verify-forward": (None, "066485c87f64447713563587da483829cd09a08775d2eb2dc36c5d6fe6bd54a7"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_golden_output_pinned(tmp_path, capsys, command):
+    name, digest = GOLDEN_SHA256[command]
+    assert main([command, "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.replace(str(tmp_path), "<out>")
+    data = (tmp_path / name).read_bytes() if name else out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest

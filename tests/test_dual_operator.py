@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from conftest import GOLDEN, random_potential, restrict_reference
 from qpspec.cli import build_problem, load_config
-from qpspec.dual_operator import (NORMALIZED, RAW, DualMatrix, cocycle_check,
+from qpspec.dual_operator import (DualMatrix, cocycle_check,
                                   dense_spectrum, diagonal_value,
                                   reflection_conjugation_check, restrict)
 from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError
@@ -22,7 +22,7 @@ GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golde
 
 def _matrix(entries) -> DualMatrix:
     H = np.asarray(entries, dtype=complex)
-    return DualMatrix(SiteSet(tuple((i,) for i in range(len(H)))), 0.0, H, RAW)
+    return DualMatrix(SiteSet(tuple((i,) for i in range(len(H)))), 0.0, H)
 
 
 def _nearest_two(evals, center):
@@ -141,7 +141,7 @@ def test_dense_spectrum_eigensolver_failure_is_typed(generic_problem, monkeypatc
 
 
 def test_dense_spectrum_non_hermitian_is_typed():
-    M = DualMatrix(ball(1, 2), 0.1, np.triu(np.ones((5, 5))), RAW)
+    M = DualMatrix(ball(1, 2), 0.1, np.triu(np.ones((5, 5))))
     with pytest.raises(QPSpecError):
         dense_spectrum(M)
 
@@ -155,13 +155,6 @@ def test_dense_spectrum_order_invariant(generic_problem):
     e2, _ = dense_spectrum(M2)
     scale = max(1.0, float(np.max(np.abs(e1))))
     assert np.max(np.abs(e1 - e2)) <= 1e-9 * scale
-
-
-def test_normalization_consistency(generic_problem):
-    S = ball(2, 2)
-    raw = restrict(generic_problem, S, 0.3, RAW)
-    norm = restrict(generic_problem, S, 0.3, NORMALIZED)
-    assert np.allclose(raw.entries, norm.scale() * norm.entries, rtol=1e-14)
 
 
 @pytest.mark.parametrize("potential", ["golden", "random"])
@@ -250,10 +243,9 @@ def _random_coefficients(nu: int, seed: int) -> dict:
     return coefficients
 
 
-@pytest.mark.parametrize("nu", [1, 2, 3])
-@pytest.mark.parametrize("normalization", [RAW, NORMALIZED])
+@pytest.mark.parametrize("nu", [1, 2, 3], ids=lambda nu: f"raw-{nu}")
 @pytest.mark.parametrize("shuffled", [False, True])
-def test_restrict_matches_reference(nu, normalization, shuffled):
+def test_restrict_matches_reference(nu, shuffled):
     # two balls apart: the sites' bounding box has holes, and most shifts
     # of the outer shells leave the set
     far = (5,) + (0,) * (nu - 1)
@@ -263,8 +255,8 @@ def test_restrict_matches_reference(nu, normalization, shuffled):
         order = [S.sites[i] for i in np.random.default_rng(nu).permutation(len(S))]
     for prob in (_problem(nu, _random_coefficients(nu, nu)), _problem(nu, {})):
         for k in (0.13, -0.41):
-            got = restrict(prob, S, k, normalization, order=order)
-            want = restrict_reference(prob, S, k, normalization, order=order)
+            got = restrict(prob, S, k, order=order)
+            want = restrict_reference(prob, S, k, order=order)
             assert np.array_equal(got.entries, want)
             assert got.sites.sites == (S.sites if order is None else tuple(order))
 

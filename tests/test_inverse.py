@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpspec import inverse, spectral
-from qpspec.dual_operator import NORMALIZED, RAW, restrict
+from qpspec.dual_operator import restrict
 from qpspec.errors import RegimeError
 from qpspec.inverse import (DecayBound, DecayLadder, gap_table, improve_decay,
                             improved_rate_factor, recovered_bound,
@@ -20,9 +20,9 @@ def chain_problem(golden_freq, eps=1e-4):
     return Problem(golden_freq, Potential.from_harmonics({(0, 2): 1.0}, eps, 0.5))
 
 
-def bound_at(problem, n0, radius, normalization=RAW):
-    rec = gap_at(problem, n0, paired_box(problem, n0, radius), normalization)
-    return recovered_bound(problem, rec, radius, normalization)
+def bound_at(problem, n0, radius):
+    rec = gap_at(problem, n0, paired_box(problem, n0, radius))
+    return recovered_bound(problem, rec, radius)
 
 
 @pytest.fixture(scope="module")
@@ -76,15 +76,14 @@ def test_recovered_bound_holds_and_reports_both(golden_freq):
     assert rb.prefactor_coarse > rb.prefactor_desk
 
 
-@pytest.mark.parametrize("normalization", [RAW, NORMALIZED])
-def test_desk_prefactor_is_exact_derivative(golden_freq, normalization):
+def test_desk_prefactor_is_exact_derivative(golden_freq):
     # eps = 3 makes |d_E Q| ~ 1e-2, so prefactor - 1 carries 13 digits
     pot = Potential.from_harmonics(
         {(0, 1): 0.55, (1, 0): 0.3 + 0.2j, (1, 1): 0.2 - 0.1j}, 3.0, 0.5)
     prob, n0, radius = Problem(golden_freq, pot), (0, 1), 4
-    rec = gap_at(prob, n0, paired_box(prob, n0, radius), normalization)
-    rb = recovered_bound(prob, rec, radius, normalization)
-    H = restrict(prob, paired_box(prob, n0, radius), rec.k_point, normalization)
+    rec = gap_at(prob, n0, paired_box(prob, n0, radius))
+    rb = recovered_bound(prob, rec, radius)
+    H = restrict(prob, paired_box(prob, n0, radius), rec.k_point)
     piv = [H.sites.index((0, 0)), H.sites.index(n0)]
     rest = [i for i in range(len(H.sites)) if i not in piv]
     H_rest = H.entries[np.ix_(rest, rest)]

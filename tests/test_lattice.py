@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpspec import lattice
-from qpspec.errors import SiteBudgetError
-from qpspec.lattice import SiteSet, ball, l1_ball_size, l1_norm, straddles
+from qpspec.errors import CombinatorialBudgetError, SiteBudgetError
+from qpspec.lattice import (BOX_POINT_CAP, SiteSet, ball, l1_ball_size, l1_norm,
+                            punctured_ball, straddles)
 
 from conftest import canonical_order
 
@@ -53,6 +54,26 @@ def test_ball_over_budget_raises_before_building(monkeypatch):
     monkeypatch.setattr(lattice.np, "indices", refuse)
     with pytest.raises(SiteBudgetError):
         ball(40, 3, budget=1000)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("radius", [-1, 0, 1, 6])
+def test_punctured_ball_is_the_ball_without_its_origin(radius, nu):
+    pts = punctured_ball(radius, nu)
+    assert pts.shape == (max(l1_ball_size(radius, nu) - 1, 0), nu)
+    assert [tuple(p) for p in pts.tolist()] == list(ball(max(radius, 0), nu).sites[1:])
+
+
+def test_punctured_ball_over_cap_raises_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-cap window must not build any point")
+
+    monkeypatch.setattr(lattice.np, "indices", refuse)
+    assert (2 * 1000 + 1) ** 2 > BOX_POINT_CAP
+    with pytest.raises(CombinatorialBudgetError):
+        punctured_ball(1000, 2)
+    with pytest.raises(CombinatorialBudgetError):
+        punctured_ball(10 ** 6, 2)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])

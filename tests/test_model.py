@@ -5,7 +5,7 @@ import pytest
 
 from qpspec.errors import FaithfulMaterializationError, LadderRangeError
 from qpspec.model import (EpsilonThresholds, Frequency, Potential, ScaleLadder,
-                          build_ladder, diophantine_margin, gamma_for_k, sigma,
+                          build_ladder, diophantine_margin, sigma,
                           validate_potential)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -127,13 +127,6 @@ def test_epsilon_thresholds_faithful_log_space():
     thr = EpsilonThresholds.from_ladder(lad, 0.5, 2)
     assert np.isfinite(thr.log_eps0)
     assert thr.log_eps0 < -1e5
-
-
-def test_gamma_bracketing():
-    assert gamma_for_k(0.3) == 1.0
-    assert gamma_for_k(-0.74) == 1.0
-    assert gamma_for_k(2.5) == 3.0
-    assert gamma_for_k(2.0) == 2.0  # tie resolved to the smaller gamma
 
 
 def test_potential_epsilon_split():

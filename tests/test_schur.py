@@ -2,104 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from qpspec.dual_operator import dense_spectrum, diagonal_value, restrict
-from qpspec.errors import NonResonanceFloorError, SingularBlockError
+from qpspec.dual_operator import diagonal_value
+from qpspec.errors import SingularBlockError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
-from qpspec.schur import ReducedSolver, block_inverse, multiscale_inverse
-
-
-def rand_hermitian(rng, n, shift=None):
-    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    H = 0.5 * (A + A.conj().T)
-    return H + (2.0 * n if shift is None else shift) * np.eye(n)
-
-
-def test_schur_complement_2x2():
-    # folding block [1] after [0] inverts the complement 2 - 1 * 2^-1 * 1 = 1.5
-    M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert block_inverse(M, [[0], [1]]).inverse[1, 1] == pytest.approx(1.0 / 1.5)
-
-
-def test_schur_complement_block_diagonal():
-    M = np.diag([3.0, 4.0, 5.0])
-    out = block_inverse(M, [[0], [1, 2]]).inverse
-    assert np.allclose(out, np.diag([1.0 / 3.0, 0.25, 0.2]), rtol=1e-15, atol=0)
-
-
-def test_schur_complement_singular_block():
-    M = np.array([[0.0, 1.0], [1.0, 2.0]])
-    with pytest.raises(SingularBlockError):
-        block_inverse(M, [[0], [1]])
-
-
-def test_block_inverse_analytic():
-    M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    handle = block_inverse(M, [[0], [1]])
-    assert np.allclose(handle.inverse, np.array([[2, -1], [-1, 2]]) / 3.0, atol=1e-14)
-
-
-def test_block_inverse_identity():
-    handle = block_inverse(np.eye(5), [[0, 2], [1, 3, 4]])
-    assert np.allclose(handle.inverse, np.eye(5), atol=1e-15)
-
-
-def test_block_inverse_random_vs_dense():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        n = 6
-        H = rand_hermitian(rng, n)
-        perm = rng.permutation(n)
-        cuts = sorted(rng.choice(range(1, n), size=2, replace=False))
-        blocks = [perm[:cuts[0]], perm[cuts[0]:cuts[1]], perm[cuts[1]:]]
-        handle = block_inverse(H, blocks)
-        dense = np.linalg.inv(H)
-        rel = np.max(np.abs(handle.inverse - dense)) / np.max(np.abs(dense))
-        assert rel <= 1e-10
-        assert handle.residual() <= 1e-9 * handle.condition_estimate
-
-
-def test_block_inverse_reports_singular_block():
-    M = np.diag([1.0, 0.0, 2.0])
-    with pytest.raises(SingularBlockError) as err:
-        block_inverse(M, [[0], [1], [2]])
-    assert err.value.block_id == 1
-
-
-def test_multiscale_no_clusters(generic_problem):
-    S = ball(2, 2)
-    H = restrict(generic_problem, S, 0.11)
-    evals, _ = dense_spectrum(H)
-    E = float(evals[-1]) + 50.0
-    handle = multiscale_inverse(generic_problem, E, S, 0.11, floor=1e-6)
-    dense = np.linalg.inv(E * np.eye(len(S)) - H.entries)
-    assert np.max(np.abs(handle.inverse - dense)) / np.max(np.abs(dense)) <= 1e-10
-
-
-def test_multiscale_whole_set_cluster(generic_problem):
-    S = ball(2, 2)
-    H = restrict(generic_problem, S, 0.17)
-    E = -7.0
-    handle = multiscale_inverse(generic_problem, E, S, 0.17, clusters=[list(S)])
-    dense = np.linalg.inv(E * np.eye(len(S)) - H.entries)
-    assert np.max(np.abs(handle.inverse - dense)) / np.max(np.abs(dense)) <= 1e-12
-
-
-def test_multiscale_zero_potential_diagonal(zero_problem):
-    S = ball(2, 2)
-    E = -3.0
-    handle = multiscale_inverse(zero_problem, E, S, 0.21, floor=1e-9)
-    for i, s in enumerate(handle.sites):
-        v = diagonal_value(zero_problem, s, 0.21)
-        assert handle.inverse[i, i] == pytest.approx(1.0 / (E - v), rel=1e-12)
-
-
-def test_multiscale_floor_violation(zero_problem):
-    S = ball(1, 2)
-    v0 = diagonal_value(zero_problem, (0, 0), 0.21)
-    with pytest.raises(NonResonanceFloorError) as err:
-        multiscale_inverse(zero_problem, v0 + 1e-12, S, 0.21, floor=1e-6)
-    assert err.value.site == (0, 0)
+from qpspec.schur import ReducedSolver
 
 
 def q_at(problem, m0, S, k, E):
@@ -188,14 +95,6 @@ def test_q_g_quadratic_in_eps(golden_freq):
         ratios_g.append((g - pot.c((0, 2))) / eps ** 2)
     assert max(map(abs, ratios_q)) <= 2 * min(map(abs, ratios_q)) + 1e-12
     assert max(map(abs, ratios_g)) <= 2 * min(map(abs, ratios_g)) + 1e-12
-
-
-def test_multiscale_handle_residual_invariant(generic_problem):
-    S = ball(2, 2)
-    H = restrict(generic_problem, S, 0.13)
-    E = float(np.max(np.real(np.diag(H.entries)))) + 40.0
-    handle = multiscale_inverse(generic_problem, E, S, 0.13, floor=1e-6)
-    assert handle.residual() <= 1e-9 * handle.condition_estimate
 
 
 def test_q_derivative_bounds(generic_problem):

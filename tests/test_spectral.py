@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qpspec import schur, spectral
-from qpspec.dual_operator import (NORMALIZED, RAW, dense_spectrum,
-                                  diagonal_value, restrict)
+from qpspec.dual_operator import dense_spectrum, diagonal_value, restrict
 from qpspec.errors import ReconciliationError, RegimeError
+from qpspec.inverse import verify_forward
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
 from qpspec.resonance import k_point
@@ -77,7 +77,7 @@ def test_eigen_pair_oracle_and_sandwich(harmonic_problem):
     Ep, Em, pp, pm = eigen_pair(harmonic_problem, S, k, (0, 0), n0)
     # sandwich: E+ >= max(a1, a2 + |b|), E- <= min(a2, a1 - |b|)
     from qpspec.schur import ReducedSolver
-    solver = ReducedSolver(harmonic_problem, S, k, [(0, 0), n0], RAW)
+    solver = ReducedSolver(harmonic_problem, S, k, [(0, 0), n0])
     for E, branch in ((Ep, "+"), (Em, "-")):
         q0 = solver.q((0, 0), E).real
         q1 = solver.q(n0, E).real
@@ -144,9 +144,9 @@ def test_band_symmetry_and_monotonicity(generic_problem):
     host = ball(5, 2)
     grid = np.linspace(0.05, 0.45, 21)
     E_plus = [eigen_simple(generic_problem, (0, 0), host, float(k),
-                           NORMALIZED, oracle_check=False).E for k in grid]
+                           oracle_check=False).E for k in grid]
     E_minus = [eigen_simple(generic_problem, (0, 0), host.reflect(), float(-k),
-                            NORMALIZED, oracle_check=False).E for k in grid]
+                            oracle_check=False).E for k in grid]
     assert max(abs(a - b) for a, b in zip(E_plus, E_minus)) <= 1e-11
     assert all(b > a for a, b in zip(E_plus, E_plus[1:]))
 
@@ -154,10 +154,8 @@ def test_band_symmetry_and_monotonicity(generic_problem):
 def test_phi_conjugate_symmetry(generic_problem):
     host = ball(4, 2)
     k = 0.2088
-    plus = eigen_simple(generic_problem, (0, 0), host, k, NORMALIZED,
-                        oracle_check=False)
-    minus = eigen_simple(generic_problem, (0, 0), host.reflect(), -k, NORMALIZED,
-                         oracle_check=False)
+    plus = eigen_simple(generic_problem, (0, 0), host, k, oracle_check=False)
+    minus = eigen_simple(generic_problem, (0, 0), host.reflect(), -k, oracle_check=False)
     worst = max(abs(minus.phi[tuple(-c for c in n)] - np.conj(v))
                 for n, v in plus.phi.items())
     assert worst <= 1e-11
@@ -223,10 +221,10 @@ def test_feynman_zero_potential(zero_problem):
 def test_feynman_matches_fd(generic_problem):
     S = ball(3, 2)
     k = 0.23
-    derivs, mask, _ = feynman_derivative(generic_problem, S, k, NORMALIZED)
+    derivs, mask, _ = feynman_derivative(generic_problem, S, k)
     h = 1e-5
-    up, _ = dense_spectrum(restrict(generic_problem, S, k + h, NORMALIZED))
-    dn, _ = dense_spectrum(restrict(generic_problem, S, k - h, NORMALIZED))
+    up, _ = dense_spectrum(restrict(generic_problem, S, k + h))
+    dn, _ = dense_spectrum(restrict(generic_problem, S, k - h))
     fd = (up - dn) / (2 * h)
     sel = mask & (np.abs(derivs) > 1e-8)
     assert np.max(np.abs(derivs[sel] - fd[sel]) / np.abs(derivs[sel])) <= 1e-6
@@ -236,8 +234,9 @@ def test_feynman_bounded_near_resonance(harmonic_problem):
     n0 = (0, 1)
     k = k_point(harmonic_problem.frequency, n0) + 1e-3
     S = paired_box(harmonic_problem, n0, 5)
-    derivs, mask, _ = feynman_derivative(harmonic_problem, S, k, NORMALIZED)
-    assert np.max(np.abs(derivs[mask])) <= 2.0
+    derivs, mask, _ = feynman_derivative(harmonic_problem, S, k)
+    # bounded by 2 in the normalized units H / (256 (2 pi)^2); gamma = 1 here
+    assert np.max(np.abs(derivs[mask])) / (256.0 * TWO_PI_SQ) <= 2.0
 
 
 def test_band_routes_resonant_points(harmonic_problem):
@@ -259,9 +258,10 @@ def test_gap_record_carries_forward_bound(generic_problem):
     rec = gap_at(generic_problem, (0, 1), paired_box(generic_problem, (0, 1), 5))
     pot = generic_problem.potential
     expect = 2 * pot.epsilon * math.exp(-0.5 * pot.kappa0)
-    assert rec.meta["theoremB_bound"] == pytest.approx(expect)
+    (row,) = verify_forward({(0, 1): rec}, pot)
+    assert row.bound == pytest.approx(expect)
     # binding only for decay-compliant tables, which this fixture is
-    assert rec.width <= rec.meta["theoremB_bound"]
+    assert row.width == rec.width and rec.width <= row.bound and row.passed
 
 
 def test_splitting_lower_bound_constant(harmonic_problem):

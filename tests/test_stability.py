@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from qpspec.dual_operator import NORMALIZED, dense_spectrum, restrict
+from qpspec.dual_operator import TWO_PI_SQ, dense_spectrum, restrict
 from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
 from qpspec.resonance import k_point
@@ -97,12 +97,17 @@ def test_gap_edges_are_band_limits(harmonic_problem):
         prev = dev
 
 
+# The bounds below are stated in the normalized units H / (lambda (2 pi)^2),
+# lambda = 256 gamma, with gamma = 1 at every k they use.
+NORMALIZED_SCALE = 256.0 * TWO_PI_SQ
+
+
 def test_band_lipschitz_in_k(generic_problem):
     # |E(k1) - E(k)| < 3 |k - k1| in normalized units
     host = ball(5, 2)
     ks = np.linspace(0.1, 0.4, 13)
-    energies = [eigen_simple(generic_problem, (0, 0), host, float(k), NORMALIZED,
-                             oracle_check=False).E for k in ks]
+    energies = [eigen_simple(generic_problem, (0, 0), host, float(k),
+                             oracle_check=False).E / NORMALIZED_SCALE for k in ks]
     for (k1, e1), (k2, e2) in zip(zip(ks, energies), zip(ks[1:], energies[1:])):
         assert abs(e2 - e1) < 3.0 * abs(k2 - k1)
 
@@ -114,10 +119,10 @@ def test_band_derivative_tracks_free_parabola(generic_problem):
     k = 0.27
     lam = 256.0
     eps = generic_problem.potential.epsilon
-    up = eigen_simple(generic_problem, (0, 0), host, k + h, NORMALIZED,
-                      oracle_check=False).E
-    dn = eigen_simple(generic_problem, (0, 0), host, k - h, NORMALIZED,
-                      oracle_check=False).E
+    up = eigen_simple(generic_problem, (0, 0), host, k + h,
+                      oracle_check=False).E / NORMALIZED_SCALE
+    dn = eigen_simple(generic_problem, (0, 0), host, k - h,
+                      oracle_check=False).E / NORMALIZED_SCALE
     dE = (up - dn) / (2 * h)
     assert abs(dE - 2.0 * k / lam) <= math.sqrt(eps)
 
@@ -128,10 +133,10 @@ def test_band_increment_upper_bound(generic_problem):
     lam = 256.0
     eps = generic_problem.potential.epsilon
     k1, k2 = 0.15, 0.30
-    e1 = eigen_simple(generic_problem, (0, 0), host, k1, NORMALIZED,
-                      oracle_check=False).E
-    e2 = eigen_simple(generic_problem, (0, 0), host, k2, NORMALIZED,
-                      oracle_check=False).E
+    e1 = eigen_simple(generic_problem, (0, 0), host, k1,
+                      oracle_check=False).E / NORMALIZED_SCALE
+    e2 = eigen_simple(generic_problem, (0, 0), host, k2,
+                      oracle_check=False).E / NORMALIZED_SCALE
     assert e2 - e1 < (2.0 * k2 / lam) * (k2 - k1) + eps
     assert e2 - e1 > 0
 
