@@ -161,20 +161,22 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     return CheckResult("zeta-pair", ok, f"max rel dev from eigen_pair {dev:.3g}")
 
 
-def _trajectory(problem: Problem, seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed + 1)
+def trajectory_sums(problem: Problem, rng, kappa0: float):
+    """Yield (n, SumResult, BoundResult) from the origin to n = 0 and n = e_1:
+    eps0 = 1e-25, length 4, T = 8, D uniform in [1, 3) on ball(2) in ball(5)."""
     host = ball(2, problem.nu, budget=None)
     ambient = ball(5, problem.nu, budget=None)
     prof = WeightProfile({s: 1.0 + 2.0 * rng.random() for s in host}, T=8.0,
-                         kappa0=0.5, host=host, ambient=ambient)
+                         kappa0=kappa0, host=host, ambient=ambient)
     eps0 = 1e-25
     zero = tuple([0] * problem.nu)
-    one = (1,) + (0,) * (problem.nu - 1)
-    ok = True
-    for target in (zero, one):
-        res = sum_enumerate(zero, target, prof, eps0, len_cap=4)
-        bnd = closed_bound(zero, target, prof, eps0)
-        ok &= res.total <= bnd.value and bnd.threshold_ok
+    for n in (zero, (1,) + (0,) * (problem.nu - 1)):
+        yield n, sum_enumerate(zero, n, prof, eps0, len_cap=4), closed_bound(zero, n, prof, eps0)
+
+
+def _trajectory(problem: Problem, seed: int) -> CheckResult:
+    ok = all(res.total <= bnd.value and bnd.threshold_ok for _, res, bnd
+             in trajectory_sums(problem, np.random.default_rng(seed + 1), 0.5))
     return CheckResult("trajectory-bounds", ok, "enumeration under the closed bound")
 
 

@@ -23,15 +23,23 @@ from .errors import (CombinatorialBudgetError, EpsilonTooLargeError,
                      LadderRangeError, QPSpecError, RegimeError,
                      SiteBudgetError)
 from .inverse import gap_table, verify_forward, verify_inverse
-from .lattice import ball, l1_norm
+from .lattice import DEFAULT_SITE_BUDGET, ball, l1_norm
 from .model import (EpsilonThresholds, Frequency, Potential, Problem,
-                    build_ladder, diophantine_margin)
+                    ScaleLadder, build_ladder)
 from .mssets import GeometryBuilder
 from .resonance import reset
 from .spectral import band
-from .trajectories import WeightProfile, closed_bound, sum_enumerate
 
 FLOAT_FMT = "%.17g"
+
+# the accepted top-level config keys; load_config refuses any other
+REQUIRED_KEYS = ("omega", "a0", "b0", "epsilon", "kappa0")
+CONFIG_DEFAULTS = {
+    "nu": None, "coefficients": [], "ladder": None, "site_budget": DEFAULT_SITE_BUDGET,
+    "diophantine_window": 50, "box_radius": 8, "gap_m_radius": 3,
+    "k_grid": {"min": 0.05, "max": 0.45, "points": 81}, "geometry_ladder": None,
+    "geometry_k": 0.0, "geometry_s": 2, "seed": 0,
+}
 
 _BUDGET_ERRORS = (SiteBudgetError, CombinatorialBudgetError, RegimeError,
                   FaithfulMaterializationError, LadderRangeError,
@@ -43,27 +51,32 @@ def fmt(x) -> str:
 
 
 def load_config(path):
+    """The config at `path` with every absent optional key at its default."""
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    unknown = sorted(set(cfg) - set(REQUIRED_KEYS) - set(CONFIG_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    return {**CONFIG_DEFAULTS, **cfg}
 
 
 def build_problem(cfg) -> Problem:
-    if "nu" in cfg and cfg["nu"] != len(cfg["omega"]):
+    if cfg["nu"] is not None and cfg["nu"] != len(cfg["omega"]):
         raise ValueError(f"nu={cfg['nu']} disagrees with omega of length {len(cfg['omega'])}")
     freq = Frequency(tuple(cfg["omega"]), cfg["a0"], cfg["b0"],
-                     window_n=cfg.get("diophantine_window", 50))
+                     window_n=cfg["diophantine_window"])
     table = {}
-    for item in cfg.get("coefficients", []):
+    for item in cfg["coefficients"]:
         table[tuple(item["n"])] = complex(item.get("re", 0.0), item.get("im", 0.0))
     pot = Potential.from_harmonics(table, cfg["epsilon"], cfg["kappa0"])
-    lad_cfg = cfg.get("ladder")
+    lad_cfg = cfg["ladder"]
     ladder = None
     if lad_cfg:
         ladder = build_ladder(
             lad_cfg["delta0"], lad_cfg["beta1"], lad_cfg.get("u_max", 2),
             regime=lad_cfg.get("regime", "desk"), a0=cfg["a0"], kappa0=cfg["kappa0"],
-            site_budget=cfg.get("site_budget", 20_000), nu=len(cfg["omega"]))
-    return Problem(freq, pot, ladder, site_budget=cfg.get("site_budget", 20_000))
+            site_budget=cfg["site_budget"], nu=len(cfg["omega"]))
+    return Problem(freq, pot, ladder, site_budget=cfg["site_budget"])
 
 
 def _error_json(kind, exc):
@@ -72,13 +85,12 @@ def _error_json(kind, exc):
 
 def cmd_validate(cfg, problem, out_dir, args):
     report = problem.validate()
-    margin, witness = diophantine_margin(problem.frequency,
-                                         cfg.get("diophantine_window", 50))
+    margin, witness = problem.diophantine or (None, None)
     cert = {
         "potential_violations": report,
-        "diophantine_margin": float(margin),
-        "diophantine_witness": list(witness),
-        "certificate_ok": margin >= problem.frequency.a0 and not report,
+        "diophantine_margin": None if margin is None else float(margin),
+        "diophantine_witness": None if witness is None else list(witness),
+        "certificate_ok": margin is not None and margin >= problem.frequency.a0 and not report,
     }
     print(json.dumps(cert, indent=2, sort_keys=True))
     if problem.ladder is not None and problem.ladder.regime == "desk":
@@ -88,15 +100,9 @@ def cmd_validate(cfg, problem, out_dir, args):
     return 0 if cert["certificate_ok"] else 1
 
 
-def _k_grid(cfg):
-    grid = cfg.get("k_grid", {"min": 0.05, "max": 0.45, "points": 81})
-    return np.linspace(grid["min"], grid["max"], grid["points"])
-
-
 def cmd_band(cfg, problem, out_dir, args):
-    radius = cfg.get("box_radius", 8)
-    host = ball(radius, problem.nu, budget=problem.site_budget)
-    grid = _k_grid(cfg)
+    host = ball(cfg["box_radius"], problem.nu, budget=problem.site_budget)
+    grid = np.linspace(cfg["k_grid"]["min"], cfg["k_grid"]["max"], cfg["k_grid"]["points"])
     points = band(problem, grid, lambda k: host)
     path = out_dir / "band.csv"
     with open(path, "w") as fh:
@@ -109,22 +115,25 @@ def cmd_band(cfg, problem, out_dir, args):
     return 0
 
 
-def _m_window(cfg, problem):
-    radius = cfg.get("gap_m_radius", 3)
-    return [m for m in ball(radius, problem.nu, budget=None) if any(m)]
+def _forward_rows(cfg, problem):
+    """Gap records and failures over the label window, and the forward rows
+    ordered by (|m|, m)."""
+    ms = [m for m in ball(cfg["gap_m_radius"], problem.nu, budget=None) if any(m)]
+    records, failures = gap_table(problem, ms, cfg["box_radius"])
+    rows = sorted(verify_forward(records, problem.potential),
+                  key=lambda r: (l1_norm(r.m), r.m))
+    return records, failures, rows
 
 
 def cmd_gaps(cfg, problem, out_dir, args):
-    ms = _m_window(cfg, problem)
-    records, failures = gap_table(problem, ms, cfg.get("box_radius", 8))
-    rows = verify_forward(records, problem.potential)
+    records, failures, rows = _forward_rows(cfg, problem)
     path = out_dir / "gaps.csv"
     with open(path, "w") as fh:
         fh.write("# m: resonance label; k_m: resonance point; E_minus/E_plus: gap edges"
                  " (raw units); width: E_plus - E_minus;"
                  " theoremB_bound: 2 eps exp(-kappa0 |m|/2); pass: width <= bound\n")
         fh.write("m,k_m,E_minus,E_plus,width,theoremB_bound,pass\n")
-        for row in sorted(rows, key=lambda r: (l1_norm(r.m), r.m)):
+        for row in rows:
             rec = records[row.m]
             fh.write(",".join([
                 '"' + " ".join(map(str, row.m)) + '"', fmt(rec.k_point),
@@ -138,19 +147,18 @@ def cmd_gaps(cfg, problem, out_dir, args):
 
 def cmd_geometry(cfg, problem, out_dir, args):
     ladder = problem.ladder
-    gl = cfg.get("geometry_ladder")
+    gl = cfg["geometry_ladder"]
     if gl:
         # synthetic ladder: explicit log sequences for desk geometry
-        from .model import ScaleLadder
         ladder = ScaleLadder.from_sequences(gl.get("beta1", 0.5),
                                             gl["log_R"], gl["log_delta"])
     if ladder is None:
         raise RegimeError("geometry requires a ladder in the config")
-    k = cfg.get("geometry_k", 0.0)
-    s = cfg.get("geometry_s", 2)
+    k = cfg["geometry_k"]
+    s = cfg["geometry_s"]
     builder = GeometryBuilder(problem, ladder)
     plain = builder.lambda_plain(k, s)
-    profile = reset(problem, k, min(cfg.get("diophantine_window", 50), 12), ladder)
+    profile = reset(problem, k, min(problem.frequency.window_n, 12), ladder)
     doc = {
         "k": k,
         "s": s,
@@ -171,20 +179,11 @@ def cmd_geometry(cfg, problem, out_dir, args):
 
 
 def cmd_traj_bound(cfg, problem, out_dir, args):
-    host = ball(cfg.get("traj_host_radius", 2), problem.nu, budget=None)
-    ambient = ball(cfg.get("traj_host_radius", 2) + 3, problem.nu, budget=None)
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    prof = WeightProfile(
-        {s: 1.0 + 2.0 * rng.random() for s in host},
-        T=8.0, kappa0=problem.potential.kappa0, host=host, ambient=ambient)
-    eps0 = cfg.get("traj_eps0", 1e-25)
+    rng = np.random.default_rng(cfg["seed"])
     zero = tuple([0] * problem.nu)
-    targets = [zero, (1,) + (0,) * (problem.nu - 1)]
     print("m,n,partial,tail,closed_bound,ok")
     all_ok = True
-    for n in targets:
-        res = sum_enumerate(zero, n, prof, eps0, len_cap=4)
-        bnd = closed_bound(zero, n, prof, eps0)
+    for n, res, bnd in checks.trajectory_sums(problem, rng, problem.potential.kappa0):
         ok = res.total <= bnd.value
         all_ok &= ok
         print(",".join(['"' + " ".join(map(str, zero)) + '"',
@@ -195,11 +194,9 @@ def cmd_traj_bound(cfg, problem, out_dir, args):
 
 
 def cmd_verify_forward(cfg, problem, out_dir, args):
-    ms = _m_window(cfg, problem)
-    records, failures = gap_table(problem, ms, cfg.get("box_radius", 8))
-    rows = verify_forward(records, problem.potential)
+    _, failures, rows = _forward_rows(cfg, problem)
     bad = [r for r in rows if not r.passed]
-    for row in sorted(rows, key=lambda r: (l1_norm(r.m), r.m)):
+    for row in rows:
         status = "pass" if row.passed else "FAIL"
         print(f"m={row.m} width={fmt(row.width)} bound={fmt(row.bound)} {status}")
     if failures:
@@ -209,9 +206,7 @@ def cmd_verify_forward(cfg, problem, out_dir, args):
 
 
 def cmd_verify_inverse(cfg, problem, out_dir, args):
-    report = verify_inverse(problem, cfg.get("box_radius", 8),
-                            iterations=cfg.get("inverse_iterations", 5),
-                            window_norm=cfg.get("gap_m_radius", 4))
+    report = verify_inverse(problem, cfg["box_radius"], window_norm=cfg["gap_m_radius"])
     doc = {
         "hypothesis_ok": report.hypothesis_ok,
         "note": report.note,
@@ -236,7 +231,7 @@ def cmd_verify_inverse(cfg, problem, out_dir, args):
 
 
 def cmd_selftest(cfg, problem, out_dir, args):
-    results = checks.run_selftest(problem, seed=cfg.get("seed", 0))
+    results = checks.run_selftest(problem, seed=cfg["seed"])
     failed = 0
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -272,7 +267,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.regime is not None:
-            if not cfg.get("ladder"):
+            if not cfg["ladder"]:
                 raise RegimeError(f"--{args.regime} needs a ladder in the config")
             cfg["ladder"]["regime"] = args.regime  # the regime only affects the ladder
         problem = build_problem(cfg)
@@ -288,8 +283,8 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        report = problem.validate()
-        if report and args.command != "validate":
+        report = [] if args.command == "validate" else problem.validate()
+        if report:  # validate reports its own violations
             _error_json("validation", "; ".join(report))
             return 1
         return COMMANDS[args.command](cfg, problem, out_dir, args)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -207,8 +208,8 @@ class ScaleLadder:
         raise LadderRangeError(f"|m|={r} beyond rung u_max={self.u_max}")
 
     @staticmethod
-    def from_sequences(beta1, log_R, log_delta, regime="desk") -> "ScaleLadder":
-        """Synthetic ladder from explicit sequences (geometry experiments).
+    def from_sequences(beta1, log_R, log_delta) -> "ScaleLadder":
+        """Synthetic desk ladder from explicit sequences (geometry experiments).
 
         Only monotonicity is validated; the exact recursion flag is cleared.
         """
@@ -220,7 +221,7 @@ class ScaleLadder:
             raise ValueError("R must increase strictly")
         if any(b >= a for a, b in zip(log_delta, log_delta[1:])):
             raise ValueError("delta must decrease strictly")
-        return ScaleLadder(beta1, log_R, log_delta, regime, exact_recursion=False)
+        return ScaleLadder(beta1, log_R, log_delta, "desk", exact_recursion=False)
 
 
 def build_ladder(delta0: float, beta1: float, u_max: int, regime: str = "desk",
@@ -346,10 +347,16 @@ class Problem:
     def omega(self) -> tuple:
         return self.frequency.omega
 
+    @cached_property
+    def diophantine(self):
+        """(margin, witness) over the recorded window, or None without one."""
+        window = self.frequency.window_n
+        return diophantine_margin(self.frequency, window) if window else None
+
     def validate(self):
         report = validate_potential(self.potential)
-        if self.frequency.window_n:
-            margin, witness = diophantine_margin(self.frequency, self.frequency.window_n)
+        if self.diophantine is not None:
+            margin, witness = self.diophantine
             if margin < self.frequency.a0:
                 report.append(
                     f"Diophantine certificate fails at n={witness}: margin {margin:.3g} < a0")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CombinatorialBudgetError, GeometryError, RegimeError
-from .lattice import SiteSet, ball, straddles
+from .lattice import BOX_POINT_CAP, SiteSet, ball, straddles
 from .model import Problem, ScaleLadder, sigma
 from .resonance import interval, k_point
 
@@ -120,7 +120,7 @@ class GeometryBuilder:
     def _candidates(self, window_radius: int, include_zero: bool = False) -> np.ndarray:
         nu = self.problem.nu
         count = (2 * window_radius + 1) ** nu
-        if count > 4_000_000:
+        if count > BOX_POINT_CAP:
             raise CombinatorialBudgetError(f"classification window of {count} points too large")
         grids = np.meshgrid(*([np.arange(-window_radius, window_radius + 1)] * nu), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)

@@ -30,6 +30,7 @@ MAX_FIXED_POINT_STEPS = 100
 DEGENERACY_GAP = 1e-10
 RESONANCE_RADIUS = 3
 RESONANCE_POINT_TOL = 1e-9
+RECONCILE_TOL = 1e-9                  # oracle agreement, relative to max(1, |E|)
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
     oracle_gap = None
     if oracle_check:
         oracle_gap = abs(_oracle_on(solver.full, m0)[0] - E)
-        if oracle_gap > 1e-9 * scale:
+        if oracle_gap > RECONCILE_TOL * scale:
             raise ReconciliationError(
                 f"fixed point at k={k}, m0={m0} deviates from the dense oracle "
                 f"by {oracle_gap:.3g} (regime mismatch)")
@@ -235,19 +236,19 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
         got = np.sort(np.asarray([E_minus, E_plus]))
         want = _oracle_nearest(solver.full, center)
         dev = float(np.max(np.abs(got - want)))
-        if dev > 1e-9 * max(1.0, float(np.max(np.abs(want)))):
+        if dev > RECONCILE_TOL * max(1.0, float(np.max(np.abs(want)))):
             raise ReconciliationError(
                 f"pair roots deviate from the dense oracle by {dev:.3g}")
     return E_plus, E_minus, phi_plus, phi_minus
 
 
-def gap_at(problem: Problem, n0, S: SiteSet, reconcile_tol: float = 1e-9) -> GapRecord:
+def gap_at(problem: Problem, n0, S: SiteSet) -> GapRecord:
     """Gap edges at k = k_{n0} via E = v + Q -+ |G|, reconciled with the oracle.
 
     Route (i) solves the two scalar equations by fixed point; route (ii)
     takes the two dense eigenvalues nearest v(0, k_{n0}) from the oracle
     windowed about v0, the window chosen from H alone.  Disagreement
-    beyond tolerance flags a regime misclassification.
+    beyond RECONCILE_TOL flags a regime misclassification.
     """
     n0 = tuple(n0)
     zero = tuple([0] * problem.nu)
@@ -270,7 +271,7 @@ def gap_at(problem: Problem, n0, S: SiteSet, reconcile_tol: float = 1e-9) -> Gap
 
     nearest = _oracle_nearest(solver.full, v0)
     dev = float(max(abs(nearest[0] - E_minus), abs(nearest[1] - E_plus)))
-    if dev > reconcile_tol * scale:
+    if dev > RECONCILE_TOL * scale:
         raise ReconciliationError(
             f"gap edges disagree with the dense oracle by {dev:.3g} at n0={n0}")
     return GapRecord(n0, k, float(E_minus), float(E_plus),

@@ -9,6 +9,11 @@ Weights follow
 with ||gamma|| the total l1 path length.  Enumeration is exact over a finite
 host set and every partial sum carries a certified tail, so the inequality
 tests are sound rather than optimistic.
+
+The certified sum takes the R-admissible class and the largest pair weight
+w(m, n) = exp(-kappa0 |m - n|).  The trajectory bounds hold for both classes
+and every w below that cap, and every plain-admissible path is R-admissible,
+so this sum dominates every other choice: it is the one worth checking.
 """
 
 from __future__ import annotations
@@ -200,12 +205,12 @@ class SumResult:
         return self.partial + self.tail
 
 
-def sum_enumerate(m, n, prof: WeightProfile, eps0: float, variant: str = "R",
-                  len_cap: int = 5, w=None) -> SumResult:
-    """sum_k eps0^(k-1) sum over admissible gamma of w_D(gamma), plus tail.
+def sum_enumerate(m, n, prof: WeightProfile, eps0: float, len_cap: int = 5) -> SumResult:
+    """sum_k eps0^(k-1) sum over R-admissible gamma of w_D(gamma), plus tail.
 
-    Enumerates every trajectory of length <= len_cap inside the host with
-    endpoints (m, n); the tail bound sums eps0^(k-1) e^(k Dbar) (8/kappa0)^((k-1) nu)
+    w_D takes the largest pair weight (see the module docstring).  Enumerates
+    every trajectory of length <= len_cap inside the host with endpoints
+    (m, n); the tail bound sums eps0^(k-1) e^(k Dbar) (8/kappa0)^((k-1) nu)
     over k > len_cap and errors if that series diverges.
 
     Each length's paths are host-index arrays in itertools.product order,
@@ -217,31 +222,24 @@ def sum_enumerate(m, n, prof: WeightProfile, eps0: float, variant: str = "R",
     host = prof.host.sites
     if m not in prof.host or n not in prof.host:
         raise ValueError("trajectory endpoints must lie in the host set")
-    if variant not in ("plain", "R"):
-        raise ValueError(f"unknown admissibility variant {variant!r}")
-    if w is None:
-        w = lambda a, b: math.exp(-prof.kappa0 * _dist(a, b))
     if len(host) ** max(0, len_cap - 2) > ENUMERATION_CAP:
         raise CombinatorialBudgetError(
             f"host of {len(host)} sites with len_cap {len_cap} exceeds the enumeration cap")
 
     D = np.array([prof.D[s] for s in host])
     high = D >= prof.high_threshold
-    pair_w, over_cap = np.ones((len(host),) * 2), np.zeros((len(host),) * 2, dtype=bool)
+    w = lambda a, b: math.exp(-prof.kappa0 * _dist(a, b))
+    pair_w = np.ones((len(host),) * 2)
     for (i, a), (j, b) in itertools.permutations(enumerate(host), 2):
-        pair_w[i, j] = val = w(a, b)
-        over_cap[i, j] = val > math.exp(-prof.kappa0 * _dist(a, b)) * CAP_SLACK
+        pair_w[i, j] = w(a, b)
 
     def block_total(P, total):
         """total plus the weights of the admissible paths among the rows of P."""
         P = P[np.all(P[:, 1:] != P[:, :-1], axis=1)]
         keep = np.ones(len(P), dtype=bool)
         for r in np.flatnonzero(high[P].sum(axis=1) >= 2):
-            keep[r] = is_admissible(Trajectory([host[i] for i in P[r]]), prof, variant)[0]
+            keep[r] = is_admissible(Trajectory([host[i] for i in P[r]]), prof, "R")[0]
         P = P[keep]
-        bad = over_cap[P[:, :-1], P[:, 1:]].any(axis=1)
-        if bad.any():  # weights() raises on the path's first pair over its cap
-            weights(Trajectory([host[i] for i in P[np.argmax(bad)]]), prof, w)
         dsum = sum(D[col] for col in P.T)
         prod = math.prod(pair_w[a, b] for a, b in zip(P.T, P.T[1:]))
         vals = prod * np.fromiter(map(math.exp, dsum.tolist()), float, len(P))
@@ -295,7 +293,7 @@ def log_smallness_threshold(prof: WeightProfile) -> float:
                -10 * (nu + 1) * math.log(2.0) - 8 * nu * math.log(prof.T))
 
 
-def closed_bound(m, n, prof: WeightProfile, eps0: float, strict: bool = False) -> BoundResult:
+def closed_bound(m, n, prof: WeightProfile, eps0: float) -> BoundResult:
     """Closed-form ceiling for the weighted trajectory sum between m and n.
 
     Off-diagonal: min(3 sqrt(eps0) exp(-(7/8) kappa0 |m-n| + 2 T (min mu)^(1/5)),
@@ -304,7 +302,7 @@ def closed_bound(m, n, prof: WeightProfile, eps0: float, strict: bool = False) -
                       2 exp(2 Dbar)).
 
     threshold_ok records whether eps0 sits below the power-law part of the
-    smallness ceiling; strict mode raises instead of flagging.
+    smallness ceiling.
     """
     bad = validate_profile(prof)
     if bad:
@@ -312,9 +310,6 @@ def closed_bound(m, n, prof: WeightProfile, eps0: float, strict: bool = False) -
     m, n = tuple(m), tuple(n)
     log_thr = log_smallness_threshold(prof)
     ok = math.log(eps0) <= log_thr
-    if strict and not ok:
-        raise EpsilonTooLargeError(
-            f"log eps0 = {math.log(eps0):.4g} above the smallness ceiling {log_thr:.4g}")
     root = math.sqrt(eps0)
     k0 = prof.kappa0
     T = prof.T

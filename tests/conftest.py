@@ -127,18 +127,17 @@ def restrict_reference(problem, S, k, order=None):
     return H
 
 
-def sum_enumerate_reference(m, n, prof, eps0, variant="R", len_cap=5, w=None):
-    """The weighted trajectory sum path by path, through ``is_admissible`` and
-    ``weights``, with its certified tail.
+def sum_enumerate_reference(m, n, prof, eps0, len_cap=5):
+    """The weighted trajectory sum path by path over the R class with the
+    largest pair weight, through ``is_admissible`` and ``weights``, with its
+    certified tail.
 
     Oracle for the array-enumerated ``trajectories.sum_enumerate``: partial,
-    tail and by_length must be equal bit for bit, and a bad pair weight must
-    raise the same error.
+    tail and by_length must be equal bit for bit.
     """
     m, n = tuple(m), tuple(n)
     host = list(map(tuple, prof.host))
-    if w is None:
-        w = lambda a, b: math.exp(-prof.kappa0 * _dist(a, b))
+    w = lambda a, b: math.exp(-prof.kappa0 * _dist(a, b))
     by_length = []
     partial = 0.0
     for k in range(1, len_cap + 1):
@@ -146,7 +145,7 @@ def sum_enumerate_reference(m, n, prof, eps0, variant="R", len_cap=5, w=None):
         if k == 1:
             if m == n:
                 g = Trajectory((m,))
-                ok, _ = is_admissible(g, prof, variant)
+                ok, _ = is_admissible(g, prof, "R")
                 if ok:
                     total_k = weights(g, prof, w)[0]
         else:
@@ -155,7 +154,7 @@ def sum_enumerate_reference(m, n, prof, eps0, variant="R", len_cap=5, w=None):
                 if any(a == b for a, b in zip(pts, pts[1:])):
                     continue
                 g = Trajectory(pts)
-                ok, _ = is_admissible(g, prof, variant)
+                ok, _ = is_admissible(g, prof, "R")
                 if ok:
                     total_k += weights(g, prof, w)[0]
         by_length.append(total_k)

@@ -1,8 +1,10 @@
-"""Every public module-level name under src/qpspec has a caller.
+"""Every public module-level name under src/qpspec has a caller, and every
+defaulted parameter of a public function or method is passed by one.
 
-A function or class that only tests call is dead weight: it is named
-somewhere in the package outside its own definition, or in the benchmark
-harness (bench/*.py), or it goes.
+A function, class or option that only tests use is dead weight: it is named
+or set somewhere in the package outside its own definition, or in the
+benchmark harness (bench/*.py), or it goes.  Calls are matched by name only,
+so a parameter counts as passed when any call of that name could set it.
 """
 
 import ast
@@ -12,8 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qpspec"
 BENCH = ROOT / "bench"
 
-# Kept without a caller on purpose: ROADMAP item 2 (error bars for every
-# reported energy) uses it for the truncation term of each enclosure.
+# Kept without a caller, and with its parameters unset, on purpose: ROADMAP
+# item 2 (error bars for every reported energy) uses it for the truncation
+# term of each enclosure.
 ALLOWED = {"decay_envelope"}
 
 
@@ -56,3 +59,56 @@ def test_every_public_name_has_a_caller():
             if node.name not in named and node.name not in ALLOWED:
                 uncalled.append(f"{path.stem}.{node.name}")
     assert not uncalled, f"no caller in src/ or bench/: {uncalled}"
+
+
+def _defaulted_params(tree):
+    """(name, param, positional index at a call or None) for each defaulted
+    parameter of a public function or method; methods drop their receiver."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            funcs = [(node, False)]
+        elif isinstance(node, ast.ClassDef):
+            funcs = [(f, not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in f.decorator_list))
+                     for f in node.body if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        for func, bound in funcs:
+            if func.name.startswith("_"):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield func.name, arg.arg, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield func.name, arg.arg, None
+
+
+def _passes(call, param, index) -> bool:
+    """Whether a call may set `param`, by keyword or at `index`."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, param, index in _defaulted_params(ast.parse(path.read_text())):
+            if name in ALLOWED:
+                continue
+            if not any(_passes(c, param, index) for c in calls.get(name, [])):
+                unset.append(f"{name}.{param}")
+    assert not unset, f"defaulted parameter never passed in src/ or bench/: {unset}"

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qpspec import model
 from qpspec.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,6 +119,43 @@ def test_huge_diophantine_window_is_a_budget_error(tmp_path, capsys, monkeypatch
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "regime" and "exceeds the cap" in err["message"]
+
+
+def test_validate_without_certificate_window_fails_cleanly(tmp_path, capsys):
+    # a window of 0 records no Diophantine certificate: reported, not raised
+    path = write_config(tmp_path, diophantine_window=0)
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    cert = json.loads(captured.out[:captured.out.rindex("}") + 1])
+    assert cert["diophantine_margin"] is None and cert["diophantine_witness"] is None
+    assert cert["certificate_ok"] is False
+
+
+def test_validate_computes_the_margin_once(tmp_path, capsys, monkeypatch):
+    calls = {"margin": 0, "validate": 0}
+    real_margin, real_validate = model.diophantine_margin, model.Problem.validate
+
+    def margin(*args, **kwargs):
+        calls["margin"] += 1
+        return real_margin(*args, **kwargs)
+
+    def validate(self):
+        calls["validate"] += 1
+        return real_validate(self)
+
+    monkeypatch.setattr(model, "diophantine_margin", margin)
+    monkeypatch.setattr(model.Problem, "validate", validate)
+    assert main(["validate", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
+    assert calls == {"margin": 1, "validate": 1}
+
+
+@pytest.mark.parametrize("key", ["traj_eps0", "box_radus"])
+def test_unknown_config_key_rejected(tmp_path, capsys, key):
+    path = write_config(tmp_path, **{key: 1})
+    assert main(["gaps", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config" and key in err["message"]
 
 
 def test_verify_inverse_report(tmp_path):

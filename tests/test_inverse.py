@@ -6,8 +6,7 @@ import pytest
 from qpspec import inverse, spectral
 from qpspec.dual_operator import restrict
 from qpspec.errors import RegimeError
-from qpspec.inverse import (DecayBound, DecayLadder, gap_table, improve_decay,
-                            improved_rate_factor, recovered_bound,
+from qpspec.inverse import (DecayBound, gap_table, improve_decay, recovered_bound,
                             verify_forward, verify_inverse)
 from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
@@ -132,7 +131,7 @@ def test_verify_inverse_one_gap_solve_per_label(compliant_problem, monkeypatch):
 
     monkeypatch.setattr(inverse, "gap_at", counting_gap_at)
     monkeypatch.setattr(spectral, "dense_spectrum", counting_dense)
-    report = verify_inverse(compliant_problem, 6, iterations=1, window_norm=4)
+    report = verify_inverse(compliant_problem, 6, window_norm=4)
     labels = [r.n0 for r in report.pointwise]
     assert len(labels) == 8
     assert sorted(gaps) == sorted(labels)
@@ -156,23 +155,6 @@ def test_quadratic_term_slope(golden_freq):
         vals.append(rb.quadratic_term)
     slope = np.polyfit(np.log(eps_list), np.log(vals), 1)[0]
     assert abs(slope - 2.0) <= 0.1
-
-
-def test_decay_ladder_recursions():
-    lad = DecayLadder.build(2.0 ** 30, 10)
-    for a, b in zip(lad.R, lad.R[1:]):
-        assert b == pytest.approx(1.25 * a)
-    for t, r in enumerate(lad.rho):
-        assert r == pytest.approx(2.0 ** (-10) * (t + 2) ** (-2))
-    assert lad.sigma(5) == pytest.approx(sum(lad.rho[:5]))
-    # sigma stays below the convergent ceiling
-    assert lad.sigma(1000) < (math.pi ** 2 / 6) * 2.0 ** (-10)
-
-
-def test_improved_rate_factor_floor():
-    lad = DecayLadder.build(2.0 ** 30, 30)
-    for t in range(1, 10):
-        assert improved_rate_factor(lad, t) > (15.0 / 16.0) ** 2
 
 
 def test_improve_zero_potential(golden_freq):
@@ -201,14 +183,14 @@ def test_improvement_chain_five_rounds(compliant_problem):
 
 
 def test_verify_inverse_zero_potential(zero_problem):
-    report = verify_inverse(zero_problem, 4, iterations=3, window_norm=2)
+    report = verify_inverse(zero_problem, 4, window_norm=2)
     assert report.hypothesis_ok
     assert report.final_ok
     assert "desk" in report.note
 
 
 def test_verify_inverse_compliant(compliant_problem):
-    report = verify_inverse(compliant_problem, 6, iterations=5, window_norm=4)
+    report = verify_inverse(compliant_problem, 6, window_norm=4)
     assert report.hypothesis_ok
     assert all(r.holds for r in report.pointwise)
     assert all(s.verified for s in report.improvement)
@@ -216,10 +198,14 @@ def test_verify_inverse_compliant(compliant_problem):
 
 
 def test_verify_inverse_hypothesis_failure(golden_freq):
-    # gaps ~ 2 eps e^{-0.5|m|} cannot sit under sqrt(eps) e^{-2|m|} at |m|=1
-    pot = Potential.from_harmonics({(0, 1): 0.6}, 1e-2, 0.5)
-    prob = Problem(golden_freq, pot)
-    report = verify_inverse(prob, 4, iterations=2, window_norm=1,
-                            gap_hypothesis_eps=1e-6)
-    assert not report.hypothesis_ok
-    assert report.pointwise == ()
+    # gaps ~ 2 eps |c0(m)| cannot sit under sqrt(eps) e^{-2|m|}: at eps = 4e-2
+    # and |m| = 1, 0.048 > 0.027; at eps = 1e-2 and |m| = 2, 0.0072 > 0.0018
+    for n0, c0, eps, norm in (((0, 1), 0.6, 4e-2, 1), ((0, 2), 0.36, 1e-2, 2)):
+        prob = Problem(golden_freq, Potential.from_harmonics({n0: c0}, eps, 0.5))
+        assert not prob.validate()
+        records, failures = gap_table(prob, [n0], 4)
+        assert not failures
+        assert records[n0].width > math.sqrt(eps) * math.exp(-2.0 * norm)
+        report = verify_inverse(prob, 4, window_norm=norm)
+        assert not report.hypothesis_ok
+        assert report.pointwise == ()

@@ -126,10 +126,10 @@ def test_gap_forward_bound(generic_problem):
         assert rec.width <= bound
 
 
-def test_gap_reconciliation_guard(harmonic_problem):
+def test_gap_reconciliation_guard(harmonic_problem, monkeypatch):
+    monkeypatch.setattr(spectral, "RECONCILE_TOL", 1e-18)
     with pytest.raises(ReconciliationError):
-        gap_at(harmonic_problem, (0, 1), paired_box(harmonic_problem, (0, 1), 5),
-               reconcile_tol=1e-18)
+        gap_at(harmonic_problem, (0, 1), paired_box(harmonic_problem, (0, 1), 5))
 
 
 def test_band_zero_potential(zero_problem):
