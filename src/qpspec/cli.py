@@ -13,14 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import checks
 from .errors import (CombinatorialBudgetError, EpsilonTooLargeError,
-                     FaithfulMaterializationError, GeometryError,
-                     LadderRangeError, QPSpecError, RegimeError,
+                     GeometryError, LadderRangeError, QPSpecError, RegimeError,
                      SiteBudgetError)
 from .inverse import gap_table, verify_forward, verify_inverse
 from .lattice import DEFAULT_SITE_BUDGET, ball, l1_norm
@@ -32,32 +32,76 @@ from .spectral import band
 
 FLOAT_FMT = "%.17g"
 
-# the accepted top-level config keys; load_config refuses any other
-REQUIRED_KEYS = ("omega", "a0", "b0", "epsilon", "kappa0")
-CONFIG_DEFAULTS = {
-    "nu": None, "coefficients": [], "ladder": None, "site_budget": DEFAULT_SITE_BUDGET,
+# An optional key: checked against `spec` when given, `value` when absent.
+Default = namedtuple("Default", "spec value")
+
+# The config, one entry per key at every level; load_config refuses any other
+# key, and reads an absent key and a null one alike.  A type marks a required
+# key.  Any other scalar is the key's default, and its type is the one
+# accepted: a float default takes any number, an int default an int >= 0.  A
+# dict is a nested table, and a one-item list a list of that item.
+CONFIG = {
+    "omega": [float], "a0": float, "b0": float, "epsilon": float, "kappa0": float,
+    "nu": Default(int, None),
+    "coefficients": Default([{"n": [int], "re": 0.0, "im": 0.0}], []),
+    "ladder": Default({"delta0": float, "beta1": float, "u_max": 2}, None),
+    "site_budget": DEFAULT_SITE_BUDGET,
     "diophantine_window": 50, "box_radius": 8, "gap_m_radius": 3,
-    "k_grid": {"min": 0.05, "max": 0.45, "points": 81}, "geometry_ladder": None,
+    "k_grid": {"min": 0.05, "max": 0.45, "points": 81},
+    "geometry_ladder": Default({"beta1": 0.5, "log_R": [float], "log_delta": [float]}, None),
     "geometry_k": 0.0, "geometry_s": 2, "seed": 0,
 }
 
 _BUDGET_ERRORS = (SiteBudgetError, CombinatorialBudgetError, RegimeError,
-                  FaithfulMaterializationError, LadderRangeError,
-                  GeometryError, EpsilonTooLargeError)
+                  LadderRangeError, GeometryError, EpsilonTooLargeError)
 
 
 def fmt(x) -> str:
     return FLOAT_FMT % float(x)
 
 
+def _check(spec, value, path, faults):
+    """`value` checked against `spec`, with absent defaults filled in; each
+    fault is appended to `faults`, named by its path."""
+    if isinstance(spec, Default):
+        return spec.value if value is None else _check(spec.spec, value, path, faults)
+    if value is None:
+        if isinstance(spec, (type, list)):
+            faults.append(f"missing config key {path}")
+            return None
+        if not isinstance(spec, dict):
+            return spec
+        value = {}
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            faults.append(f"{path or 'the config'} must be a table")
+            return None
+        at = f"{path}." if path else ""
+        faults.extend(f"unknown config key {at}{key}" for key in sorted(value.keys() - spec.keys()))
+        return {key: _check(item, value.get(key), at + key, faults) for key, item in spec.items()}
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            faults.append(f"{path} must be a list")
+            return None
+        return [_check(spec[0], item, f"{path}[{i}]", faults) for i, item in enumerate(value)]
+    number = int if int in (spec, type(spec)) else (int, float)
+    floor = 0 if type(spec) is int else float("-inf")
+    if isinstance(value, bool) or not isinstance(value, number) or value < floor:
+        want = "a number" if number is not int else "an int >= 0" if floor == 0 else "an int"
+        faults.append(f"{path} must be {want}, got {json.dumps(value)}")
+    return value
+
+
 def load_config(path):
-    """The config at `path` with every absent optional key at its default."""
+    """The config at `path`, checked against CONFIG, with every absent
+    optional key at its default."""
     with open(path) as fh:
-        cfg = json.load(fh)
-    unknown = sorted(set(cfg) - set(REQUIRED_KEYS) - set(CONFIG_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    return {**CONFIG_DEFAULTS, **cfg}
+        raw = json.load(fh)
+    faults = []
+    cfg = _check(CONFIG, raw, "", faults)
+    if faults:
+        raise ValueError("; ".join(faults))
+    return cfg
 
 
 def build_problem(cfg) -> Problem:
@@ -65,17 +109,14 @@ def build_problem(cfg) -> Problem:
         raise ValueError(f"nu={cfg['nu']} disagrees with omega of length {len(cfg['omega'])}")
     freq = Frequency(tuple(cfg["omega"]), cfg["a0"], cfg["b0"],
                      window_n=cfg["diophantine_window"])
-    table = {}
-    for item in cfg["coefficients"]:
-        table[tuple(item["n"])] = complex(item.get("re", 0.0), item.get("im", 0.0))
+    table = {tuple(item["n"]): complex(item["re"], item["im"]) for item in cfg["coefficients"]}
+    if any(len(n) != len(cfg["omega"]) for n in table):
+        raise ValueError("every coefficients[i].n needs one entry per omega component")
     pot = Potential.from_harmonics(table, cfg["epsilon"], cfg["kappa0"])
-    lad_cfg = cfg["ladder"]
-    ladder = None
-    if lad_cfg:
-        ladder = build_ladder(
-            lad_cfg["delta0"], lad_cfg["beta1"], lad_cfg.get("u_max", 2),
-            regime=lad_cfg.get("regime", "desk"), a0=cfg["a0"], kappa0=cfg["kappa0"],
-            site_budget=cfg["site_budget"], nu=len(cfg["omega"]))
+    lad = cfg["ladder"]
+    ladder = None if lad is None else build_ladder(
+        lad["delta0"], lad["beta1"], lad["u_max"],
+        site_budget=cfg["site_budget"], nu=len(cfg["omega"]))
     return Problem(freq, pot, ladder, site_budget=cfg["site_budget"])
 
 
@@ -83,7 +124,7 @@ def _error_json(kind, exc):
     sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
 
 
-def cmd_validate(cfg, problem, out_dir, args):
+def cmd_validate(cfg, problem, out_dir):
     report = problem.validate()
     margin, witness = problem.diophantine or (None, None)
     cert = {
@@ -93,14 +134,14 @@ def cmd_validate(cfg, problem, out_dir, args):
         "certificate_ok": margin is not None and margin >= problem.frequency.a0 and not report,
     }
     print(json.dumps(cert, indent=2, sort_keys=True))
-    if problem.ladder is not None and problem.ladder.regime == "desk":
+    if problem.ladder is not None:
         thr = EpsilonThresholds.from_ladder(problem.ladder, problem.potential.kappa0,
                                             problem.nu)
         print(f"log eps0 threshold: {fmt(thr.log_eps0)}")
     return 0 if cert["certificate_ok"] else 1
 
 
-def cmd_band(cfg, problem, out_dir, args):
+def cmd_band(cfg, problem, out_dir):
     host = ball(cfg["box_radius"], problem.nu, budget=problem.site_budget)
     grid = np.linspace(cfg["k_grid"]["min"], cfg["k_grid"]["max"], cfg["k_grid"]["points"])
     points = band(problem, grid, lambda k: host)
@@ -125,7 +166,7 @@ def _forward_rows(cfg, problem):
     return records, failures, rows
 
 
-def cmd_gaps(cfg, problem, out_dir, args):
+def cmd_gaps(cfg, problem, out_dir):
     records, failures, rows = _forward_rows(cfg, problem)
     path = out_dir / "gaps.csv"
     with open(path, "w") as fh:
@@ -145,13 +186,8 @@ def cmd_gaps(cfg, problem, out_dir, args):
     return 0
 
 
-def cmd_geometry(cfg, problem, out_dir, args):
-    ladder = problem.ladder
-    gl = cfg["geometry_ladder"]
-    if gl:
-        # synthetic ladder: explicit log sequences for desk geometry
-        ladder = ScaleLadder.from_sequences(gl.get("beta1", 0.5),
-                                            gl["log_R"], gl["log_delta"])
+def cmd_geometry(cfg, problem, out_dir):
+    ladder = cfg["geometry_ladder"] or problem.ladder
     if ladder is None:
         raise RegimeError("geometry requires a ladder in the config")
     k = cfg["geometry_k"]
@@ -178,7 +214,7 @@ def cmd_geometry(cfg, problem, out_dir, args):
     return 0
 
 
-def cmd_traj_bound(cfg, problem, out_dir, args):
+def cmd_traj_bound(cfg, problem, out_dir):
     rng = np.random.default_rng(cfg["seed"])
     zero = tuple([0] * problem.nu)
     print("m,n,partial,tail,closed_bound,ok")
@@ -193,7 +229,7 @@ def cmd_traj_bound(cfg, problem, out_dir, args):
     return 0 if all_ok else 3
 
 
-def cmd_verify_forward(cfg, problem, out_dir, args):
+def cmd_verify_forward(cfg, problem, out_dir):
     _, failures, rows = _forward_rows(cfg, problem)
     bad = [r for r in rows if not r.passed]
     for row in rows:
@@ -205,7 +241,7 @@ def cmd_verify_forward(cfg, problem, out_dir, args):
     return 0 if not bad else 3
 
 
-def cmd_verify_inverse(cfg, problem, out_dir, args):
+def cmd_verify_inverse(cfg, problem, out_dir):
     report = verify_inverse(problem, cfg["box_radius"], window_norm=cfg["gap_m_radius"])
     doc = {
         "hypothesis_ok": report.hypothesis_ok,
@@ -230,7 +266,7 @@ def cmd_verify_inverse(cfg, problem, out_dir, args):
     return 0 if ok else 3
 
 
-def cmd_selftest(cfg, problem, out_dir, args):
+def cmd_selftest(cfg, problem, out_dir):
     results = checks.run_selftest(problem, seed=cfg["seed"])
     failed = 0
     for r in results:
@@ -259,22 +295,19 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--desk", dest="regime", action="store_const", const="desk")
-    mode.add_argument("--faithful", dest="regime", action="store_const", const="faithful")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        if args.regime is not None:
-            if not cfg["ladder"]:
-                raise RegimeError(f"--{args.regime} needs a ladder in the config")
-            cfg["ladder"]["regime"] = args.regime  # the regime only affects the ladder
         problem = build_problem(cfg)
+        gl = cfg["geometry_ladder"]
+        if gl is not None:  # built here, so that a malformed one is a config error
+            cfg["geometry_ladder"] = ScaleLadder.from_sequences(
+                gl["beta1"], gl["log_R"], gl["log_delta"])
     except _BUDGET_ERRORS as exc:
         _error_json("regime", exc)
         return 2
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         _error_json("config", exc)
         return 1
     if args.seed is not None:
@@ -287,7 +320,7 @@ def main(argv=None) -> int:
         if report:  # validate reports its own violations
             _error_json("validation", "; ".join(report))
             return 1
-        return COMMANDS[args.command](cfg, problem, out_dir, args)
+        return COMMANDS[args.command](cfg, problem, out_dir)
     except _BUDGET_ERRORS as exc:
         _error_json("regime", exc)
         return 2

@@ -9,10 +9,6 @@ class SiteBudgetError(QPSpecError):
     """A lattice set would exceed the configured site budget."""
 
 
-class FaithfulMaterializationError(QPSpecError):
-    """A faithful-regime quantity was asked to leave log space."""
-
-
 class LadderRangeError(QPSpecError):
     """A lattice vector falls outside the range covered by the scale ladder."""
 

@@ -179,7 +179,7 @@ def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:
 
     The points of the (2r + 1)^nu box with l1 norm <= r, encoded and
     sorted.  Refuses to materialize more than `budget` sites; the budget
-    guards desk-scale memory against faithful-constant radii, and is
+    guards memory against the radii the paper's constants give, and is
     checked before the box is built.
     """
     if R < 0:

@@ -1,9 +1,8 @@
 """Problem data: frequency vector, potential coefficients, scale ladder.
 
-The ladder and the smallness thresholds live in natural-log space.  The
-faithful regime keeps them there (the underlying constants are not
-representable as binary floats); the desk regime materializes them from
-caller-chosen small seeds while preserving the recursion shape.
+The ladder and the smallness thresholds live in natural-log space, so the
+recursions run unchanged from caller-chosen small seeds and materialize
+only where a set construction or an eigensolve needs them.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FaithfulMaterializationError, LadderRangeError, SiteBudgetError
+from .errors import LadderRangeError, SiteBudgetError
 from .lattice import DEFAULT_SITE_BUDGET, l1_ball_size, l1_norm, punctured_ball
 
 
@@ -33,6 +32,8 @@ class Frequency:
     window_n: int = 0
 
     def __post_init__(self):
+        if self.window_n < 0:
+            raise ValueError("the Diophantine window must be >= 0")
         if max(abs(w) for w in self.omega) > 1 + 1e-15:
             raise ValueError("normalization requires |omega_j| <= 1")
         if not (0 < self.a0 < 1):
@@ -143,10 +144,6 @@ def validate_potential(p: Potential):
 # Scale ladder
 # ---------------------------------------------------------------------------
 
-# Faithful seeds per the construction: log R1 >= max(log(100/a0), 2^34/beta1 * log(1/kappa0)).
-_FAITHFUL_R1_FACTOR = 2.0 ** 34
-
-
 @dataclass(frozen=True)
 class ScaleLadder:
     """The (R^(u), delta0^(u)) recursion held in natural-log space.
@@ -157,14 +154,12 @@ class ScaleLadder:
         log R^(u)     = -beta1 * log delta0^(u-1)
         log delta^(u) = -(log R^(u))^2
 
-    exactly in the stored representation.  In the faithful regime R-values
-    never leave log space.
+    exactly in the stored representation.
     """
 
     beta1: float
     log_R: tuple          # length u_max, rungs 1..u_max
     log_delta: tuple      # length u_max + 1, rungs 0..u_max
-    regime: str           # "desk" | "faithful"
     exact_recursion: bool = True
 
     @property
@@ -184,16 +179,11 @@ class ScaleLadder:
         return self.log_delta[u]
 
     def R(self, u: int) -> float:
-        """Materialized R^(u); refused in the faithful regime."""
-        if self.regime == "faithful":
-            raise FaithfulMaterializationError("faithful ladder stays in log space")
         if u == 0:
             return 0.0
         return math.exp(self.log_R_at(u))
 
     def delta(self, u: int) -> float:
-        if self.regime == "faithful":
-            raise FaithfulMaterializationError("faithful ladder stays in log space")
         return math.exp(self.log_delta_at(u))
 
     def scale_of(self, m) -> int:
@@ -209,7 +199,7 @@ class ScaleLadder:
 
     @staticmethod
     def from_sequences(beta1, log_R, log_delta) -> "ScaleLadder":
-        """Synthetic desk ladder from explicit sequences (geometry experiments).
+        """Synthetic ladder from explicit sequences (geometry experiments).
 
         Only monotonicity is validated; the exact recursion flag is cleared.
         """
@@ -221,55 +211,37 @@ class ScaleLadder:
             raise ValueError("R must increase strictly")
         if any(b >= a for a, b in zip(log_delta, log_delta[1:])):
             raise ValueError("delta must decrease strictly")
-        return ScaleLadder(beta1, log_R, log_delta, "desk", exact_recursion=False)
+        return ScaleLadder(beta1, log_R, log_delta, exact_recursion=False)
 
 
-def build_ladder(delta0: float, beta1: float, u_max: int, regime: str = "desk",
-                 a0: float = None, kappa0: float = None,
+def build_ladder(delta0: float, beta1: float, u_max: int,
                  site_budget: int = DEFAULT_SITE_BUDGET, nu: int = 2) -> ScaleLadder:
     """Build the scale ladder from a seed delta0.
 
-    Desk regime: log R^(1) = -beta1 log delta0 with the caller keeping
-    R^(1) materializable.  Faithful regime: the seed log R^(1) honors the
-    construction floor max(log(100/a0), 2^34 beta1^-1 log kappa0^-1) and
-    the ladder never leaves log space.
+    log R^(1) = -beta1 log delta0, and R^(1) must fit the site budget, so
+    that the sets the ladder sizes can be materialized.
     """
     if not (0 < delta0 < 1):
         raise ValueError("delta0 must lie in (0, 1)")
     if beta1 <= 0 or u_max < 1:
         raise ValueError("need beta1 > 0 and u_max >= 1")
     log_d0 = math.log(delta0)
-    if regime == "faithful":
-        floor = -4.0 * beta1 * log_d0
-        if a0 is not None:
-            floor = max(floor, math.log(100.0 / a0))
-        if kappa0 is not None:
-            floor = max(floor, _FAITHFUL_R1_FACTOR / beta1 * math.log(1.0 / kappa0))
-        log_R1 = floor
-        log_delta = [(-1.0 / beta1) * log_R1]  # delta0^(0) = R1^(-1/beta1)
-    elif regime == "desk":
-        log_R1 = -beta1 * log_d0
-        log_delta = [log_d0]
-        if beta1 * log_R1 <= 1.0:
-            raise ValueError(
-                "desk ladder not monotone: need beta1 * log R^(1) > 1 "
-                f"(got beta1={beta1}, log R1={log_R1:.4g})")
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-
-    log_R = [log_R1]
+    log_R = [-beta1 * log_d0]
+    log_delta = [log_d0]
+    if beta1 * log_R[0] <= 1.0:
+        raise ValueError(
+            "ladder not monotone: need beta1 * log R^(1) > 1 "
+            f"(got beta1={beta1}, log R1={log_R[0]:.4g})")
     for _ in range(1, u_max):
         log_delta.append(-(log_R[-1] ** 2))
         log_R.append(-beta1 * log_delta[-1])
     log_delta.append(-(log_R[-1] ** 2))
 
-    if regime == "desk":
-        log_budget_R = math.log(_radius_for_budget(site_budget, nu))
-        if log_R[0] > log_budget_R:
-            raise SiteBudgetError(
-                f"desk R^(1)=exp({log_R[0]:.3g}) exceeds the materializable radius "
-                f"for budget {site_budget}")
-    return ScaleLadder(beta1, tuple(log_R), tuple(log_delta), regime)
+    if log_R[0] > math.log(_radius_for_budget(site_budget, nu)):
+        raise SiteBudgetError(
+            f"R^(1)=exp({log_R[0]:.3g}) exceeds the materializable radius "
+            f"for budget {site_budget}")
+    return ScaleLadder(beta1, tuple(log_R), tuple(log_delta))
 
 
 def _radius_for_budget(budget: int, nu: int) -> int:

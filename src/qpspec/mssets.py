@@ -96,8 +96,6 @@ class GeometryBuilder:
         self.ladder = ladder if ladder is not None else problem.ladder
         if self.ladder is None:
             raise ValueError("geometry requires a scale ladder")
-        if self.ladder.regime == "faithful":
-            raise RegimeError("faithful ladders refuse set materialization; use a desk ladder")
         self.budget = problem.site_budget
         self._plain_cache = {}
         self._balls = {}

@@ -54,6 +54,22 @@ def geometry_ladder():
 
 
 @pytest.fixture(scope="session")
+def faithful_ladder():
+    """The paper's seed ladder, held in log space (beta1 = 1/96, kappa0 = 1/2).
+
+    log R^(1) is the construction floor max(log(100/a0), 2^34 beta1^-1
+    log kappa0^-1) at a0 = 0.1, delta0^(0) = R^(1)^(-1/beta1), and the
+    recursion runs to u_max = 2.  No rung is representable outside log space.
+    """
+    beta1 = 1.0 / 96.0
+    log_R1 = 2.0 ** 34 / beta1 * math.log(2.0)
+    log_delta1 = -(log_R1 ** 2)
+    log_R2 = -beta1 * log_delta1
+    return ScaleLadder.from_sequences(
+        beta1, (log_R1, log_R2), ((-1.0 / beta1) * log_R1, log_delta1, -(log_R2 ** 2)))
+
+
+@pytest.fixture(scope="session")
 def geometry_problem(golden_freq, geometry_ladder):
     freq = Frequency((1.0, GOLDEN), 0.1, 3.0, window_n=300)
     pot = Potential.from_harmonics({(0, 1): 0.6}, 1e-4, 0.5)

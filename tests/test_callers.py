@@ -1,5 +1,6 @@
-"""Every public module-level name under src/qpspec has a caller, and every
-defaulted parameter of a public function or method is passed by one.
+"""Every public module-level name under src/qpspec has a caller, every
+defaulted parameter of a public function or method is passed by one, and
+every key of the CLI's config table is read.
 
 A function, class or option that only tests use is dead weight: it is named
 or set somewhere in the package outside its own definition, or in the
@@ -112,3 +113,22 @@ def test_every_defaulted_parameter_is_passed():
             if not any(_passes(c, param, index) for c in calls.get(name, [])):
                 unset.append(f"{name}.{param}")
     assert not unset, f"defaulted parameter never passed in src/ or bench/: {unset}"
+
+
+def test_every_config_key_is_read():
+    # a key is read when cli.py subscripts something with it, outside the table
+    tree = ast.parse((SRC / "cli.py").read_text())
+    table = next(node for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "CONFIG" for t in node.targets))
+    keys = {key.value for node in ast.walk(table) if isinstance(node, ast.Dict)
+            for key in node.keys if isinstance(key, ast.Constant)}
+    read = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is table:
+            continue
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            read.add(node.slice.value)
+        stack.extend(ast.iter_child_nodes(node))
+    assert keys and not keys - read, f"config key never read by cli.py: {sorted(keys - read)}"

@@ -150,6 +150,63 @@ def test_validate_computes_the_margin_once(tmp_path, capsys, monkeypatch):
     assert calls == {"margin": 1, "validate": 1}
 
 
+GOLDEN = json.loads(GOLDEN_CONFIG.read_text())
+LADDER, GEOMETRY_LADDER = GOLDEN["ladder"], GOLDEN["geometry_ladder"]
+
+# (command, top-level overrides, a fragment of the config error's message);
+# each config is malformed in one nested key, value or shape
+MALFORMED = {
+    "coefficient-typo": ("verify-forward", {"coefficients": [{"n": [0, 1], "real": 0.6},
+                                                             {"n": [0, -1], "real": 0.6}]},
+                         "unknown config key coefficients[0].real"),
+    "coefficient-of-wrong-dimension": ("gaps", {"coefficients": [{"n": [0, 1, 2], "re": 0.1}]},
+                                       "one entry per omega component"),
+    "ladder-typo": ("validate", {"ladder": {**LADDER, "u_mx": 3}},
+                    "unknown config key ladder.u_mx"),
+    "k-grid-typo": ("validate", {"k_grid": {**GOLDEN["k_grid"], "pionts": 5}},
+                    "unknown config key k_grid.pionts"),
+    "ladder-regime": ("validate", {"ladder": {**LADDER, "regime": "desk"}},
+                      "unknown config key ladder.regime"),
+    "ladder-not-a-table": ("validate", {"ladder": 3}, "ladder must be a table"),
+    "geometry-ladder-without-log-R": (
+        "geometry", {"geometry_ladder": {"beta1": 0.35, "log_delta": GEOMETRY_LADDER["log_delta"]}},
+        "missing config key geometry_ladder.log_R"),
+    "geometry-ladder-not-monotone": (
+        "geometry", {"geometry_ladder": {**GEOMETRY_LADDER,
+                                         "log_R": GEOMETRY_LADDER["log_R"][::-1]}},
+        "R must increase strictly"),
+    "geometry-ladder-wrong-length": (
+        "geometry", {"geometry_ladder": {**GEOMETRY_LADDER,
+                                         "log_delta": GEOMETRY_LADDER["log_delta"][:2]}},
+        "need log_delta rungs"),
+    "negative-box-radius": ("gaps", {"box_radius": -1}, "box_radius must be an int >= 0"),
+    "negative-gap-m-radius": ("gaps", {"gap_m_radius": -1}, "gap_m_radius must be an int >= 0"),
+    "negative-seed": ("traj-bound", {"seed": -1}, "seed must be an int >= 0"),
+    "negative-diophantine-window": ("gaps", {"diophantine_window": -1},
+                                    "diophantine_window must be an int >= 0"),
+    "negative-geometry-s": ("geometry", {"geometry_s": -1}, "geometry_s must be an int >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_is_one_json_error(tmp_path, capsys, case):
+    command, overrides, message = MALFORMED[case]
+    path = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "config" and message in err["message"]
+
+
+def test_partial_k_grid_takes_its_defaults(tmp_path):
+    path = write_config(tmp_path, k_grid={"points": 3}, box_radius=4)
+    assert main(["band", "--config", str(path), "--out", str(tmp_path)]) == 0
+    ks = [float(line.split(",")[0]) for line in
+          (tmp_path / "band.csv").read_text().splitlines()[2:]]
+    assert ks == [0.05, 0.25, 0.45]
+
+
 @pytest.mark.parametrize("key", ["traj_eps0", "box_radus"])
 def test_unknown_config_key_rejected(tmp_path, capsys, key):
     path = write_config(tmp_path, **{key: 1})
@@ -175,24 +232,11 @@ def test_cli_entrypoint_runs():
     assert proc.returncode == 0
 
 
-def test_regime_flags_select_ladder(tmp_path, capsys):
-    # the golden config carries a desk ladder; the flags override its regime
-    args = ["validate", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]
-    assert main(args + ["--desk"]) == 0
-    assert "log eps0 threshold" in capsys.readouterr().out
-    assert main(args + ["--faithful"]) == 0
-    assert "log eps0 threshold" not in capsys.readouterr().out
-
-
-def test_regime_flag_without_ladder_rejected(tmp_path, capsys):
-    cfg = json.loads(GOLDEN_CONFIG.read_text())
-    del cfg["ladder"]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    rc = main(["validate", "--config", str(path), "--out", str(tmp_path), "--faithful"])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "regime" and "needs a ladder" in err["message"]
+def test_regime_flags_are_gone(tmp_path):
+    for flag in ("--desk", "--faithful"):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path), flag])
+        assert exc.value.code == 2  # argparse's usage error
 
 
 def test_nu_mismatch_rejected(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpspec.errors import FaithfulMaterializationError, LadderRangeError
+from qpspec.errors import LadderRangeError
 from qpspec.model import (EpsilonThresholds, Frequency, Potential, ScaleLadder,
                           build_ladder, diophantine_margin, sigma,
                           validate_potential)
@@ -39,6 +39,11 @@ def test_diophantine_golden_mean():
     margin, witness = diophantine_margin(freq, 50)
     assert margin > 0
     assert abs(witness[1]) in FIBONACCI
+
+
+def test_negative_diophantine_window_refused():
+    with pytest.raises(ValueError, match="window"):
+        Frequency((1.0, GOLDEN), 0.1, 3.0, window_n=-1)
 
 
 def test_diophantine_resonant_frequency():
@@ -83,16 +88,6 @@ def test_ladder_recursion_exact():
         assert lad.log_delta_at(u) == -(lad.log_R_at(u) ** 2)
 
 
-def test_faithful_ladder_refuses_materialization():
-    lad = build_ladder(1e-3, 1.0 / 96.0, 2, regime="faithful", a0=0.1, kappa0=0.5)
-    # seed floor 2^34 beta1^-1 log(1/kappa0)
-    assert lad.log_R_at(1) >= 2.0 ** 34 * 96.0 * math.log(2.0)
-    with pytest.raises(FaithfulMaterializationError):
-        lad.R(1)
-    with pytest.raises(FaithfulMaterializationError):
-        lad.delta(0)
-
-
 def test_desk_ladder_monotonicity_guard():
     with pytest.raises(ValueError):
         build_ladder(0.5, 0.5, 2)  # beta1 * log R1 < 1
@@ -122,8 +117,8 @@ def test_epsilon_thresholds_decreasing():
     assert all(a >= b for a, b in zip((thr.log_eps0,) + thr.log_eps_s, thr.log_eps_s))
 
 
-def test_epsilon_thresholds_faithful_log_space():
-    lad = build_ladder(1e-3, 1.0 / 96.0, 2, regime="faithful", a0=0.1, kappa0=0.5)
+def test_epsilon_thresholds_faithful_log_space(faithful_ladder):
+    lad = faithful_ladder
     thr = EpsilonThresholds.from_ladder(lad, 0.5, 2)
     assert np.isfinite(thr.log_eps0)
     assert thr.log_eps0 < -1e5

@@ -282,14 +282,6 @@ def test_separation_violation_raises():
         GeometryBuilder(prob).site_classes(0.0, 2)
 
 
-def test_faithful_ladder_refuses_geometry(golden_freq):
-    from qpspec.model import build_ladder
-    lad = build_ladder(1e-3, 1.0 / 96.0, 2, regime="faithful", a0=0.1, kappa0=0.5)
-    prob = Problem(golden_freq, Potential({}, 1e-4, 0.5), lad)
-    with pytest.raises(RegimeError):
-        GeometryBuilder(prob)
-
-
 def test_symmetric_pair_removed_in_one_step():
     # hand-built reflection pair straddling the ball: one subtraction step
     start = ball(12, 2)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpspec.errors import LadderRangeError
-from qpspec.model import Frequency, Potential, Problem, ScaleLadder, build_ladder
+from qpspec.model import Frequency, Potential, Problem, ScaleLadder
 from qpspec.resonance import interval, k_point, reset
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -149,8 +149,8 @@ def test_boundary_hit_flagged():
     assert n0 not in prof.reset
 
 
-def test_j_contains_i_at_faithful_scale(golden_freq):
-    lad = build_ladder(1e-3, 1.0 / 96.0, 2, regime="faithful", a0=0.1, kappa0=0.5)
+def test_j_contains_i_at_faithful_scale(golden_freq, faithful_ladder):
+    lad = faithful_ladder
     # (3/4) log delta^(s) <= log(a0 (1+|n|)^(-b0-3)) in log space
     for n, s in (((0, 1), 1), ((5, -8), 1)):
         log_i = 0.75 * lad.log_delta_at(s)
