@@ -153,7 +153,7 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     if len(roots) != 2:
         return CheckResult("zeta-pair", False, f"{len(roots)} roots in the pair windows")
     zm, zp = sorted(roots)
-    E_plus, E_minus, _, _ = eigen_pair(problem, S, k, zero, n0)
+    E_plus, E_minus = (rec.E for rec in eigen_pair(problem, S, k, zero, n0))
     dev = max(abs(zp - E_plus) / max(1.0, abs(E_plus)),
               abs(zm - E_minus) / max(1.0, abs(E_minus)))
     ok = (dev <= 1e-12 and zeta_separation_ok(node, 0.0, zm, zp)

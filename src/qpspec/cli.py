@@ -92,11 +92,13 @@ def _check(spec, value, path, faults):
     return value
 
 
-def load_config(path):
-    """The config at `path`, checked against CONFIG, with every absent
-    optional key at its default."""
+def load_config(path, seed=None):
+    """The config at `path`, with `seed` (when given) in place of its own,
+    checked against CONFIG, with every absent optional key at its default."""
     with open(path) as fh:
         raw = json.load(fh)
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
     faults = []
     cfg = _check(CONFIG, raw, "", faults)
     if faults:
@@ -134,7 +136,7 @@ def cmd_validate(cfg, problem, out_dir):
         "certificate_ok": margin is not None and margin >= problem.frequency.a0 and not report,
     }
     print(json.dumps(cert, indent=2, sort_keys=True))
-    if problem.ladder is not None:
+    if problem.ladder is not None and not report:  # the thresholds need a valid kappa0
         thr = EpsilonThresholds.from_ladder(problem.ladder, problem.potential.kappa0,
                                             problem.nu)
         print(f"log eps0 threshold: {fmt(thr.log_eps0)}")
@@ -298,7 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.seed)
         problem = build_problem(cfg)
         gl = cfg["geometry_ladder"]
         if gl is not None:  # built here, so that a malformed one is a config error
@@ -310,8 +312,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         _error_json("config", exc)
         return 1
-    if args.seed is not None:
-        cfg["seed"] = args.seed
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

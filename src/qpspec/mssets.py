@@ -33,12 +33,7 @@ def is_correct_word(letters) -> bool:
     maximum counts as -infinity, so immediate repeats are incorrect.
     """
     a = list(letters)
-    n = len(a)
-    for j in range(n):
-        for k in range(j + 1, n):
-            if a[j] == a[k] and all(a[i] < a[j] for i in range(j + 1, k)):
-                return False
-    return True
+    return all(_extension_correct(a[:k + 1]) for k in range(len(a)))
 
 
 def max_correct_length(s: int) -> int:

@@ -36,7 +36,9 @@ class ReducedSolver:
         self.reduced_sites = [sites[i] for i in keep]
         self._keep = np.asarray(keep, dtype=int)
         self._piv_idx = {p: self.full.sites.index(p) for p in self.pivots}
-        self.H_rest = self.full.entries[np.ix_(self._keep, self._keep)]
+        # -H_rest, negated once: each energy's E - H_rest is a copy of it
+        self._minus_rest = np.asfortranarray(-self.full.entries[np.ix_(self._keep, self._keep)])
+        self._diag = np.diag_indices(len(keep))
         self._lu_cache = {}
 
     def coupling_column(self, m0) -> np.ndarray:
@@ -49,9 +51,12 @@ class ReducedSolver:
         if key not in self._lu_cache:
             if not self.reduced_sites:
                 raise SingularBlockError("reduced set is empty")
-            A = E * np.eye(len(self.reduced_sites)) - self.H_rest
+            # one fresh array per energy, factored in place (restrict refuses
+            # non-finite entries, so the finiteness scan is skipped)
+            A = self._minus_rest.copy(order="F")
+            A[self._diag] += E
             try:
-                lu, piv = sla.lu_factor(A)
+                lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise SingularBlockError(f"reduced matrix singular at E={E}") from exc
             if np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * max(1.0, np.max(np.abs(np.diag(lu)))):
@@ -83,12 +88,13 @@ class ReducedSolver:
         row = np.conj(self.coupling_column(mp))  # h(mp, n)
         return complex(direct + row @ self.solve(E, col))
 
-    def f(self, m0, E: float) -> dict:
-        """F(m0, n; E), the eigenvector tail: phi(n) = -F(n), phi(m0) = 1.
+    def f(self, m0, E: float) -> np.ndarray:
+        """F(m0, n; E) over reduced_sites, the eigenvector tail: phi(n) = -F(n),
+        phi(m0) = 1.
 
         The sign follows the Schur blocks of (E - H), whose couplings are
         -h; the assembled phi(n) = -F(n) = +K h(., m0) solves H phi = E phi.
         """
-        col = self.coupling_column(m0)
-        x = self.solve(E, col)
-        return {s: -complex(x[i]) for i, s in enumerate(self.reduced_sites)}
+        if not self.reduced_sites:
+            return np.zeros(0, dtype=complex)
+        return -self.solve(E, self.coupling_column(m0))

@@ -14,13 +14,14 @@ chosen from H alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .dual_operator import TWO_PI_SQ, DualMatrix, dense_spectrum, diagonal_value, restrict
 from .errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
-from .lattice import SiteSet, ball, l1_norm
+from .lattice import SiteSet, ball
 from .model import Problem
 from .resonance import k_point
 from .schur import ReducedSolver
@@ -33,15 +34,48 @@ RESONANCE_POINT_TOL = 1e-9
 RECONCILE_TOL = 1e-9                  # oracle agreement, relative to max(1, |E|)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenRecord:
+    """An eigenvalue E of the solver's matrix, with its eigenvector on demand.
+
+    `phi` (a complex array over `sites`, 1 at the principal pivot) and its
+    `residual` max |H phi - E phi| / max |phi| are built on first read; the
+    dense fallback carries the oracle's vector.
+    """
     E: float
-    phi: dict
-    host: SiteSet
-    k: float
     regime: str
-    residual: float
+    solver: ReducedSolver = field(repr=False)
     oracle_gap: float = None
+    dense_phi: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def sites(self) -> SiteSet:
+        return self.solver.full.sites
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        if self.dense_phi is not None:
+            return self.dense_phi
+        solver, H, E = self.solver, self.solver.full.entries, self.E
+        piv = [self.sites.index(p) for p in solver.pivots]
+        rest = np.ones(len(H), dtype=bool)
+        rest[piv] = False
+        tails = np.column_stack([-solver.f(p, E) for p in solver.pivots])   # K h(., p)
+        # pivot amplitudes: the null vector of E - M(E), M(E) the effective
+        # (Hermitian) matrix on the pivots, i.e. its eigenvector nearest E
+        w, V = np.linalg.eigh(H[np.ix_(piv, piv)] + H[np.ix_(piv, rest)] @ tails)
+        amps = V[:, np.argmin(np.abs(w - E))]
+        top = np.argmax(np.abs(amps))
+        amps = amps / amps[top]
+        amps[top] = 1.0
+        phi = np.empty(len(H), dtype=complex)
+        phi[piv], phi[rest] = amps, tails @ amps
+        return phi
+
+    @cached_property
+    def residual(self) -> float:
+        r = self.solver.full.entries @ self.phi - self.E * self.phi
+        return float(np.max(np.abs(r)) / max(np.max(np.abs(self.phi)), 1e-300))
 
 
 @dataclass(frozen=True)
@@ -56,11 +90,6 @@ class GapRecord:
     def __post_init__(self):
         if self.E_plus < self.E_minus - 1e-15:
             raise ValueError("gap edges out of order")
-
-
-def _phi_residual(H: np.ndarray, phi: np.ndarray, E: float) -> float:
-    r = H @ phi - E * phi
-    return float(np.max(np.abs(r)) / max(np.max(np.abs(phi)), 1e-300))
 
 
 def _fixed_point(step, E0: float, scale: float) -> float:
@@ -95,7 +124,7 @@ def _oracle_nearest(M: DualMatrix, center: float) -> np.ndarray:
 
 def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
                  oracle_check: bool = True) -> EigenRecord:
-    """Fixed-point solve of E = v(m0, k) + Q(m0, S; E), eigenvector from F.
+    """Fixed-point solve of E = v(m0, k) + Q(m0, S; E); eigenvector from F on read.
 
     Starts at E = v(m0, k); contraction is guaranteed by |d_E Q| <= |eps|
     in the small-coupling regime.  A stalled fixed point (ConvergenceError)
@@ -117,14 +146,7 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
             raise ConvergenceError(
                 f"fixed point diverged at k={k}, m0={m0} and no dense eigenvector "
                 "concentrates on m0 (regime mismatch)")
-        phi = {s: complex(vec[i]) for i, s in enumerate(solver.full.sites)}
-        residual = _phi_residual(solver.full.entries, vec, E)
-        return EigenRecord(E, phi, solver.full.sites, k, "dense_fallback",
-                           residual, 0.0)
-    tail = solver.f(m0, E)
-    phi = {s: 1.0 + 0j if s == m0 else -tail[s] for s in solver.full.sites}
-    vec = np.array([phi[s] for s in solver.full.sites])
-    residual = _phi_residual(solver.full.entries, vec, E)
+        return EigenRecord(E, "dense_fallback", solver, 0.0, vec)
 
     oracle_gap = None
     if oracle_check:
@@ -133,8 +155,7 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
             raise ReconciliationError(
                 f"fixed point at k={k}, m0={m0} deviates from the dense oracle "
                 f"by {oracle_gap:.3g} (regime mismatch)")
-    return EigenRecord(float(E), phi, solver.full.sites, k, "nonresonant",
-                       residual, oracle_gap)
+    return EigenRecord(float(E), "nonresonant", solver, oracle_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +171,9 @@ def _pair_windows(solver: ReducedSolver, mp, mm):
     windows merge (the resonant case).
     """
     diag = solver.full.entries.diagonal().real
-    vp, vm = (float(diag[solver.full.sites.index(p)]) for p in (mp, mm))
-    foreign = solver.H_rest.diagonal().real
+    ends = [solver.full.sites.index(p) for p in (mp, mm)]
+    vp, vm = map(float, diag[ends])
+    foreign = np.delete(diag, ends)
     windows = []
     for v in (vp, vm):
         rho = float(np.min(np.abs(foreign - v), initial=math.inf))
@@ -180,7 +202,7 @@ def _ordered_pair(problem: Problem, solver: ReducedSolver, mp, mm):
 
 def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
                oracle_check: bool = True):
-    """Both roots of the paired characteristic equation with eigenvectors.
+    """Both roots of the paired characteristic equation, as records (plus, minus).
 
     Each root is a fixed point of the effective 2x2 matrix
     M(E) = [[v+ + Q+(E), G(E)], [conj G(E), v- + Q-(E)]]: E+ is the larger
@@ -188,20 +210,17 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
     roots of chi(E) = det(E - M(E)).  |dM/dE| = O(eps), so both iterations
     contract in a few steps from the pivots' mean diagonal.  Orders the
     pivots so the plus branch carries the larger diagonal-plus-self-energy
-    (the ordered-pair convention); returns (E_plus, E_minus, phi_plus,
-    phi_minus).  A root outside the pair windows is a regime error.
+    (the ordered-pair convention), whose eigenvectors are built on read.  A
+    root outside the pair windows is a regime error.
     """
     solver = ReducedSolver(problem, S, k, [mp, mm])
     mp, mm, vp, vm = _ordered_pair(problem, solver, tuple(mp), tuple(mm))
     center = 0.5 * (vp + vm)
 
-    def parts(E: float):
-        return (vp + solver.q(mp, E).real, vm + solver.q(mm, E).real,
-                solver.g(mp, mm, E))
-
     def root(sign: float) -> float:
         def step(E: float) -> float:
-            a1, a2, g = parts(E)
+            a1, a2 = vp + solver.q(mp, E).real, vm + solver.q(mm, E).real
+            g = solver.g(mp, mm, E)
             return 0.5 * (a1 + a2) + sign * math.hypot(0.5 * (a1 - a2), abs(g))
         return _fixed_point(step, center, max(1.0, abs(center)))
 
@@ -213,33 +232,16 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
                 f"pair root E={E:.6g} lies outside the pair windows "
                 f"(regime misclassification at k={k})")
 
-    def vector(E: float):
-        a1, a2, g = parts(E)
-        # null vector of [[E-a1, -g], [-conj(g), E-a2]] at a root of chi
-        if abs(E - a2) >= abs(E - a1):
-            amp_p, amp_m = E - a2, np.conj(g)
-        else:
-            amp_p, amp_m = g, E - a1
-        norm = max(abs(amp_p), abs(amp_m), 1e-300)
-        amp_p, amp_m = amp_p / norm, amp_m / norm
-        phi = {mp: amp_p, mm: amp_m}
-        if solver.reduced_sites:
-            col_p = solver.coupling_column(mp)
-            col_m = solver.coupling_column(mm)
-            rest = solver.solve(E, col_p * amp_p + col_m * amp_m)
-            phi.update({s: rest[i] for i, s in enumerate(solver.reduced_sites)})
-        return {s: phi[s] for s in solver.full.sites}
-
-    phi_plus, phi_minus = vector(E_plus), vector(E_minus)
-
+    gaps = (None, None)                   # oracle gaps of (E-, E+)
     if oracle_check:
-        got = np.sort(np.asarray([E_minus, E_plus]))
         want = _oracle_nearest(solver.full, center)
-        dev = float(np.max(np.abs(got - want)))
+        gaps = tuple(map(float, np.abs(np.sort([E_minus, E_plus]) - want)))
+        dev = max(gaps)
         if dev > RECONCILE_TOL * max(1.0, float(np.max(np.abs(want)))):
             raise ReconciliationError(
                 f"pair roots deviate from the dense oracle by {dev:.3g}")
-    return E_plus, E_minus, phi_plus, phi_minus
+    return (EigenRecord(E_plus, "paired", solver, gaps[1]),
+            EigenRecord(E_minus, "paired", solver, gaps[0]))
 
 
 def gap_at(problem: Problem, n0, S: SiteSet) -> GapRecord:
@@ -336,9 +338,8 @@ def band(problem: Problem, k_grid, S_builder):
                                  "resonance_point")
             m, km, _ = hit
             host = S if (zero in S and m in S) else paired_box(problem, m, 6)
-            E_plus, E_minus, _, _ = eigen_pair(problem, host, k, zero, m,
-                                               oracle_check=False)
-            return BandPoint(k, E_plus if k > km else E_minus, "paired")
+            plus, minus = eigen_pair(problem, host, k, zero, m, oracle_check=False)
+            return BandPoint(k, (plus if k > km else minus).E, "paired")
         except QPSpecError as exc:  # collected, not fatal
             return BandPoint(k, float("nan"), "error", str(exc))
 
@@ -365,24 +366,15 @@ def feynman_derivative(problem: Problem, S: SiteSet, k: float):
     return derivs, mask, evals
 
 
-def decay_envelope(problem: Problem, phi: dict, principal_sites,
-                   kappa0: float = None, slack: float = 4.0):
-    """Check |phi(n)| <= slack sqrt(eps) sum_{m in principal} e^{-(7/8) kappa0 |n-m|}.
+def decay_envelope(problem: Problem, record: EigenRecord):
+    """Check |phi(n)| <= 4 sqrt(eps) sum_{m in pivots} e^{-(7/8) kappa0 |n-m|}.
 
-    Returns (holds, worst_ratio).  Principal sites themselves are exempt
-    (their amplitude is O(1) by design).
+    Returns (holds, worst_ratio).  The pivots themselves are exempt (their
+    amplitude is O(1) by design), and so is any site whose bound underflows.
     """
-    kappa0 = problem.potential.kappa0 if kappa0 is None else kappa0
-    eps = problem.potential.epsilon
-    principal = {tuple(m) for m in principal_sites}
-    worst = 0.0
-    for n, val in phi.items():
-        if tuple(n) in principal:
-            continue
-        bound = slack * math.sqrt(eps) * sum(
-            math.exp(-0.875 * kappa0 * l1_norm(tuple(a - b for a, b in zip(n, m))))
-            for m in principal)
-        if bound == 0:
-            continue
-        worst = max(worst, abs(val) / bound)
+    pot = problem.potential
+    dist = np.abs(record.sites.array()[:, None, :] - np.asarray(record.solver.pivots)).sum(axis=2)
+    bound = 4.0 * math.sqrt(pot.epsilon) * np.exp(-0.875 * pot.kappa0 * dist).sum(axis=1)
+    free = (dist > 0).all(axis=1) & (bound > 0)
+    worst = float(np.max(np.abs(record.phi[free]) / bound[free], initial=0.0))
     return worst <= 1.0, worst

@@ -129,9 +129,9 @@ def test_acceptance_4_symmetry_suite(generic_problem, harmonic_problem):
         plus = eigen_simple(generic_problem, (0, 0), host, float(k), oracle_check=False)
         minus = eigen_simple(generic_problem, (0, 0), mirror, float(-k), oracle_check=False)
         worst_E = max(worst_E, abs(plus.E - minus.E))
+        mirrored = [minus.sites.index(tuple(-c for c in n)) for n in plus.sites]
         worst_phi = max(worst_phi,
-                        max(abs(minus.phi[tuple(-c for c in n)] - np.conj(v))
-                            for n, v in plus.phi.items()))
+                        np.max(np.abs(minus.phi[mirrored] - np.conj(plus.phi))))
     if worst_E > 1e-11:
         failures.append(f"E(k) vs E(-k): {worst_E:.3e} > 1e-11")
     if worst_phi > 1e-11:
@@ -148,10 +148,10 @@ def test_acceptance_4_symmetry_suite(generic_problem, harmonic_problem):
     S = paired_box(harmonic_problem, n0, 6)
     worst_pair = 0.0
     for theta in (1e-5, 5e-5, 2e-4):
-        Ep1, Em1, _, _ = eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
-                                    oracle_check=False)
-        Ep2, Em2, _, _ = eigen_pair(harmonic_problem, S, kn0 - theta, n0, (0, 0),
-                                    oracle_check=False)
+        Ep1, Em1 = (r.E for r in eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
+                                            oracle_check=False))
+        Ep2, Em2 = (r.E for r in eigen_pair(harmonic_problem, S, kn0 - theta, n0, (0, 0),
+                                            oracle_check=False))
         worst_pair = max(worst_pair, abs(Ep1 - Ep2), abs(Em1 - Em2))
     if worst_pair > 1e-10:
         failures.append(f"pair symmetry: {worst_pair:.3e} > 1e-10")
@@ -166,17 +166,16 @@ def test_acceptance_5_eigenvector_decay(generic_problem, harmonic_problem):
     for k in (0.11, 0.22, 0.41):
         rec = eigen_simple(generic_problem, (0, 0), ball(6, 2), k,
                            oracle_check=False)
-        ok, worst = decay_envelope(generic_problem, rec.phi, [(0, 0)])
+        ok, worst = decay_envelope(generic_problem, rec)
         if not ok:
             failures.append(f"simple branch at k={k}: ratio {worst:.3g}")
     n0 = (0, 1)
     kn0 = k_point(harmonic_problem.frequency, n0)
     S = paired_box(harmonic_problem, n0, 6)
     for theta in (1e-5, 1e-4):
-        _, _, pp, pm = eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
-                                  oracle_check=False)
-        for tag, phi in (("plus", pp), ("minus", pm)):
-            ok, worst = decay_envelope(harmonic_problem, phi, [(0, 0), n0])
+        pair = eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0, oracle_check=False)
+        for tag, rec in zip(("plus", "minus"), pair):
+            ok, worst = decay_envelope(harmonic_problem, rec)
             if not ok:
                 failures.append(f"pair {tag} at theta={theta}: ratio {worst:.3g}")
     report(5, "eigenvector decay envelope (slack 4)", failures)

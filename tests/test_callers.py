@@ -1,6 +1,7 @@
 """Every public module-level name under src/qpspec has a caller, every
-defaulted parameter of a public function or method is passed by one, and
-every key of the CLI's config table is read.
+defaulted parameter of a public function or method is passed by one, every
+key of the CLI's config table is read, and every name the benchmark's tracer
+binds exists.
 
 A function, class or option that only tests use is dead weight: it is named
 or set somewhere in the package outside its own definition, or in the
@@ -9,15 +10,15 @@ so a parameter counts as passed when any call of that name could set it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qpspec"
 BENCH = ROOT / "bench"
 
-# Kept without a caller, and with its parameters unset, on purpose: ROADMAP
-# item 2 (error bars for every reported energy) uses it for the truncation
-# term of each enclosure.
+# Kept without a caller on purpose: ROADMAP item 2 (error bars for every
+# reported energy) uses it for the truncation term of each enclosure.
 ALLOWED = {"decay_envelope"}
 
 
@@ -132,3 +133,24 @@ def test_every_config_key_is_read():
             read.add(node.slice.value)
         stack.extend(ast.iter_child_nodes(node))
     assert keys and not keys - read, f"config key never read by cli.py: {sorted(keys - read)}"
+
+
+def _tracer_table(name):
+    """The literal dict assigned to `name` in bench/tracing.py."""
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    node = next(node for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets))
+    return ast.literal_eval(node.value)
+
+
+def test_every_traced_name_resolves():
+    # the tracer wraps these by name; a rename or deletion breaks a traced run
+    functions, methods = _tracer_table("FUNCTIONS"), _tracer_table("METHODS")
+    assert functions and methods
+    missing = [f"{module}.{attr}" for module, attr in functions.values()
+               if not hasattr(importlib.import_module(module), attr)]
+    for module, cls, attr in methods.values():
+        owner = getattr(importlib.import_module(module), cls, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}.{cls}.{attr}")
+    assert not missing, f"traced by bench/tracing.py but not defined: {missing}"

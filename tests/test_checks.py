@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,8 +46,8 @@ def test_zeta_pair_catches_a_shifted_root(generic_problem, monkeypatch):
     eigen_pair = checks.eigen_pair
 
     def shifted(*args, **kwargs):
-        E_plus, E_minus, phi_plus, phi_minus = eigen_pair(*args, **kwargs)
-        return E_plus + 1e-9 * max(1.0, abs(E_plus)), E_minus, phi_plus, phi_minus
+        plus, minus = eigen_pair(*args, **kwargs)
+        return replace(plus, E=plus.E + 1e-9 * max(1.0, abs(plus.E))), minus
 
     monkeypatch.setattr(checks, "eigen_pair", shifted)
     result = checks._zeta_pair(generic_problem, 0)

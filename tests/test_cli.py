@@ -199,6 +199,27 @@ def test_malformed_config_is_one_json_error(tmp_path, capsys, case):
     assert err["error"] == "config" and message in err["message"]
 
 
+def test_negative_seed_flag_is_one_json_error(tmp_path, capsys):
+    # --seed passes the same check as the config's "seed"
+    argv = ["traj-bound", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]
+    assert main(argv + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "config" and "seed must be an int >= 0" in err["message"]
+
+
+def test_validate_skips_thresholds_for_an_invalid_kappa0(tmp_path, capsys):
+    # the golden config has a ladder; its thresholds need kappa0 > 0
+    path = write_config(tmp_path, kappa0=-1)
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    cert = json.loads(captured.out)
+    assert not cert["certificate_ok"]
+    assert any("kappa0" in v for v in cert["potential_violations"])
+    assert "threshold" not in captured.out and captured.err == ""
+
+
 def test_partial_k_grid_takes_its_defaults(tmp_path):
     path = write_config(tmp_path, k_grid={"points": 3}, box_radius=4)
     assert main(["band", "--config", str(path), "--out", str(tmp_path)]) == 0

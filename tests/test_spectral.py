@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpspec import schur, spectral
+from qpspec.cli import build_problem, load_config
 from qpspec.dual_operator import dense_spectrum, diagonal_value, restrict
 from qpspec.errors import ReconciliationError, RegimeError
 from qpspec.inverse import verify_forward
@@ -15,13 +17,15 @@ from qpspec.spectral import (band, decay_envelope, eigen_pair, eigen_simple,
                              feynman_derivative, gap_at, paired_box)
 
 TWO_PI_SQ = (2 * math.pi) ** 2
+GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golden_mean.json"
 
 
 def test_eigen_simple_zero_potential(zero_problem):
     rec = eigen_simple(zero_problem, (0, 0), ball(2, 2), 0.3, oracle_check=False)
     assert rec.E == pytest.approx(TWO_PI_SQ * 0.09, rel=1e-14)
-    assert rec.phi[(0, 0)] == 1.0
-    assert all(v == 0 for s, v in rec.phi.items() if s != (0, 0))
+    i0 = rec.sites.index((0, 0))
+    assert rec.phi[i0] == 1.0
+    assert all(v == 0 for i, v in enumerate(rec.phi) if i != i0)
 
 
 def test_eigen_simple_two_site_quadratic(golden_freq):
@@ -48,7 +52,7 @@ def test_eigen_simple_matches_oracle(generic_problem):
 def test_eigen_pair_zero_potential(zero_problem):
     S = ball(2, 2)
     mp, mm = (0, 0), (0, 1)
-    Ep, Em, pp, pm = eigen_pair(zero_problem, S, 0.2, mp, mm, oracle_check=False)
+    Ep, Em = (r.E for r in eigen_pair(zero_problem, S, 0.2, mp, mm, oracle_check=False))
     vals = sorted([diagonal_value(zero_problem, mp, 0.2),
                    diagonal_value(zero_problem, mm, 0.2)])
     assert Em == pytest.approx(vals[0], rel=1e-12)
@@ -61,7 +65,7 @@ def test_eigen_pair_two_site_closed_form(golden_freq):
     S = SiteSet.from_iterable([(0, 0), (0, 1)])
     n0 = (0, 1)
     k = k_point(golden_freq, n0) + 1e-5
-    Ep, Em, _, _ = eigen_pair(prob, S, k, (0, 0), n0, oracle_check=False)
+    Ep, Em = (r.E for r in eigen_pair(prob, S, k, (0, 0), n0, oracle_check=False))
     v0 = diagonal_value(prob, (0, 0), k)
     v1 = diagonal_value(prob, n0, k)
     c = abs(pot.c(n0))
@@ -74,7 +78,7 @@ def test_eigen_pair_oracle_and_sandwich(harmonic_problem):
     n0 = (0, 1)
     k = k_point(harmonic_problem.frequency, n0) + 2e-5
     S = paired_box(harmonic_problem, n0, 6)
-    Ep, Em, pp, pm = eigen_pair(harmonic_problem, S, k, (0, 0), n0)
+    Ep, Em = (r.E for r in eigen_pair(harmonic_problem, S, k, (0, 0), n0))
     # sandwich: E+ >= max(a1, a2 + |b|), E- <= min(a2, a1 - |b|)
     from qpspec.schur import ReducedSolver
     solver = ReducedSolver(harmonic_problem, S, k, [(0, 0), n0])
@@ -97,10 +101,10 @@ def test_eigen_pair_residuals(harmonic_problem):
     n0 = (0, 1)
     k = k_point(harmonic_problem.frequency, n0) + 2e-5
     S = paired_box(harmonic_problem, n0, 5)
-    Ep, Em, pp, pm = eigen_pair(harmonic_problem, S, k, (0, 0), n0)
     H = restrict(harmonic_problem, S, k)
-    for E, phi in ((Ep, pp), (Em, pm)):
-        vec = np.array([phi[s] for s in H.sites])
+    for rec in eigen_pair(harmonic_problem, S, k, (0, 0), n0):
+        assert rec.sites == H.sites
+        E, vec = rec.E, rec.phi
         resid = np.max(np.abs(H.entries @ vec - E * vec)) / np.max(np.abs(vec))
         assert resid <= 1e-10 * max(1.0, abs(E))
 
@@ -156,8 +160,8 @@ def test_phi_conjugate_symmetry(generic_problem):
     k = 0.2088
     plus = eigen_simple(generic_problem, (0, 0), host, k, oracle_check=False)
     minus = eigen_simple(generic_problem, (0, 0), host.reflect(), -k, oracle_check=False)
-    worst = max(abs(minus.phi[tuple(-c for c in n)] - np.conj(v))
-                for n, v in plus.phi.items())
+    mirrored = [minus.sites.index(tuple(-c for c in n)) for n in plus.sites]
+    worst = np.max(np.abs(minus.phi[mirrored] - np.conj(plus.phi)))
     assert worst <= 1e-11
 
 
@@ -166,10 +170,10 @@ def test_pair_symmetry_through_resonance(harmonic_problem):
     kn0 = k_point(harmonic_problem.frequency, n0)
     S = paired_box(harmonic_problem, n0, 6)
     for theta in (1e-5, 5e-5):
-        Ep1, Em1, _, _ = eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
-                                    oracle_check=False)
-        Ep2, Em2, _, _ = eigen_pair(harmonic_problem, S, kn0 - theta, n0, (0, 0),
-                                    oracle_check=False)
+        Ep1, Em1 = (r.E for r in eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
+                                            oracle_check=False))
+        Ep2, Em2 = (r.E for r in eigen_pair(harmonic_problem, S, kn0 - theta, n0, (0, 0),
+                                            oracle_check=False))
         assert abs(Ep1 - Ep2) <= 1e-10 and abs(Em1 - Em2) <= 1e-10
 
 
@@ -181,8 +185,8 @@ def test_splitting_growth(harmonic_problem):
     base = gap_at(harmonic_problem, n0, S).width
     widths = []
     for theta in (1e-4, 2e-4, 4e-4):
-        Ep, Em, _, _ = eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
-                                  oracle_check=False)
+        Ep, Em = (r.E for r in eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
+                                          oracle_check=False))
         widths.append(Ep - Em)
     assert all(w > base for w in widths)
     assert all(b > a for a, b in zip(widths, widths[1:]))
@@ -191,7 +195,7 @@ def test_splitting_growth(harmonic_problem):
 def test_eigenvector_decay_envelope(generic_problem):
     rec = eigen_simple(generic_problem, (0, 0), ball(5, 2), 0.22,
                        oracle_check=False)
-    ok, worst = decay_envelope(generic_problem, rec.phi, [(0, 0)])
+    ok, worst = decay_envelope(generic_problem, rec)
     assert ok, f"decay ratio {worst}"
 
 
@@ -199,10 +203,8 @@ def test_pair_eigenvector_decay(harmonic_problem):
     n0 = (0, 1)
     k = k_point(harmonic_problem.frequency, n0) + 2e-5
     S = paired_box(harmonic_problem, n0, 6)
-    _, _, pp, pm = eigen_pair(harmonic_problem, S, k, (0, 0), n0,
-                              oracle_check=False)
-    for phi in (pp, pm):
-        ok, worst = decay_envelope(harmonic_problem, phi, [(0, 0), n0])
+    for rec in eigen_pair(harmonic_problem, S, k, (0, 0), n0, oracle_check=False):
+        ok, worst = decay_envelope(harmonic_problem, rec)
         assert ok, f"decay ratio {worst}"
 
 
@@ -271,8 +273,8 @@ def test_splitting_lower_bound_constant(harmonic_problem):
     S = paired_box(harmonic_problem, n0, 5)
     k0 = abs(kn0) / 512.0
     for theta in (1e-4, 1e-3):
-        Ep, Em, _, _ = eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
-                                  oracle_check=False)
+        Ep, Em = (r.E for r in eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
+                                          oracle_check=False))
         assert Ep - Em > 0.5 * (k0 * theta) ** 2
 
 
@@ -330,8 +332,8 @@ def test_eigen_pair_matches_dense_through_resonance(generic_problem):
     S = paired_box(generic_problem, n0, 6)
     for theta in (-4e-3, -1e-5, -1e-7, 1e-7, 1e-5, 4e-3):
         k = k_point(generic_problem.frequency, n0) + theta
-        Ep, Em, _, _ = eigen_pair(generic_problem, S, k, (0, 0), n0,
-                                  oracle_check=False)
+        Ep, Em = (r.E for r in eigen_pair(generic_problem, S, k, (0, 0), n0,
+                                          oracle_check=False))
         center = 0.5 * (diagonal_value(generic_problem, (0, 0), k)
                         + diagonal_value(generic_problem, n0, k))
         evals = np.linalg.eigvalsh(restrict(generic_problem, S, k).entries)
@@ -381,3 +383,29 @@ def test_pair_windows_from_the_matrix_diagonal(generic_problem):
             assert len(got) == len(want)
             for (a, b), (c, d) in zip(got, want):
                 assert a == pytest.approx(c, rel=1e-15) and b == pytest.approx(d, rel=1e-15)
+
+
+def test_eigenvectors_are_built_only_when_read(monkeypatch):
+    # band and eigen_pair report energies without touching F; only .phi does
+    problem = build_problem(load_config(GOLDEN_CONFIG))
+    host = ball(8, 2)
+    grid = [0.07, 0.19, 0.23, 0.31]          # the golden band's paired points are 0.19, 0.31
+    want = band(problem, grid, lambda k: host)
+    n0 = (0, 1)
+    k = k_point(problem.frequency, n0) + 2e-5
+    S = paired_box(problem, n0, 6)
+    pair_want = [r.E for r in eigen_pair(problem, S, k, (0, 0), n0)]
+
+    def unread(self, m0, E):
+        raise AssertionError("eigenvector built but not read")
+
+    monkeypatch.setattr(ReducedSolver, "f", unread)
+    got = band(problem, grid, lambda k: host)
+    assert [p.regime for p in got] == ["nonresonant", "paired", "nonresonant", "paired"]
+    assert [p.E for p in got] == [p.E for p in want]
+    pair = eigen_pair(problem, S, k, (0, 0), n0)
+    assert [r.E for r in pair] == pair_want
+    simple = eigen_simple(problem, (0, 0), host, 0.07, oracle_check=False)
+    for rec in (*pair, simple):
+        with pytest.raises(AssertionError, match="not read"):
+            rec.phi
