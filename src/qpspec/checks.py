@@ -8,15 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfracs import CFNode, zeta_roots, zeta_sandwich_ok, zeta_separation_ok
-from .dual_operator import (cocycle_check, dense_spectrum, reflection_conjugation_check,
-                            restrict)
+from .dual_operator import (cocycle_check, dense_spectrum, diagonal_value,
+                            reflection_conjugation_check, restrict)
 from .lattice import ball
 from .mssets import is_correct_word, max_correct_length
 from .model import Problem, build_ladder
 from .resonance import k_point
 from .schur import ReducedSolver
-from .spectral import (_ordered_pair, _pair_windows, eigen_pair, eigen_simple,
-                       feynman_derivative, gap_at, paired_box)
+from .spectral import (FIXED_POINT_TOL, _ordered_pair, _pair_windows, eigen_pair,
+                       eigen_simple, feynman_derivative, gap_at, paired_box, sized_gap)
 from .trajectories import WeightProfile, closed_bound, sum_enumerate
 
 
@@ -97,6 +97,29 @@ def _gap_first_order(problem: Problem, seed: int) -> CheckResult:
     tol = 50.0 * pot.epsilon ** 2 * max(1.0, abs(pot.c0(n0))) + 1e-12
     return CheckResult("gap-first-order", dev <= tol,
                        f"width {rec.width:.6g} vs 2|c| {expect:.6g}")
+
+
+GAP_BOX_CAP = 8   # the default box_radius
+
+
+def _gap_box(problem: Problem, seed: int) -> CheckResult:
+    """The truncation-residual rule against the cap's own box.
+
+    For the lowest harmonic n0, the edges on the box that sized_gap accepts
+    must equal gap_at's on paired_box(n0, GAP_BOX_CAP) to
+    2 FIXED_POINT_TOL * scale: the fixed point's tolerance for each of
+    the two solves.
+    """
+    n0 = _lowest_harmonic(problem)
+    if n0 is None:
+        return CheckResult("gap-box", True, "zero potential, skipped")
+    rec = sized_gap(problem, n0, GAP_BOX_CAP)
+    ref = gap_at(problem, n0, paired_box(problem, n0, GAP_BOX_CAP))
+    dev = max(abs(rec.E_minus - ref.E_minus), abs(rec.E_plus - ref.E_plus))
+    zero = tuple([0] * problem.nu)
+    tol = 2.0 * FIXED_POINT_TOL * max(1.0, diagonal_value(problem, zero, ref.k_point))
+    return CheckResult("gap-box", dev <= tol,
+                       f"radius {rec.radius} of {GAP_BOX_CAP}, edge dev {dev:.3g}")
 
 
 def _reduced_oracle(problem: Problem, seed: int) -> CheckResult:
@@ -200,7 +223,7 @@ def run_selftest(problem: Problem, seed: int = 0):
     failed under its function's name.
     """
     suite = (_hermitian, _cocycle, _reflection, _reduced_oracle, _words, _ladder,
-             _symmetry, _gap_first_order, _zeta_pair, _trajectory, _feynman)
+             _symmetry, _gap_first_order, _gap_box, _zeta_pair, _trajectory, _feynman)
     return [_safe(check, problem, seed) for check in suite]
 
 

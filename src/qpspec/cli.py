@@ -160,11 +160,17 @@ def cmd_band(cfg, problem, out_dir):
 
 def _forward_rows(cfg, problem):
     """Gap records and failures over the label window, and the forward rows
-    ordered by (|m|, m)."""
+    ordered by (|m|, m).  Prints one line for each label whose box reached
+    the box_radius cap without its truncation residual passing."""
     ms = [m for m in ball(cfg["gap_m_radius"], problem.nu, budget=None) if any(m)]
     records, failures = gap_table(problem, ms, cfg["box_radius"])
     rows = sorted(verify_forward(records, problem.potential),
                   key=lambda r: (l1_norm(r.m), r.m))
+    for row in rows:
+        rec = records[row.m]
+        if rec.capped:
+            print(f"gap at {row.m} reached the box_radius cap {rec.radius} with "
+                  f"truncation residual {rec.truncation_residual:.3g} over tolerance")
     return records, failures, rows
 
 

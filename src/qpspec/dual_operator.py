@@ -47,28 +47,39 @@ def restrict(problem: Problem, S: SiteSet, k: float, order=None) -> DualMatrix:
     if problem.site_budget is not None and len(S) > problem.site_budget:
         raise SiteBudgetError(f"{len(S)} sites exceed budget {problem.site_budget}")
     sites = S if order is None else SiteSet(tuple(map(tuple, order)))
-    n = len(sites)
-    A = sites.array()
-    phase = A.astype(float) @ np.asarray(problem.omega, dtype=float) + k
-    H = np.zeros((n, n), dtype=complex)
+    H = couplings(problem, sites, sites)
+    phase = sites.array().astype(float) @ np.asarray(problem.omega, dtype=float) + k
     np.fill_diagonal(H, TWO_PI_SQ * phase ** 2)
-    # h(m, n) = c(n - m).  Sites are mixed-radix codes over their bounding box
-    # padded by the largest shift, where n = m + d has code(m) + code(d);
-    # each n is looked up among the sorted codes by bisection.
+    return DualMatrix(sites, k, H)
+
+
+def couplings(problem: Problem, rows: SiteSet, cols: SiteSet) -> np.ndarray:
+    """The off-diagonal block h(m, n) = c(n - m), m in rows, n in cols, in
+    the sets' own orders; 0 where m = n."""
+    # Sites are mixed-radix codes over the two sets' bounding box padded by
+    # the largest shift, where n = m + d has code(m) + code(d); each n is
+    # looked up among the sorted column codes by bisection.
+    if not len(rows) or not len(cols):
+        return np.zeros((len(rows), len(cols)), dtype=complex)
     pot = problem.potential
     coeffs = {d: pot.epsilon * c0 for d, c0 in pot.coefficients.items() if any(d)}
-    D = np.array(list(coeffs), dtype=np.int64).reshape(-1, A.shape[1])
+    R = rows.array()
+    C = R if cols is rows else cols.array()
+    both = R if C is R else np.concatenate([R, C])
+    D = np.array(list(coeffs), dtype=np.int64).reshape(-1, C.shape[1])
     reach = np.abs(D).max(axis=0, initial=0)
-    lo = A.min(axis=0) - reach
-    dims = A.max(axis=0) + reach + 1 - lo
-    codes = np.ravel_multi_index((A - lo).T, dims)  # raises if the box overflows
-    by_code = np.argsort(codes)
-    sorted_codes = codes[by_code]
-    t = codes + (D @ np.cumprod([1, *dims[:0:-1]])[::-1])[:, None]
-    pos = np.minimum(np.searchsorted(sorted_codes, t), n - 1)
+    lo = both.min(axis=0) - reach
+    dims = both.max(axis=0) + reach + 1 - lo
+    col_codes = np.ravel_multi_index((C - lo).T, dims)  # raises if the box overflows
+    row_codes = col_codes if C is R else np.ravel_multi_index((R - lo).T, dims)
+    by_code = np.argsort(col_codes)
+    sorted_codes = col_codes[by_code]
+    t = row_codes + (D @ np.cumprod([1, *dims[:0:-1]])[::-1])[:, None]
+    pos = np.minimum(np.searchsorted(sorted_codes, t), len(C) - 1)
     c, i = np.nonzero(sorted_codes[pos] == t)
+    H = np.zeros((len(R), len(C)), dtype=complex)
     H[i, by_code[pos[c, i]]] = np.array(list(coeffs.values()), dtype=complex)[c]
-    return DualMatrix(sites, k, H)
+    return H
 
 
 def cocycle_check(problem: Problem, m_shift, S: SiteSet, k: float) -> float:

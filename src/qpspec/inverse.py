@@ -10,8 +10,9 @@ and the decay-improvement map (eps, kappa) -> (eps/2, 7 kappa/6) iterates to
 the square-root conclusion; at desk scale every finite inequality in the
 chain is verified pointwise rather than asymptotically.  The improvement
 checks the plain window bound only; the paper's scaled window is not built.
-Each label's gap is solved once: recovered_bound takes the GapRecord that
-gap_table made.
+Each label's gap is solved once, on the box its truncation residual
+accepts (box_radius is only a cap): recovered_bound takes the GapRecord
+that gap_table made and works on that record's box.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from .errors import QPSpecError, RegimeError
 from .lattice import ball, l1_norm
 from .model import Potential, Problem
 from .schur import ReducedSolver
-from .spectral import GapRecord, gap_at, paired_box
+from .spectral import GapRecord, paired_box, sized_gap
 
 
 def gap_table(problem: Problem, m_list, box_radius: float):
-    """One GapRecord per m via the paired-set gap solver.
+    """One GapRecord per m, each on the smallest tried paired box, radius at
+    most box_radius, whose truncation residual passes (spectral.sized_gap).
 
     A QPSpecError is collected as that m's failure; any other error
     propagates.  The returned dicts are insertion-ordered by the input list.
@@ -38,7 +40,7 @@ def gap_table(problem: Problem, m_list, box_radius: float):
     failures = {}
     for m in map(tuple, m_list):
         try:
-            records[m] = gap_at(problem, m, paired_box(problem, m, box_radius))
+            records[m] = sized_gap(problem, m, box_radius)
         except QPSpecError as exc:
             failures[m] = str(exc)
     return records, failures
@@ -82,11 +84,12 @@ class RecoveredBound:
         return self.actual <= self.bound_desk * (1 + 1e-9) + 1e-300
 
 
-def recovered_bound(problem: Problem, rec: GapRecord, box_radius: float) -> RecoveredBound:
+def recovered_bound(problem: Problem, rec: GapRecord) -> RecoveredBound:
     """Both variants of the coefficient-recovery inequality at rec.n0.
 
-    rec is the GapRecord that gap_at made on paired_box(problem, rec.n0,
-    box_radius); one ReducedSolver on that box gives every quantity.  Desk
+    rec is a GapRecord from gap_table; one ReducedSolver on the box its
+    edges were solved on, paired_box(problem, rec.n0, rec.radius), gives
+    every quantity, so the width and the quadratic term share one box.  Desk
     variant: prefactor sup |d_E (E - v - Q)| over [E-, E+], exactly
     1 + ||(E - H_rest)^-1 h_0||^2 since d_E Q = -||(E - H_rest)^-1 h_0||^2,
     taken at the edges and the midpoint; quadratic term from the reduced
@@ -95,8 +98,10 @@ def recovered_bound(problem: Problem, rec: GapRecord, box_radius: float) -> Reco
     both are reported.
     """
     n0 = rec.n0
+    if rec.radius is None:
+        raise ValueError(f"the record at {n0} names no paired box")
     zero = tuple([0] * problem.nu)
-    solver = ReducedSolver(problem, paired_box(problem, n0, box_radius),
+    solver = ReducedSolver(problem, paired_box(problem, n0, rec.radius),
                            rec.k_point, [zero, n0])
     col_0 = solver.coupling_column(zero)
     probes = (rec.E_minus, 0.5 * (rec.E_minus + rec.E_plus), rec.E_plus)
@@ -172,7 +177,8 @@ class InverseReport:
 def verify_inverse(problem: Problem, box_radius: float, window_norm: int = 4) -> InverseReport:
     """Desk-scale property report for the inverse direction.
 
-    (a) coefficient-recovery inequality per m in the window,
+    (a) coefficient-recovery inequality per m in the window, each on the
+        box gap_table accepted for m with box_radius as the cap,
     (b) IMPROVEMENT_ROUNDS decay-improvement iterates verify and tighten,
     (c) the final bound compared pointwise against |c(m)|.
     The full infinite-scale conclusion is out of desk reach by design; the
@@ -191,7 +197,7 @@ def verify_inverse(problem: Problem, box_radius: float, window_norm: int = 4) ->
         return InverseReport((), (), DecayBound(pot.epsilon, pot.kappa0), False, False,
                              "gap hypothesis fails; no assertion made")
 
-    pointwise = tuple(recovered_bound(problem, rec, box_radius) for rec in records.values())
+    pointwise = tuple(recovered_bound(problem, rec) for rec in records.values())
     steps = []
     bound = DecayBound(pot.epsilon, pot.kappa0)
     for _ in range(IMPROVEMENT_ROUNDS):

@@ -6,9 +6,13 @@ chi(E) = (E - v+ - Q+)(E - v- - Q-) - |G|^2 = 0 as the fixed points
 E = lambda_max / lambda_min of the effective 2x2 matrix at E.  The
 gap edges at k_{n0} come from the limit characterization
 E = v(0, k_{n0}) + Q(E) -+ |G(E)|, solved directly to avoid cancellation.
+gap_at solves them on a caller's host; sized_gap on the smallest tried
+paired box, up to a cap, whose truncation residual (the edge eigenvectors'
+residual once padded with zeros past the box) puts, by Weyl's bound, the
+rest of the lattice within the fixed point's tolerance of each edge.
 Gap edges, and paired roots with the oracle check on, are reconciled with
 the dense oracle's eigenpairs in a window about their centre, the window
-chosen from H alone.
+chosen from H alone; sized_gap runs the oracle only on the box it accepts.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual_operator import TWO_PI_SQ, DualMatrix, dense_spectrum, diagonal_value, restrict
+from .dual_operator import (TWO_PI_SQ, DualMatrix, couplings, dense_spectrum, diagonal_value,
+                            restrict)
 from .errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
-from .lattice import SiteSet, ball
+from .lattice import SiteSet, ball, l1_ball_size, l1_norm
 from .model import Problem
 from .resonance import k_point
 from .schur import ReducedSolver
@@ -80,12 +85,22 @@ class EigenRecord:
 
 @dataclass(frozen=True)
 class GapRecord:
+    """Gap edges at k_point = k_{n0} and their width.
+
+    `radius` is the paired box the edges were solved on (None for a
+    caller's host) and `truncation_residual` its Weyl bound on how far the
+    rest of the lattice moves either edge; `capped` says the box reached
+    its cap with that bound above FIXED_POINT_TOL * scale.
+    """
     n0: tuple
     k_point: float
     E_minus: float
     E_plus: float
     width: float
     reconcile_dev: float = 0.0
+    radius: float = None
+    truncation_residual: float = None
+    capped: bool = False
 
     def __post_init__(self):
         if self.E_plus < self.E_minus - 1e-15:
@@ -244,18 +259,10 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
             EigenRecord(E_minus, "paired", solver, gaps[0]))
 
 
-def gap_at(problem: Problem, n0, S: SiteSet) -> GapRecord:
-    """Gap edges at k = k_{n0} via E = v + Q -+ |G|, reconciled with the oracle.
-
-    Route (i) solves the two scalar equations by fixed point; route (ii)
-    takes the two dense eigenvalues nearest v(0, k_{n0}) from the oracle
-    windowed about v0, the window chosen from H alone.  Disagreement
-    beyond RECONCILE_TOL flags a regime misclassification.
-    """
-    n0 = tuple(n0)
+def _gap_edges(problem: Problem, n0, S: SiteSet):
+    """Route (i) on S: the solver with pivots (0, n0) at k = k_{n0} and both
+    edges E = v0 + Q -+ |G| by fixed point, as (solver, v0, E_minus, E_plus)."""
     zero = tuple([0] * problem.nu)
-    if zero not in S or n0 not in S:
-        raise ValueError("paired set must contain 0 and n0")
     k = k_point(problem.frequency, n0)
     solver = ReducedSolver(problem, S, k, [zero, n0])
     v0 = diagonal_value(problem, zero, k)
@@ -270,14 +277,96 @@ def gap_at(problem: Problem, n0, S: SiteSet) -> GapRecord:
     E_minus = edge(-1.0)
     if E_plus < E_minus:
         E_plus, E_minus = E_minus, E_plus
+    return solver, v0, E_minus, E_plus
 
+
+def _reconciled(n0, edges, **box) -> GapRecord:
+    """Route (ii) on the edges' own solver: the two dense eigenvalues nearest
+    v0, from the oracle windowed about v0 (the window chosen from H alone).
+    Disagreement beyond RECONCILE_TOL flags a regime misclassification."""
+    solver, v0, E_minus, E_plus = edges
     nearest = _oracle_nearest(solver.full, v0)
     dev = float(max(abs(nearest[0] - E_minus), abs(nearest[1] - E_plus)))
-    if dev > RECONCILE_TOL * scale:
+    if dev > RECONCILE_TOL * max(1.0, abs(v0)):
         raise ReconciliationError(
             f"gap edges disagree with the dense oracle by {dev:.3g} at n0={n0}")
-    return GapRecord(n0, k, float(E_minus), float(E_plus),
-                     float(E_plus - E_minus), dev)
+    return GapRecord(n0, solver.k, float(E_minus), float(E_plus),
+                     float(E_plus - E_minus), dev, **box)
+
+
+def gap_at(problem: Problem, n0, S: SiteSet) -> GapRecord:
+    """Gap edges at k = k_{n0} on the host S via E = v + Q -+ |G|, reconciled
+    with the oracle on S; the record carries no box radius."""
+    n0 = tuple(n0)
+    zero = tuple([0] * problem.nu)
+    if zero not in S or n0 not in S:
+        raise ValueError("paired set must contain 0 and n0")
+    return _reconciled(n0, _gap_edges(problem, n0, S))
+
+
+def _truncation_residual(problem: Problem, edges) -> float:
+    """Weyl's bound on how far the rest of the lattice moves either edge.
+
+    Pad each edge's eigenvector phi on the solver's box S with zeros to
+    the whole lattice.  On S its residual is the fixed point's own; off S
+    it is nonzero only on the shell (S + supp c) minus S, where it is the
+    shell-to-S couplings times phi.  For S = paired_box(n0, R) the shell
+    lies in paired_box(n0, R + rho), rho the largest |d| in the support.
+    Returns the larger edge's ||H_shell,S phi||_2 / ||phi||_2.
+    """
+    solver, _, E_minus, E_plus = edges
+    S = solver.full.sites
+    shifts = np.array(problem.potential.support(), dtype=np.int64).reshape(-1, problem.nu)
+    reached = SiteSet.from_iterable((S.array()[None] + shifts[:, None]).reshape(-1, problem.nu))
+    shell = couplings(problem, reached.difference(S), S)
+    return max(float(np.linalg.norm(shell @ phi) / np.linalg.norm(phi))
+               for phi in (EigenRecord(E, "gap_edge", solver).phi for E in (E_minus, E_plus)))
+
+
+def _box_radii(cap, start: int, nu: int) -> list:
+    """Radii from min(start, cap) to cap, each ball holding at least 1.5
+    times the last one's sites, so the rejected boxes cost a bounded share
+    of the cap's."""
+    radii = [min(start, cap)]
+    while radii[-1] < cap:
+        want = 1.5 * l1_ball_size(radii[-1], nu)
+        R = radii[-1] + 1
+        while l1_ball_size(R, nu) < want:
+            R += 1
+        radii.append(min(R, cap))
+    return radii
+
+
+def sized_gap(problem: Problem, n0, cap) -> GapRecord:
+    """Gap edges at k = k_{n0} on the first paired box, radius at most cap,
+    whose truncation residual is at most FIXED_POINT_TOL * scale, with
+    scale = max(1, v(0, k_{n0})) as in the fixed point.
+
+    By Weyl's bound the rest of the lattice then moves neither edge by more
+    than the fixed point itself allows.  Only the accepted box meets the
+    oracle, on that box's own solver; a rejected box runs none.  A box at
+    the cap is accepted whatever its residual, and the record says so
+    (`capped`).  A QPSpecError rejects a box below the cap and propagates
+    at the cap.
+    """
+    n0 = tuple(n0)
+    # a radius below rho leaves out couplings of the pivots themselves
+    rho = max(map(l1_norm, problem.potential.support()), default=0)
+    radii = _box_radii(cap, max(2, rho), problem.nu)
+    for R in radii:
+        last = R == radii[-1]
+        try:
+            edges = _gap_edges(problem, n0, paired_box(problem, n0, R))
+            resid = _truncation_residual(problem, edges)
+        except QPSpecError:
+            if last:
+                raise
+            continue
+        v0 = edges[1]
+        passed = resid <= FIXED_POINT_TOL * max(1.0, abs(v0))
+        if passed or last:
+            return _reconciled(n0, edges, radius=R, truncation_residual=resid,
+                               capped=not passed)
 
 
 def paired_box(problem: Problem, n0, radius: float) -> SiteSet:

@@ -294,7 +294,7 @@ def test_acceptance_9_inverse_properties(golden_freq):
                       ({(0, 1): 0.55, (1, 0): 0.3 + 0.2j}, (0, 1))):
         pot = Potential.from_harmonics(table, 1e-4, 0.5)
         prob = Problem(golden_freq, pot)
-        rb = recovered_bound(prob, gap_at(prob, n0, paired_box(prob, n0, 6)), 6)
+        rb = recovered_bound(prob, gap_table(prob, [n0], 6)[0][n0])
         if not rb.holds:
             failures.append(f"recovery at {n0}: |c| {rb.actual:.3e} over "
                             f"bound {rb.bound_desk:.3e}")
@@ -305,7 +305,7 @@ def test_acceptance_9_inverse_properties(golden_freq):
     for eps in eps_list:
         pot = Potential.from_harmonics({(0, 2): 1.0}, eps, 0.5)
         prob = Problem(golden_freq, pot)
-        rb = recovered_bound(prob, gap_at(prob, (0, 4), paired_box(prob, (0, 4), 6)), 6)
+        rb = recovered_bound(prob, gap_table(prob, [(0, 4)], 6)[0][(0, 4)])
         vals.append(rb.quadratic_term)
     slope = float(np.polyfit(np.log(eps_list), np.log(vals), 1)[0])
     if abs(slope - 2.0) > 0.1:

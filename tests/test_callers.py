@@ -17,8 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qpspec"
 BENCH = ROOT / "bench"
 
-# Kept without a caller on purpose: ROADMAP item 2 (error bars for every
-# reported energy) uses it for the truncation term of each enclosure.
+# Kept without a caller on purpose: acceptance test 5 checks eigenvector
+# decay with it, and ROADMAP item 2 (error bars for every reported energy)
+# still plans on it.  Gap truncation is bounded by sized_gap's padded
+# residual instead.
 ALLOWED = {"decay_envelope"}
 
 

@@ -1,11 +1,14 @@
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qpspec import checks
+from qpspec import checks, spectral
 from qpspec.cli import build_problem, load_config
 from qpspec.model import Potential, Problem
+
+from conftest import random_potential
 
 GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golden_mean.json"
 
@@ -75,3 +78,24 @@ def test_reduced_oracle_catches_a_shifted_coupling(pair_problem, monkeypatch):
     result = checks._reduced_oracle(pair_problem, 0)
     assert not result.passed
     assert "rel dev" in result.detail
+
+
+def test_gap_box_matches_the_cap(pair_problem):
+    result = checks._gap_box(pair_problem, 0)
+    assert result.name == "gap-box"
+    assert result.passed, result.detail
+
+
+def test_gap_box_zero_potential_skipped(zero_problem):
+    assert checks._gap_box(zero_problem, 0).passed
+
+
+def test_gap_box_catches_a_residual_that_accepts_too_soon(golden_freq, monkeypatch):
+    # at eps = 3e-2 the first box tried moves the edges of the lowest
+    # harmonic by about 5e-12, over the fixed point's tolerance
+    prob = Problem(golden_freq, random_potential(np.random.default_rng(1), epsilon=3e-2))
+    assert checks._gap_box(prob, 0).passed
+    monkeypatch.setattr(spectral, "_truncation_residual", lambda *args: 0.0)
+    result = checks._gap_box(prob, 0)
+    assert not result.passed
+    assert "edge dev" in result.detail

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from qpspec import model
-from qpspec.cli import main
+from qpspec.cli import build_problem, load_config, main
+from qpspec.inverse import gap_table
+from qpspec.lattice import ball
+
+from conftest import random_potential
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_CONFIG = ROOT / "examples_config" / "golden_mean.json"
@@ -74,6 +78,27 @@ def test_band_csv(tmp_path, capsys):
     assert len(lines) == 2 + 5
     k0, E0, regime = lines[2].split(",")
     assert float(E0) > 0 and regime in ("nonresonant", "paired", "resonance_point")
+
+
+def test_gap_commands_name_each_label_at_the_cap(tmp_path, capsys):
+    # acceptance 3's trial-0 potential: at box_radius 5 some labels keep a
+    # truncation residual above FIXED_POINT_TOL * scale
+    rng = np.random.default_rng(202)
+    eps = float(10 ** -rng.uniform(4, 5))
+    pot = random_potential(rng, epsilon=eps, kappa0=0.5)
+    coeffs = [{"n": list(n), "re": v.real, "im": v.imag} for n, v in pot.coefficients.items()]
+    path = write_config(tmp_path, epsilon=eps, kappa0=0.5, coefficients=coeffs,
+                        box_radius=5, gap_m_radius=4)
+    labels = [m for m in ball(4, 2) if any(m)]
+    records, _ = gap_table(build_problem(load_config(path)), labels, 5)
+    want = sorted(f"gap at {m} reached the box_radius cap 5 with truncation residual "
+                  f"{rec.truncation_residual:.3g} over tolerance"
+                  for m, rec in records.items() if rec.capped)
+    assert want
+    for command in ("gaps", "verify-forward"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert sorted(line for line in out if "cap" in line) == want
 
 
 def test_traj_bound_command(tmp_path, capsys):

@@ -20,8 +20,8 @@ def chain_problem(golden_freq, eps=1e-4):
 
 
 def bound_at(problem, n0, radius):
-    rec = gap_at(problem, n0, paired_box(problem, n0, radius))
-    return recovered_bound(problem, rec, radius)
+    records, _ = gap_table(problem, [n0], radius)
+    return recovered_bound(problem, records[n0])
 
 
 @pytest.fixture(scope="module")
@@ -79,10 +79,10 @@ def test_desk_prefactor_is_exact_derivative(golden_freq):
     # eps = 3 makes |d_E Q| ~ 1e-2, so prefactor - 1 carries 13 digits
     pot = Potential.from_harmonics(
         {(0, 1): 0.55, (1, 0): 0.3 + 0.2j, (1, 1): 0.2 - 0.1j}, 3.0, 0.5)
-    prob, n0, radius = Problem(golden_freq, pot), (0, 1), 4
-    rec = gap_at(prob, n0, paired_box(prob, n0, radius))
-    rb = recovered_bound(prob, rec, radius)
-    H = restrict(prob, paired_box(prob, n0, radius), rec.k_point)
+    prob, n0 = Problem(golden_freq, pot), (0, 1)
+    rec = gap_table(prob, [n0], 4)[0][n0]
+    rb = recovered_bound(prob, rec)
+    H = restrict(prob, paired_box(prob, n0, rec.radius), rec.k_point)
     piv = [H.sites.index((0, 0)), H.sites.index(n0)]
     rest = [i for i in range(len(H.sites)) if i not in piv]
     H_rest = H.entries[np.ix_(rest, rest)]
@@ -98,7 +98,7 @@ def test_desk_prefactor_is_exact_derivative(golden_freq):
 
 def test_recovered_bound_reuses_the_gap_record(golden_freq, monkeypatch):
     prob = chain_problem(golden_freq)
-    rec = gap_at(prob, (0, 2), paired_box(prob, (0, 2), 6))
+    rec = gap_table(prob, [(0, 2)], 6)[0][(0, 2)]
     built = []
 
     class CountingSolver(inverse.ReducedSolver):
@@ -110,26 +110,48 @@ def test_recovered_bound_reuses_the_gap_record(golden_freq, monkeypatch):
         raise AssertionError("recovered_bound must not solve the gap again")
 
     monkeypatch.setattr(inverse, "ReducedSolver", CountingSolver)
-    monkeypatch.setattr(inverse, "gap_at", refuse)
+    monkeypatch.setattr(inverse, "sized_gap", refuse)
     monkeypatch.setattr(spectral, "dense_spectrum", refuse)
-    rb = recovered_bound(prob, rec, 6)
+    rb = recovered_bound(prob, rec)
     assert len(built) == 1
     assert rb.gap_width == rec.width and rb.holds
 
 
+def test_recovered_bound_builds_on_the_records_box(generic_problem, monkeypatch):
+    # label (1, 1) is accepted at radius 3, below the cap
+    rec = gap_table(generic_problem, [(1, 1)], 8)[0][(1, 1)]
+    assert rec.radius == 3
+    hosts = []
+
+    class Recording(inverse.ReducedSolver):
+        def __init__(self, problem, S, *args):
+            hosts.append(S)
+            super().__init__(problem, S, *args)
+
+    monkeypatch.setattr(inverse, "ReducedSolver", Recording)
+    recovered_bound(generic_problem, rec)
+    assert hosts == [paired_box(generic_problem, (1, 1), 3)]
+
+
+def test_recovered_bound_refuses_a_record_without_a_box(generic_problem):
+    rec = gap_at(generic_problem, (1, 1), paired_box(generic_problem, (1, 1), 3))
+    with pytest.raises(ValueError, match="names no paired box"):
+        recovered_bound(generic_problem, rec)
+
+
 def test_verify_inverse_one_gap_solve_per_label(compliant_problem, monkeypatch):
     gaps, oracles = [], []
-    real_gap_at, real_dense = inverse.gap_at, spectral.dense_spectrum
+    real_sized_gap, real_dense = inverse.sized_gap, spectral.dense_spectrum
 
-    def counting_gap_at(problem, n0, *args, **kwargs):
+    def counting_sized_gap(problem, n0, *args, **kwargs):
         gaps.append(tuple(n0))
-        return real_gap_at(problem, n0, *args, **kwargs)
+        return real_sized_gap(problem, n0, *args, **kwargs)
 
     def counting_dense(*args, **kwargs):
         oracles.append(1)
         return real_dense(*args, **kwargs)
 
-    monkeypatch.setattr(inverse, "gap_at", counting_gap_at)
+    monkeypatch.setattr(inverse, "sized_gap", counting_sized_gap)
     monkeypatch.setattr(spectral, "dense_spectrum", counting_dense)
     report = verify_inverse(compliant_problem, 6, window_norm=4)
     labels = [r.n0 for r in report.pointwise]
@@ -142,7 +164,7 @@ def test_gap_table_propagates_unexpected_errors(harmonic_problem, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a solver failure")
 
-    monkeypatch.setattr(inverse, "gap_at", broken)
+    monkeypatch.setattr(inverse, "sized_gap", broken)
     with pytest.raises(TypeError):
         gap_table(harmonic_problem, [(0, 1)], 4)
 

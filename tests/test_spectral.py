@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from qpspec import schur, spectral
 from qpspec.cli import build_problem, load_config
 from qpspec.dual_operator import dense_spectrum, diagonal_value, restrict
-from qpspec.errors import ReconciliationError, RegimeError
+from qpspec.errors import QPSpecError, ReconciliationError, RegimeError
 from qpspec.inverse import verify_forward
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
@@ -15,6 +16,8 @@ from qpspec.resonance import k_point
 from qpspec.schur import ReducedSolver
 from qpspec.spectral import (band, decay_envelope, eigen_pair, eigen_simple,
                              feynman_derivative, gap_at, paired_box)
+
+from conftest import random_potential
 
 TWO_PI_SQ = (2 * math.pi) ** 2
 GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golden_mean.json"
@@ -409,3 +412,105 @@ def test_eigenvectors_are_built_only_when_read(monkeypatch):
     for rec in (*pair, simple):
         with pytest.raises(AssertionError, match="not read"):
             rec.phi
+
+
+# ---------------------------------------------------------------------------
+# sized_gap: each label's box chosen by its truncation residual
+# ---------------------------------------------------------------------------
+
+
+def _random_problem(golden_freq, eps, seed=1):
+    return Problem(golden_freq, random_potential(np.random.default_rng(seed), epsilon=eps))
+
+
+def _tol(problem, rec):
+    return spectral.FIXED_POINT_TOL * max(1.0, diagonal_value(problem, (0, 0), rec.k_point))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2])
+def test_sized_gap_edges_match_a_radius_12_box(golden_freq, eps):
+    prob = _random_problem(golden_freq, eps)
+    for m in [(0, 1), (1, -1), (2, 0)]:
+        rec = spectral.sized_gap(prob, m, 8)
+        ref = gap_at(prob, m, paired_box(prob, m, 12))
+        assert rec.radius <= 8
+        assert rec.truncation_residual <= _tol(prob, rec) or rec.capped
+        assert abs(rec.E_minus - ref.E_minus) <= 2 * _tol(prob, ref)
+        assert abs(rec.E_plus - ref.E_plus) <= 2 * _tol(prob, ref)
+
+
+def test_sized_gap_rejects_the_first_radius_at_eps_1e_2(golden_freq):
+    prob = _random_problem(golden_freq, 1e-2)
+    start = max(2, max(sum(map(abs, d)) for d in prob.potential.support()))
+    for m in [(0, 1), (1, 1)]:
+        rec = spectral.sized_gap(prob, m, 8)
+        assert start < rec.radius <= 8
+
+
+def test_sized_gap_at_an_unmet_cap_is_the_cap_box(golden_freq):
+    # acceptance 3's trial-0 potential: at cap 5 some labels keep a
+    # truncation residual above FIXED_POINT_TOL * scale
+    rng = np.random.default_rng(202)
+    eps = float(10 ** -rng.uniform(4, 5))
+    prob = Problem(golden_freq, random_potential(rng, epsilon=eps, kappa0=0.5))
+    capped = 0
+    for m in [m for m in ball(4, 2) if any(m)]:
+        rec = spectral.sized_gap(prob, m, 5)
+        assert rec.radius <= 5
+        assert rec.capped == (rec.truncation_residual > _tol(prob, rec))
+        if not rec.capped:
+            continue
+        capped += 1
+        ref = gap_at(prob, m, paired_box(prob, m, 5))
+        assert rec.radius == 5
+        assert (rec.E_minus, rec.E_plus, rec.width, rec.reconcile_dev) == (
+            ref.E_minus, ref.E_plus, ref.width, ref.reconcile_dev)
+    assert capped
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_sized_gap_small_caps_solve_only_the_cap_box(golden_freq, generic_problem,
+                                                     monkeypatch, cap):
+    hosts = []
+
+    class Recording(ReducedSolver):
+        def __init__(self, problem, S, *args):
+            hosts.append(S)
+            super().__init__(problem, S, *args)
+
+    # at eps = 30 the cap-1 boxes stall or disagree with the oracle
+    strong = Problem(golden_freq, Potential.from_harmonics({(0, 1): 0.6, (1, 0): 0.3}, 30.0, 0.5))
+    errors = 0
+    for prob in (generic_problem, _random_problem(golden_freq, 1e-4), strong):
+        for m in [(0, 1), (1, 1), (1, -1), (0, 3)]:
+            box = paired_box(prob, m, cap)
+            try:
+                ref = gap_at(prob, m, box)
+            except QPSpecError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    spectral.sized_gap(prob, m, cap)
+                errors += 1
+                continue
+            monkeypatch.setattr(spectral, "ReducedSolver", Recording)
+            hosts.clear()
+            rec = spectral.sized_gap(prob, m, cap)
+            monkeypatch.undo()
+            assert hosts == [box]
+            assert rec.radius == cap
+            assert (rec.E_minus, rec.E_plus, rec.width, rec.reconcile_dev) == (
+                ref.E_minus, ref.E_plus, ref.width, ref.reconcile_dev)
+    assert errors == (4 if cap == 1 else 0)
+
+
+def test_sized_gap_runs_one_oracle_on_the_accepted_box(golden_freq, monkeypatch):
+    prob = _random_problem(golden_freq, 1e-2)
+    seen = []
+    real = spectral.dense_spectrum
+
+    def counting(M, *args, **kwargs):
+        seen.append(M.sites)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "dense_spectrum", counting)
+    rec = spectral.sized_gap(prob, (0, 1), 8)
+    assert seen == [paired_box(prob, (0, 1), rec.radius)]
