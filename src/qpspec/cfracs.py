@@ -1,6 +1,6 @@
 """The continued-fraction root pair of the paired eigenvalue problem.
 
-A level-1 node is f(x, u) = (u - a1) - b^2/(u - a2).  Its product form
+A level-1 node is f(u) = (u - a1) - b^2/(u - a2).  Its product form
 
     chi(f) = (u - a1)(u - a2) - b^2
 
@@ -21,43 +21,23 @@ SANDWICH_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
-class CFValue:
-    f: float
-    chi: float
-    f_defined: bool
-
-
-@dataclass(frozen=True)
 class CFNode:
-    """A level-1 node; a1, a2 and b are callables of (x, u)."""
+    """A level-1 node; a1, a2 and b are callables of u."""
 
     a1: Callable
     a2: Callable
     b: Callable
 
 
-def cf_evaluate(node: CFNode, x: float, u: float) -> CFValue:
-    """Evaluate (f, chi) at (x, u).
-
-    chi is assembled in product form (u - a1)(u - a2) - b^2, so it is
-    always finite; f = chi/(u - a2) is flagged undefined at the pole u = a2.
-    """
-    b = node.b(x, u)
-    f1 = u - node.a1(x, u)
-    f2 = u - node.a2(x, u)
-    chi = f1 * f2 - b * b
-    defined = abs(f2) > 0
-    f = chi / f2 if defined else math.inf
-    return CFValue(f, chi, defined)
+def chi(node: CFNode, u: float) -> float:
+    """chi at u in product form (u - a1)(u - a2) - b^2, finite even at the
+    pole u = a2 of f."""
+    b = node.b(u)
+    return (u - node.a1(u)) * (u - node.a2(u)) - b * b
 
 
-def chi_of(node: CFNode):
-    return lambda x, u: cf_evaluate(node, x, u).chi
-
-
-def d_chi_du(node: CFNode, x: float, u: float) -> float:
-    c = chi_of(node)
-    return (c(x, u + _DERIV_STEP) - c(x, u - _DERIV_STEP)) / (2.0 * _DERIV_STEP)
+def d_chi_du(node: CFNode, u: float) -> float:
+    return (chi(node, u + _DERIV_STEP) - chi(node, u - _DERIV_STEP)) / (2.0 * _DERIV_STEP)
 
 
 def _bisect_root(fun, a: float, b: float, fa: float) -> float:
@@ -122,25 +102,24 @@ def convex_roots(fun, lo: float, hi: float):
             _bisect_root(fun, m, hi, fm)]
 
 
-def zeta_roots(node: CFNode, x: float, u_window):
-    """The roots of chi(x, .) = 0 in the window, by the convex root finder.
+def zeta_roots(node: CFNode, u_window):
+    """The roots of chi = 0 in the window, by the convex root finder.
 
     chi is strictly convex in u on the class, so the window holds two roots
     (zeta_minus, zeta_plus), one when it cuts the pair, or none.
     """
-    c = chi_of(node)
-    return tuple(convex_roots(lambda u: c(x, u), float(u_window[0]),
+    return tuple(convex_roots(lambda u: chi(node, u), float(u_window[0]),
                               float(u_window[1])))
 
 
-def zeta_separation_ok(node: CFNode, x: float, zminus: float, zplus: float) -> bool:
+def zeta_separation_ok(node: CFNode, zminus: float, zplus: float) -> bool:
     """zeta+ - zeta- >= (1/8) (|d_u chi(zeta-)| + |d_u chi(zeta+)|)."""
-    dm = d_chi_du(node, x, zminus)
-    dp = d_chi_du(node, x, zplus)
+    dm = d_chi_du(node, zminus)
+    dp = d_chi_du(node, zplus)
     return (zplus - zminus) >= 0.125 * (abs(dm) + abs(dp)) - 1e-12
 
 
-def zeta_sandwich_ok(node: CFNode, x: float, zminus: float, zplus: float) -> bool:
+def zeta_sandwich_ok(node: CFNode, zminus: float, zplus: float) -> bool:
     """The two-sided envelopes at the roots, to SANDWICH_SLACK.
 
     At zeta+: max(a1, a2 + |b|) <= zeta+ <= a1 + |b|;
@@ -149,7 +128,7 @@ def zeta_sandwich_ok(node: CFNode, x: float, zminus: float, zplus: float) -> boo
     """
 
     def parts(u):
-        return node.a1(x, u), node.a2(x, u), abs(node.b(x, u))
+        return node.a1(u), node.a2(u), abs(node.b(u))
 
     slack = SANDWICH_SLACK
     a1p, a2p, bp = parts(zplus)

@@ -15,7 +15,7 @@ from .mssets import is_correct_word, max_correct_length
 from .model import Problem, build_ladder
 from .resonance import k_point
 from .schur import ReducedSolver
-from .spectral import (FIXED_POINT_TOL, _ordered_pair, _pair_windows, eigen_pair,
+from .spectral import (FIXED_POINT_TOL, _pair_windows, eigen_pair,
                        eigen_simple, feynman_derivative, gap_at, paired_box, sized_gap)
 from .trajectories import WeightProfile, closed_bound, sum_enumerate
 
@@ -152,6 +152,17 @@ def _reduced_oracle(problem: Problem, seed: int) -> CheckResult:
     return CheckResult("reduced-vs-dense", worst <= 1e-10, f"worst rel dev {worst:.3g}")
 
 
+def _ordered_pair(problem: Problem, solver: ReducedSolver, mp, mm):
+    """(mp, mm, v+, v-) with the plus pivot carrying the larger
+    diagonal-plus-self-energy at the pivots' mean diagonal."""
+    vp = diagonal_value(problem, mp, solver.k)
+    vm = diagonal_value(problem, mm, solver.k)
+    center = 0.5 * (vp + vm)
+    if vp + solver.q(mp, center).real < vm + solver.q(mm, center).real:
+        return mm, mp, vm, vp
+    return mp, mm, vp, vm
+
+
 def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     """The continued-fraction roots zeta-+ against eigen_pair's fixed points.
 
@@ -168,19 +179,19 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     k = k_point(problem.frequency, n0) + 1e-5
     solver = ReducedSolver(problem, S, k, [zero, n0])
     mp, mm, vp, vm = _ordered_pair(problem, solver, zero, n0)
-    node = CFNode(lambda x, u: vp + solver.q(mp, u).real,
-                  lambda x, u: vm + solver.q(mm, u).real,
-                  lambda x, u: abs(solver.g(mp, mm, u)))
+    node = CFNode(lambda u: vp + solver.q(mp, u).real,
+                  lambda u: vm + solver.q(mm, u).real,
+                  lambda u: abs(solver.g(mp, mm, u)))
     roots = [r for window in _pair_windows(solver, mp, mm)
-             for r in zeta_roots(node, 0.0, window)]
+             for r in zeta_roots(node, window)]
     if len(roots) != 2:
         return CheckResult("zeta-pair", False, f"{len(roots)} roots in the pair windows")
     zm, zp = sorted(roots)
     E_plus, E_minus = (rec.E for rec in eigen_pair(problem, S, k, zero, n0))
     dev = max(abs(zp - E_plus) / max(1.0, abs(E_plus)),
               abs(zm - E_minus) / max(1.0, abs(E_minus)))
-    ok = (dev <= 1e-12 and zeta_separation_ok(node, 0.0, zm, zp)
-          and zeta_sandwich_ok(node, 0.0, zm, zp))
+    ok = (dev <= 1e-12 and zeta_separation_ok(node, zm, zp)
+          and zeta_sandwich_ok(node, zm, zp))
     return CheckResult("zeta-pair", ok, f"max rel dev from eigen_pair {dev:.3g}")
 
 

@@ -40,17 +40,16 @@ def diagonal_value(problem: Problem, n, k: float) -> float:
     return TWO_PI_SQ * (problem.frequency.dot(n) + k) ** 2
 
 
-def restrict(problem: Problem, S: SiteSet, k: float, order=None) -> DualMatrix:
-    """Hermitian restriction of H_k to S in canonical (or the given) order."""
+def restrict(problem: Problem, S: SiteSet, k: float) -> DualMatrix:
+    """Hermitian restriction of H_k to S, in S's canonical order."""
     if len(S) == 0:
         raise ValueError("cannot restrict to an empty site set")
     if problem.site_budget is not None and len(S) > problem.site_budget:
         raise SiteBudgetError(f"{len(S)} sites exceed budget {problem.site_budget}")
-    sites = S if order is None else SiteSet(tuple(map(tuple, order)))
-    H = couplings(problem, sites, sites)
-    phase = sites.array().astype(float) @ np.asarray(problem.omega, dtype=float) + k
+    H = couplings(problem, S, S)
+    phase = S.array().astype(float) @ np.asarray(problem.omega, dtype=float) + k
     np.fill_diagonal(H, TWO_PI_SQ * phase ** 2)
-    return DualMatrix(sites, k, H)
+    return DualMatrix(S, k, H)
 
 
 def couplings(problem: Problem, rows: SiteSet, cols: SiteSet) -> np.ndarray:
@@ -82,19 +81,26 @@ def couplings(problem: Problem, rows: SiteSet, cols: SiteSet) -> np.ndarray:
     return H
 
 
+def _permuted(M: DualMatrix, sites) -> np.ndarray:
+    """M's entries with rows and columns in the order of `sites`."""
+    idx = [M.sites.index(s) for s in sites]
+    return M.entries[np.ix_(idx, idx)]
+
+
 def cocycle_check(problem: Problem, m_shift, S: SiteSet, k: float) -> float:
     """Max deviation in H_{k + l.omega}(m, n) = H_k(m + l, n + l) over S x S."""
     l = tuple(m_shift)
     left = restrict(problem, S, k + problem.frequency.dot(l))
-    right = restrict(problem, S, k, order=[tuple(a + b for a, b in zip(s, l)) for s in S])
-    return float(np.max(np.abs(left.entries - right.entries)))
+    right = _permuted(restrict(problem, S.translate(l), k),
+                      [tuple(a + b for a, b in zip(s, l)) for s in S])
+    return float(np.max(np.abs(left.entries - right)))
 
 
 def reflection_conjugation_check(problem: Problem, S: SiteSet, k: float) -> float:
     """Max deviation in H_{S,k}(m,n) = conj H_{-S,-k}(-m,-n)."""
     left = restrict(problem, S, k)
-    right = restrict(problem, S, -k, order=[tuple(-c for c in s) for s in S])
-    return float(np.max(np.abs(left.entries - np.conj(right.entries))))
+    right = _permuted(restrict(problem, S.reflect(), -k), [tuple(-c for c in s) for s in S])
+    return float(np.max(np.abs(left.entries - np.conj(right))))
 
 
 def dense_spectrum(M: DualMatrix, center: float = None):

@@ -164,7 +164,7 @@ class GeometryBuilder:
         for s_prime in range(s - 1, 0, -1):
             thr = self.threshold(s_prime, s)
             near = pts[diffs <= thr] if thr > 0 else ()
-            mem = SiteSet.from_iterable(near).difference(taken).sites
+            mem = SiteSet(near).difference(taken).sites
             # separation within the class (principal pair exempt)
             limit = 12.0 * self.ladder.R(s_prime)
             for i in range(len(mem)):

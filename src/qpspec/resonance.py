@@ -40,11 +40,9 @@ class ResonanceInterval:
 class ResonanceProfile:
     k: float
     reset: tuple              # the n^(l)(k), ordered by |n|
-    scales: tuple             # bracketing scale per reset entry
     principal_sets: tuple     # m^(l)(k) as tuples of sites, l = 0..l(k)
     regime: tuple             # ("nonresonant", s) | ("simple_pair", n0) | ("graded", l)
     boundary_hits: tuple = ()
-    window_note: str = ""
 
 
 def k_point(freq, m) -> float:
@@ -95,20 +93,18 @@ def reset(problem: Problem, k: float, search_radius: int,
     boundary = []
     for i in range(pts.shape[0]):
         n = tuple(int(c) for c in pts[i])
-        s = ladder.scale_of(n)
-        half = math.exp(0.75 * ladder.log_delta_at(s))
+        half = math.exp(0.75 * ladder.log_delta_at(ladder.scale_of(n)))
         gap = abs(k - kn[i])
         tol = min(BOUNDARY_TOL, 0.25 * half)  # boundary band scales with narrow widths
         if gap < half - tol:
-            hits.append((int(norms[i]), n, s))
+            hits.append((int(norms[i]), n))
         elif gap <= half + tol:
             boundary.append(n)
-    hits.sort(key=lambda t: (t[0], t[1]))
-    for (r1, n1, _), (r2, n2, _) in zip(hits, hits[1:]):
+    hits.sort()
+    for (r1, n1), (r2, n2) in zip(hits, hits[1:]):
         if r1 == r2:
             raise ArithmeticError(f"reset entries with equal norm: {n1}, {n2}")
-    reset_pts = tuple(n for _, n, _ in hits)
-    scales = tuple(s for _, _, s in hits)
+    reset_pts = tuple(n for _, n in hits)
 
     principal = []
     if reset_pts:
@@ -126,6 +122,4 @@ def reset(problem: Problem, k: float, search_radius: int,
         regime = ("simple_pair", reset_pts[0])
     else:
         regime = ("graded", len(reset_pts) - 1)
-    note = "" if freq.window_n else "finite-window only: no Diophantine certificate recorded"
-    return ResonanceProfile(k, reset_pts, scales, tuple(principal), regime,
-                            tuple(boundary), note)
+    return ResonanceProfile(k, reset_pts, tuple(principal), regime, tuple(boundary))

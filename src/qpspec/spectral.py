@@ -35,7 +35,6 @@ FIXED_POINT_TOL = 1e-13
 MAX_FIXED_POINT_STEPS = 100
 DEGENERACY_GAP = 1e-10
 RESONANCE_RADIUS = 3
-RESONANCE_POINT_TOL = 1e-9
 RECONCILE_TOL = 1e-9                  # oracle agreement, relative to max(1, |E|)
 
 
@@ -131,10 +130,23 @@ def _oracle_on(M: DualMatrix, m0):
     return float(evals[j]), evecs[:, j] / evecs[i0, j], float(abs(evecs[i0, j]))
 
 
-def _oracle_nearest(M: DualMatrix, center: float) -> np.ndarray:
-    """The oracle's two eigenvalues nearest `center`, ascending."""
-    evals, _ = dense_spectrum(M, center)
-    return np.sort(evals[np.argsort(np.abs(evals - center))[:2]])
+def _reconcile_pair(solver: ReducedSolver, center: float, roots, what: str,
+                    scale: float = None) -> np.ndarray:
+    """The distances of the sorted pair `roots` from the oracle's two
+    eigenvalues nearest `center`, from the oracle windowed about `center`
+    (the window chosen from H alone).  A distance beyond RECONCILE_TOL *
+    scale, scale defaulting to max(1, max |oracle|), is a
+    ReconciliationError about `what`: a regime misclassification.
+    """
+    evals, _ = dense_spectrum(solver.full, center)
+    want = np.sort(evals[np.argsort(np.abs(evals - center))[:2]])
+    gaps = np.abs(np.sort(roots) - want)
+    dev = float(np.max(gaps))
+    if scale is None:
+        scale = max(1.0, float(np.max(np.abs(want))))
+    if dev > RECONCILE_TOL * scale:
+        raise ReconciliationError(f"{what} deviate from the dense oracle by {dev:.3g}")
+    return gaps
 
 
 def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
@@ -204,17 +216,6 @@ def _pair_windows(solver: ReducedSolver, mp, mm):
     return merged
 
 
-def _ordered_pair(problem: Problem, solver: ReducedSolver, mp, mm):
-    """(mp, mm, v+, v-) with the plus pivot carrying the larger
-    diagonal-plus-self-energy at the pivots' mean diagonal."""
-    vp = diagonal_value(problem, mp, solver.k)
-    vm = diagonal_value(problem, mm, solver.k)
-    center = 0.5 * (vp + vm)
-    if vp + solver.q(mp, center).real < vm + solver.q(mm, center).real:
-        return mm, mp, vm, vp
-    return mp, mm, vp, vm
-
-
 def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
                oracle_check: bool = True):
     """Both roots of the paired characteristic equation, as records (plus, minus).
@@ -223,13 +224,14 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
     M(E) = [[v+ + Q+(E), G(E)], [conj G(E), v- + Q-(E)]]: E+ is the larger
     eigenvalue of M(E+) and E- the smaller of M(E-), which are exactly the
     roots of chi(E) = det(E - M(E)).  |dM/dE| = O(eps), so both iterations
-    contract in a few steps from the pivots' mean diagonal.  Orders the
-    pivots so the plus branch carries the larger diagonal-plus-self-energy
-    (the ordered-pair convention), whose eigenvectors are built on read.  A
-    root outside the pair windows is a regime error.
+    contract in a few steps from the pivots' mean diagonal.  The step is
+    symmetric in the two pivots, so their order does not matter; the
+    eigenvectors are built on read.  A root outside the pair windows is a
+    regime error.
     """
+    mp, mm = tuple(mp), tuple(mm)
     solver = ReducedSolver(problem, S, k, [mp, mm])
-    mp, mm, vp, vm = _ordered_pair(problem, solver, tuple(mp), tuple(mm))
+    vp, vm = diagonal_value(problem, mp, k), diagonal_value(problem, mm, k)
     center = 0.5 * (vp + vm)
 
     def root(sign: float) -> float:
@@ -249,12 +251,8 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
 
     gaps = (None, None)                   # oracle gaps of (E-, E+)
     if oracle_check:
-        want = _oracle_nearest(solver.full, center)
-        gaps = tuple(map(float, np.abs(np.sort([E_minus, E_plus]) - want)))
-        dev = max(gaps)
-        if dev > RECONCILE_TOL * max(1.0, float(np.max(np.abs(want)))):
-            raise ReconciliationError(
-                f"pair roots deviate from the dense oracle by {dev:.3g}")
+        gaps = tuple(map(float, _reconcile_pair(solver, center, (E_minus, E_plus),
+                                                f"pair roots at k={k}")))
     return (EigenRecord(E_plus, "paired", solver, gaps[1]),
             EigenRecord(E_minus, "paired", solver, gaps[0]))
 
@@ -280,16 +278,13 @@ def _gap_edges(problem: Problem, n0, S: SiteSet):
     return solver, v0, E_minus, E_plus
 
 
-def _reconciled(n0, edges, **box) -> GapRecord:
-    """Route (ii) on the edges' own solver: the two dense eigenvalues nearest
-    v0, from the oracle windowed about v0 (the window chosen from H alone).
-    Disagreement beyond RECONCILE_TOL flags a regime misclassification."""
+def _gap_record(n0, edges, **box) -> GapRecord:
+    """The GapRecord of route (i)'s edges, reconciled by route (ii): the
+    oracle's two eigenvalues nearest v0 on the edges' own solver, on the
+    fixed point's scale max(1, |v0|)."""
     solver, v0, E_minus, E_plus = edges
-    nearest = _oracle_nearest(solver.full, v0)
-    dev = float(max(abs(nearest[0] - E_minus), abs(nearest[1] - E_plus)))
-    if dev > RECONCILE_TOL * max(1.0, abs(v0)):
-        raise ReconciliationError(
-            f"gap edges disagree with the dense oracle by {dev:.3g} at n0={n0}")
+    dev = float(np.max(_reconcile_pair(solver, v0, (E_minus, E_plus),
+                                       f"gap edges at n0={n0}", max(1.0, abs(v0)))))
     return GapRecord(n0, solver.k, float(E_minus), float(E_plus),
                      float(E_plus - E_minus), dev, **box)
 
@@ -301,7 +296,7 @@ def gap_at(problem: Problem, n0, S: SiteSet) -> GapRecord:
     zero = tuple([0] * problem.nu)
     if zero not in S or n0 not in S:
         raise ValueError("paired set must contain 0 and n0")
-    return _reconciled(n0, _gap_edges(problem, n0, S))
+    return _gap_record(n0, _gap_edges(problem, n0, S))
 
 
 def _truncation_residual(problem: Problem, edges) -> float:
@@ -317,7 +312,7 @@ def _truncation_residual(problem: Problem, edges) -> float:
     solver, _, E_minus, E_plus = edges
     S = solver.full.sites
     shifts = np.array(problem.potential.support(), dtype=np.int64).reshape(-1, problem.nu)
-    reached = SiteSet.from_iterable((S.array()[None] + shifts[:, None]).reshape(-1, problem.nu))
+    reached = SiteSet((S.array()[None] + shifts[:, None]).reshape(-1, problem.nu))
     shell = couplings(problem, reached.difference(S), S)
     return max(float(np.linalg.norm(shell @ phi) / np.linalg.norm(phi))
                for phi in (EigenRecord(E, "gap_edge", solver).phi for E in (E_minus, E_plus)))
@@ -365,7 +360,7 @@ def sized_gap(problem: Problem, n0, cap) -> GapRecord:
         v0 = edges[1]
         passed = resid <= FIXED_POINT_TOL * max(1.0, abs(v0))
         if passed or last:
-            return _reconciled(n0, edges, radius=R, truncation_residual=resid,
+            return _gap_record(n0, edges, radius=R, truncation_residual=resid,
                                capped=not passed)
 
 
@@ -389,46 +384,32 @@ class BandPoint:
 
 
 def band(problem: Problem, k_grid, S_builder):
-    """E(k) along a grid; resonant points take the matching pair branch.
+    """E(k) along a grid; points inside a pair window take the pair branch.
 
-    S_builder maps k to the host set.  Points within RESONANCE_POINT_TOL of
-    some k_m, |m| <= RESONANCE_RADIUS, are classified "resonance_point";
-    points inside a pair window take the branch that continues E through
-    the resonance (plus branch above k_m, minus branch below).  A
-    QPSpecError is collected as that point's error; any other error
-    propagates.
+    S_builder maps k to the host set.  A point within 64 eps of some k_m,
+    |m| <= RESONANCE_RADIUS, solves eigen_pair at its own k and takes the
+    branch that continues E through the resonance: the plus branch above
+    k_m, the minus branch at or below it.  Every other point solves
+    eigen_simple.  Each point carries its record's regime; a QPSpecError
+    is collected as that point's error, and any other error propagates.
     """
     zero = tuple([0] * problem.nu)
-    res_points = []
-    B = ball(RESONANCE_RADIUS, problem.nu, budget=None)
-    for m in B:
-        if any(m):
-            res_points.append((tuple(m), k_point(problem.frequency, m)))
+    res_points = [(m, k_point(problem.frequency, m))
+                  for m in ball(RESONANCE_RADIUS, problem.nu, budget=None) if any(m)]
+    window = 64.0 * problem.potential.epsilon  # strongest coupling heuristic
 
     def solve(k: float) -> BandPoint:
         S = S_builder(k)
-        hit = None
-        for m, km in res_points:
-            if abs(k - km) < RESONANCE_POINT_TOL:
-                hit = (m, km, "resonance_point")
-                break
-            # pair handling window: strongest coupling heuristic
-            if abs(k - km) < 64.0 * problem.potential.epsilon:
-                hit = (m, km, "paired")
-                break
+        hit = next(((m, km) for m, km in res_points if abs(k - km) < window), None)
         try:
             if hit is None:
                 rec = eigen_simple(problem, zero, S, k, oracle_check=False)
-                return BandPoint(k, rec.E, "nonresonant")
-            if hit[2] == "resonance_point":
-                record = gap_at(problem, hit[0], S if zero in S and hit[0] in S
-                                else paired_box(problem, hit[0], 6))
-                return BandPoint(k, record.E_plus if k >= hit[1] else record.E_minus,
-                                 "resonance_point")
-            m, km, _ = hit
-            host = S if (zero in S and m in S) else paired_box(problem, m, 6)
-            plus, minus = eigen_pair(problem, host, k, zero, m, oracle_check=False)
-            return BandPoint(k, (plus if k > km else minus).E, "paired")
+            else:
+                m, km = hit
+                host = S if (zero in S and m in S) else paired_box(problem, m, 6)
+                plus, minus = eigen_pair(problem, host, k, zero, m, oracle_check=False)
+                rec = plus if k > km else minus
+            return BandPoint(k, rec.E, rec.regime)
         except QPSpecError as exc:  # collected, not fatal
             return BandPoint(k, float("nan"), "error", str(exc))
 

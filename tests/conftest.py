@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qpspec.dual_operator import TWO_PI_SQ
-from qpspec.lattice import SiteSet, ball, l1_norm
+from qpspec.lattice import ball, l1_norm
 from qpspec.model import Frequency, Potential, Problem, ScaleLadder, build_ladder
 from qpspec.trajectories import (Trajectory, _dist, is_admissible, path_norm,
                                  weights)
@@ -118,20 +118,19 @@ def elementary_path_sum(m, n, k: int, host, alpha: float) -> float:
     return total
 
 
-def restrict_reference(problem, S, k, order=None):
+def restrict_reference(problem, S, k):
     """H_k restricted to S by a loop over sites times coefficients.
 
     Oracle for the vectorized ``dual_operator.restrict``: the entries it
     returns must be equal bit for bit.
     """
-    sites = S if order is None else SiteSet(tuple(map(tuple, order)))
-    n = len(sites)
-    A = sites.array().astype(float)
+    n = len(S)
+    A = S.array().astype(float)
     phase = A @ np.asarray(problem.omega, dtype=float) + k
     H = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(H, TWO_PI_SQ * phase ** 2)
     off = problem.potential.epsilon
-    index = {s: i for i, s in enumerate(sites)}
+    index = {s: i for i, s in enumerate(S)}
     for d, c0 in problem.potential.coefficients.items():
         if all(c == 0 for c in d):
             continue

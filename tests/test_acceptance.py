@@ -258,16 +258,16 @@ def test_acceptance_8_analytic_utilities(generic_problem):
         a1, a2 = 0.5 * gap, -0.5 * gap
         bcoup = 0.05 * gap * rng.random()
         s1, s2 = 0.02 * rng.random(), -0.02 * rng.random()
-        leaf = CFNode(lambda x, u, a=a1, s=s1: a + s * u,
-                      lambda x, u, a=a2, s=s2: a + s * u,
-                      lambda x, u, bb=bcoup: bb)
-        roots = zeta_roots(leaf, 0.0, (-2.0, 2.0))
+        leaf = CFNode(lambda u, a=a1, s=s1: a + s * u,
+                      lambda u, a=a2, s=s2: a + s * u,
+                      lambda u, bb=bcoup: bb)
+        roots = zeta_roots(leaf, (-2.0, 2.0))
         if len(roots) != 2:
             failures.append(f"zeta trial {trial}: {len(roots)} roots")
             continue
-        if not zeta_separation_ok(leaf, 0.0, *roots):
+        if not zeta_separation_ok(leaf, *roots):
             failures.append(f"zeta trial {trial}: separation bound fails")
-        if not zeta_sandwich_ok(leaf, 0.0, *roots):
+        if not zeta_sandwich_ok(leaf, *roots):
             failures.append(f"zeta trial {trial}: sandwich fails")
 
     S = ball(3, 2)

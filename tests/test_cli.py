@@ -77,7 +77,7 @@ def test_band_csv(tmp_path, capsys):
     lines = (tmp_path / "band.csv").read_text().splitlines()
     assert len(lines) == 2 + 5
     k0, E0, regime = lines[2].split(",")
-    assert float(E0) > 0 and regime in ("nonresonant", "paired", "resonance_point")
+    assert float(E0) > 0 and regime in ("nonresonant", "paired", "dense_fallback")
 
 
 def test_gap_commands_name_each_label_at_the_cap(tmp_path, capsys):

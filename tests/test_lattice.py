@@ -87,8 +87,8 @@ def test_ball_is_canonical(R, nu):
 @given(a=st.lists(sites2d, max_size=40), b=st.lists(sites2d, max_size=40))
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_difference_and_intersection_are_canonical(a, b):
-    A = SiteSet.from_iterable(a)
-    for other in (b, SiteSet.from_iterable(b), set(b)):
+    A = SiteSet(a)
+    for other in (b, SiteSet(b), set(b)):
         diff = A.difference(other)
         both = A.intersection(other)
         assert diff.sites == canonical_order(set(a) - set(b))
@@ -103,7 +103,7 @@ def test_ball_reflect_invariant():
 
 
 def test_transform_examples():
-    S = SiteSet.from_iterable([(0, 0), (1, 0)])
+    S = SiteSet([(0, 0), (1, 0)])
     out = S.reflect_through((2, 0))
     assert set(out.sites) == {(2, 0), (1, 0)}
 
@@ -127,8 +127,8 @@ def test_translate_roundtrip(m):
 
 
 def test_straddles_examples():
-    assert not straddles(SiteSet.from_iterable([(0, 0)]), SiteSet.from_iterable([(0, 0)]))
-    assert straddles(SiteSet.from_iterable([(0, 0), (5, 0)]), ball(1, 2))
+    assert not straddles(SiteSet([(0, 0)]), SiteSet([(0, 0)]))
+    assert straddles(SiteSet([(0, 0), (5, 0)]), ball(1, 2))
 
 
 def test_straddles_accepts_plain_collections():
@@ -140,7 +140,7 @@ def test_straddles_accepts_plain_collections():
 
 
 def test_straddles_implies_intersection_and_not_subset():
-    S1 = SiteSet.from_iterable([(0, 0), (5, 0)])
+    S1 = SiteSet([(0, 0), (5, 0)])
     S2 = ball(1, 2)
     assert straddles(S1, S2)
     assert not S1.isdisjoint(S2)
@@ -149,8 +149,8 @@ def test_straddles_implies_intersection_and_not_subset():
 
 def test_canonical_order_deterministic():
     pts = [(1, 0), (0, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
-    a = SiteSet.from_iterable(pts)
-    b = SiteSet.from_iterable(reversed(pts))
+    a = SiteSet(pts)
+    b = SiteSet(reversed(pts))
     assert a.sites == b.sites
     norms = [l1_norm(s) for s in a.sites]
     assert norms == sorted(norms)
@@ -166,7 +166,7 @@ def test_codes_cover_their_range_and_refuse_beyond_it(nu):
     top = _half(nu) - 1
     corners = [tuple(top if (c >> i) & 1 else -top for i in range(nu))
                for c in range(2 ** nu)]
-    S = SiteSet.from_iterable(corners + [(0,) * nu, (1,) + (0,) * (nu - 1)])
+    S = SiteSet(corners + [(0,) * nu, (1,) + (0,) * (nu - 1)])
     assert S.sites == canonical_order(S.sites)
     assert set(S.sites) == set(corners) | {(0,) * nu, (1,) + (0,) * (nu - 1)}
     assert np.array_equal(SiteSet(S.array()).array(), S.array())
@@ -176,9 +176,9 @@ def test_codes_cover_their_range_and_refuse_beyond_it(nu):
             with pytest.raises(ValueError):
                 SiteSet([site])
             with pytest.raises(ValueError):
-                SiteSet.from_iterable([(0,) * nu]).translate(site)
+                SiteSet([(0,) * nu]).translate(site)
     with pytest.raises(ValueError):
-        SiteSet.from_iterable([(top,) * nu]).translate((1,) + (0,) * (nu - 1))
+        SiteSet([(top,) * nu]).translate((1,) + (0,) * (nu - 1))
 
 
 @st.composite
@@ -199,7 +199,7 @@ def _operands(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_set_algebra_matches_python_sets(ops):
     a, b, m, c = ops
-    A, B, sa, sb = SiteSet.from_iterable(a), SiteSet.from_iterable(b), set(a), set(b)
+    A, B, sa, sb = SiteSet(a), SiteSet(b), set(a), set(b)
     assert A.sites == canonical_order(a)
     assert A.union(B).sites == A.union(b).sites == canonical_order(sa | sb)
     assert A.difference(B).sites == canonical_order(sa - sb)
@@ -214,10 +214,5 @@ def test_set_algebra_matches_python_sets(ops):
         tuple(y - x for x, y in zip(s, c)) for s in a)
     assert all(s in A and A.sites[A.index(s)] == s for s in a)
     assert not any(s in A for s in sb - sa)
-    # a set built in caller order keeps it; difference and intersection filter it in order
-    given_order = list(dict.fromkeys(a))
-    G = SiteSet(given_order)
-    assert G.sites == tuple(given_order)
-    assert G.difference(B).sites == tuple(s for s in given_order if s not in sb)
-    assert G.intersection(B).sites == tuple(s for s in given_order if s in sb)
-    assert (G == A) == (G.sites == A.sites)
+    # a set built in any caller order is the canonical set
+    assert SiteSet(list(dict.fromkeys(a))[::-1]) == A

@@ -49,7 +49,7 @@ def test_empty_system_fixpoint():
 
 def test_single_straddler_removed_in_one_step():
     start = ball(12, 2)
-    lobe = SiteSet.from_iterable([(12, 0), (13, 0)])  # straddles the ball
+    lobe = SiteSet([(12, 0), (13, 0)])  # straddles the ball
     out, steps = _iterated_straddle_removal(start, [(1, lobe)], 2)
     assert steps == 1
     assert (12, 0) not in out and (13, 0) not in out
@@ -67,7 +67,7 @@ def random_proper_system(rng, levels_max=3):
             lobe1 = [tuple(np.add(base, d)) for d in ((0, 0), (1, 0), (0, 1))]
             off = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
             lobe2 = [tuple(np.add(p, off)) for p in lobe1]
-            groups.append((level, SiteSet.from_iterable(lobe1 + lobe2)))
+            groups.append((level, SiteSet(lobe1 + lobe2)))
     return groups
 
 
@@ -285,7 +285,7 @@ def test_separation_violation_raises():
 def test_symmetric_pair_removed_in_one_step():
     # hand-built reflection pair straddling the ball: one subtraction step
     start = ball(12, 2)
-    lobe = SiteSet.from_iterable([(12, 0), (13, 0), (12, 1)])
+    lobe = SiteSet([(12, 0), (13, 0), (12, 1)])
     pair = lobe.union(lobe.reflect())
     out, steps = _iterated_straddle_removal(start, [(1, pair)], 2)
     assert steps == 1

@@ -25,7 +25,7 @@ def test_q_zero_potential(zero_problem):
 def test_q_two_site_closed_form(golden_freq):
     pot = Potential.from_harmonics({(0, 1): 0.5}, 1e-3, 0.5)
     prob = Problem(golden_freq, pot)
-    S = SiteSet.from_iterable([(0, 0), (0, 1)])
+    S = SiteSet([(0, 0), (0, 1)])
     E = -2.0
     vn = diagonal_value(prob, (0, 1), 0.2)
     expect = abs(pot.c((0, 1))) ** 2 / (E - vn)
@@ -46,7 +46,7 @@ def test_g_zero_potential(zero_problem):
 def test_g_two_site_exact(golden_freq):
     pot = Potential.from_harmonics({(0, 1): 0.5 + 0.1j}, 1e-3, 0.5)
     prob = Problem(golden_freq, pot)
-    S = SiteSet.from_iterable([(0, 0), (0, 1)])
+    S = SiteSet([(0, 0), (0, 1)])
     got = g_at(prob, (0, 0), (0, 1), S, 0.2, -2.0)
     assert got == pot.c((0, 1))  # empty correction sum
 
@@ -67,7 +67,7 @@ def test_f_zero_potential(zero_problem):
 def test_f_two_site_magnitude(golden_freq):
     pot = Potential.from_harmonics({(0, 1): 0.5}, 1e-3, 0.5)
     prob = Problem(golden_freq, pot)
-    S = SiteSet.from_iterable([(0, 0), (0, 1)])
+    S = SiteSet([(0, 0), (0, 1)])
     E = -2.0
     solver = ReducedSolver(prob, S, 0.2, [(0, 0)])
     F = solver.f((0, 0), E)

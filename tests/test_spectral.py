@@ -8,7 +8,7 @@ import pytest
 from qpspec import schur, spectral
 from qpspec.cli import build_problem, load_config
 from qpspec.dual_operator import dense_spectrum, diagonal_value, restrict
-from qpspec.errors import QPSpecError, ReconciliationError, RegimeError
+from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
 from qpspec.inverse import verify_forward
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
@@ -34,7 +34,7 @@ def test_eigen_simple_zero_potential(zero_problem):
 def test_eigen_simple_two_site_quadratic(golden_freq):
     pot = Potential.from_harmonics({(0, 1): 0.5}, 1e-3, 0.5)
     prob = Problem(golden_freq, pot)
-    S = SiteSet.from_iterable([(0, 0), (0, 1)])
+    S = SiteSet([(0, 0), (0, 1)])
     k = 0.2
     rec = eigen_simple(prob, (0, 0), S, k, oracle_check=False)
     v0 = diagonal_value(prob, (0, 0), k)
@@ -65,7 +65,7 @@ def test_eigen_pair_zero_potential(zero_problem):
 def test_eigen_pair_two_site_closed_form(golden_freq):
     pot = Potential.from_harmonics({(0, 1): 0.7}, 1e-3, 0.5)
     prob = Problem(golden_freq, pot)
-    S = SiteSet.from_iterable([(0, 0), (0, 1)])
+    S = SiteSet([(0, 0), (0, 1)])
     n0 = (0, 1)
     k = k_point(golden_freq, n0) + 1e-5
     Ep, Em = (r.E for r in eigen_pair(prob, S, k, (0, 0), n0, oracle_check=False))
@@ -259,6 +259,28 @@ def test_band_routes_resonant_points(harmonic_problem):
     assert pts[0].E <= rec.E_minus + 1e-9
 
 
+@pytest.mark.parametrize("m", [(-1, 1), (1, -2)])
+def test_band_next_to_a_resonance_point_is_an_eigenvalue(generic_problem, m):
+    # 5e-10 from k_m the band is the pair branch at its own k, not the gap
+    # edge solved at k_m
+    host = ball(5, 2)
+    km = k_point(generic_problem.frequency, m)
+    for p in band(generic_problem, [km - 5e-10, km + 5e-10], lambda k: host):
+        evals = np.linalg.eigvalsh(restrict(generic_problem, host, p.k).entries)
+        assert np.min(np.abs(evals - p.E)) <= 1e-9 * max(1.0, abs(p.E))
+        assert p.regime == "paired"
+
+
+def test_band_reports_a_dense_fallback(generic_problem, monkeypatch):
+    # a stalled fixed point falls back to the dense solver, and the point says so
+    def stalled(step, E0, scale):
+        raise ConvergenceError("stalled")
+
+    monkeypatch.setattr(spectral, "_fixed_point", stalled)
+    (p,) = band(generic_problem, [0.25], lambda k: ball(3, 2))
+    assert p.regime == "dense_fallback" and math.isfinite(p.E)
+
+
 def test_gap_record_carries_forward_bound(generic_problem):
     rec = gap_at(generic_problem, (0, 1), paired_box(generic_problem, (0, 1), 5))
     pot = generic_problem.potential
@@ -367,7 +389,7 @@ def test_three_dimensional_eigen_solve():
 
 def test_pair_windows_from_the_matrix_diagonal(generic_problem):
     n0 = (0, 1)
-    for S in (paired_box(generic_problem, n0, 4), SiteSet.from_iterable([(0, 0), n0])):
+    for S in (paired_box(generic_problem, n0, 4), SiteSet([(0, 0), n0])):
         for theta in (-1e-3, 0.0, 1e-5):
             k = k_point(generic_problem.frequency, n0) + theta
             solver = ReducedSolver(generic_problem, S, k, [(0, 0), n0])

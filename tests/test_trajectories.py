@@ -132,7 +132,7 @@ def test_high_pair_plain_rejects_R_exempts_adjacent():
 
 
 def test_sum_singleton_host():
-    host = SiteSet.from_iterable([(0, 0)])
+    host = SiteSet([(0, 0)])
     prof = WeightProfile({(0, 0): 1.5}, T=8.0, kappa0=0.5, host=host,
                          ambient=ball(3, 2, budget=None))
     res = sum_enumerate((0, 0), (0, 0), prof, 1e-4)
