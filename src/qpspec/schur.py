@@ -10,7 +10,7 @@ inverse.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .dual_operator import restrict
 from .errors import SingularBlockError
@@ -24,21 +24,28 @@ class ReducedSolver:
     """LU-backed evaluations of the self-energy functions over S minus pivots.
 
     One factorization of (E - H_{S \\ pivots}) is shared by Q, G and F at a
-    fixed (S, k, E); spectral solvers rebuild per E-iterate.
+    fixed (S, k, E); spectral solvers rebuild per E-iterate.  The LU comes
+    from LAPACK getrf and the solves from getrs, fetched once per solver
+    and called directly, without scipy's per-call wrappers or their
+    finiteness scan: DualMatrix refuses non-finite entries, so every
+    E - H_rest with a finite E is finite.  A zero pivot (getrf's info > 0)
+    or one below PIVOT_RTOL times the largest is a SingularBlockError.
     """
 
     def __init__(self, problem: Problem, S: SiteSet, k: float, pivots):
         self.k = k
         self.pivots = [tuple(p) for p in pivots]
         self.full = restrict(problem, S, k)
-        pivots, sites = set(self.pivots), self.full.sites.sites
-        keep = [i for i, s in enumerate(sites) if s not in pivots]
-        self.reduced_sites = [sites[i] for i in keep]
-        self._keep = np.asarray(keep, dtype=int)
         self._piv_idx = {p: self.full.sites.index(p) for p in self.pivots}
+        keep = np.ones(len(self.full.sites), dtype=bool)
+        keep[list(self._piv_idx.values())] = False
+        self._keep = np.flatnonzero(keep)
+        sites = self.full.sites.sites
+        self.reduced_sites = [sites[i] for i in self._keep]
         # -H_rest, negated once: each energy's E - H_rest is a copy of it
         self._minus_rest = np.asfortranarray(-self.full.entries[np.ix_(self._keep, self._keep)])
-        self._diag = np.diag_indices(len(keep))
+        self._diag = np.diag_indices(len(self._keep))
+        self._getrf, self._getrs = get_lapack_funcs(("getrf", "getrs"), (self._minus_rest,))
         self._lu_cache = {}
 
     def coupling_column(self, m0) -> np.ndarray:
@@ -51,15 +58,12 @@ class ReducedSolver:
         if key not in self._lu_cache:
             if not self.reduced_sites:
                 raise SingularBlockError("reduced set is empty")
-            # one fresh array per energy, factored in place (restrict refuses
-            # non-finite entries, so the finiteness scan is skipped)
+            # one fresh array per energy, factored in place
             A = self._minus_rest.copy(order="F")
             A[self._diag] += E
-            try:
-                lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise SingularBlockError(f"reduced matrix singular at E={E}") from exc
-            if np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * max(1.0, np.max(np.abs(np.diag(lu)))):
+            lu, piv, info = self._getrf(A, overwrite_a=True)
+            u = np.abs(lu.diagonal())
+            if info > 0 or u.min() < PIVOT_RTOL * max(1.0, u.max()):
                 raise SingularBlockError(f"reduced matrix singular at E={E}")
             if len(self._lu_cache) > 8:
                 self._lu_cache.clear()
@@ -68,7 +72,7 @@ class ReducedSolver:
 
     def solve(self, E: float, rhs: np.ndarray) -> np.ndarray:
         lu, piv = self._lu(E)
-        return sla.lu_solve((lu, piv), rhs)
+        return self._getrs(lu, piv, rhs)[0]
 
     def q(self, m0, E: float) -> complex:
         """Q(m0, S; E) = sum h(m0, m') K(m', n') h(n', m0); real for real E."""

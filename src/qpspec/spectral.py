@@ -10,9 +10,11 @@ gap_at solves them on a caller's host; sized_gap on the smallest tried
 paired box, up to a cap, whose truncation residual (the edge eigenvectors'
 residual once padded with zeros past the box) puts, by Weyl's bound, the
 rest of the lattice within the fixed point's tolerance of each edge.
-Gap edges, and paired roots with the oracle check on, are reconciled with
-the dense oracle's eigenpairs in a window about their centre, the window
-chosen from H alone; sized_gap runs the oracle only on the box it accepts.
+Gap edges and eigen_pair's roots are reconciled with the dense oracle's
+eigenpairs in a window about their centre, the window chosen from H
+alone; sized_gap runs the oracle only on the box it accepts.  A band
+point in a pair window solves one branch, the one it prints, by
+pair_branch; its other root is never computed.
 """
 
 from __future__ import annotations
@@ -216,45 +218,51 @@ def _pair_windows(solver: ReducedSolver, mp, mm):
     return merged
 
 
-def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm,
-               oracle_check: bool = True):
-    """Both roots of the paired characteristic equation, as records (plus, minus).
+def pair_branch(problem: Problem, solver: ReducedSolver, sign: float) -> EigenRecord:
+    """One root of the paired characteristic equation on `solver`, whose
+    pivots are the pair: the plus branch for sign +1, the minus for -1.
 
-    Each root is a fixed point of the effective 2x2 matrix
+    The root is a fixed point of the effective 2x2 matrix
     M(E) = [[v+ + Q+(E), G(E)], [conj G(E), v- + Q-(E)]]: E+ is the larger
     eigenvalue of M(E+) and E- the smaller of M(E-), which are exactly the
-    roots of chi(E) = det(E - M(E)).  |dM/dE| = O(eps), so both iterations
-    contract in a few steps from the pivots' mean diagonal.  The step is
+    roots of chi(E) = det(E - M(E)).  |dM/dE| = O(eps), so the iteration
+    contracts in a few steps from the pivots' mean diagonal.  The step is
     symmetric in the two pivots, so their order does not matter; the
-    eigenvectors are built on read.  A root outside the pair windows is a
-    regime error.
+    eigenvector is built on read.  A root outside the pair windows is a
+    regime error.  The record is not reconciled with the oracle.
     """
-    mp, mm = tuple(mp), tuple(mm)
-    solver = ReducedSolver(problem, S, k, [mp, mm])
+    mp, mm = solver.pivots
+    k = solver.k
     vp, vm = diagonal_value(problem, mp, k), diagonal_value(problem, mm, k)
     center = 0.5 * (vp + vm)
 
-    def root(sign: float) -> float:
-        def step(E: float) -> float:
-            a1, a2 = vp + solver.q(mp, E).real, vm + solver.q(mm, E).real
-            g = solver.g(mp, mm, E)
-            return 0.5 * (a1 + a2) + sign * math.hypot(0.5 * (a1 - a2), abs(g))
-        return _fixed_point(step, center, max(1.0, abs(center)))
+    def step(E: float) -> float:
+        a1, a2 = vp + solver.q(mp, E).real, vm + solver.q(mm, E).real
+        g = solver.g(mp, mm, E)
+        return 0.5 * (a1 + a2) + sign * math.hypot(0.5 * (a1 - a2), abs(g))
 
-    E_plus, E_minus = root(+1.0), root(-1.0)
-    windows = _pair_windows(solver, mp, mm)
-    for E in (E_minus, E_plus):
-        if not any(lo <= E <= hi for lo, hi in windows):
-            raise RegimeError(
-                f"pair root E={E:.6g} lies outside the pair windows "
-                f"(regime misclassification at k={k})")
+    E = _fixed_point(step, center, max(1.0, abs(center)))
+    if not any(lo <= E <= hi for lo, hi in _pair_windows(solver, mp, mm)):
+        raise RegimeError(
+            f"pair root E={E:.6g} lies outside the pair windows "
+            f"(regime misclassification at k={k})")
+    return EigenRecord(E, "paired", solver)
 
-    gaps = (None, None)                   # oracle gaps of (E-, E+)
-    if oracle_check:
-        gaps = tuple(map(float, _reconcile_pair(solver, center, (E_minus, E_plus),
-                                                f"pair roots at k={k}")))
-    return (EigenRecord(E_plus, "paired", solver, gaps[1]),
-            EigenRecord(E_minus, "paired", solver, gaps[0]))
+
+def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm):
+    """Both roots of the paired characteristic equation, as records (plus, minus).
+
+    Both branches are solved by pair_branch on one solver, so they share
+    its LUs, and then reconciled with the oracle's two eigenvalues nearest
+    the pivots' mean diagonal; the records carry those oracle gaps.
+    """
+    solver = ReducedSolver(problem, S, k, [mp, mm])
+    plus, minus = (pair_branch(problem, solver, sign) for sign in (+1.0, -1.0))
+    center = 0.5 * sum(diagonal_value(problem, p, k) for p in solver.pivots)
+    gap_minus, gap_plus = map(float, _reconcile_pair(solver, center, (minus.E, plus.E),
+                                                     f"pair roots at k={k}"))
+    return (EigenRecord(plus.E, "paired", solver, gap_plus),
+            EigenRecord(minus.E, "paired", solver, gap_minus))
 
 
 def _gap_edges(problem: Problem, n0, S: SiteSet):
@@ -387,11 +395,12 @@ def band(problem: Problem, k_grid, S_builder):
     """E(k) along a grid; points inside a pair window take the pair branch.
 
     S_builder maps k to the host set.  A point within 64 eps of some k_m,
-    |m| <= RESONANCE_RADIUS, solves eigen_pair at its own k and takes the
+    |m| <= RESONANCE_RADIUS, solves by pair_branch at its own k only the
     branch that continues E through the resonance: the plus branch above
-    k_m, the minus branch at or below it.  Every other point solves
-    eigen_simple.  Each point carries its record's regime; a QPSpecError
-    is collected as that point's error, and any other error propagates.
+    k_m, the minus branch at or below it.  The other root is not solved,
+    so it cannot fail the point.  Every other point solves eigen_simple.
+    Each point carries its record's regime; a QPSpecError is collected as
+    that point's error, and any other error propagates.
     """
     zero = tuple([0] * problem.nu)
     res_points = [(m, k_point(problem.frequency, m))
@@ -407,8 +416,8 @@ def band(problem: Problem, k_grid, S_builder):
             else:
                 m, km = hit
                 host = S if (zero in S and m in S) else paired_box(problem, m, 6)
-                plus, minus = eigen_pair(problem, host, k, zero, m, oracle_check=False)
-                rec = plus if k > km else minus
+                solver = ReducedSolver(problem, host, k, [zero, m])
+                rec = pair_branch(problem, solver, 1.0 if k > km else -1.0)
             return BandPoint(k, rec.E, rec.regime)
         except QPSpecError as exc:  # collected, not fatal
             return BandPoint(k, float("nan"), "error", str(exc))

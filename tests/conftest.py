@@ -7,6 +7,8 @@ import pytest
 from qpspec.dual_operator import TWO_PI_SQ
 from qpspec.lattice import ball, l1_norm
 from qpspec.model import Frequency, Potential, Problem, ScaleLadder, build_ladder
+from qpspec.schur import ReducedSolver
+from qpspec.spectral import pair_branch
 from qpspec.trajectories import (Trajectory, _dist, is_admissible, path_norm,
                                  weights)
 
@@ -82,6 +84,13 @@ def canonical_order(sites) -> tuple:
     Order oracle for ``SiteSet``, whose int64 codes must sort this way.
     """
     return tuple(sorted(dict.fromkeys(map(tuple, sites)), key=lambda s: (sum(map(abs, s)), s)))
+
+
+def pair_roots(problem, S, k, mp, mm):
+    """Both paired roots (plus, minus) on one solver, not reconciled with
+    the oracle: pair_branch twice, as eigen_pair runs it before its check."""
+    solver = ReducedSolver(problem, S, k, [mp, mm])
+    return pair_branch(problem, solver, +1.0), pair_branch(problem, solver, -1.0)
 
 
 def random_potential(rng, epsilon=1e-4, kappa0=0.5, radius=3, density=0.6):

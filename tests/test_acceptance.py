@@ -19,12 +19,12 @@ from qpspec.model import Potential, Problem
 from qpspec.mssets import GeometryBuilder, max_correct_length
 from qpspec.resonance import k_point
 from qpspec.schur import ReducedSolver
-from qpspec.spectral import (decay_envelope, eigen_pair, eigen_simple,
+from qpspec.spectral import (decay_envelope, eigen_simple,
                              feynman_derivative, gap_at, paired_box)
 from qpspec.trajectories import (WeightProfile, closed_bound, sum_enumerate,
                                  validate_profile)
 
-from conftest import elementary_path_sum, random_potential
+from conftest import elementary_path_sum, pair_roots, random_potential
 
 
 def report(num, name, failures):
@@ -148,10 +148,8 @@ def test_acceptance_4_symmetry_suite(generic_problem, harmonic_problem):
     S = paired_box(harmonic_problem, n0, 6)
     worst_pair = 0.0
     for theta in (1e-5, 5e-5, 2e-4):
-        Ep1, Em1 = (r.E for r in eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
-                                            oracle_check=False))
-        Ep2, Em2 = (r.E for r in eigen_pair(harmonic_problem, S, kn0 - theta, n0, (0, 0),
-                                            oracle_check=False))
+        Ep1, Em1 = (r.E for r in pair_roots(harmonic_problem, S, kn0 + theta, (0, 0), n0))
+        Ep2, Em2 = (r.E for r in pair_roots(harmonic_problem, S, kn0 - theta, n0, (0, 0)))
         worst_pair = max(worst_pair, abs(Ep1 - Ep2), abs(Em1 - Em2))
     if worst_pair > 1e-10:
         failures.append(f"pair symmetry: {worst_pair:.3e} > 1e-10")
@@ -173,7 +171,7 @@ def test_acceptance_5_eigenvector_decay(generic_problem, harmonic_problem):
     kn0 = k_point(harmonic_problem.frequency, n0)
     S = paired_box(harmonic_problem, n0, 6)
     for theta in (1e-5, 1e-4):
-        pair = eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0, oracle_check=False)
+        pair = pair_roots(harmonic_problem, S, kn0 + theta, (0, 0), n0)
         for tag, rec in zip(("plus", "minus"), pair):
             ok, worst = decay_envelope(harmonic_problem, rec)
             if not ok:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from qpspec.dual_operator import diagonal_value
 from qpspec.errors import SingularBlockError
@@ -121,12 +120,15 @@ def test_eigenvalue_stays_within_eps_of_diagonal(generic_problem):
 
 
 def test_lu_failure_is_a_singular_block(generic_problem, monkeypatch):
+    # getrf reports a zero pivot by info > 0 alone; that is a singular block
     solver = ReducedSolver(generic_problem, ball(2, 2), 0.13, [(0, 0)])
+    getrf = solver._getrf
 
     def fails(A, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
+        lu, piv, _ = getrf(A, **kwargs)
+        return lu, piv, 1
 
-    monkeypatch.setattr(sla, "lu_factor", fails)
+    monkeypatch.setattr(solver, "_getrf", fails)
     with pytest.raises(SingularBlockError):
         solver.q((0, 0), 1.0)
 
@@ -137,6 +139,18 @@ def test_lu_unexpected_error_propagates(generic_problem, monkeypatch):
     def broken(A, **kwargs):
         raise TypeError("not a factorization failure")
 
-    monkeypatch.setattr(sla, "lu_factor", broken)
+    monkeypatch.setattr(solver, "_getrf", broken)
     with pytest.raises(TypeError):
         solver.q((0, 0), 1.0)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-14])
+def test_singular_block_on_the_real_path(zero_problem, shift):
+    # zero potential: E - H_rest is diagonal, and E at a non-pivot diagonal
+    # value zeroes one pivot exactly (getrf's info > 0); 1e-14 * scale above
+    # it leaves a pivot below PIVOT_RTOL times the largest
+    solver = ReducedSolver(zero_problem, ball(2, 2), 0.13, [(0, 0)])
+    i = solver.full.sites.index((1, 0))
+    v = solver.full.entries[i, i].real
+    with pytest.raises(SingularBlockError):
+        solver.q((0, 0), v + shift * max(1.0, abs(v)))

@@ -17,7 +17,7 @@ from qpspec.schur import ReducedSolver
 from qpspec.spectral import (band, decay_envelope, eigen_pair, eigen_simple,
                              feynman_derivative, gap_at, paired_box)
 
-from conftest import random_potential
+from conftest import pair_roots, random_potential
 
 TWO_PI_SQ = (2 * math.pi) ** 2
 GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golden_mean.json"
@@ -52,14 +52,18 @@ def test_eigen_simple_matches_oracle(generic_problem):
     assert rec.residual <= 1e-11
 
 
-def test_eigen_pair_zero_potential(zero_problem):
+def test_pair_branch_zero_potential(zero_problem):
     S = ball(2, 2)
     mp, mm = (0, 0), (0, 1)
-    Ep, Em = (r.E for r in eigen_pair(zero_problem, S, 0.2, mp, mm, oracle_check=False))
+    Ep, Em = (r.E for r in pair_roots(zero_problem, S, 0.2, mp, mm))
     vals = sorted([diagonal_value(zero_problem, mp, 0.2),
                    diagonal_value(zero_problem, mm, 0.2)])
     assert Em == pytest.approx(vals[0], rel=1e-12)
     assert Ep == pytest.approx(vals[1], rel=1e-12)
+    # k = 0.2 is not resonant for this pair: the oracle's two eigenvalues
+    # nearest the pivots' mean are other sites', and eigen_pair says so
+    with pytest.raises(ReconciliationError):
+        eigen_pair(zero_problem, S, 0.2, mp, mm)
 
 
 def test_eigen_pair_two_site_closed_form(golden_freq):
@@ -68,7 +72,7 @@ def test_eigen_pair_two_site_closed_form(golden_freq):
     S = SiteSet([(0, 0), (0, 1)])
     n0 = (0, 1)
     k = k_point(golden_freq, n0) + 1e-5
-    Ep, Em = (r.E for r in eigen_pair(prob, S, k, (0, 0), n0, oracle_check=False))
+    Ep, Em = (r.E for r in pair_roots(prob, S, k, (0, 0), n0))
     v0 = diagonal_value(prob, (0, 0), k)
     v1 = diagonal_value(prob, n0, k)
     c = abs(pot.c(n0))
@@ -173,10 +177,8 @@ def test_pair_symmetry_through_resonance(harmonic_problem):
     kn0 = k_point(harmonic_problem.frequency, n0)
     S = paired_box(harmonic_problem, n0, 6)
     for theta in (1e-5, 5e-5):
-        Ep1, Em1 = (r.E for r in eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
-                                            oracle_check=False))
-        Ep2, Em2 = (r.E for r in eigen_pair(harmonic_problem, S, kn0 - theta, n0, (0, 0),
-                                            oracle_check=False))
+        Ep1, Em1 = (r.E for r in pair_roots(harmonic_problem, S, kn0 + theta, (0, 0), n0))
+        Ep2, Em2 = (r.E for r in pair_roots(harmonic_problem, S, kn0 - theta, n0, (0, 0)))
         assert abs(Ep1 - Ep2) <= 1e-10 and abs(Em1 - Em2) <= 1e-10
 
 
@@ -188,8 +190,7 @@ def test_splitting_growth(harmonic_problem):
     base = gap_at(harmonic_problem, n0, S).width
     widths = []
     for theta in (1e-4, 2e-4, 4e-4):
-        Ep, Em = (r.E for r in eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
-                                          oracle_check=False))
+        Ep, Em = (r.E for r in pair_roots(harmonic_problem, S, kn0 + theta, (0, 0), n0))
         widths.append(Ep - Em)
     assert all(w > base for w in widths)
     assert all(b > a for a, b in zip(widths, widths[1:]))
@@ -206,7 +207,7 @@ def test_pair_eigenvector_decay(harmonic_problem):
     n0 = (0, 1)
     k = k_point(harmonic_problem.frequency, n0) + 2e-5
     S = paired_box(harmonic_problem, n0, 6)
-    for rec in eigen_pair(harmonic_problem, S, k, (0, 0), n0, oracle_check=False):
+    for rec in pair_roots(harmonic_problem, S, k, (0, 0), n0):
         ok, worst = decay_envelope(harmonic_problem, rec)
         assert ok, f"decay ratio {worst}"
 
@@ -281,6 +282,73 @@ def test_band_reports_a_dense_fallback(generic_problem, monkeypatch):
     assert p.regime == "dense_fallback" and math.isfinite(p.E)
 
 
+def _band_pair_points(problem, m):
+    """k_m and the grid k_m - 1e-6, k_m, k_m + 1e-6 about it."""
+    km = k_point(problem.frequency, m)
+    return km, [km - 1e-6, km, km + 1e-6]
+
+
+def test_band_pair_point_solves_one_branch(generic_problem, monkeypatch):
+    # a pair-window point runs one fixed point: the branch it prints
+    host = ball(5, 2)
+    _, grid = _band_pair_points(generic_problem, (0, 1))
+    runs = []
+    fixed_point = spectral._fixed_point
+
+    def counting(*args):
+        runs.append(1)
+        return fixed_point(*args)
+
+    monkeypatch.setattr(spectral, "_fixed_point", counting)
+    calls = _count_factorizations(monkeypatch)
+    for k in grid:
+        runs.clear()
+        calls.clear()
+        (p,) = band(generic_problem, [k], lambda k: host)
+        assert p.regime == "paired"
+        assert len(runs) == 1 and 0 < len(calls) <= 3
+
+
+@pytest.mark.parametrize("m", [(0, 1), (1, -2)])
+def test_band_pair_point_is_its_eigen_pair_branch(generic_problem, m):
+    # bit for bit the eigen_pair root band prints: plus above k_m, minus at
+    # or below it
+    host = ball(5, 2)
+    km, grid = _band_pair_points(generic_problem, m)
+    for p in band(generic_problem, grid, lambda k: host):
+        plus, minus = eigen_pair(generic_problem, host, p.k, (0, 0), m)
+        assert p.regime == "paired"
+        assert p.E == (plus.E if p.k > km else minus.E)
+
+
+def test_band_skips_the_unprinted_branch(generic_problem, monkeypatch):
+    # the branch band does not print cannot fail the point
+    host = ball(5, 2)
+    km, grid = _band_pair_points(generic_problem, (0, 1))
+    want = band(generic_problem, grid, lambda k: host)
+    pair_branch = spectral.pair_branch
+
+    def only(printed):
+        def branch(problem, solver, sign):
+            if sign != printed:
+                raise ConvergenceError("unprinted branch stalled")
+            return pair_branch(problem, solver, sign)
+        return branch
+
+    for p in want:
+        monkeypatch.setattr(spectral, "pair_branch", only(1.0 if p.k > km else -1.0))
+        (got,) = band(generic_problem, [p.k], lambda k: host)
+        assert (got.E, got.regime, got.error) == (p.E, "paired", "")
+
+
+def test_band_checks_the_printed_root_window(generic_problem, monkeypatch):
+    host = ball(5, 2)
+    _, grid = _band_pair_points(generic_problem, (0, 1))
+    monkeypatch.setattr(spectral, "_pair_windows", lambda *args: [(-2.0, -1.0)])
+    for p in band(generic_problem, grid, lambda k: host):
+        assert p.regime == "error" and "regime misclassification" in p.error
+
+
 def test_gap_record_carries_forward_bound(generic_problem):
     rec = gap_at(generic_problem, (0, 1), paired_box(generic_problem, (0, 1), 5))
     pot = generic_problem.potential
@@ -298,8 +366,7 @@ def test_splitting_lower_bound_constant(harmonic_problem):
     S = paired_box(harmonic_problem, n0, 5)
     k0 = abs(kn0) / 512.0
     for theta in (1e-4, 1e-3):
-        Ep, Em = (r.E for r in eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
-                                          oracle_check=False))
+        Ep, Em = (r.E for r in pair_roots(harmonic_problem, S, kn0 + theta, (0, 0), n0))
         assert Ep - Em > 0.5 * (k0 * theta) ** 2
 
 
@@ -337,15 +404,25 @@ def test_band_propagates_unexpected_errors(zero_problem, monkeypatch):
         band(zero_problem, [0.2], lambda k: ball(2, 2))
 
 
-def test_eigen_pair_factorization_count(harmonic_problem, monkeypatch):
+def _count_factorizations(monkeypatch) -> list:
+    """Count the LAPACK getrf calls of every ReducedSolver built from now on."""
     calls = []
-    lu_factor = schur.sla.lu_factor
+    get_lapack_funcs = schur.get_lapack_funcs
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return lu_factor(*args, **kwargs)
+    def counting(names, arrays):
+        getrf, getrs = get_lapack_funcs(names, arrays)
 
-    monkeypatch.setattr(schur.sla, "lu_factor", counting)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return getrf(*args, **kwargs)
+        return counted, getrs
+
+    monkeypatch.setattr(schur, "get_lapack_funcs", counting)
+    return calls
+
+
+def test_eigen_pair_factorization_count(harmonic_problem, monkeypatch):
+    calls = _count_factorizations(monkeypatch)
     n0 = (0, 1)
     k = k_point(harmonic_problem.frequency, n0) + 2e-5
     eigen_pair(harmonic_problem, paired_box(harmonic_problem, n0, 6), k, (0, 0), n0)
@@ -357,8 +434,7 @@ def test_eigen_pair_matches_dense_through_resonance(generic_problem):
     S = paired_box(generic_problem, n0, 6)
     for theta in (-4e-3, -1e-5, -1e-7, 1e-7, 1e-5, 4e-3):
         k = k_point(generic_problem.frequency, n0) + theta
-        Ep, Em = (r.E for r in eigen_pair(generic_problem, S, k, (0, 0), n0,
-                                          oracle_check=False))
+        Ep, Em = (r.E for r in pair_roots(generic_problem, S, k, (0, 0), n0))
         center = 0.5 * (diagonal_value(generic_problem, (0, 0), k)
                         + diagonal_value(generic_problem, n0, k))
         evals = np.linalg.eigvalsh(restrict(generic_problem, S, k).entries)

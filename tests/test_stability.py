@@ -18,7 +18,9 @@ from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
 from qpspec.resonance import k_point
 from qpspec.schur import ReducedSolver
-from qpspec.spectral import eigen_pair, eigen_simple, gap_at, paired_box
+from qpspec.spectral import eigen_simple, gap_at, paired_box
+
+from conftest import pair_roots
 
 
 def test_q_stabilizes_exponentially_in_radius(generic_problem):
@@ -89,8 +91,7 @@ def test_gap_edges_are_band_limits(harmonic_problem):
     slope_cap = 100.0
     prev = None
     for theta in (1e-4, 1e-5, 1e-6, 1e-7):
-        Ep, Em = (r.E for r in eigen_pair(harmonic_problem, S, kn0 + theta, (0, 0), n0,
-                                          oracle_check=False))
+        Ep, Em = (r.E for r in pair_roots(harmonic_problem, S, kn0 + theta, (0, 0), n0))
         dev = max(abs(Ep - rec.E_plus), abs(Em - rec.E_minus))
         assert dev <= slope_cap * theta
         if prev is not None:
