@@ -8,7 +8,7 @@ for bit and set algebra is sorting and bisection on integer arrays.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, floor
 
 import numpy as np
@@ -182,7 +182,10 @@ def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:
     The points of the (2r + 1)^nu box with l1 norm <= r, encoded and
     sorted.  Refuses to materialize more than `budget` sites; the budget
     guards memory against the radii the paper's constants give, and is
-    checked before the box is built.
+    checked on every call, before the box is built or looked up.  The
+    read-only code array is built once per process for each (floor(R), nu);
+    every call returns a fresh SiteSet on it, so no two callers share the
+    `.sites` or index caches.
     """
     if R < 0:
         raise ValueError("ball radius must be nonnegative")
@@ -190,8 +193,16 @@ def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:
     size = l1_ball_size(r, nu)
     if budget is not None and size > budget:
         raise SiteBudgetError(f"ball(R={R}, nu={nu}) holds {size} sites, over budget {budget}")
+    return SiteSet._of(_ball_codes(r, nu), nu)
+
+
+@lru_cache(maxsize=32)
+def _ball_codes(r: int, nu: int) -> np.ndarray:
+    """The sorted, read-only codes of ball(r, nu); callers check the budget."""
     box = np.indices((2 * r + 1,) * nu, dtype=np.int64).reshape(nu, -1).T - r
-    return SiteSet._of(np.sort(_encode(box[np.abs(box).sum(axis=1) <= r])), nu)
+    codes = np.sort(_encode(box[np.abs(box).sum(axis=1) <= r]))
+    codes.flags.writeable = False
+    return codes
 
 
 def punctured_ball(radius: int, nu: int) -> np.ndarray:

@@ -191,7 +191,7 @@ class ScaleLadder:
         r = l1_norm(m)
         if r == 0:
             return 0
-        logr = math.log(r / 12.0) if r > 0 else float("-inf")
+        logr = math.log(r / 12.0)
         for u in range(1, self.u_max + 1):
             if logr <= self.log_R[u - 1]:
                 return u

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,7 +85,12 @@ class SiteClassification:
 
 
 class GeometryBuilder:
-    """Caches the recursive Lambda-set construction for one problem."""
+    """The recursive Lambda-set construction for one problem.
+
+    Each builder keeps the plain sets it has made, per (k, s).  The balls
+    and the classification window those sets are cut from do not depend on
+    k; they are built once per process (lattice.ball, _window).
+    """
 
     def __init__(self, problem: Problem, ladder: ScaleLadder = None):
         self.problem = problem
@@ -93,14 +99,6 @@ class GeometryBuilder:
             raise ValueError("geometry requires a scale ladder")
         self.budget = problem.site_budget
         self._plain_cache = {}
-        self._balls = {}
-
-    def _ball(self, R: float) -> SiteSet:
-        """ball(R, nu) under the problem's budget, built once per builder."""
-        hit = self._balls.get(R)
-        if hit is None:
-            hit = self._balls[R] = ball(R, self.problem.nu, budget=self.budget)
-        return hit
 
     # -- diagonal differences ------------------------------------------------
 
@@ -115,9 +113,7 @@ class GeometryBuilder:
         count = (2 * window_radius + 1) ** nu
         if count > BOX_POINT_CAP:
             raise CombinatorialBudgetError(f"classification window of {count} points too large")
-        grids = np.meshgrid(*([np.arange(-window_radius, window_radius + 1)] * nu), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        norms = np.abs(pts).sum(axis=1)
+        pts, norms = _window(window_radius, nu)
         return pts if include_zero else pts[norms > 0]
 
     def threshold(self, s_prime: int, s: int) -> float:
@@ -196,9 +192,9 @@ class GeometryBuilder:
         if hit is not None:
             return hit
         if s == 1:
-            out = self._ball(2.0 * self.ladder.R(1))
+            out = ball(2.0 * self.ladder.R(1), self.problem.nu, budget=self.budget)
         else:
-            big = self._ball(3.0 * self.ladder.R(s))
+            big = ball(3.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
             classes = classify()
             drop = [lam for lam in classes.lambda_sets.values() if straddles(lam, big)]
             out = big.difference(SiteSet.union(*drop)) if drop else big
@@ -221,7 +217,7 @@ class GeometryBuilder:
                 f"|k| = {abs(k):.3g} outside the small-k regime delta^(s-2)")
         classes = self.site_classes(k, s)
         groups = _reflection_groups(classes, (0,) * self.problem.nu)
-        start = self._ball(3.0 * self.ladder.R(s))
+        start = ball(3.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
         out, steps = _iterated_straddle_removal(start, groups, 2 ** s)
         if not out.issuperset(out.reflect()):
             raise GeometryError("symmetrized set is not reflection invariant")
@@ -239,7 +235,7 @@ class GeometryBuilder:
         if abs(k - kn0) > 2.0 * sigma(n0, self.ladder):
             raise RegimeError(
                 f"k = {k:.6g} outside the pair window around k_n0 = {kn0:.6g}")
-        base = self._ball(3.0 * self.ladder.R(s))
+        base = ball(3.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
         start = base.union(base.reflect_through(n0))
         if s == 1:
             return start
@@ -248,7 +244,7 @@ class GeometryBuilder:
         out, steps = _iterated_straddle_removal(start, groups, 2 ** s)
         if not out.issuperset(out.reflect_through(n0)):
             raise GeometryError("paired set is not T-invariant")
-        inner = self._ball(2.0 * self.ladder.R(s))
+        inner = ball(2.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
         if not inner.issubset(out) or not out.issuperset(inner.translate(n0)):
             raise GeometryError("paired set lost its inner balls")
         if not out.issubset(start):
@@ -259,7 +255,7 @@ class GeometryBuilder:
     # -- validations ----------------------------------------------------------
 
     def _require_sandwich(self, out: SiteSet, s: int, k: float):
-        inner = self._ball(2.0 * self.ladder.R(s))
+        inner = ball(2.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
         if not inner.issubset(out):
             raise GeometryError(f"B(2 R^({s})) not contained in the level-{s} set at k={k}")
 
@@ -268,6 +264,20 @@ class GeometryBuilder:
             if not (lam.issubset(out) or lam.isdisjoint(out)):
                 raise GeometryError(
                     f"set Lambda^({s_prime})({m}) straddles the constructed set")
+
+
+@lru_cache(maxsize=4)
+def _window(window_radius: int, nu: int):
+    """The points of the (2 window_radius + 1)^nu box and their l1 norms, read-only.
+
+    Built once per process for each (window_radius, nu); callers check
+    BOX_POINT_CAP first.
+    """
+    grids = np.meshgrid(*([np.arange(-window_radius, window_radius + 1)] * nu), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    norms = np.abs(pts).sum(axis=1)
+    pts.flags.writeable = norms.flags.writeable = False
+    return pts, norms
 
 
 def _reflection_groups(classes: SiteClassification, center):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LadderRangeError
+from .errors import LadderRangeError, RegimeError
 from .lattice import punctured_ball
 from .model import Frequency, Problem, ScaleLadder, sigma
 
@@ -76,8 +76,8 @@ def reset(problem: Problem, k: float, search_radius: int,
 
     R(k) = {n != 0 : |k - k_n| < (delta^(s(n)))^(3/4)} over |n| <= radius,
     ordered by |n| (magnitudes are distinct under the Diophantine
-    condition; ties raise).  Boundary hits within 1e-14 are reported
-    separately instead of silently binned.
+    condition; a tie means it failed, and raises RegimeError).  Boundary
+    hits within 1e-14 are reported separately instead of silently binned.
     """
     ladder = ladder if ladder is not None else problem.ladder
     freq = problem.frequency
@@ -89,22 +89,22 @@ def reset(problem: Problem, k: float, search_radius: int,
     omega = np.asarray(freq.omega, dtype=float)
     kn = -0.5 * (pts @ omega)
     norms = np.abs(pts).sum(axis=1)
-    hits = []
-    boundary = []
-    for i in range(pts.shape[0]):
-        n = tuple(int(c) for c in pts[i])
-        half = math.exp(0.75 * ladder.log_delta_at(ladder.scale_of(n)))
-        gap = abs(k - kn[i])
-        tol = min(BOUNDARY_TOL, 0.25 * half)  # boundary band scales with narrow widths
-        if gap < half - tol:
-            hits.append((int(norms[i]), n))
-        elif gap <= half + tol:
-            boundary.append(n)
-    hits.sort()
-    for (r1, n1), (r2, n2) in zip(hits, hits[1:]):
-        if r1 == r2:
-            raise ArithmeticError(f"reset entries with equal norm: {n1}, {n2}")
-    reset_pts = tuple(n for _, n in hits)
+    # the half-width depends on n only through |n|: one per norm, taken at
+    # the norm's first row, then indexed by norm
+    _, first, by_norm = np.unique(norms, return_index=True, return_inverse=True)
+    half = np.array([math.exp(0.75 * ladder.log_delta_at(ladder.scale_of(pts[i].tolist())))
+                     for i in first])[by_norm]
+    gap = np.abs(k - kn)
+    tol = np.minimum(BOUNDARY_TOL, 0.25 * half)  # boundary band scales with narrow widths
+    inside = gap < half - tol
+    boundary = [tuple(n) for n in pts[~inside & (gap <= half + tol)].tolist()]
+    # rows in canonical order, so the hits come ordered by norm
+    hit_norms = norms[inside]
+    reset_pts = tuple(tuple(n) for n in pts[inside].tolist())
+    ties = np.flatnonzero(hit_norms[1:] == hit_norms[:-1])
+    if len(ties):
+        i = ties[0]
+        raise RegimeError(f"reset entries with equal norm: {reset_pts[i]}, {reset_pts[i + 1]}")
 
     principal = []
     if reset_pts:

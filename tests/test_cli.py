@@ -123,6 +123,16 @@ def test_geometry_budget_error(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "regime"
 
 
+def test_geometry_reset_tie_is_one_json_error(tmp_path, capsys):
+    # reset widths so wide that two mirrors of equal norm catch k = 0.1
+    path = write_config(tmp_path, geometry_k=0.1, geometry_s=1, geometry_ladder={
+        "beta1": 0.35, "log_R": [2.05, 2.98], "log_delta": [-2.0, -2.5, -3.0]})
+    rc = main(["geometry", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "regime" and "equal norm" in err["message"]
+
+
 def test_geometry_output(tmp_path):
     rc = main(["geometry", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)])
     assert rc == 0

@@ -56,6 +56,33 @@ def test_ball_over_budget_raises_before_building(monkeypatch):
         ball(40, 3, budget=1000)
 
 
+def test_cached_ball_still_checks_its_budget():
+    ball(5, 2, budget=None)
+    with pytest.raises(SiteBudgetError):
+        ball(5, 2, budget=10)
+
+
+def test_each_ball_call_is_a_fresh_equal_set():
+    a = ball(6, 2)
+    assert (6, 0) in a  # builds a's .sites and index caches
+    b = ball(6, 2)
+    assert b is not a and b == a
+    assert "sites" not in vars(b) and "_index" not in vars(b)
+
+
+def test_cached_ball_codes_are_read_only():
+    with pytest.raises(ValueError):
+        ball(3, 2)._codes[0] = 0
+
+
+def test_ball_cache_is_keyed_on_the_floored_radius():
+    lattice._ball_codes.cache_clear()
+    ball(4.7, 2)
+    ball(4, 2)
+    info = lattice._ball_codes.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
 @pytest.mark.parametrize("nu", [1, 2, 3])
 @pytest.mark.parametrize("radius", [-1, 0, 1, 6])
 def test_punctured_ball_is_the_ball_without_its_origin(radius, nu):

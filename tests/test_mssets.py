@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qpspec import mssets
-from qpspec.errors import GeometryError, LadderRangeError, RegimeError
+from qpspec.errors import (CombinatorialBudgetError, GeometryError, LadderRangeError,
+                           RegimeError)
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Frequency, Potential, Problem, ScaleLadder, sigma
 from qpspec.mssets import (GeometryBuilder, _iterated_straddle_removal,
@@ -111,6 +112,25 @@ def test_site_classes_never_ask_admissibility(geometry_problem, monkeypatch):
 
     monkeypatch.setattr(GeometryBuilder, "admissible_k", refuse)
     assert GeometryBuilder(geometry_problem).site_classes(0.2088, 2).members == want
+
+
+def test_classification_window_is_read_only(builder):
+    pts = builder._candidates(20, include_zero=True)
+    _, norms = mssets._window(20, 2)
+    for array in (pts, norms):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_warm_window_still_checks_the_point_cap(builder, monkeypatch):
+    builder._candidates(20)
+
+    def refuse(*args):
+        raise AssertionError("an over-cap window must not be looked up or built")
+
+    monkeypatch.setattr(mssets, "_window", refuse)
+    with pytest.raises(CombinatorialBudgetError):
+        builder._candidates(1000)
 
 
 def narrow_delta_builder(log_R, log_delta):

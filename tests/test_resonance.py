@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpspec.errors import LadderRangeError
+from qpspec.errors import LadderRangeError, RegimeError
+from qpspec.lattice import punctured_ball
 from qpspec.model import Frequency, Potential, Problem, ScaleLadder
-from qpspec.resonance import interval, k_point, reset
+from qpspec.resonance import BOUNDARY_TOL, ResonanceProfile, interval, k_point, reset
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -109,13 +111,18 @@ def test_reset_reflection(reset_problem):
     assert plus.regime[0] == minus.regime[0]
 
 
-def test_reset_graded_profile():
+@pytest.fixture(scope="module")
+def graded_problem():
+    """Reset widths e^-6 at scale 1 and e^-6.45 at scale 2."""
     freq = Frequency((1.0, GOLDEN), 0.01, 3.0, window_n=250)
-    # widths e^-6 at scale 1, e^-6.45 at scale 2: both k_(-34,55) = 0.00407
-    # and k_(-89,144) = 0.00155 catch k = 0.003; their mirrors stay out
     lad = ScaleLadder.from_sequences(0.35, (2.05, 2.98), (-7.0, -8.0, -8.6))
-    prob = Problem(freq, Potential({}, 1e-4, 0.5), lad)
-    prof = reset(prob, 0.003, 236)
+    return Problem(freq, Potential({}, 1e-4, 0.5), lad)
+
+
+def test_reset_graded_profile(graded_problem):
+    # both k_(-34,55) = 0.00407 and k_(-89,144) = 0.00155 catch k = 0.003;
+    # their mirrors stay out
+    prof = reset(graded_problem, 0.003, 236)
     assert (-34, 55) in prof.reset and (-89, 144) in prof.reset
     assert prof.regime[0] == "graded"
     norms = [sum(map(abs, n)) for n in prof.reset]
@@ -126,6 +133,82 @@ def test_reset_graded_profile():
         assert zero in tier
         if level:
             assert set(prof.principal_sets[level - 1]).issubset(tier)
+
+
+def test_reset_equal_norm_tie_is_a_regime_error():
+    # reset widths of e^-1.5 and more break the Diophantine separation:
+    # the mirrors (-3, 5) and (3, -5) both catch k = 0.1
+    freq = Frequency((1.0, GOLDEN), 0.01, 3.0, window_n=250)
+    lad = ScaleLadder.from_sequences(0.35, (2.05, 2.98), (-2.0, -2.5, -3.0))
+    prob = Problem(freq, Potential({}, 1e-4, 0.5), lad)
+    with pytest.raises(RegimeError, match=r"equal norm: \(-3, 5\), \(3, -5\)"):
+        reset(prob, 0.1, 12)
+
+
+def reset_by_loop(problem, k, search_radius):
+    """reset as one scale_of and one exp per window point: the reference
+    for the scan by norm."""
+    ladder = problem.ladder
+    pts = punctured_ball(search_radius, problem.nu)
+    kn = -0.5 * (pts @ np.asarray(problem.frequency.omega, dtype=float))
+    norms = np.abs(pts).sum(axis=1)
+    hits, boundary = [], []
+    for i in range(pts.shape[0]):
+        n = tuple(int(c) for c in pts[i])
+        half = math.exp(0.75 * ladder.log_delta_at(ladder.scale_of(n)))
+        gap = abs(k - kn[i])
+        tol = min(BOUNDARY_TOL, 0.25 * half)
+        if gap < half - tol:
+            hits.append((int(norms[i]), n))
+        elif gap <= half + tol:
+            boundary.append(n)
+    hits.sort()
+    for (r1, n1), (r2, n2) in zip(hits, hits[1:]):
+        if r1 == r2:
+            raise RegimeError(f"reset entries with equal norm: {n1}, {n2}")
+    reset_pts = tuple(n for _, n in hits)
+    principal = []
+    if reset_pts:
+        current = {(0,) * problem.nu, reset_pts[0]}
+        principal.append(tuple(sorted(current)))
+        for n_l in reset_pts[1:]:
+            current = current | {tuple(a - b for a, b in zip(n_l, m)) for m in current}
+            principal.append(tuple(sorted(current)))
+    if not reset_pts:
+        regime = ("nonresonant", ladder.u_max)
+    elif len(reset_pts) == 1:
+        regime = ("simple_pair", reset_pts[0])
+    else:
+        regime = ("graded", len(reset_pts) - 1)
+    return ResonanceProfile(k, reset_pts, tuple(principal), regime, tuple(boundary))
+
+
+def outcome(f, *args):
+    try:
+        prof = f(*args)
+    except RegimeError as exc:
+        return ("RegimeError", str(exc))
+    return (prof.reset, prof.boundary_hits, prof.principal_sets, prof.regime)
+
+
+@given(k=st.floats(-0.6, 0.6), radius=st.sampled_from([0, 1, 12, 40]))
+@example(k=0.003, radius=236)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_reset_scan_matches_the_point_loop(graded_problem, k, radius):
+    assert outcome(reset, graded_problem, k, radius) == outcome(
+        reset_by_loop, graded_problem, k, radius)
+
+
+@given(n=st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(any),
+       side=st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_reset_scan_matches_the_point_loop_on_a_boundary(graded_problem, n, side):
+    lad = graded_problem.ladder
+    k = k_point(graded_problem.frequency, n) + side * math.exp(
+        0.75 * lad.log_delta_at(lad.scale_of(n)))
+    want = outcome(reset_by_loop, graded_problem, k, 24)
+    assert outcome(reset, graded_problem, k, 24) == want
+    assert n in want[1]
 
 
 def test_reset_point_in_own_interval(reset_problem):
