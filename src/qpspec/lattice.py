@@ -163,9 +163,6 @@ class SiteSet:
     def difference(self, other) -> "SiteSet":
         return SiteSet._of(self._codes[~self._in(other)], self.nu)
 
-    def intersection(self, other) -> "SiteSet":
-        return SiteSet._of(self._codes[self._in(other)], self.nu)
-
     def issubset(self, other) -> bool:
         return bool(self._in(other).all())
 

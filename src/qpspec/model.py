@@ -183,9 +183,6 @@ class ScaleLadder:
             return 0.0
         return math.exp(self.log_R_at(u))
 
-    def delta(self, u: int) -> float:
-        return math.exp(self.log_delta_at(u))
-
     def scale_of(self, m) -> int:
         """The rung s with 12 R^(s-1) < |m| <= 12 R^(s); s=0 reserved for m=0."""
         r = l1_norm(m)

@@ -28,10 +28,6 @@ class ResonanceInterval:
     k_minus: float
     k_plus: float
 
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.k_minus + self.k_plus)
-
     def contains(self, k: float) -> bool:
         return self.k_minus < k < self.k_plus
 

@@ -56,8 +56,6 @@ class ReducedSolver:
     def _lu(self, E: float):
         key = float(E)
         if key not in self._lu_cache:
-            if not self.reduced_sites:
-                raise SingularBlockError("reduced set is empty")
             # one fresh array per energy, factored in place
             A = self._minus_rest.copy(order="F")
             A[self._diag] += E
@@ -71,13 +69,15 @@ class ReducedSolver:
         return self._lu_cache[key]
 
     def solve(self, E: float, rhs: np.ndarray) -> np.ndarray:
+        """(E - H_rest)^-1 rhs.  On an empty reduced set it is a zero array of
+        rhs's shape, so Q is 0, G the direct coupling and F empty."""
+        if not self.reduced_sites:
+            return np.zeros(rhs.shape, dtype=complex)
         lu, piv = self._lu(E)
         return self._getrs(lu, piv, rhs)[0]
 
     def q(self, m0, E: float) -> complex:
         """Q(m0, S; E) = sum h(m0, m') K(m', n') h(n', m0); real for real E."""
-        if not self.reduced_sites:
-            return 0j
         col = self.coupling_column(m0)          # h(n, m0)
         row = np.conj(col)                      # h(m0, n)
         return complex(row @ self.solve(E, col))
@@ -86,8 +86,6 @@ class ReducedSolver:
         """G(mp, mm, S; E) = h(mp, mm) + sum h(mp, m') K(m', n') h(n', mm)."""
         jp, jm = self._piv_idx[tuple(mp)], self._piv_idx[tuple(mm)]
         direct = complex(self.full.entries[jp, jm])
-        if not self.reduced_sites:
-            return direct
         col = self.coupling_column(mm)          # h(n, mm)
         row = np.conj(self.coupling_column(mp))  # h(mp, n)
         return complex(direct + row @ self.solve(E, col))
@@ -99,6 +97,4 @@ class ReducedSolver:
         The sign follows the Schur blocks of (E - H), whose couplings are
         -h; the assembled phi(n) = -F(n) = +K h(., m0) solves H phi = E phi.
         """
-        if not self.reduced_sites:
-            return np.zeros(0, dtype=complex)
         return -self.solve(E, self.coupling_column(m0))

@@ -7,9 +7,11 @@ E = lambda_max / lambda_min of the effective 2x2 matrix at E.  The
 gap edges at k_{n0} come from the limit characterization
 E = v(0, k_{n0}) + Q(E) -+ |G(E)|, solved directly to avoid cancellation.
 gap_at solves them on a caller's host; sized_gap on the smallest tried
-paired box, up to a cap, whose truncation residual (the edge eigenvectors'
-residual once padded with zeros past the box) puts, by Weyl's bound, the
-rest of the lattice within the fixed point's tolerance of each edge.
+paired box S, up to a cap, whose truncation residual r (the edge
+eigenvectors' residual padded with zeros onto S' = S plus its coupling
+shell) is within the fixed point's tolerance.  By Weyl's bound H on S'
+has an eigenvalue within r of each edge, plus the fixed point's own
+residual; on Z^nu that identifies no edge (see _truncation_residual).
 Gap edges and eigen_pair's roots are reconciled with the dense oracle's
 eigenpairs in a window about their centre, the window chosen from H
 alone; sized_gap runs the oracle only on the box it accepts.  A band
@@ -88,10 +90,12 @@ class EigenRecord:
 class GapRecord:
     """Gap edges at k_point = k_{n0} and their width.
 
-    `radius` is the paired box the edges were solved on (None for a
-    caller's host) and `truncation_residual` its Weyl bound on how far the
-    rest of the lattice moves either edge; `capped` says the box reached
-    its cap with that bound above FIXED_POINT_TOL * scale.
+    `radius` is the paired box S the edges were solved on (None for a
+    caller's host) and `truncation_residual` the edge eigenvectors'
+    residual padded onto S' = S plus its coupling shell: H on S' has an
+    eigenvalue within it, plus the fixed point's own residual, of each
+    edge.  `capped` says the box reached its cap with that residual above
+    FIXED_POINT_TOL * scale.
     """
     n0: tuple
     k_point: float
@@ -308,14 +312,18 @@ def gap_at(problem: Problem, n0, S: SiteSet) -> GapRecord:
 
 
 def _truncation_residual(problem: Problem, edges) -> float:
-    """Weyl's bound on how far the rest of the lattice moves either edge.
+    """The edges' residual on S' = S plus its coupling shell.
 
     Pad each edge's eigenvector phi on the solver's box S with zeros to
     the whole lattice.  On S its residual is the fixed point's own; off S
     it is nonzero only on the shell (S + supp c) minus S, where it is the
     shell-to-S couplings times phi.  For S = paired_box(n0, R) the shell
     lies in paired_box(n0, R + rho), rho the largest |d| in the support.
-    Returns the larger edge's ||H_shell,S phi||_2 / ||phi||_2.
+    Returns the larger edge's ||H_shell,S phi||_2 / ||phi||_2.  By Weyl's
+    bound H on S' has an eigenvalue within it, plus the fixed point's own
+    residual, of each edge.  On Z^nu it identifies no edge: by the cocycle
+    identity H_k has spectrum near E(k + n.omega) for every n, and those
+    values are dense.
     """
     solver, _, E_minus, E_plus = edges
     S = solver.full.sites
@@ -345,12 +353,12 @@ def sized_gap(problem: Problem, n0, cap) -> GapRecord:
     whose truncation residual is at most FIXED_POINT_TOL * scale, with
     scale = max(1, v(0, k_{n0})) as in the fixed point.
 
-    By Weyl's bound the rest of the lattice then moves neither edge by more
-    than the fixed point itself allows.  Only the accepted box meets the
-    oracle, on that box's own solver; a rejected box runs none.  A box at
-    the cap is accepted whatever its residual, and the record says so
-    (`capped`).  A QPSpecError rejects a box below the cap and propagates
-    at the cap.
+    By Weyl's bound H on S' (the box plus its coupling shell) then has an
+    eigenvalue within that tolerance of each edge, plus the fixed point's
+    own residual.  Only the accepted box meets the oracle, on that box's
+    own solver; a rejected box runs none.  A box at the cap is accepted
+    whatever its residual, and the record says so (`capped`).  A
+    QPSpecError rejects a box below the cap and propagates at the cap.
     """
     n0 = tuple(n0)
     # a radius below rho leaves out couplings of the pivots themselves

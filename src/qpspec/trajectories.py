@@ -1,4 +1,4 @@
-"""Trajectory combinatorics: weights, admissibility classes, certified sums.
+"""Trajectory combinatorics: weights, R-admissibility, certified sums.
 
 A trajectory is a tuple of lattice sites with consecutive points distinct.
 Weights follow
@@ -11,9 +11,10 @@ host set and every partial sum carries a certified tail, so the inequality
 tests are sound rather than optimistic.
 
 The certified sum takes the R-admissible class and the largest pair weight
-w(m, n) = exp(-kappa0 |m - n|).  The trajectory bounds hold for both classes
-and every w below that cap, and every plain-admissible path is R-admissible,
-so this sum dominates every other choice: it is the one worth checking.
+w(m, n) = exp(-kappa0 |m - n|).  The paper's trajectory bounds hold for its
+plain class too, and for every w below that cap; but every plain-admissible
+path is R-admissible, so this sum dominates every other choice.  It is the
+one worth checking, and the R class is the only one built here.
 """
 
 from __future__ import annotations
@@ -145,13 +146,13 @@ def _pair_ok(prof: WeightProfile, pts, i, j) -> bool:
     return dm <= prof.T * path_norm(pts[i:j + 1]) ** ADMISSIBILITY_EXPONENT
 
 
-def is_admissible(g: Trajectory, prof: WeightProfile, variant: str = "plain"):
-    """Admissibility per the pairwise norm-growth condition.
+def is_admissible(g: Trajectory, prof: WeightProfile):
+    """R-admissibility per the pairwise norm-growth condition.
 
-    plain: every pair i < j with both D-values above 4T/kappa0 must satisfy
-    min D <= T ||segment||^(1/5).  The R-variant exempts adjacent pairs but
-    imposes the four flanking conditions around any exempt pair that
-    actually violates the single-step bound.  Returns (bool, reason).
+    Every non-adjacent pair i < j with both D-values at or above 4T/kappa0
+    must satisfy min D <= T ||segment||^(1/5).  Adjacent pairs are exempt,
+    but an exempt pair that actually violates the single-step bound imposes
+    the four flanking conditions around it.  Returns (bool, reason).
     """
     pts = g.points
     k = len(pts)
@@ -160,29 +161,22 @@ def is_admissible(g: Trajectory, prof: WeightProfile, variant: str = "plain"):
     for i in range(k):
         if not high[i]:
             continue
-        for j in range(i + 1, k):
-            if not high[j]:
-                continue
-            if variant == "R" and j == i + 1:
-                continue
-            if not _pair_ok(prof, pts, i, j):
+        for j in range(i + 2, k):
+            if high[j] and not _pair_ok(prof, pts, i, j):
                 return False, f"pair ({i},{j}) violates the norm bound"
-    if variant == "R":
-        for i in range(k - 1):
-            if not (high[i] and high[i + 1]):
-                continue
-            dm = min(prof.D[pts[i]], prof.D[pts[i + 1]])
-            if dm <= prof.T * _dist(pts[i], pts[i + 1]) ** ADMISSIBILITY_EXPONENT:
-                continue
-            # exempt adjacent pair in force: flanking conditions
-            for jp in range(i):
-                if not (_pair_ok(prof, pts, jp, i) and _pair_ok(prof, pts, jp, i + 1)):
-                    return False, f"flanking condition fails at ({jp},{i})"
-            for jq in range(i + 2, k):
-                if not (_pair_ok(prof, pts, i, jq) and _pair_ok(prof, pts, i + 1, jq)):
-                    return False, f"flanking condition fails at ({i},{jq})"
-    elif variant != "plain":
-        raise ValueError(f"unknown admissibility variant {variant!r}")
+    for i in range(k - 1):
+        if not (high[i] and high[i + 1]):
+            continue
+        dm = min(prof.D[pts[i]], prof.D[pts[i + 1]])
+        if dm <= prof.T * _dist(pts[i], pts[i + 1]) ** ADMISSIBILITY_EXPONENT:
+            continue
+        # exempt adjacent pair in force: flanking conditions
+        for jp in range(i):
+            if not (_pair_ok(prof, pts, jp, i) and _pair_ok(prof, pts, jp, i + 1)):
+                return False, f"flanking condition fails at ({jp},{i})"
+        for jq in range(i + 2, k):
+            if not (_pair_ok(prof, pts, i, jq) and _pair_ok(prof, pts, i + 1, jq)):
+                return False, f"flanking condition fails at ({i},{jq})"
     return True, ""
 
 
@@ -238,7 +232,7 @@ def sum_enumerate(m, n, prof: WeightProfile, eps0: float, len_cap: int = 5) -> S
         P = P[np.all(P[:, 1:] != P[:, :-1], axis=1)]
         keep = np.ones(len(P), dtype=bool)
         for r in np.flatnonzero(high[P].sum(axis=1) >= 2):
-            keep[r] = is_admissible(Trajectory([host[i] for i in P[r]]), prof, "R")[0]
+            keep[r] = is_admissible(Trajectory([host[i] for i in P[r]]), prof)[0]
         P = P[keep]
         dsum = sum(D[col] for col in P.T)
         prod = math.prod(pair_w[a, b] for a, b in zip(P.T, P.T[1:]))

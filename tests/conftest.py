@@ -169,7 +169,7 @@ def sum_enumerate_reference(m, n, prof, eps0, len_cap=5):
         if k == 1:
             if m == n:
                 g = Trajectory((m,))
-                ok, _ = is_admissible(g, prof, "R")
+                ok, _ = is_admissible(g, prof)
                 if ok:
                     total_k = weights(g, prof, w)[0]
         else:
@@ -178,7 +178,7 @@ def sum_enumerate_reference(m, n, prof, eps0, len_cap=5):
                 if any(a == b for a, b in zip(pts, pts[1:])):
                     continue
                 g = Trajectory(pts)
-                ok, _ = is_admissible(g, prof, "R")
+                ok, _ = is_admissible(g, prof)
                 if ok:
                     total_k += weights(g, prof, w)[0]
         by_length.append(total_k)

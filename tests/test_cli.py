@@ -280,6 +280,13 @@ def test_verify_inverse_report(tmp_path):
     assert all(row["holds"] for row in doc["pointwise"])
 
 
+def test_verify_inverse_at_box_radius_zero(tmp_path, capsys):
+    # every label's box is the pair {0, n0} alone, whose reduced set is empty
+    path = write_config(tmp_path, box_radius=0)
+    assert main(["verify-inverse", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qpspec.cli", "validate",

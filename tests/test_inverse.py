@@ -10,7 +10,7 @@ from qpspec.inverse import (DecayBound, gap_table, improve_decay, recovered_boun
                             verify_forward, verify_inverse)
 from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
-from qpspec.spectral import gap_at, paired_box
+from qpspec.spectral import gap_at, paired_box, sized_gap
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -22,6 +22,14 @@ def chain_problem(golden_freq, eps=1e-4):
 def bound_at(problem, n0, radius):
     records, _ = gap_table(problem, [n0], radius)
     return recovered_bound(problem, records[n0])
+
+
+def test_recovered_bound_on_the_pair_alone(harmonic_problem):
+    # at cap 0 the box is {0, n0}: the reduced set is empty, so the desk
+    # prefactor has no resolvent part and the quadratic sum no terms
+    rb = recovered_bound(harmonic_problem, sized_gap(harmonic_problem, (0, 1), 0))
+    assert rb.prefactor_desk == 1.0
+    assert rb.quadratic_term == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -113,13 +113,11 @@ def test_ball_is_canonical(R, nu):
 
 @given(a=st.lists(sites2d, max_size=40), b=st.lists(sites2d, max_size=40))
 @settings(max_examples=50, deadline=None, derandomize=True)
-def test_difference_and_intersection_are_canonical(a, b):
+def test_difference_is_canonical(a, b):
     A = SiteSet(a)
     for other in (b, SiteSet(b), set(b)):
         diff = A.difference(other)
-        both = A.intersection(other)
         assert diff.sites == canonical_order(set(a) - set(b))
-        assert both.sites == canonical_order(set(a) & set(b))
         assert all(diff.index(s) == i for i, s in enumerate(diff.sites))
 
 
@@ -230,7 +228,6 @@ def test_set_algebra_matches_python_sets(ops):
     assert A.sites == canonical_order(a)
     assert A.union(B).sites == A.union(b).sites == canonical_order(sa | sb)
     assert A.difference(B).sites == canonical_order(sa - sb)
-    assert A.intersection(b).sites == canonical_order(sa & sb)
     assert A.issubset(B) == (sa <= sb)
     assert A.issuperset(B) == A.issuperset(b) == (sa >= sb)
     assert A.isdisjoint(B) == (not sa & sb)

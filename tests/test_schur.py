@@ -5,7 +5,9 @@ from qpspec.dual_operator import diagonal_value
 from qpspec.errors import SingularBlockError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
+from qpspec.resonance import k_point
 from qpspec.schur import ReducedSolver
+from qpspec.spectral import eigen_simple, paired_box
 
 
 def q_at(problem, m0, S, k, E):
@@ -77,7 +79,6 @@ def test_f_two_site_magnitude(golden_freq):
 
 def test_assembled_phi_residual(generic_problem):
     # phi(m0) = 1, phi(n) = -F(n) kills the residual when E solves E = v + Q
-    from qpspec.spectral import eigen_simple
     rec = eigen_simple(generic_problem, (0, 0), ball(3, 2), 0.22, oracle_check=False)
     assert rec.residual <= 1e-12
 
@@ -110,13 +111,35 @@ def test_q_derivative_bounds(generic_problem):
 
 
 def test_eigenvalue_stays_within_eps_of_diagonal(generic_problem):
-    from qpspec.spectral import eigen_simple
     eps = generic_problem.potential.epsilon
     for k in (0.13, 0.29):
         rec = eigen_simple(generic_problem, (0, 0), ball(4, 2), k,
                            oracle_check=False)
         v0 = diagonal_value(generic_problem, (0, 0), k)
         assert 0 < abs(rec.E - v0) < eps
+
+
+def test_empty_reduced_set(generic_problem):
+    # paired_box(n0, 0) is the pair alone: every sum over the reduced set is empty
+    zero, n0 = (0, 0), (0, 1)
+    k = k_point(generic_problem.frequency, n0)
+    solver = ReducedSolver(generic_problem, paired_box(generic_problem, n0, 0), k, [zero, n0])
+    assert solver.reduced_sites == []
+    E = diagonal_value(generic_problem, zero, k)
+    assert solver.q(zero, E) == 0j
+    i, j = (solver.full.sites.index(p) for p in (zero, n0))
+    assert solver.g(zero, n0, E) == solver.full.entries[i, j]
+    F = solver.f(zero, E)
+    assert F.shape == (0,) and F.dtype == complex
+    assert solver.solve(E, np.eye(0)).shape == (0, 0)
+
+
+def test_eigen_simple_on_one_site(generic_problem):
+    # with no reduced site Q is 0, so the fixed point is v(0, k) itself,
+    # and the one-site oracle agrees
+    zero, k = (0, 0), 0.22
+    rec = eigen_simple(generic_problem, zero, SiteSet([zero]), k)
+    assert rec.E == diagonal_value(generic_problem, zero, k)
 
 
 def test_lu_failure_is_a_singular_block(generic_problem, monkeypatch):

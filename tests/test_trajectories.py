@@ -95,16 +95,14 @@ def test_multiplicativity_bridged_concatenation():
 
 def test_admissible_single_point():
     prof = flat_profile()
-    for variant in ("plain", "R"):
-        ok, _ = is_admissible(Trajectory(((0, 0),)), prof, variant)
-        assert ok
+    ok, _ = is_admissible(Trajectory(((0, 0),)), prof)
+    assert ok
 
 
 def test_admissible_vacuous_low_D():
     prof = flat_profile(d=2.0)  # all D below 4 T / kappa0 = 64
     g = Trajectory(((0, 0), (2, 0), (-2, 0)))
-    assert is_admissible(g, prof, "plain")[0]
-    assert is_admissible(g, prof, "R")[0]
+    assert is_admissible(g, prof)[0]
 
 
 def high_pair_profile():
@@ -119,16 +117,25 @@ def high_pair_profile():
     return WeightProfile(D, T=8.0, kappa0=0.8, host=host, ambient=host)
 
 
-def test_high_pair_plain_rejects_R_exempts_adjacent():
+def test_high_pair_R_exempts_adjacent_only():
     prof = high_pair_profile()
     assert validate_profile(prof) == []
     adjacent = Trajectory(((-4, 0), (4, 0)))
     # ||gamma|| = 8, T ||.||^(1/5) = 8 * 8^0.2 = 12.1 < 41
-    assert not is_admissible(adjacent, prof, "plain")[0]
-    assert is_admissible(adjacent, prof, "R")[0]
+    assert is_admissible(adjacent, prof)[0]
     separated = Trajectory(((-4, 0), (0, 1), (4, 0)))
-    assert not is_admissible(separated, prof, "plain")[0]
-    assert not is_admissible(separated, prof, "R")[0]
+    assert not is_admissible(separated, prof)[0]
+
+
+def test_R_exempt_pair_imposes_flanking_conditions():
+    # three high sites on a line, 2000 apart: each adjacent pair violates the
+    # single-step bound (8 * 2000^0.2 = 36.6 < 41), the outer pair meets it
+    # (8 * 4000^0.2 = 42.0), so only the flanking condition rejects the path
+    pts = ((0, 0), (2000, 0), (4000, 0))
+    host = SiteSet(pts)
+    prof = WeightProfile({s: 41.0 for s in pts}, T=8.0, kappa0=0.8, host=host, ambient=host)
+    assert is_admissible(Trajectory(pts[:2]), prof) == (True, "")
+    assert is_admissible(Trajectory(pts), prof) == (False, "flanking condition fails at (0,2)")
 
 
 def test_sum_singleton_host():
