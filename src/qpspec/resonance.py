@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LadderRangeError, RegimeError
 from .lattice import punctured_ball
-from .model import Frequency, Problem, ScaleLadder, sigma
+from .model import Problem, ScaleLadder, sigma
 
 BOUNDARY_TOL = 1e-14
 
@@ -42,10 +42,8 @@ class ResonanceProfile:
 
 
 def k_point(freq, m) -> float:
-    """k_m = -(m.omega)/2; antisymmetric in m exactly."""
-    omega = freq.omega if isinstance(freq, (Frequency,)) else tuple(freq)
-    dot = float(np.dot(np.asarray(omega, dtype=float), np.asarray(m, dtype=float)))
-    return -0.5 * dot
+    """k_m = -(m.omega)/2 for a Frequency freq; antisymmetric in m exactly."""
+    return -0.5 * freq.dot(m)
 
 
 def interval(freq, m, s: int, ladder: ScaleLadder) -> ResonanceInterval:

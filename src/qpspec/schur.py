@@ -2,7 +2,8 @@
 
 Eliminating the pivot sites P from E - H_S leaves on P the Schur
 complement E - (diag v + [[Q+, G], [G*, Q-]]) (E - v - Q for one pivot),
-built from one LU of E - H_{S \\ P} per energy.  This is the one
+built from one LU of E - H_{S \\ P} per energy and one solve of every
+pivot's coupling column against it (ReducedSolver.block).  This is the one
 representation of the resolvent; the selftest compares it with the dense
 inverse.
 """
@@ -24,34 +25,41 @@ class ReducedSolver:
     """LU-backed evaluations of the self-energy functions over S minus pivots.
 
     One factorization of (E - H_{S \\ pivots}) is shared by Q, G and F at a
-    fixed (S, k, E); spectral solvers rebuild per E-iterate.  The LU comes
-    from LAPACK getrf and the solves from getrs, fetched once per solver
-    and called directly, without scipy's per-call wrappers or their
-    finiteness scan: DualMatrix refuses non-finite entries, so every
-    E - H_rest with a finite E is finite.  A zero pivot (getrf's info > 0)
-    or one below PIVOT_RTOL times the largest is a SingularBlockError.
+    fixed (S, k, E); spectral solvers rebuild per E-iterate.  Q and G are
+    entries of block(E), which solves every pivot's coupling column in one
+    getrs call.  The LU comes from LAPACK getrf and the solves from getrs,
+    fetched once per solver and called directly, without scipy's per-call
+    wrappers or their finiteness scan: DualMatrix refuses non-finite
+    entries, so every E - H_rest with a finite E is finite.  A zero pivot
+    (getrf's info > 0) or one below PIVOT_RTOL times the largest is a
+    SingularBlockError.
     """
 
     def __init__(self, problem: Problem, S: SiteSet, k: float, pivots):
         self.k = k
         self.pivots = [tuple(p) for p in pivots]
         self.full = restrict(problem, S, k)
-        self._piv_idx = {p: self.full.sites.index(p) for p in self.pivots}
+        self._pos = {p: i for i, p in enumerate(self.pivots)}
+        piv = [self.full.sites.index(p) for p in self.pivots]
         keep = np.ones(len(self.full.sites), dtype=bool)
-        keep[list(self._piv_idx.values())] = False
+        keep[piv] = False
         self._keep = np.flatnonzero(keep)
+        H = self.full.entries
+        # h(n, p) and h(p, n) over the reduced set, one per pivot; h(p, p') off p = p'
+        self._cols = np.asfortranarray(H[:, piv][self._keep])
+        self._rows = list(np.conj(self._cols).T)
+        self._direct = [[0j if a == b else complex(H[a, b]) for b in piv] for a in piv]
         sites = self.full.sites.sites
         self.reduced_sites = [sites[i] for i in self._keep]
         # -H_rest, negated once: each energy's E - H_rest is a copy of it
-        self._minus_rest = np.asfortranarray(-self.full.entries[np.ix_(self._keep, self._keep)])
+        self._minus_rest = np.asfortranarray(-H[np.ix_(self._keep, self._keep)])
         self._diag = np.diag_indices(len(self._keep))
         self._getrf, self._getrs = get_lapack_funcs(("getrf", "getrs"), (self._minus_rest,))
         self._lu_cache = {}
 
     def coupling_column(self, m0) -> np.ndarray:
         """h(n, m0) for n in the reduced set."""
-        j = self._piv_idx[tuple(m0)]
-        return self.full.entries[self._keep, j]
+        return self._cols[:, self._pos[tuple(m0)]]
 
     def _lu(self, E: float):
         key = float(E)
@@ -76,19 +84,24 @@ class ReducedSolver:
         lu, piv = self._lu(E)
         return self._getrs(lu, piv, rhs)[0]
 
+    def block(self, E: float) -> list:
+        """[[Q+, G], [G', Q-]] on the pivots, in their order, as rows of
+        complex: entry (i, j) is h(p_i, p_j) (0 if i = j) plus
+        sum h(p_i, m') K(m', n') h(n', p_j), K = (E - H_rest)^-1.  One getrs
+        call solves every pivot's column and each sum is one column dot, so
+        G' is conj G only up to rounding."""
+        X = self.solve(E, self._cols)
+        return [[d + complex(row @ x) for d, x in zip(direct, X.T)]
+                for direct, row in zip(self._direct, self._rows)]
+
     def q(self, m0, E: float) -> complex:
         """Q(m0, S; E) = sum h(m0, m') K(m', n') h(n', m0); real for real E."""
-        col = self.coupling_column(m0)          # h(n, m0)
-        row = np.conj(col)                      # h(m0, n)
-        return complex(row @ self.solve(E, col))
+        i = self._pos[tuple(m0)]
+        return self.block(E)[i][i]
 
     def g(self, mp, mm, E: float) -> complex:
         """G(mp, mm, S; E) = h(mp, mm) + sum h(mp, m') K(m', n') h(n', mm)."""
-        jp, jm = self._piv_idx[tuple(mp)], self._piv_idx[tuple(mm)]
-        direct = complex(self.full.entries[jp, jm])
-        col = self.coupling_column(mm)          # h(n, mm)
-        row = np.conj(self.coupling_column(mp))  # h(mp, n)
-        return complex(direct + row @ self.solve(E, col))
+        return self.block(E)[self._pos[tuple(mp)]][self._pos[tuple(mm)]]
 
     def f(self, m0, E: float) -> np.ndarray:
         """F(m0, n; E) over reduced_sites, the eigenvector tail: phi(n) = -F(n),

@@ -1,28 +1,27 @@
 """Eigenvalues, gap edges and band functions for the dual matrices.
 
-The non-resonant branch solves the scalar fixed point E = v(m0) + Q(E); the
-paired branch solves the 2x2 effective characteristic equation
-chi(E) = (E - v+ - Q+)(E - v- - Q-) - |G|^2 = 0 as the fixed points
-E = lambda_max / lambda_min of the effective 2x2 matrix at E.  The
-gap edges at k_{n0} come from the limit characterization
-E = v(0, k_{n0}) + Q(E) -+ |G(E)|, solved directly to avoid cancellation.
-gap_at solves them on a caller's host; sized_gap on the smallest tried
-paired box S, up to a cap, whose truncation residual r (the edge
-eigenvectors' residual padded with zeros onto S' = S plus its coupling
-shell) is within the fixed point's tolerance.  By Weyl's bound H on S'
-has an eigenvalue within r of each edge, plus the fixed point's own
-residual; on Z^nu that identifies no edge (see _truncation_residual).
-Gap edges and eigen_pair's roots are reconciled with the dense oracle's
-eigenpairs in a window about their centre, the window chosen from H
-alone; sized_gap runs the oracle only on the box it accepts.  A band
-point in a pair window solves one branch, the one it prints, by
-pair_branch; its other root is never computed.
+The non-resonant branch solves the scalar fixed point E = v(m0) + Q(E).
+The paired branch, pair_branch, is the one paired solve: it takes the
+fixed points E = lambda_max / lambda_min of the effective 2x2 matrix at E,
+the roots of chi(E) = (E - v+ - Q+)(E - v- - Q-) - |G|^2, reading Q+, Q-
+and G from one Schur-block solve per energy.  The gap edges at k_{n0} are
+its two roots on the pivots (0, n0), where v(0) = v(n0) and the step is
+E = v(0, k_{n0}) + Q(E) -+ |G(E)|.  gap_at solves them on a caller's host;
+sized_gap on the smallest tried paired box S, up to a cap, whose
+truncation residual r (the edge eigenvectors' residual padded with zeros
+onto S' = S plus its coupling shell) is within the fixed point's
+tolerance: by Weyl's bound H on S' has an eigenvalue within r of each
+edge, plus the fixed point's own residual (on Z^nu that identifies no
+edge; see _truncation_residual).  Gap edges and eigen_pair's roots pass
+one oracle rule, _reconcile_pair; sized_gap runs it only on the box it
+accepts.  A band point in a pair window solves only the branch it prints
+and runs no oracle; its root must lie in the pair windows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -136,21 +135,20 @@ def _oracle_on(M: DualMatrix, m0):
     return float(evals[j]), evecs[:, j] / evecs[i0, j], float(abs(evecs[i0, j]))
 
 
-def _reconcile_pair(solver: ReducedSolver, center: float, roots, what: str,
-                    scale: float = None) -> np.ndarray:
-    """The distances of the sorted pair `roots` from the oracle's two
-    eigenvalues nearest `center`, from the oracle windowed about `center`
-    (the window chosen from H alone).  A distance beyond RECONCILE_TOL *
-    scale, scale defaulting to max(1, max |oracle|), is a
+def _reconcile_pair(problem: Problem, roots, what: str) -> np.ndarray:
+    """The distances of the pair records `roots`, (minus, plus) on one
+    solver, from the oracle's two eigenvalues nearest the pivots' mean
+    diagonal, from the oracle windowed about that centre (the window chosen
+    from H alone).  A distance beyond RECONCILE_TOL * max(1, |centre|) is a
     ReconciliationError about `what`: a regime misclassification.
     """
+    solver = roots[0].solver
+    center = 0.5 * sum(diagonal_value(problem, p, solver.k) for p in solver.pivots)
     evals, _ = dense_spectrum(solver.full, center)
     want = np.sort(evals[np.argsort(np.abs(evals - center))[:2]])
-    gaps = np.abs(np.sort(roots) - want)
+    gaps = np.abs(np.array([rec.E for rec in roots]) - want)
     dev = float(np.max(gaps))
-    if scale is None:
-        scale = max(1.0, float(np.max(np.abs(want))))
-    if dev > RECONCILE_TOL * scale:
+    if dev > RECONCILE_TOL * max(1.0, abs(center)):
         raise ReconciliationError(f"{what} deviate from the dense oracle by {dev:.3g}")
     return gaps
 
@@ -162,9 +160,9 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
     Starts at E = v(m0, k); contraction is guaranteed by |d_E Q| <= |eps|
     in the small-coupling regime.  A stalled fixed point (ConvergenceError)
     falls back to the dense eigensolver with eigenvector-overlap selection;
-    any other error propagates.  With the oracle check
-    on, a converged value that disagrees with the overlap-selected dense
-    eigenvalue flags a regime mismatch.
+    any other error propagates.  With the oracle check on, a converged value
+    that disagrees with the overlap-selected dense eigenvalue flags a regime
+    mismatch.
     """
     m0 = tuple(m0)
     solver = ReducedSolver(problem, S, k, [m0])
@@ -229,90 +227,68 @@ def pair_branch(problem: Problem, solver: ReducedSolver, sign: float) -> EigenRe
     The root is a fixed point of the effective 2x2 matrix
     M(E) = [[v+ + Q+(E), G(E)], [conj G(E), v- + Q-(E)]]: E+ is the larger
     eigenvalue of M(E+) and E- the smaller of M(E-), which are exactly the
-    roots of chi(E) = det(E - M(E)).  |dM/dE| = O(eps), so the iteration
-    contracts in a few steps from the pivots' mean diagonal.  The step is
-    symmetric in the two pivots, so their order does not matter; the
-    eigenvector is built on read.  A root outside the pair windows is a
-    regime error.  The record is not reconciled with the oracle.
+    roots of chi(E) = det(E - M(E)).  Each step reads Q+, Q- and G from one
+    solver.block(E).  |dM/dE| = O(eps), so the iteration contracts in a
+    few steps from the pivots' mean diagonal.  The step is symmetric in
+    the two pivots, so their order does not matter; when v+ + Q+ equals
+    v- + Q-, as at k_{n0} on (0, n0), it is E = v + Q +- |G|.  The
+    eigenvector is built on read.  The record is checked neither against
+    the oracle nor against the pair windows; its callers do that.
     """
-    mp, mm = solver.pivots
-    k = solver.k
-    vp, vm = diagonal_value(problem, mp, k), diagonal_value(problem, mm, k)
+    vp, vm = [diagonal_value(problem, p, solver.k) for p in solver.pivots]
     center = 0.5 * (vp + vm)
 
     def step(E: float) -> float:
-        a1, a2 = vp + solver.q(mp, E).real, vm + solver.q(mm, E).real
-        g = solver.g(mp, mm, E)
+        (q1, g), (_, q2) = solver.block(E)
+        a1, a2 = vp + q1.real, vm + q2.real
         return 0.5 * (a1 + a2) + sign * math.hypot(0.5 * (a1 - a2), abs(g))
 
     E = _fixed_point(step, center, max(1.0, abs(center)))
-    if not any(lo <= E <= hi for lo, hi in _pair_windows(solver, mp, mm)):
-        raise RegimeError(
-            f"pair root E={E:.6g} lies outside the pair windows "
-            f"(regime misclassification at k={k})")
-    return EigenRecord(E, "paired", solver)
+    return EigenRecord(float(E), "paired", solver)
+
+
+def _pair_roots(problem: Problem, S: SiteSet, k: float, pivots):
+    """Both pair_branch roots on one solver with these pivots, as records
+    (minus, plus) sorted by E; not reconciled."""
+    solver = ReducedSolver(problem, S, k, pivots)
+    plus, minus = (pair_branch(problem, solver, sign) for sign in (+1.0, -1.0))
+    return tuple(sorted((minus, plus), key=lambda rec: rec.E))
 
 
 def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm):
     """Both roots of the paired characteristic equation, as records (plus, minus).
 
     Both branches are solved by pair_branch on one solver, so they share
-    its LUs, and then reconciled with the oracle's two eigenvalues nearest
-    the pivots' mean diagonal; the records carry those oracle gaps.
+    its LUs, and reconciled with the oracle by _reconcile_pair, as gap
+    edges are; the records carry those oracle gaps.  No pair-window check
+    runs: the oracle is the stronger one.
     """
-    solver = ReducedSolver(problem, S, k, [mp, mm])
-    plus, minus = (pair_branch(problem, solver, sign) for sign in (+1.0, -1.0))
-    center = 0.5 * sum(diagonal_value(problem, p, k) for p in solver.pivots)
-    gap_minus, gap_plus = map(float, _reconcile_pair(solver, center, (minus.E, plus.E),
-                                                     f"pair roots at k={k}"))
-    return (EigenRecord(plus.E, "paired", solver, gap_plus),
-            EigenRecord(minus.E, "paired", solver, gap_minus))
+    minus, plus = roots = _pair_roots(problem, S, k, [mp, mm])
+    gap_minus, gap_plus = map(float, _reconcile_pair(problem, roots, f"pair roots at k={k}"))
+    return replace(plus, oracle_gap=gap_plus), replace(minus, oracle_gap=gap_minus)
 
 
-def _gap_edges(problem: Problem, n0, S: SiteSet):
-    """Route (i) on S: the solver with pivots (0, n0) at k = k_{n0} and both
-    edges E = v0 + Q -+ |G| by fixed point, as (solver, v0, E_minus, E_plus)."""
-    zero = tuple([0] * problem.nu)
-    k = k_point(problem.frequency, n0)
-    solver = ReducedSolver(problem, S, k, [zero, n0])
-    v0 = diagonal_value(problem, zero, k)
-    scale = max(1.0, abs(v0))
-
-    def edge(sign: float) -> float:
-        return _fixed_point(
-            lambda E: v0 + solver.q(zero, E).real + sign * abs(solver.g(zero, n0, E)),
-            v0, scale)
-
-    E_plus = edge(+1.0)
-    E_minus = edge(-1.0)
-    if E_plus < E_minus:
-        E_plus, E_minus = E_minus, E_plus
-    return solver, v0, E_minus, E_plus
-
-
-def _gap_record(n0, edges, **box) -> GapRecord:
-    """The GapRecord of route (i)'s edges, reconciled by route (ii): the
-    oracle's two eigenvalues nearest v0 on the edges' own solver, on the
-    fixed point's scale max(1, |v0|)."""
-    solver, v0, E_minus, E_plus = edges
-    dev = float(np.max(_reconcile_pair(solver, v0, (E_minus, E_plus),
-                                       f"gap edges at n0={n0}", max(1.0, abs(v0)))))
-    return GapRecord(n0, solver.k, float(E_minus), float(E_plus),
-                     float(E_plus - E_minus), dev, **box)
+def _gap_record(problem: Problem, n0, roots, **box) -> GapRecord:
+    """The GapRecord of the edge records `roots`, reconciled with the oracle."""
+    minus, plus = roots
+    dev = float(np.max(_reconcile_pair(problem, roots, f"gap edges at n0={n0}")))
+    return GapRecord(n0, minus.solver.k, minus.E, plus.E, plus.E - minus.E, dev, **box)
 
 
 def gap_at(problem: Problem, n0, S: SiteSet) -> GapRecord:
-    """Gap edges at k = k_{n0} on the host S via E = v + Q -+ |G|, reconciled
-    with the oracle on S; the record carries no box radius."""
+    """Gap edges at k = k_{n0} on the host S: pair_branch's two roots on the
+    pivots (0, n0), reconciled with the oracle on S as eigen_pair's are;
+    the record carries no box radius."""
     n0 = tuple(n0)
     zero = tuple([0] * problem.nu)
     if zero not in S or n0 not in S:
         raise ValueError("paired set must contain 0 and n0")
-    return _gap_record(n0, _gap_edges(problem, n0, S))
+    roots = _pair_roots(problem, S, k_point(problem.frequency, n0), [zero, n0])
+    return _gap_record(problem, n0, roots)
 
 
-def _truncation_residual(problem: Problem, edges) -> float:
-    """The edges' residual on S' = S plus its coupling shell.
+def _truncation_residual(problem: Problem, roots) -> float:
+    """The edge records' residual on S' = S plus its coupling shell.
 
     Pad each edge's eigenvector phi on the solver's box S with zeros to
     the whole lattice.  On S its residual is the fixed point's own; off S
@@ -325,13 +301,11 @@ def _truncation_residual(problem: Problem, edges) -> float:
     identity H_k has spectrum near E(k + n.omega) for every n, and those
     values are dense.
     """
-    solver, _, E_minus, E_plus = edges
-    S = solver.full.sites
+    S = roots[0].sites
     shifts = np.array(problem.potential.support(), dtype=np.int64).reshape(-1, problem.nu)
     reached = SiteSet((S.array()[None] + shifts[:, None]).reshape(-1, problem.nu))
     shell = couplings(problem, reached.difference(S), S)
-    return max(float(np.linalg.norm(shell @ phi) / np.linalg.norm(phi))
-               for phi in (EigenRecord(E, "gap_edge", solver).phi for E in (E_minus, E_plus)))
+    return max(float(np.linalg.norm(shell @ r.phi) / np.linalg.norm(r.phi)) for r in roots)
 
 
 def _box_radii(cap, start: int, nu: int) -> list:
@@ -360,23 +334,24 @@ def sized_gap(problem: Problem, n0, cap) -> GapRecord:
     whatever its residual, and the record says so (`capped`).  A
     QPSpecError rejects a box below the cap and propagates at the cap.
     """
-    n0 = tuple(n0)
+    n0, zero = tuple(n0), tuple([0] * problem.nu)
+    k = k_point(problem.frequency, n0)
+    scale = max(1.0, abs(diagonal_value(problem, zero, k)))   # the pair's centre, v0 = v(n0)
     # a radius below rho leaves out couplings of the pivots themselves
     rho = max(map(l1_norm, problem.potential.support()), default=0)
     radii = _box_radii(cap, max(2, rho), problem.nu)
     for R in radii:
         last = R == radii[-1]
         try:
-            edges = _gap_edges(problem, n0, paired_box(problem, n0, R))
-            resid = _truncation_residual(problem, edges)
+            roots = _pair_roots(problem, paired_box(problem, n0, R), k, [zero, n0])
+            resid = _truncation_residual(problem, roots)
         except QPSpecError:
             if last:
                 raise
             continue
-        v0 = edges[1]
-        passed = resid <= FIXED_POINT_TOL * max(1.0, abs(v0))
+        passed = resid <= FIXED_POINT_TOL * scale
         if passed or last:
-            return _gap_record(n0, edges, radius=R, truncation_residual=resid,
+            return _gap_record(problem, n0, roots, radius=R, truncation_residual=resid,
                                capped=not passed)
 
 
@@ -406,9 +381,10 @@ def band(problem: Problem, k_grid, S_builder):
     |m| <= RESONANCE_RADIUS, solves by pair_branch at its own k only the
     branch that continues E through the resonance: the plus branch above
     k_m, the minus branch at or below it.  The other root is not solved,
-    so it cannot fail the point.  Every other point solves eigen_simple.
-    Each point carries its record's regime; a QPSpecError is collected as
-    that point's error, and any other error propagates.
+    so it cannot fail the point, and no oracle runs: a printed root outside
+    the pair windows is a RegimeError.  Every other point solves
+    eigen_simple.  Each point carries its record's regime; a QPSpecError is
+    collected as that point's error, and any other error propagates.
     """
     zero = tuple([0] * problem.nu)
     res_points = [(m, k_point(problem.frequency, m))
@@ -426,6 +402,10 @@ def band(problem: Problem, k_grid, S_builder):
                 host = S if (zero in S and m in S) else paired_box(problem, m, 6)
                 solver = ReducedSolver(problem, host, k, [zero, m])
                 rec = pair_branch(problem, solver, 1.0 if k > km else -1.0)
+                if not any(lo <= rec.E <= hi for lo, hi in _pair_windows(solver, zero, m)):
+                    raise RegimeError(
+                        f"pair root E={rec.E:.6g} lies outside the pair windows "
+                        f"(regime misclassification at k={k})")
             return BandPoint(k, rec.E, rec.regime)
         except QPSpecError as exc:  # collected, not fatal
             return BandPoint(k, float("nan"), "error", str(exc))

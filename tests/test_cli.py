@@ -287,10 +287,10 @@ def test_verify_inverse_at_box_radius_zero(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_cli_entrypoint_runs():
+def test_cli_entrypoint_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qpspec.cli", "validate",
-         "--config", str(GOLDEN_CONFIG), "--out", "/tmp/qpspec_cli_test"],
+         "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
 

@@ -119,6 +119,34 @@ def test_eigenvalue_stays_within_eps_of_diagonal(generic_problem):
         assert 0 < abs(rec.E - v0) < eps
 
 
+@pytest.mark.parametrize("pivots", [[(0, 0)], [(0, 0), (0, 1)], [(1, -1), (0, 0)]])
+def test_block_entries_are_single_column_solves(generic_problem, pivots):
+    # entry (i, j): h(p_i, p_j) off the diagonal plus conj(h(., p_i)) . K h(., p_j).
+    # One pivot's block is its one-column solve bit for bit.  A multi-column
+    # getrs rounds like one-column solves with one BLAS thread, but a
+    # threaded OpenBLAS may round it differently, so several pivots are
+    # held to the dots' rounding bound instead.
+    k = k_point(generic_problem.frequency, (0, 1)) + 1e-4
+    solver = ReducedSolver(generic_problem, ball(4, 2), k, pivots)
+    H, sites = solver.full.entries, solver.full.sites
+    for E in (diagonal_value(generic_problem, (0, 0), k) + 1e-3, -3.0):
+        block = solver.block(E)
+        assert [len(row) for row in block] == [len(pivots)] * len(pivots)
+        for i, p in enumerate(pivots):
+            row = np.conj(solver.coupling_column(p))
+            for j, p2 in enumerate(pivots):
+                x = solver.solve(E, solver.coupling_column(p2))
+                direct = 0j if i == j else complex(H[sites.index(p), sites.index(p2)])
+                want = direct + row @ x
+                if len(pivots) == 1:
+                    assert block[i][j] == want
+                else:
+                    bound = 1e-14 * (abs(direct) + np.abs(row) @ np.abs(x))
+                    assert abs(block[i][j] - want) <= bound
+        assert solver.q(pivots[0], E) == block[0][0]
+        assert solver.g(pivots[0], pivots[-1], E) == block[0][-1]
+
+
 def test_empty_reduced_set(generic_problem):
     # paired_box(n0, 0) is the pair alone: every sum over the reduced set is empty
     zero, n0 = (0, 0), (0, 1)

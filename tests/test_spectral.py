@@ -1,14 +1,17 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpspec import schur, spectral
 from qpspec.cli import build_problem, load_config
 from qpspec.dual_operator import dense_spectrum, diagonal_value, restrict
-from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
+from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError
 from qpspec.inverse import verify_forward
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
@@ -443,13 +446,83 @@ def test_eigen_pair_matches_dense_through_resonance(generic_problem):
         assert Ep == pytest.approx(want[1], rel=1e-12)
 
 
-def test_eigen_pair_root_outside_window(harmonic_problem, monkeypatch):
-    monkeypatch.setattr(spectral, "_pair_windows", lambda *args: [(-2.0, -1.0)])
+@pytest.mark.parametrize("route", ["eigen_pair", "gap_at"])
+def test_pair_root_off_by_the_tolerance_is_a_reconciliation_error(harmonic_problem,
+                                                                  monkeypatch, route):
+    # one oracle rule for both paired routes: a root moved 1e-9 * scale away
+    # from the oracle, scale = max(1, |pivots' mean diagonal|), is rejected
     n0 = (0, 1)
-    k = k_point(harmonic_problem.frequency, n0) + 2e-5
-    with pytest.raises(RegimeError, match="regime misclassification"):
-        eigen_pair(harmonic_problem, paired_box(harmonic_problem, n0, 5), k,
-                   (0, 0), n0)
+    k = k_point(harmonic_problem.frequency, n0) + (2e-5 if route == "eigen_pair" else 0.0)
+    S = paired_box(harmonic_problem, n0, 5)
+    center = 0.5 * sum(diagonal_value(harmonic_problem, p, k) for p in ((0, 0), n0))
+    evals = np.linalg.eigvalsh(restrict(harmonic_problem, S, k).entries)
+    oracle_plus = np.sort(evals[np.argsort(np.abs(evals - center))[:2]])[1]
+    pair_branch = spectral.pair_branch
+
+    def shifted(problem, solver, sign):
+        rec = pair_branch(problem, solver, sign)
+        if sign < 0:
+            return rec
+        away = math.copysign(1.0, rec.E - oracle_plus)
+        return replace(rec, E=rec.E + away * 1e-9 * max(1.0, abs(center)))
+
+    monkeypatch.setattr(spectral, "pair_branch", shifted)
+    with pytest.raises(ReconciliationError, match="deviate from the dense oracle"):
+        if route == "eigen_pair":
+            eigen_pair(harmonic_problem, S, k, (0, 0), n0)
+        else:
+            gap_at(harmonic_problem, n0, S)
+
+
+def test_eigen_pair_at_k_m_returns_the_gap_edges(golden_freq):
+    # at eps 3 the plus root at k_(0,1) lies outside the pair windows;
+    # eigen_pair used to raise RegimeError there although gap_at's edges on
+    # the same box agree with the oracle
+    pot = Potential.from_harmonics(
+        {(0, 1): 0.55, (1, 0): 0.3 + 0.2j, (1, 1): 0.2 - 0.1j}, 3.0, 0.5)
+    prob = Problem(golden_freq, pot)
+    n0 = (0, 1)
+    S = paired_box(prob, n0, 4)
+    rec = gap_at(prob, n0, S)
+    plus, minus = eigen_pair(prob, S, rec.k_point, (0, 0), n0)
+    assert (minus.E, plus.E) == (rec.E_minus, rec.E_plus)
+    assert max(minus.oracle_gap, plus.oracle_gap) == rec.reconcile_dev
+
+
+def _limit_edges(problem, n0, S):
+    """The gap edges by the limit characterization E = v0 + Q(E) -+ |G(E)|,
+    each self-energy from its own one-column solve: the step gap_at used
+    before the gap path went through pair_branch."""
+    zero = (0, 0)
+    k = k_point(problem.frequency, n0)
+    solver = ReducedSolver(problem, S, k, [zero, n0])
+    col_0, col_n = solver.coupling_column(zero), solver.coupling_column(n0)
+    i, j = (solver.full.sites.index(p) for p in (zero, n0))
+    direct = complex(solver.full.entries[i, j])
+    v0 = diagonal_value(problem, zero, k)
+
+    def step(sign):
+        def edge(E):
+            q = complex(np.conj(col_0) @ solver.solve(E, col_0))
+            g = complex(direct + np.conj(col_0) @ solver.solve(E, col_n))
+            return v0 + q.real + sign * abs(g)
+        return edge
+
+    return sorted(spectral._fixed_point(step(sign), v0, max(1.0, abs(v0)))
+                  for sign in (+1.0, -1.0))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-5.0, -1.5),
+       st.sampled_from([(0, 1), (1, 0), (1, -1), (1, 1), (0, 2), (2, -1), (-1, 2)]),
+       st.integers(1, 5))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_gap_at_edges_are_the_limit_characterization(golden_freq, seed, log_eps, n0, radius):
+    # at k_{n0} on (0, n0) the pivots' diagonals agree, and pair_branch's
+    # step reduces to E = v0 + Q -+ |G| bit for bit
+    prob = Problem(golden_freq, random_potential(np.random.default_rng(seed), 10.0 ** log_eps))
+    S = paired_box(prob, n0, radius)
+    rec = gap_at(prob, n0, S)
+    assert [rec.E_minus, rec.E_plus] == _limit_edges(prob, n0, S)
 
 
 def test_three_dimensional_eigen_solve():
