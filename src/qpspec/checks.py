@@ -91,7 +91,7 @@ def _gap_first_order(problem: Problem, seed: int) -> CheckResult:
     n0 = _lowest_harmonic(problem)
     if n0 is None:
         return CheckResult("gap-first-order", True, "zero potential, skipped")
-    rec = gap_at(problem, n0, paired_box(problem, n0, 5))
+    rec = gap_at(problem, n0, 5)
     expect = 2.0 * abs(pot.c(n0))
     dev = abs(rec.width - expect)
     tol = 50.0 * pot.epsilon ** 2 * max(1.0, abs(pot.c0(n0))) + 1e-12
@@ -114,7 +114,7 @@ def _gap_box(problem: Problem, seed: int) -> CheckResult:
     if n0 is None:
         return CheckResult("gap-box", True, "zero potential, skipped")
     rec = sized_gap(problem, n0, GAP_BOX_CAP)
-    ref = gap_at(problem, n0, paired_box(problem, n0, GAP_BOX_CAP))
+    ref = gap_at(problem, n0, GAP_BOX_CAP)
     dev = max(abs(rec.E_minus - ref.E_minus), abs(rec.E_plus - ref.E_plus))
     zero = tuple([0] * problem.nu)
     tol = 2.0 * FIXED_POINT_TOL * max(1.0, diagonal_value(problem, zero, ref.k_point))

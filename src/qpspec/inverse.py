@@ -87,10 +87,10 @@ class RecoveredBound:
 def recovered_bound(problem: Problem, rec: GapRecord) -> RecoveredBound:
     """Both variants of the coefficient-recovery inequality at rec.n0.
 
-    rec is a GapRecord from gap_table; one ReducedSolver on the box its
-    edges were solved on, paired_box(problem, rec.n0, rec.radius), gives
-    every quantity, so the width and the quadratic term share one box.  Desk
-    variant: prefactor sup |d_E (E - v - Q)| over [E-, E+], exactly
+    rec is a GapRecord from gap_table or gap_at; one ReducedSolver on the
+    box its edges were solved on, paired_box(problem, rec.n0, rec.radius),
+    gives every quantity, so the width and the quadratic term share one
+    box.  Desk variant: prefactor sup |d_E (E - v - Q)| over [E-, E+], exactly
     1 + ||(E - H_rest)^-1 h_0||^2 since d_E Q = -||(E - H_rest)^-1 h_0||^2,
     taken at the edges and the midpoint; quadratic term from the reduced
     resolvent at E+.  Coarse variant: the worst-case prefactor
@@ -98,8 +98,6 @@ def recovered_bound(problem: Problem, rec: GapRecord) -> RecoveredBound:
     both are reported.
     """
     n0 = rec.n0
-    if rec.radius is None:
-        raise ValueError(f"the record at {n0} names no paired box")
     zero = tuple([0] * problem.nu)
     solver = ReducedSolver(problem, paired_box(problem, n0, rec.radius),
                            rec.k_point, [zero, n0])
@@ -141,7 +139,6 @@ class DecayBound:
 
 @dataclass(frozen=True)
 class ImprovementStep:
-    before: DecayBound
     after: DecayBound
     verified: bool
     first_violation: tuple = None
@@ -158,7 +155,7 @@ def improve_decay(current: DecayBound, potential: Potential) -> ImprovementStep:
         raise RegimeError("current decay bound does not hold; nothing to improve")
     after = DecayBound(current.eps_hat / 2.0, 7.0 * current.kappa_hat / 6.0)
     worst = after.verify(potential)
-    return ImprovementStep(current, after, worst is None, worst)
+    return ImprovementStep(after, worst is None, worst)
 
 
 IMPROVEMENT_ROUNDS = 5

@@ -265,15 +265,13 @@ def sigma(m, ladder: ScaleLadder) -> float:
 
 @dataclass(frozen=True)
 class EpsilonThresholds:
-    """The epsilon_0 = (bar eps_0)^3 threshold and the eps_s staircase, in logs.
+    """The epsilon_0 = (bar eps_0)^3 threshold, in logs.
 
     bar eps_0 = min(2^(-24 nu - 4) kappa0^(4 nu), delta0^(2^9),
                     2^(-10 (nu+1)) (4 kappa0 log delta0^-1)^(-8 nu)).
-    eps_s = eps_0 - sum_{s' <= s} delta0^(s').
     """
 
     log_eps0: float
-    log_eps_s: tuple
 
     @staticmethod
     def from_ladder(ladder: ScaleLadder, kappa0: float, nu: int) -> "EpsilonThresholds":
@@ -284,14 +282,7 @@ class EpsilonThresholds:
             (2 ** 9) * log_d0,
             -10 * (nu + 1) * math.log(2.0) - 8 * nu * math.log(t),
         )
-        log_eps0 = 3.0 * log_bar
-        stairs = []
-        drop = 0.0
-        for s in range(1, ladder.u_max + 1):
-            # ratio delta^(s)/eps0 computed in log space; zero on underflow
-            drop += math.exp(min(ladder.log_delta_at(s) - log_eps0, 0.0))
-            stairs.append(log_eps0 + math.log1p(-min(drop, 0.999999)) if drop < 1 else float("-inf"))
-        return EpsilonThresholds(log_eps0, tuple(stairs))
+        return EpsilonThresholds(3.0 * log_bar)
 
 
 # ---------------------------------------------------------------------------

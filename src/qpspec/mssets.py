@@ -79,7 +79,6 @@ class SiteClassification:
     """The sets M^(s')_{k, s-1} with their Lambda sets, for s' = 1..s-1."""
 
     k: float
-    s: int
     members: dict            # s' -> tuple of lattice vectors
     lambda_sets: dict        # (s', m) -> SiteSet
 
@@ -177,7 +176,7 @@ class GeometryBuilder:
                 lam = self.lambda_plain(k + self.problem.frequency.dot(m), s_prime)
                 lambda_sets[(s_prime, m)] = lam.translate(m)
             taken = taken.union(*(lambda_sets[(s_prime, m)] for m in mem))
-        return SiteClassification(k, s, members, lambda_sets)
+        return SiteClassification(k, members, lambda_sets)
 
     # -- the Lambda sets -----------------------------------------------------
 

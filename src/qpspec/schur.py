@@ -52,7 +52,7 @@ class ReducedSolver:
         sites = self.full.sites.sites
         self.reduced_sites = [sites[i] for i in self._keep]
         # -H_rest, negated once: each energy's E - H_rest is a copy of it
-        self._minus_rest = np.asfortranarray(-H[np.ix_(self._keep, self._keep)])
+        self._minus_rest = np.asfortranarray(-H[self._keep][:, self._keep])
         self._diag = np.diag_indices(len(self._keep))
         self._getrf, self._getrs = get_lapack_funcs(("getrf", "getrs"), (self._minus_rest,))
         self._lu_cache = {}

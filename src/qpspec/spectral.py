@@ -6,16 +6,17 @@ fixed points E = lambda_max / lambda_min of the effective 2x2 matrix at E,
 the roots of chi(E) = (E - v+ - Q+)(E - v- - Q-) - |G|^2, reading Q+, Q-
 and G from one Schur-block solve per energy.  The gap edges at k_{n0} are
 its two roots on the pivots (0, n0), where v(0) = v(n0) and the step is
-E = v(0, k_{n0}) + Q(E) -+ |G(E)|.  gap_at solves them on a caller's host;
-sized_gap on the smallest tried paired box S, up to a cap, whose
-truncation residual r (the edge eigenvectors' residual padded with zeros
-onto S' = S plus its coupling shell) is within the fixed point's
-tolerance: by Weyl's bound H on S' has an eigenvalue within r of each
-edge, plus the fixed point's own residual (on Z^nu that identifies no
-edge; see _truncation_residual).  Gap edges and eigen_pair's roots pass
-one oracle rule, _reconcile_pair; sized_gap runs it only on the box it
-accepts.  A band point in a pair window solves only the branch it prints
-and runs no oracle; its root must lie in the pair windows.
+E = v(0, k_{n0}) + Q(E) -+ |G(E)|.  One loop solves them: on the first
+paired box S of a list of radii whose truncation residual r (the edge
+eigenvectors' residual padded with zeros onto S' = S plus its coupling
+shell) is within the fixed point's tolerance, or on the last box.  By
+Weyl's bound H on S' has an eigenvalue within r of each edge, plus the
+fixed point's own residual (on Z^nu that identifies no edge; see
+_truncation_residual).  gap_at runs it on one radius, sized_gap on radii
+growing to a cap.  Gap edges and eigen_pair's roots pass one oracle rule,
+_reconcile_pair, which the loop runs only on the box it accepts.  A band
+point in a pair window solves only the branch it prints and runs no
+oracle; its root must lie in the pair windows.
 """
 
 from __future__ import annotations
@@ -89,11 +90,11 @@ class EigenRecord:
 class GapRecord:
     """Gap edges at k_point = k_{n0} and their width.
 
-    `radius` is the paired box S the edges were solved on (None for a
-    caller's host) and `truncation_residual` the edge eigenvectors'
-    residual padded onto S' = S plus its coupling shell: H on S' has an
-    eigenvalue within it, plus the fixed point's own residual, of each
-    edge.  `capped` says the box reached its cap with that residual above
+    `radius` is the paired box S = paired_box(n0, radius) the edges were
+    solved on and `truncation_residual` the edge eigenvectors' residual
+    padded onto S' = S plus its coupling shell: H on S' has an eigenvalue
+    within it, plus the fixed point's own residual, of each edge.
+    `capped` says S is the last box tried and that residual is above
     FIXED_POINT_TOL * scale.
     """
     n0: tuple
@@ -101,10 +102,10 @@ class GapRecord:
     E_minus: float
     E_plus: float
     width: float
-    reconcile_dev: float = 0.0
-    radius: float = None
-    truncation_residual: float = None
-    capped: bool = False
+    reconcile_dev: float
+    radius: float
+    truncation_residual: float
+    capped: bool
 
     def __post_init__(self):
         if self.E_plus < self.E_minus - 1e-15:
@@ -268,25 +269,6 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm):
     return replace(plus, oracle_gap=gap_plus), replace(minus, oracle_gap=gap_minus)
 
 
-def _gap_record(problem: Problem, n0, roots, **box) -> GapRecord:
-    """The GapRecord of the edge records `roots`, reconciled with the oracle."""
-    minus, plus = roots
-    dev = float(np.max(_reconcile_pair(problem, roots, f"gap edges at n0={n0}")))
-    return GapRecord(n0, minus.solver.k, minus.E, plus.E, plus.E - minus.E, dev, **box)
-
-
-def gap_at(problem: Problem, n0, S: SiteSet) -> GapRecord:
-    """Gap edges at k = k_{n0} on the host S: pair_branch's two roots on the
-    pivots (0, n0), reconciled with the oracle on S as eigen_pair's are;
-    the record carries no box radius."""
-    n0 = tuple(n0)
-    zero = tuple([0] * problem.nu)
-    if zero not in S or n0 not in S:
-        raise ValueError("paired set must contain 0 and n0")
-    roots = _pair_roots(problem, S, k_point(problem.frequency, n0), [zero, n0])
-    return _gap_record(problem, n0, roots)
-
-
 def _truncation_residual(problem: Problem, roots) -> float:
     """The edge records' residual on S' = S plus its coupling shell.
 
@@ -322,24 +304,19 @@ def _box_radii(cap, start: int, nu: int) -> list:
     return radii
 
 
-def sized_gap(problem: Problem, n0, cap) -> GapRecord:
-    """Gap edges at k = k_{n0} on the first paired box, radius at most cap,
+def _first_accepted(problem: Problem, n0, radii) -> GapRecord:
+    """Gap edges at k = k_{n0} on the first paired box, radius in `radii`,
     whose truncation residual is at most FIXED_POINT_TOL * scale, with
     scale = max(1, v(0, k_{n0})) as in the fixed point.
 
-    By Weyl's bound H on S' (the box plus its coupling shell) then has an
-    eigenvalue within that tolerance of each edge, plus the fixed point's
-    own residual.  Only the accepted box meets the oracle, on that box's
-    own solver; a rejected box runs none.  A box at the cap is accepted
-    whatever its residual, and the record says so (`capped`).  A
-    QPSpecError rejects a box below the cap and propagates at the cap.
+    Only the accepted box meets the oracle, on that box's own solver; a
+    rejected box runs none.  The last box is accepted whatever its
+    residual, and the record says so (`capped`).  A QPSpecError rejects a
+    box before the last and propagates at the last.
     """
     n0, zero = tuple(n0), tuple([0] * problem.nu)
     k = k_point(problem.frequency, n0)
     scale = max(1.0, abs(diagonal_value(problem, zero, k)))   # the pair's centre, v0 = v(n0)
-    # a radius below rho leaves out couplings of the pivots themselves
-    rho = max(map(l1_norm, problem.potential.support()), default=0)
-    radii = _box_radii(cap, max(2, rho), problem.nu)
     for R in radii:
         last = R == radii[-1]
         try:
@@ -351,8 +328,33 @@ def sized_gap(problem: Problem, n0, cap) -> GapRecord:
             continue
         passed = resid <= FIXED_POINT_TOL * scale
         if passed or last:
-            return _gap_record(problem, n0, roots, radius=R, truncation_residual=resid,
-                               capped=not passed)
+            minus, plus = roots
+            dev = float(np.max(_reconcile_pair(problem, roots, f"gap edges at n0={n0}")))
+            return GapRecord(n0, k, minus.E, plus.E, plus.E - minus.E, dev, R, resid,
+                             not passed)
+
+
+def gap_at(problem: Problem, n0, radius) -> GapRecord:
+    """Gap edges at k = k_{n0} on paired_box(n0, radius): pair_branch's two
+    roots on the pivots (0, n0), reconciled with the oracle on that box as
+    eigen_pair's are.  The record is `capped` when the box's truncation
+    residual is over tolerance.  For radius <= max(2, rho), rho the largest
+    |d| in the support, it is sized_gap(problem, n0, radius)."""
+    return _first_accepted(problem, n0, [radius])
+
+
+def sized_gap(problem: Problem, n0, cap) -> GapRecord:
+    """Gap edges at k = k_{n0} on the first paired box, radius at most cap,
+    whose truncation residual passes (_first_accepted).
+
+    The radii tried start at max(2, rho), rho the largest |d| in the
+    support, and grow by _box_radii to the cap.  By Weyl's bound H on S'
+    (the accepted box plus its coupling shell) has an eigenvalue within
+    the tolerance of each edge, plus the fixed point's own residual.
+    """
+    # a radius below rho leaves out couplings of the pivots themselves
+    rho = max(map(l1_norm, problem.potential.support()), default=0)
+    return _first_accepted(problem, n0, _box_radii(cap, max(2, rho), problem.nu))
 
 
 def paired_box(problem: Problem, n0, radius: float) -> SiteSet:

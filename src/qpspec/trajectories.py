@@ -273,7 +273,6 @@ def sum_enumerate(m, n, prof: WeightProfile, eps0: float, len_cap: int = 5) -> S
 class BoundResult:
     value: float
     threshold_ok: bool
-    log_eps_threshold: float
 
 
 def log_smallness_threshold(prof: WeightProfile) -> float:
@@ -302,8 +301,7 @@ def closed_bound(m, n, prof: WeightProfile, eps0: float) -> BoundResult:
     if bad:
         raise ValueError(f"invalid weight profile: {bad[0]}")
     m, n = tuple(m), tuple(n)
-    log_thr = log_smallness_threshold(prof)
-    ok = math.log(eps0) <= log_thr
+    ok = math.log(eps0) <= log_smallness_threshold(prof)
     root = math.sqrt(eps0)
     k0 = prof.kappa0
     T = prof.T
@@ -316,4 +314,4 @@ def closed_bound(m, n, prof: WeightProfile, eps0: float) -> BoundResult:
         mu_min = min(prof.mu(m), prof.mu(n))
         v1 = 3.0 * root * math.exp(-0.875 * k0 * dist + 2.0 * T * mu_min ** ADMISSIBILITY_EXPONENT)
         v2 = 2.0 * root * math.exp(-0.25 * k0 * dist + 2.0 * dbar)
-    return BoundResult(min(v1, v2), ok, log_thr)
+    return BoundResult(min(v1, v2), ok)

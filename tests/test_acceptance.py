@@ -78,7 +78,7 @@ def test_acceptance_2_first_order_gap_law(golden_freq):
     for eps in (1e-3, 1e-4):
         pot = Potential.from_harmonics({n0: 1.0}, eps, 0.5)
         prob = Problem(golden_freq, pot)
-        rec = gap_at(prob, n0, paired_box(prob, n0, 8))
+        rec = gap_at(prob, n0, 8)
         if abs(rec.width - 2.0 * eps) > 5.0 * eps * eps:
             failures.append(
                 f"width(n0) at eps={eps}: {rec.width:.6e} vs 2eps +- 5eps^2")
@@ -88,7 +88,7 @@ def test_acceptance_2_first_order_gap_law(golden_freq):
     for m in ball(3, 2):
         if not any(m) or m in (n0, (0, -1)):
             continue
-        rec = gap_at(prob, m, paired_box(prob, m, 8))
+        rec = gap_at(prob, m, 8)
         if rec.width > 10.0 * eps * eps:
             failures.append(f"width({m}) = {rec.width:.3e} above 10 eps^2")
     report(2, "first-order gap law", failures)

@@ -332,3 +332,18 @@ def test_golden_output_pinned(tmp_path, capsys, command):
     out = capsys.readouterr().out.replace(str(tmp_path), "<out>")
     data = (tmp_path / name).read_bytes() if name else out.encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# the selftest suite in run order; gap-first-order and gap-box are the CLI's
+# paths through spectral.gap_at
+SELFTEST_CHECKS = ("hermitian-restriction", "cocycle-identity", "reflection-conjugation",
+                   "reduced-vs-dense", "correct-words", "ladder-recursion", "band-symmetry",
+                   "gap-first-order", "gap-box", "zeta-pair", "trajectory-bounds",
+                   "feynman-vs-fd")
+
+
+def test_selftest_passes_every_check(tmp_path, capsys):
+    # names and PASS only; the detail strings stay unpinned, as above
+    assert main(["selftest", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in SELFTEST_CHECKS]

@@ -141,10 +141,13 @@ def test_recovered_bound_builds_on_the_records_box(generic_problem, monkeypatch)
     assert hosts == [paired_box(generic_problem, (1, 1), 3)]
 
 
-def test_recovered_bound_refuses_a_record_without_a_box(generic_problem):
-    rec = gap_at(generic_problem, (1, 1), paired_box(generic_problem, (1, 1), 3))
-    with pytest.raises(ValueError, match="names no paired box"):
-        recovered_bound(generic_problem, rec)
+def test_recovered_bound_on_a_gap_at_record(generic_problem):
+    # gap_at's record names its box, so recovered_bound takes it as it takes
+    # the record gap_table accepts on that box
+    rec = gap_at(generic_problem, (1, 1), 3)
+    sized = gap_table(generic_problem, [(1, 1)], 8)[0][(1, 1)]
+    assert sized.radius == rec.radius == 3
+    assert recovered_bound(generic_problem, rec) == recovered_bound(generic_problem, sized)
 
 
 def test_verify_inverse_one_gap_solve_per_label(compliant_problem, monkeypatch):

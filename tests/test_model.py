@@ -110,11 +110,15 @@ def test_scale_of_brackets():
     assert lad.scale_of((100, 0)) == 2
 
 
-def test_epsilon_thresholds_decreasing():
+def test_epsilon_threshold_is_the_cube_of_bar_eps0():
     lad = build_ladder(math.exp(-3.2 / 0.35), 0.35, 3)
     thr = EpsilonThresholds.from_ladder(lad, 0.5, 2)
+    log_d0 = lad.log_delta_at(0)
+    # nu = 2, kappa0 = 0.5: the three terms of log bar eps_0
+    log_bar = min(-52 * math.log(2.0) + 8 * math.log(0.5), 512 * log_d0,
+                  -30 * math.log(2.0) - 16 * math.log(2.0 * -log_d0))
     assert thr.log_eps0 < 0
-    assert all(a >= b for a, b in zip((thr.log_eps0,) + thr.log_eps_s, thr.log_eps_s))
+    assert thr.log_eps0 == pytest.approx(3.0 * log_bar, rel=1e-15)
 
 
 def test_epsilon_thresholds_faithful_log_space(faithful_ladder):

@@ -120,7 +120,7 @@ def test_eigen_pair_residuals(harmonic_problem):
 
 
 def test_gap_zero_potential(zero_problem):
-    rec = gap_at(zero_problem, (0, 1), paired_box(zero_problem, (0, 1), 4))
+    rec = gap_at(zero_problem, (0, 1), 4)
     assert rec.width == 0.0
 
 
@@ -128,14 +128,14 @@ def test_gap_first_order_law(golden_freq):
     for eps in (1e-3, 1e-4):
         pot = Potential.from_harmonics({(0, 1): 1.0}, eps, 0.5)
         prob = Problem(golden_freq, pot)
-        rec = gap_at(prob, (0, 1), paired_box(prob, (0, 1), 8))
+        rec = gap_at(prob, (0, 1), 8)
         assert abs(rec.width - 2 * eps) <= 5 * eps * eps
 
 
 def test_gap_forward_bound(generic_problem):
     pot = generic_problem.potential
     for m in ((0, 1), (1, 0), (1, 1)):
-        rec = gap_at(generic_problem, m, paired_box(generic_problem, m, 6))
+        rec = gap_at(generic_problem, m, 6)
         bound = 2 * pot.epsilon * math.exp(-0.5 * pot.kappa0 * sum(map(abs, m)))
         assert rec.width <= bound
 
@@ -143,7 +143,7 @@ def test_gap_forward_bound(generic_problem):
 def test_gap_reconciliation_guard(harmonic_problem, monkeypatch):
     monkeypatch.setattr(spectral, "RECONCILE_TOL", 1e-18)
     with pytest.raises(ReconciliationError):
-        gap_at(harmonic_problem, (0, 1), paired_box(harmonic_problem, (0, 1), 5))
+        gap_at(harmonic_problem, (0, 1), 5)
 
 
 def test_band_zero_potential(zero_problem):
@@ -190,7 +190,7 @@ def test_splitting_growth(harmonic_problem):
     n0 = (0, 1)
     kn0 = k_point(harmonic_problem.frequency, n0)
     S = paired_box(harmonic_problem, n0, 5)
-    base = gap_at(harmonic_problem, n0, S).width
+    base = gap_at(harmonic_problem, n0, 5).width
     widths = []
     for theta in (1e-4, 2e-4, 4e-4):
         Ep, Em = (r.E for r in pair_roots(harmonic_problem, S, kn0 + theta, (0, 0), n0))
@@ -258,7 +258,7 @@ def test_band_routes_resonant_points(harmonic_problem):
     pts = band(harmonic_problem, grid, lambda k: host)
     assert [p.regime for p in pts] == ["paired", "paired", "nonresonant"]
     assert pts[1].E > pts[0].E  # branch switch across the gap
-    rec = gap_at(harmonic_problem, n0m, paired_box(harmonic_problem, n0m, 5))
+    rec = gap_at(harmonic_problem, n0m, 5)
     assert pts[1].E >= rec.E_plus - 1e-9
     assert pts[0].E <= rec.E_minus + 1e-9
 
@@ -353,7 +353,7 @@ def test_band_checks_the_printed_root_window(generic_problem, monkeypatch):
 
 
 def test_gap_record_carries_forward_bound(generic_problem):
-    rec = gap_at(generic_problem, (0, 1), paired_box(generic_problem, (0, 1), 5))
+    rec = gap_at(generic_problem, (0, 1), 5)
     pot = generic_problem.potential
     expect = 2 * pot.epsilon * math.exp(-0.5 * pot.kappa0)
     (row,) = verify_forward({(0, 1): rec}, pot)
@@ -471,7 +471,7 @@ def test_pair_root_off_by_the_tolerance_is_a_reconciliation_error(harmonic_probl
         if route == "eigen_pair":
             eigen_pair(harmonic_problem, S, k, (0, 0), n0)
         else:
-            gap_at(harmonic_problem, n0, S)
+            gap_at(harmonic_problem, n0, 5)
 
 
 def test_eigen_pair_at_k_m_returns_the_gap_edges(golden_freq):
@@ -483,7 +483,7 @@ def test_eigen_pair_at_k_m_returns_the_gap_edges(golden_freq):
     prob = Problem(golden_freq, pot)
     n0 = (0, 1)
     S = paired_box(prob, n0, 4)
-    rec = gap_at(prob, n0, S)
+    rec = gap_at(prob, n0, 4)
     plus, minus = eigen_pair(prob, S, rec.k_point, (0, 0), n0)
     assert (minus.E, plus.E) == (rec.E_minus, rec.E_plus)
     assert max(minus.oracle_gap, plus.oracle_gap) == rec.reconcile_dev
@@ -521,7 +521,7 @@ def test_gap_at_edges_are_the_limit_characterization(golden_freq, seed, log_eps,
     # step reduces to E = v0 + Q -+ |G| bit for bit
     prob = Problem(golden_freq, random_potential(np.random.default_rng(seed), 10.0 ** log_eps))
     S = paired_box(prob, n0, radius)
-    rec = gap_at(prob, n0, S)
+    rec = gap_at(prob, n0, radius)
     assert [rec.E_minus, rec.E_plus] == _limit_edges(prob, n0, S)
 
 
@@ -603,7 +603,7 @@ def test_sized_gap_edges_match_a_radius_12_box(golden_freq, eps):
     prob = _random_problem(golden_freq, eps)
     for m in [(0, 1), (1, -1), (2, 0)]:
         rec = spectral.sized_gap(prob, m, 8)
-        ref = gap_at(prob, m, paired_box(prob, m, 12))
+        ref = gap_at(prob, m, 12)
         assert rec.radius <= 8
         assert rec.truncation_residual <= _tol(prob, rec) or rec.capped
         assert abs(rec.E_minus - ref.E_minus) <= 2 * _tol(prob, ref)
@@ -632,7 +632,7 @@ def test_sized_gap_at_an_unmet_cap_is_the_cap_box(golden_freq):
         if not rec.capped:
             continue
         capped += 1
-        ref = gap_at(prob, m, paired_box(prob, m, 5))
+        ref = gap_at(prob, m, 5)
         assert rec.radius == 5
         assert (rec.E_minus, rec.E_plus, rec.width, rec.reconcile_dev) == (
             ref.E_minus, ref.E_plus, ref.width, ref.reconcile_dev)
@@ -656,7 +656,7 @@ def test_sized_gap_small_caps_solve_only_the_cap_box(golden_freq, generic_proble
         for m in [(0, 1), (1, 1), (1, -1), (0, 3)]:
             box = paired_box(prob, m, cap)
             try:
-                ref = gap_at(prob, m, box)
+                ref = gap_at(prob, m, cap)
             except QPSpecError as exc:
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
                     spectral.sized_gap(prob, m, cap)
@@ -685,3 +685,19 @@ def test_sized_gap_runs_one_oracle_on_the_accepted_box(golden_freq, monkeypatch)
     monkeypatch.setattr(spectral, "dense_spectrum", counting)
     rec = spectral.sized_gap(prob, (0, 1), 8)
     assert seen == [paired_box(prob, (0, 1), rec.radius)]
+
+
+@pytest.mark.parametrize("which", ["golden", "random"])
+def test_gap_at_is_sized_gap_up_to_the_first_radius(golden_freq, which):
+    # sized_gap's first radius is max(2, rho): up to it, sized_gap tries the
+    # one box gap_at solves on, so the records agree field for field
+    if which == "golden":
+        prob = build_problem(load_config(GOLDEN_CONFIG))
+    else:
+        prob = _random_problem(golden_freq, 1e-4)
+    rho = max(sum(map(abs, d)) for d in prob.potential.support())
+    for m in [(0, 1), (1, -1), (1, 1), (0, 2)]:
+        for R in range(max(2, rho) + 1):
+            rec = gap_at(prob, m, R)
+            assert rec.radius == R
+            assert rec == spectral.sized_gap(prob, m, R)

@@ -72,7 +72,7 @@ def test_gap_is_spectral_gap_for_every_k(harmonic_problem):
     # no spectrum enters the computed gap along a shifted-k sample, the
     # finite-volume shadow of the inverted-resolvent statement
     n0 = (0, 1)
-    rec = gap_at(harmonic_problem, n0, paired_box(harmonic_problem, n0, 6))
+    rec = gap_at(harmonic_problem, n0, 6)
     E_mid = 0.5 * (rec.E_minus + rec.E_plus)
     host = ball(6, 2)
     rng = np.random.default_rng(7)
@@ -87,7 +87,7 @@ def test_gap_edges_are_band_limits(harmonic_problem):
     n0 = (0, 1)
     kn0 = k_point(harmonic_problem.frequency, n0)
     S = paired_box(harmonic_problem, n0, 6)
-    rec = gap_at(harmonic_problem, n0, S)
+    rec = gap_at(harmonic_problem, n0, 6)
     slope_cap = 100.0
     prev = None
     for theta in (1e-4, 1e-5, 1e-6, 1e-7):
