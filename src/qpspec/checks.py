@@ -136,13 +136,11 @@ def _reduced_oracle(problem: Problem, seed: int) -> CheckResult:
     zero = tuple([0] * problem.nu)
     k = k_point(problem.frequency, n0) + 1e-5
     solver = ReducedSolver(problem, paired_box(problem, n0, 5), k, [zero, n0])
-    H = solver.full.entries
+    H, idx, v = solver.full.entries, solver.piv, solver.v
     n = len(H)
-    idx = [solver.full.sites.index(p) for p in (zero, n0)]
-    v = H.diagonal().real[idx]
     top = float(np.max(np.abs(H).sum(axis=1) - np.abs(H.diagonal()) + H.diagonal().real))
     worst = 0.0
-    for E in (float(v.mean()), top + 1.0):
+    for E in (float(np.mean(v)), top + 1.0):
         g = solver.g(zero, n0, E)
         pivot = np.array([[E - v[0] - solver.q(zero, E), -g],
                           [-np.conj(g), E - v[1] - solver.q(n0, E)]])
@@ -152,11 +150,11 @@ def _reduced_oracle(problem: Problem, seed: int) -> CheckResult:
     return CheckResult("reduced-vs-dense", worst <= 1e-10, f"worst rel dev {worst:.3g}")
 
 
-def _ordered_pair(problem: Problem, solver: ReducedSolver, mp, mm):
-    """(mp, mm, v+, v-) with the plus pivot carrying the larger
-    diagonal-plus-self-energy at the pivots' mean diagonal."""
-    vp = diagonal_value(problem, mp, solver.k)
-    vm = diagonal_value(problem, mm, solver.k)
+def _ordered_pair(solver: ReducedSolver):
+    """(mp, mm, v+, v-), the solver's two pivots and their diagonals, with
+    the plus pivot carrying the larger diagonal-plus-self-energy at the
+    pivots' mean diagonal."""
+    (mp, mm), (vp, vm) = solver.pivots, solver.v
     center = 0.5 * (vp + vm)
     if vp + solver.q(mp, center).real < vm + solver.q(mm, center).real:
         return mm, mp, vm, vp
@@ -178,11 +176,11 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     S = paired_box(problem, n0, 5)
     k = k_point(problem.frequency, n0) + 1e-5
     solver = ReducedSolver(problem, S, k, [zero, n0])
-    mp, mm, vp, vm = _ordered_pair(problem, solver, zero, n0)
+    mp, mm, vp, vm = _ordered_pair(solver)
     node = CFNode(lambda u: vp + solver.q(mp, u).real,
                   lambda u: vm + solver.q(mm, u).real,
                   lambda u: abs(solver.g(mp, mm, u)))
-    roots = [r for window in _pair_windows(solver, mp, mm)
+    roots = [r for window in _pair_windows(solver)
              for r in zeta_roots(node, window)]
     if len(roots) != 2:
         return CheckResult("zeta-pair", False, f"{len(roots)} roots in the pair windows")

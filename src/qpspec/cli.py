@@ -24,8 +24,8 @@ from .errors import (CombinatorialBudgetError, EpsilonTooLargeError,
                      SiteBudgetError)
 from .inverse import gap_table, verify_forward, verify_inverse
 from .lattice import DEFAULT_SITE_BUDGET, ball, l1_norm
-from .model import (EpsilonThresholds, Frequency, Potential, Problem,
-                    ScaleLadder, build_ladder)
+from .model import (Frequency, Potential, Problem, ScaleLadder, build_ladder,
+                    log_eps0_threshold)
 from .mssets import GeometryBuilder
 from .resonance import reset
 from .spectral import band
@@ -137,9 +137,8 @@ def cmd_validate(cfg, problem, out_dir):
     }
     print(json.dumps(cert, indent=2, sort_keys=True))
     if problem.ladder is not None and not report:  # the thresholds need a valid kappa0
-        thr = EpsilonThresholds.from_ladder(problem.ladder, problem.potential.kappa0,
-                                            problem.nu)
-        print(f"log eps0 threshold: {fmt(thr.log_eps0)}")
+        log_eps0 = log_eps0_threshold(problem.ladder, problem.potential.kappa0, problem.nu)
+        print(f"log eps0 threshold: {fmt(log_eps0)}")
     return 0 if cert["certificate_ok"] else 1
 
 

@@ -12,7 +12,8 @@ chain is verified pointwise rather than asymptotically.  The improvement
 checks the plain window bound only; the paper's scaled window is not built.
 Each label's gap is solved once, on the box its truncation residual
 accepts (box_radius is only a cap): recovered_bound takes the GapRecord
-that gap_table made and works on that record's box.
+that gap_table made and reads that box's solver from the record's roots;
+this module builds no solver of its own.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 from .errors import QPSpecError, RegimeError
 from .lattice import ball, l1_norm
 from .model import Potential, Problem
-from .schur import ReducedSolver
-from .spectral import GapRecord, paired_box, sized_gap
+from .spectral import GapRecord, sized_gap
 
 
 def gap_table(problem: Problem, m_list, box_radius: float):
@@ -87,21 +87,19 @@ class RecoveredBound:
 def recovered_bound(problem: Problem, rec: GapRecord) -> RecoveredBound:
     """Both variants of the coefficient-recovery inequality at rec.n0.
 
-    rec is a GapRecord from gap_table or gap_at; one ReducedSolver on the
-    box its edges were solved on, paired_box(problem, rec.n0, rec.radius),
-    gives every quantity, so the width and the quadratic term share one
-    box.  Desk variant: prefactor sup |d_E (E - v - Q)| over [E-, E+], exactly
-    1 + ||(E - H_rest)^-1 h_0||^2 since d_E Q = -||(E - H_rest)^-1 h_0||^2,
-    taken at the edges and the midpoint; quadratic term from the reduced
-    resolvent at E+.  Coarse variant: the worst-case prefactor
+    rec is a GapRecord from gap_table or gap_at; the solver its edges were
+    solved on, rec.roots[0].solver on paired_box(rec.n0, rec.radius) with
+    pivots (0, n0), gives every quantity, so the width and the quadratic
+    term share one box and one matrix.  Desk variant: prefactor
+    sup |d_E (E - v - Q)| over [E-, E+], exactly 1 + ||(E - H_rest)^-1 h_0||^2
+    since d_E Q = -||(E - H_rest)^-1 h_0||^2, taken at the edges and the
+    midpoint; quadratic term from the reduced resolvent at E+.  Coarse variant: the worst-case prefactor
     eps^-1 exp(kappa0 |n0|).  The desk inequality is the one asserted;
     both are reported.
     """
     n0 = rec.n0
-    zero = tuple([0] * problem.nu)
-    solver = ReducedSolver(problem, paired_box(problem, n0, rec.radius),
-                           rec.k_point, [zero, n0])
-    col_0 = solver.coupling_column(zero)
+    solver = rec.roots[0].solver
+    col_0 = solver.coupling_column(tuple([0] * problem.nu))
     probes = (rec.E_minus, 0.5 * (rec.E_minus + rec.E_plus), rec.E_plus)
     prefactor_desk = 1.0 + max(float(np.linalg.norm(solver.solve(E, col_0)) ** 2)
                                for E in probes)

@@ -263,26 +263,22 @@ def sigma(m, ladder: ScaleLadder) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpsilonThresholds:
-    """The epsilon_0 = (bar eps_0)^3 threshold, in logs.
+def log_smallness_ceiling(kappa0: float, nu: int, t: float) -> float:
+    """log min(2^(-24 nu - 4) kappa0^(4 nu), 2^(-10 (nu+1)) t^(-8 nu)), the
+    power-law part of the smallness ceiling."""
+    return min((-24 * nu - 4) * math.log(2.0) + 4 * nu * math.log(kappa0),
+               -10 * (nu + 1) * math.log(2.0) - 8 * nu * math.log(t))
+
+
+def log_eps0_threshold(ladder: ScaleLadder, kappa0: float, nu: int) -> float:
+    """log of the threshold epsilon_0 = (bar eps_0)^3, where
 
     bar eps_0 = min(2^(-24 nu - 4) kappa0^(4 nu), delta0^(2^9),
                     2^(-10 (nu+1)) (4 kappa0 log delta0^-1)^(-8 nu)).
     """
-
-    log_eps0: float
-
-    @staticmethod
-    def from_ladder(ladder: ScaleLadder, kappa0: float, nu: int) -> "EpsilonThresholds":
-        log_d0 = ladder.log_delta_at(0)
-        t = 4.0 * kappa0 * (-log_d0)
-        log_bar = min(
-            (-24 * nu - 4) * math.log(2.0) + 4 * nu * math.log(kappa0),
-            (2 ** 9) * log_d0,
-            -10 * (nu + 1) * math.log(2.0) - 8 * nu * math.log(t),
-        )
-        return EpsilonThresholds(3.0 * log_bar)
+    log_d0 = ladder.log_delta_at(0)
+    return 3.0 * min(log_smallness_ceiling(kappa0, nu, 4.0 * kappa0 * (-log_d0)),
+                     (2 ** 9) * log_d0)
 
 
 # ---------------------------------------------------------------------------

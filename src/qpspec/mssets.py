@@ -307,10 +307,7 @@ def _iterated_straddle_removal(start: SiteSet, groups, cap: int):
         drop = [gset for level, gset in groups if straddles(gset, current)]
         if not drop:
             return current, steps
-        nxt = current.difference(SiteSet.union(*drop))
-        if len(nxt) == len(current):
-            return current, steps
-        current = nxt
+        current = current.difference(SiteSet.union(*drop))   # each group meets it
         steps += 1
         if steps >= cap:
             raise GeometryError(f"straddle removal failed to stabilize within {cap} steps")

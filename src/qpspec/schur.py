@@ -32,7 +32,10 @@ class ReducedSolver:
     wrappers or their finiteness scan: DualMatrix refuses non-finite
     entries, so every E - H_rest with a finite E is finite.  A zero pivot
     (getrf's info > 0) or one below PIVOT_RTOL times the largest is a
-    SingularBlockError.
+    SingularBlockError.  `piv` and `rest` are the pivots' and the reduced
+    set's positions in `full`, and `v` the pivots' diagonals H(p, p), in
+    pivot order: the routes read them here, so they solve the matrix that
+    the oracle checks.
     """
 
     def __init__(self, problem: Problem, S: SiteSet, k: float, pivots):
@@ -40,20 +43,22 @@ class ReducedSolver:
         self.pivots = [tuple(p) for p in pivots]
         self.full = restrict(problem, S, k)
         self._pos = {p: i for i, p in enumerate(self.pivots)}
-        piv = [self.full.sites.index(p) for p in self.pivots]
-        keep = np.ones(len(self.full.sites), dtype=bool)
-        keep[piv] = False
-        self._keep = np.flatnonzero(keep)
+        self.piv = [self.full.sites.index(p) for p in self.pivots]
+        rest = np.ones(len(self.full.sites), dtype=bool)
+        rest[self.piv] = False
+        self.rest = np.flatnonzero(rest)
         H = self.full.entries
+        self.v = tuple(float(H[i, i].real) for i in self.piv)
         # h(n, p) and h(p, n) over the reduced set, one per pivot; h(p, p') off p = p'
-        self._cols = np.asfortranarray(H[:, piv][self._keep])
+        self._cols = np.asfortranarray(H[:, self.piv][self.rest])
         self._rows = list(np.conj(self._cols).T)
-        self._direct = [[0j if a == b else complex(H[a, b]) for b in piv] for a in piv]
+        self._direct = [[0j if a == b else complex(H[a, b]) for b in self.piv]
+                        for a in self.piv]
         sites = self.full.sites.sites
-        self.reduced_sites = [sites[i] for i in self._keep]
+        self.reduced_sites = [sites[i] for i in self.rest]
         # -H_rest, negated once: each energy's E - H_rest is a copy of it
-        self._minus_rest = np.asfortranarray(-H[self._keep][:, self._keep])
-        self._diag = np.diag_indices(len(self._keep))
+        self._minus_rest = np.asfortranarray(-H[self.rest][:, self.rest])
+        self._diag = np.diag_indices(len(self.rest))
         self._getrf, self._getrs = get_lapack_funcs(("getrf", "getrs"), (self._minus_rest,))
         self._lu_cache = {}
 

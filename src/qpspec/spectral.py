@@ -4,8 +4,11 @@ The non-resonant branch solves the scalar fixed point E = v(m0) + Q(E).
 The paired branch, pair_branch, is the one paired solve: it takes the
 fixed points E = lambda_max / lambda_min of the effective 2x2 matrix at E,
 the roots of chi(E) = (E - v+ - Q+)(E - v- - Q-) - |G|^2, reading Q+, Q-
-and G from one Schur-block solve per energy.  The gap edges at k_{n0} are
-its two roots on the pivots (0, n0), where v(0) = v(n0) and the step is
+and G from one Schur-block solve per energy.  Every route reads the pivot
+diagonals v, the pivot positions and the Schur block from its
+ReducedSolver, so it solves the matrix the oracle checks, and every record
+keeps that solver.  The gap edges at k_{n0} are its two roots on the
+pivots (0, n0), where v(0) = v(n0) and the step is
 E = v(0, k_{n0}) + Q(E) -+ |G(E)|.  One loop solves them: on the first
 paired box S of a list of radii whose truncation residual r (the edge
 eigenvectors' residual padded with zeros onto S' = S plus its coupling
@@ -14,9 +17,10 @@ Weyl's bound H on S' has an eigenvalue within r of each edge, plus the
 fixed point's own residual (on Z^nu that identifies no edge; see
 _truncation_residual).  gap_at runs it on one radius, sized_gap on radii
 growing to a cap.  Gap edges and eigen_pair's roots pass one oracle rule,
-_reconcile_pair, which the loop runs only on the box it accepts.  A band
-point in a pair window solves only the branch it prints and runs no
-oracle; its root must lie in the pair windows.
+_reconcile_pair, which the loop runs only on the box it accepts; the
+GapRecord keeps that box's two edge records.  A band point in a pair
+window solves only the branch it prints, on the caller's host, and runs
+no oracle; its root must lie in the pair windows.
 """
 
 from __future__ import annotations
@@ -64,20 +68,17 @@ class EigenRecord:
     def phi(self) -> np.ndarray:
         if self.dense_phi is not None:
             return self.dense_phi
-        solver, H, E = self.solver, self.solver.full.entries, self.E
-        piv = [self.sites.index(p) for p in solver.pivots]
-        rest = np.ones(len(H), dtype=bool)
-        rest[piv] = False
+        solver, E = self.solver, self.E
         tails = np.column_stack([-solver.f(p, E) for p in solver.pivots])   # K h(., p)
-        # pivot amplitudes: the null vector of E - M(E), M(E) the effective
-        # (Hermitian) matrix on the pivots, i.e. its eigenvector nearest E
-        w, V = np.linalg.eigh(H[np.ix_(piv, piv)] + H[np.ix_(piv, rest)] @ tails)
+        # pivot amplitudes: the null vector of E - M(E), M(E) = diag v + block(E)
+        # the effective (Hermitian) pivot matrix, i.e. its eigenvector nearest E
+        w, V = np.linalg.eigh(np.diag(solver.v) + np.array(solver.block(E)))
         amps = V[:, np.argmin(np.abs(w - E))]
         top = np.argmax(np.abs(amps))
         amps = amps / amps[top]
         amps[top] = 1.0
-        phi = np.empty(len(H), dtype=complex)
-        phi[piv], phi[rest] = amps, tails @ amps
+        phi = np.empty(len(self.sites), dtype=complex)
+        phi[solver.piv], phi[solver.rest] = amps, tails @ amps
         return phi
 
     @cached_property
@@ -95,7 +96,9 @@ class GapRecord:
     padded onto S' = S plus its coupling shell: H on S' has an eigenvalue
     within it, plus the fixed point's own residual, of each edge.
     `capped` says S is the last box tried and that residual is above
-    FIXED_POINT_TOL * scale.
+    FIXED_POINT_TOL * scale.  `roots` are the edges' records (minus, plus)
+    on S; their one solver, with pivots (0, n0), is the box's for any
+    later quantity.
     """
     n0: tuple
     k_point: float
@@ -106,10 +109,7 @@ class GapRecord:
     radius: float
     truncation_residual: float
     capped: bool
-
-    def __post_init__(self):
-        if self.E_plus < self.E_minus - 1e-15:
-            raise ValueError("gap edges out of order")
+    roots: tuple = field(repr=False, compare=False)
 
 
 def _fixed_point(step, E0: float, scale: float) -> float:
@@ -136,15 +136,16 @@ def _oracle_on(M: DualMatrix, m0):
     return float(evals[j]), evecs[:, j] / evecs[i0, j], float(abs(evecs[i0, j]))
 
 
-def _reconcile_pair(problem: Problem, roots, what: str) -> np.ndarray:
+def _reconcile_pair(roots, what: str) -> np.ndarray:
     """The distances of the pair records `roots`, (minus, plus) on one
-    solver, from the oracle's two eigenvalues nearest the pivots' mean
-    diagonal, from the oracle windowed about that centre (the window chosen
-    from H alone).  A distance beyond RECONCILE_TOL * max(1, |centre|) is a
-    ReconciliationError about `what`: a regime misclassification.
+    solver, from the oracle's two eigenvalues nearest the mean of the
+    solver's pivot diagonals, from the oracle windowed about that centre
+    (the window chosen from H alone).  A distance beyond
+    RECONCILE_TOL * max(1, |centre|) is a ReconciliationError about
+    `what`: a regime misclassification.
     """
     solver = roots[0].solver
-    center = 0.5 * sum(diagonal_value(problem, p, solver.k) for p in solver.pivots)
+    center = 0.5 * sum(solver.v)
     evals, _ = dense_spectrum(solver.full, center)
     want = np.sort(evals[np.argsort(np.abs(evals - center))[:2]])
     gaps = np.abs(np.array([rec.E for rec in roots]) - want)
@@ -158,16 +159,16 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
                  oracle_check: bool = True) -> EigenRecord:
     """Fixed-point solve of E = v(m0, k) + Q(m0, S; E); eigenvector from F on read.
 
-    Starts at E = v(m0, k); contraction is guaranteed by |d_E Q| <= |eps|
-    in the small-coupling regime.  A stalled fixed point (ConvergenceError)
-    falls back to the dense eigensolver with eigenvector-overlap selection;
-    any other error propagates.  With the oracle check on, a converged value
-    that disagrees with the overlap-selected dense eigenvalue flags a regime
-    mismatch.
+    v(m0, k) is the solver's diagonal H(m0, m0).  Starts at E = v(m0, k);
+    contraction is guaranteed by |d_E Q| <= |eps| in the small-coupling
+    regime.  A stalled fixed point (ConvergenceError) falls back to the
+    dense eigensolver with eigenvector-overlap selection; any other error
+    propagates.  With the oracle check on, a converged value that disagrees
+    with the overlap-selected dense eigenvalue flags a regime mismatch.
     """
     m0 = tuple(m0)
     solver = ReducedSolver(problem, S, k, [m0])
-    v0 = diagonal_value(problem, m0, k)
+    (v0,) = solver.v
     scale = max(1.0, abs(v0))
     try:
         E = _fixed_point(lambda E: v0 + solver.q(m0, E).real, v0, scale)
@@ -195,17 +196,16 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
 # ---------------------------------------------------------------------------
 
 
-def _pair_windows(solver: ReducedSolver, mp, mm):
-    """E windows around each pivot's diagonal value that must hold the pair roots.
+def _pair_windows(solver: ReducedSolver):
+    """E windows around each of the solver's two pivot diagonals that must
+    hold the pair roots.
 
-    Each half-width stays below the nearest foreign diagonal value, which
-    keeps the windows clear of the reduced resolvent's poles; overlapping
-    windows merge (the resonant case).
+    Each half-width stays below the nearest diagonal of the reduced set,
+    which keeps the windows clear of the reduced resolvent's poles;
+    overlapping windows merge (the resonant case).
     """
-    diag = solver.full.entries.diagonal().real
-    ends = [solver.full.sites.index(p) for p in (mp, mm)]
-    vp, vm = map(float, diag[ends])
-    foreign = np.delete(diag, ends)
+    vp, vm = solver.v
+    foreign = solver.full.entries.diagonal().real[solver.rest]
     windows = []
     for v in (vp, vm):
         rho = float(np.min(np.abs(foreign - v), initial=math.inf))
@@ -221,14 +221,14 @@ def _pair_windows(solver: ReducedSolver, mp, mm):
     return merged
 
 
-def pair_branch(problem: Problem, solver: ReducedSolver, sign: float) -> EigenRecord:
+def pair_branch(solver: ReducedSolver, sign: float) -> EigenRecord:
     """One root of the paired characteristic equation on `solver`, whose
     pivots are the pair: the plus branch for sign +1, the minus for -1.
 
     The root is a fixed point of the effective 2x2 matrix
-    M(E) = [[v+ + Q+(E), G(E)], [conj G(E), v- + Q-(E)]]: E+ is the larger
-    eigenvalue of M(E+) and E- the smaller of M(E-), which are exactly the
-    roots of chi(E) = det(E - M(E)).  Each step reads Q+, Q- and G from one
+    M(E) = [[v+ + Q+(E), G(E)], [conj G(E), v- + Q-(E)]], v+- the solver's
+    pivot diagonals: E+ is the larger eigenvalue of M(E+) and E- the
+    smaller of M(E-), which are exactly the roots of chi(E) = det(E - M(E)).  Each step reads Q+, Q- and G from one
     solver.block(E).  |dM/dE| = O(eps), so the iteration contracts in a
     few steps from the pivots' mean diagonal.  The step is symmetric in
     the two pivots, so their order does not matter; when v+ + Q+ equals
@@ -236,7 +236,7 @@ def pair_branch(problem: Problem, solver: ReducedSolver, sign: float) -> EigenRe
     eigenvector is built on read.  The record is checked neither against
     the oracle nor against the pair windows; its callers do that.
     """
-    vp, vm = [diagonal_value(problem, p, solver.k) for p in solver.pivots]
+    vp, vm = solver.v
     center = 0.5 * (vp + vm)
 
     def step(E: float) -> float:
@@ -252,7 +252,7 @@ def _pair_roots(problem: Problem, S: SiteSet, k: float, pivots):
     """Both pair_branch roots on one solver with these pivots, as records
     (minus, plus) sorted by E; not reconciled."""
     solver = ReducedSolver(problem, S, k, pivots)
-    plus, minus = (pair_branch(problem, solver, sign) for sign in (+1.0, -1.0))
+    plus, minus = (pair_branch(solver, sign) for sign in (+1.0, -1.0))
     return tuple(sorted((minus, plus), key=lambda rec: rec.E))
 
 
@@ -265,7 +265,7 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm):
     runs: the oracle is the stronger one.
     """
     minus, plus = roots = _pair_roots(problem, S, k, [mp, mm])
-    gap_minus, gap_plus = map(float, _reconcile_pair(problem, roots, f"pair roots at k={k}"))
+    gap_minus, gap_plus = map(float, _reconcile_pair(roots, f"pair roots at k={k}"))
     return replace(plus, oracle_gap=gap_plus), replace(minus, oracle_gap=gap_minus)
 
 
@@ -329,9 +329,9 @@ def _first_accepted(problem: Problem, n0, radii) -> GapRecord:
         passed = resid <= FIXED_POINT_TOL * scale
         if passed or last:
             minus, plus = roots
-            dev = float(np.max(_reconcile_pair(problem, roots, f"gap edges at n0={n0}")))
+            dev = float(np.max(_reconcile_pair(roots, f"gap edges at n0={n0}")))
             return GapRecord(n0, k, minus.E, plus.E, plus.E - minus.E, dev, R, resid,
-                             not passed)
+                             not passed, roots)
 
 
 def gap_at(problem: Problem, n0, radius) -> GapRecord:
@@ -384,8 +384,8 @@ def band(problem: Problem, k_grid, S_builder):
     branch that continues E through the resonance: the plus branch above
     k_m, the minus branch at or below it.  The other root is not solved,
     so it cannot fail the point, and no oracle runs: a printed root outside
-    the pair windows is a RegimeError.  Every other point solves
-    eigen_simple.  Each point carries its record's regime; a QPSpecError is
+    the pair windows is a RegimeError, and so is a partner m outside the
+    host.  Every other point solves eigen_simple.  Each point carries its record's regime; a QPSpecError is
     collected as that point's error, and any other error propagates.
     """
     zero = tuple([0] * problem.nu)
@@ -401,10 +401,12 @@ def band(problem: Problem, k_grid, S_builder):
                 rec = eigen_simple(problem, zero, S, k, oracle_check=False)
             else:
                 m, km = hit
-                host = S if (zero in S and m in S) else paired_box(problem, m, 6)
-                solver = ReducedSolver(problem, host, k, [zero, m])
-                rec = pair_branch(problem, solver, 1.0 if k > km else -1.0)
-                if not any(lo <= rec.E <= hi for lo, hi in _pair_windows(solver, zero, m)):
+                if m not in S:
+                    raise RegimeError(f"pair window of k_{m} at k={k}: "
+                                      f"partner {m} lies outside the host")
+                solver = ReducedSolver(problem, S, k, [zero, m])
+                rec = pair_branch(solver, 1.0 if k > km else -1.0)
+                if not any(lo <= rec.E <= hi for lo, hi in _pair_windows(solver)):
                     raise RegimeError(
                         f"pair root E={rec.E:.6g} lies outside the pair windows "
                         f"(regime misclassification at k={k})")

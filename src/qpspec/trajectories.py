@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import CombinatorialBudgetError, EpsilonTooLargeError
 from .lattice import SiteSet
+from .model import log_smallness_ceiling
 
 ADMISSIBILITY_EXPONENT = 0.2          # the 1/5 in the pairwise norm bound
 HIGH_D_FACTOR = 4.0                   # threshold D >= 4 T / kappa0
@@ -275,17 +276,6 @@ class BoundResult:
     threshold_ok: bool
 
 
-def log_smallness_threshold(prof: WeightProfile) -> float:
-    """log of the smallness ceiling min(2^(-24 nu - 4) kappa0^(4 nu), 2^(-10 (nu+1)) T^(-8 nu)).
-
-    The ceiling's exponential third term exp(-(8 T / kappa0)^5) is below
-    every positive float, so it is left out.
-    """
-    nu = prof.host.nu
-    return min((-24 * nu - 4) * math.log(2.0) + 4 * nu * math.log(prof.kappa0),
-               -10 * (nu + 1) * math.log(2.0) - 8 * nu * math.log(prof.T))
-
-
 def closed_bound(m, n, prof: WeightProfile, eps0: float) -> BoundResult:
     """Closed-form ceiling for the weighted trajectory sum between m and n.
 
@@ -295,13 +285,14 @@ def closed_bound(m, n, prof: WeightProfile, eps0: float) -> BoundResult:
                       2 exp(2 Dbar)).
 
     threshold_ok records whether eps0 sits below the power-law part of the
-    smallness ceiling.
+    smallness ceiling, log_smallness_ceiling at t = T; its exponential third
+    term exp(-(8 T / kappa0)^5) is below every positive float.
     """
     bad = validate_profile(prof)
     if bad:
         raise ValueError(f"invalid weight profile: {bad[0]}")
     m, n = tuple(m), tuple(n)
-    ok = math.log(eps0) <= log_smallness_threshold(prof)
+    ok = math.log(eps0) <= log_smallness_ceiling(prof.kappa0, prof.host.nu, prof.T)
     root = math.sqrt(eps0)
     k0 = prof.kappa0
     T = prof.T

@@ -90,7 +90,7 @@ def pair_roots(problem, S, k, mp, mm):
     """Both paired roots (plus, minus) on one solver, not reconciled with
     the oracle: pair_branch twice, as eigen_pair runs it before its check."""
     solver = ReducedSolver(problem, S, k, [mp, mm])
-    return pair_branch(problem, solver, +1.0), pair_branch(problem, solver, -1.0)
+    return pair_branch(solver, +1.0), pair_branch(solver, -1.0)
 
 
 def random_potential(rng, epsilon=1e-4, kappa0=0.5, radius=3, density=0.6):

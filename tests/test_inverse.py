@@ -10,6 +10,7 @@ from qpspec.inverse import (DecayBound, gap_table, improve_decay, recovered_boun
                             verify_forward, verify_inverse)
 from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
+from qpspec.schur import ReducedSolver
 from qpspec.spectral import gap_at, paired_box, sized_gap
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -104,24 +105,35 @@ def test_desk_prefactor_is_exact_derivative(golden_freq):
     assert rb.bound_coarse == rb.prefactor_coarse * rb.gap_width + rb.quadratic_term
 
 
+def _solvers_read(monkeypatch):
+    """Refuse any new ReducedSolver; return the list of solvers that solve."""
+    used = []
+    solve = ReducedSolver.solve
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recovered_bound must not build a solver")
+
+    def recording(self, E, rhs):
+        used.append(self)
+        return solve(self, E, rhs)
+
+    monkeypatch.setattr(ReducedSolver, "__init__", refuse)
+    monkeypatch.setattr(ReducedSolver, "solve", recording)
+    return used
+
+
 def test_recovered_bound_reuses_the_gap_record(golden_freq, monkeypatch):
     prob = chain_problem(golden_freq)
     rec = gap_table(prob, [(0, 2)], 6)[0][(0, 2)]
-    built = []
-
-    class CountingSolver(inverse.ReducedSolver):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("recovered_bound must not solve the gap again")
 
-    monkeypatch.setattr(inverse, "ReducedSolver", CountingSolver)
+    used = _solvers_read(monkeypatch)
     monkeypatch.setattr(inverse, "sized_gap", refuse)
     monkeypatch.setattr(spectral, "dense_spectrum", refuse)
     rb = recovered_bound(prob, rec)
-    assert len(built) == 1
+    assert used and all(solver is rec.roots[0].solver for solver in used)
     assert rb.gap_width == rec.width and rb.holds
 
 
@@ -129,16 +141,21 @@ def test_recovered_bound_builds_on_the_records_box(generic_problem, monkeypatch)
     # label (1, 1) is accepted at radius 3, below the cap
     rec = gap_table(generic_problem, [(1, 1)], 8)[0][(1, 1)]
     assert rec.radius == 3
-    hosts = []
-
-    class Recording(inverse.ReducedSolver):
-        def __init__(self, problem, S, *args):
-            hosts.append(S)
-            super().__init__(problem, S, *args)
-
-    monkeypatch.setattr(inverse, "ReducedSolver", Recording)
+    used = _solvers_read(monkeypatch)
     recovered_bound(generic_problem, rec)
-    assert hosts == [paired_box(generic_problem, (1, 1), 3)]
+    assert used and all(solver is rec.roots[0].solver for solver in used)
+    assert rec.roots[0].solver.full.sites == paired_box(generic_problem, (1, 1), 3)
+
+
+def test_gap_record_keeps_the_accepted_boxs_roots(generic_problem):
+    # (1, 1) is accepted at radius 3 of cap 8; its roots are that box's
+    # (minus, plus) records on one solver with pivots (0, n0) at k_{n0}
+    rec = gap_table(generic_problem, [(1, 1)], 8)[0][(1, 1)]
+    minus, plus = rec.roots
+    assert minus.solver is plus.solver
+    assert minus.sites == plus.sites == paired_box(generic_problem, (1, 1), rec.radius)
+    assert (minus.E, plus.E) == (rec.E_minus, rec.E_plus)
+    assert minus.solver.pivots == [(0, 0), (1, 1)] and minus.solver.k == rec.k_point
 
 
 def test_recovered_bound_on_a_gap_at_record(generic_problem):

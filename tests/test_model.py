@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qpspec.errors import LadderRangeError
-from qpspec.model import (EpsilonThresholds, Frequency, Potential, ScaleLadder,
-                          build_ladder, diophantine_margin, sigma,
+from qpspec.model import (Frequency, Potential, ScaleLadder, build_ladder,
+                          diophantine_margin, log_eps0_threshold, sigma,
                           validate_potential)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -112,20 +112,20 @@ def test_scale_of_brackets():
 
 def test_epsilon_threshold_is_the_cube_of_bar_eps0():
     lad = build_ladder(math.exp(-3.2 / 0.35), 0.35, 3)
-    thr = EpsilonThresholds.from_ladder(lad, 0.5, 2)
+    thr = log_eps0_threshold(lad, 0.5, 2)
     log_d0 = lad.log_delta_at(0)
     # nu = 2, kappa0 = 0.5: the three terms of log bar eps_0
     log_bar = min(-52 * math.log(2.0) + 8 * math.log(0.5), 512 * log_d0,
                   -30 * math.log(2.0) - 16 * math.log(2.0 * -log_d0))
-    assert thr.log_eps0 < 0
-    assert thr.log_eps0 == pytest.approx(3.0 * log_bar, rel=1e-15)
+    assert thr < 0
+    assert thr == pytest.approx(3.0 * log_bar, rel=1e-15)
 
 
 def test_epsilon_thresholds_faithful_log_space(faithful_ladder):
     lad = faithful_ladder
-    thr = EpsilonThresholds.from_ladder(lad, 0.5, 2)
-    assert np.isfinite(thr.log_eps0)
-    assert thr.log_eps0 < -1e5
+    thr = log_eps0_threshold(lad, 0.5, 2)
+    assert np.isfinite(thr)
+    assert thr < -1e5
 
 
 def test_potential_epsilon_split():

@@ -332,10 +332,10 @@ def test_band_skips_the_unprinted_branch(generic_problem, monkeypatch):
     pair_branch = spectral.pair_branch
 
     def only(printed):
-        def branch(problem, solver, sign):
+        def branch(solver, sign):
             if sign != printed:
                 raise ConvergenceError("unprinted branch stalled")
-            return pair_branch(problem, solver, sign)
+            return pair_branch(solver, sign)
         return branch
 
     for p in want:
@@ -350,6 +350,19 @@ def test_band_checks_the_printed_root_window(generic_problem, monkeypatch):
     monkeypatch.setattr(spectral, "_pair_windows", lambda *args: [(-2.0, -1.0)])
     for p in band(generic_problem, grid, lambda k: host):
         assert p.regime == "error" and "regime misclassification" in p.error
+
+
+def test_band_pair_partner_outside_the_host_is_an_error_row():
+    # host ball(2) on the golden potential: k_(1,-2) + 1e-4 lies in the pair
+    # window of m = (1, -2), which the host does not hold; the point is an
+    # error naming m, not a solve on some other box
+    problem = build_problem(load_config(GOLDEN_CONFIG))
+    m = (1, -2)
+    host = ball(2, 2)
+    assert m not in host
+    (p,) = band(problem, [k_point(problem.frequency, m) + 1e-4], lambda k: host)
+    assert p.regime == "error" and math.isnan(p.E)
+    assert str(m) in p.error and "host" in p.error
 
 
 def test_gap_record_carries_forward_bound(generic_problem):
@@ -459,8 +472,8 @@ def test_pair_root_off_by_the_tolerance_is_a_reconciliation_error(harmonic_probl
     oracle_plus = np.sort(evals[np.argsort(np.abs(evals - center))[:2]])[1]
     pair_branch = spectral.pair_branch
 
-    def shifted(problem, solver, sign):
-        rec = pair_branch(problem, solver, sign)
+    def shifted(solver, sign):
+        rec = pair_branch(solver, sign)
         if sign < 0:
             return rec
         away = math.copysign(1.0, rec.E - oracle_plus)
@@ -536,6 +549,37 @@ def test_three_dimensional_eigen_solve():
     assert rec.residual <= 1e-11
 
 
+def _diagonal_off_by_rounding(problem, m):
+    """A k within 64 eps of k_m at which diagonal_value(0 or m, k) differs
+    from the diagonal of H on paired_box(m, 0), the two sites {0, m}."""
+    S = paired_box(problem, m, 0)
+    km = k_point(problem.frequency, m)
+    window = 64.0 * problem.potential.epsilon
+    for k in km + window * np.random.default_rng(5).uniform(-1.0, 1.0, 40000):
+        H = restrict(problem, S, float(k)).entries
+        if any(diagonal_value(problem, p, float(k)) != H[S.index(p), S.index(p)].real
+               for p in ((0, 0), m)):
+            return float(k)
+    return None
+
+
+@pytest.mark.parametrize("m", [(1, 0), (1, -2)])
+def test_pair_branch_solves_the_matrix_it_factors(generic_problem, m):
+    # diagonal_value and restrict round (m.omega + k)^2 apart in rare k; at
+    # such a k the roots on {0, m}, where the reduced set is empty, are the
+    # closed form of H's own 2x2 block, bit for bit
+    k = _diagonal_off_by_rounding(generic_problem, m)
+    assert k is not None
+    S = paired_box(generic_problem, m, 0)
+    H = restrict(generic_problem, S, k).entries
+    i, j = S.index((0, 0)), S.index(m)
+    a, b = H[i, i].real, H[j, j].real
+    half = math.hypot(0.5 * (a - b), abs(H[i, j]))
+    plus, minus = pair_roots(generic_problem, S, k, (0, 0), m)
+    assert plus.solver.v == (a, b)
+    assert (plus.E, minus.E) == (0.5 * (a + b) + half, 0.5 * (a + b) - half)
+
+
 def test_pair_windows_from_the_matrix_diagonal(generic_problem):
     n0 = (0, 1)
     for S in (paired_box(generic_problem, n0, 4), SiteSet([(0, 0), n0])):
@@ -550,7 +594,7 @@ def test_pair_windows_from_the_matrix_diagonal(generic_problem):
                            for s in S if s not in ((0, 0), n0)), default=math.inf)
                 half = 0.75 * min(rho, abs(vp - vm) + 1.0)
                 want.append((v - half, v + half))
-            got = spectral._pair_windows(solver, (0, 0), n0)
+            got = spectral._pair_windows(solver)
             want = sorted(want)
             if want[1][0] <= want[0][1]:
                 want = [(want[0][0], max(want[0][1], want[1][1]))]

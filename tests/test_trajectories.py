@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from qpspec import trajectories
 from qpspec.errors import EpsilonTooLargeError
 from qpspec.lattice import SiteSet, ball
+from qpspec.model import log_smallness_ceiling
 from qpspec.trajectories import (Trajectory, WeightProfile, closed_bound,
-                                 is_admissible, log_smallness_threshold,
-                                 sum_enumerate, validate_profile, weights)
+                                 is_admissible, sum_enumerate, validate_profile, weights)
 
 from conftest import elementary_path_sum, sum_enumerate_reference
 
@@ -181,7 +181,7 @@ def test_closed_bound_flags_eps0_above_threshold():
 
 def test_smallness_threshold_log_space():
     prof = flat_profile()
-    thr = log_smallness_threshold(prof)
+    thr = log_smallness_ceiling(prof.kappa0, prof.host.nu, prof.T)
     assert math.log(1e-25) <= thr < math.log(1e-20)
 
 
