@@ -32,8 +32,21 @@ class DualMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.entries)):
+        if not np.isfinite(self.entries).all():
             raise ValueError("non-finite matrix entries")
+
+    @classmethod
+    def assemble(cls, sites: SiteSet, k: float, block: np.ndarray,
+                 diag: np.ndarray) -> "DualMatrix":
+        """A copy of a host's coupling block with `diag` on its diagonal.
+
+        `block` comes from host_block and `diag` from host_diagonal, which
+        have refused non-finite entries, so they are not scanned again."""
+        H = block.copy()
+        np.fill_diagonal(H, diag)
+        M = cls.__new__(cls)
+        M.__dict__.update(sites=sites, k=k, entries=H)
+        return M
 
 
 def diagonal_value(problem: Problem, n, k: float) -> float:
@@ -41,15 +54,52 @@ def diagonal_value(problem: Problem, n, k: float) -> float:
 
 
 def restrict(problem: Problem, S: SiteSet, k: float) -> DualMatrix:
-    """Hermitian restriction of H_k to S, in S's canonical order."""
+    """Hermitian restriction of H_k to S, in S's canonical order: the
+    host's couplings with host_diagonal(phases, k) on the diagonal."""
+    block, phases = host_block(problem, S)
+    return DualMatrix.assemble(S, k, block, host_diagonal(phases, k))
+
+
+_host = None   # (problem, S, block, phases) of the last host built
+
+
+def host_block(problem: Problem, S: SiteSet):
+    """The part of H_k on S that does not depend on k: (block, phases),
+    the off-diagonal block couplings(problem, S, S) and the phases n.omega
+    over S, both read-only.
+
+    The last host built is kept, so band points on one host share one
+    block; a call on another host replaces it.  A Problem is not hashable
+    (its potential holds a dict), so the held host is matched on the
+    problem's identity and S's content, and holds the problem: no other
+    problem can take its id while it is held.  The empty set and the site
+    budget are checked on every call, non-finite couplings once, when the
+    host is built; non-finite phases make every diagonal non-finite, which
+    host_diagonal refuses.
+    """
+    global _host
     if len(S) == 0:
         raise ValueError("cannot restrict to an empty site set")
     if problem.site_budget is not None and len(S) > problem.site_budget:
         raise SiteBudgetError(f"{len(S)} sites exceed budget {problem.site_budget}")
-    H = couplings(problem, S, S)
-    phase = S.array().astype(float) @ np.asarray(problem.omega, dtype=float) + k
-    np.fill_diagonal(H, TWO_PI_SQ * phase ** 2)
-    return DualMatrix(S, k, H)
+    if _host is not None and _host[0] is problem and _host[1] == S:
+        return _host[2:]
+    block = couplings(problem, S, S)
+    phases = S.array().astype(float) @ np.asarray(problem.omega, dtype=float)
+    if not np.isfinite(block).all():
+        raise ValueError("non-finite matrix entries")
+    block.flags.writeable = phases.flags.writeable = False
+    _host = (problem, S, block, phases)
+    return block, phases
+
+
+def host_diagonal(phases: np.ndarray, k: float) -> np.ndarray:
+    """H_k's diagonal (2 pi)^2 (n.omega + k)^2 from a host's phases; a
+    non-finite entry (a non-finite or huge k) is a ValueError."""
+    diag = TWO_PI_SQ * (phases + k) ** 2
+    if not np.isfinite(diag).all():
+        raise ValueError("non-finite matrix entries")
+    return diag
 
 
 def couplings(problem: Problem, rows: SiteSet, cols: SiteSet) -> np.ndarray:

@@ -5,15 +5,20 @@ complement E - (diag v + [[Q+, G], [G*, Q-]]) (E - v - Q for one pivot),
 built from one LU of E - H_{S \\ P} per energy and one solve of every
 pivot's coupling column against it (ReducedSolver.block).  This is the one
 representation of the resolvent; the selftest compares it with the dense
-inverse.
+inverse.  A solver gathers its blocks from its host's couplings, which do
+not depend on k and are kept for the last host (dual_operator.host_block), and
+takes only the diagonal from k; the dense matrix H_S is built only when a
+check reads it (ReducedSolver.full).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .dual_operator import restrict
+from .dual_operator import DualMatrix, host_block, host_diagonal
 from .errors import SingularBlockError
 from .lattice import SiteSet
 from .model import Problem
@@ -29,38 +34,59 @@ class ReducedSolver:
     entries of block(E), which solves every pivot's coupling column in one
     getrs call.  The LU comes from LAPACK getrf and the solves from getrs,
     fetched once per solver and called directly, without scipy's per-call
-    wrappers or their finiteness scan: DualMatrix refuses non-finite
-    entries, so every E - H_rest with a finite E is finite.  A zero pivot
-    (getrf's info > 0) or one below PIVOT_RTOL times the largest is a
-    SingularBlockError.  `piv` and `rest` are the pivots' and the reduced
-    set's positions in `full`, and `v` the pivots' diagonals H(p, p), in
-    pivot order: the routes read them here, so they solve the matrix that
-    the oracle checks.
+    wrappers or their finiteness scan: host_block refuses non-finite
+    couplings and host_diagonal a non-finite diagonal, so a solver is never
+    built on a non-finite matrix, and every E - H_rest with a finite E is
+    finite.  A zero pivot (getrf's info > 0) or one below PIVOT_RTOL times
+    the largest is a SingularBlockError.
+
+    The couplings come from the host memo (host_block) and only the
+    diagonal `diag` = H(n, n) over `sites` from k.  `piv` and `rest` are
+    the pivots' and the reduced set's positions in `sites`, and `v` the
+    pivots' diagonals, in pivot order: the routes read them here, so they
+    solve the matrix that the oracle checks.  `full`, that matrix as a
+    DualMatrix, is built on first read, by its readers only: the oracle and
+    the checks.
     """
 
     def __init__(self, problem: Problem, S: SiteSet, k: float, pivots):
-        self.k = k
+        self.sites, self.k = S, k
         self.pivots = [tuple(p) for p in pivots]
-        self.full = restrict(problem, S, k)
+        couplings, phases = host_block(problem, S)
+        self._couplings = couplings   # read-only, shared with the memo
+        self.diag = host_diagonal(phases, k)
         self._pos = {p: i for i, p in enumerate(self.pivots)}
-        self.piv = [self.full.sites.index(p) for p in self.pivots]
-        rest = np.ones(len(self.full.sites), dtype=bool)
+        self.piv = [S.index(p) for p in self.pivots]
+        rest = np.ones(len(S), dtype=bool)
         rest[self.piv] = False
         self.rest = np.flatnonzero(rest)
-        H = self.full.entries
-        self.v = tuple(float(H[i, i].real) for i in self.piv)
+        self.v = tuple(float(self.diag[i]) for i in self.piv)
         # h(n, p) and h(p, n) over the reduced set, one per pivot; h(p, p') off p = p'
-        self._cols = np.asfortranarray(H[:, self.piv][self.rest])
+        self._cols = np.asfortranarray(couplings[:, self.piv][self.rest])
         self._rows = list(np.conj(self._cols).T)
-        self._direct = [[0j if a == b else complex(H[a, b]) for b in self.piv]
+        self._direct = [[0j if a == b else complex(couplings[a, b]) for b in self.piv]
                         for a in self.piv]
-        sites = self.full.sites.sites
+        sites = S.sites
         self.reduced_sites = [sites[i] for i in self.rest]
-        # -H_rest, negated once: each energy's E - H_rest is a copy of it
-        self._minus_rest = np.asfortranarray(-H[self.rest][:, self.rest])
+        # -H_rest, negated once: each energy's E - H_rest is a copy of it.
+        # Negating the real and imaginary parts as floats flips the same
+        # signs as complex negation, several times faster.
+        self._minus_rest = np.asfortranarray(couplings[self.rest][:, self.rest])
+        parts = self._minus_rest.T.view(float)
+        np.negative(parts, out=parts)
         self._diag = np.diag_indices(len(self.rest))
+        self._minus_rest[self._diag] = -self.diag[self.rest]
         self._getrf, self._getrs = get_lapack_funcs(("getrf", "getrs"), (self._minus_rest,))
         self._lu_cache = {}
+
+    @cached_property
+    def full(self) -> DualMatrix:
+        """H_k restricted to `sites`, the matrix the routes solve: the
+        host's couplings with the solver's own `diag`.  Once it is built
+        the solver lets go of the couplings, which `full` holds."""
+        M = DualMatrix.assemble(self.sites, self.k, self._couplings, self.diag)
+        self._couplings = None
+        return M
 
     def coupling_column(self, m0) -> np.ndarray:
         """h(n, m0) for n in the reduced set."""

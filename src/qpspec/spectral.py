@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .dual_operator import (TWO_PI_SQ, DualMatrix, couplings, dense_spectrum, di
                             restrict)
 from .errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
 from .lattice import SiteSet, ball, l1_ball_size, l1_norm
-from .model import Problem
+from .model import Frequency, Problem
 from .resonance import k_point
 from .schur import ReducedSolver
 
@@ -62,7 +62,7 @@ class EigenRecord:
 
     @property
     def sites(self) -> SiteSet:
-        return self.solver.full.sites
+        return self.solver.sites
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -205,7 +205,7 @@ def _pair_windows(solver: ReducedSolver):
     overlapping windows merge (the resonant case).
     """
     vp, vm = solver.v
-    foreign = solver.full.entries.diagonal().real[solver.rest]
+    foreign = solver.diag[solver.rest]
     windows = []
     for v in (vp, vm):
         rho = float(np.min(np.abs(foreign - v), initial=math.inf))
@@ -376,21 +376,31 @@ class BandPoint:
     error: str = ""
 
 
+@lru_cache(maxsize=1)
+def _resonances(frequency: Frequency) -> tuple:
+    """(m, k_m) for 0 < |m| <= RESONANCE_RADIUS, in ball order; built
+    once per frequency."""
+    return tuple((m, k_point(frequency, m))
+                 for m in ball(RESONANCE_RADIUS, frequency.nu, budget=None) if any(m))
+
+
 def band(problem: Problem, k_grid, S_builder):
     """E(k) along a grid; points inside a pair window take the pair branch.
 
     S_builder maps k to the host set.  A point within 64 eps of some k_m,
     |m| <= RESONANCE_RADIUS, solves by pair_branch at its own k only the
-    branch that continues E through the resonance: the plus branch above
-    k_m, the minus branch at or below it.  The other root is not solved,
-    so it cannot fail the point, and no oracle runs: a printed root outside
-    the pair windows is a RegimeError, and so is a partner m outside the
-    host.  Every other point solves eigen_simple.  Each point carries its record's regime; a QPSpecError is
-    collected as that point's error, and any other error propagates.
+    branch that continues E through the resonance.  E(k) grows with |k|
+    and E(k) = E(-k), so that is the plus branch where |k| > |k_m| and
+    the minus branch where |k| <= |k_m|, on either side of k = 0.  The
+    other root is not solved, so it cannot fail the point, and no oracle
+    runs: a printed root outside the pair windows is a RegimeError, and so
+    is a partner m outside the host.  Every other point solves
+    eigen_simple.  Points on one host share its couplings (host_block).
+    Each point carries its record's regime; a QPSpecError is collected as
+    that point's error, and any other error propagates.
     """
     zero = tuple([0] * problem.nu)
-    res_points = [(m, k_point(problem.frequency, m))
-                  for m in ball(RESONANCE_RADIUS, problem.nu, budget=None) if any(m)]
+    res_points = _resonances(problem.frequency)
     window = 64.0 * problem.potential.epsilon  # strongest coupling heuristic
 
     def solve(k: float) -> BandPoint:
@@ -405,7 +415,7 @@ def band(problem: Problem, k_grid, S_builder):
                     raise RegimeError(f"pair window of k_{m} at k={k}: "
                                       f"partner {m} lies outside the host")
                 solver = ReducedSolver(problem, S, k, [zero, m])
-                rec = pair_branch(solver, 1.0 if k > km else -1.0)
+                rec = pair_branch(solver, 1.0 if abs(k) > abs(km) else -1.0)
                 if not any(lo <= rec.E <= hi for lo, hi in _pair_windows(solver)):
                     raise RegimeError(
                         f"pair root E={rec.E:.6g} lies outside the pair windows "

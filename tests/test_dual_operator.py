@@ -1,4 +1,6 @@
+import gc
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +9,11 @@ import scipy.linalg as sla
 
 from conftest import GOLDEN, random_potential, restrict_reference
 from qpspec.cli import build_problem, load_config
-from qpspec.dual_operator import (DualMatrix, cocycle_check,
-                                  dense_spectrum, diagonal_value,
+from qpspec import dual_operator
+from qpspec.dual_operator import (DualMatrix, cocycle_check, couplings,
+                                  dense_spectrum, diagonal_value, host_block,
                                   reflection_conjugation_check, restrict)
-from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError
+from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError, SiteBudgetError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Frequency, Potential, Problem
 from qpspec.resonance import k_point
@@ -260,3 +263,67 @@ def test_restrict_refuses_a_box_too_large_for_int64_codes(generic_problem):
     with pytest.raises(ValueError):
         S = SiteSet([(0, 0), (2 ** 40, 2 ** 40)])
         restrict(generic_problem, S, 0.3)
+
+
+def test_restrict_on_a_memo_hit_is_couplings_plus_diagonal(generic_problem):
+    # later restrictions of one host copy its memoized block; each equals a
+    # fresh build bit for bit
+    S = ball(4, 2)
+    for k in (0.21, -0.37, 0.21):
+        got = restrict(generic_problem, S, k)
+        assert np.array_equal(got.entries, restrict_reference(generic_problem, S, k))
+        off = got.entries.copy()
+        np.fill_diagonal(off, 0)
+        assert np.array_equal(off, couplings(generic_problem, S, S))
+    block, phases = host_block(generic_problem, S)
+    assert not block.flags.writeable and not phases.flags.writeable
+
+
+def _one_harmonic(freq, c):
+    return Problem(freq, Potential.from_harmonics({(0, 1): c, (1, 1): 0.5 * c}, 1e-3, 0.5))
+
+
+def test_host_memo_keeps_problems_apart(golden_freq):
+    # problems on one host with different potentials never share a block,
+    # also when each is built after the last is freed (CPython tends to give
+    # it the freed object's id)
+    S = ball(3, 2)
+    for i in range(1, 8):
+        prob = _one_harmonic(golden_freq, 0.5 ** i)
+        block, _ = host_block(prob, S)
+        assert np.array_equal(block, couplings(prob, S, S))
+        assert block[S.index((0, 0)), S.index((0, 1))] == 1e-3 * 0.5 ** i
+        del prob, block
+        gc.collect()
+
+
+def test_host_memo_holds_one_host(generic_problem):
+    # a hit returns the held arrays; another host replaces them
+    S, T = ball(2, 2), ball(3, 2)
+    first = host_block(generic_problem, S)
+    assert all(a is b for a, b in zip(host_block(generic_problem, S), first))
+    host_block(generic_problem, T)
+    assert dual_operator._host[1] == T
+    again = host_block(generic_problem, S)
+    assert again[0] is not first[0] and np.array_equal(again[0], first[0])
+
+
+def test_dual_matrix_refuses_non_finite_entries():
+    # restrict skips the scan on checked parts; a matrix built directly does not
+    H = np.eye(3, dtype=complex)
+    H[0, 1] = H[1, 0] = math.nan
+    with pytest.raises(ValueError):
+        DualMatrix(ball(1, 1), 0.0, H)
+
+
+def test_site_budget_fires_on_a_memo_hit(generic_problem):
+    # the budget is checked on every call, before the memo is read
+    prob = replace(generic_problem)
+    S = ball(2, 2)
+    restrict(prob, S, 0.3)
+    assert dual_operator._host[0] is prob and dual_operator._host[1] == S
+    object.__setattr__(prob, "site_budget", len(S) - 1)
+    with pytest.raises(SiteBudgetError):
+        restrict(prob, S, 0.3)
+    with pytest.raises(SiteBudgetError):
+        host_block(prob, S)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,34 @@ def test_singular_block_on_the_real_path(zero_problem, shift):
     v = solver.full.entries[i, i].real
     with pytest.raises(SingularBlockError):
         solver.q((0, 0), v + shift * max(1.0, abs(v)))
+
+
+@pytest.mark.parametrize("pivots", [[(0, 0)], [(0, 0), (0, 1)], [(1, -1), (0, 0)]])
+def test_solver_holds_the_matrix_it_factors(generic_problem, pivots):
+    # v, the pivot columns, the direct couplings and -H_rest, gathered from
+    # the memoized couplings and the diagonal, are full's entries exactly
+    k = k_point(generic_problem.frequency, (0, 1)) + 1e-4
+    solver = ReducedSolver(generic_problem, ball(4, 2), k, pivots)
+    assert "full" not in vars(solver)     # built on first read only
+    H, piv, rest = solver.full.entries, solver.piv, solver.rest
+    assert solver._couplings is None and solver.full.entries is H
+    assert solver.sites is solver.full.sites
+    assert solver.v == tuple(float(H[i, i].real) for i in piv)
+    assert np.array_equal(solver.diag, H.diagonal().real)
+    assert np.array_equal(-solver._minus_rest, H[np.ix_(rest, rest)])
+    assert np.array_equal(solver._cols, H[np.ix_(rest, piv)])
+    assert solver._direct == [[0j if a == b else complex(H[a, b]) for b in piv] for a in piv]
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_non_finite_k_is_refused_at_construction(generic_problem, k):
+    # getrf and getrs run without a finiteness scan, so no solver is built
+    # on a non-finite matrix
+    with pytest.raises(ValueError):
+        ReducedSolver(generic_problem, ball(2, 2), k, [(0, 0)])
+
+
+def test_non_finite_couplings_are_refused_at_construction(golden_freq):
+    prob = Problem(golden_freq, Potential({(0, 1): math.nan, (0, -1): math.nan}, 1e-4, 0.5))
+    with pytest.raises(ValueError):
+        ReducedSolver(prob, ball(2, 2), 0.2, [(0, 0)])

@@ -314,14 +314,14 @@ def test_band_pair_point_solves_one_branch(generic_problem, monkeypatch):
 
 @pytest.mark.parametrize("m", [(0, 1), (1, -2)])
 def test_band_pair_point_is_its_eigen_pair_branch(generic_problem, m):
-    # bit for bit the eigen_pair root band prints: plus above k_m, minus at
-    # or below it
+    # bit for bit the eigen_pair root band prints: plus where |k| > |k_m|,
+    # minus where |k| <= |k_m| (k_(0,1) < 0, k_(1,-2) > 0)
     host = ball(5, 2)
     km, grid = _band_pair_points(generic_problem, m)
     for p in band(generic_problem, grid, lambda k: host):
         plus, minus = eigen_pair(generic_problem, host, p.k, (0, 0), m)
         assert p.regime == "paired"
-        assert p.E == (plus.E if p.k > km else minus.E)
+        assert p.E == (plus.E if abs(p.k) > abs(km) else minus.E)
 
 
 def test_band_skips_the_unprinted_branch(generic_problem, monkeypatch):
@@ -339,9 +339,24 @@ def test_band_skips_the_unprinted_branch(generic_problem, monkeypatch):
         return branch
 
     for p in want:
-        monkeypatch.setattr(spectral, "pair_branch", only(1.0 if p.k > km else -1.0))
+        monkeypatch.setattr(spectral, "pair_branch",
+                            only(1.0 if abs(p.k) > abs(km) else -1.0))
         (got,) = band(generic_problem, [p.k], lambda k: host)
         assert (got.E, got.regime, got.error) == (p.E, "paired", "")
+
+
+@pytest.mark.parametrize("m", [(0, 1), (0, -1), (1, -2), (-1, 2)])
+def test_band_is_even_in_k_through_a_pair_window(generic_problem, m):
+    # E(k) = E(-k) on a reflection-symmetric host, so the branch printed in
+    # a pair window is the one with |k| > |k_m|, also where k_m < 0
+    host = ball(5, 2)
+    km = k_point(generic_problem.frequency, m)
+    grid = [km + d for d in (-1e-3, -1e-6, 1e-6, 1e-3)]
+    got = band(generic_problem, grid, lambda k: host)
+    mirrored = band(generic_problem, [-k for k in grid], lambda k: host)
+    for p, q in zip(got, mirrored):
+        assert p.regime == q.regime == "paired"
+        assert p.E == q.E
 
 
 def test_band_checks_the_printed_root_window(generic_problem, monkeypatch):
