@@ -56,17 +56,19 @@ def diagonal_value(problem: Problem, n, k: float) -> float:
 def restrict(problem: Problem, S: SiteSet, k: float) -> DualMatrix:
     """Hermitian restriction of H_k to S, in S's canonical order: the
     host's couplings with host_diagonal(phases, k) on the diagonal."""
-    block, phases = host_block(problem, S)
+    block, phases, _ = host_block(problem, S)
     return DualMatrix.assemble(S, k, block, host_diagonal(phases, k))
 
 
-_host = None   # (problem, S, block, phases) of the last host built
+_host = None   # (problem, S, block, phases, row_sum) of the last host built
 
 
 def host_block(problem: Problem, S: SiteSet):
-    """The part of H_k on S that does not depend on k: (block, phases),
-    the off-diagonal block couplings(problem, S, S) and the phases n.omega
-    over S, both read-only.
+    """The part of H_k on S that does not depend on k: (block, phases,
+    row_sum), the off-diagonal block couplings(problem, S, S) and the
+    phases n.omega over S, both read-only, and the block's largest row sum
+    max_m sum_n |h(m, n)|, which bounds every Gershgorin radius of H_k on S
+    or on a subset of S.
 
     The last host built is kept, so band points on one host share one
     block; a call on another host replaces it.  A Problem is not hashable
@@ -89,8 +91,8 @@ def host_block(problem: Problem, S: SiteSet):
     if not np.isfinite(block).all():
         raise ValueError("non-finite matrix entries")
     block.flags.writeable = phases.flags.writeable = False
-    _host = (problem, S, block, phases)
-    return block, phases
+    _host = (problem, S, block, phases, float(np.abs(block).sum(axis=1).max()))
+    return _host[2:]
 
 
 def host_diagonal(phases: np.ndarray, k: float) -> np.ndarray:

@@ -34,8 +34,8 @@ class Frequency:
     def __post_init__(self):
         if self.window_n < 0:
             raise ValueError("the Diophantine window must be >= 0")
-        if max(abs(w) for w in self.omega) > 1 + 1e-15:
-            raise ValueError("normalization requires |omega_j| <= 1")
+        if not (self.omega and all(abs(w) <= 1 + 1e-15 for w in self.omega)):
+            raise ValueError("normalization requires finite |omega_j| <= 1")
         if not (0 < self.a0 < 1):
             raise ValueError("a0 must lie in (0, 1)")
         nu = len(self.omega)

@@ -275,7 +275,7 @@ def test_restrict_on_a_memo_hit_is_couplings_plus_diagonal(generic_problem):
         off = got.entries.copy()
         np.fill_diagonal(off, 0)
         assert np.array_equal(off, couplings(generic_problem, S, S))
-    block, phases = host_block(generic_problem, S)
+    block, phases, _ = host_block(generic_problem, S)
     assert not block.flags.writeable and not phases.flags.writeable
 
 
@@ -290,7 +290,7 @@ def test_host_memo_keeps_problems_apart(golden_freq):
     S = ball(3, 2)
     for i in range(1, 8):
         prob = _one_harmonic(golden_freq, 0.5 ** i)
-        block, _ = host_block(prob, S)
+        block, _, _ = host_block(prob, S)
         assert np.array_equal(block, couplings(prob, S, S))
         assert block[S.index((0, 0)), S.index((0, 1))] == 1e-3 * 0.5 ** i
         del prob, block

@@ -46,6 +46,17 @@ def test_negative_diophantine_window_refused():
         Frequency((1.0, GOLDEN), 0.1, 3.0, window_n=-1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_non_finite_omega_refused(bad, slot):
+    # |nan| <= 1 compares False and max() skips a NaN after its first entry,
+    # so each slot is tried; no solver may meet a non-finite diagonal
+    omega = [1.0, GOLDEN]
+    omega[slot] = bad
+    with pytest.raises(ValueError, match="omega"):
+        Frequency(tuple(omega), 0.1, 3.0)
+
+
 def test_diophantine_resonant_frequency():
     freq = Frequency((1.0, 0.5), 0.1, 3.0)
     margin, witness = diophantine_margin(freq, 5)

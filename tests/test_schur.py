@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qpspec.dual_operator import diagonal_value
 from qpspec.errors import SingularBlockError
+from qpspec.inverse import recovered_bound
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Potential, Problem
 from qpspec.resonance import k_point
-from qpspec.schur import ReducedSolver
-from qpspec.spectral import eigen_simple, paired_box
+from qpspec.schur import THETA_MAX, UNIT_ROUNDOFF, ReducedSolver
+from qpspec.spectral import band, eigen_simple, paired_box, sized_gap
+
+from conftest import random_potential
 
 
 def q_at(problem, m0, S, k, E):
@@ -238,3 +243,144 @@ def test_non_finite_couplings_are_refused_at_construction(golden_freq):
     prob = Problem(golden_freq, Potential({(0, 1): math.nan, (0, -1): math.nan}, 1e-4, 0.5))
     with pytest.raises(ValueError):
         ReducedSolver(prob, ball(2, 2), 0.2, [(0, 0)])
+
+
+@pytest.fixture
+def getrf_calls(monkeypatch):
+    """getrf calls per ReducedSolver built while the fixture is active, in
+    the order the solvers were built."""
+    calls = {}
+    init = ReducedSolver.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        getrf, calls[self] = self._getrf, 0
+
+        def counted(A, **kw):
+            calls[self] += 1
+            return getrf(A, **kw)
+
+        self._getrf = counted
+
+    monkeypatch.setattr(ReducedSolver, "__init__", counted_init)
+    return calls
+
+
+def _anchored(problem, S, k, pivots, E0):
+    """A solver factored at E0, its Gershgorin gap g, and a list that
+    records every later getrf."""
+    solver = ReducedSolver(problem, S, k, pivots)
+    solver.block(E0)
+    later, getrf = [], solver._getrf
+    solver._getrf = lambda A, **kw: later.append(1) or getrf(A, **kw)
+    return solver, solver._anchor[3], later
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 6), st.integers(1, 2),
+       st.floats(-12.0, math.log10(THETA_MAX), exclude_max=True),
+       st.sampled_from([-1.0, 1.0]), st.floats(0.05, 0.45))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_corrected_solve_is_within_its_bound(golden_freq, seed, radius, n_piv, log_theta,
+                                             sign, k):
+    # block and f at E = E0 + delta, read from the LU at E0 without a new
+    # factorization, against a solver factored at E: each column within
+    # 2^-53 ||x0|| (the certified truncation, x0 = K(E0) h(., p)) plus a
+    # rounding term of 64 u ||K(E) h(., p)||.  Over 300 random hosts the
+    # two sides differed by at most 6.4 u ||K(E) h(., p)||, so a series cut
+    # one term early, erring by theta^J ||x0||, shows when theta^J > 64 u.
+    prob = Problem(golden_freq, random_potential(np.random.default_rng(seed)))
+    S, pivots = ball(radius, 2), [(0, 0), (0, 1)][:n_piv]
+    E0 = diagonal_value(prob, (0, 0), k)
+    solver, g, later = _anchored(prob, S, k, pivots, E0)
+    E = E0 + sign * 10.0 ** log_theta * g
+    delta = E - E0
+    assume(g > 0 and 0 < abs(delta) < THETA_MAX * g)
+    fresh = ReducedSolver(prob, S, k, pivots)
+    block, want = solver.block(E), fresh.block(E)
+    n, x0 = len(solver.rest), solver._solved[E0]
+    for j, p in enumerate(pivots):
+        x, y = solver.f(p, E), fresh.f(p, E)
+        bound = UNIT_ROUNDOFF * (np.linalg.norm(x0[:, j]) + 64 * np.linalg.norm(y))
+        assert np.linalg.norm(x - y) <= bound
+        for i, q in enumerate(pivots):
+            # plus the rounding of the two dots with h(p_i, .)
+            row = np.linalg.norm(solver.coupling_column(q))
+            dots = 2 * n * UNIT_ROUNDOFF * row * np.linalg.norm(y)
+            assert abs(block[i][j] - want[i][j]) <= row * bound + dots
+    assert not later
+
+
+def test_fresh_factorization_past_the_limit(generic_problem):
+    # theta = |delta| / g at the limit or above, or a Gershgorin gap g <= 0
+    # at the anchor, takes a fresh getrf, which becomes the anchor
+    S, k, zero = ball(4, 2), 0.22, (0, 0)
+    E0 = diagonal_value(generic_problem, zero, k)
+    solver, g, later = _anchored(generic_problem, S, k, [zero], E0)
+    assert g > 0
+    solver.q(zero, E0 + 0.5 * THETA_MAX * g)
+    assert not later
+    E1 = E0 + 2.0 * THETA_MAX * g
+    solver.q(zero, E1)
+    assert later == [1] and solver._anchor[0] == E1
+    # an anchor inside a Gershgorin disc of the reduced set: g <= 0
+    n = solver.rest[np.argmin(np.abs(solver.diag[solver.rest] - E0))]
+    E0 = solver.diag[n] + 0.5 * solver._row_sum
+    solver, g, later = _anchored(generic_problem, S, k, [zero], E0)
+    assert g == 0.0
+    solver.f(zero, E0)            # the anchor itself needs no factorization
+    assert not later
+    solver.q(zero, E0 + 1e-12)
+    assert later == [1]
+
+
+@pytest.mark.parametrize("near", [False, True])
+def test_eigenvalue_of_the_reduced_block_is_factored(zero_problem, generic_problem, near):
+    # an eigenvalue of H_rest lies in a Gershgorin disc, so theta >= 1 from
+    # any anchor: it is factored afresh, never corrected, whether the anchor
+    # is the pivot's diagonal or just beside the eigenvalue.  With no
+    # potential the eigenvalue is a diagonal entry, getrf meets a zero pivot
+    # and the solve raises, as a first energy there does.
+    S, k, zero = ball(3, 2), 0.13, (0, 0)
+    v0 = diagonal_value(generic_problem, zero, k)
+    for problem in (zero_problem, generic_problem):
+        solver = ReducedSolver(problem, S, k, [zero])
+        H = solver.full.entries[np.ix_(solver.rest, solver.rest)]
+        evals = H.diagonal().real if problem is zero_problem else np.linalg.eigvalsh(H)
+        lam = float(evals[np.argmin(np.abs(evals - v0))])
+        E0 = lam + 1e-6 * max(1.0, abs(lam)) if near else v0
+        solver, _, later = _anchored(problem, S, k, [zero], E0)
+        if problem is zero_problem:
+            with pytest.raises(SingularBlockError):
+                solver.q(zero, lam)
+        else:
+            solver.q(zero, lam)
+        assert later == [1]
+
+
+def test_factorizations_per_band_point(generic_problem, getrf_calls):
+    # one LU per non-resonant point, its fixed point's later energies
+    # corrected; a pair-window point at most two, since its first step
+    # leaves the pivots' mean diagonal by about |v+ - v-| / 2
+    freq = generic_problem.frequency
+    resonant = [k_point(freq, m) + d for m in [(0, 1), (1, -1), (1, 1)] for d in (-3e-3, 1e-5)]
+    points = band(generic_problem, [0.13, 0.22, 0.27, 0.36, *resonant], lambda k: ball(8, 2))
+    assert len(getrf_calls) == len(points)
+    assert [p.regime for p in points] == ["nonresonant"] * 4 + ["paired"] * len(resonant)
+    calls = list(getrf_calls.values())
+    assert calls[:4] == [1] * 4 and max(calls[4:]) <= 2
+
+
+def test_factorizations_per_gap_box(golden_freq, getrf_calls):
+    # every box sized_gap tries is factored once, at the pair's centre; the
+    # record's recovered_bound adds one, for its wide identity solve
+    prob = Problem(golden_freq, random_potential(np.random.default_rng(11)))
+    tried = 0
+    for n0 in [(0, 1), (1, 0), (1, 1)]:
+        getrf_calls.clear()
+        rec = sized_gap(prob, n0, 6)
+        assert set(getrf_calls.values()) == {1}
+        tried += len(getrf_calls)
+        recovered_bound(prob, rec)
+        assert getrf_calls.pop(rec.roots[0].solver) == 2
+        assert set(getrf_calls.values()) <= {1}
+    assert tried > 3      # some label rejected a box
