@@ -10,23 +10,37 @@ not depend on k and are kept for the last host (dual_operator.host_block), and
 takes only the diagonal from k; the dense matrix H_S is built only when a
 check reads it (ReducedSolver.full).
 
-A solver factors E - H_rest once, at its first energy E0 (the anchor), and
-reaches a later energy E = E0 + delta from that LU.  By Gershgorin's circle
-theorem the Hermitian E0 - H_rest has no eigenvalue within
-g = min_n |E0 - v(n)| - r of zero, n over the reduced set and r the host's
-largest off-diagonal row sum, so ||K0||_2 <= 1/g.  With theta = |delta| / g
-< 1, K(E) C is the fixed point of x = x0 - delta K0 x, x0 = K0 C, and the
-j-th iterate is within theta^(j+1) / (1 - theta) ||x0|| of it.  The solver
-iterates until that bound is at most 2^-53, the unit roundoff, so the
-truncation lies below the rounding a fresh factorization leaves.  It
-factors afresh (and anchors there) when theta >= 1e-3: below it at most
-five corrections reach 2^-53, six getrs of O(n^2) work that cost less than
-one O(n^3) getrf on a 143-site reduced set (two on a 23-site one), and
-E - H_rest stays diagonally dominant by at least 0.999 g.  It also factors
-afresh when g is not above the pivot check's floor.  An eigenvalue of
-H_rest lies in a Gershgorin disc, where theta >= 1, so an energy where
-E - H_rest is singular is factored, never corrected, and the pivot check
-sees it.
+A solve reaches K(E) rhs from one of two anchors, by the Neumann series
+x <- x0 + T x with ||T||_2 <= theta < 1, whose j-th iterate lies within
+theta^(j+1) / (1 - theta) ||x0|| of K(E) rhs.  The solver iterates until
+that bound is at most 2^-53, the unit roundoff, so the truncation lies
+below the rounding a factorization leaves.  Both anchors rest on
+Gershgorin's circle theorem with r, the host's largest off-diagonal row
+sum, which bounds ||B||_2 for the Hermitian coupling block B of H_rest:
+
+- the diagonal: E - H_rest = (E - D) - B, D the reduced set's diagonal, so
+  x0 = K_D rhs and T = K_D B, K_D = (E - D)^-1, with
+  theta_D = r / min_n |E - v(n)|, n over the reduced set.  Nothing is
+  factored: a correction is one product with the host's shared block.
+- the LU of E0 - H_rest at an earlier energy E0: x0 = K0 rhs and
+  T = -(E - E0) K0, with theta = |E - E0| / g, since ||K0||_2 <= 1/g for
+  g = min_n |E0 - v(n)| - r.
+
+A right-hand side no wider than the pivots' coupling columns takes the
+diagonal when theta_D < THETA_MAX and g_D = min_n |E - v(n)| - r is above
+the pivot floor PIVOT_RTOL max(1, max_n |E - v(n)|), and else the LU anchor
+when theta < THETA_MAX; any right-hand side reuses the LU at E = E0.  Every
+other solve factors afresh at E, which becomes the LU anchor.  Below
+THETA_MAX = 1e-3 at most five corrections reach 2^-53, and E - H_rest stays
+diagonally dominant by at least 0.999 of its gap.  On a ball(8) host (143
+reduced sites, two columns, one BLAS thread) a diagonal correction took
+24 us and an LU correction 38 us, against 480 us for the copy, norm,
+getrf and condition estimate of a fresh LU (7, 10 and 40 us on 23 reduced
+sites).  So a narrow solve factors only within r / THETA_MAX = 1000 r
+of a reduced-set diagonal, 0.23 for a ball(8) host at eps 1e-4.  An
+eigenvalue of H_rest lies in a Gershgorin disc, where both ratios are at
+least 1, so an energy where E - H_rest is singular is factored, never
+corrected, and the LU's pivot and condition checks see it.
 """
 
 from __future__ import annotations
@@ -42,32 +56,41 @@ from .lattice import SiteSet
 from .model import Problem
 
 PIVOT_RTOL = 1e-12
-THETA_MAX = 1e-3             # |delta| / g at or above which a solve factors afresh
-UNIT_ROUNDOFF = 2.0 ** -53   # the corrected solve's certified truncation, relative
+THETA_MAX = 1e-3             # an anchor's ratio theta at or above which it is not taken
+UNIT_ROUNDOFF = 2.0 ** -53   # a corrected solve's certified truncation, relative
+
+
+def _neumann(x0: np.ndarray, step, theta: float) -> np.ndarray:
+    """The fixed point of x = x0 + step(x), ||step||_2 <= theta < 1, to
+    within theta^(j+1) / (1 - theta) ||x0|| <= 2^-53 ||x0|| after its j
+    corrections; x0 itself when theta is 0."""
+    x, err = x0, theta / (1.0 - theta)
+    while err > UNIT_ROUNDOFF:
+        x = x0 + step(x)
+        err *= theta
+    return x
 
 
 class ReducedSolver:
-    """LU-backed evaluations of the self-energy functions over S minus pivots.
+    """Evaluations of the self-energy functions over S minus pivots.
 
-    One factorization of (E0 - H_{S \\ pivots}), at the solver's first
-    energy E0, serves the later energies of a fixed point through the
-    certified correction in the module docstring: a solve at E0 + delta
-    iterates x <- x0 - delta K0 x until theta^(j+1) / (1 - theta) <= 2^-53,
-    theta = |delta| / g and g the Gershgorin gap at E0: 2^-53 is the unit
-    roundoff, below a fresh solve's own rounding.  A solve factors afresh,
-    and anchors there, at theta >= THETA_MAX = 1e-3 (below it the
-    corrections cost less than a getrf on a ball(8) host), when g is not
-    above PIVOT_RTOL times the largest |U_ii|, and for a right-hand side
-    wider than the pivots' columns.  Q and G are entries of block(E) and F
-    a column of its solve, K(E) C for every pivot's coupling column at
-    once, kept per energy, so block, f and an eigenvector read one solve.
+    A solve takes the diagonal or the LU anchor of the module docstring,
+    both through one loop (_neumann), or factors afresh.  The diagonal's
+    iterates run over all of `sites` with their pivot entries held at 0,
+    so its corrections read the host's coupling block with no gather;
+    -H_rest is gathered at the first factorization only.  Q and G are
+    entries of block(E) and F a column of its solve, K(E) C for every
+    pivot's coupling column at once, kept per energy, so block, f and an
+    eigenvector read one solve.
+
     The LU comes from LAPACK getrf and the solves from getrs, fetched once
     per solver and called directly, without scipy's per-call wrappers or
     their finiteness scan: host_block refuses non-finite couplings and
     host_diagonal a non-finite diagonal, so a solver is never built on a
     non-finite matrix, and every E - H_rest with a finite E is finite.  A
-    zero pivot (getrf's info > 0) or one below PIVOT_RTOL times the
-    largest is a SingularBlockError.
+    zero pivot (getrf's info > 0), one below PIVOT_RTOL times the largest,
+    or a reciprocal condition number below PIVOT_RTOL (gecon's estimate
+    from the LU, in the 1-norm) is a SingularBlockError.
 
     The couplings come from the host memo (host_block) and only the
     diagonal `diag` = H(n, n) over `sites` from k.  `piv` and `rest` are
@@ -89,33 +112,44 @@ class ReducedSolver:
         rest = np.ones(len(S), dtype=bool)
         rest[self.piv] = False
         self.rest = np.flatnonzero(rest)
+        # each site's row in the reduced set; a pivot's row is any, since
+        # the diagonal anchor's K_D is 0 there
+        self._slot = np.maximum(np.cumsum(rest) - 1, 0)
         self.v = tuple(float(self.diag[i]) for i in self.piv)
+        self._v_rest = self.diag.take(self.rest)
+        self._v_span = (self._v_rest.min(initial=np.inf), self._v_rest.max(initial=-np.inf))
         # h(n, p) and h(p, n) over the reduced set, one per pivot; h(p, p') off p = p'
         self._cols = np.asfortranarray(couplings[:, self.piv][self.rest])
         self._rows = list(np.conj(self._cols).T)
         self._direct = [[0j if a == b else complex(couplings[a, b]) for b in self.piv]
                         for a in self.piv]
-        sites = S.sites
-        self.reduced_sites = [sites[i] for i in self.rest]
-        # -H_rest, negated once: each energy's E - H_rest is a copy of it.
-        # Negating the real and imaginary parts as floats flips the same
-        # signs as complex negation, several times faster.
-        self._minus_rest = np.asfortranarray(couplings[self.rest][:, self.rest])
-        parts = self._minus_rest.T.view(float)
-        np.negative(parts, out=parts)
-        self._diag = np.diag_indices(len(self.rest))
-        self._minus_rest[self._diag] = -self.diag[self.rest]
-        self._getrf, self._getrs = get_lapack_funcs(("getrf", "getrs"), (self._minus_rest,))
-        self._anchor = None   # (E0, lu, piv, g) of the last factorization
+        self._getrf, self._getrs, self._gecon = get_lapack_funcs(
+            ("getrf", "getrs", "gecon"), (self._cols,))
+        self._lu = None       # (E0, lu, piv, g) of the last factorization
         self._solved = {}     # E -> K(E) C
 
     @cached_property
     def full(self) -> DualMatrix:
         """H_k restricted to `sites`, the matrix the routes solve: the
-        host's couplings with the solver's own `diag`.  Once it is built
-        the solver lets go of the couplings, which `full` holds."""
-        M = DualMatrix.assemble(self.sites, self.k, self._couplings, self.diag)
-        self._couplings = None
+        host's couplings with the solver's own `diag`."""
+        return DualMatrix.assemble(self.sites, self.k, self._couplings, self.diag)
+
+    @cached_property
+    def reduced_sites(self) -> list:
+        """The reduced set's sites, in the order of `rest`."""
+        sites = self.sites.sites
+        return [sites[i] for i in self.rest]
+
+    @cached_property
+    def _minus_rest(self) -> np.ndarray:
+        """-H_rest, gathered and negated at the first factorization: each
+        factored energy's E - H_rest is a copy of it.  Negating the real
+        and imaginary parts as floats flips the same signs as complex
+        negation, several times faster."""
+        M = np.asfortranarray(self._couplings[self.rest][:, self.rest])
+        parts = M.T.view(float)
+        np.negative(parts, out=parts)
+        np.fill_diagonal(M, -self._v_rest)
         return M
 
     def coupling_column(self, m0) -> np.ndarray:
@@ -123,37 +157,53 @@ class ReducedSolver:
         return self._cols[:, self._pos[tuple(m0)]]
 
     def _factor(self, E: float):
-        """A fresh LU of E - H_rest, which becomes the anchor, with its
+        """A fresh LU of E - H_rest, which becomes the LU anchor, with its
         Gershgorin gap g (0 unless above the pivot check's floor)."""
         A = self._minus_rest.copy(order="F")
-        A[self._diag] += E
+        A[np.diag_indices(len(A))] += E
+        norm = float(np.abs(A).sum(axis=0).max())   # ||A||_1, which gecon reads
         lu, piv, info = self._getrf(A, overwrite_a=True)
         u = np.abs(lu.diagonal())
         floor = PIVOT_RTOL * max(1.0, u.max())
-        if info > 0 or u.min() < floor:
+        if info > 0 or u.min() < floor or self._gecon(lu, norm)[0] < PIVOT_RTOL:
             raise SingularBlockError(f"reduced matrix singular at E={E}")
-        g = float(np.min(np.abs(E - self.diag[self.rest]))) - self._row_sum
-        self._anchor = (E, lu, piv, g if g > floor else 0.0)
+        g = float(np.min(np.abs(E - self._v_rest))) - self._row_sum
+        self._lu = (E, lu, piv, g if g > floor else 0.0)
         return lu, piv
 
     def solve(self, E: float, rhs: np.ndarray) -> np.ndarray:
-        """(E - H_rest)^-1 rhs.  On an empty reduced set it is a zero array of
-        rhs's shape, so Q is 0, G the direct coupling and F empty."""
-        if not self.reduced_sites:
+        """(E - H_rest)^-1 rhs, from the diagonal or the LU anchor when one
+        certifies it, else from a fresh LU.  On an empty reduced set it is
+        a zero array of rhs's shape, so Q is 0, G the direct coupling and F
+        empty."""
+        if not len(self.rest):
             return np.zeros(rhs.shape, dtype=complex)
-        if self._anchor is not None:
-            E0, lu, piv, g = self._anchor
+        narrow = rhs.size <= self._cols.size
+        if narrow:
+            d = E - self.diag
+            d[self.piv] = np.inf            # so that K_D = 1 / d is 0 at the pivots
+            near, r = float(np.abs(d).min()), self._row_sum
+            far = max(abs(E - v) for v in self._v_span)   # max_n |E - v(n)|
+            if near - r > PIVOT_RTOL * max(1.0, far) and r < THETA_MAX * near:
+                return self._diagonal_solve(1.0 / d, rhs, r / near)
+        if self._lu is not None:
+            E0, lu, piv, g = self._lu
             delta = E - E0
-            if delta == 0 or (rhs.size <= self._cols.size and abs(delta) < THETA_MAX * g):
-                x0 = x = self._getrs(lu, piv, rhs)[0]
-                theta = abs(delta) / g if delta else 0.0
-                err = theta / (1.0 - theta)   # bound on ||x - K(E) rhs|| / ||x0||
-                while err > UNIT_ROUNDOFF:
-                    x = x0 - delta * self._getrs(lu, piv, x)[0]
-                    err *= theta
-                return x
+            if delta == 0 or (narrow and abs(delta) < THETA_MAX * g):
+                getrs = self._getrs
+                return _neumann(getrs(lu, piv, rhs)[0], lambda x: -delta * getrs(lu, piv, x)[0],
+                                abs(delta) / g if delta else 0.0)
         lu, piv = self._factor(E)
         return self._getrs(lu, piv, rhs)[0]
+
+    def _diagonal_solve(self, kd: np.ndarray, rhs: np.ndarray, theta: float) -> np.ndarray:
+        """K(E) rhs from x0 = K_D rhs by x <- x0 + K_D B x, kd the diagonal
+        of K_D over all of `sites`, 0 at the pivots: the iterates' pivot
+        entries stay 0, so B is the host's coupling block itself."""
+        kd = kd.reshape(kd.shape + (1,) * (rhs.ndim - 1))
+        B = self._couplings
+        x = _neumann(kd * rhs.take(self._slot, axis=0), lambda x: kd * (B @ x), theta)
+        return x.take(self.rest, axis=0)
 
     def _coupling_solve(self, E: float) -> np.ndarray:
         """K(E) C, every pivot's coupling column solved, once per energy."""

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -84,6 +85,34 @@ def canonical_order(sites) -> tuple:
     Order oracle for ``SiteSet``, whose int64 codes must sort this way.
     """
     return tuple(sorted(dict.fromkeys(map(tuple, sites)), key=lambda s: (sum(map(abs, s)), s)))
+
+
+def count_solve_paths(solver) -> Counter:
+    """From now on, count the solver's solves by the path they take:
+    "diagonal" (the diagonal anchor, no factorization) and "getrf" (a
+    fresh LU, which becomes the LU anchor)."""
+    paths = Counter()
+    for name, key in (("_diagonal_solve", "diagonal"), ("_factor", "getrf")):
+        def counted(*args, method=getattr(solver, name), key=key):
+            paths[key] += 1
+            return method(*args)
+        setattr(solver, name, counted)
+    return paths
+
+
+@pytest.fixture
+def solve_paths(monkeypatch):
+    """count_solve_paths of every ReducedSolver built while the fixture is
+    active, keyed by solver in the order they were built."""
+    paths = {}
+    init = ReducedSolver.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        paths[self] = count_solve_paths(self)
+
+    monkeypatch.setattr(ReducedSolver, "__init__", counted_init)
+    return paths
 
 
 def pair_roots(problem, S, k, mp, mm):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from qpspec.resonance import k_point
 from qpspec.schur import THETA_MAX, UNIT_ROUNDOFF, ReducedSolver
 from qpspec.spectral import band, eigen_simple, paired_box, sized_gap
 
-from conftest import random_potential
+from conftest import count_solve_paths, random_potential
 
 
 def q_at(problem, m0, S, k, E):
@@ -129,10 +130,12 @@ def test_eigenvalue_stays_within_eps_of_diagonal(generic_problem):
 @pytest.mark.parametrize("pivots", [[(0, 0)], [(0, 0), (0, 1)], [(1, -1), (0, 0)]])
 def test_block_entries_are_single_column_solves(generic_problem, pivots):
     # entry (i, j): h(p_i, p_j) off the diagonal plus conj(h(., p_i)) . K h(., p_j).
-    # One pivot's block is its one-column solve bit for bit.  A multi-column
-    # getrs rounds like one-column solves with one BLAS thread, but a
-    # threaded OpenBLAS may round it differently, so several pivots are
-    # held to the dots' rounding bound instead.
+    # One pivot's block is its one-column solve bit for bit.  Several
+    # columns may round otherwise: a multi-column getrs rounds like
+    # one-column solves with one BLAS thread but not with a threaded
+    # OpenBLAS, and the diagonal anchor's product with two columns sums in
+    # another order than with one.  So several pivots are held to the dots'
+    # rounding bound instead.
     k = k_point(generic_problem.frequency, (0, 1)) + 1e-4
     solver = ReducedSolver(generic_problem, ball(4, 2), k, pivots)
     H, sites = solver.full.entries, solver.full.sites
@@ -178,7 +181,8 @@ def test_eigen_simple_on_one_site(generic_problem):
 
 
 def test_lu_failure_is_a_singular_block(generic_problem, monkeypatch):
-    # getrf reports a zero pivot by info > 0 alone; that is a singular block
+    # getrf reports a zero pivot by info > 0 alone; that is a singular block.
+    # A right-hand side wider than the pivots' columns always factors.
     solver = ReducedSolver(generic_problem, ball(2, 2), 0.13, [(0, 0)])
     getrf = solver._getrf
 
@@ -188,7 +192,7 @@ def test_lu_failure_is_a_singular_block(generic_problem, monkeypatch):
 
     monkeypatch.setattr(solver, "_getrf", fails)
     with pytest.raises(SingularBlockError):
-        solver.q((0, 0), 1.0)
+        solver.solve(1.0, np.eye(len(solver.rest)))
 
 
 def test_lu_unexpected_error_propagates(generic_problem, monkeypatch):
@@ -199,7 +203,7 @@ def test_lu_unexpected_error_propagates(generic_problem, monkeypatch):
 
     monkeypatch.setattr(solver, "_getrf", broken)
     with pytest.raises(TypeError):
-        solver.q((0, 0), 1.0)
+        solver.solve(1.0, np.eye(len(solver.rest)))
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e-14])
@@ -214,15 +218,31 @@ def test_singular_block_on_the_real_path(zero_problem, shift):
         solver.q((0, 0), v + shift * max(1.0, abs(v)))
 
 
+def test_singular_block_with_couplings_is_refused(generic_problem):
+    # at the eigenvalue of H_rest nearest v(0) the matrix is singular to
+    # rounding (smallest singular value 1.6e-14), yet partial pivoting
+    # leaves every |U_ii| above the pivot floor (smallest 2.2e-5 of 325);
+    # the condition estimate of that LU (gecon, 5e-17) sees it
+    S, k, zero = ball(3, 2), 0.13, (0, 0)
+    solver = ReducedSolver(generic_problem, S, k, [zero])
+    evals = np.linalg.eigvalsh(solver.full.entries[np.ix_(solver.rest, solver.rest)])
+    lam = float(evals[np.argmin(np.abs(evals - diagonal_value(generic_problem, zero, k)))])
+    with pytest.raises(SingularBlockError):
+        solver.q(zero, lam)
+
+
 @pytest.mark.parametrize("pivots", [[(0, 0)], [(0, 0), (0, 1)], [(1, -1), (0, 0)]])
 def test_solver_holds_the_matrix_it_factors(generic_problem, pivots):
     # v, the pivot columns, the direct couplings and -H_rest, gathered from
-    # the memoized couplings and the diagonal, are full's entries exactly
+    # the memoized couplings and the diagonal, are full's entries exactly;
+    # the solver keeps the couplings, which its diagonal anchor reads
     k = k_point(generic_problem.frequency, (0, 1)) + 1e-4
     solver = ReducedSolver(generic_problem, ball(4, 2), k, pivots)
     assert "full" not in vars(solver)     # built on first read only
+    assert "_minus_rest" not in vars(solver)   # gathered on a first factorization only
     H, piv, rest = solver.full.entries, solver.piv, solver.rest
-    assert solver._couplings is None and solver.full.entries is H
+    assert solver.full.entries is H
+    assert np.array_equal(solver._couplings + np.diag(solver.diag), H)
     assert solver.sites is solver.full.sites
     assert solver.v == tuple(float(H[i, i].real) for i in piv)
     assert np.array_equal(solver.diag, H.diagonal().real)
@@ -245,35 +265,81 @@ def test_non_finite_couplings_are_refused_at_construction(golden_freq):
         ReducedSolver(prob, ball(2, 2), 0.2, [(0, 0)])
 
 
-@pytest.fixture
-def getrf_calls(monkeypatch):
-    """getrf calls per ReducedSolver built while the fixture is active, in
-    the order the solvers were built."""
-    calls = {}
-    init = ReducedSolver.__init__
-
-    def counted_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        getrf, calls[self] = self._getrf, 0
-
-        def counted(A, **kw):
-            calls[self] += 1
-            return getrf(A, **kw)
-
-        self._getrf = counted
-
-    monkeypatch.setattr(ReducedSolver, "__init__", counted_init)
-    return calls
-
-
 def _anchored(problem, S, k, pivots, E0):
-    """A solver factored at E0, its Gershgorin gap g, and a list that
-    records every later getrf."""
+    """A solver whose LU anchor is at E0 (a wide right-hand side there
+    factors), its Gershgorin gap g, and the count of its later solve paths."""
     solver = ReducedSolver(problem, S, k, pivots)
-    solver.block(E0)
-    later, getrf = [], solver._getrf
-    solver._getrf = lambda A, **kw: later.append(1) or getrf(A, **kw)
-    return solver, solver._anchor[3], later
+    solver.solve(E0, np.eye(len(solver.rest)))
+    return solver, solver._lu[3], count_solve_paths(solver)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 6), st.integers(1, 2),
+       st.floats(-12.0, math.log10(THETA_MAX), exclude_max=True),
+       st.sampled_from([-1.0, 1.0]), st.floats(0.05, 0.45), st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_diagonal_solve_is_within_its_bound(golden_freq, seed, radius, n_piv, log_theta,
+                                            sign, k, at):
+    # block and f at an energy r / 10^log_theta from a reduced diagonal, so
+    # theta_D = r / min_n |E - v(n)| < THETA_MAX, with no factorization,
+    # against a fresh LU of E - H_rest: each column within 2^-53 ||x0|| (the
+    # certified truncation, x0 = K_D h(., p)) plus a rounding term of
+    # 64 u ||K(E) h(., p)||.  Over 300 random hosts the two sides differed by
+    # at most 2.3 u ||K(E) h(., p)|| with one BLAS thread and 6.1 u with two,
+    # so a series cut one term early, erring by theta^J ||x0||, shows when
+    # theta^J > 65 u, as does, in most draws, one stopped at 1e-10.
+    prob = Problem(golden_freq, random_potential(np.random.default_rng(seed)))
+    S, pivots = ball(radius, 2), [(0, 0), (0, 1)][:n_piv]
+    solver = ReducedSolver(prob, S, k, pivots)
+    paths = count_solve_paths(solver)
+    v, r = solver.diag[solver.rest], solver._row_sum
+    E = v[at % len(v)] + sign * r / 10.0 ** log_theta
+    assume(r < THETA_MAX * np.min(np.abs(E - v)))
+    block = solver.block(E)
+    assert paths == {"diagonal": 1} and "_minus_rest" not in vars(solver)
+    cols, H = solver._cols, solver.full.entries[np.ix_(solver.rest, solver.rest)]
+    y = sla.lu_solve(sla.lu_factor(E * np.eye(len(v)) - H), cols)   # a fresh LU
+    x0 = cols / (E - v)[:, None]
+    for j, p in enumerate(pivots):
+        x = -solver.f(p, E)
+        bound = UNIT_ROUNDOFF * (np.linalg.norm(x0[:, j]) + 64 * np.linalg.norm(y[:, j]))
+        assert np.linalg.norm(x - y[:, j]) <= bound
+        for i, q in enumerate(pivots):
+            # plus the rounding of the two dots with h(p_i, .)
+            row = np.linalg.norm(cols[:, i])
+            dots = 2 * len(v) * UNIT_ROUNDOFF * row * np.linalg.norm(y[:, j])
+            want = solver._direct[i][j] + np.conj(cols[:, i]) @ y[:, j]
+            assert abs(block[i][j] - want) <= row * bound + dots
+
+
+def test_diagonal_anchor_boundary(generic_problem, zero_problem):
+    # theta_D just above THETA_MAX factors, just below it does not; with no
+    # potential (theta_D = 0) g_D = min_n |E - v(n)| at or below the pivot
+    # floor PIVOT_RTOL max(1, max_n |E - v(n)|) factors (and raises), just
+    # above it the diagonal solve is K_D rhs exactly
+    S, k, zero = ball(4, 2), 0.22, (0, 0)
+    solver = ReducedSolver(generic_problem, S, k, [zero])
+    paths = count_solve_paths(solver)
+    v, r = solver.diag[solver.rest], solver._row_sum
+    n = int(np.argmin(np.abs(v - diagonal_value(generic_problem, zero, k))))
+    for step, path in ((1.0 - 1e-9, "getrf"), (1.0 + 1e-9, "diagonal")):
+        E = v[n] - step * r / THETA_MAX
+        near = np.min(np.abs(E - v))
+        assert near == abs(E - v[n]) and (r < THETA_MAX * near) == (path == "diagonal")
+        paths.clear()
+        solver.q(zero, E)
+        assert paths == {path: 1}
+    solver = ReducedSolver(zero_problem, S, k, [zero])
+    paths = count_solve_paths(solver)
+    v = solver.diag[solver.rest]
+    floor = 1e-12 * max(1.0, np.max(np.abs(v[n] - v)))
+    rhs = np.ones(len(v))
+    with pytest.raises(SingularBlockError):
+        solver.solve(v[n] + 0.5 * floor, rhs)
+    assert paths == {"getrf": 1}
+    paths.clear()
+    E = v[n] + 2.0 * floor
+    assert np.array_equal(solver.solve(E, rhs), rhs / (E - v))
+    assert paths == {"diagonal": 1}
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 6), st.integers(1, 2),
@@ -286,9 +352,12 @@ def test_corrected_solve_is_within_its_bound(golden_freq, seed, radius, n_piv, l
     # factorization, against a solver factored at E: each column within
     # 2^-53 ||x0|| (the certified truncation, x0 = K(E0) h(., p)) plus a
     # rounding term of 64 u ||K(E) h(., p)||.  Over 300 random hosts the
-    # two sides differed by at most 6.4 u ||K(E) h(., p)||, so a series cut
-    # one term early, erring by theta^J ||x0||, shows when theta^J > 64 u.
-    prob = Problem(golden_freq, random_potential(np.random.default_rng(seed)))
+    # two sides differed by at most 4.0 u ||K(E) h(., p)|| with one BLAS
+    # thread and 8.0 u with two, so a series cut one term early, erring by
+    # theta^J ||x0||, shows when theta^J > 65 u.  At eps 1e-2 the couplings
+    # are too large for the diagonal anchor near v(0), so the LU anchor's
+    # correction is the path that runs.
+    prob = Problem(golden_freq, random_potential(np.random.default_rng(seed), epsilon=1e-2))
     S, pivots = ball(radius, 2), [(0, 0), (0, 1)][:n_piv]
     E0 = diagonal_value(prob, (0, 0), k)
     solver, g, later = _anchored(prob, S, k, pivots, E0)
@@ -297,7 +366,7 @@ def test_corrected_solve_is_within_its_bound(golden_freq, seed, radius, n_piv, l
     assume(g > 0 and 0 < abs(delta) < THETA_MAX * g)
     fresh = ReducedSolver(prob, S, k, pivots)
     block, want = solver.block(E), fresh.block(E)
-    n, x0 = len(solver.rest), solver._solved[E0]
+    n, x0 = len(solver.rest), solver.solve(E0, solver._cols)
     for j, p in enumerate(pivots):
         x, y = solver.f(p, E), fresh.f(p, E)
         bound = UNIT_ROUNDOFF * (np.linalg.norm(x0[:, j]) + 64 * np.linalg.norm(y))
@@ -311,35 +380,41 @@ def test_corrected_solve_is_within_its_bound(golden_freq, seed, radius, n_piv, l
 
 
 def test_fresh_factorization_past_the_limit(generic_problem):
-    # theta = |delta| / g at the limit or above, or a Gershgorin gap g <= 0
-    # at the anchor, takes a fresh getrf, which becomes the anchor
+    # from an LU anchor 100 r from a reduced diagonal, where theta_D = 1e-2
+    # keeps the diagonal anchor out: theta = |delta| / g below the limit
+    # corrects, at twice the limit factors afresh, which re-anchors, and a
+    # Gershgorin gap g <= 0 at the anchor factors at any new energy
     S, k, zero = ball(4, 2), 0.22, (0, 0)
-    E0 = diagonal_value(generic_problem, zero, k)
+    probe = ReducedSolver(generic_problem, S, k, [zero])
+    v, r = probe.diag[probe.rest], probe._row_sum
+    n = int(np.argmin(np.abs(v - diagonal_value(generic_problem, zero, k))))
+    E0 = v[n] + 100.0 * r
+    assert np.min(np.abs(E0 - v)) == abs(E0 - v[n])
     solver, g, later = _anchored(generic_problem, S, k, [zero], E0)
     assert g > 0
     solver.q(zero, E0 + 0.5 * THETA_MAX * g)
     assert not later
     E1 = E0 + 2.0 * THETA_MAX * g
     solver.q(zero, E1)
-    assert later == [1] and solver._anchor[0] == E1
+    assert later == {"getrf": 1} and solver._lu[0] == E1
     # an anchor inside a Gershgorin disc of the reduced set: g <= 0
-    n = solver.rest[np.argmin(np.abs(solver.diag[solver.rest] - E0))]
-    E0 = solver.diag[n] + 0.5 * solver._row_sum
+    E0 = v[n] + 0.5 * r
     solver, g, later = _anchored(generic_problem, S, k, [zero], E0)
     assert g == 0.0
     solver.f(zero, E0)            # the anchor itself needs no factorization
     assert not later
     solver.q(zero, E0 + 1e-12)
-    assert later == [1]
+    assert later == {"getrf": 1}
 
 
 @pytest.mark.parametrize("near", [False, True])
 def test_eigenvalue_of_the_reduced_block_is_factored(zero_problem, generic_problem, near):
-    # an eigenvalue of H_rest lies in a Gershgorin disc, so theta >= 1 from
-    # any anchor: it is factored afresh, never corrected, whether the anchor
-    # is the pivot's diagonal or just beside the eigenvalue.  With no
-    # potential the eigenvalue is a diagonal entry, getrf meets a zero pivot
-    # and the solve raises, as a first energy there does.
+    # an eigenvalue of H_rest lies in a Gershgorin disc, so theta_D >= 1 and
+    # theta >= 1 from any LU anchor: it is factored afresh, never corrected,
+    # whether the anchor is the pivot's diagonal or just beside the
+    # eigenvalue, and the solve raises, as a first energy there does.  With
+    # no potential getrf meets a zero pivot; with couplings every |U_ii|
+    # stays above the pivot floor and the condition estimate sees it.
     S, k, zero = ball(3, 2), 0.13, (0, 0)
     v0 = diagonal_value(generic_problem, zero, k)
     for problem in (zero_problem, generic_problem):
@@ -349,38 +424,39 @@ def test_eigenvalue_of_the_reduced_block_is_factored(zero_problem, generic_probl
         lam = float(evals[np.argmin(np.abs(evals - v0))])
         E0 = lam + 1e-6 * max(1.0, abs(lam)) if near else v0
         solver, _, later = _anchored(problem, S, k, [zero], E0)
-        if problem is zero_problem:
-            with pytest.raises(SingularBlockError):
-                solver.q(zero, lam)
-        else:
+        with pytest.raises(SingularBlockError):
             solver.q(zero, lam)
-        assert later == [1]
+        assert later == {"getrf": 1}
 
 
-def test_factorizations_per_band_point(generic_problem, getrf_calls):
-    # one LU per non-resonant point, its fixed point's later energies
-    # corrected; a pair-window point at most two, since its first step
-    # leaves the pivots' mean diagonal by about |v+ - v-| / 2
+def test_factorizations_per_band_point(generic_problem, solve_paths):
+    # a point on ball(8) at eps 1e-4 factors nothing, non-resonant or in a
+    # pair window: every energy of its fixed point is solved on the diagonal.
+    # Except at k = 0.13, whose nearest reduced diagonal, v(1, -2), lies
+    # 0.223 from v(0): theta_D = 1.02e-3 is just past the limit, so that
+    # point factors once and corrects its later energies from the LU.
     freq = generic_problem.frequency
     resonant = [k_point(freq, m) + d for m in [(0, 1), (1, -1), (1, 1)] for d in (-3e-3, 1e-5)]
     points = band(generic_problem, [0.13, 0.22, 0.27, 0.36, *resonant], lambda k: ball(8, 2))
-    assert len(getrf_calls) == len(points)
+    assert len(solve_paths) == len(points)
     assert [p.regime for p in points] == ["nonresonant"] * 4 + ["paired"] * len(resonant)
-    calls = list(getrf_calls.values())
-    assert calls[:4] == [1] * 4 and max(calls[4:]) <= 2
+    first, *others = solve_paths.items()
+    assert first[1] == {"getrf": 1}
+    assert all(set(c) == {"diagonal"} and c["diagonal"] >= 2 for _, c in others)
+    assert all("_minus_rest" not in vars(solver) for solver, _ in others)
 
 
-def test_factorizations_per_gap_box(golden_freq, getrf_calls):
-    # every box sized_gap tries is factored once, at the pair's centre; the
-    # record's recovered_bound adds one, for its wide identity solve
+def test_factorizations_per_gap_box(golden_freq, solve_paths):
+    # no box sized_gap tries factors: its edges are solved on the diagonal;
+    # the record's recovered_bound factors once, for its wide identity solve
     prob = Problem(golden_freq, random_potential(np.random.default_rng(11)))
     tried = 0
     for n0 in [(0, 1), (1, 0), (1, 1)]:
-        getrf_calls.clear()
+        solve_paths.clear()
         rec = sized_gap(prob, n0, 6)
-        assert set(getrf_calls.values()) == {1}
-        tried += len(getrf_calls)
+        assert all(set(c) == {"diagonal"} for c in solve_paths.values())
+        tried += len(solve_paths)
         recovered_bound(prob, rec)
-        assert getrf_calls.pop(rec.roots[0].solver) == 2
-        assert set(getrf_calls.values()) <= {1}
+        assert solve_paths.pop(rec.roots[0].solver)["getrf"] == 1
+        assert all(c["getrf"] == 0 for c in solve_paths.values())
     assert tried > 3      # some label rejected a box

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpspec import schur, spectral
+from qpspec import spectral
 from qpspec.cli import build_problem, load_config
 from qpspec.dual_operator import dense_spectrum, diagonal_value, restrict
 from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError
@@ -291,8 +291,9 @@ def _band_pair_points(problem, m):
     return km, [km - 1e-6, km, km + 1e-6]
 
 
-def test_band_pair_point_solves_one_branch(generic_problem, monkeypatch):
-    # a pair-window point runs one fixed point: the branch it prints
+def test_band_pair_point_solves_one_branch(generic_problem, monkeypatch, solve_paths):
+    # a pair-window point runs one fixed point: the branch it prints, on one
+    # solver, every energy on the diagonal anchor and none factored
     host = ball(5, 2)
     _, grid = _band_pair_points(generic_problem, (0, 1))
     runs = []
@@ -303,13 +304,13 @@ def test_band_pair_point_solves_one_branch(generic_problem, monkeypatch):
         return fixed_point(*args)
 
     monkeypatch.setattr(spectral, "_fixed_point", counting)
-    calls = _count_factorizations(monkeypatch)
     for k in grid:
         runs.clear()
-        calls.clear()
+        solve_paths.clear()
         (p,) = band(generic_problem, [k], lambda k: host)
         assert p.regime == "paired"
-        assert len(runs) == 1 and 0 < len(calls) <= 3
+        (paths,) = solve_paths.values()
+        assert len(runs) == 1 and set(paths) == {"diagonal"} and paths["diagonal"] <= 3
 
 
 @pytest.mark.parametrize("m", [(0, 1), (1, -2)])
@@ -435,29 +436,13 @@ def test_band_propagates_unexpected_errors(zero_problem, monkeypatch):
         band(zero_problem, [0.2], lambda k: ball(2, 2))
 
 
-def _count_factorizations(monkeypatch) -> list:
-    """Count the LAPACK getrf calls of every ReducedSolver built from now on."""
-    calls = []
-    get_lapack_funcs = schur.get_lapack_funcs
-
-    def counting(names, arrays):
-        getrf, getrs = get_lapack_funcs(names, arrays)
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return getrf(*args, **kwargs)
-        return counted, getrs
-
-    monkeypatch.setattr(schur, "get_lapack_funcs", counting)
-    return calls
-
-
-def test_eigen_pair_factorization_count(harmonic_problem, monkeypatch):
-    calls = _count_factorizations(monkeypatch)
+def test_eigen_pair_factorization_count(harmonic_problem, solve_paths):
+    # both branches on one solver, every energy on the diagonal anchor
     n0 = (0, 1)
     k = k_point(harmonic_problem.frequency, n0) + 2e-5
     eigen_pair(harmonic_problem, paired_box(harmonic_problem, n0, 6), k, (0, 0), n0)
-    assert 0 < len(calls) <= 20
+    (paths,) = solve_paths.values()
+    assert set(paths) == {"diagonal"} and paths["diagonal"] <= 20
 
 
 def test_eigen_pair_matches_dense_through_resonance(generic_problem):
