@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ConvergenceError, ReconciliationError, SiteBudgetError
 from .lattice import SiteSet
@@ -60,15 +61,16 @@ def restrict(problem: Problem, S: SiteSet, k: float) -> DualMatrix:
     return DualMatrix.assemble(S, k, block, host_diagonal(phases, k))
 
 
-_host = None   # (problem, S, block, phases, row_sum) of the last host built
+_host = None   # (problem, S, block, phases, row_sum, shell) of the last host built
 
 
 def host_block(problem: Problem, S: SiteSet):
     """The part of H_k on S that does not depend on k: (block, phases,
-    row_sum), the off-diagonal block couplings(problem, S, S) and the
-    phases n.omega over S, both read-only, and the block's largest row sum
+    row_sum), the off-diagonal block couplings(problem, S) and the phases
+    n.omega over S, both read-only, and the block's largest row sum
     max_m sum_n |h(m, n)|, which bounds every Gershgorin radius of H_k on S
-    or on a subset of S.
+    or on a subset of S.  The code lookup that finds the block also finds
+    S's coupling shell, which host_shell derives from it when first read.
 
     The last host built is kept, so band points on one host share one
     block; a call on another host replaces it.  A Problem is not hashable
@@ -85,14 +87,31 @@ def host_block(problem: Problem, S: SiteSet):
     if problem.site_budget is not None and len(S) > problem.site_budget:
         raise SiteBudgetError(f"{len(S)} sites exceed budget {problem.site_budget}")
     if _host is not None and _host[0] is problem and _host[1] == S:
-        return _host[2:]
-    block = couplings(problem, S, S)
+        return _host[2:5]
+    block, *lookup = _coupling_lookup(problem, S)
     phases = S.array().astype(float) @ np.asarray(problem.omega, dtype=float)
     if not np.isfinite(block).all():
         raise ValueError("non-finite matrix entries")
     block.flags.writeable = phases.flags.writeable = False
-    _host = (problem, S, block, phases, float(np.abs(block).sum(axis=1).max()))
-    return _host[2:]
+    _host = (problem, S, block, phases, float(np.abs(block).sum(axis=1).max()),
+             lru_cache(maxsize=1)(partial(_shell, *lookup)))
+    return _host[2:5]
+
+
+def host_shell(problem: Problem, S: SiteSet):
+    """S's coupling shell, the sites t = s + d outside S, s in S and d in
+    the support: (src, slot, h, size), one entry per such pair, with s =
+    S[src], t the slot-th of the shell's `size` sites and h = h(t, s).
+    Derived from host_block's lookup on the first read per host."""
+    host_block(problem, S)
+    return _host[5]()
+
+
+def _shell(t, hit, values):
+    """host_shell from a lookup; h(t, s) = c(-d) = conj c(d), H Hermitian."""
+    c, src = np.nonzero(~hit)
+    codes, slot = np.unique(t[c, src], return_inverse=True)
+    return src, slot, values[c].conj(), len(codes)
 
 
 def host_diagonal(phases: np.ndarray, k: float) -> np.ndarray:
@@ -104,33 +123,36 @@ def host_diagonal(phases: np.ndarray, k: float) -> np.ndarray:
     return diag
 
 
-def couplings(problem: Problem, rows: SiteSet, cols: SiteSet) -> np.ndarray:
-    """The off-diagonal block h(m, n) = c(n - m), m in rows, n in cols, in
-    the sets' own orders; 0 where m = n."""
-    # Sites are mixed-radix codes over the two sets' bounding box padded by
-    # the largest shift, where n = m + d has code(m) + code(d); each n is
-    # looked up among the sorted column codes by bisection.
-    if not len(rows) or not len(cols):
-        return np.zeros((len(rows), len(cols)), dtype=complex)
+def couplings(problem: Problem, S: SiteSet) -> np.ndarray:
+    """The off-diagonal block h(m, n) = c(n - m), m and n in S, in S's
+    order; 0 where m = n."""
+    return _coupling_lookup(problem, S)[0]
+
+
+def _coupling_lookup(problem: Problem, S: SiteSet):
+    """(block, t, hit, values): couplings(problem, S) and its lookup of each
+    S[i] + D[c], D[c] the c-th shift of the support: its mixed-radix code
+    t[c, i] over S's bounding box padded by the largest shift (code(m + d) =
+    code(m) + code(d)), whether bisection finds it among S's (hit[c, i]),
+    and c(D[c]) = values[c]."""
     pot = problem.potential
     coeffs = {d: pot.epsilon * c0 for d, c0 in pot.coefficients.items() if any(d)}
-    R = rows.array()
-    C = R if cols is rows else cols.array()
-    both = R if C is R else np.concatenate([R, C])
-    D = np.array(list(coeffs), dtype=np.int64).reshape(-1, C.shape[1])
+    A = S.array()
+    D = np.array(list(coeffs), dtype=np.int64).reshape(-1, A.shape[1])
     reach = np.abs(D).max(axis=0, initial=0)
-    lo = both.min(axis=0) - reach
-    dims = both.max(axis=0) + reach + 1 - lo
-    col_codes = np.ravel_multi_index((C - lo).T, dims)  # raises if the box overflows
-    row_codes = col_codes if C is R else np.ravel_multi_index((R - lo).T, dims)
-    by_code = np.argsort(col_codes)
-    sorted_codes = col_codes[by_code]
-    t = row_codes + (D @ np.cumprod([1, *dims[:0:-1]])[::-1])[:, None]
-    pos = np.minimum(np.searchsorted(sorted_codes, t), len(C) - 1)
-    c, i = np.nonzero(sorted_codes[pos] == t)
-    H = np.zeros((len(R), len(C)), dtype=complex)
-    H[i, by_code[pos[c, i]]] = np.array(list(coeffs.values()), dtype=complex)[c]
-    return H
+    lo = A.min(axis=0) - reach
+    dims = A.max(axis=0) + reach + 1 - lo
+    codes = np.ravel_multi_index((A - lo).T, dims)  # raises if the box overflows
+    by_code = np.argsort(codes)
+    sorted_codes = codes[by_code]
+    t = codes + (D @ np.cumprod([1, *dims[:0:-1]])[::-1])[:, None]
+    pos = np.minimum(np.searchsorted(sorted_codes, t), len(A) - 1)
+    hit = sorted_codes[pos] == t
+    c, i = np.nonzero(hit)
+    values = np.array(list(coeffs.values()), dtype=complex)
+    H = np.zeros((len(A), len(A)), dtype=complex)
+    H[i, by_code[pos[c, i]]] = values[c]
+    return H, t, hit, values
 
 
 def _permuted(M: DualMatrix, sites) -> np.ndarray:
@@ -163,13 +185,15 @@ def dense_spectrum(M: DualMatrix, center: float = None):
     chosen from H alone, never from a route's answer: it starts at the
     largest off-diagonal row sum plus 8 n u max(1, max |H_ii|) and doubles
     until the window holds min(2, n) eigenvalues, so the two eigenvalues
-    of M nearest `center` are among those returned.  The residual
+    of M nearest `center` are among those returned.  A window is one call
+    of LAPACK heevr, the call scipy's eigh(driver="evr") makes, without its
+    wrapper and with the workspace queried once per n.  The residual
     ||M phi - E phi|| of every returned pair is checked against
     ORACLE_RESIDUAL_TOL * max(1, max |H_ii|), a scale no larger than
     ||M||_2; this is the oracle every spectral claim is compared against.
     A non-Hermitian matrix or a residual over budget is a
-    ReconciliationError, an eigensolver that does not converge a
-    ConvergenceError.
+    ReconciliationError, an eigensolver that does not converge (or heevr's
+    info != 0) a ConvergenceError.
     """
     H = M.entries
     if not np.array_equal(H, H.conj().T):
@@ -184,8 +208,11 @@ def dense_spectrum(M: DualMatrix, center: float = None):
             w = float(np.max(np.abs(H).sum(axis=1) - diag)) + 8 * len(H) * 2.0 ** -53 * scale
             evals = ()
             while len(evals) < min(2, len(H)):
-                evals, evecs = sla.eigh(H, subset_by_value=(center - w, center + w),
-                                        driver="evr", check_finite=False)  # finite by DualMatrix
+                evals, evecs, found, _, info = _heevr(H, range="V", vl=center - w, vu=center + w,
+                                                      lower=1, **_heevr_work(len(H)))
+                if info != 0:
+                    raise ConvergenceError(f"dense eigensolver failed: heevr info {info}")
+                evals, evecs = evals[:found], evecs[:, :found]
                 w *= 2.0
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
@@ -193,3 +220,13 @@ def dense_spectrum(M: DualMatrix, center: float = None):
     if np.any(resid > ORACLE_RESIDUAL_TOL * scale):
         raise ReconciliationError(f"eigensolver residual {resid.max():.3g} over budget")
     return evals, evecs
+
+
+_heevr, _heevr_lwork = get_lapack_funcs(("heevr", "heevr_lwork"), dtype=complex)
+
+
+@lru_cache(maxsize=None)
+def _heevr_work(n: int) -> dict:
+    """heevr's optimal workspace sizes for order n, as eigh queries them."""
+    *work, _ = _heevr_lwork(n, lower=1)
+    return dict(zip(("lwork", "lrwork", "liwork"), (int(x.real) for x in work)))

@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dual_operator import (TWO_PI_SQ, DualMatrix, couplings, dense_spectrum, diagonal_value,
+from .dual_operator import (TWO_PI_SQ, DualMatrix, dense_spectrum, diagonal_value, host_shell,
                             restrict)
 from .errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
 from .lattice import SiteSet, ball, l1_ball_size, l1_norm
@@ -275,25 +275,27 @@ def _truncation_residual(problem: Problem, roots) -> float:
     Pad each edge's eigenvector phi on the solver's box S with zeros to
     the whole lattice.  On S its residual is the fixed point's own; off S
     it is nonzero only on the shell (S + supp c) minus S, where it is the
-    shell-to-S couplings times phi.  For S = paired_box(n0, R) the shell
-    lies in paired_box(n0, R + rho), rho the largest |d| in the support.
-    Returns the larger edge's ||H_shell,S phi||_2 / ||phi||_2.  By Weyl's
-    bound H on S' has an eigenvalue within it, plus the fixed point's own
-    residual, of each edge.  On Z^nu it identifies no edge: by the cocycle
-    identity H_k has spectrum near E(k + n.omega) for every n, and those
-    values are dense.
+    shell-to-S couplings times phi, summed for both edges in one pass over
+    the shell that S's host lookup found (host_shell).  For
+    S = paired_box(n0, R) the shell lies in paired_box(n0, R + rho), rho
+    the largest |d| in the support.  Returns the larger edge's
+    ||H_shell,S phi||_2 / ||phi||_2.  By Weyl's bound H on S' has an
+    eigenvalue within it, plus the fixed point's own residual, of each
+    edge.  On Z^nu it identifies no edge: by the cocycle identity H_k has
+    spectrum near E(k + n.omega) for every n, and those values are dense.
     """
-    S = roots[0].sites
-    shifts = np.array(problem.potential.support(), dtype=np.int64).reshape(-1, problem.nu)
-    reached = SiteSet((S.array()[None] + shifts[:, None]).reshape(-1, problem.nu))
-    shell = couplings(problem, reached.difference(S), S)
-    return max(float(np.linalg.norm(shell @ r.phi) / np.linalg.norm(r.phi)) for r in roots)
+    src, slot, h, size = host_shell(problem, roots[0].sites)
+    phi = np.column_stack([r.phi for r in roots])
+    off = np.zeros((size, len(roots)), dtype=complex)
+    np.add.at(off, slot, h[:, None] * phi[src])
+    return float(np.max(np.linalg.norm(off, axis=0) / np.linalg.norm(phi, axis=0)))
 
 
-def _box_radii(cap, start: int, nu: int) -> list:
+@lru_cache(maxsize=16)
+def _box_radii(cap, start: int, nu: int) -> tuple:
     """Radii from min(start, cap) to cap, each ball holding at least 1.5
     times the last one's sites, so the rejected boxes cost a bounded share
-    of the cap's."""
+    of the cap's; built once per (cap, start, nu)."""
     radii = [min(start, cap)]
     while radii[-1] < cap:
         want = 1.5 * l1_ball_size(radii[-1], nu)
@@ -301,7 +303,7 @@ def _box_radii(cap, start: int, nu: int) -> list:
         while l1_ball_size(R, nu) < want:
             R += 1
         radii.append(min(R, cap))
-    return radii
+    return tuple(radii)
 
 
 def _first_accepted(problem: Problem, n0, radii) -> GapRecord:

@@ -184,13 +184,13 @@ def test_windowed_oracle_matches_full_nearest_two(potential):
 
 def test_windowed_oracle_widens_until_two_eigenvalues(monkeypatch):
     windows = []
-    eigh = sla.eigh
+    heevr = dual_operator._heevr
 
     def recording(H, **kwargs):
-        windows.append(kwargs["subset_by_value"])
-        return eigh(H, **kwargs)
+        windows.append((kwargs["vl"], kwargs["vu"]))
+        return heevr(H, **kwargs)
 
-    monkeypatch.setattr(sla, "eigh", recording)
+    monkeypatch.setattr(dual_operator, "_heevr", recording)
     evals, evecs = dense_spectrum(_matrix(np.diag([0.0, 1.0, 5.0])), 0.0)
     assert len(windows) > 1  # the first window holds only the eigenvalue 0
     assert np.array_equal(evals, [0.0, 1.0])
@@ -203,13 +203,13 @@ def test_windowed_oracle_1x1():
 
 
 def test_windowed_oracle_bad_residual_is_typed(generic_problem, monkeypatch):
-    eigh = sla.eigh
+    heevr = dual_operator._heevr
 
     def off_by_a_bit(H, **kwargs):
-        evals, evecs = eigh(H, **kwargs)
-        return evals + 1e-6, evecs
+        evals, *rest = heevr(H, **kwargs)
+        return (evals + 1e-6, *rest)
 
-    monkeypatch.setattr(sla, "eigh", off_by_a_bit)
+    monkeypatch.setattr(dual_operator, "_heevr", off_by_a_bit)
     M = restrict(generic_problem, ball(2, 2), 0.29)
     with pytest.raises(ReconciliationError):
         dense_spectrum(M, float(M.entries[0, 0].real))
@@ -219,9 +219,46 @@ def test_windowed_oracle_eigensolver_failure_is_typed(generic_problem, monkeypat
     def fails(H, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(sla, "eigh", fails)
+    monkeypatch.setattr(dual_operator, "_heevr", fails)
     with pytest.raises(ConvergenceError):
         dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), 1.0)
+
+
+def test_windowed_oracle_lapack_info_is_typed(generic_problem, monkeypatch):
+    # heevr reports an internal failure through info, not by raising
+    heevr = dual_operator._heevr
+
+    def internal_error(H, **kwargs):
+        *out, _ = heevr(H, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setattr(dual_operator, "_heevr", internal_error)
+    with pytest.raises(ConvergenceError, match="info 1"):
+        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), 1.0)
+
+
+@pytest.mark.parametrize("potential", ["golden", "random"])
+def test_windowed_oracle_is_scipy_evr_bit_for_bit(potential, monkeypatch):
+    # the direct heevr call is the one scipy's eigh makes: same driver,
+    # triangle and workspace, so the eigenpairs agree exactly
+    golden = build_problem(load_config(GOLDEN_CONFIG))
+    prob = golden if potential == "golden" else Problem(
+        golden.frequency, random_potential(np.random.default_rng(11)))
+    windows = []
+    heevr = dual_operator._heevr
+
+    def recording(H, **kwargs):
+        windows.append((kwargs["vl"], kwargs["vu"]))
+        return heevr(H, **kwargs)
+
+    monkeypatch.setattr(dual_operator, "_heevr", recording)
+    for m in [(0, 1), (1, -1), (2, 1), (0, 3)]:
+        k = k_point(prob.frequency, m)
+        M = restrict(prob, paired_box(prob, m, 4), k)
+        center = 0.5 * (diagonal_value(prob, (0, 0), k) + diagonal_value(prob, m, k))
+        evals, evecs = dense_spectrum(M, center)
+        want, want_vecs = sla.eigh(M.entries, subset_by_value=windows[-1], driver="evr")
+        assert np.array_equal(evals, want) and np.array_equal(evecs, want_vecs), m
 
 
 def test_windowed_oracle_non_hermitian_is_typed():
@@ -274,7 +311,7 @@ def test_restrict_on_a_memo_hit_is_couplings_plus_diagonal(generic_problem):
         assert np.array_equal(got.entries, restrict_reference(generic_problem, S, k))
         off = got.entries.copy()
         np.fill_diagonal(off, 0)
-        assert np.array_equal(off, couplings(generic_problem, S, S))
+        assert np.array_equal(off, couplings(generic_problem, S))
     block, phases, _ = host_block(generic_problem, S)
     assert not block.flags.writeable and not phases.flags.writeable
 
@@ -291,7 +328,7 @@ def test_host_memo_keeps_problems_apart(golden_freq):
     for i in range(1, 8):
         prob = _one_harmonic(golden_freq, 0.5 ** i)
         block, _, _ = host_block(prob, S)
-        assert np.array_equal(block, couplings(prob, S, S))
+        assert np.array_equal(block, couplings(prob, S))
         assert block[S.index((0, 0)), S.index((0, 1))] == 1e-3 * 0.5 ** i
         del prob, block
         gc.collect()

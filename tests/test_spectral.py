@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpspec import spectral
+from qpspec import dual_operator, spectral
 from qpspec.cli import build_problem, load_config
 from qpspec.dual_operator import dense_spectrum, diagonal_value, restrict
 from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError
 from qpspec.inverse import verify_forward
 from qpspec.lattice import SiteSet, ball
-from qpspec.model import Potential, Problem
+from qpspec.model import Frequency, Potential, Problem
 from qpspec.resonance import k_point
 from qpspec.schur import ReducedSolver
 from qpspec.spectral import (band, decay_envelope, eigen_pair, eigen_simple,
@@ -745,3 +745,96 @@ def test_gap_at_is_sized_gap_up_to_the_first_radius(golden_freq, which):
             rec = gap_at(prob, m, R)
             assert rec.radius == R
             assert rec == spectral.sized_gap(prob, m, R)
+
+
+# ---------------------------------------------------------------------------
+# The truncation residual from the host lookup's coupling shell
+# ---------------------------------------------------------------------------
+
+
+def _nu_problem(nu: int, coefficients: dict, eps: float = 1e-3) -> Problem:
+    omega = (1.0, (math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)[:nu]
+    pot = Potential.from_harmonics(coefficients, eps, 0.5)
+    return Problem(Frequency(omega, 0.1, nu + 1.0), pot)
+
+
+def _half_ball_coefficients(nu: int, rng, stride: int = 1) -> dict:
+    """Random harmonics on half of ball(3), scaled by `stride`."""
+    half = [n for n in ball(3, nu) if n > tuple(-c for c in n)]
+    chosen = rng.choice(len(half), size=min(6, len(half)), replace=False)
+    return {tuple(stride * c for c in half[i]): complex(rng.normal(), rng.normal())
+            for i in chosen}
+
+
+def _padded_residual(problem: Problem, rec) -> float:
+    """||H_shell,S phi||_2 / ||phi||_2 from a dense restrict on S plus its
+    shell, phi padded with zeros: the residual's rows off S."""
+    S = rec.sites
+    shell = {tuple(a + b for a, b in zip(s, d))
+             for s in S for d in problem.potential.support()} - set(S)
+    big = S.union(SiteSet(sorted(shell)))
+    phi = np.zeros(len(big), dtype=complex)
+    phi[[big.index(s) for s in S]] = rec.phi
+    r = restrict(problem, big, rec.solver.k).entries @ phi - rec.E * phi
+    return float(np.linalg.norm(r[[big.index(t) for t in shell]]) / np.linalg.norm(rec.phi))
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_truncation_residual_matches_a_dense_padded_restrict(nu):
+    rng = np.random.default_rng(40 + nu)
+    far = (9,) + (0,) * (nu - 1)   # a shift that leaves every box below
+    one, five = ((c,) + (0,) * (nu - 1) for c in (1, 5))
+    cases = [
+        # a box with holes: two balls apart
+        (_nu_problem(nu, {**_half_ball_coefficients(nu, rng), far: 0.5j}), five, 2),
+        (_nu_problem(nu, {**_half_ball_coefficients(nu, rng), far: 0.5j}), one, 3),
+        # even shifts never join 0 to an odd label: a gap of width 0
+        (_nu_problem(nu, _half_ball_coefficients(nu, rng, stride=2)), one, 3),
+    ]
+    widths = []
+    for prob, n0, R in cases:
+        roots = spectral._pair_roots(prob, paired_box(prob, n0, R),
+                                     k_point(prob.frequency, n0), [(0,) * nu, n0])
+        widths.append(roots[1].E - roots[0].E)
+        got = spectral._truncation_residual(prob, roots)   # on the solve's own host
+        want = max(_padded_residual(prob, rec) for rec in roots)
+        assert 0 < want and abs(got - want) <= 64 * 2.0 ** -53 * want, (n0, R)
+        # the dense restrict built another host; the residual rebuilds the box's
+        assert spectral._truncation_residual(prob, roots) == got
+    assert widths[1] > 0 and widths[2] == 0
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_band_points_derive_no_shell(generic_problem, monkeypatch):
+    monkeypatch.setattr(dual_operator, "_host", None)
+    lookups = _counting(monkeypatch, dual_operator, "_coupling_lookup")
+    shells = _counting(monkeypatch, dual_operator, "_shell")
+    S = ball(8, 2)
+    points = band(generic_problem, np.linspace(-0.5, 0.5, 10), lambda k: S)
+    assert all(p.regime != "error" for p in points)
+    assert len(lookups) == 1 and not shells
+
+
+def test_a_gap_label_makes_one_lookup_and_one_shell_per_box(golden_freq, monkeypatch):
+    # at eps 1e-2 the first radius is rejected, so several boxes are tried
+    prob = _random_problem(golden_freq, 1e-2)
+    for m in [(0, 1), (1, 1)]:
+        monkeypatch.setattr(dual_operator, "_host", None)
+        boxes = _counting(monkeypatch, spectral, "paired_box")
+        lookups = _counting(monkeypatch, dual_operator, "_coupling_lookup")
+        shells = _counting(monkeypatch, dual_operator, "_shell")
+        spectral.sized_gap(prob, m, 8)
+        assert len(boxes) > 1
+        assert len(lookups) == len(shells) == len(boxes)
+        monkeypatch.undo()
