@@ -201,7 +201,8 @@ def cmd_geometry(cfg, problem, out_dir):
     s = cfg["geometry_s"]
     builder = GeometryBuilder(problem, ladder)
     plain = builder.lambda_plain(k, s)
-    profile = reset(problem, k, min(problem.frequency.window_n, 12), ladder)
+    # radius 12, or the certificate window if smaller; window 0 sets no limit
+    profile = reset(problem, k, min(problem.frequency.window_n or 12, 12), ladder)
     doc = {
         "k": k,
         "s": s,

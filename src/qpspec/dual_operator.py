@@ -39,15 +39,11 @@ class DualMatrix:
     @classmethod
     def assemble(cls, sites: SiteSet, k: float, block: np.ndarray,
                  diag: np.ndarray) -> "DualMatrix":
-        """A copy of a host's coupling block with `diag` on its diagonal.
-
-        `block` comes from host_block and `diag` from host_diagonal, which
-        have refused non-finite entries, so they are not scanned again."""
+        """A copy of a host's coupling block with `diag` on its diagonal,
+        built by the constructor, whose finiteness scan it passes through."""
         H = block.copy()
         np.fill_diagonal(H, diag)
-        M = cls.__new__(cls)
-        M.__dict__.update(sites=sites, k=k, entries=H)
-        return M
+        return cls(sites, k, H)
 
 
 def diagonal_value(problem: Problem, n, k: float) -> float:
@@ -66,7 +62,7 @@ _host = None   # (problem, S, block, phases, row_sum, shell) of the last host bu
 
 def host_block(problem: Problem, S: SiteSet):
     """The part of H_k on S that does not depend on k: (block, phases,
-    row_sum), the off-diagonal block couplings(problem, S) and the phases
+    row_sum), the off-diagonal block h(m, n) = c(n - m) and the phases
     n.omega over S, both read-only, and the block's largest row sum
     max_m sum_n |h(m, n)|, which bounds every Gershgorin radius of H_k on S
     or on a subset of S.  The code lookup that finds the block also finds
@@ -123,14 +119,9 @@ def host_diagonal(phases: np.ndarray, k: float) -> np.ndarray:
     return diag
 
 
-def couplings(problem: Problem, S: SiteSet) -> np.ndarray:
-    """The off-diagonal block h(m, n) = c(n - m), m and n in S, in S's
-    order; 0 where m = n."""
-    return _coupling_lookup(problem, S)[0]
-
-
 def _coupling_lookup(problem: Problem, S: SiteSet):
-    """(block, t, hit, values): couplings(problem, S) and its lookup of each
+    """(block, t, hit, values): the off-diagonal block h(m, n) = c(n - m),
+    m and n in S, in S's order and 0 where m = n, and its lookup of each
     S[i] + D[c], D[c] the c-th shift of the support: its mixed-radix code
     t[c, i] over S's bounding box padded by the largest shift (code(m + d) =
     code(m) + code(d)), whether bisection finds it among S's (hit[c, i]),

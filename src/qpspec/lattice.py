@@ -79,7 +79,8 @@ class SiteSet:
     ``|x_i| < W/2`` (2^19 for nu = 2); a site outside raises ValueError,
     never wraps.  ``SiteSet(sites)`` sorts and de-duplicates, and every
     operation returns a canonical set, sorted by code.  Set relations
-    sort and bisect codes; ``==`` compares the codes.
+    sort and bisect codes; ``==`` compares the codes, and a SiteSet is not
+    hashable.
 
     Immutable: the code array is read-only and no method changes a set.
     The ``.sites`` tuples and the index behind ``in`` and ``index`` are
@@ -125,12 +126,6 @@ class SiteSet:
             return NotImplemented
         return self.nu == other.nu and np.array_equal(self._codes, other._codes)
 
-    def __hash__(self):
-        return hash((self.nu, self._codes.tobytes()))
-
-    def __repr__(self):
-        return f"SiteSet({self.sites!r})"
-
     def array(self) -> np.ndarray:
         return _decode(self._codes, self.nu)
 
@@ -168,9 +163,6 @@ class SiteSet:
 
     def issuperset(self, other) -> bool:
         return SiteSet(other).issubset(self)
-
-    def isdisjoint(self, other) -> bool:
-        return not self._in(other).any()
 
 
 def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:

@@ -260,7 +260,7 @@ class GeometryBuilder:
 
     def _require_dichotomy(self, out: SiteSet, classes: SiteClassification):
         for (s_prime, m), lam in classes.lambda_sets.items():
-            if not (lam.issubset(out) or lam.isdisjoint(out)):
+            if straddles(lam, out):
                 raise GeometryError(
                     f"set Lambda^({s_prime})({m}) straddles the constructed set")
 

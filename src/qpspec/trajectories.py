@@ -54,13 +54,6 @@ class Trajectory:
         if any(a == b for a, b in zip(pts, pts[1:])):
             raise ValueError("consecutive trajectory points must differ")
 
-    def __len__(self):
-        return len(self.points)
-
-    @property
-    def norm(self) -> int:
-        return path_norm(self.points)
-
 
 @dataclass(frozen=True)
 class WeightProfile:
@@ -154,6 +147,11 @@ def is_admissible(g: Trajectory, prof: WeightProfile):
     must satisfy min D <= T ||segment||^(1/5).  Adjacent pairs are exempt,
     but an exempt pair that actually violates the single-step bound imposes
     the four flanking conditions around it.  Returns (bool, reason).
+
+    sum_enumerate asks it only of paths with two sites of D >= 4T/kappa0.
+    A valid profile allows such a D only where T mu^(1/5) >= D, so where
+    mu >= (4/kappa0)^5, or where the ambient set lies inside the host and
+    mu is infinite; no committed config or benchmark workload draws one.
     """
     pts = g.points
     k = len(pts)

@@ -14,7 +14,7 @@ from qpspec.cfracs import (CFNode, zeta_roots, zeta_sandwich_ok,
                            zeta_separation_ok)
 from qpspec.inverse import (DecayBound, improve_decay, recovered_bound,
                             gap_table, verify_forward)
-from qpspec.lattice import ball
+from qpspec.lattice import ball, straddles
 from qpspec.model import Potential, Problem
 from qpspec.mssets import GeometryBuilder, max_correct_length
 from qpspec.resonance import k_point
@@ -199,7 +199,7 @@ def test_acceptance_6_combinatorics(geometry_problem):
             failures.append(f"reflection law fails at k={k}")
         cls = builder.site_classes(k, s)
         for (sp, m), sub in cls.lambda_sets.items():
-            if not (sub.issubset(lam) or sub.isdisjoint(lam)):
+            if straddles(sub, lam):
                 failures.append(f"dichotomy fails at k={k}, level {sp}, m={m}")
     n0 = (0, 1)
     kn0 = k_point(geometry_problem.frequency, n0)

@@ -1,29 +1,37 @@
-"""Every public name under src/qpspec has a caller, every defaulted parameter
-is passed and varies, every key of the CLI's config table is read, and every
-name the benchmark's tracer binds exists.
+"""Every public name under src/qpspec has a caller, every function runs,
+every defaulted parameter is passed and varies, every key of the CLI's
+config table is read, and every name the benchmark's tracer binds exists.
 
 A function, class, method, property or option that only tests use is dead
 weight: it is named or set somewhere in the package outside its own
-definition, or in the benchmark harness (bench/*.py), or it goes.  Four
+definition, or in the benchmark harness (bench/*.py), or it goes.  Five
 guards check that:
 
-- every public module-level name is named by a caller;
+- every public module-level name is named by a caller: by a bare name in
+  its own module, elsewhere by an import or an attribute read;
 - every public method and property of a public class is read as an
   attribute (`.name`) by a caller, the tracer's METHODS table counting as
   one; a bare variable of the same name does not count;
+- every def under src/qpspec, private, nested and dunder ones too, is
+  called while a fresh interpreter replays the package's real traffic
+  under sys.setprofile: every CLI command on every committed config, one
+  config error, and unit 0 of each benchmark workload at seed 1;
 - every defaulted parameter of a public function or method is passed by
   some call;
 - no such parameter is passed by every call with the same literal, which
   makes it a constant in disguise.
 
-Calls are matched by name only, so a parameter counts as passed when any
-call of that name could set it.  Each guard is a function of the source
-trees, so the guards can be checked on a planted source too, and an ALLOWED
-entry that no guard flags any more fails as stale.
+Static calls are matched by name only, so a parameter counts as passed when
+any call of that name could set it.  Each guard is a function of its
+sources, so the guards can be checked on planted sources too, and an
+ALLOWED entry that no guard flags any more fails as stale.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 import textwrap
 from collections import Counter
 from functools import lru_cache
@@ -42,6 +50,21 @@ ALLOWED = {
     # No caller: tests check each route's eigenvector with it, and ROADMAP
     # item 2 replaces it with the 2-norm residual that enclosures need.
     "EigenRecord.residual",
+    # Unrun: only bench/tracing.py names them, and a traced run needs them
+    # to exist (test_every_traced_name_resolves).  ROADMAP item 6 moves the
+    # tracer onto counters and retires them.
+    "GeometryBuilder.admissible_k",
+    "interval",
+    "ResonanceInterval.contains",
+    # Unrun: eigen_simple's dense fallback and oracle branch, off on every
+    # src/ path (eigen_simple.oracle_check below).  ROADMAP items 13 and 15
+    # retire it.
+    "_oracle_on",
+    # Unrun: the paper's R-admissibility, asked only of paths with two sites
+    # of D >= 4T/kappa0.  No committed config or workload draws D above 3;
+    # unit tests run it on valid profiles with ambient = host.
+    "is_admissible",
+    "_pair_ok",
     # Always False in src/: a constant True would add a full eigh to every
     # band point (6.9 ms against a 3.3 ms route, ROADMAP item 8), and
     # deleting it would turn the oracle off.  ROADMAP items 8 and 13 retire
@@ -51,16 +74,19 @@ ALLOWED = {
 
 
 def _refs(tree) -> Counter:
-    """How often a tree refers to each identifier."""
+    """How often a tree imports each identifier or reads it as an attribute."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
     return out
+
+
+def _names(tree) -> Counter:
+    """How often a tree uses each bare name."""
+    return Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
 
 
 def _definitions(tree):
@@ -147,10 +173,16 @@ def _literal(node):
 
 def uncalled_names(src, bench) -> list:
     """Each public module-level name of `src` that no tree names outside its
-    own definition."""
-    named = sum(map(_refs, src + bench), Counter())
-    return [node.name for tree in src for node in _definitions(tree)
-            if named[node.name] <= _refs(node)[node.name]]
+    own definition.  A bare name counts in the defining module only;
+    elsewhere the name must be imported or read as an attribute, so that a
+    local variable of the same name is no caller."""
+    imported = sum(map(_refs, src + bench), Counter())
+    out = []
+    for tree in src:
+        named = imported + _names(tree)
+        out += [node.name for node in _definitions(tree)
+                if named[node.name] <= (_refs(node) + _names(node))[node.name]]
+    return out
 
 
 def _attrs(tree) -> Counter:
@@ -205,6 +237,70 @@ def _package():
     return src, bench, traced
 
 
+# Runs `traffic` (argv[1]) under a profiler, with argv[2:] put first on
+# sys.path, and prints the (file, first line) of every code object that ran.
+# A decorated def's code starts at its first decorator.
+PROFILER = textwrap.dedent('''
+    import contextlib, io, json, sys
+    sys.path[:0] = sys.argv[2:]
+    seen = set()
+    sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exec(sys.argv[1], {})
+    sys.setprofile(None)
+    print(json.dumps(sorted({(code.co_filename, code.co_firstlineno) for code in seen})))
+''')
+
+# The package's real traffic: every CLI command on every committed config,
+# the config error path, and unit 0 of each benchmark workload at seed 1.
+TRAFFIC = textwrap.dedent(f'''
+    import tempfile
+    from pathlib import Path
+    from qpspec import cli
+    from workloads import WORKLOADS
+    with tempfile.TemporaryDirectory() as out:
+        for config in sorted(Path({str(ROOT / "examples_config")!r}).glob("*.json")):
+            for command in cli.COMMANDS:
+                cli.main([command, "--config", str(config), "--out", out])
+        cli.main(["validate", "--config", str(Path(out) / "missing.json")])
+    for workload in WORKLOADS.values():
+        for step in workload(1).unit(0):
+            step.check(step.summarize(step.run()))
+''')
+
+
+def _defs(node, prefix=""):
+    """(qualified name, first line) of every def under `node`, methods and
+    nested defs too; a decorated def starts at its first decorator."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + child.name
+            yield name, min([child.lineno] + [d.lineno for d in child.decorator_list])
+            yield from _defs(child, name + ".<locals>.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defs(child, prefix + child.name + ".")
+        else:
+            yield from _defs(child, prefix)
+
+
+def unrun_functions(files, traffic, path) -> list:
+    """The qualified name of each def in `files` that no call reaches while
+    a fresh interpreter runs `traffic` with `path` first on sys.path."""
+    proc = subprocess.run([sys.executable, "-c", PROFILER, traffic, *map(str, path)],
+                          capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, f"traffic failed:\n{proc.stderr}"
+    ran = {(str(Path(file).resolve()), line) for file, line in json.loads(proc.stdout)}
+    return [name for file in files
+            for name, line in _defs(ast.parse(file.read_text()))
+            if (str(file.resolve()), line) not in ran]
+
+
+@lru_cache(maxsize=None)
+def _unrun() -> tuple:
+    # a fresh interpreter: caches that earlier tests filled would hide calls
+    return tuple(unrun_functions(sorted(SRC.glob("*.py")), TRAFFIC, [ROOT / "src", BENCH]))
+
+
 def test_every_public_name_has_a_caller():
     src, bench, _ = _package()
     uncalled = sorted(set(uncalled_names(src, bench)) - ALLOWED)
@@ -228,10 +324,16 @@ def test_no_defaulted_parameter_is_one_literal():
     assert not pinned, f"every src/ and bench/ call passes the same literal: {pinned}"
 
 
+def test_every_function_runs_under_a_command_or_a_workload():
+    unrun = sorted(set(_unrun()) - ALLOWED)
+    assert not unrun, f"run by no CLI command and no workload: {unrun}"
+
+
 def test_every_allowed_entry_is_still_flagged():
     src, bench, traced = _package()
     flagged = (set(uncalled_names(src, bench)) | set(uncalled_methods(src, bench, traced))
-               | set(unpassed_params(src, bench)) | set(one_literal_params(src, bench)))
+               | set(unpassed_params(src, bench)) | set(one_literal_params(src, bench))
+               | set(_unrun()))
     assert not ALLOWED - flagged, f"stale ALLOWED entries: {sorted(ALLOWED - flagged)}"
 
 
@@ -270,6 +372,89 @@ def test_guards_flag_planted_cases():
     assert unpassed_params(src, []) == []
 
 
+# Two planted modules for uncalled_names: a name may be called by a bare
+# name inside its own module, elsewhere only by an import or an attribute.
+PLANTED_DEFINER = textwrap.dedent('''
+    def helper():
+        return 1
+
+
+    def imported():
+        return helper()
+
+
+    def read():
+        return 2
+
+
+    def shielded():
+        return 3
+''')
+
+PLANTED_USER = textwrap.dedent('''
+    import definer
+    from definer import imported
+
+
+    def entry(shielded):
+        return imported() + definer.read() + shielded
+''')
+
+
+def test_name_guard_flags_planted_cases():
+    src = [ast.parse(PLANTED_DEFINER), ast.parse(PLANTED_USER)]
+    # a parameter named shielded in another module does not call it
+    assert uncalled_names(src, []) == ["shielded", "entry"]
+
+
+PLANTED_RUN = textwrap.dedent('''
+    import functools
+
+
+    def called():
+        def inner_called():
+            return 1
+
+        def inner_uncalled():
+            return 2
+
+        return inner_called()
+
+
+    def uncalled():
+        return 0
+
+
+    @functools.lru_cache(maxsize=None)
+    def cached_called(x):
+        return x
+
+
+    @functools.lru_cache(maxsize=None)
+    def cached_uncalled(x):
+        return x
+
+
+    class Box:
+        @property
+        def called(self):
+            return called()
+
+        def uncalled(self):
+            return 0
+''')
+
+
+def test_runtime_guard_flags_planted_cases(tmp_path):
+    module = tmp_path / "planted.py"
+    module.write_text(PLANTED_RUN)
+    traffic = "import planted\nplanted.Box().called\nplanted.cached_called(1)\n"
+    # a decorated def is matched on its first decorator's line, where its
+    # code starts
+    assert unrun_functions([module], traffic, [tmp_path]) == [
+        "called.<locals>.inner_uncalled", "uncalled", "cached_uncalled", "Box.uncalled"]
+
+
 def test_every_config_key_is_read():
     # a key is read when cli.py subscripts something with it, outside the table
     tree = ast.parse((SRC / "cli.py").read_text())
@@ -300,3 +485,4 @@ def test_every_traced_name_resolves():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module}.{cls}.{attr}")
     assert not missing, f"traced by bench/tracing.py but not defined: {missing}"
+

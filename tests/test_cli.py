@@ -133,6 +133,18 @@ def test_geometry_reset_tie_is_one_json_error(tmp_path, capsys):
     assert err["error"] == "regime" and "equal norm" in err["message"]
 
 
+@pytest.mark.parametrize("window", [50, 0])
+def test_geometry_reset_searches_radius_12_at_any_window(tmp_path, window):
+    # at k = k_(0,1) the reset set is {(0, 1)}; window 0 sets no certificate
+    # limit, so it must not shrink the search to radius 0
+    k01 = -0.5 * json.loads(GOLDEN_CONFIG.read_text())["omega"][1]
+    path = write_config(tmp_path, geometry_k=k01, geometry_s=1, diophantine_window=window)
+    assert main(["geometry", "--config", str(path), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "geometry.json").read_text())
+    assert doc["reset"] == [[0, 1]]
+    assert doc["regime"] == ["simple_pair", "(0, 1)"]
+
+
 def test_geometry_output(tmp_path):
     rc = main(["geometry", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)])
     assert rc == 0

@@ -11,7 +11,8 @@ from qpspec.errors import EpsilonTooLargeError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import log_smallness_ceiling
 from qpspec.trajectories import (Trajectory, WeightProfile, closed_bound,
-                                 is_admissible, sum_enumerate, validate_profile, weights)
+                                 is_admissible, path_norm, sum_enumerate, validate_profile,
+                                 weights)
 
 from conftest import elementary_path_sum, sum_enumerate_reference
 
@@ -30,7 +31,7 @@ def test_norm_additive_under_merge():
     g1 = Trajectory(((0, 0), (1, 0), (1, 1)))
     g2 = Trajectory(((1, 1), (0, 1)))
     merged = Trajectory(((0, 0), (1, 0), (1, 1), (0, 1)))
-    assert merged.norm == g1.norm + g2.norm
+    assert path_norm(merged.points) == path_norm(g1.points) + path_norm(g2.points)
 
 
 def test_weights_single_point():
@@ -217,7 +218,7 @@ def test_admissible_R_weight_cap_in_logs():
     _, W, norm, dbar = weights(g, prof, wfun)
     M = 4 * prof.T / prof.kappa0
     assert dbar <= M ** 5
-    assert math.log(W) <= -prof.kappa0 * norm + len(g) * M ** 5
+    assert math.log(W) <= -prof.kappa0 * norm + len(g.points) * M ** 5
 
 
 def _random_profile(rng, high: bool):
