@@ -10,42 +10,39 @@ not depend on k and are kept for the last host (dual_operator.host_block), and
 takes only the diagonal from k; the dense matrix H_S is built only when a
 check reads it (ReducedSolver.full).
 
-A solve reaches K(E) rhs from one of two anchors, by the Neumann series
-x <- x0 + T x with ||T||_2 <= theta < 1, whose j-th iterate lies within
-theta^(j+1) / (1 - theta) ||x0|| of K(E) rhs.  The solver iterates until
-that bound is at most 2^-53, the unit roundoff, so the truncation lies
-below the rounding a factorization leaves.  Both anchors rest on
-Gershgorin's circle theorem with r, the host's largest off-diagonal row
-sum, which bounds ||B||_2 for the Hermitian coupling block B of H_rest:
+A solve splits the reduced set at each energy by Gershgorin's circle
+theorem, with r, the host's largest off-diagonal row sum, which bounds
+||B||_2 for the Hermitian coupling block B of H_rest, and the pivot floor
+PIVOT_RTOL max(1, max_n |E - v(n)|), n over the reduced set.  A site is
+near (in N) when |E - v(n)| - r is at or below the floor or
+r >= THETA_MAX |E - v(n)|, and far (in F) otherwise.  Far sites are
+summed by the Neumann series x <- K_D b + K_D B x, K_D = (E - D)^-1 over F
+and 0 elsewhere, D the diagonal: with theta = r / min_F |E - v(n)| <
+THETA_MAX its j-th iterate lies within theta^(j+1) / (1 - theta) ||K_D b||
+of (E - H_FF)^-1 b, and the solver iterates until that bound is at most
+2^-53, the unit roundoff, which takes at most five products with the
+host's shared block and factors nothing.  Then:
 
-- the diagonal: E - H_rest = (E - D) - B, D the reduced set's diagonal, so
-  x0 = K_D rhs and T = K_D B, K_D = (E - D)^-1, with
-  theta_D = r / min_n |E - v(n)|, n over the reduced set.  Nothing is
-  factored: a correction is one product with the host's shared block.
-- the LU of E0 - H_rest at an earlier energy E0: x0 = K0 rhs and
-  T = -(E - E0) K0, with theta = |E - E0| / g, since ||K0||_2 <= 1/g for
-  g = min_n |E0 - v(n)| - r.
+- N empty: the series over the whole reduced set is the solve.
+- 1 <= |N| <= NEAR_MAX, with a right-hand side no wider than the pivots'
+  coupling columns: one series on [rhs | H_FN] gives
+  Y = (E - H_FF)^-1 [rhs_F | H_FN], and the near sites are solved in the
+  Hermitian Schur block S_N = E - H_NN - H_NF Y_N of order |N|:
+  X_N = S_N^-1 (rhs_N + H_NF Y_rhs) and X_F = Y_rhs + Y_N X_N.  E - H_rest
+  is congruent to diag(E - H_FF, S_N) (Haynsworth), and Gershgorin keeps
+  E - H_FF off singular, so E - H_rest is singular exactly when S_N is:
+  an eigenvalue of S_N within the floor of 0 is a SingularBlockError.
+- any other solve, a wide right-hand side (recovered_bound's identity) or
+  more than NEAR_MAX near sites, takes one fresh LU of E - H_rest, with a
+  pivot and a condition check.
 
-A right-hand side no wider than the pivots' coupling columns takes the
-diagonal when theta_D < THETA_MAX and g_D = min_n |E - v(n)| - r is above
-the pivot floor PIVOT_RTOL max(1, max_n |E - v(n)|), and else the LU anchor
-when theta < THETA_MAX; any right-hand side reuses the LU at E = E0.  Every
-other solve factors afresh at E, which becomes the LU anchor.  Below
-THETA_MAX = 1e-3 at most five corrections reach 2^-53, and E - H_rest stays
-diagonally dominant by at least 0.999 of its gap.  On a ball(8) host (143
-reduced sites, two columns, one BLAS thread) a diagonal correction took
-24 us and an LU correction 38 us, against 480 us for the copy, norm,
-getrf and condition estimate of a fresh LU (7, 10 and 40 us on 23 reduced
-sites).  So a narrow solve factors only within r / THETA_MAX = 1000 r
-of a reduced-set diagonal, 0.23 for a ball(8) host at eps 1e-4.  An
-eigenvalue of H_rest lies in a Gershgorin disc, where both ratios are at
-least 1, so an energy where E - H_rest is singular is factored, never
-corrected, and the LU's pivot and condition checks see it.
+An eigenvalue of H_rest lies in a Gershgorin disc, whose site is near, so
+no energy where E - H_rest is singular is summed by the series alone.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
@@ -56,8 +53,17 @@ from .lattice import SiteSet
 from .model import Problem
 
 PIVOT_RTOL = 1e-12
-THETA_MAX = 1e-3             # an anchor's ratio theta at or above which it is not taken
-UNIT_ROUNDOFF = 2.0 ** -53   # a corrected solve's certified truncation, relative
+THETA_MAX = 1e-3             # a site with r >= THETA_MAX |E - v(n)| is near
+UNIT_ROUNDOFF = 2.0 ** -53   # the series' certified truncation, relative
+# The most near sites solved in a Schur block; more take the LU.  On a
+# ball(8) host (143 reduced sites, two columns, one BLAS thread, five
+# corrections, the most that theta < THETA_MAX needs) a fresh LU took
+# 610 us and the near path 254 / 355 / 429 / 604 us at |N| = 1 / 4 / 8 /
+# 16; on ball(5) (59 sites) 136 us against 114 / 165 at |N| = 1 / 8, and
+# on ball(3) (23 sites) 35 against 83 / 102.  So the near path pays from
+# about ball(5) up and breaks even near |N| = 16 on ball(8); at 8 it costs
+# 0.7 of an LU there and at most 0.07 ms more on the smallest hosts.
+NEAR_MAX = 8
 
 
 def _neumann(x0: np.ndarray, step, theta: float) -> np.ndarray:
@@ -71,26 +77,33 @@ def _neumann(x0: np.ndarray, step, theta: float) -> np.ndarray:
     return x
 
 
+@cache
+def _lapack():
+    """LAPACK getrf, getrs and gecon for complex matrices, fetched once, on
+    the first factorization."""
+    return get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
+
+
 class ReducedSolver:
     """Evaluations of the self-energy functions over S minus pivots.
 
-    A solve takes the diagonal or the LU anchor of the module docstring,
-    both through one loop (_neumann), or factors afresh.  The diagonal's
-    iterates run over all of `sites` with their pivot entries held at 0,
-    so its corrections read the host's coupling block with no gather;
-    -H_rest is gathered at the first factorization only.  Q and G are
-    entries of block(E) and F a column of its solve, K(E) C for every
-    pivot's coupling column at once, kept per energy, so block, f and an
-    eigenvector read one solve.
+    A solve takes the diagonal series, the near/far split or the LU of
+    the module docstring.  The series' iterates run over all of `sites`
+    with their pivot entries (and near ones) held at 0, so its corrections
+    read the host's coupling block with no gather; -H_rest is gathered at
+    the first factorization only.  Q and G are entries of block(E) and F a
+    column of its solve, K(E) C for every pivot's coupling column at once,
+    kept per energy, so block, f and an eigenvector read one solve.
 
-    The LU comes from LAPACK getrf and the solves from getrs, fetched once
-    per solver and called directly, without scipy's per-call wrappers or
-    their finiteness scan: host_block refuses non-finite couplings and
-    host_diagonal a non-finite diagonal, so a solver is never built on a
-    non-finite matrix, and every E - H_rest with a finite E is finite.  A
-    zero pivot (getrf's info > 0), one below PIVOT_RTOL times the largest,
-    or a reciprocal condition number below PIVOT_RTOL (gecon's estimate
-    from the LU, in the 1-norm) is a SingularBlockError.
+    The LU comes from LAPACK getrf and its solve from getrs, fetched on
+    the first factorization and called directly, without scipy's per-call
+    wrappers or their finiteness scan: host_block refuses non-finite
+    couplings and host_diagonal a non-finite diagonal, so a solver is never
+    built on a non-finite matrix, and every E - H_rest with a finite E is
+    finite.  A zero pivot (getrf's info > 0), one below PIVOT_RTOL times
+    the largest, or a reciprocal condition number below PIVOT_RTOL (gecon's
+    estimate from the LU, in the 1-norm) is a SingularBlockError.  No LU is
+    kept: each factorization serves its one solve.
 
     The couplings come from the host memo (host_block) and only the
     diagonal `diag` = H(n, n) over `sites` from k.  `piv` and `rest` are
@@ -113,7 +126,7 @@ class ReducedSolver:
         rest[self.piv] = False
         self.rest = np.flatnonzero(rest)
         # each site's row in the reduced set; a pivot's row is any, since
-        # the diagonal anchor's K_D is 0 there
+        # the series' K_D is 0 there
         self._slot = np.maximum(np.cumsum(rest) - 1, 0)
         self.v = tuple(float(self.diag[i]) for i in self.piv)
         self._v_rest = self.diag.take(self.rest)
@@ -123,9 +136,6 @@ class ReducedSolver:
         self._rows = list(np.conj(self._cols).T)
         self._direct = [[0j if a == b else complex(couplings[a, b]) for b in self.piv]
                         for a in self.piv]
-        self._getrf, self._getrs, self._gecon = get_lapack_funcs(
-            ("getrf", "getrs", "gecon"), (self._cols,))
-        self._lu = None       # (E0, lu, piv, g) of the last factorization
         self._solved = {}     # E -> K(E) C
 
     @cached_property
@@ -156,45 +166,25 @@ class ReducedSolver:
         """h(n, m0) for n in the reduced set."""
         return self._cols[:, self._pos[tuple(m0)]]
 
-    def _factor(self, E: float):
-        """A fresh LU of E - H_rest, which becomes the LU anchor, with its
-        Gershgorin gap g (0 unless above the pivot check's floor)."""
-        A = self._minus_rest.copy(order="F")
-        A[np.diag_indices(len(A))] += E
-        norm = float(np.abs(A).sum(axis=0).max())   # ||A||_1, which gecon reads
-        lu, piv, info = self._getrf(A, overwrite_a=True)
-        u = np.abs(lu.diagonal())
-        floor = PIVOT_RTOL * max(1.0, u.max())
-        if info > 0 or u.min() < floor or self._gecon(lu, norm)[0] < PIVOT_RTOL:
-            raise SingularBlockError(f"reduced matrix singular at E={E}")
-        g = float(np.min(np.abs(E - self._v_rest))) - self._row_sum
-        self._lu = (E, lu, piv, g if g > floor else 0.0)
-        return lu, piv
-
     def solve(self, E: float, rhs: np.ndarray) -> np.ndarray:
-        """(E - H_rest)^-1 rhs, from the diagonal or the LU anchor when one
-        certifies it, else from a fresh LU.  On an empty reduced set it is
-        a zero array of rhs's shape, so Q is 0, G the direct coupling and F
-        empty."""
+        """(E - H_rest)^-1 rhs: the diagonal series when no reduced site is
+        near E, the near/far split when a few are and rhs is narrow, else
+        one dense LU.  On an empty reduced set it is a zero array of rhs's
+        shape, so Q is 0, G the direct coupling and F empty."""
         if not len(self.rest):
             return np.zeros(rhs.shape, dtype=complex)
-        narrow = rhs.size <= self._cols.size
-        if narrow:
+        if rhs.size <= self._cols.size:
             d = E - self.diag
             d[self.piv] = np.inf            # so that K_D = 1 / d is 0 at the pivots
-            near, r = float(np.abs(d).min()), self._row_sum
-            far = max(abs(E - v) for v in self._v_span)   # max_n |E - v(n)|
-            if near - r > PIVOT_RTOL * max(1.0, far) and r < THETA_MAX * near:
+            gap, r = np.abs(d), self._row_sum
+            near = float(gap.min())
+            floor = PIVOT_RTOL * max(1.0, max(abs(E - v) for v in self._v_span))
+            if near - r > floor and r < THETA_MAX * near:
                 return self._diagonal_solve(1.0 / d, rhs, r / near)
-        if self._lu is not None:
-            E0, lu, piv, g = self._lu
-            delta = E - E0
-            if delta == 0 or (narrow and abs(delta) < THETA_MAX * g):
-                getrs = self._getrs
-                return _neumann(getrs(lu, piv, rhs)[0], lambda x: -delta * getrs(lu, piv, x)[0],
-                                abs(delta) / g if delta else 0.0)
-        lu, piv = self._factor(E)
-        return self._getrs(lu, piv, rhs)[0]
+            N = np.flatnonzero((gap - r <= floor) | (r >= THETA_MAX * gap))
+            if len(N) <= NEAR_MAX:
+                return self._near_solve(E, d, N, rhs, floor)
+        return self._factor(E, rhs)
 
     def _diagonal_solve(self, kd: np.ndarray, rhs: np.ndarray, theta: float) -> np.ndarray:
         """K(E) rhs from x0 = K_D rhs by x <- x0 + K_D B x, kd the diagonal
@@ -204,6 +194,40 @@ class ReducedSolver:
         B = self._couplings
         x = _neumann(kd * rhs.take(self._slot, axis=0), lambda x: kd * (B @ x), theta)
         return x.take(self.rest, axis=0)
+
+    def _near_solve(self, E: float, d: np.ndarray, N: np.ndarray, rhs: np.ndarray,
+                    floor: float) -> np.ndarray:
+        """K(E) rhs with the near sites N (positions in `sites`) kept in a
+        dense Schur block and the far ones summed by the diagonal series,
+        d = E - diag over `sites`, inf at the pivots; a SingularBlockError
+        when an eigenvalue of that block is within the floor of 0."""
+        w, near = rhs.size // len(rhs), self._slot[N]
+        dN = d[N]
+        d[N] = np.inf                       # K_D is 0 on N as well: the series runs on F
+        cols = self._couplings.take(N, axis=1).take(self.rest, axis=0)   # H_.N
+        b = np.hstack([rhs.reshape(len(rhs), w), cols])
+        Y = self._diagonal_solve(1.0 / d, b, self._row_sum / float(np.abs(d).min()))
+        rows = cols.conj().T                # H_N.
+        Z = rows @ Y                        # H_NF K_F [rhs_F | H_FN]
+        lam, V = np.linalg.eigh(np.diag(dN) - rows[:, near] - Z[:, w:])   # S_N
+        if np.abs(lam).min() <= floor:
+            raise SingularBlockError(f"reduced matrix singular at E={E}")
+        XN = V @ ((V.conj().T @ (b[near, :w] + Z[:, :w])) / lam[:, None])
+        X = Y[:, :w] + Y[:, w:] @ XN
+        X[near] = XN
+        return X.reshape(rhs.shape)
+
+    def _factor(self, E: float, rhs: np.ndarray) -> np.ndarray:
+        """(E - H_rest)^-1 rhs by a fresh LU of E - H_rest, checked."""
+        getrf, getrs, gecon = _lapack()
+        A = self._minus_rest.copy(order="F")
+        A[np.diag_indices(len(A))] += E
+        norm = float(np.abs(A).sum(axis=0).max())   # ||A||_1, which gecon reads
+        lu, piv, info = getrf(A, overwrite_a=True)
+        u = np.abs(lu.diagonal())
+        if info > 0 or u.min() < PIVOT_RTOL * max(1.0, u.max()) or gecon(lu, norm)[0] < PIVOT_RTOL:
+            raise SingularBlockError(f"reduced matrix singular at E={E}")
+        return getrs(lu, piv, rhs)[0]
 
     def _coupling_solve(self, E: float) -> np.ndarray:
         """K(E) C, every pivot's coupling column solved, once per energy."""

@@ -89,13 +89,20 @@ def canonical_order(sites) -> tuple:
 
 def count_solve_paths(solver) -> Counter:
     """From now on, count the solver's solves by the path they take:
-    "diagonal" (the diagonal anchor, no factorization) and "getrf" (a
-    fresh LU, which becomes the LU anchor)."""
-    paths = Counter()
-    for name, key in (("_diagonal_solve", "diagonal"), ("_factor", "getrf")):
+    "diagonal" (the diagonal series, no near site), "near" (near sites in
+    a Schur block, far ones by the diagonal series, which is not counted
+    again) and "getrf" (the dense LU)."""
+    paths, depth = Counter(), [0]
+    for name, key in (("_diagonal_solve", "diagonal"), ("_near_solve", "near"),
+                      ("_factor", "getrf")):
         def counted(*args, method=getattr(solver, name), key=key):
-            paths[key] += 1
-            return method(*args)
+            if not depth[0]:
+                paths[key] += 1
+            depth[0] += 1
+            try:
+                return method(*args)
+            finally:
+                depth[0] -= 1
         setattr(solver, name, counted)
     return paths
 
@@ -122,10 +129,10 @@ def pair_roots(problem, S, k, mp, mm):
     return pair_branch(solver, +1.0), pair_branch(solver, -1.0)
 
 
-def random_potential(rng, epsilon=1e-4, kappa0=0.5, radius=3, density=0.6):
-    """Hermitian-valid potential with |c0(n)| <= exp(-kappa0 |n|)."""
+def random_potential(rng, epsilon=1e-4, kappa0=0.5, radius=3, density=0.6, nu=2):
+    """Hermitian-valid potential on Z^nu with |c0(n)| <= exp(-kappa0 |n|)."""
     entries = {}
-    for n in ball(radius, 2, budget=None):
+    for n in ball(radius, nu, budget=None):
         if not any(n) or n in entries or tuple(-c for c in n) in entries:
             continue
         if rng.random() > density:

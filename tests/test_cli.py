@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,15 @@ def test_golden_output_pinned(tmp_path, capsys, command):
     out = capsys.readouterr().out.replace(str(tmp_path), "<out>")
     data = (tmp_path / name).read_bytes() if name else out.encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_golden_band_factors_nothing(tmp_path, solve_paths):
+    # every golden band energy is solved without an LU: the two points whose
+    # energies come within 1000 r of a reduced diagonal put those sites in
+    # the near Schur block (4 solves), where an LU anchor once factored twice
+    assert main(["band", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
+    total = sum(solve_paths.values(), Counter())
+    assert total["getrf"] == 0 and total["near"] > 0
 
 
 # the selftest suite in run order; gap-first-order and gap-box are the CLI's
