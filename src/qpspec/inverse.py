@@ -93,9 +93,11 @@ def recovered_bound(problem: Problem, rec: GapRecord) -> RecoveredBound:
     term share one box and one matrix.  Desk variant: prefactor
     sup |d_E (E - v - Q)| over [E-, E+], exactly 1 + ||(E - H_rest)^-1 h_0||^2
     since d_E Q = -||(E - H_rest)^-1 h_0||^2, taken at the edges and the
-    midpoint; quadratic term from the reduced resolvent at E+.  Coarse variant: the worst-case prefactor
-    eps^-1 exp(kappa0 |n0|).  The desk inequality is the one asserted;
-    both are reported.
+    midpoint; quadratic term from the reduced resolvent K = (E+ - H_rest)^-1,
+    solved only on the columns n' that the sum reads, those with
+    h(n', n0) != 0, at most one per point of the support.  Coarse variant:
+    the worst-case prefactor eps^-1 exp(kappa0 |n0|).  The desk inequality
+    is the one asserted; both are reported.
     """
     n0 = rec.n0
     solver = rec.roots[0].solver
@@ -104,9 +106,12 @@ def recovered_bound(problem: Problem, rec: GapRecord) -> RecoveredBound:
     prefactor_desk = 1.0 + max(float(np.linalg.norm(solver.solve(E, col_0)) ** 2)
                                for E in probes)
 
-    # quadratic term sum |c(m')| |K(m',n')| |c(n' - n0)|
-    K = solver.solve(rec.E_plus, np.eye(len(solver.reduced_sites)))
-    quad = float(np.abs(col_0) @ np.abs(K) @ np.abs(solver.coupling_column(n0)))
+    # quadratic term sum |c(m')| |K(m',n')| |c(n' - n0)|, K read on the
+    # columns n' where c(n' - n0) is not 0
+    col_n0 = solver.coupling_column(n0)
+    J = np.flatnonzero(col_n0)
+    K = solver.solve(rec.E_plus, np.eye(len(col_n0))[:, J])
+    quad = float(np.abs(col_0) @ np.abs(K) @ np.abs(col_n0[J]))
 
     pot = problem.potential
     actual = abs(pot.c(n0))

@@ -24,17 +24,15 @@ of (E - H_FF)^-1 b, and the solver iterates until that bound is at most
 host's shared block and factors nothing.  Then:
 
 - N empty: the series over the whole reduced set is the solve.
-- 1 <= |N| <= NEAR_MAX, with a right-hand side no wider than the pivots'
-  coupling columns: one series on [rhs | H_FN] gives
-  Y = (E - H_FF)^-1 [rhs_F | H_FN], and the near sites are solved in the
-  Hermitian Schur block S_N = E - H_NN - H_NF Y_N of order |N|:
+- N not empty, of any size, with a right-hand side of any width: one
+  series on [rhs | H_FN] gives Y = (E - H_FF)^-1 [rhs_F | H_FN], and the
+  near sites are solved in the Hermitian Schur block
+  S_N = E - H_NN - H_NF Y_N of order |N|:
   X_N = S_N^-1 (rhs_N + H_NF Y_rhs) and X_F = Y_rhs + Y_N X_N.  E - H_rest
   is congruent to diag(E - H_FF, S_N) (Haynsworth), and Gershgorin keeps
   E - H_FF off singular, so E - H_rest is singular exactly when S_N is:
   an eigenvalue of S_N within the floor of 0 is a SingularBlockError.
-- any other solve, a wide right-hand side (recovered_bound's identity) or
-  more than NEAR_MAX near sites, takes one fresh LU of E - H_rest, with a
-  pivot and a condition check.
+  With every reduced site near, F is empty and the series is 0.
 
 An eigenvalue of H_rest lies in a Gershgorin disc, whose site is near, so
 no energy where E - H_rest is singular is summed by the series alone.
@@ -42,10 +40,9 @@ no energy where E - H_rest is singular is summed by the series alone.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .dual_operator import DualMatrix, host_block, host_diagonal
 from .errors import SingularBlockError
@@ -55,15 +52,6 @@ from .model import Problem
 PIVOT_RTOL = 1e-12
 THETA_MAX = 1e-3             # a site with r >= THETA_MAX |E - v(n)| is near
 UNIT_ROUNDOFF = 2.0 ** -53   # the series' certified truncation, relative
-# The most near sites solved in a Schur block; more take the LU.  On a
-# ball(8) host (143 reduced sites, two columns, one BLAS thread, five
-# corrections, the most that theta < THETA_MAX needs) a fresh LU took
-# 610 us and the near path 254 / 355 / 429 / 604 us at |N| = 1 / 4 / 8 /
-# 16; on ball(5) (59 sites) 136 us against 114 / 165 at |N| = 1 / 8, and
-# on ball(3) (23 sites) 35 against 83 / 102.  So the near path pays from
-# about ball(5) up and breaks even near |N| = 16 on ball(8); at 8 it costs
-# 0.7 of an LU there and at most 0.07 ms more on the smallest hosts.
-NEAR_MAX = 8
 
 
 def _neumann(x0: np.ndarray, step, theta: float) -> np.ndarray:
@@ -77,33 +65,16 @@ def _neumann(x0: np.ndarray, step, theta: float) -> np.ndarray:
     return x
 
 
-@cache
-def _lapack():
-    """LAPACK getrf, getrs and gecon for complex matrices, fetched once, on
-    the first factorization."""
-    return get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
-
-
 class ReducedSolver:
     """Evaluations of the self-energy functions over S minus pivots.
 
-    A solve takes the diagonal series, the near/far split or the LU of
-    the module docstring.  The series' iterates run over all of `sites`
-    with their pivot entries (and near ones) held at 0, so its corrections
-    read the host's coupling block with no gather; -H_rest is gathered at
-    the first factorization only.  Q and G are entries of block(E) and F a
-    column of its solve, K(E) C for every pivot's coupling column at once,
-    kept per energy, so block, f and an eigenvector read one solve.
-
-    The LU comes from LAPACK getrf and its solve from getrs, fetched on
-    the first factorization and called directly, without scipy's per-call
-    wrappers or their finiteness scan: host_block refuses non-finite
-    couplings and host_diagonal a non-finite diagonal, so a solver is never
-    built on a non-finite matrix, and every E - H_rest with a finite E is
-    finite.  A zero pivot (getrf's info > 0), one below PIVOT_RTOL times
-    the largest, or a reciprocal condition number below PIVOT_RTOL (gecon's
-    estimate from the LU, in the 1-norm) is a SingularBlockError.  No LU is
-    kept: each factorization serves its one solve.
+    A solve takes the diagonal series or the near/far split of the module
+    docstring and factors nothing.  The series' iterates run over all of
+    `sites` with their pivot entries (and near ones) held at 0, so its
+    corrections read the host's coupling block with no gather.  Q and G
+    are entries of block(E) and F a column of its solve, K(E) C for every
+    pivot's coupling column at once, kept per energy, so block, f and an
+    eigenvector read one solve.
 
     The couplings come from the host memo (host_block) and only the
     diagonal `diag` = H(n, n) over `sites` from k.  `piv` and `rest` are
@@ -129,8 +100,8 @@ class ReducedSolver:
         # the series' K_D is 0 there
         self._slot = np.maximum(np.cumsum(rest) - 1, 0)
         self.v = tuple(float(self.diag[i]) for i in self.piv)
-        self._v_rest = self.diag.take(self.rest)
-        self._v_span = (self._v_rest.min(initial=np.inf), self._v_rest.max(initial=-np.inf))
+        v_rest = self.diag.take(self.rest)
+        self._v_span = (v_rest.min(initial=np.inf), v_rest.max(initial=-np.inf))
         # h(n, p) and h(p, n) over the reduced set, one per pivot; h(p, p') off p = p'
         self._cols = np.asfortranarray(couplings[:, self.piv][self.rest])
         self._rows = list(np.conj(self._cols).T)
@@ -144,47 +115,26 @@ class ReducedSolver:
         host's couplings with the solver's own `diag`."""
         return DualMatrix.assemble(self.sites, self.k, self._couplings, self.diag)
 
-    @cached_property
-    def reduced_sites(self) -> list:
-        """The reduced set's sites, in the order of `rest`."""
-        sites = self.sites.sites
-        return [sites[i] for i in self.rest]
-
-    @cached_property
-    def _minus_rest(self) -> np.ndarray:
-        """-H_rest, gathered and negated at the first factorization: each
-        factored energy's E - H_rest is a copy of it.  Negating the real
-        and imaginary parts as floats flips the same signs as complex
-        negation, several times faster."""
-        M = np.asfortranarray(self._couplings[self.rest][:, self.rest])
-        parts = M.T.view(float)
-        np.negative(parts, out=parts)
-        np.fill_diagonal(M, -self._v_rest)
-        return M
-
     def coupling_column(self, m0) -> np.ndarray:
         """h(n, m0) for n in the reduced set."""
         return self._cols[:, self._pos[tuple(m0)]]
 
     def solve(self, E: float, rhs: np.ndarray) -> np.ndarray:
         """(E - H_rest)^-1 rhs: the diagonal series when no reduced site is
-        near E, the near/far split when a few are and rhs is narrow, else
-        one dense LU.  On an empty reduced set it is a zero array of rhs's
-        shape, so Q is 0, G the direct coupling and F empty."""
+        near E, else the near/far split, for a right-hand side of any
+        width.  On an empty reduced set it is a zero array of rhs's shape,
+        so Q is 0, G the direct coupling and F empty."""
         if not len(self.rest):
             return np.zeros(rhs.shape, dtype=complex)
-        if rhs.size <= self._cols.size:
-            d = E - self.diag
-            d[self.piv] = np.inf            # so that K_D = 1 / d is 0 at the pivots
-            gap, r = np.abs(d), self._row_sum
-            near = float(gap.min())
-            floor = PIVOT_RTOL * max(1.0, max(abs(E - v) for v in self._v_span))
-            if near - r > floor and r < THETA_MAX * near:
-                return self._diagonal_solve(1.0 / d, rhs, r / near)
-            N = np.flatnonzero((gap - r <= floor) | (r >= THETA_MAX * gap))
-            if len(N) <= NEAR_MAX:
-                return self._near_solve(E, d, N, rhs, floor)
-        return self._factor(E, rhs)
+        d = E - self.diag
+        d[self.piv] = np.inf            # so that K_D = 1 / d is 0 at the pivots
+        gap, r = np.abs(d), self._row_sum
+        near = float(gap.min())
+        floor = PIVOT_RTOL * max(1.0, max(abs(E - v) for v in self._v_span))
+        if near - r > floor and r < THETA_MAX * near:
+            return self._diagonal_solve(1.0 / d, rhs, r / near)
+        N = np.flatnonzero((gap - r <= floor) | (r >= THETA_MAX * gap))
+        return self._near_solve(E, d, N, rhs, floor)
 
     def _diagonal_solve(self, kd: np.ndarray, rhs: np.ndarray, theta: float) -> np.ndarray:
         """K(E) rhs from x0 = K_D rhs by x <- x0 + K_D B x, kd the diagonal
@@ -217,18 +167,6 @@ class ReducedSolver:
         X[near] = XN
         return X.reshape(rhs.shape)
 
-    def _factor(self, E: float, rhs: np.ndarray) -> np.ndarray:
-        """(E - H_rest)^-1 rhs by a fresh LU of E - H_rest, checked."""
-        getrf, getrs, gecon = _lapack()
-        A = self._minus_rest.copy(order="F")
-        A[np.diag_indices(len(A))] += E
-        norm = float(np.abs(A).sum(axis=0).max())   # ||A||_1, which gecon reads
-        lu, piv, info = getrf(A, overwrite_a=True)
-        u = np.abs(lu.diagonal())
-        if info > 0 or u.min() < PIVOT_RTOL * max(1.0, u.max()) or gecon(lu, norm)[0] < PIVOT_RTOL:
-            raise SingularBlockError(f"reduced matrix singular at E={E}")
-        return getrs(lu, piv, rhs)[0]
-
     def _coupling_solve(self, E: float) -> np.ndarray:
         """K(E) C, every pivot's coupling column solved, once per energy."""
         X = self._solved.get(E)
@@ -256,8 +194,8 @@ class ReducedSolver:
         return self.block(E)[self._pos[tuple(mp)]][self._pos[tuple(mm)]]
 
     def f(self, m0, E: float) -> np.ndarray:
-        """F(m0, n; E) over reduced_sites, the eigenvector tail: phi(n) = -F(n),
-        phi(m0) = 1.
+        """F(m0, n; E) over the reduced set, in the order of `rest`, the
+        eigenvector tail: phi(n) = -F(n), phi(m0) = 1.
 
         The sign follows the Schur blocks of (E - H), whose couplings are
         -h; the assembled phi(n) = -F(n) = +K h(., m0) solves H phi = E phi.

@@ -260,7 +260,7 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm):
     """Both roots of the paired characteristic equation, as records (plus, minus).
 
     Both branches are solved by pair_branch on one solver, so they share
-    its factorizations, and reconciled with the oracle by _reconcile_pair,
+    its solves, and reconciled with the oracle by _reconcile_pair,
     as gap edges are; the records carry those oracle gaps.  No pair-window check
     runs: the oracle is the stronger one.
     """

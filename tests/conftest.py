@@ -89,12 +89,11 @@ def canonical_order(sites) -> tuple:
 
 def count_solve_paths(solver) -> Counter:
     """From now on, count the solver's solves by the path they take:
-    "diagonal" (the diagonal series, no near site), "near" (near sites in
-    a Schur block, far ones by the diagonal series, which is not counted
-    again) and "getrf" (the dense LU)."""
+    "diagonal" (the diagonal series, no near site) and "near" (near sites
+    in a Schur block, far ones by the diagonal series, which is not
+    counted again)."""
     paths, depth = Counter(), [0]
-    for name, key in (("_diagonal_solve", "diagonal"), ("_near_solve", "near"),
-                      ("_factor", "getrf")):
+    for name, key in (("_diagonal_solve", "diagonal"), ("_near_solve", "near")):
         def counted(*args, method=getattr(solver, name), key=key):
             if not depth[0]:
                 paths[key] += 1

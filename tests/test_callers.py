@@ -1,6 +1,7 @@
 """Every public name under src/qpspec has a caller, every function runs,
 every defaulted parameter is passed and varies, every key of the CLI's
-config table is read, and every name the benchmark's tracer binds exists.
+config table is read, every name the benchmark's tracer binds exists, and
+only dual_operator, for LAPACK heevr, imports scipy.
 
 A function, class, method, property or option that only tests use is dead
 weight: it is named or set somewhere in the package outside its own
@@ -453,6 +454,33 @@ def test_runtime_guard_flags_planted_cases(tmp_path):
     # code starts
     assert unrun_functions([module], traffic, [tmp_path]) == [
         "called.<locals>.inner_uncalled", "uncalled", "cached_uncalled", "Box.uncalled"]
+
+
+def scipy_importers(files) -> list:
+    """The stem of each file in `files` that imports scipy or a submodule."""
+    def imports_scipy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+    return [file.stem for file in files
+            if any(map(imports_scipy, ast.walk(ast.parse(file.read_text()))))]
+
+
+def test_only_the_oracle_imports_scipy():
+    # dual_operator's windowed oracle calls LAPACK heevr; every other module
+    # runs on numpy alone, so no second LAPACK path comes back unnoticed
+    assert scipy_importers(sorted(SRC.glob("*.py"))) == ["dual_operator"]
+
+
+def test_scipy_guard_flags_planted_cases(tmp_path):
+    planted = {"plain": "import scipy\n", "dotted": "import numpy, scipy.linalg as sla\n",
+               "lazy": "def f():\n    from scipy.linalg import lu_factor\n",
+               "clean": "import numpy\nfrom .scipyish import x\n"}
+    for stem, text in planted.items():
+        (tmp_path / f"{stem}.py").write_text(text)
+    files = [tmp_path / f"{stem}.py" for stem in planted]
+    assert scipy_importers(files) == ["plain", "dotted", "lazy"]
 
 
 def test_every_config_key_is_read():

@@ -348,12 +348,12 @@ def test_golden_output_pinned(tmp_path, capsys, command):
 
 
 def test_golden_band_factors_nothing(tmp_path, solve_paths):
-    # every golden band energy is solved without an LU: the two points whose
-    # energies come within 1000 r of a reduced diagonal put those sites in
-    # the near Schur block (4 solves), where an LU anchor once factored twice
+    # every golden band energy is solved by the diagonal series, alone or
+    # beside a near Schur block: the two points whose energies come within
+    # 1000 r of a reduced diagonal put those sites in that block (4 solves)
     assert main(["band", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
     total = sum(solve_paths.values(), Counter())
-    assert total["getrf"] == 0 and total["near"] > 0
+    assert set(total) == {"diagonal", "near"} and total["near"] > 0
 
 
 # the selftest suite in run order; gap-first-order and gap-box are the CLI's

@@ -10,8 +10,10 @@ from qpspec.inverse import (DecayBound, gap_table, improve_decay, recovered_boun
                             verify_forward, verify_inverse)
 from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
-from qpspec.schur import ReducedSolver
+from qpspec.schur import UNIT_ROUNDOFF, ReducedSolver
 from qpspec.spectral import gap_at, paired_box, sized_gap
+
+from conftest import random_potential
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -195,6 +197,44 @@ def test_gap_table_propagates_unexpected_errors(harmonic_problem, monkeypatch):
     monkeypatch.setattr(inverse, "sized_gap", broken)
     with pytest.raises(TypeError):
         gap_table(harmonic_problem, [(0, 1)], 4)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_quadratic_term_matches_the_dense_inverse(golden_freq, seed):
+    # the quadratic term reads K(E+) on the columns n' with h(n', n0) != 0
+    # only: it is |h_0|^T |(E+ - H_rest)^-1| |h_n0| to rounding, with the
+    # whole inverse taken densely
+    prob, n0 = Problem(golden_freq, random_potential(np.random.default_rng(seed))), (0, 1)
+    rec = sized_gap(prob, n0, 6)
+    solver = rec.roots[0].solver
+    H = solver.full.entries[np.ix_(solver.rest, solver.rest)]
+    K = np.linalg.inv(rec.E_plus * np.eye(len(H)) - H)
+    h0, hn0 = solver.coupling_column((0, 0)), solver.coupling_column(n0)
+    assert 0 < np.count_nonzero(hn0) < len(H)
+    want = float(np.abs(h0) @ np.abs(K) @ np.abs(hn0))
+    got = recovered_bound(prob, rec).quadratic_term
+    assert abs(got - want) <= len(H) * UNIT_ROUNDOFF * want
+
+
+def test_quadratic_term_with_no_column_to_read(golden_freq, monkeypatch):
+    # on the radius-1 box of n0 = (1, 0) no reduced site couples to n0 (the
+    # one harmonic, (0, 2), leads out of the box): the term's solve has a
+    # right-hand side with no column, returns no column, and the sum is 0
+    prob, n0 = chain_problem(golden_freq), (1, 0)
+    rec = gap_at(prob, n0, 1)
+    solver = rec.roots[0].solver
+    assert len(solver.rest) and not np.any(solver.coupling_column(n0))
+    shapes, solve = [], ReducedSolver.solve
+
+    def recording(self, E, rhs):
+        X = solve(self, E, rhs)
+        shapes.append((rhs.shape, X.shape))
+        return X
+
+    monkeypatch.setattr(ReducedSolver, "solve", recording)
+    assert recovered_bound(prob, rec).quadratic_term == 0.0
+    n = len(solver.rest)
+    assert shapes[-1] == ((n, 0), (n, 0))
 
 
 def test_quadratic_term_slope(golden_freq):
