@@ -10,6 +10,7 @@ import numpy as np
 from .cfracs import CFNode, zeta_roots, zeta_sandwich_ok, zeta_separation_ok
 from .dual_operator import (cocycle_check, dense_spectrum, diagonal_value,
                             reflection_conjugation_check, restrict)
+from .errors import QPSpecError
 from .lattice import ball
 from .mssets import is_correct_word, max_correct_length
 from .model import Problem, build_ladder
@@ -228,8 +229,9 @@ def _feynman(problem: Problem, seed: int) -> CheckResult:
 def run_selftest(problem: Problem, seed: int = 0):
     """Run the invariant suite; returns a list of CheckResult.
 
-    Every check takes (problem, seed); a check that raises is reported as
-    failed under its function's name.
+    Every check takes (problem, seed); a check that raises a QPSpecError
+    is reported as failed under its function's name, and any other error
+    propagates.
     """
     suite = (_hermitian, _cocycle, _reflection, _reduced_oracle, _words, _ladder,
              _symmetry, _gap_first_order, _gap_box, _zeta_pair, _trajectory, _feynman)
@@ -239,5 +241,5 @@ def run_selftest(problem: Problem, seed: int = 0):
 def _safe(check, problem: Problem, seed: int) -> CheckResult:
     try:
         return check(problem, seed)
-    except Exception as exc:
+    except QPSpecError as exc:
         return CheckResult(check.__name__, False, f"raised {exc!r}")

@@ -168,17 +168,14 @@ def reflection_conjugation_check(problem: Problem, S: SiteSet, k: float) -> floa
     return float(np.max(np.abs(left.entries - np.conj(right))))
 
 
-def dense_spectrum(M: DualMatrix, center: float = None):
+def dense_spectrum(M: DualMatrix, ranks: range = None):
     """Hermitian eigenpairs of M by a dense LAPACK solve, ascending eigenvalues.
 
-    With `center` None: the full eigendecomposition.  With `center` set:
-    the eigenpairs in the window (center - w, center + w], where w is
-    chosen from H alone, never from a route's answer: it starts at the
-    largest off-diagonal row sum plus 8 n u max(1, max |H_ii|) and doubles
-    until the window holds min(2, n) eigenvalues, so the two eigenvalues
-    of M nearest `center` are among those returned.  A window is one call
-    of LAPACK heevr, the call scipy's eigh(driver="evr") makes, without its
-    wrapper and with the workspace queried once per n.  The residual
+    With `ranks` None: the full eigendecomposition.  With `ranks` a range
+    of eigenvalue ranks (0 the smallest): those eigenpairs only, from one
+    call of LAPACK heevr with range "I", the call scipy's
+    eigh(subset_by_index=..., driver="evr") makes, without its wrapper and
+    with the workspace queried once per n.  The residual
     ||M phi - E phi|| of every returned pair is checked against
     ORACLE_RESIDUAL_TOL * max(1, max |H_ii|), a scale no larger than
     ||M||_2; this is the oracle every spectral claim is compared against.
@@ -190,21 +187,17 @@ def dense_spectrum(M: DualMatrix, center: float = None):
     if not np.array_equal(H, H.conj().T):
         herm = float(np.max(np.abs(H - H.conj().T)))
         raise ReconciliationError(f"matrix not exactly Hermitian (max dev {herm:.3g})")
-    diag = np.abs(H.diagonal())
-    scale = max(1.0, float(np.max(diag)))
+    scale = max(1.0, float(np.max(np.abs(H.diagonal()))))
     try:
-        if center is None:
+        if ranks is None:
             evals, evecs = np.linalg.eigh(H)
         else:
-            w = float(np.max(np.abs(H).sum(axis=1) - diag)) + 8 * len(H) * 2.0 ** -53 * scale
-            evals = ()
-            while len(evals) < min(2, len(H)):
-                evals, evecs, found, _, info = _heevr(H, range="V", vl=center - w, vu=center + w,
-                                                      lower=1, **_heevr_work(len(H)))
-                if info != 0:
-                    raise ConvergenceError(f"dense eigensolver failed: heevr info {info}")
-                evals, evecs = evals[:found], evecs[:, :found]
-                w *= 2.0
+            evals, evecs, found, _, info = _heevr(H, range="I", il=ranks.start + 1,
+                                                  iu=ranks.stop, lower=1,
+                                                  **_heevr_work(len(H)))
+            if info != 0:
+                raise ConvergenceError(f"dense eigensolver failed: heevr info {info}")
+            evals, evecs = evals[:found], evecs[:, :found]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
     resid = np.linalg.norm(H @ evecs - evecs * evals[None, :], axis=0)

@@ -16,11 +16,16 @@ shell) is within the fixed point's tolerance, or on the last box.  By
 Weyl's bound H on S' has an eigenvalue within r of each edge, plus the
 fixed point's own residual (on Z^nu that identifies no edge; see
 _truncation_residual).  gap_at runs it on one radius, sized_gap on radii
-growing to a cap.  Gap edges and eigen_pair's roots pass one oracle rule,
-_reconcile_pair, which the loop runs only on the box it accepts; the
-GapRecord keeps that box's two edge records.  A band point in a pair
-window solves only the branch it prints, on the caller's host, and runs
-no oracle; its root must lie in the pair windows.
+growing to a cap.  One labelling rule names every eigenvalue: a root on
+pivots P is eigenvalue i = #{n in S : v(n) < min_P v} of H on S (i + 1
+for the upper pair root), the finite-box gap label.  The oracle checks
+gap edges, eigen_pair's roots and eigen_simple's root against those
+ranks (_reconcile), the dense fallback takes that rank, and a band point
+in a pair window prints the branch of that rank.  The gap loop runs the
+oracle only on the box it accepts, and the GapRecord keeps that box's
+two edge records.  A band point in a pair window solves only the branch
+it prints, on the caller's host, and runs no oracle; its root must lie
+in the pair windows.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dual_operator import (TWO_PI_SQ, DualMatrix, dense_spectrum, diagonal_value, host_shell,
-                            restrict)
+from .dual_operator import TWO_PI_SQ, dense_spectrum, diagonal_value, host_shell, restrict
 from .errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
 from .lattice import SiteSet, ball, l1_ball_size, l1_norm
 from .model import Frequency, Problem
@@ -124,34 +128,29 @@ def _fixed_point(step, E0: float, scale: float) -> float:
         f"fixed point from E={E0:.6g} stalled after {MAX_FIXED_POINT_STEPS} steps")
 
 
-def _oracle_on(M: DualMatrix, m0):
-    """The oracle eigenpair whose unit eigenvector weighs most on m0.
-
-    Returns (E, vec, w): vec is that eigenvector scaled to 1 at m0, and
-    w its weight |psi(m0)| before scaling.
-    """
-    evals, evecs = dense_spectrum(M)
-    i0 = M.sites.index(m0)
-    j = int(np.argmax(np.abs(evecs[i0, :])))
-    return float(evals[j]), evecs[:, j] / evecs[i0, j], float(abs(evecs[i0, j]))
+def _labelled(solver: ReducedSolver, count: int):
+    """The oracle's eigenpairs of ranks i .. i + count - 1 of the solver's
+    matrix H on S, i = #{n in S : v(n) < min_P v} over its pivots P: the
+    finite-box gap label, read from H's diagonal alone, never from a
+    route's answer.  A root a route solves on P is eigenvalue i (one
+    pivot) or the pair i, i + 1 (two)."""
+    i = int(np.count_nonzero(solver.diag < min(solver.v)))
+    return dense_spectrum(solver.full, range(i, i + count))
 
 
-def _reconcile_pair(roots, what: str) -> np.ndarray:
-    """The distances of the pair records `roots`, (minus, plus) on one
-    solver, from the oracle's two eigenvalues nearest the mean of the
-    solver's pivot diagonals, from the oracle windowed about that centre
-    (the window chosen from H alone).  A distance beyond
-    RECONCILE_TOL * max(1, |centre|) is a ReconciliationError about
-    `what`: a regime misclassification.
+def _reconcile(roots, what: str) -> np.ndarray:
+    """The distances of `roots`, one record or the pair (minus, plus) on
+    one solver, from the oracle's labelled eigenvalues (_labelled).  A
+    distance beyond RECONCILE_TOL * max(1, |c|), c the mean of the
+    solver's pivot diagonals, is a ReconciliationError about `what`: a
+    regime misclassification.
     """
     solver = roots[0].solver
-    center = 0.5 * sum(solver.v)
-    evals, _ = dense_spectrum(solver.full, center)
-    want = np.sort(evals[np.argsort(np.abs(evals - center))[:2]])
-    gaps = np.abs(np.array([rec.E for rec in roots]) - want)
+    evals, _ = _labelled(solver, len(roots))
+    gaps = np.abs(np.array([rec.E for rec in roots]) - evals)
     dev = float(np.max(gaps))
-    if dev > RECONCILE_TOL * max(1.0, abs(center)):
-        raise ReconciliationError(f"{what} deviate from the dense oracle by {dev:.3g}")
+    if dev > RECONCILE_TOL * max(1.0, abs(sum(solver.v) / len(solver.v))):
+        raise ReconciliationError(f"{what} off the dense oracle by {dev:.3g} (regime mismatch)")
     return gaps
 
 
@@ -162,33 +161,30 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
     v(m0, k) is the solver's diagonal H(m0, m0).  Starts at E = v(m0, k);
     contraction is guaranteed by |d_E Q| <= |eps| in the small-coupling
     regime.  A stalled fixed point (ConvergenceError) falls back to the
-    dense eigensolver with eigenvector-overlap selection; any other error
-    propagates.  With the oracle check on, a converged value that disagrees
-    with the overlap-selected dense eigenvalue flags a regime mismatch.
+    oracle's labelled eigenpair (_labelled), accepted only if its unit
+    eigenvector weighs at least 2/3 on m0; any other error propagates.
+    With the oracle check on, a converged value off the labelled
+    eigenvalue (_reconcile) flags a regime mismatch.
     """
     m0 = tuple(m0)
     solver = ReducedSolver(problem, S, k, [m0])
     (v0,) = solver.v
-    scale = max(1.0, abs(v0))
     try:
-        E = _fixed_point(lambda E: v0 + solver.q(m0, E).real, v0, scale)
+        E = _fixed_point(lambda E: v0 + solver.q(m0, E).real, v0, max(1.0, abs(v0)))
     except ConvergenceError:
-        # dense fallback: take the eigenvalue whose eigenvector carries m0
-        E, vec, weight = _oracle_on(solver.full, m0)
-        if weight < 2.0 / 3.0:
+        (E,), vecs = _labelled(solver, 1)
+        weight = vecs[solver.piv[0], 0]
+        if abs(weight) < 2.0 / 3.0:
             raise ConvergenceError(
-                f"fixed point diverged at k={k}, m0={m0} and no dense eigenvector "
-                "concentrates on m0 (regime mismatch)")
-        return EigenRecord(E, "dense_fallback", solver, 0.0, vec)
+                f"fixed point diverged at k={k}, m0={m0} and the labelled dense "
+                "eigenvector does not concentrate on m0 (regime mismatch)")
+        return EigenRecord(float(E), "dense_fallback", solver, 0.0, vecs[:, 0] / weight)
 
-    oracle_gap = None
+    rec = EigenRecord(float(E), "nonresonant", solver)
     if oracle_check:
-        oracle_gap = abs(_oracle_on(solver.full, m0)[0] - E)
-        if oracle_gap > RECONCILE_TOL * scale:
-            raise ReconciliationError(
-                f"fixed point at k={k}, m0={m0} deviates from the dense oracle "
-                f"by {oracle_gap:.3g} (regime mismatch)")
-    return EigenRecord(float(E), "nonresonant", solver, oracle_gap)
+        (gap,) = _reconcile([rec], f"fixed point at k={k}, m0={m0}")
+        rec = replace(rec, oracle_gap=float(gap))
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +256,12 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm):
     """Both roots of the paired characteristic equation, as records (plus, minus).
 
     Both branches are solved by pair_branch on one solver, so they share
-    its solves, and reconciled with the oracle by _reconcile_pair,
-    as gap edges are; the records carry those oracle gaps.  No pair-window check
+    its solves, and reconciled with the oracle by _reconcile, as gap
+    edges are; the records carry those oracle gaps.  No pair-window check
     runs: the oracle is the stronger one.
     """
     minus, plus = roots = _pair_roots(problem, S, k, [mp, mm])
-    gap_minus, gap_plus = map(float, _reconcile_pair(roots, f"pair roots at k={k}"))
+    gap_minus, gap_plus = map(float, _reconcile(roots, f"pair roots at k={k}"))
     return replace(plus, oracle_gap=gap_plus), replace(minus, oracle_gap=gap_minus)
 
 
@@ -331,7 +327,7 @@ def _first_accepted(problem: Problem, n0, radii) -> GapRecord:
         passed = resid <= FIXED_POINT_TOL * scale
         if passed or last:
             minus, plus = roots
-            dev = float(np.max(_reconcile_pair(roots, f"gap edges at n0={n0}")))
+            dev = float(np.max(_reconcile(roots, f"gap edges at n0={n0}")))
             return GapRecord(n0, k, minus.E, plus.E, plus.E - minus.E, dev, R, resid,
                              not passed, roots)
 
@@ -360,7 +356,7 @@ def sized_gap(problem: Problem, n0, cap) -> GapRecord:
 
 
 def paired_box(problem: Problem, n0, radius: float) -> SiteSet:
-    """Dense fallback paired set B(radius) u (n0 + B(radius)); T-invariant."""
+    """The gap path's box B(radius) u (n0 + B(radius)); T-invariant."""
     base = ball(radius, problem.nu, budget=problem.site_budget)
     return base.union(base.translate(tuple(n0)))
 
@@ -391,15 +387,15 @@ def band(problem: Problem, k_grid, S_builder):
 
     S_builder maps k to the host set.  A point within 64 eps of some k_m,
     |m| <= RESONANCE_RADIUS, solves by pair_branch at its own k only the
-    branch that continues E through the resonance.  E(k) grows with |k|
-    and E(k) = E(-k), so that is the plus branch where |k| > |k_m| and
-    the minus branch where |k| <= |k_m|, on either side of k = 0.  The
-    other root is not solved, so it cannot fail the point, and no oracle
-    runs: a printed root outside the pair windows is a RegimeError, and so
-    is a partner m outside the host.  Every other point solves
-    eigen_simple.  Points on one host share its couplings (host_block).
-    Each point carries its record's regime; a QPSpecError is collected as
-    that point's error, and any other error propagates.
+    branch that continues E through the resonance: the branch of rank
+    i(k) = #{n in S : v(n) < v(0)}, E(k)'s own label, which is the plus
+    branch where v(m) < v(0) and the minus branch elsewhere.  The other
+    root is not solved, so it cannot fail the point, and no oracle runs:
+    a printed root outside the pair windows is a RegimeError, and so is a
+    partner m outside the host.  Every other point solves eigen_simple.
+    Points on one host share its couplings (host_block).  Each point
+    carries its record's regime; a QPSpecError is collected as that
+    point's error, and any other error propagates.
     """
     zero = tuple([0] * problem.nu)
     res_points = _resonances(problem.frequency)
@@ -407,17 +403,16 @@ def band(problem: Problem, k_grid, S_builder):
 
     def solve(k: float) -> BandPoint:
         S = S_builder(k)
-        hit = next(((m, km) for m, km in res_points if abs(k - km) < window), None)
+        m = next((m for m, km in res_points if abs(k - km) < window), None)
         try:
-            if hit is None:
+            if m is None:
                 rec = eigen_simple(problem, zero, S, k, oracle_check=False)
             else:
-                m, km = hit
                 if m not in S:
                     raise RegimeError(f"pair window of k_{m} at k={k}: "
                                       f"partner {m} lies outside the host")
                 solver = ReducedSolver(problem, S, k, [zero, m])
-                rec = pair_branch(solver, 1.0 if abs(k) > abs(km) else -1.0)
+                rec = pair_branch(solver, 1.0 if solver.v[1] < solver.v[0] else -1.0)
                 if not any(lo <= rec.E <= hi for lo, hi in _pair_windows(solver)):
                     raise RegimeError(
                         f"pair root E={rec.E:.6g} lies outside the pair windows "

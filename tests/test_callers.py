@@ -57,10 +57,6 @@ ALLOWED = {
     "GeometryBuilder.admissible_k",
     "interval",
     "ResonanceInterval.contains",
-    # Unrun: eigen_simple's dense fallback and oracle branch, off on every
-    # src/ path (eigen_simple.oracle_check below).  ROADMAP items 13 and 15
-    # retire it.
-    "_oracle_on",
     # Unrun: the paper's R-admissibility, asked only of paths with two sites
     # of D >= 4T/kappa0.  No committed config or workload draws D above 3;
     # unit tests run it on valid profiles with ambient = host.

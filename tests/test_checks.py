@@ -6,6 +6,7 @@ import pytest
 
 from qpspec import checks, spectral
 from qpspec.cli import build_problem, load_config
+from qpspec.errors import ReconciliationError
 from qpspec.model import Potential, Problem
 
 from conftest import random_potential
@@ -14,14 +15,25 @@ GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golde
 
 
 def test_crashing_check_named_after_its_function(generic_problem, monkeypatch):
+    # a package error is a FAIL line under the check's function name
     def boom(s):
-        raise RuntimeError("boom")
+        raise ReconciliationError("boom")
 
     monkeypatch.setattr(checks, "max_correct_length", boom)
     results = checks.run_selftest(generic_problem)
     crashed = [r for r in results if not r.passed]
     assert [r.name for r in crashed] == ["_words"]
-    assert "boom" in crashed[0].detail
+    assert "ReconciliationError('boom')" in crashed[0].detail
+
+
+def test_a_check_with_a_defect_propagates(generic_problem, monkeypatch):
+    # any other error is a defect of the check, not a FAIL line
+    def broken(s):
+        raise TypeError("not a package error")
+
+    monkeypatch.setattr(checks, "max_correct_length", broken)
+    with pytest.raises(TypeError, match="not a package error"):
+        checks.run_selftest(generic_problem)
 
 
 @pytest.fixture(params=["golden_config", "generic", "harmonic", "eps_1e-2"])

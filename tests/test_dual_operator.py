@@ -107,9 +107,10 @@ def test_reflection_generic(generic_problem):
 
 def test_dense_spectrum_analytic_2x2():
     M = _matrix([[2.0, 1.0], [1.0, 2.0]])
-    for center in (None, 2.0, 100.0):
-        evals, evecs = dense_spectrum(M, center)
-        assert evals == pytest.approx([1.0, 3.0])
+    for ranks, want in ((None, [1.0, 3.0]), (range(0, 2), [1.0, 3.0]),
+                        (range(0, 1), [1.0]), (range(1, 2), [3.0])):
+        evals, evecs = dense_spectrum(M, ranks)
+        assert evals == pytest.approx(want) and evecs.shape == (2, len(want))
         assert np.allclose(M.entries @ evecs, evecs * evals)
 
 
@@ -160,8 +161,17 @@ def test_dense_spectrum_order_invariant(generic_problem):
     assert np.max(np.abs(e1 - e2)) <= 1e-9 * scale
 
 
+def _labelled_ranks(M: DualMatrix, pivots) -> range:
+    """The pair's ranks i, i + 1, i = #{n : v(n) < min_P v}, from M's diagonal."""
+    diag = M.entries.diagonal().real
+    i = int(np.count_nonzero(diag < min(diag[M.sites.index(p)] for p in pivots)))
+    return range(i, i + 2)
+
+
 @pytest.mark.parametrize("potential", ["golden", "random"])
 def test_windowed_oracle_matches_full_nearest_two(potential):
+    # the ranked pair is the full spectrum's pair at those ranks, and the
+    # two eigenvalues nearest the pivots' mean diagonal
     golden = build_problem(load_config(GOLDEN_CONFIG))
     prob = golden if potential == "golden" else Problem(
         golden.frequency, random_potential(np.random.default_rng(7)))
@@ -170,35 +180,21 @@ def test_windowed_oracle_matches_full_nearest_two(potential):
         if not any(m):
             continue
         S = paired_box(prob, m, 5)
-        # gap_at's center at k_m, and eigen_pair's just off it
+        # gap_at's k_m, and eigen_pair's just off it
         for k in (k_point(prob.frequency, m), k_point(prob.frequency, m) + 1e-5):
             M = restrict(prob, S, k)
-            center = 0.5 * (diagonal_value(prob, zero, k) + diagonal_value(prob, m, k))
-            evals, evecs = dense_spectrum(M, center)
-            assert len(evals) >= 2 and evecs.shape == (len(S), len(evals))
+            ranks = _labelled_ranks(M, (zero, m))
+            evals, evecs = dense_spectrum(M, ranks)
+            assert evecs.shape == (len(S), 2)
             full = np.linalg.eigvalsh(M.entries)
-            scale = max(1.0, float(np.max(np.abs(M.entries.diagonal()))))
-            dev = np.max(np.abs(_nearest_two(evals, center) - _nearest_two(full, center)))
-            assert dev <= len(S) * np.finfo(float).eps * scale, (m, k)
-
-
-def test_windowed_oracle_widens_until_two_eigenvalues(monkeypatch):
-    windows = []
-    heevr = dual_operator._heevr
-
-    def recording(H, **kwargs):
-        windows.append((kwargs["vl"], kwargs["vu"]))
-        return heevr(H, **kwargs)
-
-    monkeypatch.setattr(dual_operator, "_heevr", recording)
-    evals, evecs = dense_spectrum(_matrix(np.diag([0.0, 1.0, 5.0])), 0.0)
-    assert len(windows) > 1  # the first window holds only the eigenvalue 0
-    assert np.array_equal(evals, [0.0, 1.0])
-    assert np.allclose(np.abs(evecs[:2]), np.eye(2)) and np.all(evecs[2] == 0)
+            center = 0.5 * (diagonal_value(prob, zero, k) + diagonal_value(prob, m, k))
+            tol = len(S) * np.finfo(float).eps * max(1.0, float(np.max(np.abs(full))))
+            assert np.max(np.abs(evals - full[ranks.start:ranks.stop])) <= tol, (m, k)
+            assert np.max(np.abs(evals - _nearest_two(full, center))) <= tol, (m, k)
 
 
 def test_windowed_oracle_1x1():
-    evals, evecs = dense_spectrum(_matrix([[3.0]]), 0.0)
+    evals, evecs = dense_spectrum(_matrix([[3.0]]), range(0, 1))
     assert np.array_equal(evals, [3.0]) and np.abs(evecs[0, 0]) == pytest.approx(1.0)
 
 
@@ -210,9 +206,8 @@ def test_windowed_oracle_bad_residual_is_typed(generic_problem, monkeypatch):
         return (evals + 1e-6, *rest)
 
     monkeypatch.setattr(dual_operator, "_heevr", off_by_a_bit)
-    M = restrict(generic_problem, ball(2, 2), 0.29)
     with pytest.raises(ReconciliationError):
-        dense_spectrum(M, float(M.entries[0, 0].real))
+        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), range(3, 5))
 
 
 def test_windowed_oracle_eigensolver_failure_is_typed(generic_problem, monkeypatch):
@@ -221,7 +216,7 @@ def test_windowed_oracle_eigensolver_failure_is_typed(generic_problem, monkeypat
 
     monkeypatch.setattr(dual_operator, "_heevr", fails)
     with pytest.raises(ConvergenceError):
-        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), 1.0)
+        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), range(0, 2))
 
 
 def test_windowed_oracle_lapack_info_is_typed(generic_problem, monkeypatch):
@@ -234,37 +229,30 @@ def test_windowed_oracle_lapack_info_is_typed(generic_problem, monkeypatch):
 
     monkeypatch.setattr(dual_operator, "_heevr", internal_error)
     with pytest.raises(ConvergenceError, match="info 1"):
-        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), 1.0)
+        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), range(0, 2))
 
 
 @pytest.mark.parametrize("potential", ["golden", "random"])
-def test_windowed_oracle_is_scipy_evr_bit_for_bit(potential, monkeypatch):
-    # the direct heevr call is the one scipy's eigh makes: same driver,
-    # triangle and workspace, so the eigenpairs agree exactly
+def test_windowed_oracle_is_scipy_evr_bit_for_bit(potential):
+    # the direct heevr call is the one scipy's eigh makes for a subset by
+    # index: same driver, triangle and workspace, so the eigenpairs agree
+    # exactly
     golden = build_problem(load_config(GOLDEN_CONFIG))
     prob = golden if potential == "golden" else Problem(
         golden.frequency, random_potential(np.random.default_rng(11)))
-    windows = []
-    heevr = dual_operator._heevr
-
-    def recording(H, **kwargs):
-        windows.append((kwargs["vl"], kwargs["vu"]))
-        return heevr(H, **kwargs)
-
-    monkeypatch.setattr(dual_operator, "_heevr", recording)
     for m in [(0, 1), (1, -1), (2, 1), (0, 3)]:
-        k = k_point(prob.frequency, m)
-        M = restrict(prob, paired_box(prob, m, 4), k)
-        center = 0.5 * (diagonal_value(prob, (0, 0), k) + diagonal_value(prob, m, k))
-        evals, evecs = dense_spectrum(M, center)
-        want, want_vecs = sla.eigh(M.entries, subset_by_value=windows[-1], driver="evr")
+        M = restrict(prob, paired_box(prob, m, 4), k_point(prob.frequency, m))
+        ranks = _labelled_ranks(M, ((0, 0), m))
+        evals, evecs = dense_spectrum(M, ranks)
+        want, want_vecs = sla.eigh(M.entries, subset_by_index=[ranks.start, ranks.stop - 1],
+                                   driver="evr")
         assert np.array_equal(evals, want) and np.array_equal(evecs, want_vecs), m
 
 
 def test_windowed_oracle_non_hermitian_is_typed():
     M = _matrix(np.triu(np.ones((5, 5))))
     with pytest.raises(ReconciliationError, match="not exactly Hermitian"):
-        dense_spectrum(M, 1.0)
+        dense_spectrum(M, range(0, 2))
 
 
 def _problem(nu: int, coefficients: dict) -> Problem:
