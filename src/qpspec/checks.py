@@ -74,8 +74,8 @@ def _symmetry(problem: Problem, seed: int) -> CheckResult:
     zero = tuple([0] * problem.nu)
     worst = 0.0
     for k in (0.11, 0.23, 0.37):
-        e_plus = eigen_simple(problem, zero, S, k, oracle_check=False)
-        e_minus = eigen_simple(problem, zero, S.reflect(), -k, oracle_check=False)
+        e_plus = eigen_simple(problem, zero, S, k)
+        e_minus = eigen_simple(problem, zero, S.reflect(), -k)
         worst = max(worst, abs(e_plus.E - e_minus.E))
     return CheckResult("band-symmetry", worst <= 1e-11, f"max |E(k)-E(-k)| {worst:.3g}")
 

@@ -171,35 +171,27 @@ def reflection_conjugation_check(problem: Problem, S: SiteSet, k: float) -> floa
 def dense_spectrum(M: DualMatrix, ranks: range = None):
     """Hermitian eigenpairs of M by a dense LAPACK solve, ascending eigenvalues.
 
-    With `ranks` None: the full eigendecomposition.  With `ranks` a range
-    of eigenvalue ranks (0 the smallest): those eigenpairs only, from one
-    call of LAPACK heevr with range "I", the call scipy's
-    eigh(subset_by_index=..., driver="evr") makes, without its wrapper and
-    with the workspace queried once per n.  The residual
-    ||M phi - E phi|| of every returned pair is checked against
-    ORACLE_RESIDUAL_TOL * max(1, max |H_ii|), a scale no larger than
-    ||M||_2; this is the oracle every spectral claim is compared against.
-    A non-Hermitian matrix or a residual over budget is a
-    ReconciliationError, an eigensolver that does not converge (or heevr's
-    info != 0) a ConvergenceError.
+    `ranks` is a range of eigenvalue ranks (0 the smallest), every rank
+    when None.  Those eigenpairs come from one call of LAPACK heevr with
+    range "I", the call scipy's eigh(subset_by_index=..., driver="evr")
+    makes, without its wrapper and with the workspace queried once per n.
+    The residual ||M phi - E phi|| of every returned pair is checked
+    against ORACLE_RESIDUAL_TOL * max(1, max |H_ii|), a scale no larger
+    than ||M||_2; this is the oracle every spectral claim is compared
+    against.  A non-Hermitian matrix or a residual over budget is a
+    ReconciliationError, heevr's info != 0 a ConvergenceError.
     """
     H = M.entries
     if not np.array_equal(H, H.conj().T):
         herm = float(np.max(np.abs(H - H.conj().T)))
         raise ReconciliationError(f"matrix not exactly Hermitian (max dev {herm:.3g})")
     scale = max(1.0, float(np.max(np.abs(H.diagonal()))))
-    try:
-        if ranks is None:
-            evals, evecs = np.linalg.eigh(H)
-        else:
-            evals, evecs, found, _, info = _heevr(H, range="I", il=ranks.start + 1,
-                                                  iu=ranks.stop, lower=1,
-                                                  **_heevr_work(len(H)))
-            if info != 0:
-                raise ConvergenceError(f"dense eigensolver failed: heevr info {info}")
-            evals, evecs = evals[:found], evecs[:, :found]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
+    ranks = range(len(H)) if ranks is None else ranks
+    evals, evecs, found, _, info = _heevr(H, range="I", il=ranks.start + 1, iu=ranks.stop,
+                                          lower=1, **_heevr_work(len(H)))
+    if info != 0:
+        raise ConvergenceError(f"dense eigensolver failed: heevr info {info}")
+    evals, evecs = evals[:found], evecs[:, :found]
     resid = np.linalg.norm(H @ evecs - evecs * evals[None, :], axis=0)
     if np.any(resid > ORACLE_RESIDUAL_TOL * scale):
         raise ReconciliationError(f"eigensolver residual {resid.max():.3g} over budget")

@@ -18,20 +18,20 @@ fixed point's own residual (on Z^nu that identifies no edge; see
 _truncation_residual).  gap_at runs it on one radius, sized_gap on radii
 growing to a cap.  One labelling rule names every eigenvalue: a root on
 pivots P is eigenvalue i = #{n in S : v(n) < min_P v} of H on S (i + 1
-for the upper pair root), the finite-box gap label.  The oracle checks
-gap edges, eigen_pair's roots and eigen_simple's root against those
-ranks (_reconcile), the dense fallback takes that rank, and a band point
-in a pair window prints the branch of that rank.  The gap loop runs the
-oracle only on the box it accepts, and the GapRecord keeps that box's
-two edge records.  A band point in a pair window solves only the branch
-it prints, on the caller's host, and runs no oracle; its root must lie
-in the pair windows.
+for the upper pair root), the finite-box gap label.  The routes only
+solve; _reconcile, the one place a root meets the oracle, checks gap
+edges and eigen_pair's roots against those ranks.  The dense fallback
+takes that rank, and a band point in a pair window prints the branch of
+that rank.  The gap loop runs the oracle only on the box
+it accepts, and the GapRecord keeps that box's two edge records.  A band
+point solves only the root it prints, on the caller's host, and runs no
+oracle; a pair-window root must lie in the pair windows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -61,7 +61,6 @@ class EigenRecord:
     E: float
     regime: str
     solver: ReducedSolver = field(repr=False)
-    oracle_gap: float = None
     dense_phi: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -154,8 +153,7 @@ def _reconcile(roots, what: str) -> np.ndarray:
     return gaps
 
 
-def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
-                 oracle_check: bool = True) -> EigenRecord:
+def eigen_simple(problem: Problem, m0, S: SiteSet, k: float) -> EigenRecord:
     """Fixed-point solve of E = v(m0, k) + Q(m0, S; E); eigenvector from F on read.
 
     v(m0, k) is the solver's diagonal H(m0, m0).  Starts at E = v(m0, k);
@@ -163,8 +161,7 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
     regime.  A stalled fixed point (ConvergenceError) falls back to the
     oracle's labelled eigenpair (_labelled), accepted only if its unit
     eigenvector weighs at least 2/3 on m0; any other error propagates.
-    With the oracle check on, a converged value off the labelled
-    eigenvalue (_reconcile) flags a regime mismatch.
+    The root is returned as solved: only _reconcile meets the oracle.
     """
     m0 = tuple(m0)
     solver = ReducedSolver(problem, S, k, [m0])
@@ -178,13 +175,10 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float,
             raise ConvergenceError(
                 f"fixed point diverged at k={k}, m0={m0} and the labelled dense "
                 "eigenvector does not concentrate on m0 (regime mismatch)")
-        return EigenRecord(float(E), "dense_fallback", solver, 0.0, vecs[:, 0] / weight)
-
-    rec = EigenRecord(float(E), "nonresonant", solver)
-    if oracle_check:
-        (gap,) = _reconcile([rec], f"fixed point at k={k}, m0={m0}")
-        rec = replace(rec, oracle_gap=float(gap))
-    return rec
+        phi = vecs[:, 0] / weight
+        phi[solver.piv[0]] = 1.0
+        return EigenRecord(float(E), "dense_fallback", solver, phi)
+    return EigenRecord(float(E), "nonresonant", solver)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +218,8 @@ def pair_branch(solver: ReducedSolver, sign: float) -> EigenRecord:
     The root is a fixed point of the effective 2x2 matrix
     M(E) = [[v+ + Q+(E), G(E)], [conj G(E), v- + Q-(E)]], v+- the solver's
     pivot diagonals: E+ is the larger eigenvalue of M(E+) and E- the
-    smaller of M(E-), which are exactly the roots of chi(E) = det(E - M(E)).  Each step reads Q+, Q- and G from one
+    smaller of M(E-), which are exactly the roots of
+    chi(E) = det(E - M(E)).  Each step reads Q+, Q- and G from one
     solver.block(E).  |dM/dE| = O(eps), so the iteration contracts in a
     few steps from the pivots' mean diagonal.  The step is symmetric in
     the two pivots, so their order does not matter; when v+ + Q+ equals
@@ -257,12 +252,12 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm):
 
     Both branches are solved by pair_branch on one solver, so they share
     its solves, and reconciled with the oracle by _reconcile, as gap
-    edges are; the records carry those oracle gaps.  No pair-window check
+    edges are; the records are returned as solved.  No pair-window check
     runs: the oracle is the stronger one.
     """
     minus, plus = roots = _pair_roots(problem, S, k, [mp, mm])
-    gap_minus, gap_plus = map(float, _reconcile(roots, f"pair roots at k={k}"))
-    return replace(plus, oracle_gap=gap_plus), replace(minus, oracle_gap=gap_minus)
+    _reconcile(roots, f"pair roots at k={k}")
+    return plus, minus
 
 
 def _truncation_residual(problem: Problem, roots) -> float:
@@ -406,7 +401,7 @@ def band(problem: Problem, k_grid, S_builder):
         m = next((m for m, km in res_points if abs(k - km) < window), None)
         try:
             if m is None:
-                rec = eigen_simple(problem, zero, S, k, oracle_check=False)
+                rec = eigen_simple(problem, zero, S, k)
             else:
                 if m not in S:
                     raise RegimeError(f"pair window of k_{m} at k={k}: "

@@ -126,8 +126,8 @@ def test_acceptance_4_symmetry_suite(generic_problem, harmonic_problem):
     grid = np.linspace(0.05, 0.45, 81)
     worst_E = worst_phi = 0.0
     for k in grid:
-        plus = eigen_simple(generic_problem, (0, 0), host, float(k), oracle_check=False)
-        minus = eigen_simple(generic_problem, (0, 0), mirror, float(-k), oracle_check=False)
+        plus = eigen_simple(generic_problem, (0, 0), host, float(k))
+        minus = eigen_simple(generic_problem, (0, 0), mirror, float(-k))
         worst_E = max(worst_E, abs(plus.E - minus.E))
         mirrored = [minus.sites.index(tuple(-c for c in n)) for n in plus.sites]
         worst_phi = max(worst_phi,
@@ -162,8 +162,7 @@ def test_acceptance_4_symmetry_suite(generic_problem, harmonic_problem):
 def test_acceptance_5_eigenvector_decay(generic_problem, harmonic_problem):
     failures = []
     for k in (0.11, 0.22, 0.41):
-        rec = eigen_simple(generic_problem, (0, 0), ball(6, 2), k,
-                           oracle_check=False)
+        rec = eigen_simple(generic_problem, (0, 0), ball(6, 2), k)
         ok, worst = decay_envelope(generic_problem, rec)
         if not ok:
             failures.append(f"simple branch at k={k}: ratio {worst:.3g}")

@@ -62,11 +62,6 @@ ALLOWED = {
     # unit tests run it on valid profiles with ambient = host.
     "is_admissible",
     "_pair_ok",
-    # Always False in src/: a constant True would add a full eigh to every
-    # band point (6.9 ms against a 3.3 ms route, ROADMAP item 8), and
-    # deleting it would turn the oracle off.  ROADMAP items 8 and 13 retire
-    # it.
-    "eigen_simple.oracle_check",
 }
 
 

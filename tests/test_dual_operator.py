@@ -124,23 +124,15 @@ def test_dense_spectrum_zero_potential(zero_problem):
 
 
 def test_dense_spectrum_bad_residual_is_typed(generic_problem, monkeypatch):
-    eigh = np.linalg.eigh
+    # the full spectrum goes through the same heevr call and residual check
+    heevr = dual_operator._heevr
 
-    def off_by_a_bit(H):
-        evals, evecs = eigh(H)
-        return evals + 1e-6, evecs
+    def off_by_a_bit(H, **kwargs):
+        evals, *rest = heevr(H, **kwargs)
+        return (evals + 1e-6, *rest)
 
-    monkeypatch.setattr(np.linalg, "eigh", off_by_a_bit)
-    with pytest.raises(ReconciliationError):
-        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29))
-
-
-def test_dense_spectrum_eigensolver_failure_is_typed(generic_problem, monkeypatch):
-    def fails(H):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", fails)
-    with pytest.raises(ConvergenceError):
+    monkeypatch.setattr(dual_operator, "_heevr", off_by_a_bit)
+    with pytest.raises(ReconciliationError, match="residual"):
         dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29))
 
 
@@ -206,17 +198,8 @@ def test_windowed_oracle_bad_residual_is_typed(generic_problem, monkeypatch):
         return (evals + 1e-6, *rest)
 
     monkeypatch.setattr(dual_operator, "_heevr", off_by_a_bit)
-    with pytest.raises(ReconciliationError):
+    with pytest.raises(ReconciliationError, match="residual"):
         dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), range(3, 5))
-
-
-def test_windowed_oracle_eigensolver_failure_is_typed(generic_problem, monkeypatch):
-    def fails(H, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(dual_operator, "_heevr", fails)
-    with pytest.raises(ConvergenceError):
-        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), range(0, 2))
 
 
 def test_windowed_oracle_lapack_info_is_typed(generic_problem, monkeypatch):
@@ -228,8 +211,9 @@ def test_windowed_oracle_lapack_info_is_typed(generic_problem, monkeypatch):
         return (*out, 1)
 
     monkeypatch.setattr(dual_operator, "_heevr", internal_error)
-    with pytest.raises(ConvergenceError, match="info 1"):
-        dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), range(0, 2))
+    for ranks in (range(0, 2), None):
+        with pytest.raises(ConvergenceError, match="info 1"):
+            dense_spectrum(restrict(generic_problem, ball(2, 2), 0.29), ranks)
 
 
 @pytest.mark.parametrize("potential", ["golden", "random"])

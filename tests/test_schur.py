@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qpspec import spectral
 from qpspec.dual_operator import diagonal_value
 from qpspec.errors import SingularBlockError
 from qpspec.inverse import recovered_bound
@@ -89,7 +90,7 @@ def test_f_two_site_magnitude(golden_freq):
 
 def test_assembled_phi_residual(generic_problem):
     # phi(m0) = 1, phi(n) = -F(n) kills the residual when E solves E = v + Q
-    rec = eigen_simple(generic_problem, (0, 0), ball(3, 2), 0.22, oracle_check=False)
+    rec = eigen_simple(generic_problem, (0, 0), ball(3, 2), 0.22)
     assert rec.residual <= 1e-12
 
 
@@ -123,8 +124,7 @@ def test_q_derivative_bounds(generic_problem):
 def test_eigenvalue_stays_within_eps_of_diagonal(generic_problem):
     eps = generic_problem.potential.epsilon
     for k in (0.13, 0.29):
-        rec = eigen_simple(generic_problem, (0, 0), ball(4, 2), k,
-                           oracle_check=False)
+        rec = eigen_simple(generic_problem, (0, 0), ball(4, 2), k)
         v0 = diagonal_value(generic_problem, (0, 0), k)
         assert 0 < abs(rec.E - v0) < eps
 
@@ -178,6 +178,7 @@ def test_eigen_simple_on_one_site(generic_problem):
     zero, k = (0, 0), 0.22
     rec = eigen_simple(generic_problem, zero, SiteSet([zero]), k)
     assert rec.E == diagonal_value(generic_problem, zero, k)
+    assert spectral._reconcile([rec], "one-site root") == pytest.approx([0.0], abs=1e-12)
 
 
 def test_near_block_unexpected_error_propagates(generic_problem, monkeypatch):

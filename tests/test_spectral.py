@@ -27,7 +27,7 @@ GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golde
 
 
 def test_eigen_simple_zero_potential(zero_problem):
-    rec = eigen_simple(zero_problem, (0, 0), ball(2, 2), 0.3, oracle_check=False)
+    rec = eigen_simple(zero_problem, (0, 0), ball(2, 2), 0.3)
     assert rec.E == pytest.approx(TWO_PI_SQ * 0.09, rel=1e-14)
     i0 = rec.sites.index((0, 0))
     assert rec.phi[i0] == 1.0
@@ -39,7 +39,7 @@ def test_eigen_simple_two_site_quadratic(golden_freq):
     prob = Problem(golden_freq, pot)
     S = SiteSet([(0, 0), (0, 1)])
     k = 0.2
-    rec = eigen_simple(prob, (0, 0), S, k, oracle_check=False)
+    rec = eigen_simple(prob, (0, 0), S, k)
     v0 = diagonal_value(prob, (0, 0), k)
     v1 = diagonal_value(prob, (0, 1), k)
     c = abs(pot.c((0, 1)))
@@ -51,7 +51,8 @@ def test_eigen_simple_two_site_quadratic(golden_freq):
 
 def test_eigen_simple_matches_oracle(generic_problem):
     rec = eigen_simple(generic_problem, (0, 0), ball(4, 2), 0.22)
-    assert rec.oracle_gap <= 1e-9 * max(1.0, abs(rec.E))
+    (gap,) = spectral._reconcile([rec], "simple root")
+    assert gap <= 1e-9 * max(1.0, abs(rec.E))
     assert rec.residual <= 1e-11
 
 
@@ -157,10 +158,8 @@ def test_band_zero_potential(zero_problem):
 def test_band_symmetry_and_monotonicity(generic_problem):
     host = ball(5, 2)
     grid = np.linspace(0.05, 0.45, 21)
-    E_plus = [eigen_simple(generic_problem, (0, 0), host, float(k),
-                           oracle_check=False).E for k in grid]
-    E_minus = [eigen_simple(generic_problem, (0, 0), host.reflect(), float(-k),
-                            oracle_check=False).E for k in grid]
+    E_plus = [eigen_simple(generic_problem, (0, 0), host, float(k)).E for k in grid]
+    E_minus = [eigen_simple(generic_problem, (0, 0), host.reflect(), float(-k)).E for k in grid]
     assert max(abs(a - b) for a, b in zip(E_plus, E_minus)) <= 1e-11
     assert all(b > a for a, b in zip(E_plus, E_plus[1:]))
 
@@ -168,8 +167,8 @@ def test_band_symmetry_and_monotonicity(generic_problem):
 def test_phi_conjugate_symmetry(generic_problem):
     host = ball(4, 2)
     k = 0.2088
-    plus = eigen_simple(generic_problem, (0, 0), host, k, oracle_check=False)
-    minus = eigen_simple(generic_problem, (0, 0), host.reflect(), -k, oracle_check=False)
+    plus = eigen_simple(generic_problem, (0, 0), host, k)
+    minus = eigen_simple(generic_problem, (0, 0), host.reflect(), -k)
     mirrored = [minus.sites.index(tuple(-c for c in n)) for n in plus.sites]
     worst = np.max(np.abs(minus.phi[mirrored] - np.conj(plus.phi)))
     assert worst <= 1e-11
@@ -200,8 +199,7 @@ def test_splitting_growth(harmonic_problem):
 
 
 def test_eigenvector_decay_envelope(generic_problem):
-    rec = eigen_simple(generic_problem, (0, 0), ball(5, 2), 0.22,
-                       oracle_check=False)
+    rec = eigen_simple(generic_problem, (0, 0), ball(5, 2), 0.22)
     ok, worst = decay_envelope(generic_problem, rec)
     assert ok, f"decay ratio {worst}"
 
@@ -305,7 +303,7 @@ def test_dense_fallback_returns_the_labelled_eigenpair(golden_freq, monkeypatch)
     assert np.count_nonzero(v < v[S.index((0, 0))]) == 2
     assert rec.E == pytest.approx(evals[2], rel=1e-12)
     assert rec.E == pytest.approx(3.76965214741, abs=1e-10)
-    assert rec.phi[S.index((0, 0))] == pytest.approx(1.0, abs=1e-15)
+    assert rec.phi[S.index((0, 0))] == 1.0
     assert np.max(np.abs(H @ rec.phi - rec.E * rec.phi)) <= 1e-10 * np.max(np.abs(H))
 
 
@@ -405,6 +403,28 @@ def test_band_pair_partner_outside_the_host_is_an_error_row():
     assert str(m) in p.error and "host" in p.error
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: at exactly k_n, |n| >= 4, v(n) == v(0) "
+                   "makes E - H_rest singular and band prints an error row")
+def test_band_at_a_high_order_resonance_point_is_the_labelled_eigenvalue():
+    # the golden potential on host ball(8): every label 4 <= |n| <= 8 with
+    # |k_n| <= 1/2 (12 of them) lies outside band's pair table, so band
+    # solves k_n by eigen_simple; the point must be eigenvalue
+    # i(k) = #{n in S : v(n) < v(0)} of H on the host
+    problem = build_problem(load_config(GOLDEN_CONFIG))
+    host = ball(8, 2)
+    labels = [n for n in host if sum(map(abs, n)) >= 4
+              and abs(k_point(problem.frequency, n)) <= 0.5]
+    assert len(labels) == 12
+    points = band(problem, [k_point(problem.frequency, n) for n in labels], lambda k: host)
+    for n, p in zip(labels, points):
+        H = restrict(problem, host, p.k).entries
+        v = H.diagonal().real
+        v0 = v[host.index((0, 0))]
+        assert v[host.index(n)] == v0
+        want = np.linalg.eigvalsh(H)[np.count_nonzero(v < v0)]
+        assert abs(p.E - want) <= spectral.RECONCILE_TOL * max(1.0, abs(v0)), (n, p.error)
+
+
 def test_gap_record_carries_forward_bound(generic_problem):
     rec = gap_at(generic_problem, (0, 1), 5)
     pot = generic_problem.potential
@@ -435,7 +455,7 @@ def test_eigen_simple_dense_fallback_near_resonance(golden_freq):
     n0 = (0, 1)
     k = k_point(golden_freq, n0)
     S = paired_box(prob, n0, 4)
-    rec = eigen_simple(prob, (0, 0), S, k, oracle_check=False)
+    rec = eigen_simple(prob, (0, 0), S, k)
     assert rec.regime in ("nonresonant", "dense_fallback")
     assert rec.residual <= 1e-9
 
@@ -447,7 +467,7 @@ def test_eigen_simple_propagates_unexpected_errors(generic_problem, monkeypatch)
 
     monkeypatch.setattr(ReducedSolver, "q", broken)
     with pytest.raises(TypeError):
-        eigen_simple(generic_problem, (0, 0), ball(3, 2), 0.22, oracle_check=False)
+        eigen_simple(generic_problem, (0, 0), ball(3, 2), 0.22)
 
 
 def test_band_propagates_unexpected_errors(zero_problem, monkeypatch):
@@ -483,32 +503,42 @@ def test_eigen_pair_matches_dense_through_resonance(generic_problem):
         assert Ep == pytest.approx(want[1], rel=1e-12)
 
 
-@pytest.mark.parametrize("route", ["eigen_pair", "gap_at"])
+@pytest.mark.parametrize("route", ["eigen_simple", "eigen_pair", "gap_at"])
 def test_pair_root_off_by_the_tolerance_is_a_reconciliation_error(harmonic_problem,
                                                                   monkeypatch, route):
-    # one oracle rule for both paired routes: a plus root placed just past
-    # tol = 1e-9 * max(1, |pivots' mean diagonal|) from the labelled oracle
-    # eigenvalue is rejected, and one placed just inside is accepted
+    # one oracle rule for every route: a root (the plus root of a pair)
+    # placed just past tol = 1e-9 * max(1, |pivots' mean diagonal|) from its
+    # labelled oracle eigenvalue is rejected by _reconcile, and one placed
+    # just inside is accepted with that deviation
     n0 = (0, 1)
-    k = k_point(harmonic_problem.frequency, n0) + (2e-5 if route == "eigen_pair" else 0.0)
+    k = k_point(harmonic_problem.frequency, n0) + (0.0 if route == "gap_at" else 2e-5)
     S = paired_box(harmonic_problem, n0, 5)
-    solver = ReducedSolver(harmonic_problem, S, k, [(0, 0), n0])
-    (_, oracle_plus), _ = spectral._labelled(solver, 2)
+    pivots = [(0, 0)] if route == "eigen_simple" else [(0, 0), n0]
+    solver = ReducedSolver(harmonic_problem, S, k, pivots)
+    oracle = spectral._labelled(solver, len(pivots))[0][-1]
     tol = spectral.RECONCILE_TOL * max(1.0, abs(np.mean(solver.v)))
     pair_branch = spectral.pair_branch
 
     def solve():
+        if route == "eigen_simple":
+            rec = eigen_simple(harmonic_problem, (0, 0), S, k)
+            return spectral._reconcile([rec], "simple root")[0]
         if route == "eigen_pair":
-            plus, _ = eigen_pair(harmonic_problem, S, k, (0, 0), n0)
-            return plus.oracle_gap
+            plus, minus = eigen_pair(harmonic_problem, S, k, (0, 0), n0)
+            return spectral._reconcile([minus, plus], "pair roots")[1]
         return gap_at(harmonic_problem, n0, 5).reconcile_dev
 
     for factor in (1.0 + 1e-6, 1.0 - 1e-6):
+        E = oracle + factor * tol
+
         def placed(solver, sign):
             rec = pair_branch(solver, sign)
-            return rec if sign < 0 else replace(rec, E=oracle_plus + factor * tol)
+            return rec if sign < 0 else replace(rec, E=E)
 
-        monkeypatch.setattr(spectral, "pair_branch", placed)
+        if route == "eigen_simple":
+            monkeypatch.setattr(spectral, "_fixed_point", lambda step, E0, scale: E)
+        else:
+            monkeypatch.setattr(spectral, "pair_branch", placed)
         if factor > 1.0:
             with pytest.raises(ReconciliationError, match="off the dense oracle"):
                 solve()
@@ -528,7 +558,7 @@ def test_eigen_pair_at_k_m_returns_the_gap_edges(golden_freq):
     rec = gap_at(prob, n0, 4)
     plus, minus = eigen_pair(prob, S, rec.k_point, (0, 0), n0)
     assert (minus.E, plus.E) == (rec.E_minus, rec.E_plus)
-    assert max(minus.oracle_gap, plus.oracle_gap) == rec.reconcile_dev
+    assert np.max(spectral._reconcile([minus, plus], "pair roots")) == rec.reconcile_dev
 
 
 def _limit_edges(problem, n0, S):
@@ -574,7 +604,8 @@ def test_three_dimensional_eigen_solve():
     pot = Potential.from_harmonics({(0, 1, 0): 0.5, (0, 0, 1): 0.3j}, 1e-4, 0.5)
     prob = Problem(freq, pot)
     rec = eigen_simple(prob, (0, 0, 0), ball(2, 3), 0.21)
-    assert rec.oracle_gap <= 1e-9 * max(1.0, abs(rec.E))
+    (gap,) = spectral._reconcile([rec], "simple root")
+    assert gap <= 1e-9 * max(1.0, abs(rec.E))
     assert rec.residual <= 1e-11
 
 
@@ -652,7 +683,7 @@ def test_eigenvectors_are_built_only_when_read(monkeypatch):
     assert [p.E for p in got] == [p.E for p in want]
     pair = eigen_pair(problem, S, k, (0, 0), n0)
     assert [r.E for r in pair] == pair_want
-    simple = eigen_simple(problem, (0, 0), host, 0.07, oracle_check=False)
+    simple = eigen_simple(problem, (0, 0), host, 0.07)
     for rec in (*pair, simple):
         with pytest.raises(AssertionError, match="not read"):
             rec.phi
@@ -898,6 +929,7 @@ def test_the_labelled_rank_is_the_nearest_pair_and_the_largest_overlap(nu, seed,
     if np.sort(np.abs(v - v0))[1] <= 1e-9 * max(1.0, abs(v0)):
         return   # k = k_m on the host: the two split states weigh 1/sqrt(2) each on 0
     rec = eigen_simple(prob, zero, host, k)
+    spectral._reconcile([rec], "simple root")
     evals, evecs = np.linalg.eigh(rec.solver.full.entries)
     overlap = evals[np.argmax(np.abs(evecs[rec.solver.piv[0]]))]
     (ranked,), _ = spectral._labelled(rec.solver, 1)

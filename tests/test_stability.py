@@ -39,8 +39,7 @@ def test_q_stabilizes_exponentially_in_radius(generic_problem):
 
 def test_eigenvalue_stabilizes_in_radius(generic_problem):
     k = 0.2088
-    energies = [eigen_simple(generic_problem, (0, 0), ball(R, 2), k,
-                             oracle_check=False).E for R in (3, 4, 5, 6)]
+    energies = [eigen_simple(generic_problem, (0, 0), ball(R, 2), k).E for R in (3, 4, 5, 6)]
     devs = [abs(e - energies[-1]) for e in energies[:-1]]
     assert all(b <= a for a, b in zip(devs, devs[1:]))
     assert devs[0] <= generic_problem.potential.epsilon ** 2
@@ -48,10 +47,8 @@ def test_eigenvalue_stabilizes_in_radius(generic_problem):
 
 def test_eigenvector_stabilizes_in_radius(generic_problem):
     k = 0.2088
-    small = eigen_simple(generic_problem, (0, 0), ball(4, 2), k,
-                         oracle_check=False)
-    large = eigen_simple(generic_problem, (0, 0), ball(6, 2), k,
-                         oracle_check=False)
+    small = eigen_simple(generic_problem, (0, 0), ball(4, 2), k)
+    large = eigen_simple(generic_problem, (0, 0), ball(6, 2), k)
     same = [large.sites.index(n) for n in small.sites]
     worst = np.max(np.abs(large.phi[same] - small.phi))
     assert worst <= generic_problem.potential.epsilon ** 2
@@ -108,8 +105,8 @@ def test_band_lipschitz_in_k(generic_problem):
     # |E(k1) - E(k)| < 3 |k - k1| in normalized units
     host = ball(5, 2)
     ks = np.linspace(0.1, 0.4, 13)
-    energies = [eigen_simple(generic_problem, (0, 0), host, float(k),
-                             oracle_check=False).E / NORMALIZED_SCALE for k in ks]
+    energies = [eigen_simple(generic_problem, (0, 0), host, float(k)).E / NORMALIZED_SCALE
+                for k in ks]
     for (k1, e1), (k2, e2) in zip(zip(ks, energies), zip(ks[1:], energies[1:])):
         assert abs(e2 - e1) < 3.0 * abs(k2 - k1)
 
@@ -121,10 +118,8 @@ def test_band_derivative_tracks_free_parabola(generic_problem):
     k = 0.27
     lam = 256.0
     eps = generic_problem.potential.epsilon
-    up = eigen_simple(generic_problem, (0, 0), host, k + h,
-                      oracle_check=False).E / NORMALIZED_SCALE
-    dn = eigen_simple(generic_problem, (0, 0), host, k - h,
-                      oracle_check=False).E / NORMALIZED_SCALE
+    up = eigen_simple(generic_problem, (0, 0), host, k + h).E / NORMALIZED_SCALE
+    dn = eigen_simple(generic_problem, (0, 0), host, k - h).E / NORMALIZED_SCALE
     dE = (up - dn) / (2 * h)
     assert abs(dE - 2.0 * k / lam) <= math.sqrt(eps)
 
@@ -135,10 +130,8 @@ def test_band_increment_upper_bound(generic_problem):
     lam = 256.0
     eps = generic_problem.potential.epsilon
     k1, k2 = 0.15, 0.30
-    e1 = eigen_simple(generic_problem, (0, 0), host, k1,
-                      oracle_check=False).E / NORMALIZED_SCALE
-    e2 = eigen_simple(generic_problem, (0, 0), host, k2,
-                      oracle_check=False).E / NORMALIZED_SCALE
+    e1 = eigen_simple(generic_problem, (0, 0), host, k1).E / NORMALIZED_SCALE
+    e2 = eigen_simple(generic_problem, (0, 0), host, k2).E / NORMALIZED_SCALE
     assert e2 - e1 < (2.0 * k2 / lam) * (k2 - k1) + eps
     assert e2 - e1 > 0
 
@@ -150,10 +143,8 @@ def test_eigenvalue_shift_conjugation(generic_problem):
     k = 0.17
     for shift in ((1, 0), (0, 1), (1, -1)):
         k_shifted = k + generic_problem.frequency.dot(shift)
-        base = eigen_simple(generic_problem, (0, 0), host, k_shifted,
-                            oracle_check=False)
-        moved = eigen_simple(generic_problem, shift, host.translate(shift), k,
-                             oracle_check=False)
+        base = eigen_simple(generic_problem, (0, 0), host, k_shifted)
+        moved = eigen_simple(generic_problem, shift, host.translate(shift), k)
         assert abs(base.E - moved.E) <= 1e-9 * max(1.0, abs(base.E))
         # eigenvector transported by the shift
         shifted = [moved.sites.index(tuple(a + b for a, b in zip(n, shift)))
