@@ -4,6 +4,9 @@ Entries:  h(m,n;k) = (2 pi)^2 (m.omega + k)^2 on the diagonal,
           eps * c0(n-m) off the diagonal.
 The paper's normalized matrix is H_k / (lambda (2 pi)^2) with lambda = 256
 gamma; every quantity here is in the raw units above.
+
+The dense oracle, dense_spectrum, fetches LAPACK heevr from scipy on its
+first call; the rest of the module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ConvergenceError, ReconciliationError, SiteBudgetError
 from .lattice import SiteSet
@@ -174,7 +176,8 @@ def dense_spectrum(M: DualMatrix, ranks: range = None):
     `ranks` is a range of eigenvalue ranks (0 the smallest), every rank
     when None.  Those eigenpairs come from one call of LAPACK heevr with
     range "I", the call scipy's eigh(subset_by_index=..., driver="evr")
-    makes, without its wrapper and with the workspace queried once per n.
+    makes, without its wrapper and with the workspace queried once per n;
+    both routines are fetched from scipy on the first call.
     The residual ||M phi - E phi|| of every returned pair is checked
     against ORACLE_RESIDUAL_TOL * max(1, max |H_ii|), a scale no larger
     than ||M||_2; this is the oracle every spectral claim is compared
@@ -198,11 +201,20 @@ def dense_spectrum(M: DualMatrix, ranks: range = None):
     return evals, evecs
 
 
-_heevr, _heevr_lwork = get_lapack_funcs(("heevr", "heevr_lwork"), dtype=complex)
+@lru_cache(maxsize=1)
+def _lapack():
+    """(heevr, heevr_lwork) for complex matrices, fetched on the oracle's
+    first call, so a process that never calls it never imports scipy."""
+    from scipy.linalg.lapack import get_lapack_funcs
+    return get_lapack_funcs(("heevr", "heevr_lwork"), dtype=complex)
+
+
+def _heevr(H, **kwargs):
+    return _lapack()[0](H, **kwargs)
 
 
 @lru_cache(maxsize=None)
 def _heevr_work(n: int) -> dict:
     """heevr's optimal workspace sizes for order n, as eigh queries them."""
-    *work, _ = _heevr_lwork(n, lower=1)
+    *work, _ = _lapack()[1](n, lower=1)
     return dict(zip(("lwork", "lrwork", "liwork"), (int(x.real) for x in work)))

@@ -1,7 +1,8 @@
 """Every public name under src/qpspec has a caller, every function runs,
 every defaulted parameter is passed and varies, every key of the CLI's
 config table is read, every name the benchmark's tracer binds exists, and
-only dual_operator, for LAPACK heevr, imports scipy.
+only dual_operator, for LAPACK heevr, imports scipy: on the oracle's first
+call, never at module level.
 
 A function, class, method, property or option that only tests use is dead
 weight: it is named or set somewhere in the package outside its own
@@ -447,31 +448,48 @@ def test_runtime_guard_flags_planted_cases(tmp_path):
         "called.<locals>.inner_uncalled", "uncalled", "cached_uncalled", "Box.uncalled"]
 
 
-def scipy_importers(files) -> list:
-    """The stem of each file in `files` that imports scipy or a submodule."""
+def scipy_imports(files) -> list:
+    """(stem, scope) for each import of scipy or a submodule in `files`:
+    scope is the name of the innermost def around it, None at module level
+    (inside an if, a try or a class body too: those run on import)."""
     def imports_scipy(node):
         if isinstance(node, ast.Import):
             return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
         return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
 
-    return [file.stem for file in files
-            if any(map(imports_scipy, ast.walk(ast.parse(file.read_text()))))]
+    def visit(node, scope):
+        if imports_scipy(node):
+            yield scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return [(file.stem, scope) for file in files
+            for scope in visit(ast.parse(file.read_text()), None)]
 
 
 def test_only_the_oracle_imports_scipy():
-    # dual_operator's windowed oracle calls LAPACK heevr; every other module
-    # runs on numpy alone, so no second LAPACK path comes back unnoticed
-    assert scipy_importers(sorted(SRC.glob("*.py"))) == ["dual_operator"]
+    # scipy is imported only inside dual_operator's _lapack, on the oracle's
+    # first call, so a process that never calls the oracle never loads it;
+    # every other module runs on numpy alone, so no second LAPACK path, and
+    # no module-level scipy import, comes back unnoticed
+    assert scipy_imports(sorted(SRC.glob("*.py"))) == [("dual_operator", "_lapack")]
 
 
 def test_scipy_guard_flags_planted_cases(tmp_path):
     planted = {"plain": "import scipy\n", "dotted": "import numpy, scipy.linalg as sla\n",
+               "guarded": "try:\n    from scipy import linalg\nexcept ImportError:\n    pass\n",
+               "in_class": "class C:\n    import scipy.linalg\n",
                "lazy": "def f():\n    from scipy.linalg import lu_factor\n",
+               "nested": "class C:\n    def m(self):\n        def g():\n"
+                         "            import scipy\n",
                "clean": "import numpy\nfrom .scipyish import x\n"}
     for stem, text in planted.items():
         (tmp_path / f"{stem}.py").write_text(text)
     files = [tmp_path / f"{stem}.py" for stem in planted]
-    assert scipy_importers(files) == ["plain", "dotted", "lazy"]
+    assert scipy_imports(files) == [("plain", None), ("dotted", None), ("guarded", None),
+                                    ("in_class", None), ("lazy", "f"), ("nested", "g")]
 
 
 def test_every_config_key_is_read():

@@ -308,6 +308,20 @@ def test_cli_entrypoint_runs(tmp_path):
     assert proc.returncode == 0
 
 
+# only the commands that call the dense oracle import scipy, on its first
+# call; gaps is the control, so the probe cannot pass vacuously
+@pytest.mark.parametrize("command, loads_scipy", [
+    ("validate", False), ("band", False), ("geometry", False), ("traj-bound", False),
+    ("gaps", True)])
+def test_only_oracle_commands_import_scipy(tmp_path, command, loads_scipy):
+    args = [command, "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]
+    probe = ("import sys\nfrom qpspec.cli import main\n"
+             f"rc = main({args!r})\nprint(rc, 'scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}", proc.stderr
+
+
 def test_regime_flags_are_gone(tmp_path):
     for flag in ("--desk", "--faithful"):
         with pytest.raises(SystemExit) as exc:
