@@ -16,8 +16,8 @@ from .mssets import is_correct_word, max_correct_length
 from .model import Problem, build_ladder
 from .resonance import k_point
 from .schur import ReducedSolver
-from .spectral import (FIXED_POINT_TOL, _pair_windows, eigen_pair,
-                       eigen_simple, feynman_derivative, gap_at, paired_box, sized_gap)
+from .spectral import (FIXED_POINT_TOL, eigen_pair, eigen_simple, feynman_derivative,
+                       gap_at, paired_box, sized_gap)
 from .trajectories import WeightProfile, closed_bound, sum_enumerate
 
 
@@ -128,8 +128,9 @@ def _reduced_oracle(problem: Problem, seed: int) -> CheckResult:
 
     On the lowest harmonic's paired box near k_{n0}, with pivots (0, n0),
     the inverse of E - (diag v + [[Q+, G], [G*, Q-]]) must be the pivot
-    block of the dense (E - H)^-1: at E midway between the pivot diagonals
-    and at E above the Gershgorin bound of H, both taken from H alone.
+    block of the dense (E - H)^-1: at E midway between the pivot diagonals,
+    at E 10 r (r the host's row sum) above the reduced diagonal nearest it,
+    a near site, and above the Gershgorin bound of H, all taken from H alone.
     """
     n0 = _lowest_harmonic(problem)
     if n0 is None:
@@ -140,8 +141,10 @@ def _reduced_oracle(problem: Problem, seed: int) -> CheckResult:
     H, idx, v = solver.full.entries, solver.piv, solver.v
     n = len(H)
     top = float(np.max(np.abs(H).sum(axis=1) - np.abs(H.diagonal()) + H.diagonal().real))
+    rest = solver.diag.take(solver.rest)
+    near = float(rest[np.argmin(np.abs(rest - np.mean(v)))]) + 10.0 * solver.row_sum
     worst = 0.0
-    for E in (float(np.mean(v)), top + 1.0):
+    for E in (float(np.mean(v)), near, top + 1.0):
         g = solver.g(zero, n0, E)
         pivot = np.array([[E - v[0] - solver.q(zero, E), -g],
                           [-np.conj(g), E - v[1] - solver.q(n0, E)]])
@@ -167,8 +170,11 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
 
     A level-1 node with leaves a1 = v+ + Q+, a2 = v- + Q- and b = |G| on
     the pivots (0, n0) near k_{n0}; its roots, found by the convex root
-    finder in windows taken from H alone, must be eigen_pair's roots and
-    satisfy the separation and sandwich lemmas.
+    finder in one window taken from H alone, must be eigen_pair's roots and
+    satisfy the separation and sandwich lemmas.  The window is the pivot
+    diagonals' span widened by 2r, r the host's row sum; a reduced diagonal
+    within r of it fails the check, as H_rest's spectrum must lie over r
+    from it (Gershgorin) for Q and G to hold both roots in it, pole-free.
     """
     n0 = _lowest_harmonic(problem)
     if n0 is None:
@@ -177,15 +183,19 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     S = paired_box(problem, n0, 5)
     k = k_point(problem.frequency, n0) + 1e-5
     solver = ReducedSolver(problem, S, k, [zero, n0])
+    r = solver.row_sum
+    lo, hi = min(solver.v) - 2.0 * r, max(solver.v) + 2.0 * r
+    foreign = solver.diag.take(solver.rest)
+    if np.any((foreign > lo - r) & (foreign < hi + r)):
+        return CheckResult("zeta-pair", False, "a reduced diagonal lies within r of the window")
     mp, mm, vp, vm = _ordered_pair(solver)
     node = CFNode(lambda u: vp + solver.q(mp, u).real,
                   lambda u: vm + solver.q(mm, u).real,
                   lambda u: abs(solver.g(mp, mm, u)))
-    roots = [r for window in _pair_windows(solver)
-             for r in zeta_roots(node, window)]
+    roots = zeta_roots(node, (lo, hi))
     if len(roots) != 2:
-        return CheckResult("zeta-pair", False, f"{len(roots)} roots in the pair windows")
-    zm, zp = sorted(roots)
+        return CheckResult("zeta-pair", False, f"{len(roots)} roots in the pair window")
+    zm, zp = roots
     E_plus, E_minus = (rec.E for rec in eigen_pair(problem, S, k, zero, n0))
     dev = max(abs(zp - E_plus) / max(1.0, abs(E_plus)),
               abs(zm - E_minus) / max(1.0, abs(E_minus)))

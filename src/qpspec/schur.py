@@ -15,7 +15,8 @@ theorem, with r, the host's largest off-diagonal row sum, which bounds
 ||B||_2 for the Hermitian coupling block B of H_rest, and the pivot floor
 PIVOT_RTOL max(1, max_n |E - v(n)|), n over the reduced set.  A site is
 near (in N) when |E - v(n)| - r is at or below the floor or
-r >= THETA_MAX |E - v(n)|, and far (in F) otherwise.  Far sites are
+r >= THETA_MAX |E - v(n)| (_near; at E = v(0) it names a band point's
+pivots, near_pivots), and far (in F) otherwise.  Far sites are
 summed by the Neumann series x <- K_D b + K_D B x, K_D = (E - D)^-1 over F
 and 0 elsewhere, D the diagonal: with theta = r / min_F |E - v(n)| <
 THETA_MAX its j-th iterate lies within theta^(j+1) / (1 - theta) ||K_D b||
@@ -54,6 +55,27 @@ THETA_MAX = 1e-3             # a site with r >= THETA_MAX |E - v(n)| is near
 UNIT_ROUNDOFF = 2.0 ** -53   # the series' certified truncation, relative
 
 
+def _near(gap, r: float, floor: float):
+    """The near test on distances |E - v(n)| (module docstring); monotone in
+    the distance, so no site is near when the nearest is not."""
+    return (gap - r <= floor) | (r >= THETA_MAX * gap)
+
+
+def near_pivots(problem: Problem, S: SiteSet, k: float, p0) -> list:
+    """p0, then each site of S, in S's order, that a solve on the pivot p0
+    alone keeps near at E = v(p0, k) (_near, with that solve's floor): the
+    sites whose diagonals lie within the coupling window of p0's."""
+    _, phases, r = host_block(problem, S)
+    diag = host_diagonal(phases, k)
+    i = S.index(p0)
+    gap = np.abs(diag[i] - diag)
+    floor = PIVOT_RTOL * max(1.0, float(gap.max()))   # gap[i] = 0 is not the max
+    gap[i] = np.inf
+    if not _near(float(gap.min()), r, floor):
+        return [tuple(p0)]
+    return [tuple(p0), *(S.sites[j] for j in np.flatnonzero(_near(gap, r, floor)))]
+
+
 def _neumann(x0: np.ndarray, step, theta: float) -> np.ndarray:
     """The fixed point of x = x0 + step(x), ||step||_2 <= theta < 1, to
     within theta^(j+1) / (1 - theta) ||x0|| <= 2^-53 ||x0|| after its j
@@ -80,7 +102,8 @@ class ReducedSolver:
     diagonal `diag` = H(n, n) over `sites` from k.  `piv` and `rest` are
     the pivots' and the reduced set's positions in `sites`, and `v` the
     pivots' diagonals, in pivot order: the routes read them here, so they
-    solve the matrix that the oracle checks.  `full`, that matrix as a
+    solve the matrix that the oracle checks; `row_sum` is the host's r.
+    `full`, that matrix as a
     DualMatrix, is built on first read, by its readers only: the oracle and
     the checks.
     """
@@ -88,7 +111,7 @@ class ReducedSolver:
     def __init__(self, problem: Problem, S: SiteSet, k: float, pivots):
         self.sites, self.k = S, k
         self.pivots = [tuple(p) for p in pivots]
-        couplings, phases, self._row_sum = host_block(problem, S)
+        couplings, phases, self.row_sum = host_block(problem, S)
         self._couplings = couplings   # read-only, shared with the memo
         self.diag = host_diagonal(phases, k)
         self._pos = {p: i for i, p in enumerate(self.pivots)}
@@ -105,8 +128,7 @@ class ReducedSolver:
         # h(n, p) and h(p, n) over the reduced set, one per pivot; h(p, p') off p = p'
         self._cols = np.asfortranarray(couplings[:, self.piv][self.rest])
         self._rows = list(np.conj(self._cols).T)
-        self._direct = [[0j if a == b else complex(couplings[a, b]) for b in self.piv]
-                        for a in self.piv]
+        self._direct = couplings[self.piv][:, self.piv].tolist()   # 0 on its diagonal
         self._solved = {}     # E -> K(E) C
 
     @cached_property
@@ -128,13 +150,12 @@ class ReducedSolver:
             return np.zeros(rhs.shape, dtype=complex)
         d = E - self.diag
         d[self.piv] = np.inf            # so that K_D = 1 / d is 0 at the pivots
-        gap, r = np.abs(d), self._row_sum
-        near = float(gap.min())
+        gap, r = np.abs(d), self.row_sum
+        nearest = float(gap.min())
         floor = PIVOT_RTOL * max(1.0, max(abs(E - v) for v in self._v_span))
-        if near - r > floor and r < THETA_MAX * near:
-            return self._diagonal_solve(1.0 / d, rhs, r / near)
-        N = np.flatnonzero((gap - r <= floor) | (r >= THETA_MAX * gap))
-        return self._near_solve(E, d, N, rhs, floor)
+        if not _near(nearest, r, floor):
+            return self._diagonal_solve(1.0 / d, rhs, r / nearest)
+        return self._near_solve(E, d, np.flatnonzero(_near(gap, r, floor)), rhs, floor)
 
     def _diagonal_solve(self, kd: np.ndarray, rhs: np.ndarray, theta: float) -> np.ndarray:
         """K(E) rhs from x0 = K_D rhs by x <- x0 + K_D B x, kd the diagonal
@@ -156,7 +177,7 @@ class ReducedSolver:
         d[N] = np.inf                       # K_D is 0 on N as well: the series runs on F
         cols = self._couplings.take(N, axis=1).take(self.rest, axis=0)   # H_.N
         b = np.hstack([rhs.reshape(len(rhs), w), cols])
-        Y = self._diagonal_solve(1.0 / d, b, self._row_sum / float(np.abs(d).min()))
+        Y = self._diagonal_solve(1.0 / d, b, self.row_sum / float(np.abs(d).min()))
         rows = cols.conj().T                # H_N.
         Z = rows @ Y                        # H_NF K_F [rhs_F | H_FN]
         lam, V = np.linalg.eigh(np.diag(dN) - rows[:, near] - Z[:, w:])   # S_N
@@ -174,13 +195,16 @@ class ReducedSolver:
             X = self._solved[E] = self.solve(E, self._cols)
         return X
 
-    def block(self, E: float) -> list:
-        """[[Q+, G], [G', Q-]] on the pivots, in their order, as rows of
-        complex: entry (i, j) is h(p_i, p_j) (0 if i = j) plus
-        sum h(p_i, m') K(m', n') h(n', p_j), K = (E - H_rest)^-1.  Every
-        pivot's column is solved at once, once per energy, and each sum is
-        one column dot, so G' is conj G only up to rounding."""
+    def block(self, E: float):
+        """[[Q+, G], [G', Q-]] on the pivots, in their order: entry (i, j)
+        is h(p_i, p_j) (0 if i = j) plus sum h(p_i, m') K(m', n') h(n', p_j),
+        K = (E - H_rest)^-1, so G' is conj G only up to rounding.  Every
+        pivot's column is solved at once, once per energy.  On one or two
+        pivots it is rows of complex, each sum one column dot, which the
+        closed-form steps read; on more, one array from one product."""
         X = self._coupling_solve(E)
+        if len(self.piv) > 2:
+            return self._couplings[self.piv][:, self.piv] + self._cols.conj().T @ X
         return [[d + complex(row @ x) for d, x in zip(direct, X.T)]
                 for direct, row in zip(self._direct, self._rows)]
 

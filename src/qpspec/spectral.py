@@ -1,14 +1,13 @@
 """Eigenvalues, gap edges and band functions for the dual matrices.
 
-The non-resonant branch solves the scalar fixed point E = v(m0) + Q(E).
-The paired branch, pair_branch, is the one paired solve: it takes the
-fixed points E = lambda_max / lambda_min of the effective 2x2 matrix at E,
-the roots of chi(E) = (E - v+ - Q+)(E - v- - Q-) - |G|^2, reading Q+, Q-
-and G from one Schur-block solve per energy.  Every route reads the pivot
-diagonals v, the pivot positions and the Schur block from its
-ReducedSolver, so it solves the matrix the oracle checks, and every record
-keeps that solver.  The gap edges at k_{n0} are its two roots on the
-pivots (0, n0), where v(0) = v(n0) and the step is
+Every route is one fixed point on one ReducedSolver, E = lambda_j(M(E)),
+eigenvalue j of the pivot matrix M(E) = diag v + block(E) (branch): on one
+pivot E = v(m0) + Q(E), on two the roots of
+chi(E) = (E - v+ - Q+)(E - v- - Q-) - |G|^2, on more eigvalsh.  Every
+route reads the pivot diagonals v, the pivot positions and the Schur block
+from its solver, so it solves the matrix the oracle checks, and every
+record keeps that solver.  The gap edges at k_{n0} are the two roots on
+the pivots (0, n0), where v(0) = v(n0) and the step is
 E = v(0, k_{n0}) + Q(E) -+ |G(E)|.  One loop solves them: on the first
 paired box S of a list of radii whose truncation residual r (the edge
 eigenvectors' residual padded with zeros onto S' = S plus its coupling
@@ -20,12 +19,11 @@ growing to a cap.  One labelling rule names every eigenvalue: a root on
 pivots P is eigenvalue i = #{n in S : v(n) < min_P v} of H on S (i + 1
 for the upper pair root), the finite-box gap label.  The routes only
 solve; _reconcile, the one place a root meets the oracle, checks gap
-edges and eigen_pair's roots against those ranks.  The dense fallback
-takes that rank, and a band point in a pair window prints the branch of
-that rank.  The gap loop runs the oracle only on the box
-it accepts, and the GapRecord keeps that box's two edge records.  A band
-point solves only the root it prints, on the caller's host, and runs no
-oracle; a pair-window root must lie in the pair windows.
+edges and eigen_pair's roots against those ranks, and the dense fallback
+takes that rank.  The gap loop runs the oracle only on the box it
+accepts.  A band point prints eigenvalue i(k) = #{n in S : v(n) < v(0)}
+of H on the caller's host, certified from the diagonal with no oracle
+(band).
 """
 
 from __future__ import annotations
@@ -39,14 +37,13 @@ import numpy as np
 from .dual_operator import TWO_PI_SQ, dense_spectrum, diagonal_value, host_shell, restrict
 from .errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
 from .lattice import SiteSet, ball, l1_ball_size, l1_norm
-from .model import Frequency, Problem
+from .model import Problem
 from .resonance import k_point
-from .schur import ReducedSolver
+from .schur import ReducedSolver, near_pivots
 
 FIXED_POINT_TOL = 1e-13
 MAX_FIXED_POINT_STEPS = 100
 DEGENERACY_GAP = 1e-10
-RESONANCE_RADIUS = 3
 RECONCILE_TOL = 1e-9                  # oracle agreement, relative to max(1, |E|)
 
 
@@ -153,21 +150,45 @@ def _reconcile(roots, what: str) -> np.ndarray:
     return gaps
 
 
+def branch(solver: ReducedSolver, j: int) -> EigenRecord:
+    """Eigenvalue j (from 0) of M(E) = diag v + block(E) at its own E, a root
+    of det(E - M(E)), by the fixed point E = lambda_j(M(E)), which contracts
+    (|dM/dE| = O(eps)).  One pivot: E = v + Q(E) (nonresonant); two: mean
+    +- hypot (paired, j = 1 the plus branch), both from the pivots' mean
+    diagonal; more: eigvalsh (graded), from the j-th pivot diagonal, a step
+    nearer.  The record is unchecked; its eigenvector is built on read."""
+    v = solver.v
+    start = sum(v) / len(v) if len(v) <= 2 else sorted(v)[j]
+
+    def step(E: float) -> float:
+        M = solver.block(E)
+        if len(v) == 1:
+            return v[0] + M[0][0].real
+        if len(v) == 2:
+            (q1, g), (_, q2) = M
+            a1, a2 = v[0] + q1.real, v[1] + q2.real
+            return 0.5 * (a1 + a2) + (2 * j - 1) * math.hypot(0.5 * (a1 - a2), abs(g))
+        return float(np.linalg.eigvalsh(np.diag(v) + M)[j])
+
+    E = _fixed_point(step, start, max(1.0, abs(start)))
+    return EigenRecord(float(E), ("nonresonant", "paired", "graded")[min(len(v), 3) - 1], solver)
+
+
 def eigen_simple(problem: Problem, m0, S: SiteSet, k: float) -> EigenRecord:
     """Fixed-point solve of E = v(m0, k) + Q(m0, S; E); eigenvector from F on read.
 
-    v(m0, k) is the solver's diagonal H(m0, m0).  Starts at E = v(m0, k);
-    contraction is guaranteed by |d_E Q| <= |eps| in the small-coupling
-    regime.  A stalled fixed point (ConvergenceError) falls back to the
-    oracle's labelled eigenpair (_labelled), accepted only if its unit
-    eigenvector weighs at least 2/3 on m0; any other error propagates.
+    v(m0, k) is the solver's diagonal H(m0, m0).  branch on the pivot m0
+    alone, from E = v(m0, k); contraction is guaranteed by |d_E Q| <= |eps|
+    in the small-coupling regime.  A stalled fixed point (ConvergenceError)
+    falls back to the oracle's labelled eigenpair (_labelled), accepted only
+    if its unit eigenvector weighs at least 2/3 on m0; any other error
+    propagates.
     The root is returned as solved: only _reconcile meets the oracle.
     """
     m0 = tuple(m0)
     solver = ReducedSolver(problem, S, k, [m0])
-    (v0,) = solver.v
     try:
-        E = _fixed_point(lambda E: v0 + solver.q(m0, E).real, v0, max(1.0, abs(v0)))
+        return branch(solver, 0)
     except ConvergenceError:
         (E,), vecs = _labelled(solver, 1)
         weight = vecs[solver.piv[0], 0]
@@ -178,7 +199,6 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float) -> EigenRecord:
         phi = vecs[:, 0] / weight
         phi[solver.piv[0]] = 1.0
         return EigenRecord(float(E), "dense_fallback", solver, phi)
-    return EigenRecord(float(E), "nonresonant", solver)
 
 
 # ---------------------------------------------------------------------------
@@ -186,74 +206,20 @@ def eigen_simple(problem: Problem, m0, S: SiteSet, k: float) -> EigenRecord:
 # ---------------------------------------------------------------------------
 
 
-def _pair_windows(solver: ReducedSolver):
-    """E windows around each of the solver's two pivot diagonals that must
-    hold the pair roots.
-
-    Each half-width stays below the nearest diagonal of the reduced set,
-    which keeps the windows clear of the reduced resolvent's poles;
-    overlapping windows merge (the resonant case).
-    """
-    vp, vm = solver.v
-    foreign = solver.diag[solver.rest]
-    windows = []
-    for v in (vp, vm):
-        rho = float(np.min(np.abs(foreign - v), initial=math.inf))
-        half = 0.75 * min(rho, abs(vp - vm) + 1.0)
-        windows.append((v - half, v + half))
-    windows.sort()
-    merged = [windows[0]]
-    for a, b in windows[1:]:
-        if a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return merged
-
-
-def pair_branch(solver: ReducedSolver, sign: float) -> EigenRecord:
-    """One root of the paired characteristic equation on `solver`, whose
-    pivots are the pair: the plus branch for sign +1, the minus for -1.
-
-    The root is a fixed point of the effective 2x2 matrix
-    M(E) = [[v+ + Q+(E), G(E)], [conj G(E), v- + Q-(E)]], v+- the solver's
-    pivot diagonals: E+ is the larger eigenvalue of M(E+) and E- the
-    smaller of M(E-), which are exactly the roots of
-    chi(E) = det(E - M(E)).  Each step reads Q+, Q- and G from one
-    solver.block(E).  |dM/dE| = O(eps), so the iteration contracts in a
-    few steps from the pivots' mean diagonal.  The step is symmetric in
-    the two pivots, so their order does not matter; when v+ + Q+ equals
-    v- + Q-, as at k_{n0} on (0, n0), it is E = v + Q +- |G|.  The
-    eigenvector is built on read.  The record is checked neither against
-    the oracle nor against the pair windows; its callers do that.
-    """
-    vp, vm = solver.v
-    center = 0.5 * (vp + vm)
-
-    def step(E: float) -> float:
-        (q1, g), (_, q2) = solver.block(E)
-        a1, a2 = vp + q1.real, vm + q2.real
-        return 0.5 * (a1 + a2) + sign * math.hypot(0.5 * (a1 - a2), abs(g))
-
-    E = _fixed_point(step, center, max(1.0, abs(center)))
-    return EigenRecord(float(E), "paired", solver)
-
-
 def _pair_roots(problem: Problem, S: SiteSet, k: float, pivots):
-    """Both pair_branch roots on one solver with these pivots, as records
+    """Both branches on one solver with these pivots, as records
     (minus, plus) sorted by E; not reconciled."""
     solver = ReducedSolver(problem, S, k, pivots)
-    plus, minus = (pair_branch(solver, sign) for sign in (+1.0, -1.0))
+    plus, minus = (branch(solver, j) for j in (1, 0))
     return tuple(sorted((minus, plus), key=lambda rec: rec.E))
 
 
 def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm):
     """Both roots of the paired characteristic equation, as records (plus, minus).
 
-    Both branches are solved by pair_branch on one solver, so they share
+    Both branches are solved by branch on one solver, so they share
     its solves, and reconciled with the oracle by _reconcile, as gap
-    edges are; the records are returned as solved.  No pair-window check
-    runs: the oracle is the stronger one.
+    edges are; the records are returned as solved.
     """
     minus, plus = roots = _pair_roots(problem, S, k, [mp, mm])
     _reconcile(roots, f"pair roots at k={k}")
@@ -328,7 +294,7 @@ def _first_accepted(problem: Problem, n0, radii) -> GapRecord:
 
 
 def gap_at(problem: Problem, n0, radius) -> GapRecord:
-    """Gap edges at k = k_{n0} on paired_box(n0, radius): pair_branch's two
+    """Gap edges at k = k_{n0} on paired_box(n0, radius): the two branch
     roots on the pivots (0, n0), reconciled with the oracle on that box as
     eigen_pair's are.  The record is `capped` when the box's truncation
     residual is over tolerance.  For radius <= max(2, rho), rho the largest
@@ -369,49 +335,47 @@ class BandPoint:
     error: str = ""
 
 
-@lru_cache(maxsize=1)
-def _resonances(frequency: Frequency) -> tuple:
-    """(m, k_m) for 0 < |m| <= RESONANCE_RADIUS, in ball order; built
-    once per frequency."""
-    return tuple((m, k_point(frequency, m))
-                 for m in ball(RESONANCE_RADIUS, frequency.nu, budget=None) if any(m))
+def _check_rank(rec: EigenRecord) -> None:
+    """Raise a RegimeError naming both counts below unless rec's E is
+    eigenvalue i(k) of H on S.  E - H is congruent to diag(E - H_rest,
+    E - M(E)) (Haynsworth), with j = #{p in P : v(p) < v(0)} eigenvalues of
+    M(E) below E.  With no reduced diagonal within r of E, Gershgorin gives
+    H_rest #{n not in P : v(n) < E} below E: i(k) in all exactly when that
+    is #{n not in P : v(n) < v(0)}."""
+    solver, E = rec.solver, rec.E
+    foreign = solver.diag.take(solver.rest)
+    below = int(np.count_nonzero(foreign < E))
+    label = int(np.count_nonzero(foreign < solver.v[0]))
+    gap = float(np.min(np.abs(foreign - E), initial=math.inf))
+    if below != label or gap <= solver.row_sum:
+        raise RegimeError(f"E={E:.6g} at k={solver.k} is not the labelled eigenvalue: {below} "
+                          f"reduced diagonals lie below E and {label} below v(0), the nearest "
+                          f"{gap:.3g} from E (r = {solver.row_sum:.3g})")
 
 
 def band(problem: Problem, k_grid, S_builder):
-    """E(k) along a grid; points inside a pair window take the pair branch.
+    """E(k) along a grid: eigenvalue i(k) = #{n in S : v(n) < v(0)} of H on
+    the host S = S_builder(k), E(k)'s gap label.
 
-    S_builder maps k to the host set.  A point within 64 eps of some k_m,
-    |m| <= RESONANCE_RADIUS, solves by pair_branch at its own k only the
-    branch that continues E through the resonance: the branch of rank
-    i(k) = #{n in S : v(n) < v(0)}, E(k)'s own label, which is the plus
-    branch where v(m) < v(0) and the minus branch elsewhere.  The other
-    root is not solved, so it cannot fail the point, and no oracle runs:
-    a printed root outside the pair windows is a RegimeError, and so is a
-    partner m outside the host.  Every other point solves eigen_simple.
-    Points on one host share its couplings (host_block).  Each point
-    carries its record's regime; a QPSpecError is collected as that
-    point's error, and any other error propagates.
+    A point's pivots P are 0 and the host sites a solve keeps near at
+    E = v(0) (near_pivots).  It solves its one root, branch
+    j = #{p in P : v(p) < v(0)}, by eigen_simple (with its dense fallback)
+    when P is 0 alone, and runs no oracle: the rank check reads the
+    diagonal (_check_rank).  Points on one host share its couplings.  A
+    QPSpecError is collected as the point's error; any other propagates.
     """
     zero = tuple([0] * problem.nu)
-    res_points = _resonances(problem.frequency)
-    window = 64.0 * problem.potential.epsilon  # strongest coupling heuristic
 
     def solve(k: float) -> BandPoint:
         S = S_builder(k)
-        m = next((m for m, km in res_points if abs(k - km) < window), None)
         try:
-            if m is None:
+            pivots = near_pivots(problem, S, k, zero)
+            if len(pivots) == 1:
                 rec = eigen_simple(problem, zero, S, k)
             else:
-                if m not in S:
-                    raise RegimeError(f"pair window of k_{m} at k={k}: "
-                                      f"partner {m} lies outside the host")
-                solver = ReducedSolver(problem, S, k, [zero, m])
-                rec = pair_branch(solver, 1.0 if solver.v[1] < solver.v[0] else -1.0)
-                if not any(lo <= rec.E <= hi for lo, hi in _pair_windows(solver)):
-                    raise RegimeError(
-                        f"pair root E={rec.E:.6g} lies outside the pair windows "
-                        f"(regime misclassification at k={k})")
+                solver = ReducedSolver(problem, S, k, pivots)
+                rec = branch(solver, sum(v < solver.v[0] for v in solver.v))
+            _check_rank(rec)
             return BandPoint(k, rec.E, rec.regime)
         except QPSpecError as exc:  # collected, not fatal
             return BandPoint(k, float("nan"), "error", str(exc))

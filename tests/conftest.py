@@ -9,7 +9,7 @@ from qpspec.dual_operator import TWO_PI_SQ
 from qpspec.lattice import ball, l1_norm
 from qpspec.model import Frequency, Potential, Problem, ScaleLadder, build_ladder
 from qpspec.schur import ReducedSolver
-from qpspec.spectral import pair_branch
+from qpspec.spectral import branch
 from qpspec.trajectories import (Trajectory, _dist, is_admissible, path_norm,
                                  weights)
 
@@ -123,9 +123,9 @@ def solve_paths(monkeypatch):
 
 def pair_roots(problem, S, k, mp, mm):
     """Both paired roots (plus, minus) on one solver, not reconciled with
-    the oracle: pair_branch twice, as eigen_pair runs it before its check."""
+    the oracle: branch 1 and 0, as eigen_pair runs them before its check."""
     solver = ReducedSolver(problem, S, k, [mp, mm])
-    return pair_branch(solver, +1.0), pair_branch(solver, -1.0)
+    return branch(solver, 1), branch(solver, 0)
 
 
 def random_potential(rng, epsilon=1e-4, kappa0=0.5, radius=3, density=0.6, nu=2):

@@ -70,6 +70,16 @@ def test_zeta_pair_catches_a_shifted_root(generic_problem, monkeypatch):
     assert "eigen_pair" in result.detail
 
 
+def test_zeta_pair_fails_with_a_reduced_diagonal_in_its_window(golden_freq):
+    # at eps 1 the window, the pivot diagonals' span widened by 2r, comes
+    # within r of a reduced diagonal, where Q and G may have a pole
+    prob = Problem(golden_freq, Potential.from_harmonics(
+        {(0, 1): 0.55, (1, 0): 0.3 + 0.2j, (1, 1): 0.2 - 0.1j}, 1.0, 0.5))
+    result = checks._zeta_pair(prob, 0)
+    assert not result.passed
+    assert result.detail == "a reduced diagonal lies within r of the window"
+
+
 def test_reduced_oracle_matches_dense_inverse(pair_problem):
     result = checks._reduced_oracle(pair_problem, 0)
     assert result.name == "reduced-vs-dense"

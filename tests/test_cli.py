@@ -340,7 +340,7 @@ def test_nu_mismatch_rejected(tmp_path, capsys):
 # or its stdout with the output directory masked.  selftest is left out on
 # purpose; its detail strings name the checks and their measured deviations.
 GOLDEN_SHA256 = {
-    "band": ("band.csv", "bc5739282cec0bcf0f8e97bb53f891fafa6b646317e7ac1d151359b395a0e546"),
+    "band": ("band.csv", "7b5861cde7189f47e84819856dfbdfba29323bf3c4fbe517c12ea902fb36e1d7"),
     "gaps": ("gaps.csv", "e37d9858c37016fb0e847c619e0fb42871dc46930880677758511873f3ceb394"),
     "geometry": ("geometry.json",
                  "e3274622790324dc27c9b3a104b10329596c75336127fce4d33f508da3596a3c"),
@@ -362,12 +362,12 @@ def test_golden_output_pinned(tmp_path, capsys, command):
 
 
 def test_golden_band_factors_nothing(tmp_path, solve_paths):
-    # every golden band energy is solved by the diagonal series, alone or
-    # beside a near Schur block: the two points whose energies come within
-    # 1000 r of a reduced diagonal put those sites in that block (4 solves)
+    # every golden band energy is solved by the diagonal series alone: the
+    # sites within 1000 r of v(0) (at k = 0.05 and 0.07, (3, -5) and
+    # (-2, 3)) are pivots of their points, so no solve has a near site
     assert main(["band", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
     total = sum(solve_paths.values(), Counter())
-    assert set(total) == {"diagonal", "near"} and total["near"] > 0
+    assert set(total) == {"diagonal"}
 
 
 # the selftest suite in run order; gap-first-order and gap-box are the CLI's

@@ -258,7 +258,7 @@ def _near_sites(solver, E):
     THETA_MAX |E - v(n)|."""
     gap = np.abs(E - solver.diag)
     gap[solver.piv] = np.inf
-    r = solver._row_sum
+    r = solver.row_sum
     floor = PIVOT_RTOL * max(1.0, float(np.max(np.abs(E - solver.diag[solver.rest]))))
     return np.flatnonzero((gap - r <= floor) | (r >= THETA_MAX * gap))
 
@@ -293,7 +293,7 @@ def test_diagonal_solve_is_within_its_bound(golden_freq, seed, radius, n_piv, lo
     S, pivots = ball(radius, 2), [(0, 0), (0, 1)][:n_piv]
     solver = ReducedSolver(prob, S, k, pivots)
     paths = count_solve_paths(solver)
-    v, r = solver.diag[solver.rest], solver._row_sum
+    v, r = solver.diag[solver.rest], solver.row_sum
     E = v[at % len(v)] + sign * r / 10.0 ** log_theta
     assume(r < THETA_MAX * np.min(np.abs(E - v)))
     block = solver.block(E)
@@ -323,7 +323,7 @@ def test_diagonal_anchor_boundary(generic_problem, zero_problem):
     S, k, zero = ball(4, 2), 0.22, (0, 0)
     solver = ReducedSolver(generic_problem, S, k, [zero])
     paths, seen = count_solve_paths(solver), _spy_near(solver)
-    v, r = solver.diag[solver.rest], solver._row_sum
+    v, r = solver.diag[solver.rest], solver.row_sum
     n = int(np.argmin(np.abs(v - diagonal_value(generic_problem, zero, k))))
     for step, path in ((1.0 - 1e-9, "near"), (1.0 + 1e-9, "diagonal")):
         E = v[n] - step * r / THETA_MAX
@@ -377,7 +377,7 @@ def test_near_solve_is_backward_stable(seed, nu, n_piv, log_eps, log_frac, sign,
     S, pivots = ball(4 if nu == 2 else 2, nu), [(0,) * nu, (0,) * (nu - 1) + (1,)][:n_piv]
     solver = ReducedSolver(prob, S, k, pivots)
     paths = count_solve_paths(solver)
-    v, r = solver.diag[solver.rest], solver._row_sum
+    v, r = solver.diag[solver.rest], solver.row_sum
     E = v[at % len(v)] + sign * 10.0 ** log_frac * r / THETA_MAX
     N = _near_sites(solver, E)
     assert solver.rest[at % len(v)] in N
@@ -406,7 +406,7 @@ def _near_count_problem(freq, E_of, m):
     E = E_of(unit)
     gaps = np.sort(np.abs(E - unit.diag[unit.rest]))
     gaps = np.append(gaps, 3.0 * gaps[-1])
-    eps = THETA_MAX * 0.5 * (gaps[m - 1] + gaps[m]) / unit._row_sum
+    eps = THETA_MAX * 0.5 * (gaps[m - 1] + gaps[m]) / unit.row_sum
     return Problem(freq, Potential.from_harmonics(harmonics, eps, 0.5)), E
 
 
@@ -459,19 +459,20 @@ def test_eigenvalue_of_the_reduced_block_is_factored(zero_problem, generic_probl
 
 def test_factorizations_per_band_point(generic_problem, solve_paths):
     # no point on ball(8) at eps 1e-4 factors, non-resonant or in a pair
-    # window: every energy of its fixed point is solved on the diagonal,
-    # except at k = 0.13, whose nearest reduced diagonal, v(1, -2), lies
-    # 0.223 from v(0): theta_D = 1.02e-3 is just past the limit, so that
-    # point puts v(1, -2) alone in the near block at each of its energies.
+    # window, and none takes the near block: every energy of its fixed
+    # point is solved on the diagonal.  At k = 0.13 the nearest reduced
+    # diagonal, v(1, -2), lies 0.223 from v(0): theta_D = 1.02e-3 is just
+    # past the limit, so (1, -2) is that point's second pivot.  At
+    # k_(1, 1) - 3e-3, v(1, 1) lies beyond 1000 r of v(0): one pivot.
     freq = generic_problem.frequency
     resonant = [k_point(freq, m) + d for m in [(0, 1), (1, -1), (1, 1)] for d in (-3e-3, 1e-5)]
     points = band(generic_problem, [0.13, 0.22, 0.27, 0.36, *resonant], lambda k: ball(8, 2))
     assert len(solve_paths) == len(points)
-    assert [p.regime for p in points] == ["nonresonant"] * 4 + ["paired"] * len(resonant)
-    (first, counts), *others = solve_paths.items()
-    assert set(counts) == {"near"} and counts["near"] >= 2
-    assert [first.sites.sites[i] for i in _near_sites(first, points[0].E)] == [(1, -2)]
-    assert all(set(c) == {"diagonal"} and c["diagonal"] >= 2 for _, c in others)
+    assert [p.regime for p in points] == (["paired"] + ["nonresonant"] * 3 + ["paired"] * 4
+                                          + ["nonresonant", "paired"])
+    first = next(iter(solve_paths))
+    assert first.pivots == [(0, 0), (1, -2)]
+    assert all(set(c) == {"diagonal"} and c["diagonal"] >= 2 for c in solve_paths.values())
 
 
 def test_factorizations_per_gap_box(golden_freq, solve_paths):

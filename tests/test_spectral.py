@@ -352,18 +352,17 @@ def test_band_skips_the_unprinted_branch(generic_problem, monkeypatch):
     host = ball(5, 2)
     km, grid = _band_pair_points(generic_problem, (0, 1))
     want = band(generic_problem, grid, lambda k: host)
-    pair_branch = spectral.pair_branch
+    branch = spectral.branch
 
     def only(printed):
-        def branch(solver, sign):
-            if sign != printed:
+        def one(solver, j):
+            if j != printed:
                 raise ConvergenceError("unprinted branch stalled")
-            return pair_branch(solver, sign)
-        return branch
+            return branch(solver, j)
+        return one
 
     for p in want:
-        monkeypatch.setattr(spectral, "pair_branch",
-                            only(1.0 if abs(p.k) > abs(km) else -1.0))
+        monkeypatch.setattr(spectral, "branch", only(1 if abs(p.k) > abs(km) else 0))
         (got,) = band(generic_problem, [p.k], lambda k: host)
         assert (got.E, got.regime, got.error) == (p.E, "paired", "")
 
@@ -382,29 +381,28 @@ def test_band_is_even_in_k_through_a_pair_window(generic_problem, m):
         assert p.E == q.E
 
 
-def test_band_checks_the_printed_root_window(generic_problem, monkeypatch):
+def test_band_checks_the_printed_rank(generic_problem, monkeypatch):
+    # a route patched to return a root across the nearest reduced diagonal
+    # above E, midway to the next distinct one, is an error row naming both
+    # counts: more reduced diagonals lie below E than below v(0)
     host = ball(5, 2)
     _, grid = _band_pair_points(generic_problem, (0, 1))
-    monkeypatch.setattr(spectral, "_pair_windows", lambda *args: [(-2.0, -1.0)])
+    branch = spectral.branch
+
+    def across(solver, j):
+        rec = branch(solver, j)
+        foreign = solver.diag[solver.rest]
+        above = np.unique(foreign[foreign > rec.E])
+        return replace(rec, E=float(0.5 * (above[0] + above[1])))
+
+    monkeypatch.setattr(spectral, "branch", across)
     for p in band(generic_problem, grid, lambda k: host):
-        assert p.regime == "error" and "regime misclassification" in p.error
+        assert p.regime == "error" and math.isnan(p.E)
+        below, label = map(int, re.search(r"(\d+) reduced diagonals lie below E and (\d+) "
+                                          r"below v\(0\)", p.error).groups())
+        assert below > label
 
 
-def test_band_pair_partner_outside_the_host_is_an_error_row():
-    # host ball(2) on the golden potential: k_(1,-2) + 1e-4 lies in the pair
-    # window of m = (1, -2), which the host does not hold; the point is an
-    # error naming m, not a solve on some other box
-    problem = build_problem(load_config(GOLDEN_CONFIG))
-    m = (1, -2)
-    host = ball(2, 2)
-    assert m not in host
-    (p,) = band(problem, [k_point(problem.frequency, m) + 1e-4], lambda k: host)
-    assert p.regime == "error" and math.isnan(p.E)
-    assert str(m) in p.error and "host" in p.error
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: at exactly k_n, |n| >= 4, v(n) == v(0) "
-                   "makes E - H_rest singular and band prints an error row")
 def test_band_at_a_high_order_resonance_point_is_the_labelled_eigenvalue():
     # the golden potential on host ball(8): every label 4 <= |n| <= 8 with
     # |k_n| <= 1/2 (12 of them) lies outside band's pair table, so band
@@ -423,6 +421,48 @@ def test_band_at_a_high_order_resonance_point_is_the_labelled_eigenvalue():
         assert v[host.index(n)] == v0
         want = np.linalg.eigvalsh(H)[np.count_nonzero(v < v0)]
         assert abs(p.E - want) <= spectral.RECONCILE_TOL * max(1.0, abs(v0)), (n, p.error)
+
+
+def test_band_at_a_stalled_nu_3_point_is_the_labelled_eigenvalue():
+    # a cubic-irrational nu = 3 potential at eps 1e-2 on ball(4, 3),
+    # k = 0.13: a pair (0, (-1, 0, 0)) chosen by k stalled after 100 steps,
+    # while (0, -1, 0)'s diagonal lies 8.1e-4 from v(0); the point takes
+    # the 40 sites near v(0) as pivots and prints eigenvalue i(k) of H
+    omega = (1.0, 2.0 ** (1 / 3) - 1.0, 4.0 ** (1 / 3) - 1.0)
+    pot = Potential.from_harmonics({(0, 0, 1): 0.6, (0, 1, 0): 0.4, (1, 0, 0): 0.3}, 1e-2, 0.5)
+    problem = Problem(Frequency(omega, 0.1, 4.0), pot)
+    host = ball(4, 3)
+    (p,) = band(problem, [0.13], lambda k: host)
+    H = restrict(problem, host, p.k).entries
+    v = H.diagonal().real
+    v0 = v[host.index((0, 0, 0))]
+    assert p.regime == "graded", p.error
+    assert abs(p.E - np.linalg.eigvalsh(H)[np.count_nonzero(v < v0)]) <= (
+        spectral.RECONCILE_TOL * max(1.0, abs(v0)))
+    assert p.E == pytest.approx(0.6707905861896188, rel=1e-12)
+
+
+@given(nu=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 16),
+       log_eps=st.floats(-4.0, -1.5), radius=st.integers(3, 6),
+       k=st.floats(-0.5, 0.5), label=st.integers(0, 2 ** 16))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_band_is_the_labelled_eigenvalue_on_random_potentials(nu, seed, log_eps, radius,
+                                                              k, label):
+    # band prints eigenvalue i(k) = #{n in S : v(n) < v(0)} of H on its
+    # host, at a random k and at k_n exactly for a label n in the host,
+    # on ball(3..6) at nu = 2 and ball(3..4, 3) at nu = 3
+    omega = (1.0, GOLDEN) if nu == 2 else (1.0, 2.0 ** (1 / 3) - 1.0, 4.0 ** (1 / 3) - 1.0)
+    prob = Problem(Frequency(omega, 0.1, nu + 1.0),
+                   random_potential(np.random.default_rng(seed), 10 ** log_eps, nu=nu))
+    host, zero = ball(radius if nu == 2 else min(radius, 4), nu), tuple([0] * nu)
+    labels = [n for n in host if any(n)]
+    n = labels[label % len(labels)]
+    for p in band(prob, [k, k_point(prob.frequency, n)], lambda k: host):
+        H = restrict(prob, host, p.k).entries
+        v = H.diagonal().real
+        v0 = v[host.index(zero)]
+        want = np.linalg.eigvalsh(H)[np.count_nonzero(v < v0)]
+        assert abs(p.E - want) <= spectral.RECONCILE_TOL * max(1.0, abs(v0)), (n, p)
 
 
 def test_gap_record_carries_forward_bound(generic_problem):
@@ -462,10 +502,10 @@ def test_eigen_simple_dense_fallback_near_resonance(golden_freq):
 
 def test_eigen_simple_propagates_unexpected_errors(generic_problem, monkeypatch):
     # only a stalled fixed point falls back to the dense solver
-    def broken(self, m0, E):
+    def broken(self, E):
         raise TypeError("broken self-energy")
 
-    monkeypatch.setattr(ReducedSolver, "q", broken)
+    monkeypatch.setattr(ReducedSolver, "block", broken)
     with pytest.raises(TypeError):
         eigen_simple(generic_problem, (0, 0), ball(3, 2), 0.22)
 
@@ -517,7 +557,7 @@ def test_pair_root_off_by_the_tolerance_is_a_reconciliation_error(harmonic_probl
     solver = ReducedSolver(harmonic_problem, S, k, pivots)
     oracle = spectral._labelled(solver, len(pivots))[0][-1]
     tol = spectral.RECONCILE_TOL * max(1.0, abs(np.mean(solver.v)))
-    pair_branch = spectral.pair_branch
+    branch = spectral.branch
 
     def solve():
         if route == "eigen_simple":
@@ -531,14 +571,14 @@ def test_pair_root_off_by_the_tolerance_is_a_reconciliation_error(harmonic_probl
     for factor in (1.0 + 1e-6, 1.0 - 1e-6):
         E = oracle + factor * tol
 
-        def placed(solver, sign):
-            rec = pair_branch(solver, sign)
-            return rec if sign < 0 else replace(rec, E=E)
+        def placed(solver, j):
+            rec = branch(solver, j)
+            return rec if j == 0 else replace(rec, E=E)
 
         if route == "eigen_simple":
             monkeypatch.setattr(spectral, "_fixed_point", lambda step, E0, scale: E)
         else:
-            monkeypatch.setattr(spectral, "pair_branch", placed)
+            monkeypatch.setattr(spectral, "branch", placed)
         if factor > 1.0:
             with pytest.raises(ReconciliationError, match="off the dense oracle"):
                 solve()
@@ -564,7 +604,7 @@ def test_eigen_pair_at_k_m_returns_the_gap_edges(golden_freq):
 def _limit_edges(problem, n0, S):
     """The gap edges by the limit characterization E = v0 + Q(E) -+ |G(E)|,
     each self-energy from its own one-column solve: the step gap_at used
-    before the gap path went through pair_branch."""
+    before the gap path went through the paired closed form."""
     zero = (0, 0)
     k = k_point(problem.frequency, n0)
     solver = ReducedSolver(problem, S, k, [zero, n0])
@@ -589,7 +629,7 @@ def _limit_edges(problem, n0, S):
        st.integers(1, 5))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_gap_at_edges_are_the_limit_characterization(golden_freq, seed, log_eps, n0, radius):
-    # at k_{n0} on (0, n0) the pivots' diagonals agree, and pair_branch's
+    # at k_{n0} on (0, n0) the pivots' diagonals agree, and the paired closed form's
     # step reduces to E = v0 + Q -+ |G| bit for bit
     prob = Problem(golden_freq, random_potential(np.random.default_rng(seed), 10.0 ** log_eps))
     S = paired_box(prob, n0, radius)
@@ -640,34 +680,11 @@ def test_pair_branch_solves_the_matrix_it_factors(generic_problem, m):
     assert (plus.E, minus.E) == (0.5 * (a + b) + half, 0.5 * (a + b) - half)
 
 
-def test_pair_windows_from_the_matrix_diagonal(generic_problem):
-    n0 = (0, 1)
-    for S in (paired_box(generic_problem, n0, 4), SiteSet([(0, 0), n0])):
-        for theta in (-1e-3, 0.0, 1e-5):
-            k = k_point(generic_problem.frequency, n0) + theta
-            solver = ReducedSolver(generic_problem, S, k, [(0, 0), n0])
-            # the windows as diagonal_value gives them, site by site
-            vp, vm = (diagonal_value(generic_problem, p, k) for p in ((0, 0), n0))
-            want = []
-            for v in (vp, vm):
-                rho = min((abs(v - diagonal_value(generic_problem, s, k))
-                           for s in S if s not in ((0, 0), n0)), default=math.inf)
-                half = 0.75 * min(rho, abs(vp - vm) + 1.0)
-                want.append((v - half, v + half))
-            got = spectral._pair_windows(solver)
-            want = sorted(want)
-            if want[1][0] <= want[0][1]:
-                want = [(want[0][0], max(want[0][1], want[1][1]))]
-            assert len(got) == len(want)
-            for (a, b), (c, d) in zip(got, want):
-                assert a == pytest.approx(c, rel=1e-15) and b == pytest.approx(d, rel=1e-15)
-
-
 def test_eigenvectors_are_built_only_when_read(monkeypatch):
     # band and eigen_pair report energies without touching F; only .phi does
     problem = build_problem(load_config(GOLDEN_CONFIG))
     host = ball(8, 2)
-    grid = [0.07, 0.19, 0.23, 0.31]          # the golden band's paired points are 0.19, 0.31
+    grid = [0.07, 0.19, 0.23, 0.31]          # the golden band's paired points: 0.05, 0.07, 0.19, 0.31
     want = band(problem, grid, lambda k: host)
     n0 = (0, 1)
     k = k_point(problem.frequency, n0) + 2e-5
@@ -679,7 +696,7 @@ def test_eigenvectors_are_built_only_when_read(monkeypatch):
 
     monkeypatch.setattr(ReducedSolver, "f", unread)
     got = band(problem, grid, lambda k: host)
-    assert [p.regime for p in got] == ["nonresonant", "paired", "nonresonant", "paired"]
+    assert [p.regime for p in got] == ["paired", "paired", "nonresonant", "paired"]
     assert [p.E for p in got] == [p.E for p in want]
     pair = eigen_pair(problem, S, k, (0, 0), n0)
     assert [r.E for r in pair] == pair_want
