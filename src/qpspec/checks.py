@@ -16,8 +16,8 @@ from .mssets import is_correct_word, max_correct_length
 from .model import Problem, build_ladder
 from .resonance import k_point
 from .schur import ReducedSolver
-from .spectral import (FIXED_POINT_TOL, eigen_pair, eigen_simple, feynman_derivative,
-                       gap_at, paired_box, sized_gap)
+from .spectral import (FIXED_POINT_TOL, band, eigen_pair, feynman_derivative, gap_at,
+                       paired_box, sized_gap)
 from .trajectories import WeightProfile, closed_bound, sum_enumerate
 
 
@@ -71,12 +71,13 @@ def _ladder(problem: Problem, seed: int) -> CheckResult:
 
 def _symmetry(problem: Problem, seed: int) -> CheckResult:
     S = ball(4, problem.nu, budget=None)
-    zero = tuple([0] * problem.nu)
-    worst = 0.0
-    for k in (0.11, 0.23, 0.37):
-        e_plus = eigen_simple(problem, zero, S, k)
-        e_minus = eigen_simple(problem, zero, S.reflect(), -k)
-        worst = max(worst, abs(e_plus.E - e_minus.E))
+    mirror = S.reflect()
+    plus = band(problem, (0.11, 0.23, 0.37), lambda k: S)
+    minus = band(problem, [-p.k for p in plus], lambda k: mirror)
+    for p in plus + minus:
+        if p.regime == "error":
+            return CheckResult("band-symmetry", False, f"k={p.k}: {p.error}")
+    worst = max(abs(p.E - q.E) for p, q in zip(plus, minus))
     return CheckResult("band-symmetry", worst <= 1e-11, f"max |E(k)-E(-k)| {worst:.3g}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -38,8 +39,9 @@ Default = namedtuple("Default", "spec value")
 # The config, one entry per key at every level; load_config refuses any other
 # key, and reads an absent key and a null one alike.  A type marks a required
 # key.  Any other scalar is the key's default, and its type is the one
-# accepted: a float default takes any number, an int default an int >= 0.  A
-# dict is a nested table, and a one-item list a list of that item.
+# accepted: a float default takes any finite number (json.load also reads NaN
+# and Infinity), an int default an int >= 0.  A dict is a nested table, and a
+# one-item list a list of that item.
 CONFIG = {
     "omega": [float], "a0": float, "b0": float, "epsilon": float, "kappa0": float,
     "nu": Default(int, None),
@@ -86,7 +88,8 @@ def _check(spec, value, path, faults):
         return [_check(spec[0], item, f"{path}[{i}]", faults) for i, item in enumerate(value)]
     number = int if int in (spec, type(spec)) else (int, float)
     floor = 0 if type(spec) is int else float("-inf")
-    if isinstance(value, bool) or not isinstance(value, number) or value < floor:
+    if (isinstance(value, bool) or not isinstance(value, number) or value < floor
+            or isinstance(value, float) and not math.isfinite(value)):
         want = "a number" if number is not int else "an int >= 0" if floor == 0 else "an int"
         faults.append(f"{path} must be {want}, got {json.dumps(value)}")
     return value
@@ -312,6 +315,8 @@ def main(argv=None) -> int:
         if gl is not None:  # built here, so that a malformed one is a config error
             cfg["geometry_ladder"] = ScaleLadder.from_sequences(
                 gl["beta1"], gl["log_R"], gl["log_delta"])
+        if cfg["geometry_s"] == 0:  # the scales start at s = 1
+            raise ValueError("geometry_s must be an int >= 1, got 0")
     except _BUDGET_ERRORS as exc:
         _error_json("regime", exc)
         return 2

@@ -19,11 +19,11 @@ growing to a cap.  One labelling rule names every eigenvalue: a root on
 pivots P is eigenvalue i = #{n in S : v(n) < min_P v} of H on S (i + 1
 for the upper pair root), the finite-box gap label.  The routes only
 solve; _reconcile, the one place a root meets the oracle, checks gap
-edges and eigen_pair's roots against those ranks, and the dense fallback
-takes that rank.  The gap loop runs the oracle only on the box it
-accepts.  A band point prints eigenvalue i(k) = #{n in S : v(n) < v(0)}
-of H on the caller's host, certified from the diagonal with no oracle
-(band).
+edges and eigen_pair's roots against those ranks.  The gap loop runs the
+oracle only on the box it accepts.  A band point prints eigenvalue
+i(k) = #{n in S : v(n) < v(0)} of H on the caller's host, certified from
+the diagonal with no oracle (band).  A stalled fixed point is a
+ConvergenceError.
 """
 
 from __future__ import annotations
@@ -52,13 +52,11 @@ class EigenRecord:
     """An eigenvalue E of the solver's matrix, with its eigenvector on demand.
 
     `phi` (a complex array over `sites`, 1 at the principal pivot) and its
-    `residual` max |H phi - E phi| / max |phi| are built on first read; the
-    dense fallback carries the oracle's vector.
+    `residual` max |H phi - E phi| / max |phi| are built on first read.
     """
     E: float
     regime: str
     solver: ReducedSolver = field(repr=False)
-    dense_phi: np.ndarray = field(default=None, repr=False)
 
     @property
     def sites(self) -> SiteSet:
@@ -66,8 +64,6 @@ class EigenRecord:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        if self.dense_phi is not None:
-            return self.dense_phi
         solver, E = self.solver, self.E
         tails = np.column_stack([-solver.f(p, E) for p in solver.pivots])   # K h(., p)
         # pivot amplitudes: the null vector of E - M(E), M(E) = diag v + block(E)
@@ -177,28 +173,18 @@ def branch(solver: ReducedSolver, j: int) -> EigenRecord:
 def eigen_simple(problem: Problem, m0, S: SiteSet, k: float) -> EigenRecord:
     """Fixed-point solve of E = v(m0, k) + Q(m0, S; E); eigenvector from F on read.
 
-    v(m0, k) is the solver's diagonal H(m0, m0).  branch on the pivot m0
-    alone, from E = v(m0, k); contraction is guaranteed by |d_E Q| <= |eps|
-    in the small-coupling regime.  A stalled fixed point (ConvergenceError)
-    falls back to the oracle's labelled eigenpair (_labelled), accepted only
-    if its unit eigenvector weighs at least 2/3 on m0; any other error
-    propagates.
-    The root is returned as solved: only _reconcile meets the oracle.
+    v(m0, k) is the solver's diagonal H(m0, m0): branch on the pivot m0
+    alone, from E = v(m0, k); a stall is a ConvergenceError.  band calls
+    it only where near_pivots keeps no site but m0, and there it cannot
+    stall: every other host site has |v(m0) - v(n)| > r / THETA_MAX = 1000 r,
+    r the host's row sum, so ||h||_2 <= r for m0's coupling column h, and
+    Gershgorin gives ||K(E)||_2 <= 1 / (min_n |E - v(n)| - r).  Within r/998
+    of v(m0) that makes |Q(E)| = |h* K h| <= r/998, so every iterate stays
+    there, and |Q'(E)| = ||K h||^2 <= 998^-2: the first move is at most
+    r/998 and each later one at most 998^-2 times the last.  The root is
+    returned as solved: only _reconcile meets the oracle.
     """
-    m0 = tuple(m0)
-    solver = ReducedSolver(problem, S, k, [m0])
-    try:
-        return branch(solver, 0)
-    except ConvergenceError:
-        (E,), vecs = _labelled(solver, 1)
-        weight = vecs[solver.piv[0], 0]
-        if abs(weight) < 2.0 / 3.0:
-            raise ConvergenceError(
-                f"fixed point diverged at k={k}, m0={m0} and the labelled dense "
-                "eigenvector does not concentrate on m0 (regime mismatch)")
-        phi = vecs[:, 0] / weight
-        phi[solver.piv[0]] = 1.0
-        return EigenRecord(float(E), "dense_fallback", solver, phi)
+    return branch(ReducedSolver(problem, S, k, [tuple(m0)]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +345,11 @@ def band(problem: Problem, k_grid, S_builder):
 
     A point's pivots P are 0 and the host sites a solve keeps near at
     E = v(0) (near_pivots).  It solves its one root, branch
-    j = #{p in P : v(p) < v(0)}, by eigen_simple (with its dense fallback)
+    j = #{p in P : v(p) < v(0)}, by eigen_simple (which cannot stall there)
     when P is 0 alone, and runs no oracle: the rank check reads the
     diagonal (_check_rank).  Points on one host share its couplings.  A
-    QPSpecError is collected as the point's error; any other propagates.
+    QPSpecError, a stall too, is collected as the point's error; any other
+    propagates.
     """
     zero = tuple([0] * problem.nu)
 

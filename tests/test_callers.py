@@ -1,8 +1,9 @@
 """Every public name under src/qpspec has a caller, every function runs,
 every defaulted parameter is passed and varies, every key of the CLI's
-config table is read, every name the benchmark's tracer binds exists, and
+config table is read, every name the benchmark's tracer binds exists,
 only dual_operator, for LAPACK heevr, imports scipy: on the oracle's first
-call, never at module level.
+call, never at module level, and every except clause names the types it
+catches, none of them Exception or BaseException.
 
 A function, class, method, property or option that only tests use is dead
 weight: it is named or set somewhere in the package outside its own
@@ -490,6 +491,49 @@ def test_scipy_guard_flags_planted_cases(tmp_path):
     files = [tmp_path / f"{stem}.py" for stem in planted]
     assert scipy_imports(files) == [("plain", None), ("dotted", None), ("guarded", None),
                                     ("in_class", None), ("lazy", "f"), ("nested", "g")]
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers(files) -> list:
+    """(stem, line) for each except clause in `files` that names no type (a
+    bare except:) or names Exception or BaseException, alone, dotted or in
+    a tuple."""
+    def broad(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name in BROAD
+
+    out = []
+    for file in files:
+        for node in ast.walk(ast.parse(file.read_text())):
+            if isinstance(node, ast.ExceptHandler):
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if node.type is None or any(map(broad, types)):
+                    out.append((file.stem, node.lineno))
+    return out
+
+
+def test_no_except_clause_swallows_every_error():
+    # a failure is a typed QPSpecError or a named library error; a broad
+    # handler would turn a defect into a row, a check result or an exit code
+    assert broad_handlers(sorted(SRC.glob("*.py"))) == []
+
+
+def test_except_guard_flags_planted_cases(tmp_path):
+    planted = {"bare": "try:\n    f()\nexcept:\n    pass\n",
+               "plain": "try:\n    f()\nexcept Exception as exc:\n    raise\n",
+               "tupled": "try:\n    f()\nexcept (ValueError, BaseException):\n    pass\n",
+               "dotted": "import builtins\ntry:\n    f()\nexcept builtins.Exception:\n    pass\n",
+               "nested": "def g():\n    try:\n        f()\n    except KeyError:\n        pass\n"
+                         "    except Exception:\n        pass\n",
+               "clean": "ERRORS = (OSError,)\ntry:\n    f()\nexcept (KeyError, ValueError):\n"
+                        "    pass\nexcept ERRORS:\n    pass\nexcept errors.QPSpecError:\n    pass\n"}
+    for stem, text in planted.items():
+        (tmp_path / f"{stem}.py").write_text(text)
+    files = [tmp_path / f"{stem}.py" for stem in planted]
+    assert broad_handlers(files) == [("bare", 3), ("plain", 3), ("tupled", 3), ("dotted", 4),
+                                     ("nested", 6)]
 
 
 def test_every_config_key_is_read():

@@ -6,7 +6,8 @@ import pytest
 
 from qpspec import checks, spectral
 from qpspec.cli import build_problem, load_config
-from qpspec.errors import ReconciliationError
+from qpspec.errors import ConvergenceError, ReconciliationError
+from qpspec.lattice import ball
 from qpspec.model import Potential, Problem
 
 from conftest import random_potential
@@ -34,6 +35,29 @@ def test_a_check_with_a_defect_propagates(generic_problem, monkeypatch):
     monkeypatch.setattr(checks, "max_correct_length", broken)
     with pytest.raises(TypeError, match="not a package error"):
         checks.run_selftest(generic_problem)
+
+
+def test_band_symmetry_check_is_band_on_the_golden_config():
+    # the six points are one-pivot band points, each eigen_simple's root
+    problem = build_problem(load_config(GOLDEN_CONFIG))
+    host = ball(4, 2)
+    for k, S in ((0.11, host), (0.23, host), (0.37, host), (-0.11, host.reflect()),
+                 (-0.23, host.reflect()), (-0.37, host.reflect())):
+        (p,) = spectral.band(problem, [k], lambda k: S)
+        assert p.regime == "nonresonant"
+        assert p.E == spectral.eigen_simple(problem, (0, 0), S, k).E
+    result = checks._symmetry(problem, 0)
+    assert result.passed and result.detail == "max |E(k)-E(-k)| 0"
+
+
+def test_band_symmetry_check_fails_on_an_error_row(generic_problem, monkeypatch):
+    # a point band cannot solve fails the check with the row's message
+    def stalled(step, E0, scale):
+        raise ConvergenceError("fixed point stalled")
+
+    monkeypatch.setattr(spectral, "_fixed_point", stalled)
+    result = checks._symmetry(generic_problem, 0)
+    assert not result.passed and result.detail == "k=0.11: fixed point stalled"
 
 
 @pytest.fixture(params=["golden_config", "generic", "harmonic", "eps_1e-2"])

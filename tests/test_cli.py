@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -78,7 +79,7 @@ def test_band_csv(tmp_path, capsys):
     lines = (tmp_path / "band.csv").read_text().splitlines()
     assert len(lines) == 2 + 5
     k0, E0, regime = lines[2].split(",")
-    assert float(E0) > 0 and regime in ("nonresonant", "paired", "dense_fallback")
+    assert float(E0) > 0 and regime in ("nonresonant", "paired", "graded")
 
 
 def test_gap_commands_name_each_label_at_the_cap(tmp_path, capsys):
@@ -233,6 +234,15 @@ MALFORMED = {
     "negative-diophantine-window": ("gaps", {"diophantine_window": -1},
                                     "diophantine_window must be an int >= 0"),
     "negative-geometry-s": ("geometry", {"geometry_s": -1}, "geometry_s must be an int >= 0"),
+    "zero-geometry-s": ("geometry", {"geometry_s": 0}, "geometry_s must be an int >= 1, got 0"),
+    # json.load reads the NaN and Infinity literals that json.dumps writes
+    "nan-k-grid-min": ("band", {"k_grid": {**GOLDEN["k_grid"], "min": math.nan}},
+                       "k_grid.min must be a number, got NaN"),
+    "infinite-k-grid-max": ("band", {"k_grid": {**GOLDEN["k_grid"], "max": math.inf}},
+                            "k_grid.max must be a number, got Infinity"),
+    "nan-geometry-k": ("geometry", {"geometry_k": math.nan}, "geometry_k must be a number, got NaN"),
+    "infinite-geometry-k": ("geometry", {"geometry_k": -math.inf},
+                            "geometry_k must be a number, got -Infinity"),
 }
 
 

@@ -16,7 +16,7 @@ from qpspec.inverse import verify_forward
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Frequency, Potential, Problem
 from qpspec.resonance import k_point
-from qpspec.schur import ReducedSolver
+from qpspec.schur import ReducedSolver, near_pivots
 from qpspec.spectral import (band, decay_envelope, eigen_pair, eigen_simple,
                              feynman_derivative, gap_at, paired_box)
 
@@ -273,37 +273,44 @@ def test_band_next_to_a_resonance_point_is_an_eigenvalue(generic_problem, m):
         assert p.regime == "paired"
 
 
-def test_band_reports_a_dense_fallback(generic_problem, monkeypatch):
-    # a stalled fixed point falls back to the dense solver, and the point says so
+def test_band_reports_a_stalled_fixed_point(generic_problem, monkeypatch):
+    # a one-pivot point whose fixed point stalls is an error row naming the
+    # stall; no dense solve takes over
+    host = ball(3, 2)
+    (want,) = band(generic_problem, [0.25], lambda k: host)
+    assert want.regime == "nonresonant"
+    fixed_point = spectral._fixed_point
+
     def stalled(step, E0, scale):
-        raise ConvergenceError("stalled")
+        # a step that flips between two energies never settles
+        return fixed_point(lambda E: 2.0 * E0 + scale - E, E0, scale)
 
     monkeypatch.setattr(spectral, "_fixed_point", stalled)
-    (p,) = band(generic_problem, [0.25], lambda k: ball(3, 2))
-    assert p.regime == "dense_fallback" and math.isfinite(p.E)
+    (p,) = band(generic_problem, [0.25], lambda k: host)
+    assert p.regime == "error" and math.isnan(p.E)
+    assert f"stalled after {spectral.MAX_FIXED_POINT_STEPS} steps" in p.error
 
 
-def test_dense_fallback_returns_the_labelled_eigenpair(golden_freq, monkeypatch):
-    # at k_(0,1) the split states weigh about 0.7 each on (0, 0); the
-    # fallback takes rank i(k) = #{n : v(n) < v(0)} = 2, the eigenvalue
-    # band prints there, not rank 3, whose eigenvector weighs a bit more
-    def stalled(step, E0, scale):
-        raise ConvergenceError("stalled")
-
-    monkeypatch.setattr(spectral, "_fixed_point", stalled)
+def test_band_at_a_split_resonance_is_the_labelled_eigenpair(golden_freq):
+    # at k_(0,1) the split states weigh about 0.7 each on (0, 0); band
+    # takes the sites near v(0) as pivots and prints rank
+    # i(k) = #{n : v(n) < v(0)} = 2, not rank 3, whose eigenvector weighs a
+    # bit more; that root's eigenvector solves H on the box
     eps = 10 ** np.random.default_rng(0).uniform(-4, -1)    # 8.14e-3
     prob = Problem(golden_freq, random_potential(np.random.default_rng(0), eps))
     n0 = (0, 1)
     k = k_point(prob.frequency, n0)
     S = paired_box(prob, n0, 3)
-    rec = eigen_simple(prob, (0, 0), S, k)
+    (p,) = band(prob, [k], lambda k: S)
     H = restrict(prob, S, k).entries
     v, evals = H.diagonal().real, np.linalg.eigvalsh(H)
-    assert rec.regime == "dense_fallback"
+    assert p.regime == "graded", p.error
     assert np.count_nonzero(v < v[S.index((0, 0))]) == 2
-    assert rec.E == pytest.approx(evals[2], rel=1e-12)
-    assert rec.E == pytest.approx(3.76965214741, abs=1e-10)
-    assert rec.phi[S.index((0, 0))] == 1.0
+    assert p.E == pytest.approx(evals[2], rel=1e-12)
+    assert p.E == pytest.approx(3.76965214741, abs=1e-10)
+    solver = ReducedSolver(prob, S, k, near_pivots(prob, S, k, (0, 0)))
+    rec = spectral.branch(solver, sum(x < solver.v[0] for x in solver.v))
+    assert rec.E == p.E
     assert np.max(np.abs(H @ rec.phi - rec.E * rec.phi)) <= 1e-10 * np.max(np.abs(H))
 
 
@@ -465,6 +472,56 @@ def test_band_is_the_labelled_eigenvalue_on_random_potentials(nu, seed, log_eps,
         assert abs(p.E - want) <= spectral.RECONCILE_TOL * max(1.0, abs(v0)), (n, p)
 
 
+def _contraction_steps(r: float, scale: float) -> int:
+    """The steps a one-pivot fixed point takes at most by eigen_simple's
+    bound: its first move is at most r/998 and each later one at most
+    998^-2 times the last, and it stops at the first move below
+    FIXED_POINT_TOL * scale, here halved against rounding."""
+    move, steps = r / 998.0, 1
+    while move >= 0.5 * spectral.FIXED_POINT_TOL * scale:
+        move, steps = move / 998.0 ** 2, steps + 1
+    return steps
+
+
+def test_contraction_steps_bound():
+    assert [_contraction_steps(r, 1.0) for r in (1e-14, 1e-10, 1.0, 49.0, 50.0)] == [
+        1, 2, 3, 3, 4]
+
+
+@given(nu=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 16),
+       log_eps=st.floats(-8.0, 0.0), radius=st.integers(3, 6),
+       k=st.floats(-0.5, 0.5), label=st.integers(0, 2 ** 16))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_one_pivot_fixed_point_contracts_on_random_potentials(nu, seed, log_eps, radius,
+                                                              k, label):
+    # every nonresonant (one-pivot) band point converges within the steps
+    # eigen_simple's contraction bound gives for the host's row sum r, at
+    # a random k and at k_n exactly, eps up to 1
+    omega = (1.0, GOLDEN) if nu == 2 else (1.0, 2.0 ** (1 / 3) - 1.0, 4.0 ** (1 / 3) - 1.0)
+    prob = Problem(Frequency(omega, 0.1, nu + 1.0),
+                   random_potential(np.random.default_rng(seed), 10 ** log_eps, nu=nu))
+    host, zero = ball(radius if nu == 2 else min(radius, 4), nu), tuple([0] * nu)
+    labels = [n for n in host if any(n)]
+    n = labels[label % len(labels)]
+    r = dual_operator.host_block(prob, host)[2]
+    fixed_point, steps = spectral._fixed_point, []
+
+    def counting(step, E0, scale):
+        def counted(E):
+            steps.append(E)
+            return step(E)
+        return fixed_point(counted, E0, scale)
+
+    for kk in (k, k_point(prob.frequency, n)):
+        steps.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "_fixed_point", counting)
+            (p,) = band(prob, [kk], lambda k: host)
+        if p.regime == "nonresonant":
+            scale = max(1.0, abs(diagonal_value(prob, zero, kk)))
+            assert len(steps) <= _contraction_steps(r, scale), (n, p, r)
+
+
 def test_gap_record_carries_forward_bound(generic_problem):
     rec = gap_at(generic_problem, (0, 1), 5)
     pot = generic_problem.potential
@@ -486,22 +543,27 @@ def test_splitting_lower_bound_constant(harmonic_problem):
         assert Ep - Em > 0.5 * (k0 * theta) ** 2
 
 
-def test_eigen_simple_dense_fallback_near_resonance(golden_freq):
-    # strong coupling at an exact resonance point: the scalar fixed point
-    # cannot settle between the split pair, so the dense route takes over
-    from qpspec.model import Potential, Problem
+def test_eigen_simple_stalls_near_resonance_and_band_does_not(golden_freq):
+    # strong coupling at an exact resonance point: the scalar fixed point on
+    # (0, 0) alone cannot settle between the split pair and raises; band
+    # takes (0, 1) as a pivot too and prints eigenvalue i(k) of H
     pot = Potential.from_harmonics({(0, 1): 0.6}, 0.3, 0.5)
     prob = Problem(golden_freq, pot)
     n0 = (0, 1)
     k = k_point(golden_freq, n0)
     S = paired_box(prob, n0, 4)
-    rec = eigen_simple(prob, (0, 0), S, k)
-    assert rec.regime in ("nonresonant", "dense_fallback")
-    assert rec.residual <= 1e-9
+    with pytest.raises(ConvergenceError, match="stalled"):
+        eigen_simple(prob, (0, 0), S, k)
+    (p,) = band(prob, [k], lambda k: S)
+    H = restrict(prob, S, k).entries
+    v = H.diagonal().real
+    want = np.linalg.eigvalsh(H)[np.count_nonzero(v < v[S.index((0, 0))])]
+    assert p.regime == "graded", p.error
+    assert p.E == pytest.approx(want, rel=1e-12)
 
 
 def test_eigen_simple_propagates_unexpected_errors(generic_problem, monkeypatch):
-    # only a stalled fixed point falls back to the dense solver
+    # a broken self-energy is no solver failure: it reaches the caller
     def broken(self, E):
         raise TypeError("broken self-energy")
 
