@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 validation failure, 2 regime/budget error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -197,15 +198,15 @@ def cmd_gaps(cfg, problem, out_dir):
 
 
 def cmd_geometry(cfg, problem, out_dir):
-    ladder = cfg["geometry_ladder"] or problem.ladder
-    if ladder is None:
+    problem = dataclasses.replace(problem, ladder=cfg["geometry_ladder"] or problem.ladder)
+    if problem.ladder is None:
         raise RegimeError("geometry requires a ladder in the config")
     k = cfg["geometry_k"]
     s = cfg["geometry_s"]
-    builder = GeometryBuilder(problem, ladder)
+    builder = GeometryBuilder(problem)
     plain = builder.lambda_plain(k, s)
     # radius 12, or the certificate window if smaller; window 0 sets no limit
-    profile = reset(problem, k, min(problem.frequency.window_n or 12, 12), ladder)
+    profile = reset(problem, k, min(problem.frequency.window_n or 12, 12))
     doc = {
         "k": k,
         "s": s,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CombinatorialBudgetError, GeometryError, RegimeError
 from .lattice import BOX_POINT_CAP, SiteSet, ball, straddles
-from .model import Problem, ScaleLadder, sigma
+from .model import Problem, sigma
 from .resonance import interval, k_point
 
 WORD_SEARCH_BUDGET = 500_000
@@ -78,26 +78,24 @@ def _extension_correct(word) -> bool:
 class SiteClassification:
     """The sets M^(s')_{k, s-1} with their Lambda sets, for s' = 1..s-1."""
 
-    k: float
     members: dict            # s' -> tuple of lattice vectors
     lambda_sets: dict        # (s', m) -> SiteSet
 
 
 class GeometryBuilder:
-    """The recursive Lambda-set construction for one problem.
+    """The recursive Lambda-set construction for one problem, on its ladder.
 
-    Each builder keeps the plain sets it has made, per (k, s).  The balls
+    A builder keeps no sets: every call builds its set afresh.  The balls
     and the classification window those sets are cut from do not depend on
     k; they are built once per process (lattice.ball, _window).
     """
 
-    def __init__(self, problem: Problem, ladder: ScaleLadder = None):
+    def __init__(self, problem: Problem):
         self.problem = problem
-        self.ladder = ladder if ladder is not None else problem.ladder
+        self.ladder = problem.ladder
         if self.ladder is None:
             raise ValueError("geometry requires a scale ladder")
         self.budget = problem.site_budget
-        self._plain_cache = {}
 
     # -- diagonal differences ------------------------------------------------
 
@@ -107,13 +105,12 @@ class GeometryBuilder:
         mw = pts @ omega
         return np.abs(mw * (mw + 2.0 * k)) / 256.0
 
-    def _candidates(self, window_radius: int, include_zero: bool = False) -> np.ndarray:
+    def _candidates(self, window_radius: int) -> np.ndarray:
         nu = self.problem.nu
         count = (2 * window_radius + 1) ** nu
         if count > BOX_POINT_CAP:
             raise CombinatorialBudgetError(f"classification window of {count} points too large")
-        pts, norms = _window(window_radius, nu)
-        return pts if include_zero else pts[norms > 0]
+        return _window(window_radius, nu)[0]
 
     def threshold(self, s_prime: int, s: int) -> float:
         """Class threshold at level s' inside the level-(s-1) classification."""
@@ -131,6 +128,8 @@ class GeometryBuilder:
         (CombinatorialBudgetError) raises rather than answering.
         """
         for m in self._candidates(window_radius):
+            if not m.any():
+                continue
             iv = interval(self.problem.frequency, tuple(int(c) for c in m),
                           max(s - 1, 0), self.ladder)
             if iv.contains(k):
@@ -150,7 +149,7 @@ class GeometryBuilder:
         # the window must reach every potential straddler of B(3 R^(s))
         window_radius = int(math.floor(
             3.0 * self.ladder.R(s) + 3.0 * self.ladder.R(s - 1))) + 1
-        pts = self._candidates(window_radius, include_zero=True)
+        pts = self._candidates(window_radius)
         diffs = self._v_diff(pts.astype(float), k)
         members = {}
         lambda_sets = {}
@@ -176,87 +175,83 @@ class GeometryBuilder:
                 lam = self.lambda_plain(k + self.problem.frequency.dot(m), s_prime)
                 lambda_sets[(s_prime, m)] = lam.translate(m)
             taken = taken.union(*(lambda_sets[(s_prime, m)] for m in mem))
-        return SiteClassification(k, members, lambda_sets)
+        return SiteClassification(members, lambda_sets)
 
     # -- the Lambda sets -----------------------------------------------------
 
     def lambda_plain(self, k: float, s: int) -> SiteSet:
-        """Lambda^(s)_k(0): B(3 R^(s)) minus every straddling lower-scale set."""
-        return self._plain(k, s, lambda: self.site_classes(k, s))
-
-    def _plain(self, k: float, s: int, classify) -> SiteSet:
-        """lambda_plain(k, s); classify() gives site_classes(k, s) on a cache miss."""
-        key = (float(k), int(s))
-        hit = self._plain_cache.get(key)
-        if hit is not None:
-            return hit
+        """Lambda^(s)_k(0): B(3 R^(s)) minus every straddling lower-scale set;
+        B(2 R^(1)) at s = 1."""
         if s == 1:
-            out = ball(2.0 * self.ladder.R(1), self.problem.nu, budget=self.budget)
-        else:
-            big = ball(3.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
-            classes = classify()
-            drop = [lam for lam in classes.lambda_sets.values() if straddles(lam, big)]
-            out = big.difference(SiteSet.union(*drop)) if drop else big
-            self._require_sandwich(out, s, k)
-            self._require_dichotomy(out, classes)
-        self._plain_cache[key] = out
+            return ball(2.0 * self.ladder.R(1), self.problem.nu, budget=self.budget)
+        return self._plain(k, s, self.site_classes(k, s))
+
+    def _plain(self, k: float, s: int, classes: SiteClassification) -> SiteSet:
+        """lambda_plain(k, s) for s >= 2, cut with classes = site_classes(k, s)."""
+        big = ball(3.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
+        drop = [lam for lam in classes.lambda_sets.values() if straddles(lam, big)]
+        out = big.difference(SiteSet.union(*drop)) if drop else big
+        self._require_sandwich(out, s, k, (0,) * self.problem.nu)
+        self._require_dichotomy(out, classes)
         return out
 
     def lambda_sym(self, k: float, s: int) -> SiteSet:
-        """Reflection-symmetrized Lambda set at small |k|.
-
-        Starts from B(3 R^(s)) and removes whole reflection classes
-        Lambda(m) union -Lambda(-m) while they straddle; stabilizes in
-        fewer than 2^s steps.
-        """
+        """Reflection-symmetrized Lambda set at small |k|: the symmetrization
+        about 0 (_symmetrized), which must lie in the plain set."""
         if s < 2:
             raise ValueError("symmetrized sets start at s = 2")
         if abs(k) >= math.exp(self.ladder.log_delta_at(s - 2)):
             raise RegimeError(
                 f"|k| = {abs(k):.3g} outside the small-k regime delta^(s-2)")
         classes = self.site_classes(k, s)
-        groups = _reflection_groups(classes, (0,) * self.problem.nu)
-        start = ball(3.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
-        out, steps = _iterated_straddle_removal(start, groups, 2 ** s)
-        if not out.issuperset(out.reflect()):
-            raise GeometryError("symmetrized set is not reflection invariant")
-        self._require_sandwich(out, s, k)
-        self._require_dichotomy(out, classes)
-        plain = self._plain(k, s, lambda: classes)
-        if not out.issubset(plain):
+        _, out = self._symmetrized(k, s, (0,) * self.problem.nu, classes)
+        if not out.issubset(self._plain(k, s, classes)):
             raise GeometryError("symmetrized set escapes the plain set")
         return out
 
     def lambda_pair(self, k: float, s: int, n0) -> SiteSet:
-        """T-invariant paired set around the resonance pair {0, n0}, T(n) = n0 - n."""
+        """T-invariant paired set around the resonance pair {0, n0}: the
+        symmetrization about n0 (_symmetrized), T(n) = n0 - n.  At s = 1
+        there is no lower level to remove, so it is B(3 R^(1)) u T(B(3 R^(1)))."""
         n0 = tuple(n0)
         kn0 = k_point(self.problem.frequency, n0)
         if abs(k - kn0) > 2.0 * sigma(n0, self.ladder):
             raise RegimeError(
                 f"k = {k:.6g} outside the pair window around k_n0 = {kn0:.6g}")
-        base = ball(3.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
-        start = base.union(base.reflect_through(n0))
-        if s == 1:
-            return start
-        classes = self.site_classes(k, s, pair=((0,) * self.problem.nu, n0))
-        groups = _reflection_groups(classes, n0)
-        out, steps = _iterated_straddle_removal(start, groups, 2 ** s)
-        if not out.issuperset(out.reflect_through(n0)):
-            raise GeometryError("paired set is not T-invariant")
-        inner = ball(2.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
-        if not inner.issubset(out) or not out.issuperset(inner.translate(n0)):
-            raise GeometryError("paired set lost its inner balls")
+        classes = (SiteClassification({}, {}) if s == 1
+                   else self.site_classes(k, s, pair=((0,) * self.problem.nu, n0)))
+        start, out = self._symmetrized(k, s, n0, classes)
         if not out.issubset(start):
             raise GeometryError("paired set escapes its outer envelope")
-        self._require_dichotomy(out, classes)
         return out
+
+    def _symmetrized(self, k: float, s: int, center, classes: SiteClassification):
+        """(start, out): the level-s set symmetrized about center, T(n) = center - n.
+
+        From start = B(3 R^(s)) u T(B(3 R^(s))), whole groups
+        Lambda(m) u T(Lambda(m)) are removed while they straddle; this
+        stabilizes in fewer than 2^s steps by the correct-word bound.  out
+        must be T-invariant, keep B(2 R^(s)) and center + B(2 R^(s)), and
+        straddle no Lambda set of the classification.
+        """
+        big = ball(3.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
+        # a ball is symmetric: T(B) is center + B, and B itself at center 0
+        start = big.union(big.translate(center)) if any(center) else big
+        out, _ = _iterated_straddle_removal(start, _reflection_groups(classes, center), 2 ** s)
+        if not out.issuperset(out.reflect_through(center)):
+            raise GeometryError(f"level-{s} set is not T-invariant for T(n) = {center} - n "
+                                "(not reflection invariant)")
+        self._require_sandwich(out, s, k, center)
+        self._require_dichotomy(out, classes)
+        return start, out
 
     # -- validations ----------------------------------------------------------
 
-    def _require_sandwich(self, out: SiteSet, s: int, k: float):
+    def _require_sandwich(self, out: SiteSet, s: int, k: float, center):
         inner = ball(2.0 * self.ladder.R(s), self.problem.nu, budget=self.budget)
-        if not inner.issubset(out):
-            raise GeometryError(f"B(2 R^({s})) not contained in the level-{s} set at k={k}")
+        if not inner.issubset(out) or any(center) and not inner.translate(center).issubset(out):
+            raise GeometryError(f"B(2 R^({s})) or {center} + B(2 R^({s})) not contained "
+                                f"in the level-{s} set at k={k}")
 
     def _require_dichotomy(self, out: SiteSet, classes: SiteClassification):
         for (s_prime, m), lam in classes.lambda_sets.items():

@@ -64,16 +64,16 @@ def interval(freq, m, s: int, ladder: ScaleLadder) -> ResonanceInterval:
     return ResonanceInterval(tuple(m), s, km - half - widen, km + half + widen)
 
 
-def reset(problem: Problem, k: float, search_radius: int,
-          ladder: ScaleLadder = None) -> ResonanceProfile:
-    """Reset set R(k), principal sets m^(l)(k), and the regime classification.
+def reset(problem: Problem, k: float, search_radius: int) -> ResonanceProfile:
+    """Reset set R(k), principal sets m^(l)(k), and the regime classification,
+    on the problem's ladder.
 
     R(k) = {n != 0 : |k - k_n| < (delta^(s(n)))^(3/4)} over |n| <= radius,
     ordered by |n| (magnitudes are distinct under the Diophantine
     condition; a tie means it failed, and raises RegimeError).  Boundary
     hits within 1e-14 are reported separately instead of silently binned.
     """
-    ladder = ladder if ladder is not None else problem.ladder
+    ladder = problem.ladder
     freq = problem.frequency
     if freq.window_n and search_radius > freq.window_n:
         raise LadderRangeError(

@@ -150,11 +150,12 @@ def branch(solver: ReducedSolver, j: int) -> EigenRecord:
     """Eigenvalue j (from 0) of M(E) = diag v + block(E) at its own E, a root
     of det(E - M(E)), by the fixed point E = lambda_j(M(E)), which contracts
     (|dM/dE| = O(eps)).  One pivot: E = v + Q(E) (nonresonant); two: mean
-    +- hypot (paired, j = 1 the plus branch), both from the pivots' mean
-    diagonal; more: eigvalsh (graded), from the j-th pivot diagonal, a step
-    nearer.  The record is unchecked; its eigenvector is built on read."""
+    +- hypot (paired, j = 1 the plus branch); more: eigvalsh (graded).
+    Every count starts from the j-th smallest pivot diagonal, the root at
+    block = 0; at a gap edge v(0) = v(n0), so that is the pivots' mean.
+    The record is unchecked; its eigenvector is built on read."""
     v = solver.v
-    start = sum(v) / len(v) if len(v) <= 2 else sorted(v)[j]
+    start = sorted(v)[j]
 
     def step(E: float) -> float:
         M = solver.block(E)

@@ -125,6 +125,19 @@ def test_geometry_budget_error(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "regime"
 
 
+@pytest.mark.parametrize("ladders, message", [
+    # without geometry_ladder the command runs on the config's ladder, whose
+    # level-1 classes are too wide at geometry_k
+    ({"geometry_ladder": None}, "class separation violated at level 1"),
+    ({"geometry_ladder": None, "ladder": None}, "geometry requires a ladder in the config"),
+])
+def test_geometry_ladder_falls_back_to_the_ladder(tmp_path, capsys, ladders, message):
+    path = write_config(tmp_path, **ladders)
+    assert main(["geometry", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "regime" and message in err["message"]
+
+
 def test_geometry_reset_tie_is_one_json_error(tmp_path, capsys):
     # reset widths so wide that two mirrors of equal norm catch k = 0.1
     path = write_config(tmp_path, geometry_k=0.1, geometry_s=1, geometry_ladder={
@@ -378,6 +391,15 @@ def test_golden_band_factors_nothing(tmp_path, solve_paths):
     assert main(["band", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
     total = sum(solve_paths.values(), Counter())
     assert set(total) == {"diagonal"}
+
+
+def test_golden_paired_band_points_solve_two_energies(tmp_path, solve_paths):
+    # a paired point's fixed point starts from its own pivot diagonal, the
+    # root with no coupling: one energy to step from, one to confirm the root
+    assert main(["band", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
+    energies = {round(solver.k, 2): sum(paths.values())
+                for solver, paths in solve_paths.items() if len(solver.pivots) == 2}
+    assert energies == {0.05: 2, 0.07: 2, 0.19: 2, 0.31: 2}
 
 
 # the selftest suite in run order; gap-first-order and gap-box are the CLI's

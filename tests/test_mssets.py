@@ -115,7 +115,7 @@ def test_site_classes_never_ask_admissibility(geometry_problem, monkeypatch):
 
 
 def test_classification_window_is_read_only(builder):
-    pts = builder._candidates(20, include_zero=True)
+    pts = builder._candidates(20)
     _, norms = mssets._window(20, 2)
     for array in (pts, norms):
         with pytest.raises(ValueError):
@@ -271,6 +271,21 @@ def test_lambda_sym_classifies_once(geometry_problem, monkeypatch):
     monkeypatch.setattr(GeometryBuilder, "site_classes", counted)
     GeometryBuilder(geometry_problem).lambda_sym(1e-15, 2)
     assert calls == [(1e-15, 2, None)]
+
+
+def test_lambda_pair_classifies_once(geometry_problem, monkeypatch):
+    calls = []
+    classify = GeometryBuilder.site_classes
+
+    def counted(self, k, s, pair=None):
+        calls.append((k, s, pair))
+        return classify(self, k, s, pair)
+
+    monkeypatch.setattr(GeometryBuilder, "site_classes", counted)
+    n0 = (0, 1)
+    k = k_point(geometry_problem.frequency, n0) + 1e-5
+    GeometryBuilder(geometry_problem).lambda_pair(k, 2, n0)
+    assert calls == [(k, 2, ((0, 0), n0))]
 
 
 @pytest.mark.parametrize("n0, offset, pin", [
