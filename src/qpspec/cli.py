@@ -204,7 +204,11 @@ def cmd_geometry(cfg, problem, out_dir):
     k = cfg["geometry_k"]
     s = cfg["geometry_s"]
     builder = GeometryBuilder(problem)
-    plain = builder.lambda_plain(k, s)
+    if s >= 2:       # one classification, for the plain set and the classes key
+        classes = builder.site_classes(k, s)
+        plain = builder._plain(k, s, classes)
+    else:
+        classes, plain = None, builder.lambda_plain(k, s)
     # radius 12, or the certificate window if smaller; window 0 sets no limit
     profile = reset(problem, k, min(problem.frequency.window_n or 12, 12))
     doc = {
@@ -213,8 +217,8 @@ def cmd_geometry(cfg, problem, out_dir):
         "lambda_plain": [list(p) for p in plain],
         "classes": {
             str(sp): [list(m) for m in mem]
-            for sp, mem in builder.site_classes(k, s).members.items()
-        } if s >= 2 else {},
+            for sp, mem in classes.members.items()
+        } if classes is not None else {},
         "reset": [list(n) for n in profile.reset],
         "principal_sets": [[list(m) for m in tier] for tier in profile.principal_sets],
         "regime": list(map(str, profile.regime)),

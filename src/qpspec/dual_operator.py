@@ -55,45 +55,52 @@ def diagonal_value(problem: Problem, n, k: float) -> float:
 def restrict(problem: Problem, S: SiteSet, k: float) -> DualMatrix:
     """Hermitian restriction of H_k to S, in S's canonical order: the
     host's couplings with host_diagonal(phases, k) on the diagonal."""
-    block, phases, _ = host_block(problem, S)
+    block, phases, *_ = host_block(problem, S)
     return DualMatrix.assemble(S, k, block, host_diagonal(phases, k))
 
 
-_host = None   # (problem, S, block, phases, row_sum, shell) of the last host built
+_host = None   # (problem, S, block, phases, row_sum, stencil, shell) of the last host built
 
 
 def host_block(problem: Problem, S: SiteSet):
     """The part of H_k on S that does not depend on k: (block, phases,
-    row_sum), the off-diagonal block h(m, n) = c(n - m) and the phases
-    n.omega over S, both read-only, and the block's largest row sum
+    row_sum, stencil), the off-diagonal block h(m, n) = c(n - m) and the
+    phases n.omega over S, the block's largest row sum
     max_m sum_n |h(m, n)|, which bounds every Gershgorin radius of H_k on S
-    or on a subset of S.  The code lookup that finds the block also finds
-    S's coupling shell, which host_shell derives from it when first read.
+    or on a subset of S, and the block as a stencil (nbr, values) over the
+    support's shifts D[c]: values[c] = c(D[c]) and nbr[c, i] the position
+    of S[i] + D[c] in S, or n = len(S) where that site is not in S, with
+    one more column of n (_coupling_lookup).  So for x over S with a 0
+    appended, values @ x[nbr] is block @ x with a 0 appended, at most one
+    term a shift.  The arrays are read-only.  The code lookup that finds
+    the block also finds S's coupling shell, which host_shell derives from
+    it when first read.
 
     The last host built is kept, so band points on one host share one
     block; a call on another host replaces it.  A Problem is not hashable
     (its potential holds a dict), so the held host is matched on the
-    problem's identity and S's content, and holds the problem: no other
-    problem can take its id while it is held.  The empty set and the site
-    budget are checked on every call, non-finite couplings once, when the
-    host is built; non-finite phases make every diagonal non-finite, which
-    host_diagonal refuses.
+    problem's identity and on S, by identity before content, and holds
+    the problem: no other problem can take its id while it is held.  The
+    empty set and the site budget are checked on every call, non-finite
+    couplings once, when the host is built; non-finite phases make every
+    diagonal non-finite, which host_diagonal refuses.
     """
     global _host
     if len(S) == 0:
         raise ValueError("cannot restrict to an empty site set")
     if problem.site_budget is not None and len(S) > problem.site_budget:
         raise SiteBudgetError(f"{len(S)} sites exceed budget {problem.site_budget}")
-    if _host is not None and _host[0] is problem and _host[1] == S:
-        return _host[2:5]
-    block, *lookup = _coupling_lookup(problem, S)
+    if _host is not None and _host[0] is problem and (_host[1] is S or _host[1] == S):
+        return _host[2:6]
+    block, nbr, t, hit, values = _coupling_lookup(problem, S)
     phases = S.array().astype(float) @ np.asarray(problem.omega, dtype=float)
     if not np.isfinite(block).all():
         raise ValueError("non-finite matrix entries")
-    block.flags.writeable = phases.flags.writeable = False
+    for a in (block, phases, nbr, values):
+        a.flags.writeable = False
     _host = (problem, S, block, phases, float(np.abs(block).sum(axis=1).max()),
-             lru_cache(maxsize=1)(partial(_shell, *lookup)))
-    return _host[2:5]
+             (nbr, values), lru_cache(maxsize=1)(partial(_shell, t, hit, values)))
+    return _host[2:6]
 
 
 def host_shell(problem: Problem, S: SiteSet):
@@ -102,7 +109,7 @@ def host_shell(problem: Problem, S: SiteSet):
     S[src], t the slot-th of the shell's `size` sites and h = h(t, s).
     Derived from host_block's lookup on the first read per host."""
     host_block(problem, S)
-    return _host[5]()
+    return _host[6]()
 
 
 def _shell(t, hit, values):
@@ -122,12 +129,13 @@ def host_diagonal(phases: np.ndarray, k: float) -> np.ndarray:
 
 
 def _coupling_lookup(problem: Problem, S: SiteSet):
-    """(block, t, hit, values): the off-diagonal block h(m, n) = c(n - m),
-    m and n in S, in S's order and 0 where m = n, and its lookup of each
-    S[i] + D[c], D[c] the c-th shift of the support: its mixed-radix code
-    t[c, i] over S's bounding box padded by the largest shift (code(m + d) =
-    code(m) + code(d)), whether bisection finds it among S's (hit[c, i]),
-    and c(D[c]) = values[c]."""
+    """(block, nbr, t, hit, values): the off-diagonal block h(m, n) =
+    c(n - m), m and n in S, in S's order and 0 where m = n, and its lookup
+    of each S[i] + D[c], D[c] the c-th shift of the support: its mixed-radix
+    code t[c, i] over S's bounding box padded by the largest shift
+    (code(m + d) = code(m) + code(d)), whether bisection finds it among S's
+    (hit[c, i]), its position nbr[c, i] in S where it does and len(S)
+    where it does not or i = len(S), and c(D[c]) = values[c]."""
     pot = problem.potential
     coeffs = {d: pot.epsilon * c0 for d, c0 in pot.coefficients.items() if any(d)}
     A = S.array()
@@ -142,10 +150,13 @@ def _coupling_lookup(problem: Problem, S: SiteSet):
     pos = np.minimum(np.searchsorted(sorted_codes, t), len(A) - 1)
     hit = sorted_codes[pos] == t
     c, i = np.nonzero(hit)
+    j = by_code[pos[c, i]]
+    nbr = np.full((len(D), len(A) + 1), len(A))
+    nbr[c, i] = j
     values = np.array(list(coeffs.values()), dtype=complex)
     H = np.zeros((len(A), len(A)), dtype=complex)
-    H[i, by_code[pos[c, i]]] = values[c]
-    return H, t, hit, values
+    H[i, j] = values[c]
+    return H, nbr, t, hit, values
 
 
 def _permuted(M: DualMatrix, sites) -> np.ndarray:

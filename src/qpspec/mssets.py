@@ -110,7 +110,7 @@ class GeometryBuilder:
         count = (2 * window_radius + 1) ** nu
         if count > BOX_POINT_CAP:
             raise CombinatorialBudgetError(f"classification window of {count} points too large")
-        return _window(window_radius, nu)[0]
+        return _window(window_radius, nu)
 
     def threshold(self, s_prime: int, s: int) -> float:
         """Class threshold at level s' inside the level-(s-1) classification."""
@@ -262,16 +262,15 @@ class GeometryBuilder:
 
 @lru_cache(maxsize=4)
 def _window(window_radius: int, nu: int):
-    """The points of the (2 window_radius + 1)^nu box and their l1 norms, read-only.
+    """The points of the (2 window_radius + 1)^nu box, read-only.
 
     Built once per process for each (window_radius, nu); callers check
     BOX_POINT_CAP first.
     """
     grids = np.meshgrid(*([np.arange(-window_radius, window_radius + 1)] * nu), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    norms = np.abs(pts).sum(axis=1)
-    pts.flags.writeable = norms.flags.writeable = False
-    return pts, norms
+    pts.flags.writeable = False
+    return pts
 
 
 def _reflection_groups(classes: SiteClassification, center):

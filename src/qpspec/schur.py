@@ -6,9 +6,10 @@ built from K(E) C = (E - H_{S \\ P})^-1 C, C the pivots' coupling columns,
 solved once per energy (ReducedSolver.block).  This is the one
 representation of the resolvent; the selftest compares it with the dense
 inverse.  A solver gathers its blocks from its host's couplings, which do
-not depend on k and are kept for the last host (dual_operator.host_block), and
-takes only the diagonal from k; the dense matrix H_S is built only when a
-check reads it (ReducedSolver.full).
+not depend on k and are kept for the last host, as a dense block and as a
+stencil over the support's shifts (dual_operator.host_block), and takes
+only the diagonal from k; the dense matrix H_S is built only when a check
+reads it (ReducedSolver.full).
 
 A solve splits the reduced set at each energy by Gershgorin's circle
 theorem, with r, the host's largest off-diagonal row sum, which bounds
@@ -22,7 +23,9 @@ and 0 elsewhere, D the diagonal: with theta = r / min_F |E - v(n)| <
 THETA_MAX its j-th iterate lies within theta^(j+1) / (1 - theta) ||K_D b||
 of (E - H_FF)^-1 b, and the solver iterates until that bound is at most
 2^-53, the unit roundoff, which takes at most five products with the
-host's shared block and factors nothing.  Then:
+host's coupling block and factors nothing.  A host multiplies by its
+stencil, one column at a time, or by its dense block, by one rule from its
+size and shift count (ReducedSolver).  Then:
 
 - N empty: the series over the whole reduced set is the solve.
 - N not empty, of any size, with a right-hand side of any width: one
@@ -65,7 +68,7 @@ def near_pivots(problem: Problem, S: SiteSet, k: float, p0) -> list:
     """p0, then each site of S, in S's order, that a solve on the pivot p0
     alone keeps near at E = v(p0, k) (_near, with that solve's floor): the
     sites whose diagonals lie within the coupling window of p0's."""
-    _, phases, r = host_block(problem, S)
+    _, phases, r, _ = host_block(problem, S)
     diag = host_diagonal(phases, k)
     i = S.index(p0)
     gap = np.abs(diag[i] - diag)
@@ -93,9 +96,11 @@ class ReducedSolver:
     A solve takes the diagonal series or the near/far split of the module
     docstring and factors nothing.  The series' iterates run over all of
     `sites` with their pivot entries (and near ones) held at 0, so its
-    corrections read the host's coupling block with no gather.  Q and G
-    are entries of block(E) and F a column of its solve, K(E) C for every
-    pivot's coupling column at once, kept per energy, so block, f and an
+    corrections multiply by the host's coupling block as it is, as a
+    stencil or as the dense block, whichever one rule by host size and
+    shift count (in __init__) names the cheaper.  Q and G are entries of
+    block(E) and F a column of its solve, K(E) C for every pivot's
+    coupling column at once, kept per energy, so block, f and an
     eigenvector read one solve.
 
     The couplings come from the host memo (host_block) and only the
@@ -111,16 +116,36 @@ class ReducedSolver:
     def __init__(self, problem: Problem, S: SiteSet, k: float, pivots):
         self.sites, self.k = S, k
         self.pivots = [tuple(p) for p in pivots]
-        couplings, phases, self.row_sum = host_block(problem, S)
+        couplings, phases, self.row_sum, stencil = host_block(problem, S)
         self._couplings = couplings   # read-only, shared with the memo
+        # The series' product, by one rule from the host's n sites and C
+        # support shifts: the stencil when n >= 3 C + 60, else the dense
+        # block.  Per correction the stencil costs about C n and a fixed
+        # cost per column, the dense product n^2 per column.  One series
+        # solve of three corrections, dense / stencil, median of 7 x 300
+        # (7 x 10 at n = 833), in us, one BLAS thread, 2-vCPU KVM guest;
+        # near the line the two are within about 10%:
+        #   n    C   width 1     width 2     width 3
+        #   25   2   12 / 16     18 / 26     28 / 53
+        #   61   2   16 / 17     30 / 27     37 / 38
+        #   61   8   16 / 18     29 / 30     36 / 42
+        #   63   6   16 / 18     30 / 29     36 / 39     (nu = 3)
+        #   85   8   21 / 21     40 / 35     53 / 47
+        #   85  10   21 / 21     40 / 37     53 / 48
+        #   113 16   26 / 26     58 / 45     80 / 63
+        #   129  6   30 / 21     70 / 38     101 / 56    (nu = 3)
+        #   145  8   40 / 36     97 / 61     114 / 57
+        #   145 24   34 / 32     84 / 62     109 / 79
+        #   833  6   1436 / 56   3326 / 103  4709 / 170  (nu = 3)
+        self._stencil = stencil if len(S) >= 3 * len(stencil[1]) + 60 else None
         self.diag = host_diagonal(phases, k)
         self._pos = {p: i for i, p in enumerate(self.pivots)}
         self.piv = [S.index(p) for p in self.pivots]
-        rest = np.ones(len(S), dtype=bool)
-        rest[self.piv] = False
+        rest = np.ones(len(S) + 1, dtype=bool)    # and the stencil's extra entry
+        rest[self.piv] = rest[-1] = False
         self.rest = np.flatnonzero(rest)
-        # each site's row in the reduced set; a pivot's row is any, since
-        # the series' K_D is 0 there
+        # each site's row in the reduced set; a pivot's row and the extra
+        # entry's are any, since the series' K_D is 0 there
         self._slot = np.maximum(np.cumsum(rest) - 1, 0)
         self.v = tuple(float(self.diag[i]) for i in self.piv)
         v_rest = self.diag.take(self.rest)
@@ -160,11 +185,23 @@ class ReducedSolver:
     def _diagonal_solve(self, kd: np.ndarray, rhs: np.ndarray, theta: float) -> np.ndarray:
         """K(E) rhs from x0 = K_D rhs by x <- x0 + K_D B x, kd the diagonal
         of K_D over all of `sites`, 0 at the pivots: the iterates' pivot
-        entries stay 0, so B is the host's coupling block itself."""
-        kd = kd.reshape(kd.shape + (1,) * (rhs.ndim - 1))
-        B = self._couplings
-        x = _neumann(kd * rhs.take(self._slot, axis=0), lambda x: kd * (B @ x), theta)
-        return x.take(self.rest, axis=0)
+        entries stay 0, so B is the host's coupling block itself.  With
+        the dense block (`_stencil` None) every column is iterated at
+        once.  With the stencil (host_block) each column is iterated on
+        its own, with one more entry, where K_D is 0, so that every iterate
+        is 0 there and a shift that leaves the host reads 0."""
+        if self._stencil is None:
+            kd = kd.reshape(kd.shape + (1,) * (rhs.ndim - 1))
+            B = self._couplings
+            x = _neumann(kd * rhs.take(self._slot[:-1], axis=0), lambda x: kd * (B @ x), theta)
+            return x.take(self.rest, axis=0)
+        nbr, values = self._stencil
+        kd = np.append(kd, 0.0)
+        X0 = kd * rhs.reshape(len(rhs), rhs.size // len(rhs)).T.take(self._slot, axis=1)
+        X = np.empty(X0.shape, dtype=complex)
+        for x, x0 in zip(X, X0):
+            x[:] = _neumann(x0, lambda x: kd * (values @ x[nbr]), theta)
+        return X.T.take(self.rest, axis=0).reshape(self.rest.shape + rhs.shape[1:])
 
     def _near_solve(self, E: float, d: np.ndarray, N: np.ndarray, rhs: np.ndarray,
                     floor: float) -> np.ndarray:

@@ -13,6 +13,7 @@ from qpspec import model
 from qpspec.cli import build_problem, load_config, main
 from qpspec.inverse import gap_table
 from qpspec.lattice import ball
+from qpspec.mssets import GeometryBuilder
 
 from conftest import random_potential
 
@@ -160,9 +161,18 @@ def test_geometry_reset_searches_radius_12_at_any_window(tmp_path, window):
     assert doc["regime"] == ["simple_pair", "(0, 1)"]
 
 
-def test_geometry_output(tmp_path):
+def test_geometry_output(tmp_path, monkeypatch):
+    # the plain set and the classes key read one classification
+    classify, calls = GeometryBuilder.site_classes, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return classify(self, *args)
+
+    monkeypatch.setattr(GeometryBuilder, "site_classes", counted)
     rc = main(["geometry", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)])
     assert rc == 0
+    assert calls == [(0.2088, 2)]
     doc = json.loads((tmp_path / "geometry.json").read_text())
     assert doc["classes"]["1"] == [[0, 0]]
     assert len(doc["lambda_plain"]) > 1000

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpspec import spectral
-from qpspec.dual_operator import diagonal_value
+from qpspec.dual_operator import diagonal_value, host_block
 from qpspec.errors import SingularBlockError
 from qpspec.inverse import recovered_bound
 from qpspec.lattice import SiteSet, ball
@@ -311,6 +311,61 @@ def test_diagonal_solve_is_within_its_bound(golden_freq, seed, radius, n_piv, lo
             dots = 2 * len(v) * UNIT_ROUNDOFF * row * np.linalg.norm(y[:, j])
             want = solver._direct[i][j] + np.conj(cols[:, i]) @ y[:, j]
             assert abs(block[i][j] - want) <= row * bound + dots
+
+
+# One series correction through either product form is held to
+# PRODUCT_C (C + 2) u (|K_D| |B| |x0| + |x0|) entrywise, C the support's
+# shift count, which bounds the nonzeros of a row of B.  Over 4,000 random
+# draws from the ranges of the test below (3,063 with a reduced site; 771
+# of them on the stencil's side of the solver's rule; 2-vCPU guest,
+# OpenBLAS at one thread) the largest ratio to (C + 2) u (...) was 0.25
+# for either form.  A stencil whose misses read site 0, or whose extra
+# entry does not stay 0, fails the test.
+PRODUCT_C = 1.0
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from(["ball", "pair", "site"]),
+       st.integers(0, 45), st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2),
+       st.sampled_from([None, 0, 1, 2, 3, 4]), st.floats(-0.5, 0.5))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_each_product_form_is_the_coupling_product(seed, nu, shape, radius, density, n_piv,
+                                                   width, k):
+    # one correction x0 + K_D B x0 of the diagonal series (theta = 1e-8
+    # stops it after one), x0 = K_D rhs with K_D 0 at the pivots, through
+    # the dense block and through the stencil on the same host, against
+    # B x0 in extended precision.  The hosts: balls and paired boxes in
+    # nu = 1 to 3 on both sides of the solver's rule, one site, and an
+    # empty support (density 0); the right-hand sides: a vector (width
+    # None) or 0 to 4 columns, 0 being recovered_bound's case.
+    rng = np.random.default_rng(seed)
+    omega = (1.0, GOLDEN, math.sqrt(2.0) - 1.0)[:nu] if nu > 1 else (GOLDEN,)
+    prob = Problem(Frequency(omega, 0.1, nu + 1.0),
+                   random_potential(rng, radius=2, density=density, nu=nu))
+    radius = min(radius, (45, 8, 4)[nu - 1])
+    zero, one = (0,) * nu, (0,) * (nu - 1) + (1,)
+    S = {"ball": lambda: ball(radius, nu), "site": lambda: SiteSet([zero]),
+         "pair": lambda: paired_box(prob, (1,) * nu, radius // 2)}[shape]()
+    pivots = [zero, one][:n_piv] if one in S else [zero][:n_piv]
+    solver = ReducedSolver(prob, S, k, pivots)
+    assume(len(solver.rest))
+    B, _, _, stencil = host_block(prob, S)
+    rest = solver.rest
+    kd = rng.normal(size=len(S))
+    kd[solver.piv] = 0.0
+    rhs = rng.normal(size=(len(rest), width or 1)) + 1j * rng.normal(size=(len(rest), width or 1))
+    rhs = rhs[:, 0] if width is None else rhs[:, :width]
+    x0 = np.zeros((len(S),) + rhs.shape[1:], dtype=complex)
+    x0[rest] = rhs
+    kd_ = kd.reshape(kd.shape + (1,) * (rhs.ndim - 1))
+    x0 = kd_ * x0
+    exact = x0 + kd_ * (B.astype(np.clongdouble) @ x0.astype(np.clongdouble))
+    bound = PRODUCT_C * (len(stencil[1]) + 2) * UNIT_ROUNDOFF * (
+        np.abs(kd_) * (np.abs(B) @ np.abs(x0)) + np.abs(x0))
+    for form in (None, stencil):
+        solver._stencil = form
+        got = solver._diagonal_solve(kd, rhs, 1e-8)
+        assert got.shape == rhs.shape and got.dtype == complex
+        assert np.all(np.abs(got - exact[rest]) <= bound[rest])
 
 
 def test_diagonal_anchor_boundary(generic_problem, zero_problem):

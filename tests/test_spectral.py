@@ -449,6 +449,25 @@ def test_band_at_a_stalled_nu_3_point_is_the_labelled_eigenvalue():
     assert p.E == pytest.approx(0.6707905861896188, rel=1e-12)
 
 
+def test_band_on_an_833_site_nu_3_host_is_the_labelled_eigenvalue():
+    # the cubic-irrational nu = 3 potential at eps 1e-4 on ball(8, 3), whose
+    # series multiply by the stencil: two graded points and two paired ones,
+    # at k_(0,0,1) and k_(1,0,-1) exactly, each eigenvalue i(k) of H
+    omega = (1.0, 2.0 ** (1 / 3) - 1.0, 4.0 ** (1 / 3) - 1.0)
+    pot = Potential.from_harmonics({(0, 0, 1): 0.6, (0, 1, 0): 0.4, (1, 0, 0): 0.3}, 1e-4, 0.5)
+    problem = Problem(Frequency(omega, 0.1, 4.0), pot)
+    host, zero = ball(8, 3), (0, 0, 0)
+    assert len(host) == 833 and ReducedSolver(problem, host, 0.13, [zero])._stencil is not None
+    ks = [0.13, 0.27] + [k_point(problem.frequency, n) for n in [(0, 0, 1), (1, 0, -1)]]
+    points = band(problem, ks, lambda k: host)
+    assert [p.regime for p in points] == ["graded", "graded", "paired", "paired"]
+    for p in points:
+        H = restrict(problem, host, p.k).entries
+        v = H.diagonal().real
+        want = np.linalg.eigvalsh(H)[np.count_nonzero(v < v[host.index(zero)])]
+        assert abs(p.E - want) <= 1e-9 * max(1.0, abs(p.E))
+
+
 @given(nu=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 16),
        log_eps=st.floats(-4.0, -1.5), radius=st.integers(3, 6),
        k=st.floats(-0.5, 0.5), label=st.integers(0, 2 ** 16))
