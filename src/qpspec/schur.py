@@ -2,8 +2,9 @@
 
 Eliminating the pivot sites P from E - H_S leaves on P the Schur
 complement E - (diag v + [[Q+, G], [G*, Q-]]) (E - v - Q for one pivot),
-built from K(E) C = (E - H_{S \\ P})^-1 C, C the pivots' coupling columns,
-solved once per energy (ReducedSolver.block).  This is the one
+one (p, p) array on p pivots, the direct couplings plus C^H K(E) C,
+K(E) C = (E - H_{S \\ P})^-1 C, C the pivots' coupling columns, solved
+once per energy (ReducedSolver.block).  This is the one
 representation of the resolvent; the selftest compares it with the dense
 inverse.  A solver gathers its blocks from its host's couplings, which do
 not depend on k and are kept for the last host, as a dense block and as a
@@ -99,9 +100,10 @@ class ReducedSolver:
     corrections multiply by the host's coupling block as it is, as a
     stencil or as the dense block, whichever one rule by host size and
     shift count (in __init__) names the cheaper.  Q and G are entries of
-    block(E) and F a column of its solve, K(E) C for every pivot's
-    coupling column at once, kept per energy, so block, f and an
-    eigenvector read one solve.
+    block(E), one product on any number of pivots, and F a column of its
+    solve, K(E) C for every pivot's coupling column at once, kept per
+    energy, so block, f and an eigenvector read one solve.  A repeated
+    pivot, or one outside S, is a ValueError.
 
     The couplings come from the host memo (host_block) and only the
     diagonal `diag` = H(n, n) over `sites` from k.  `piv` and `rest` are
@@ -116,6 +118,11 @@ class ReducedSolver:
     def __init__(self, problem: Problem, S: SiteSet, k: float, pivots):
         self.sites, self.k = S, k
         self.pivots = [tuple(p) for p in pivots]
+        for i, p in enumerate(self.pivots):
+            if p not in S:
+                raise ValueError(f"pivot {p} is not a site of the host")
+            if p in self.pivots[:i]:
+                raise ValueError(f"pivot {p} is repeated")
         couplings, phases, self.row_sum, stencil = host_block(problem, S)
         self._couplings = couplings   # read-only, shared with the memo
         # The series' product, by one rule from the host's n sites and C
@@ -152,8 +159,7 @@ class ReducedSolver:
         self._v_span = (v_rest.min(initial=np.inf), v_rest.max(initial=-np.inf))
         # h(n, p) and h(p, n) over the reduced set, one per pivot; h(p, p') off p = p'
         self._cols = np.asfortranarray(couplings[:, self.piv][self.rest])
-        self._rows = list(np.conj(self._cols).T)
-        self._direct = couplings[self.piv][:, self.piv].tolist()   # 0 on its diagonal
+        self._direct = couplings[self.piv][:, self.piv]   # 0 on its diagonal
         self._solved = {}     # E -> K(E) C
 
     @cached_property
@@ -232,27 +238,22 @@ class ReducedSolver:
             X = self._solved[E] = self.solve(E, self._cols)
         return X
 
-    def block(self, E: float):
-        """[[Q+, G], [G', Q-]] on the pivots, in their order: entry (i, j)
-        is h(p_i, p_j) (0 if i = j) plus sum h(p_i, m') K(m', n') h(n', p_j),
-        K = (E - H_rest)^-1, so G' is conj G only up to rounding.  Every
-        pivot's column is solved at once, once per energy.  On one or two
-        pivots it is rows of complex, each sum one column dot, which the
-        closed-form steps read; on more, one array from one product."""
-        X = self._coupling_solve(E)
-        if len(self.piv) > 2:
-            return self._couplings[self.piv][:, self.piv] + self._cols.conj().T @ X
-        return [[d + complex(row @ x) for d, x in zip(direct, X.T)]
-                for direct, row in zip(self._direct, self._rows)]
+    def block(self, E: float) -> np.ndarray:
+        """[[Q+, G], [G', Q-]] on the pivots, in their order, a complex
+        (p, p) array: entry (i, j) is h(p_i, p_j) (0 if i = j) plus
+        sum h(p_i, m') K(m', n') h(n', p_j), K = (E - H_rest)^-1, so G' is
+        conj G only up to rounding.  One product with every pivot's column
+        solved at once, once per energy, on any number of pivots."""
+        return self._direct + self._cols.conj().T @ self._coupling_solve(E)
 
     def q(self, m0, E: float) -> complex:
         """Q(m0, S; E) = sum h(m0, m') K(m', n') h(n', m0); real for real E."""
         i = self._pos[tuple(m0)]
-        return self.block(E)[i][i]
+        return self.block(E)[i, i]
 
     def g(self, mp, mm, E: float) -> complex:
         """G(mp, mm, S; E) = h(mp, mm) + sum h(mp, m') K(m', n') h(n', mm)."""
-        return self.block(E)[self._pos[tuple(mp)]][self._pos[tuple(mm)]]
+        return self.block(E)[self._pos[tuple(mp)], self._pos[tuple(mm)]]
 
     def f(self, m0, E: float) -> np.ndarray:
         """F(m0, n; E) over the reduced set, in the order of `rest`, the

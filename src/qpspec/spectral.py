@@ -68,7 +68,7 @@ class EigenRecord:
         tails = np.column_stack([-solver.f(p, E) for p in solver.pivots])   # K h(., p)
         # pivot amplitudes: the null vector of E - M(E), M(E) = diag v + block(E)
         # the effective (Hermitian) pivot matrix, i.e. its eigenvector nearest E
-        w, V = np.linalg.eigh(np.diag(solver.v) + np.array(solver.block(E)))
+        w, V = np.linalg.eigh(np.diag(solver.v) + solver.block(E))
         amps = V[:, np.argmin(np.abs(w - E))]
         top = np.argmax(np.abs(amps))
         amps = amps / amps[top]

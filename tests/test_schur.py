@@ -129,9 +129,12 @@ def test_eigenvalue_stays_within_eps_of_diagonal(generic_problem):
         assert 0 < abs(rec.E - v0) < eps
 
 
-@pytest.mark.parametrize("pivots", [[(0, 0)], [(0, 0), (0, 1)], [(1, -1), (0, 0)]])
+@pytest.mark.parametrize("pivots", [[(0, 0)], [(0, 0), (0, 1)], [(1, -1), (0, 0)],
+                                    [(0, 0), (0, 1), (1, -1)],
+                                    [(1, -1), (0, 0), (-1, 0), (0, 1)]])
 def test_block_entries_are_single_column_solves(generic_problem, pivots):
-    # entry (i, j): h(p_i, p_j) off the diagonal plus conj(h(., p_i)) . K h(., p_j).
+    # entry (i, j): h(p_i, p_j) off the diagonal plus conj(h(., p_i)) . K h(., p_j),
+    # on any number of pivots one complex (p, p) array.
     # One pivot's block is its one-column solve bit for bit.  Several
     # columns may round otherwise: the series' product with two columns
     # sums in another order than with one.  So several pivots are held to
@@ -141,7 +144,8 @@ def test_block_entries_are_single_column_solves(generic_problem, pivots):
     H, sites = solver.full.entries, solver.full.sites
     for E in (diagonal_value(generic_problem, (0, 0), k) + 1e-3, -3.0):
         block = solver.block(E)
-        assert [len(row) for row in block] == [len(pivots)] * len(pivots)
+        assert isinstance(block, np.ndarray) and block.dtype == complex
+        assert block.shape == (len(pivots), len(pivots))
         for i, p in enumerate(pivots):
             row = np.conj(solver.coupling_column(p))
             for j, p2 in enumerate(pivots):
@@ -155,6 +159,16 @@ def test_block_entries_are_single_column_solves(generic_problem, pivots):
                     assert abs(block[i][j] - want) <= bound
         assert solver.q(pivots[0], E) == block[0][0]
         assert solver.g(pivots[0], pivots[-1], E) == block[0][-1]
+
+
+@pytest.mark.parametrize("pivots, message", [
+    # two pivots on one site would make a 2x2 block of a single site
+    ([(0, 0), (0, 0)], r"pivot \(0, 0\) is repeated"),
+    ([(0, 0), (4, 0)], r"pivot \(4, 0\) is not a site of the host"),
+], ids=["repeated", "outside"])
+def test_a_bad_pivot_is_refused(generic_problem, pivots, message):
+    with pytest.raises(ValueError, match=message):
+        ReducedSolver(generic_problem, ball(3, 2), 0.1, pivots)
 
 
 def test_empty_reduced_set(generic_problem):
@@ -235,7 +249,9 @@ def test_solver_holds_the_matrix_it_factors(generic_problem, pivots):
     assert solver.v == tuple(float(H[i, i].real) for i in piv)
     assert np.array_equal(solver.diag, H.diagonal().real)
     assert np.array_equal(solver._cols, H[np.ix_(rest, piv)])
-    assert solver._direct == [[0j if a == b else complex(H[a, b]) for b in piv] for a in piv]
+    direct = H[np.ix_(piv, piv)]
+    np.fill_diagonal(direct, 0)
+    assert np.array_equal(solver._direct, direct)
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])

@@ -147,6 +147,17 @@ def test_gap_reconciliation_guard(harmonic_problem, monkeypatch):
         gap_at(harmonic_problem, (0, 1), 5)
 
 
+def test_gap_at_the_zero_label_is_refused_before_the_oracle(harmonic_problem, monkeypatch):
+    # n0 = 0 pairs the site 0 with itself: its solver refuses the repeated
+    # pivot, so no dense oracle runs and no regime mismatch is reported
+    def oracle(*args, **kwargs):
+        raise AssertionError("the dense oracle ran")
+
+    monkeypatch.setattr(spectral, "dense_spectrum", oracle)
+    with pytest.raises(ValueError, match=r"pivot \(0, 0\) is repeated"):
+        gap_at(harmonic_problem, (0, 0), 3)
+
+
 def test_band_zero_potential(zero_problem):
     host = ball(3, 2)
     pts = band(zero_problem, [0.1, 0.2, 0.3], lambda k: host)
