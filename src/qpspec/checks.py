@@ -43,9 +43,11 @@ def _cocycle(problem: Problem, seed: int) -> CheckResult:
 
 
 def _reflection(problem: Problem, seed: int) -> CheckResult:
+    """H_{-k} on -S is conj H_k on S exactly: gap tables solve one label of
+    each +- pair and mirror it, so no deviation is allowed."""
     S = ball(2, problem.nu, budget=None)
     dev = reflection_conjugation_check(problem, S, 0.17)
-    return CheckResult("reflection-conjugation", dev <= 1e-12, f"max dev {dev:.3g}")
+    return CheckResult("reflection-conjugation", dev == 0.0, f"max dev {dev:.3g}")
 
 
 def _words(problem: Problem, seed: int) -> CheckResult:

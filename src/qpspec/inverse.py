@@ -10,16 +10,19 @@ and the decay-improvement map (eps, kappa) -> (eps/2, 7 kappa/6) iterates to
 the square-root conclusion; at desk scale every finite inequality in the
 chain is verified pointwise rather than asymptotically.  The improvement
 checks the plain window bound only; the paper's scaled window is not built.
-Each label's gap is solved once, on the box its truncation residual
-accepts (box_radius is only a cap): recovered_bound takes the GapRecord
-that gap_table made and reads that box's solver from the record's roots;
-this module builds no solver of its own.
+Each label's gap is solved once per +- pair, on the box its truncation
+residual accepts (box_radius is only a cap): H_{-k} on -S is conj H_k on
+S, so the gap labelled -m is the gap labelled m, and a table asking for
+both solves the larger in tuple order and mirrors its record.
+recovered_bound takes the GapRecord that gap_table made and reads that
+box's solver from the record's roots; this module builds no solver of
+its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,16 +36,34 @@ def gap_table(problem: Problem, m_list, box_radius: float):
     """One GapRecord per m, each on the smallest tried paired box, radius at
     most box_radius, whose truncation residual passes (spectral.sized_gap).
 
-    A QPSpecError is collected as that m's failure; any other error
+    When m and -m are both asked for, only the larger in tuple order is
+    solved: H_{-k} on -S is conj H_k on S, so the other's record is its
+    mirror, with n0 and k_point negated (k_point is exactly antisymmetric)
+    and the edges, width, radius, residuals and roots (the solved label's
+    box) copied.  A QPSpecError is collected as that m's failure, a
+    mirror's naming the label it was solved as; any other error
     propagates.  The returned dicts are insertion-ordered by the input list.
     """
+    wanted = list(map(tuple, m_list))
+    asked = set(wanted)
+    solved = {}
     records = {}
     failures = {}
-    for m in map(tuple, m_list):
-        try:
-            records[m] = sized_gap(problem, m, box_radius)
-        except QPSpecError as exc:
-            failures[m] = str(exc)
+    for m in wanted:
+        mirror = tuple(-x for x in m)
+        label = max(m, mirror) if mirror in asked else m
+        if label not in solved:
+            try:
+                solved[label] = sized_gap(problem, label, box_radius)
+            except QPSpecError as exc:
+                solved[label] = exc
+        rec = solved[label]
+        if isinstance(rec, QPSpecError):
+            failures[m] = str(rec) if label == m else f"solved as its mirror {label}: {rec}"
+        elif label == m:
+            records[m] = rec
+        else:
+            records[m] = replace(rec, n0=m, k_point=-rec.k_point)
     return records, failures
 
 
@@ -88,9 +109,12 @@ def recovered_bound(problem: Problem, rec: GapRecord) -> RecoveredBound:
     """Both variants of the coefficient-recovery inequality at rec.n0.
 
     rec is a GapRecord from gap_table or gap_at; the solver its edges were
-    solved on, rec.roots[0].solver on paired_box(rec.n0, rec.radius) with
-    pivots (0, n0), gives every quantity, so the width and the quadratic
-    term share one box and one matrix.  Desk variant: prefactor
+    solved on, rec.roots[0].solver on paired_box(n, rec.radius) with
+    pivots (0, n), gives every quantity, so the width and the quadratic
+    term share one box and one matrix.  n is rec.n0, or -rec.n0 for a
+    record gap_table mirrored: the coupling columns are read at the
+    solver's pivot n, whose bound is the mirror's by reflection-conjugation.
+    Desk variant: prefactor
     sup |d_E (E - v - Q)| over [E-, E+], exactly 1 + ||(E - H_rest)^-1 h_0||^2
     since d_E Q = -||(E - H_rest)^-1 h_0||^2, taken at the edges and the
     midpoint; quadratic term from the reduced resolvent K = (E+ - H_rest)^-1,
@@ -108,7 +132,7 @@ def recovered_bound(problem: Problem, rec: GapRecord) -> RecoveredBound:
 
     # quadratic term sum |c(m')| |K(m',n')| |c(n' - n0)|, K read on the
     # columns n' where c(n' - n0) is not 0
-    col_n0 = solver.coupling_column(n0)
+    col_n0 = solver.coupling_column(solver.pivots[-1])
     J = np.flatnonzero(col_n0)
     K = solver.solve(rec.E_plus, np.eye(len(col_n0))[:, J])
     quad = float(np.abs(col_0) @ np.abs(K) @ np.abs(col_n0[J]))
@@ -178,7 +202,8 @@ def verify_inverse(problem: Problem, box_radius: float, window_norm: int = 4) ->
     """Desk-scale property report for the inverse direction.
 
     (a) coefficient-recovery inequality per m in the window, each on the
-        box gap_table accepted for m with box_radius as the cap,
+        box gap_table accepted for m with box_radius as the cap, run once
+        per +- pair and mirrored with n0 -> -n0 and actual = |c(-n0)|,
     (b) IMPROVEMENT_ROUNDS decay-improvement iterates verify and tighten,
     (c) the final bound compared pointwise against |c(m)|.
     The full infinite-scale conclusion is out of desk reach by design; the
@@ -197,7 +222,13 @@ def verify_inverse(problem: Problem, box_radius: float, window_norm: int = 4) ->
         return InverseReport((), (), DecayBound(pot.epsilon, pot.kappa0), False, False,
                              "gap hypothesis fails; no assertion made")
 
-    pointwise = tuple(recovered_bound(problem, rec) for rec in records.values())
+    by_label, pointwise = {}, []
+    for m, rec in records.items():
+        label = rec.roots[0].solver.pivots[-1]   # m, or -m for a mirrored record
+        if label not in by_label:
+            by_label[label] = recovered_bound(problem, rec)
+        rb = by_label[label]
+        pointwise.append(rb if rb.n0 == m else replace(rb, n0=m, actual=abs(pot.c(m))))
     steps = []
     bound = DecayBound(pot.epsilon, pot.kappa0)
     for _ in range(IMPROVEMENT_ROUNDS):
@@ -208,6 +239,6 @@ def verify_inverse(problem: Problem, box_radius: float, window_norm: int = 4) ->
         bound = step.after
     final_ok = bound.verify(pot) is None
     return InverseReport(
-        pointwise, tuple(steps), bound, final_ok, True,
+        tuple(pointwise), tuple(steps), bound, final_ok, True,
         "finite desk-scale verification only; the infinite-scale conclusion "
         "is out of reach by construction")

@@ -68,8 +68,7 @@ class EigenRecord:
         tails = np.column_stack([-solver.f(p, E) for p in solver.pivots])   # K h(., p)
         # pivot amplitudes: the null vector of E - M(E), M(E) = diag v + block(E)
         # the effective (Hermitian) pivot matrix, i.e. its eigenvector nearest E
-        w, V = np.linalg.eigh(np.diag(solver.v) + solver.block(E))
-        amps = V[:, np.argmin(np.abs(w - E))]
+        amps = _nearest_eigenvector(np.diag(solver.v) + solver.block(E), E)
         top = np.argmax(np.abs(amps))
         amps = amps / amps[top]
         amps[top] = 1.0
@@ -83,6 +82,30 @@ class EigenRecord:
         return float(np.max(np.abs(r)) / max(np.max(np.abs(self.phi)), 1e-300))
 
 
+def _nearest_eigenvector(M: np.ndarray, E: float) -> np.ndarray:
+    """An eigenvector of the Hermitian M for its eigenvalue nearest E.
+
+    M is read as eigh reads it, from the lower triangle and the real
+    diagonal.  On two pivots, M = [[a, conj c], [c, b]], it is closed form:
+    for the eigenvalue lam nearest E, (conj c, lam - a) or (lam - b, c),
+    whichever is longer; when c is 0 (a gap of width exactly 0), the unit
+    vector whose diagonal is nearest E, the first on a tie, as eigh orders
+    them.  On any other count, eigh.
+    """
+    if len(M) != 2:
+        w, V = np.linalg.eigh(M)
+        return V[:, np.argmin(np.abs(w - E))]
+    a, b, c = M[0, 0].real, M[1, 1].real, M[1, 0]
+    if c == 0:
+        return np.eye(2, dtype=complex)[int((abs(b - E), b) < (abs(a - E), a))]
+    mean, half = 0.5 * (a + b), math.hypot(0.5 * (a - b), abs(c))
+    lam = min((mean - half, mean + half), key=lambda w: abs(w - E))
+    # |(conj c, lam - a)| >= |(lam - b, c)| exactly when |lam - a| >= |lam - b|
+    if abs(lam - a) >= abs(lam - b):
+        return np.array([c.conjugate(), lam - a])
+    return np.array([lam - b, c])
+
+
 @dataclass(frozen=True)
 class GapRecord:
     """Gap edges at k_point = k_{n0} and their width.
@@ -94,7 +117,8 @@ class GapRecord:
     `capped` says S is the last box tried and that residual is above
     FIXED_POINT_TOL * scale.  `roots` are the edges' records (minus, plus)
     on S; their one solver, with pivots (0, n0), is the box's for any
-    later quantity.
+    later quantity.  A record inverse.gap_table mirrored keeps the roots
+    of the label it was solved as, -n0, on paired_box(-n0, radius).
     """
     n0: tuple
     k_point: float

@@ -4,15 +4,60 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpspec import checks, spectral
+from qpspec import checks, dual_operator, spectral
 from qpspec.cli import build_problem, load_config
+from qpspec.dual_operator import DualMatrix, reflection_conjugation_check
 from qpspec.errors import ConvergenceError, ReconciliationError
 from qpspec.lattice import ball
-from qpspec.model import Potential, Problem
+from qpspec.model import Frequency, Potential, Problem
+from qpspec.resonance import k_point
 
-from conftest import random_potential
+from conftest import GOLDEN, random_potential
 
 GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golden_mean.json"
+
+
+def _nu_problem(nu: int, seed: int) -> Problem:
+    omega = (1.0, GOLDEN, np.sqrt(2.0) - 1.0)[:nu]
+    pot = random_potential(np.random.default_rng(seed), 1e-3, nu=nu)
+    return Problem(Frequency(omega, 0.1, nu + 1.0), pot)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_reflection_conjugation_is_exact(nu):
+    # gap tables mirror one label of each +- pair, so the identity must hold
+    # bit for bit: on balls and paired boxes, at k's of either sign
+    for seed in range(2):
+        problem = _nu_problem(nu, seed)
+        n0 = (1,) + (0,) * (nu - 1)
+        for S in (ball(2, nu), ball(3, nu), spectral.paired_box(problem, n0, 2),
+                  spectral.paired_box(problem, (-1,) * nu, 3)):
+            for k in (0.17, -0.31, k_point(problem.frequency, n0), 0.0):
+                assert reflection_conjugation_check(problem, S, k) == 0.0
+        result = checks._reflection(problem, 0)
+        assert result.passed and result.detail == "max dev 0"
+
+
+def test_reflection_check_fails_on_one_ulp(generic_problem, monkeypatch):
+    # one coupling of the reflected block moved by one ulp: a deviation
+    # inside any 1e-12 tolerance, which the exact check refuses
+    real_restrict = dual_operator.restrict
+
+    def nudged(problem, S, k):
+        M = real_restrict(problem, S, k)
+        if k > 0:
+            return M
+        entries = M.entries.copy()
+        off = np.abs(entries - np.diag(entries.diagonal()))
+        i, j = np.unravel_index(np.argmax(off), off.shape)
+        entries[i, j] = complex(np.nextafter(entries[i, j].real, np.inf), entries[i, j].imag)
+        return DualMatrix(M.sites, M.k, entries)
+
+    monkeypatch.setattr(dual_operator, "restrict", nudged)
+    dev = reflection_conjugation_check(generic_problem, ball(2, 2), 0.17)
+    assert 0.0 < dev <= 1e-12
+    result = checks._reflection(generic_problem, 0)
+    assert not result.passed and result.detail == f"max dev {dev:.3g}"
 
 
 def test_crashing_check_named_after_its_function(generic_problem, monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpspec import model
+from qpspec import cli, inverse, model
 from qpspec.cli import build_problem, load_config, main
 from qpspec.inverse import gap_table
 from qpspec.lattice import ball
@@ -392,6 +392,30 @@ def test_golden_output_pinned(tmp_path, capsys, command):
     out = capsys.readouterr().out.replace(str(tmp_path), "<out>")
     data = (tmp_path / name).read_bytes() if name else out.encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, labels, solves", [
+    ("gaps", 12, 6), ("verify-forward", 12, 6), ("verify-inverse", 2, 1)])
+def test_golden_gap_commands_solve_each_pair_once(tmp_path, capsys, monkeypatch,
+                                                  command, labels, solves):
+    # the golden labels come in +- pairs, and each pair is one gap solve
+    asked, solved = [], []
+    real_gap_table, real_sized_gap = inverse.gap_table, inverse.sized_gap
+
+    def counting_gap_table(problem, m_list, box_radius):
+        asked.extend(map(tuple, m_list))
+        return real_gap_table(problem, m_list, box_radius)
+
+    def counting_sized_gap(problem, n0, cap):
+        solved.append(tuple(n0))
+        return real_sized_gap(problem, n0, cap)
+
+    monkeypatch.setattr(cli, "gap_table", counting_gap_table)
+    monkeypatch.setattr(inverse, "gap_table", counting_gap_table)
+    monkeypatch.setattr(inverse, "sized_gap", counting_sized_gap)
+    assert main([command, "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
+    assert len(asked) == labels and len(solved) == solves
+    assert sorted(solved) == sorted(m for m in asked if m > tuple(-x for x in m))
 
 
 def test_golden_band_factors_nothing(tmp_path, solve_paths):

@@ -1,15 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qpspec import inverse, spectral
 from qpspec.dual_operator import restrict
-from qpspec.errors import RegimeError
+from qpspec.errors import ConvergenceError, RegimeError
 from qpspec.inverse import (DecayBound, gap_table, improve_decay, recovered_bound,
                             verify_forward, verify_inverse)
 from qpspec.lattice import ball
-from qpspec.model import Potential, Problem
+from qpspec.model import Frequency, Potential, Problem
+from qpspec.resonance import k_point
 from qpspec.schur import UNIT_ROUNDOFF, ReducedSolver
 from qpspec.spectral import gap_at, paired_box, sized_gap
 
@@ -185,9 +187,11 @@ def test_verify_inverse_one_gap_solve_per_label(compliant_problem, monkeypatch):
     monkeypatch.setattr(spectral, "dense_spectrum", counting_dense)
     report = verify_inverse(compliant_problem, 6, window_norm=4)
     labels = [r.n0 for r in report.pointwise]
+    # the 8 labels are 4 +- pairs: each pair's larger label is solved, and
+    # meets the oracle, once
     assert len(labels) == 8
-    assert sorted(gaps) == sorted(labels)
-    assert len(oracles) == len(labels)
+    assert sorted(gaps) == sorted(m for m in labels if m > tuple(-x for x in m))
+    assert len(gaps) == len(oracles) == 4
 
 
 def test_gap_table_propagates_unexpected_errors(harmonic_problem, monkeypatch):
@@ -197,6 +201,83 @@ def test_gap_table_propagates_unexpected_errors(harmonic_problem, monkeypatch):
     monkeypatch.setattr(inverse, "sized_gap", broken)
     with pytest.raises(TypeError):
         gap_table(harmonic_problem, [(0, 1)], 4)
+
+
+# ---------------------------------------------------------------------------
+# A label and its mirror are one gap
+# ---------------------------------------------------------------------------
+
+
+def _mirror(m):
+    return tuple(-x for x in m)
+
+
+MIRROR_CASES = [(2, seed, eps) for seed in (0, 1, 2) for eps in (1e-4, 1e-3)] + \
+               [(3, seed, eps) for seed in (0, 1) for eps in (1e-4, 1e-3)]
+
+
+@pytest.mark.parametrize("nu, seed, eps", MIRROR_CASES,
+                         ids=[f"nu{nu}-seed{seed}-eps{eps:g}" for nu, seed, eps in MIRROR_CASES])
+def test_a_label_and_its_mirror_solve_bit_identically(nu, seed, eps):
+    # H_{-k} on -S is conj H_k on S, so solving -m directly gives m's edges,
+    # width, radius and cap flag bit for bit; gap_table's mirror rests on it.
+    # The residuals and the oracle deviation may differ in their last bits.
+    omega = (1.0, GOLDEN, math.sqrt(2.0) - 1.0)[:nu]
+    prob = Problem(Frequency(omega, 0.1, nu + 1.0),
+                   random_potential(np.random.default_rng(seed), eps, nu=nu))
+    radius, cap = (3, 6) if nu == 2 else (2, 3)
+    pairs = [m for m in ball(radius, nu) if m > _mirror(m)]
+    assert len(pairs) == 12
+    for m in pairs:
+        a, b = sized_gap(prob, m, cap), sized_gap(prob, _mirror(m), cap)
+        assert (a.E_minus, a.E_plus, a.width, a.radius, a.capped) == \
+               (b.E_minus, b.E_plus, b.width, b.radius, b.capped), m
+
+
+def test_gap_table_solves_each_pair_once(generic_problem, monkeypatch):
+    solved = []
+    real_sized_gap = inverse.sized_gap
+
+    def counting_sized_gap(problem, n0, *args, **kwargs):
+        solved.append(tuple(n0))
+        return real_sized_gap(problem, n0, *args, **kwargs)
+
+    monkeypatch.setattr(inverse, "sized_gap", counting_sized_gap)
+    # a mirror listed before its label, a label whose mirror is not asked for
+    ms = [(-1, -1), (0, 1), (1, 1), (0, -1), (1, 0)]
+    records, failures = gap_table(generic_problem, ms, 8)
+    assert not failures and list(records) == ms
+    assert solved == [(1, 1), (0, 1), (1, 0)]
+    freq = generic_problem.frequency
+    for m in ((-1, -1), (0, -1)):
+        rec, direct = records[m], records[_mirror(m)]
+        assert rec.n0 == m and rec.k_point == k_point(freq, m) == -direct.k_point
+        assert rec.roots is direct.roots
+        assert replace(rec, n0=direct.n0, k_point=direct.k_point) == direct
+
+
+def test_a_mirrored_failure_names_its_label(harmonic_problem, monkeypatch):
+    def stalled(problem, n0, *args, **kwargs):
+        raise ConvergenceError(f"fixed point at {tuple(n0)} stalled")
+
+    monkeypatch.setattr(inverse, "sized_gap", stalled)
+    records, failures = gap_table(harmonic_problem, [(0, -1), (0, 1)], 4)
+    assert not records
+    assert failures == {(0, -1): "solved as its mirror (0, 1): fixed point at (0, 1) stalled",
+                        (0, 1): "fixed point at (0, 1) stalled"}
+
+
+def test_recovered_bound_of_a_mirror_is_its_direct_solves(generic_problem):
+    # the mirror's columns are its solver's pivot's, so no KeyError, and its
+    # bound is the direct solve's up to the last bits of the quadratic term
+    records, _ = gap_table(generic_problem, [(1, 1), (-1, -1)], 8)
+    mirrored = recovered_bound(generic_problem, records[(-1, -1)])
+    direct = recovered_bound(generic_problem, sized_gap(generic_problem, (-1, -1), 8))
+    assert mirrored.n0 == direct.n0 == (-1, -1)
+    assert mirrored.actual == direct.actual == abs(generic_problem.potential.c((-1, -1)))
+    assert mirrored.gap_width == direct.gap_width
+    for name in ("prefactor_desk", "quadratic_term", "bound_desk", "bound_coarse"):
+        assert getattr(mirrored, name) == pytest.approx(getattr(direct, name), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -120,6 +120,32 @@ def test_eigen_pair_residuals(harmonic_problem):
         assert resid <= 1e-10 * max(1.0, abs(E))
 
 
+_entry = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(a=_entry, b=_entry, re=_entry, im=_entry, side=st.integers(0, 1))
+def test_two_pivot_amplitudes_are_an_eigenvector_nearest_E(a, b, re, im, side):
+    # the closed form on [[a, conj c], [c, b]] is an eigenvector for eigh's
+    # eigenvalue nearest E, to the backward error of a stable eigensolver
+    M = np.array([[a, complex(re, -im)], [complex(re, im), b]])
+    w, _ = np.linalg.eigh(M)
+    x = spectral._nearest_eigenvector(M, w[side])
+    resid = np.linalg.norm(M @ x - w[side] * x)
+    assert resid <= 16 * np.finfo(float).eps * np.linalg.norm(M, 2) * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("a, b, E", [(1.0, 2.0, 1.1), (1.0, 2.0, 1.9), (2.0, 1.0, 1.5),
+                                     (1.0, 2.0, 1.5), (1.5, 1.5, 1.5), (1.5, 1.5, 0.0)])
+def test_two_pivot_amplitudes_with_no_coupling_are_eighs(a, b, E):
+    # c = 0 (a label of width exactly 0 when a = b): eigh's unit vector for
+    # its eigenvalue nearest E, the first on a tie
+    M = np.diag([a, b]).astype(complex)
+    w, V = np.linalg.eigh(M)
+    want = np.abs(V[:, np.argmin(np.abs(w - E))])
+    assert np.array_equal(np.abs(spectral._nearest_eigenvector(M, E)), want)
+
+
 def test_gap_zero_potential(zero_problem):
     rec = gap_at(zero_problem, (0, 1), 4)
     assert rec.width == 0.0
