@@ -13,7 +13,7 @@ from .dual_operator import (cocycle_check, dense_spectrum, diagonal_value,
 from .errors import QPSpecError
 from .lattice import ball
 from .mssets import is_correct_word, max_correct_length
-from .model import Problem, build_ladder
+from .model import Problem, build_ladder, log_smallness_ceiling
 from .resonance import k_point
 from .schur import ReducedSolver
 from .spectral import (FIXED_POINT_TOL, band, eigen_pair, feynman_derivative, gap_at,
@@ -209,12 +209,14 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
 
 def trajectory_sums(problem: Problem, rng, kappa0: float):
     """Yield (n, SumResult, BoundResult) from the origin to n = 0 and n = e_1:
-    eps0 = 1e-25, length 4, T = 8, D uniform in [1, 3) on ball(2) in ball(5)."""
+    the sum to length 4, T = 8, D uniform in [1, 3) on ball(2) in ball(5),
+    and eps0 = 1e-25 or a tenth of the smallness ceiling at (kappa0, nu, T),
+    whichever is smaller, so that the bound's threshold holds."""
     host = ball(2, problem.nu, budget=None)
     ambient = ball(5, problem.nu, budget=None)
     prof = WeightProfile({s: 1.0 + 2.0 * rng.random() for s in host}, T=8.0,
                          kappa0=kappa0, host=host, ambient=ambient)
-    eps0 = 1e-25
+    eps0 = min(1e-25, 0.1 * math.exp(log_smallness_ceiling(kappa0, problem.nu, prof.T)))
     zero = tuple([0] * problem.nu)
     for n in (zero, (1,) + (0,) * (problem.nu - 1)):
         yield n, sum_enumerate(zero, n, prof, eps0, len_cap=4), closed_bound(zero, n, prof, eps0)
@@ -223,7 +225,7 @@ def trajectory_sums(problem: Problem, rng, kappa0: float):
 def _trajectory(problem: Problem, seed: int) -> CheckResult:
     ok = all(res.total <= bnd.value and bnd.threshold_ok for _, res, bnd
              in trajectory_sums(problem, np.random.default_rng(seed + 1), 0.5))
-    return CheckResult("trajectory-bounds", ok, "enumeration under the closed bound")
+    return CheckResult("trajectory-bounds", ok, "sum under the closed bound")
 
 
 def _feynman(problem: Problem, seed: int) -> CheckResult:

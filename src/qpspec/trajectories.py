@@ -1,58 +1,40 @@
-"""Trajectory combinatorics: weights, R-admissibility, certified sums.
+"""Trajectory sums with certified tails, and their closed-form ceilings.
 
-A trajectory is a tuple of lattice sites with consecutive points distinct.
-Weights follow
+A trajectory is a tuple of host sites with consecutive points distinct.
+Its weight at the largest pair weight w(a, b) = exp(-kappa0 |a - b|) is
 
-    w_D(gamma) = [prod w(n_j, n_{j+1})] * exp(sum_j D(n_j))
-    W_D(gamma) = exp(-kappa0 ||gamma|| + sum_j D(n_j))
+    w_D(gamma) = exp(-kappa0 ||gamma|| + sum_j D(n_j))
 
-with ||gamma|| the total l1 path length.  Enumeration is exact over a finite
-host set and every partial sum carries a certified tail, so the inequality
-tests are sound rather than optimistic.
+with ||gamma|| the total l1 path length.  The sum over every host path of
+length k from m to n is (E (P E)^(k-1))[m, n], with E = diag(exp D) and P
+the pair weights with a zero diagonal; each partial sum carries a certified
+tail, so the inequality tests are sound rather than optimistic.
 
-The certified sum takes the R-admissible class and the largest pair weight
-w(m, n) = exp(-kappa0 |m - n|).  The paper's trajectory bounds hold for its
-plain class too, and for every w below that cap; but every plain-admissible
-path is R-admissible, so this sum dominates every other choice.  It is the
-one worth checking, and the R class is the only one built here.
+The class summed is every host path, not the paper's R-admissible class.
+The two sums are equal when fewer than two host sites have D >= 4 T /
+kappa0, which holds for every committed config and benchmark workload.
+Otherwise the sum bounds the R-admissible sum from above, so a sum under
+the closed bound is still a sound pass.  The paper's bounds hold for every
+pair weight below exp(-kappa0 |a - b|), so the largest one dominates.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CombinatorialBudgetError, EpsilonTooLargeError
+from .errors import EpsilonTooLargeError
 from .lattice import SiteSet
 from .model import log_smallness_ceiling
 
-ADMISSIBILITY_EXPONENT = 0.2          # the 1/5 in the pairwise norm bound
+ADMISSIBILITY_EXPONENT = 0.2          # the 1/5 power of the profile cap and closed bound
 HIGH_D_FACTOR = 4.0                   # threshold D >= 4 T / kappa0
-CAP_SLACK = 1 + 1e-12                 # rounding allowed above the pair-weight cap
 
 
 def _dist(a, b) -> int:
     return sum(abs(x - y) for x, y in zip(a, b))
-
-
-def path_norm(points) -> int:
-    return sum(_dist(a, b) for a, b in zip(points, points[1:]))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple(map(tuple, self.points))
-        object.__setattr__(self, "points", pts)
-        if len(pts) < 1:
-            raise ValueError("trajectory needs at least one point")
-        if any(a == b for a, b in zip(pts, pts[1:])):
-            raise ValueError("consecutive trajectory points must differ")
 
 
 @dataclass(frozen=True)
@@ -107,86 +89,6 @@ def validate_profile(prof: WeightProfile):
     return report
 
 
-def weights(g: Trajectory, prof: WeightProfile, w):
-    """Return (w_D(g), W_D(g), ||g||, Dbar(g)); validates the pair weight w.
-
-    Requires w(m, m) = 1 and w(m, n) <= exp(-kappa0 |m - n|) along the path.
-    """
-    pts = g.points
-    norm = path_norm(pts)
-    dsum = 0.0
-    dbar = 0.0
-    for p in pts:
-        d = prof.D[tuple(p)]
-        dsum += d
-        dbar = max(dbar, d)
-    prod = 1.0
-    for a, b in zip(pts, pts[1:]):
-        val = w(a, b)
-        cap = math.exp(-prof.kappa0 * _dist(a, b))
-        if val > cap * CAP_SLACK:
-            raise ValueError(f"pair weight w({a},{b}) = {val:.3g} above exp(-kappa0 d) = {cap:.3g}")
-        prod *= val
-    if len(pts) == 1 and abs(w(pts[0], pts[0]) - 1.0) > 1e-12:
-        raise ValueError("pair weight must satisfy w(m, m) = 1")
-    w_val = prod * math.exp(dsum)
-    W_val = math.exp(-prof.kappa0 * norm + dsum)
-    return w_val, W_val, norm, dbar
-
-
-def _pair_ok(prof: WeightProfile, pts, i, j) -> bool:
-    """The pairwise 1/5-power condition between positions i < j."""
-    dm = min(prof.D[pts[i]], prof.D[pts[j]])
-    return dm <= prof.T * path_norm(pts[i:j + 1]) ** ADMISSIBILITY_EXPONENT
-
-
-def is_admissible(g: Trajectory, prof: WeightProfile):
-    """R-admissibility per the pairwise norm-growth condition.
-
-    Every non-adjacent pair i < j with both D-values at or above 4T/kappa0
-    must satisfy min D <= T ||segment||^(1/5).  Adjacent pairs are exempt,
-    but an exempt pair that actually violates the single-step bound imposes
-    the four flanking conditions around it.  Returns (bool, reason).
-
-    sum_enumerate asks it only of paths with two sites of D >= 4T/kappa0.
-    A valid profile allows such a D only where T mu^(1/5) >= D, so where
-    mu >= (4/kappa0)^5, or where the ambient set lies inside the host and
-    mu is infinite; no committed config or benchmark workload draws one.
-    """
-    pts = g.points
-    k = len(pts)
-    hi = prof.high_threshold
-    high = [prof.D[p] >= hi for p in pts]
-    for i in range(k):
-        if not high[i]:
-            continue
-        for j in range(i + 2, k):
-            if high[j] and not _pair_ok(prof, pts, i, j):
-                return False, f"pair ({i},{j}) violates the norm bound"
-    for i in range(k - 1):
-        if not (high[i] and high[i + 1]):
-            continue
-        dm = min(prof.D[pts[i]], prof.D[pts[i + 1]])
-        if dm <= prof.T * _dist(pts[i], pts[i + 1]) ** ADMISSIBILITY_EXPONENT:
-            continue
-        # exempt adjacent pair in force: flanking conditions
-        for jp in range(i):
-            if not (_pair_ok(prof, pts, jp, i) and _pair_ok(prof, pts, jp, i + 1)):
-                return False, f"flanking condition fails at ({jp},{i})"
-        for jq in range(i + 2, k):
-            if not (_pair_ok(prof, pts, i, jq) and _pair_ok(prof, pts, i + 1, jq)):
-                return False, f"flanking condition fails at ({i},{jq})"
-    return True, ""
-
-
-# ---------------------------------------------------------------------------
-# Exact enumeration with certified tails
-# ---------------------------------------------------------------------------
-
-ENUMERATION_CAP = 2_000_000
-PATH_BLOCK = 1 << 14                  # paths evaluated together; bounds the memory
-
-
 @dataclass(frozen=True)
 class SumResult:
     partial: float
@@ -199,62 +101,37 @@ class SumResult:
 
 
 def sum_enumerate(m, n, prof: WeightProfile, eps0: float, len_cap: int = 5) -> SumResult:
-    """sum_k eps0^(k-1) sum over R-admissible gamma of w_D(gamma), plus tail.
+    """sum_k eps0^(k-1) sum over host paths gamma of length k of w_D(gamma),
+    plus tail.
 
-    w_D takes the largest pair weight (see the module docstring).  Enumerates
-    every trajectory of length <= len_cap inside the host with endpoints
-    (m, n); the tail bound sums eps0^(k-1) e^(k Dbar) (8/kappa0)^((k-1) nu)
-    over k > len_cap and errors if that series diverges.
-
-    Each length's paths are host-index arrays in itertools.product order,
-    PATH_BLOCK at a time, summed with the float operations of ``weights``
-    in its order and a running total, so the result is that of the path
-    by path loop.  Paths with fewer than two high-D sites are admissible.
+    The paths of length <= len_cap inside the host with endpoints (m, n)
+    are summed by one vector-matrix product per length, v_1 = exp(D_m) e_m
+    and v_k = (v_(k-1) P) * exp(D), whose n-th entry is the length-k sum
+    (see the module docstring).  The tail bound sums eps0^(k-1) e^(k Dbar)
+    (8/kappa0)^((k-1) nu) over k > len_cap and errors if that series
+    diverges.
     """
     m, n = tuple(m), tuple(n)
-    host = prof.host.sites
     if m not in prof.host or n not in prof.host:
         raise ValueError("trajectory endpoints must lie in the host set")
-    if len(host) ** max(0, len_cap - 2) > ENUMERATION_CAP:
-        raise CombinatorialBudgetError(
-            f"host of {len(host)} sites with len_cap {len_cap} exceeds the enumeration cap")
+    E = np.exp([prof.D[s] for s in prof.host])
+    A = prof.host.array()
+    P = np.exp(-prof.kappa0 * np.abs(A[:, None, :] - A[None, :, :]).sum(axis=2))
+    np.fill_diagonal(P, 0.0)
 
-    D = np.array([prof.D[s] for s in host])
-    high = D >= prof.high_threshold
-    w = lambda a, b: math.exp(-prof.kappa0 * _dist(a, b))
-    pair_w = np.ones((len(host),) * 2)
-    for (i, a), (j, b) in itertools.permutations(enumerate(host), 2):
-        pair_w[i, j] = w(a, b)
-
-    def block_total(P, total):
-        """total plus the weights of the admissible paths among the rows of P."""
-        P = P[np.all(P[:, 1:] != P[:, :-1], axis=1)]
-        keep = np.ones(len(P), dtype=bool)
-        for r in np.flatnonzero(high[P].sum(axis=1) >= 2):
-            keep[r] = is_admissible(Trajectory([host[i] for i in P[r]]), prof)[0]
-        P = P[keep]
-        dsum = sum(D[col] for col in P.T)
-        prod = math.prod(pair_w[a, b] for a, b in zip(P.T, P.T[1:]))
-        vals = prod * np.fromiter(map(math.exp, dsum.tolist()), float, len(P))
-        return float(np.cumsum(np.concatenate(([total], vals)))[-1])
-
-    ends = prof.host.index(m), prof.host.index(n)
+    v = np.zeros(len(E))
+    i, j = prof.host.index(m), prof.host.index(n)
+    v[i] = E[i]
     by_length = []
     partial = 0.0
     for k in range(1, len_cap + 1):
-        total_k = weights(Trajectory((m,)), prof, w)[0] if k == 1 and m == n else 0.0
-        count = len(host) ** (k - 2) if k > 1 else 0
-        for start in range(0, count, PATH_BLOCK):
-            t = np.arange(start, min(start + PATH_BLOCK, count))
-            P = np.empty((len(t), k), dtype=np.int64)
-            P[:, 0], P[:, -1] = ends
-            for j in range(k - 2, 0, -1):  # the last interior site varies fastest
-                t, P[:, j] = np.divmod(t, len(host))
-            total_k = block_total(P, total_k)
+        if k > 1:
+            v = (v @ P) * E
+        total_k = float(v[j])
         by_length.append(total_k)
         partial += (eps0 ** (k - 1)) * total_k
 
-    if len(host) == 1:
+    if len(E) == 1:
         # no host trajectory of length >= 2 exists
         return SumResult(partial, 0.0, tuple(by_length))
     nu = prof.host.nu

@@ -10,8 +10,6 @@ from qpspec.lattice import ball, l1_norm
 from qpspec.model import Frequency, Potential, Problem, ScaleLadder, build_ladder
 from qpspec.schur import ReducedSolver
 from qpspec.spectral import branch
-from qpspec.trajectories import (Trajectory, _dist, is_admissible, path_norm,
-                                 weights)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -158,7 +156,8 @@ def elementary_path_sum(m, n, k: int, host, alpha: float) -> float:
         pts = (m,) + interior + (n,)
         if any(a == b for a, b in zip(pts, pts[1:])):
             continue
-        total += math.exp(-alpha * path_norm(pts))
+        norm = sum(l1_norm(x - y for x, y in zip(a, b)) for a, b in zip(pts, pts[1:]))
+        total += math.exp(-alpha * norm)
     return total
 
 
@@ -187,35 +186,29 @@ def restrict_reference(problem, S, k):
 
 
 def sum_enumerate_reference(m, n, prof, eps0, len_cap=5):
-    """The weighted trajectory sum path by path over the R class with the
-    largest pair weight, through ``is_admissible`` and ``weights``, with its
-    certified tail.
+    """The weighted trajectory sum over every host path from m to n, path by
+    path, at the largest pair weight, with its certified tail.
 
-    Oracle for the array-enumerated ``trajectories.sum_enumerate``: partial,
-    tail and by_length must be equal bit for bit.
+    Oracle for the matrix recursion of ``trajectories.sum_enumerate``.  A
+    path's weight is the product of its factors exp(D(p)) and
+    exp(-kappa0 |a - b|), and each length is summed by ``math.fsum``.
     """
     m, n = tuple(m), tuple(n)
-    host = list(map(tuple, prof.host))
-    w = lambda a, b: math.exp(-prof.kappa0 * _dist(a, b))
+    host = prof.host.sites
+    site_w = {s: math.exp(prof.D[s]) for s in host}
+    pair_w = lambda a, b: math.exp(-prof.kappa0 * l1_norm(x - y for x, y in zip(a, b)))
     by_length = []
     partial = 0.0
     for k in range(1, len_cap + 1):
-        total_k = 0.0
         if k == 1:
-            if m == n:
-                g = Trajectory((m,))
-                ok, _ = is_admissible(g, prof)
-                if ok:
-                    total_k = weights(g, prof, w)[0]
+            paths = [(m,)] if m == n else []
         else:
-            for interior in itertools.product(host, repeat=k - 2):
-                pts = (m,) + interior + (n,)
-                if any(a == b for a, b in zip(pts, pts[1:])):
-                    continue
-                g = Trajectory(pts)
-                ok, _ = is_admissible(g, prof)
-                if ok:
-                    total_k += weights(g, prof, w)[0]
+            paths = [(m,) + interior + (n,)
+                     for interior in itertools.product(host, repeat=k - 2)]
+        terms = [math.prod([site_w[p] for p in pts]
+                           + [pair_w(a, b) for a, b in zip(pts, pts[1:])])
+                 for pts in paths if all(a != b for a, b in zip(pts, pts[1:]))]
+        total_k = math.fsum(terms)
         by_length.append(total_k)
         partial += (eps0 ** (k - 1)) * total_k
     if len(host) == 1:

@@ -59,11 +59,6 @@ ALLOWED = {
     "GeometryBuilder.admissible_k",
     "interval",
     "ResonanceInterval.contains",
-    # Unrun: the paper's R-admissibility, asked only of paths with two sites
-    # of D >= 4T/kappa0.  No committed config or workload draws D above 3;
-    # unit tests run it on valid profiles with ambient = host.
-    "is_admissible",
-    "_pair_ok",
 }
 
 

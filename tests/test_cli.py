@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpspec import cli, inverse, model
+from qpspec import checks, cli, inverse, model
 from qpspec.cli import build_problem, load_config, main
 from qpspec.inverse import gap_table
 from qpspec.lattice import ball
@@ -109,6 +109,32 @@ def test_traj_bound_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "true" in out
+
+
+# a cubic-irrational nu = 3 problem, whose smallness ceiling at kappa0 = 0.5
+# (1.9e-34) and golden's at kappa0 = 0.05 (8.7e-27) lie below eps0 = 1e-25
+NU3_OVERRIDES = {
+    "nu": 3, "omega": [1.0, 2 ** (1 / 3) - 1, 4 ** (1 / 3) - 1], "b0": 4.0,
+    "coefficients": [{"n": n, "re": c, "im": 0.0}
+                     for n, c in (([0, 0, 1], 0.6), ([0, 0, -1], 0.6), ([0, 1, 0], 0.4),
+                                  ([0, -1, 0], 0.4), ([1, 0, 0], 0.3), ([-1, 0, 0], 0.3))]}
+
+
+@pytest.mark.parametrize("overrides", [NU3_OVERRIDES, {"kappa0": 0.05}],
+                         ids=["nu3", "kappa0-0.05"])
+def test_trajectory_checks_keep_eps0_under_the_ceiling(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    problem = build_problem(load_config(path))
+    rng = np.random.default_rng(0)
+    assert all(bnd.threshold_ok for _, _, bnd
+               in checks.trajectory_sums(problem, rng, problem.potential.kappa0))
+    assert main(["traj-bound", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",true") for row in rows)
+    main(["selftest", "--config", str(path), "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if "trajectory-bounds" in line] == [
+        "PASS trajectory-bounds"]
 
 
 def test_verify_forward_exit(tmp_path, capsys):
