@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfracs import CFNode, zeta_roots, zeta_sandwich_ok, zeta_separation_ok
+from .cfracs import CFNode, zeta_sandwich_ok, zeta_separation_ok
 from .dual_operator import (cocycle_check, dense_spectrum, diagonal_value,
                             reflection_conjugation_check, restrict)
 from .errors import QPSpecError
@@ -169,15 +169,16 @@ def _ordered_pair(solver: ReducedSolver):
 
 
 def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
-    """The continued-fraction roots zeta-+ against eigen_pair's fixed points.
+    """eigen_pair's roots against the dense oracle and the paired lemmas.
 
-    A level-1 node with leaves a1 = v+ + Q+, a2 = v- + Q- and b = |G| on
-    the pivots (0, n0) near k_{n0}; its roots, found by the convex root
-    finder in one window taken from H alone, must be eigen_pair's roots and
-    satisfy the separation and sandwich lemmas.  The window is the pivot
-    diagonals' span widened by 2r, r the host's row sum; a reduced diagonal
-    within r of it fails the check, as H_rest's spectrum must lie over r
-    from it (Gershgorin) for Q and G to hold both roots in it, pole-free.
+    On the pivots (0, n0) near k_{n0}, in a window taken from H alone: the
+    pivot diagonals' span widened by 2r, r the host's row sum.  A reduced
+    diagonal within r of it fails the check, as H_rest's spectrum must lie
+    over r from it (Gershgorin) for Q and G to be pole-free there.  H then
+    has exactly two eigenvalues in the window, which eigen_pair's roots must
+    equal to 1e-12 relative; at those roots the level-1 node with leaves
+    a1 = v+ + Q+, a2 = v- + Q- and b = |G| must satisfy the separation and
+    sandwich lemmas.
     """
     n0 = _lowest_harmonic(problem)
     if n0 is None:
@@ -191,27 +192,29 @@ def _zeta_pair(problem: Problem, seed: int) -> CheckResult:
     foreign = solver.diag.take(solver.rest)
     if np.any((foreign > lo - r) & (foreign < hi + r)):
         return CheckResult("zeta-pair", False, "a reduced diagonal lies within r of the window")
+    E_plus, E_minus = (rec.E for rec in eigen_pair(problem, S, k, zero, n0))
+    evals, _ = dense_spectrum(solver.full)
+    inside = evals[(evals > lo) & (evals < hi)]
+    if len(inside) != 2:
+        return CheckResult("zeta-pair", False,
+                           f"{len(inside)} oracle eigenvalues in the pair window")
+    dev = float(max(abs(E - ref) / max(1.0, abs(E)) for E, ref in zip((E_minus, E_plus), inside)))
     mp, mm, vp, vm = _ordered_pair(solver)
     node = CFNode(lambda u: vp + solver.q(mp, u).real,
                   lambda u: vm + solver.q(mm, u).real,
                   lambda u: abs(solver.g(mp, mm, u)))
-    roots = zeta_roots(node, (lo, hi))
-    if len(roots) != 2:
-        return CheckResult("zeta-pair", False, f"{len(roots)} roots in the pair window")
-    zm, zp = roots
-    E_plus, E_minus = (rec.E for rec in eigen_pair(problem, S, k, zero, n0))
-    dev = max(abs(zp - E_plus) / max(1.0, abs(E_plus)),
-              abs(zm - E_minus) / max(1.0, abs(E_minus)))
-    ok = (dev <= 1e-12 and zeta_separation_ok(node, zm, zp)
-          and zeta_sandwich_ok(node, zm, zp))
-    return CheckResult("zeta-pair", ok, f"max rel dev from eigen_pair {dev:.3g}")
+    ok = (dev <= 1e-12 and zeta_separation_ok(node, E_minus, E_plus)
+          and zeta_sandwich_ok(node, E_minus, E_plus))
+    return CheckResult("zeta-pair", ok, f"max rel dev of eigen_pair from the oracle {dev:.3g}")
 
 
-def trajectory_sums(problem: Problem, rng, kappa0: float):
+def trajectory_sums(problem: Problem, rng):
     """Yield (n, SumResult, BoundResult) from the origin to n = 0 and n = e_1:
     the sum to length 4, T = 8, D uniform in [1, 3) on ball(2) in ball(5),
-    and eps0 = 1e-25 or a tenth of the smallness ceiling at (kappa0, nu, T),
-    whichever is smaller, so that the bound's threshold holds."""
+    the potential's kappa0, and eps0 = 1e-25 or a tenth of the smallness
+    ceiling at (kappa0, nu, T), whichever is smaller, so that the bound's
+    threshold holds."""
+    kappa0 = problem.potential.kappa0
     host = ball(2, problem.nu, budget=None)
     ambient = ball(5, problem.nu, budget=None)
     prof = WeightProfile({s: 1.0 + 2.0 * rng.random() for s in host}, T=8.0,
@@ -224,7 +227,7 @@ def trajectory_sums(problem: Problem, rng, kappa0: float):
 
 def _trajectory(problem: Problem, seed: int) -> CheckResult:
     ok = all(res.total <= bnd.value and bnd.threshold_ok for _, res, bnd
-             in trajectory_sums(problem, np.random.default_rng(seed + 1), 0.5))
+             in trajectory_sums(problem, np.random.default_rng(seed + 1)))
     return CheckResult("trajectory-bounds", ok, "sum under the closed bound")
 
 

@@ -235,7 +235,7 @@ def cmd_traj_bound(cfg, problem, out_dir):
     zero = tuple([0] * problem.nu)
     print("m,n,partial,tail,closed_bound,ok")
     all_ok = True
-    for n, res, bnd in checks.trajectory_sums(problem, rng, problem.potential.kappa0):
+    for n, res, bnd in checks.trajectory_sums(problem, rng):
         ok = res.total <= bnd.value and bnd.threshold_ok
         all_ok &= ok
         print(",".join(['"' + " ".join(map(str, zero)) + '"',

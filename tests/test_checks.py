@@ -139,6 +139,26 @@ def test_zeta_pair_catches_a_shifted_root(generic_problem, monkeypatch):
     assert "eigen_pair" in result.detail
 
 
+def test_zeta_pair_fails_on_a_third_eigenvalue_in_its_window(generic_problem, monkeypatch):
+    # Gershgorin leaves H exactly two eigenvalues in the window; an oracle
+    # with a third one at the window's midpoint fails the check by its count
+    n0 = checks._lowest_harmonic(generic_problem)
+    zero = (0, 0)
+    solver = checks.ReducedSolver(generic_problem, spectral.paired_box(generic_problem, n0, 5),
+                                  k_point(generic_problem.frequency, n0) + 1e-5, [zero, n0])
+    mid = 0.5 * (solver.v[0] + solver.v[1])
+    dense_spectrum = checks.dense_spectrum
+
+    def one_more(M, ranks=None):
+        evals, evecs = dense_spectrum(M, ranks)
+        return np.sort(np.append(evals, mid)), evecs
+
+    monkeypatch.setattr(checks, "dense_spectrum", one_more)
+    result = checks._zeta_pair(generic_problem, 0)
+    assert not result.passed
+    assert result.detail == "3 oracle eigenvalues in the pair window"
+
+
 def test_zeta_pair_fails_with_a_reduced_diagonal_in_its_window(golden_freq):
     # at eps 1 the window, the pivot diagonals' span widened by 2r, comes
     # within r of a reduced diagonal, where Q and G may have a pole
@@ -147,6 +167,22 @@ def test_zeta_pair_fails_with_a_reduced_diagonal_in_its_window(golden_freq):
     result = checks._zeta_pair(prob, 0)
     assert not result.passed
     assert result.detail == "a reduced diagonal lies within r of the window"
+
+
+def test_trajectory_check_reads_the_config_kappa0(golden_freq, monkeypatch):
+    # the selftest's trajectory-bounds check must bound the sums at the
+    # problem's own decay rate, as traj-bound does
+    prob = Problem(golden_freq, Potential.from_harmonics({(0, 1): 0.55}, 1e-4, 0.05))
+    closed_bound = checks.closed_bound
+    seen = []
+
+    def spy(m, n, prof, eps0):
+        seen.append(prof.kappa0)
+        return closed_bound(m, n, prof, eps0)
+
+    monkeypatch.setattr(checks, "closed_bound", spy)
+    assert checks._trajectory(prob, 0).passed
+    assert seen == [0.05, 0.05]
 
 
 def test_reduced_oracle_matches_dense_inverse(pair_problem):

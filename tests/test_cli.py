@@ -127,7 +127,7 @@ def test_trajectory_checks_keep_eps0_under_the_ceiling(tmp_path, capsys, overrid
     problem = build_problem(load_config(path))
     rng = np.random.default_rng(0)
     assert all(bnd.threshold_ok for _, _, bnd
-               in checks.trajectory_sums(problem, rng, problem.potential.kappa0))
+               in checks.trajectory_sums(problem, rng))
     assert main(["traj-bound", "--config", str(path), "--out", str(tmp_path)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 2 and all(row.endswith(",true") for row in rows)
