@@ -3,7 +3,9 @@
 Sites are plain tuples of ints.  A SiteSet stores its sites as int64 codes
 whose numeric order is the canonical order (l1 norm, then lexicographic),
 so that every matrix restriction built on top of it is reproducible bit
-for bit and set algebra is sorting and bisection on integer arrays.
+for bit and set algebra runs on integer arrays: unions and subset tests
+merge sorted runs of codes, differences and straddles bisect, and maps
+decode, map and encode one coordinate column at a time.
 """
 
 from __future__ import annotations
@@ -31,43 +33,55 @@ def l1_ball_size(radius: int, nu: int) -> int:
     return sum((2 ** j) * comb(nu, j) * comb(radius, j) for j in range(0, min(nu, radius) + 1))
 
 
-def _encode(A: np.ndarray) -> np.ndarray:
-    """Codes of the rows of an (n, nu) int64 array; ValueError outside the range."""
-    nu = A.shape[1]
+def _encode(cols) -> np.ndarray:
+    """Codes of the sites whose i-th coordinates are cols[i], one int64 array
+    per axis; ValueError outside the range.
+
+    Column by column: numpy sums across the short axis of an (n, 2) array
+    about 6x slower than it adds its two columns.
+    """
+    nu = len(cols)
     bits = 62 // (nu + 1)
     half = 1 << (bits - 1)
-    if A.size and (A.min() <= -half or A.max() >= half):
+    if any(len(c) and (c.min() <= -half or c.max() >= half) for c in cols):
         raise ValueError(f"site coordinates must satisfy |x_i| < 2^{bits - 1} for nu = {nu}")
-    code = np.abs(A).sum(axis=1)
-    for i in range(nu):
-        code = (code << bits) + (A[:, i] + half)
+    code = np.abs(cols[0])
+    for c in cols[1:]:
+        code += np.abs(c)
+    for c in cols:
+        code <<= bits
+        code += c
+        code += half
     return code
 
 
-def _decode(codes: np.ndarray, nu: int) -> np.ndarray:
+def _decode(codes: np.ndarray, nu: int) -> list:
+    """The coordinate columns of the sites with these codes, one per axis."""
     bits = 62 // (nu + 1)
-    shifts = bits * np.arange(nu - 1, -1, -1, dtype=np.int64)
-    return ((codes[:, None] >> shifts) & ((1 << bits) - 1)) - (1 << (bits - 1))
+    return [((codes >> (bits * (nu - 1 - i))) & ((1 << bits) - 1)) - (1 << (bits - 1))
+            for i in range(nu)]
 
 
-def _canonical(codes: np.ndarray) -> np.ndarray:
-    """The sorted, distinct codes.  Not np.unique: on int64 codes it hashes,
-    about 16x slower than this sort on 40,000 codes (numpy 2.4)."""
-    if np.all(codes[1:] > codes[:-1]):
-        return codes
-    codes = np.sort(codes)
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct codes of a sorted code array."""
     first = np.ones(len(codes), dtype=bool)
     first[1:] = codes[1:] != codes[:-1]
     return codes[first]
 
 
+def _canonical(codes: np.ndarray) -> np.ndarray:
+    """The sorted, distinct codes.  Not np.unique: on int64 codes it hashes,
+    about 20x slower than this sort on 40,000 shuffled codes (numpy 2.4)."""
+    return codes if np.all(codes[1:] > codes[:-1]) else _distinct(np.sort(codes))
+
+
 def _rows(sites) -> np.ndarray:
-    """A plain site collection as an (n, nu) int64 array."""
+    """A plain site collection as an (n, nu) int64 array; (0, 1) when empty."""
     try:
         A = np.asarray(sites if isinstance(sites, np.ndarray) else list(sites), dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"site coordinates out of the int64 range: {exc}") from exc
-    return A.reshape(len(A), -1) if len(A) else np.empty((0, 0), dtype=np.int64)
+    return A.reshape(len(A), -1) if len(A) else np.empty((0, 1), dtype=np.int64)
 
 
 class SiteSet:
@@ -91,7 +105,7 @@ class SiteSet:
         if isinstance(sites, SiteSet):
             return sites
         A = _rows(sites)
-        return cls._of(_canonical(_encode(A)), A.shape[1])
+        return cls._of(_canonical(_encode(A.T)), A.shape[1])
 
     @classmethod
     def _of(cls, codes: np.ndarray, nu: int) -> "SiteSet":
@@ -103,7 +117,7 @@ class SiteSet:
 
     @cached_property
     def sites(self) -> tuple:
-        return tuple(zip(*self.array().T.tolist()))
+        return tuple(zip(*(c.tolist() for c in _decode(self._codes, self.nu))))
 
     @cached_property
     def _index(self) -> dict:
@@ -127,20 +141,25 @@ class SiteSet:
         return self.nu == other.nu and np.array_equal(self._codes, other._codes)
 
     def array(self) -> np.ndarray:
-        return _decode(self._codes, self.nu)
+        out = np.empty((len(self), self.nu), dtype=np.int64)
+        for i, c in enumerate(_decode(self._codes, self.nu)):
+            out[:, i] = c
+        return out
 
     def _mapped(self, f) -> "SiteSet":
-        """The canonical set of f(rows of this set)."""
-        return SiteSet._of(np.sort(_encode(f(self.array()))), self.nu) if len(self) else self
+        """The canonical set of the sites whose coordinate columns are
+        f(coordinate columns of this set)."""
+        return (SiteSet._of(np.sort(_encode(f(_decode(self._codes, self.nu)))), self.nu)
+                if len(self) else self)
 
     def translate(self, m) -> "SiteSet":
-        return self._mapped(lambda A: A + _rows([m]))
+        return self._mapped(lambda cols: [c + x for c, x in zip(cols, _rows([m])[0], strict=True)])
 
     def reflect(self) -> "SiteSet":
-        return self._mapped(np.negative)
+        return self._mapped(lambda cols: [-c for c in cols])
 
     def reflect_through(self, m) -> "SiteSet":
-        return self._mapped(lambda A: _rows([m]) - A)
+        return self._mapped(lambda cols: [x - c for c, x in zip(cols, _rows([m])[0], strict=True)])
 
     def _in(self, other) -> np.ndarray:
         """Mask of this set's codes that lie in `other`."""
@@ -152,17 +171,28 @@ class SiteSet:
     def union(self, *others) -> "SiteSet":
         """This set and every one of `others`."""
         sets = [self, *map(SiteSet, others)]
-        return SiteSet._of(_canonical(np.concatenate([S._codes for S in sets])),
+        return SiteSet._of(_distinct(_merged(*(S._codes for S in sets))),
                            max(S.nu for S in sets))
 
     def difference(self, other) -> "SiteSet":
         return SiteSet._of(self._codes[~self._in(other)], self.nu)
 
     def issubset(self, other) -> bool:
-        return bool(self._in(other).all())
+        """Every site lies in `other`: merged, the two distinct code runs
+        repeat exactly len(self) codes."""
+        keys = SiteSet(other)._codes
+        if len(self) > len(keys):
+            return False
+        merged = _merged(self._codes, keys)
+        return bool(np.count_nonzero(merged[1:] == merged[:-1]) == len(self))
 
-    def issuperset(self, other) -> bool:
-        return SiteSet(other).issubset(self)
+
+def _merged(*runs) -> np.ndarray:
+    """The codes of sorted runs, sorted.  A stable sort of int64 is timsort,
+    which finds the runs and merges them: 3 to 5x faster than the default
+    sort on two runs of 17,000 codes, and about 10x slower on shuffled
+    codes."""
+    return np.sort(np.concatenate(runs), kind="stable")
 
 
 def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:
@@ -188,8 +218,8 @@ def ball(R: float, nu: int, budget: int = DEFAULT_SITE_BUDGET) -> SiteSet:
 @lru_cache(maxsize=32)
 def _ball_codes(r: int, nu: int) -> np.ndarray:
     """The sorted, read-only codes of ball(r, nu); callers check the budget."""
-    box = np.indices((2 * r + 1,) * nu, dtype=np.int64).reshape(nu, -1).T - r
-    codes = np.sort(_encode(box[np.abs(box).sum(axis=1) <= r]))
+    box = np.indices((2 * r + 1,) * nu, dtype=np.int64).reshape(nu, -1) - r
+    codes = np.sort(_encode(box[:, np.abs(box).sum(axis=0) <= r]))
     codes.flags.writeable = False
     return codes
 

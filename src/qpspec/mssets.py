@@ -87,7 +87,10 @@ class GeometryBuilder:
 
     A builder keeps no sets: every call builds its set afresh.  The balls
     and the classification window those sets are cut from do not depend on
-    k; they are built once per process (lattice.ball, _window).
+    k; they are built once per process (lattice.ball, _window).  So are the
+    window's phases m.omega, sorted (_phases, about 0.8 MB at radius 109):
+    the first classification on a window pays for the sort, and each later
+    one tests only the sites in two bands of phases (_near).
     """
 
     def __init__(self, problem: Problem):
@@ -96,14 +99,6 @@ class GeometryBuilder:
         if self.ladder is None:
             raise ValueError("geometry requires a scale ladder")
         self.budget = problem.site_budget
-
-    # -- diagonal differences ------------------------------------------------
-
-    def _v_diff(self, pts: np.ndarray, k: float) -> np.ndarray:
-        """|v(m, k) - v(0, k)| in normalized units, lambda = 256."""
-        omega = np.asarray(self.problem.omega, dtype=float)
-        mw = pts @ omega
-        return np.abs(mw * (mw + 2.0 * k)) / 256.0
 
     def _candidates(self, window_radius: int) -> np.ndarray:
         nu = self.problem.nu
@@ -150,14 +145,14 @@ class GeometryBuilder:
         window_radius = int(math.floor(
             3.0 * self.ladder.R(s) + 3.0 * self.ladder.R(s - 1))) + 1
         pts = self._candidates(window_radius)
-        diffs = self._v_diff(pts.astype(float), k)
+        mw, order = _phases(window_radius, tuple(self.problem.omega))
         members = {}
         lambda_sets = {}
         taken = SiteSet()
         pair_pts = {tuple(p) for p in pair} if pair else set()
         for s_prime in range(s - 1, 0, -1):
             thr = self.threshold(s_prime, s)
-            near = pts[diffs <= thr] if thr > 0 else ()
+            near = pts[_near(mw, order, k, thr)] if thr > 0 else ()
             mem = SiteSet(near).difference(taken).sites
             # separation within the class (principal pair exempt)
             limit = 12.0 * self.ladder.R(s_prime)
@@ -238,7 +233,8 @@ class GeometryBuilder:
         # a ball is symmetric: T(B) is center + B, and B itself at center 0
         start = big.union(big.translate(center)) if any(center) else big
         out, _ = _iterated_straddle_removal(start, _reflection_groups(classes, center), 2 ** s)
-        if not out.issuperset(out.reflect_through(center)):
+        # T is a bijection and out is finite: T(out) <= out iff T(out) == out
+        if out.reflect_through(center) != out:
             raise GeometryError(f"level-{s} set is not T-invariant for T(n) = {center} - n "
                                 "(not reflection invariant)")
         self._require_sandwich(out, s, k, center)
@@ -271,6 +267,42 @@ def _window(window_radius: int, nu: int):
     pts = np.stack([g.ravel() for g in grids], axis=1)
     pts.flags.writeable = False
     return pts
+
+
+@lru_cache(maxsize=4)
+def _phases(window_radius: int, omega: tuple):
+    """(phases, order): the phases m.omega of the _window points, sorted,
+    and the window indices in that order, read-only.
+
+    The phases do not depend on k, so they are built once per process for
+    each (window_radius, omega), by the same float product as a scan of the
+    whole window; callers check BOX_POINT_CAP first.
+    """
+    mw = _window(window_radius, len(omega)).astype(float) @ np.asarray(omega, dtype=float)
+    order = np.argsort(mw, kind="stable")
+    mw = mw[order]
+    for a in (mw, order):
+        a.flags.writeable = False
+    return mw, order
+
+
+def _near(mw: np.ndarray, order: np.ndarray, k: float, thr: float) -> np.ndarray:
+    """Window indices of the m with |v(m, k) - v(0, k)| <= thr, normalized
+    units at lambda = 256: |mw (mw + 2k)| / 256 <= thr, mw = m.omega.  An m
+    in both bands below is listed twice.
+
+    mw (sorted) and order are _phases.  A product |x (x + 2k)| <= T forces
+    min(|x|, |x + 2k|) <= sqrt(T), so only the two bands |mw| <= h and
+    |mw + 2k| <= h, h = 16 sqrt(thr), are tested.  The test rounds
+    mw + 2k and the product, and the band edges round too: each by a few
+    ulps, relative to h or to |2k|.  Widening h by 1e-12 relative and
+    1e-15 (1 + |k|) absolute covers that with room to spare.
+    """
+    h = 16.0 * math.sqrt(thr) * (1.0 + 1e-12) + 1e-15 * (1.0 + abs(k))
+    idx = np.concatenate([np.arange(*np.searchsorted(mw, (c - h, c + h)))
+                          for c in (0.0, -2.0 * k)])
+    cand = mw[idx]
+    return order[idx[np.abs(cand * (cand + 2.0 * k)) / 256.0 <= thr]]
 
 
 def _reflection_groups(classes: SiteClassification, center):

@@ -229,7 +229,7 @@ def test_set_algebra_matches_python_sets(ops):
     assert A.union(B).sites == A.union(b).sites == canonical_order(sa | sb)
     assert A.difference(B).sites == canonical_order(sa - sb)
     assert A.issubset(B) == (sa <= sb)
-    assert A.issuperset(B) == A.issuperset(b) == (sa >= sb)
+    assert B.issubset(A) == B.issubset(a) == (sb <= sa)
     assert straddles(A, B) == straddles(a, b) == bool(sa & sb and sa - sb)
     assert A.translate(m).sites == canonical_order(tuple(x + y for x, y in zip(s, m)) for s in a)
     assert A.reflect().sites == canonical_order(tuple(-x for x in s) for s in a)
@@ -239,3 +239,62 @@ def test_set_algebra_matches_python_sets(ops):
     assert not any(s in A for s in sb - sa)
     # a set built in any caller order is the canonical set
     assert SiteSet(list(dict.fromkeys(a))[::-1]) == A
+
+
+def _plain_ball(radius, nu):
+    return {p for p in itertools.product(range(-radius, radius + 1), repeat=nu)
+            if sum(map(abs, p)) <= radius}
+
+
+@st.composite
+def _large_operands(draw):
+    """(SiteSet, set) pairs of thousands of sites: a ball, its translate, its
+    reflection through a centre, their union and difference with a few
+    hundred sites, and a union of many small runs as _reflection_groups
+    builds it; with a shift and a centre."""
+    nu = draw(st.sampled_from([1, 2, 2, 3]))
+    radius = draw(st.integers(*{1: (5, 60), 2: (20, 60), 3: (4, 12)}[nu]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def site():
+        return tuple(int(x) for x in rng.integers(-radius - 4, radius + 5, size=nu))
+
+    shift, centre = site(), site()
+    few = [site() for _ in range(draw(st.integers(100, 300)))]
+    bx = _plain_ball(radius, nu)
+    pairs = [(ball(radius, nu), bx)]
+    pairs.append((pairs[0][0].translate(shift), {tuple(x + m for x, m in zip(p, shift)) for p in bx}))
+    pairs.append((pairs[0][0].reflect_through(centre),
+                  {tuple(c - x for x, c in zip(p, centre)) for p in bx}))
+    for S, s in pairs[:3]:
+        pairs.append((S.union(few), s | set(few)))
+        pairs.append((S.difference(few), s - set(few)))
+    lams = [ball(2, nu).translate(p) for p in few[:40]]
+    runs = SiteSet.union(*lams, *(lam.reflect_through(centre) for lam in lams))
+    small = _plain_ball(2, nu)
+    plain_runs = {tuple(q + x for q, x in zip(p, m)) for m in few[:40] for p in small}
+    pairs.append((runs, plain_runs | {tuple(c - x for x, c in zip(p, centre)) for p in plain_runs}))
+    i, j = draw(st.integers(0, len(pairs) - 1)), draw(st.integers(0, len(pairs) - 1))
+    return pairs[i], pairs[j], shift, centre
+
+
+@given(ops=_large_operands())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_set_algebra_on_large_sets_matches_python_sets(ops):
+    (A, a), (B, b), m, c = ops
+    assert A.sites == canonical_order(a) and B.sites == canonical_order(b)
+    union, diff = A.union(B), A.difference(B)
+    assert union.sites == canonical_order(a | b)
+    assert diff.sites == canonical_order(a - b)
+    assert A.issubset(B) == (a <= b) and B.issubset(A) == (b <= a)
+    assert A.issubset(union) and diff.issubset(A)
+    assert diff.issubset(B) == (not (a - b))
+    if a and b - a:  # as large as A, and all but one site in A
+        assert not A.difference([min(a)]).union([min(b - a)]).issubset(A)
+    assert straddles(A, B) == bool(a & b and a - b)
+    assert A.translate(m).sites == canonical_order(
+        tuple(x + y for x, y in zip(s, m)) for s in a)
+    assert A.reflect_through(c).sites == canonical_order(
+        tuple(y - x for x, y in zip(s, c)) for s in a)
+    assert (A == B) == (a == b)
+    assert A.reflect_through(c).reflect_through(c) == A

@@ -1,10 +1,15 @@
+import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpspec import mssets
+from qpspec.cli import build_problem, load_config
 from qpspec.errors import (CombinatorialBudgetError, GeometryError, LadderRangeError,
                            RegimeError)
 from qpspec.lattice import SiteSet, ball, straddles
@@ -130,6 +135,83 @@ def test_warm_window_still_checks_the_point_cap(builder, monkeypatch):
     monkeypatch.setattr(mssets, "_window", refuse)
     with pytest.raises(CombinatorialBudgetError):
         builder._candidates(1000)
+
+
+def test_site_classes_check_the_point_cap_before_either_cache(builder, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an over-cap window must not be looked up or built")
+
+    monkeypatch.setattr(mssets, "_window", refuse)
+    monkeypatch.setattr(mssets, "_phases", refuse)
+    lad = ScaleLadder.from_sequences(0.35, (math.log(5.0), math.log(400.0)),
+                                     (-32.0, -36.0, -40.0))
+    with pytest.raises(CombinatorialBudgetError):
+        GeometryBuilder(Problem(builder.problem.frequency, builder.problem.potential,
+                                lad)).site_classes(0.2, 2)
+
+
+def _classifier(nu, R2, thr, monkeypatch):
+    """A builder whose one class threshold is thr, at s = 2 on a window of
+    radius floor(3 R2) + 1; R^(1) = 0.01 makes the class separation and the
+    class's Lambda sets vacuous, so every site the test selects is a member."""
+    omega = (1.0, GOLDEN, math.sqrt(2.0) - 1.0)[:nu]
+    lad = ScaleLadder.from_sequences(0.35, (math.log(0.01), math.log(R2)), (-32.0, -36.0, -40.0))
+    monkeypatch.setattr(GeometryBuilder, "threshold", lambda self, s_prime, s: thr)
+    return GeometryBuilder(Problem(Frequency(omega, 0.1, 4.0), Potential({}, 1e-4, 0.5), lad))
+
+
+def _window_phases(b):
+    """The window that b.site_classes(k, 2) scans, and its phases m.omega."""
+    pts = mssets._window(int(math.floor(3.0 * b.ladder.R(2) + 3.0 * b.ladder.R(1))) + 1,
+                         b.problem.nu)
+    return pts, pts.astype(float) @ np.asarray(b.problem.omega, dtype=float)
+
+
+def _full_scan(b, k, thr) -> tuple:
+    """The window's sites with |mw (mw + 2k)| / 256 <= thr, scanned point by
+    point, in canonical order."""
+    pts, mw = _window_phases(b)
+    return SiteSet(pts[np.abs(mw * (mw + 2.0 * k)) / 256.0 <= thr]).sites
+
+
+@given(nu=st.sampled_from([2, 3]), k=st.floats(-0.5, 0.5),
+       log_ratio=st.floats(math.log(1e-18), math.log(4.0)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_window_bands_select_what_the_full_scan_selects(nu, k, log_ratio):
+    # thresholds from 1e-18 up to 4 max(k^2, 1e-18), beyond the k^2 at which
+    # the two bands of candidates merge into one; small windows (radius 7 at
+    # nu = 2, 3 at nu = 3), since the top thresholds put most of a window in
+    # the class and the separation check is quadratic in the class size
+    thr = max(k * k, 1e-18) * math.exp(log_ratio)
+    with pytest.MonkeyPatch.context() as mp:
+        b = _classifier(nu, 2.0 if nu == 2 else 0.7, thr, mp)
+        assert b.site_classes(k, 2).members[1] == _full_scan(b, k, thr)
+
+
+@pytest.mark.parametrize("nu, k", [(2, 0.2088), (2, -0.0371), (3, 0.31)])
+def test_window_bands_keep_a_site_at_exactly_the_threshold(nu, k, monkeypatch):
+    b = _classifier(nu, 30.0 if nu == 2 else 5.0, 0.0, monkeypatch)
+    _, mw = _window_phases(b)
+    diffs = np.sort(np.abs(mw * (mw + 2.0 * k)) / 256.0)
+    for thr in (float(diffs[7]), float(np.nextafter(diffs[7], -np.inf))):
+        b = _classifier(nu, b.ladder.R(2), thr, monkeypatch)
+        want = _full_scan(b, k, thr)
+        assert len(want) == 8 - (thr < diffs[7])
+        assert b.site_classes(k, 2).members[1] == want
+
+
+@pytest.mark.parametrize("m", [(1, -1), (-8, 13), (3, -1, -5)])
+def test_window_bands_keep_a_site_midway_between_them(m, monkeypatch):
+    # at k = -m.omega, |mw| = |mw + 2k| = |k| for m, so at m's own diff as
+    # the threshold m lies on the edge of both bands
+    b = _classifier(len(m), 5.0, 0.0, monkeypatch)
+    k = -float(np.dot(m, b.problem.omega))
+    pts, mw = _window_phases(b)
+    x = mw[pts.tolist().index(list(m))]
+    thr = float(abs(x * (x + 2.0 * k)) / 256.0)
+    b = _classifier(len(m), 5.0, thr, monkeypatch)
+    members = b.site_classes(k, 2).members[1]
+    assert m in members and members == _full_scan(b, k, thr)
 
 
 def narrow_delta_builder(log_R, log_delta):
@@ -325,3 +407,49 @@ def test_symmetric_pair_removed_in_one_step():
     assert steps == 1
     assert set(out.reflect().sites) == set(out.sites)
     assert not set(pair.sites) & set(out.sites)
+
+
+def _golden_geometry_problem():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "examples_config" / "golden_mean.json")
+    gl = cfg["geometry_ladder"]
+    ladder = ScaleLadder.from_sequences(gl["beta1"], gl["log_R"], gl["log_delta"])
+    return dataclasses.replace(build_problem(cfg), ladder=ladder)
+
+
+# sha256 of repr(S.sites) for symmetrized and paired sets on the golden
+# config's geometry ladder and on geometry_traj's (the geometry_problem
+# fixture): two k each for lambda_sym, two labels for lambda_pair, k given
+# as a share of the pair window 2 sigma(n0).  The symmetrized sets are the
+# whole ball B(3 R^(2)) here.  The digests were taken with the full-window
+# class scan and per-site subset bisection, before the phase bands and the
+# merged set algebra.
+MULTISCALE_PINS = [
+    ("golden", "sym", 4e-15, None,
+     "694a51fd2b2648542bc9e794205fa341ebb42ba155f39d17499d7e52032af66f"),
+    ("golden", "sym", -1.1e-14, None,
+     "694a51fd2b2648542bc9e794205fa341ebb42ba155f39d17499d7e52032af66f"),
+    ("golden", "pair", 0.7, (1, 0),
+     "95592a811f5760adf8b7515bc557503410464079906c7a69c4fedf8beef846c1"),
+    ("golden", "pair", -0.6, (-1, -1),
+     "1defc5acff0e5a1c3ae554a87d55a7e5e1b93e17badd4c071903def87c6ce290"),
+    ("traj", "sym", -3e-15, None,
+     "694a51fd2b2648542bc9e794205fa341ebb42ba155f39d17499d7e52032af66f"),
+    ("traj", "sym", 1.2e-14, None,
+     "694a51fd2b2648542bc9e794205fa341ebb42ba155f39d17499d7e52032af66f"),
+    ("traj", "pair", -0.95, (0, -2),
+     "b0e452c626a2bc723d05a6d3e4cf6685b804b114f0a1078adf5f24d79b06bfb8"),
+    ("traj", "pair", 0.3, (1, 1),
+     "cc9b839f366add9644b44dd9e780b6ee2efed0bc94f28a47efda9d2e6b00584f"),
+]
+
+
+@pytest.mark.parametrize("ladder, kind, k, n0, digest", MULTISCALE_PINS)
+def test_golden_and_traj_multiscale_sets_pinned(geometry_problem, ladder, kind, k, n0, digest):
+    problem = _golden_geometry_problem() if ladder == "golden" else geometry_problem
+    b = GeometryBuilder(problem)
+    if kind == "sym":
+        S = b.lambda_sym(k, 2)
+    else:
+        kn0 = k_point(problem.frequency, n0) + k * 2.0 * sigma(n0, problem.ladder)
+        S = b.lambda_pair(kn0, 2, n0)
+    assert hashlib.sha256(repr(S.sites).encode()).hexdigest() == digest
