@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,104 +38,124 @@ class DualMatrix:
         if not np.isfinite(self.entries).all():
             raise ValueError("non-finite matrix entries")
 
-    @classmethod
-    def assemble(cls, sites: SiteSet, k: float, block: np.ndarray,
-                 diag: np.ndarray) -> "DualMatrix":
-        """A copy of a host's coupling block with `diag` on its diagonal,
-        built by the constructor, whose finiteness scan it passes through."""
-        H = block.copy()
-        np.fill_diagonal(H, diag)
-        return cls(sites, k, H)
-
 
 def diagonal_value(problem: Problem, n, k: float) -> float:
     return TWO_PI_SQ * (problem.frequency.dot(n) + k) ** 2
 
 
 def restrict(problem: Problem, S: SiteSet, k: float) -> DualMatrix:
-    """Hermitian restriction of H_k to S, in S's canonical order: the
-    host's couplings with host_diagonal(phases, k) on the diagonal."""
-    block, phases, *_ = host_block(problem, S)
-    return DualMatrix.assemble(S, k, block, host_diagonal(phases, k))
+    """Hermitian restriction of H_k to S, in S's canonical order (Host.matrix)."""
+    return host(problem, S).matrix(k)
 
 
-_host = None   # (problem, S, block, phases, row_sum, stencil, shell) of the last host built
+@dataclass(frozen=True, eq=False)
+class Host:
+    """The part of H_k on `sites` that does not depend on k: the
+    off-diagonal block h(m, n) = c(n - m), the phases n.omega, and the
+    block's largest row sum max_m sum_n |h(m, n)|, which bounds every
+    Gershgorin radius of H_k on the sites or on a subset of them.  `stencil`
+    and `shell()` derive from _coupling_lookup's (t, hit, j, values), kept
+    as `_lookup`.  Every array is read-only."""
+
+    problem: Problem
+    sites: SiteSet
+    block: np.ndarray
+    phases: np.ndarray
+    row_sum: float
+    _lookup: tuple
+
+    def diagonal(self, k: float) -> np.ndarray:
+        """H_k's diagonal over `sites`; a non-finite entry is a ValueError."""
+        diag = TWO_PI_SQ * (self.phases + k) ** 2
+        if not np.isfinite(diag).all():
+            raise ValueError("non-finite matrix entries")
+        return diag
+
+    def matrix(self, k: float) -> DualMatrix:
+        """H_k on `sites`, the block with diagonal(k), through DualMatrix's scan."""
+        H = self.block.copy()
+        np.fill_diagonal(H, self.diagonal(k))
+        return DualMatrix(self.sites, k, H)
+
+    @cached_property
+    def stencil(self):
+        """The block as a stencil (nbr, values) over the support's C shifts
+        D[c] on a host of n >= 3 C + 60 sites, else None: values[c] =
+        c(D[c]) and nbr[c, i] the position of sites[i] + D[c], or n where
+        that is not a site, with one more column of n.  So for x over the
+        sites with a 0 appended, values @ x[nbr] is block @ x with a 0
+        appended, at most one term a shift.  Built on first read.
+
+        The rule names the cheaper product for a solver's series: per
+        correction the stencil costs about C n and a fixed cost per column,
+        the dense product n^2 per column.  One series solve of three
+        corrections, dense / stencil, median of 7 x 300 (7 x 10 at n = 833),
+        in us, one BLAS thread, 2-vCPU KVM guest; near the line the two are
+        within about 10%:
+          n    C   width 1     width 2     width 3
+          25   2   12 / 16     18 / 26     28 / 53
+          61   2   16 / 17     30 / 27     37 / 38
+          61   8   16 / 18     29 / 30     36 / 42
+          63   6   16 / 18     30 / 29     36 / 39     (nu = 3)
+          85   8   21 / 21     40 / 35     53 / 47
+          85  10   21 / 21     40 / 37     53 / 48
+          113 16   26 / 26     58 / 45     80 / 63
+          129  6   30 / 21     70 / 38     101 / 56    (nu = 3)
+          145  8   40 / 36     97 / 61     114 / 57
+          145 24   34 / 32     84 / 62     109 / 79
+          833  6   1436 / 56   3326 / 103  4709 / 170  (nu = 3)
+        """
+        n, (_, hit, j, values) = len(self.sites), self._lookup
+        return _stencil(n, hit, j, values) if n >= 3 * len(values) + 60 else None
+
+    def shell(self):
+        """The sites' coupling shell, the sites t = s + d outside them, s a
+        site and d in the support: (src, slot, h, size), one entry per such
+        pair, with s = sites[src], t the slot-th of the shell's `size` sites
+        and h = h(t, s) = c(-d) = conj c(d), H Hermitian."""
+        t, hit, _, values = self._lookup
+        c, src = np.nonzero(~hit)
+        codes, slot = np.unique(t[c, src], return_inverse=True)
+        return src, slot, values[c].conj(), len(codes)
 
 
-def host_block(problem: Problem, S: SiteSet):
-    """The part of H_k on S that does not depend on k: (block, phases,
-    row_sum, stencil), the off-diagonal block h(m, n) = c(n - m) and the
-    phases n.omega over S, the block's largest row sum
-    max_m sum_n |h(m, n)|, which bounds every Gershgorin radius of H_k on S
-    or on a subset of S, and the block as a stencil (nbr, values) over the
-    support's shifts D[c]: values[c] = c(D[c]) and nbr[c, i] the position
-    of S[i] + D[c] in S, or n = len(S) where that site is not in S, with
-    one more column of n (_coupling_lookup).  So for x over S with a 0
-    appended, values @ x[nbr] is block @ x with a 0 appended, at most one
-    term a shift.  The arrays are read-only.  The code lookup that finds
-    the block also finds S's coupling shell, which host_shell derives from
-    it when first read.
+_last = None   # the last Host built
 
-    The last host built is kept, so band points on one host share one
-    block; a call on another host replaces it.  A Problem is not hashable
-    (its potential holds a dict), so the held host is matched on the
-    problem's identity and on S, by identity before content, and holds
-    the problem: no other problem can take its id while it is held.  The
-    empty set and the site budget are checked on every call, non-finite
-    couplings once, when the host is built; non-finite phases make every
-    diagonal non-finite, which host_diagonal refuses.
-    """
-    global _host
+
+def host(problem: Problem, S: SiteSet) -> Host:
+    """The Host of S under `problem`.  The last host built is kept, so band
+    points on one host share one block; another host replaces it.  A
+    Problem is not hashable (its potential holds a dict), so the kept host
+    is matched on the problem's identity and on S, by identity before
+    content, and holds the problem: no other problem can take its id while
+    it is kept.  The empty set and the site budget are checked on every
+    call, non-finite couplings once, when the host is built; non-finite
+    phases make every diagonal non-finite, which Host.diagonal refuses."""
+    global _last
     if len(S) == 0:
         raise ValueError("cannot restrict to an empty site set")
     if problem.site_budget is not None and len(S) > problem.site_budget:
         raise SiteBudgetError(f"{len(S)} sites exceed budget {problem.site_budget}")
-    if _host is not None and _host[0] is problem and (_host[1] is S or _host[1] == S):
-        return _host[2:6]
-    block, nbr, t, hit, values = _coupling_lookup(problem, S)
+    if _last is not None and _last.problem is problem and (_last.sites is S or _last.sites == S):
+        return _last
+    block, *lookup = _coupling_lookup(problem, S)
     phases = S.array().astype(float) @ np.asarray(problem.omega, dtype=float)
     if not np.isfinite(block).all():
         raise ValueError("non-finite matrix entries")
-    for a in (block, phases, nbr, values):
+    for a in (block, phases, *lookup):
         a.flags.writeable = False
-    _host = (problem, S, block, phases, float(np.abs(block).sum(axis=1).max()),
-             (nbr, values), lru_cache(maxsize=1)(partial(_shell, t, hit, values)))
-    return _host[2:6]
-
-
-def host_shell(problem: Problem, S: SiteSet):
-    """S's coupling shell, the sites t = s + d outside S, s in S and d in
-    the support: (src, slot, h, size), one entry per such pair, with s =
-    S[src], t the slot-th of the shell's `size` sites and h = h(t, s).
-    Derived from host_block's lookup on the first read per host."""
-    host_block(problem, S)
-    return _host[6]()
-
-
-def _shell(t, hit, values):
-    """host_shell from a lookup; h(t, s) = c(-d) = conj c(d), H Hermitian."""
-    c, src = np.nonzero(~hit)
-    codes, slot = np.unique(t[c, src], return_inverse=True)
-    return src, slot, values[c].conj(), len(codes)
-
-
-def host_diagonal(phases: np.ndarray, k: float) -> np.ndarray:
-    """H_k's diagonal (2 pi)^2 (n.omega + k)^2 from a host's phases; a
-    non-finite entry (a non-finite or huge k) is a ValueError."""
-    diag = TWO_PI_SQ * (phases + k) ** 2
-    if not np.isfinite(diag).all():
-        raise ValueError("non-finite matrix entries")
-    return diag
+    _last = Host(problem, S, block, phases, float(np.abs(block).sum(axis=1).max()), tuple(lookup))
+    return _last
 
 
 def _coupling_lookup(problem: Problem, S: SiteSet):
-    """(block, nbr, t, hit, values): the off-diagonal block h(m, n) =
+    """(block, t, hit, j, values): the off-diagonal block h(m, n) =
     c(n - m), m and n in S, in S's order and 0 where m = n, and its lookup
     of each S[i] + D[c], D[c] the c-th shift of the support: its mixed-radix
     code t[c, i] over S's bounding box padded by the largest shift
     (code(m + d) = code(m) + code(d)), whether bisection finds it among S's
-    (hit[c, i]), its position nbr[c, i] in S where it does and len(S)
-    where it does not or i = len(S), and c(D[c]) = values[c]."""
+    (hit[c, i]), its positions j in S where it does, in the order of
+    np.nonzero(hit), and c(D[c]) = values[c]."""
     pot = problem.potential
     coeffs = {d: pot.epsilon * c0 for d, c0 in pot.coefficients.items() if any(d)}
     A = S.array()
@@ -151,12 +171,18 @@ def _coupling_lookup(problem: Problem, S: SiteSet):
     hit = sorted_codes[pos] == t
     c, i = np.nonzero(hit)
     j = by_code[pos[c, i]]
-    nbr = np.full((len(D), len(A) + 1), len(A))
-    nbr[c, i] = j
     values = np.array(list(coeffs.values()), dtype=complex)
     H = np.zeros((len(A), len(A)), dtype=complex)
     H[i, j] = values[c]
-    return H, nbr, t, hit, values
+    return H, t, hit, j, values
+
+
+def _stencil(n: int, hit, j, values):
+    """Host.stencil from the lookup of a host of n sites."""
+    nbr = np.full((len(values), n + 1), n)
+    nbr[np.nonzero(hit)] = j
+    nbr.flags.writeable = False
+    return nbr, values
 
 
 def _permuted(M: DualMatrix, sites) -> np.ndarray:

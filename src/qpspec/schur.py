@@ -6,11 +6,10 @@ one (p, p) array on p pivots, the direct couplings plus C^H K(E) C,
 K(E) C = (E - H_{S \\ P})^-1 C, C the pivots' coupling columns, solved
 once per energy (ReducedSolver.block).  This is the one
 representation of the resolvent; the selftest compares it with the dense
-inverse.  A solver gathers its blocks from its host's couplings, which do
-not depend on k and are kept for the last host, as a dense block and as a
-stencil over the support's shifts (dual_operator.host_block), and takes
-only the diagonal from k; the dense matrix H_S is built only when a check
-reads it (ReducedSolver.full).
+inverse.  A solver keeps its host (dual_operator.Host: the part of H_k on
+S that does not depend on k, kept for the last S built), gathers its blocks
+from the host's couplings and takes only the diagonal from k; the dense
+matrix H_S is built only when a check reads it (ReducedSolver.full).
 
 A solve splits the reduced set at each energy by Gershgorin's circle
 theorem, with r, the host's largest off-diagonal row sum, which bounds
@@ -26,7 +25,7 @@ of (E - H_FF)^-1 b, and the solver iterates until that bound is at most
 2^-53, the unit roundoff, which takes at most five products with the
 host's coupling block and factors nothing.  A host multiplies by its
 stencil, one column at a time, or by its dense block, by one rule from its
-size and shift count (ReducedSolver).  Then:
+size and shift count (Host.stencil).  Then:
 
 - N empty: the series over the whole reduced set is the solve.
 - N not empty, of any size, with a right-hand side of any width: one
@@ -49,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual_operator import DualMatrix, host_block, host_diagonal
+from .dual_operator import DualMatrix, host
 from .errors import SingularBlockError
 from .lattice import SiteSet
 from .model import Problem
@@ -69,8 +68,8 @@ def near_pivots(problem: Problem, S: SiteSet, k: float, p0) -> list:
     """p0, then each site of S, in S's order, that a solve on the pivot p0
     alone keeps near at E = v(p0, k) (_near, with that solve's floor): the
     sites whose diagonals lie within the coupling window of p0's."""
-    _, phases, r, _ = host_block(problem, S)
-    diag = host_diagonal(phases, k)
+    h = host(problem, S)
+    diag, r = h.diagonal(k), h.row_sum
     i = S.index(p0)
     gap = np.abs(diag[i] - diag)
     floor = PIVOT_RTOL * max(1.0, float(gap.max()))   # gap[i] = 0 is not the max
@@ -99,53 +98,32 @@ class ReducedSolver:
     `sites` with their pivot entries (and near ones) held at 0, so its
     corrections multiply by the host's coupling block as it is, as a
     stencil or as the dense block, whichever one rule by host size and
-    shift count (in __init__) names the cheaper.  Q and G are entries of
+    shift count (Host.stencil) names the cheaper.  Q and G are entries of
     block(E), one product on any number of pivots, and F a column of its
     solve, K(E) C for every pivot's coupling column at once, kept per
     energy, so block, f and an eigenvector read one solve.  A repeated
     pivot, or one outside S, is a ValueError.
 
-    The couplings come from the host memo (host_block) and only the
+    The solver keeps its `host` (dual_operator.host) and takes only the
     diagonal `diag` = H(n, n) over `sites` from k.  `piv` and `rest` are
     the pivots' and the reduced set's positions in `sites`, and `v` the
     pivots' diagonals, in pivot order: the routes read them here, so they
     solve the matrix that the oracle checks; `row_sum` is the host's r.
-    `full`, that matrix as a
-    DualMatrix, is built on first read, by its readers only: the oracle and
-    the checks.
+    `full`, that matrix as a DualMatrix (Host.matrix), is built on first
+    read, by its readers only: the oracle and the checks.
     """
 
     def __init__(self, problem: Problem, S: SiteSet, k: float, pivots):
-        self.sites, self.k = S, k
         self.pivots = [tuple(p) for p in pivots]
         for i, p in enumerate(self.pivots):
             if p not in S:
                 raise ValueError(f"pivot {p} is not a site of the host")
             if p in self.pivots[:i]:
                 raise ValueError(f"pivot {p} is repeated")
-        couplings, phases, self.row_sum, stencil = host_block(problem, S)
-        self._couplings = couplings   # read-only, shared with the memo
-        # The series' product, by one rule from the host's n sites and C
-        # support shifts: the stencil when n >= 3 C + 60, else the dense
-        # block.  Per correction the stencil costs about C n and a fixed
-        # cost per column, the dense product n^2 per column.  One series
-        # solve of three corrections, dense / stencil, median of 7 x 300
-        # (7 x 10 at n = 833), in us, one BLAS thread, 2-vCPU KVM guest;
-        # near the line the two are within about 10%:
-        #   n    C   width 1     width 2     width 3
-        #   25   2   12 / 16     18 / 26     28 / 53
-        #   61   2   16 / 17     30 / 27     37 / 38
-        #   61   8   16 / 18     29 / 30     36 / 42
-        #   63   6   16 / 18     30 / 29     36 / 39     (nu = 3)
-        #   85   8   21 / 21     40 / 35     53 / 47
-        #   85  10   21 / 21     40 / 37     53 / 48
-        #   113 16   26 / 26     58 / 45     80 / 63
-        #   129  6   30 / 21     70 / 38     101 / 56    (nu = 3)
-        #   145  8   40 / 36     97 / 61     114 / 57
-        #   145 24   34 / 32     84 / 62     109 / 79
-        #   833  6   1436 / 56   3326 / 103  4709 / 170  (nu = 3)
-        self._stencil = stencil if len(S) >= 3 * len(stencil[1]) + 60 else None
-        self.diag = host_diagonal(phases, k)
+        self.host = host(problem, S)
+        self.sites, self.k, self.row_sum = self.host.sites, k, self.host.row_sum
+        self._stencil = self.host.stencil
+        self.diag = self.host.diagonal(k)
         self._pos = {p: i for i, p in enumerate(self.pivots)}
         self.piv = [S.index(p) for p in self.pivots]
         rest = np.ones(len(S) + 1, dtype=bool)    # and the stencil's extra entry
@@ -158,15 +136,15 @@ class ReducedSolver:
         v_rest = self.diag.take(self.rest)
         self._v_span = (v_rest.min(initial=np.inf), v_rest.max(initial=-np.inf))
         # h(n, p) and h(p, n) over the reduced set, one per pivot; h(p, p') off p = p'
-        self._cols = np.asfortranarray(couplings[:, self.piv][self.rest])
-        self._direct = couplings[self.piv][:, self.piv]   # 0 on its diagonal
+        B = self.host.block
+        self._cols = np.asfortranarray(B[:, self.piv][self.rest])
+        self._direct = B[self.piv][:, self.piv]   # 0 on its diagonal
         self._solved = {}     # E -> K(E) C
 
     @cached_property
     def full(self) -> DualMatrix:
-        """H_k restricted to `sites`, the matrix the routes solve: the
-        host's couplings with the solver's own `diag`."""
-        return DualMatrix.assemble(self.sites, self.k, self._couplings, self.diag)
+        """H_k on `sites` (Host.matrix), the matrix the routes solve."""
+        return self.host.matrix(self.k)
 
     def coupling_column(self, m0) -> np.ndarray:
         """h(n, m0) for n in the reduced set."""
@@ -193,12 +171,12 @@ class ReducedSolver:
         of K_D over all of `sites`, 0 at the pivots: the iterates' pivot
         entries stay 0, so B is the host's coupling block itself.  With
         the dense block (`_stencil` None) every column is iterated at
-        once.  With the stencil (host_block) each column is iterated on
+        once.  With the stencil (Host.stencil) each column is iterated on
         its own, with one more entry, where K_D is 0, so that every iterate
         is 0 there and a shift that leaves the host reads 0."""
         if self._stencil is None:
             kd = kd.reshape(kd.shape + (1,) * (rhs.ndim - 1))
-            B = self._couplings
+            B = self.host.block
             x = _neumann(kd * rhs.take(self._slot[:-1], axis=0), lambda x: kd * (B @ x), theta)
             return x.take(self.rest, axis=0)
         nbr, values = self._stencil
@@ -218,7 +196,7 @@ class ReducedSolver:
         w, near = rhs.size // len(rhs), self._slot[N]
         dN = d[N]
         d[N] = np.inf                       # K_D is 0 on N as well: the series runs on F
-        cols = self._couplings.take(N, axis=1).take(self.rest, axis=0)   # H_.N
+        cols = self.host.block.take(N, axis=1).take(self.rest, axis=0)   # H_.N
         b = np.hstack([rhs.reshape(len(rhs), w), cols])
         Y = self._diagonal_solve(1.0 / d, b, self.row_sum / float(np.abs(d).min()))
         rows = cols.conj().T                # H_N.

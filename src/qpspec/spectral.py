@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dual_operator import TWO_PI_SQ, dense_spectrum, diagonal_value, host_shell, restrict
+from .dual_operator import TWO_PI_SQ, dense_spectrum, diagonal_value, host
 from .errors import ConvergenceError, QPSpecError, ReconciliationError, RegimeError
 from .lattice import SiteSet, ball, l1_ball_size, l1_norm
 from .model import Problem
@@ -237,14 +237,14 @@ def eigen_pair(problem: Problem, S: SiteSet, k: float, mp, mm):
     return plus, minus
 
 
-def _truncation_residual(problem: Problem, roots) -> float:
+def _truncation_residual(roots) -> float:
     """The edge records' residual on S' = S plus its coupling shell.
 
     Pad each edge's eigenvector phi on the solver's box S with zeros to
     the whole lattice.  On S its residual is the fixed point's own; off S
     it is nonzero only on the shell (S + supp c) minus S, where it is the
     shell-to-S couplings times phi, summed for both edges in one pass over
-    the shell that S's host lookup found (host_shell).  For
+    the shell of the solver's host (Host.shell).  For
     S = paired_box(n0, R) the shell lies in paired_box(n0, R + rho), rho
     the largest |d| in the support.  Returns the larger edge's
     ||H_shell,S phi||_2 / ||phi||_2.  By Weyl's bound H on S' has an
@@ -252,7 +252,7 @@ def _truncation_residual(problem: Problem, roots) -> float:
     edge.  On Z^nu it identifies no edge: by the cocycle identity H_k has
     spectrum near E(k + n.omega) for every n, and those values are dense.
     """
-    src, slot, h, size = host_shell(problem, roots[0].sites)
+    src, slot, h, size = roots[0].solver.host.shell()
     phi = np.column_stack([r.phi for r in roots])
     off = np.zeros((size, len(roots)), dtype=complex)
     np.add.at(off, slot, h[:, None] * phi[src])
@@ -291,7 +291,7 @@ def _first_accepted(problem: Problem, n0, radii) -> GapRecord:
         last = R == radii[-1]
         try:
             roots = _pair_roots(problem, paired_box(problem, n0, R), k, [zero, n0])
-            resid = _truncation_residual(problem, roots)
+            resid = _truncation_residual(roots)
         except QPSpecError:
             if last:
                 raise
@@ -401,10 +401,9 @@ def feynman_derivative(problem: Problem, S: SiteSet, k: float):
     Eigenvalues closer than the degeneracy threshold to a neighbor are
     masked out (the formula needs simple eigenvalues).
     """
-    H = restrict(problem, S, k)
-    evals, evecs = dense_spectrum(H)
-    phase = H.sites.array().astype(float) @ np.asarray(problem.omega) + k
-    dH = 2.0 * TWO_PI_SQ * phase
+    h = host(problem, S)
+    evals, evecs = dense_spectrum(h.matrix(k))
+    dH = 2.0 * TWO_PI_SQ * (h.phases + k)
     derivs = (np.abs(evecs) ** 2 * dH[:, None]).sum(axis=0)
     gaps = np.full(len(evals), np.inf)
     if len(evals) > 1:

@@ -26,15 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EpsilonTooLargeError
-from .lattice import SiteSet
+from .lattice import SiteSet, l1_norm
 from .model import log_smallness_ceiling
 
 ADMISSIBILITY_EXPONENT = 0.2          # the 1/5 power of the profile cap and closed bound
 HIGH_D_FACTOR = 4.0                   # threshold D >= 4 T / kappa0
-
-
-def _dist(a, b) -> int:
-    return sum(abs(x - y) for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class WeightProfile:
         if not self._complement:
             return float("inf")
         m = tuple(m)
-        return float(min(_dist(m, c) for c in self._complement))
+        return float(min(l1_norm(x - y for x, y in zip(m, c)) for c in self._complement))
 
     def dbar(self) -> float:
         return max(self.D.values()) if self.D else 1.0
@@ -176,7 +172,7 @@ def closed_bound(m, n, prof: WeightProfile, eps0: float) -> BoundResult:
         v1 = math.exp(prof.D[m]) + 3.0 * root * math.exp(2.0 * T * prof.mu(m) ** ADMISSIBILITY_EXPONENT)
         v2 = 2.0 * math.exp(2.0 * dbar)
     else:
-        dist = _dist(m, n)
+        dist = l1_norm(x - y for x, y in zip(m, n))
         mu_min = min(prof.mu(m), prof.mu(n))
         v1 = 3.0 * root * math.exp(-0.875 * k0 * dist + 2.0 * T * mu_min ** ADMISSIBILITY_EXPONENT)
         v2 = 2.0 * root * math.exp(-0.25 * k0 * dist + 2.0 * dbar)

@@ -104,6 +104,20 @@ def count_solve_paths(solver) -> Counter:
     return paths
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """From now on, record the arguments of every call of owner.name, a
+    module's function or a class's method, in the list returned."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture
 def solve_paths(monkeypatch):
     """count_solve_paths of every ReducedSolver built while the fixture is

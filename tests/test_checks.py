@@ -105,6 +105,11 @@ def test_band_symmetry_check_fails_on_an_error_row(generic_problem, monkeypatch)
     assert not result.passed and result.detail == "k=0.11: fixed point stalled"
 
 
+ZETA_PAIR_BLAS = pytest.mark.default_blas(
+    "the zeta-pair check, which compares heevr's eigenvalues at 1e-12 relative, "
+    "must keep its margin at both thread counts")
+
+
 @pytest.fixture(params=["golden_config", "generic", "harmonic", "eps_1e-2"])
 def pair_problem(request, golden_freq, generic_problem, harmonic_problem):
     if request.param == "golden_config":
@@ -117,15 +122,18 @@ def pair_problem(request, golden_freq, generic_problem, harmonic_problem):
         {(0, 1): 0.55, (1, 0): 0.3 + 0.2j, (1, 1): 0.2 - 0.1j}, 1e-2, 0.5))
 
 
+@ZETA_PAIR_BLAS
 def test_zeta_pair_matches_eigen_pair(pair_problem):
     result = checks._zeta_pair(pair_problem, 0)
     assert result.passed, result.detail
 
 
+@ZETA_PAIR_BLAS
 def test_zeta_pair_zero_potential_skipped(zero_problem):
     assert checks._zeta_pair(zero_problem, 0).passed
 
 
+@ZETA_PAIR_BLAS
 def test_zeta_pair_catches_a_shifted_root(generic_problem, monkeypatch):
     eigen_pair = checks.eigen_pair
 
@@ -139,6 +147,7 @@ def test_zeta_pair_catches_a_shifted_root(generic_problem, monkeypatch):
     assert "eigen_pair" in result.detail
 
 
+@ZETA_PAIR_BLAS
 def test_zeta_pair_fails_on_a_third_eigenvalue_in_its_window(generic_problem, monkeypatch):
     # Gershgorin leaves H exactly two eigenvalues in the window; an oracle
     # with a third one at the window's midpoint fails the check by its count
@@ -159,6 +168,7 @@ def test_zeta_pair_fails_on_a_third_eigenvalue_in_its_window(generic_problem, mo
     assert result.detail == "3 oracle eigenvalues in the pair window"
 
 
+@ZETA_PAIR_BLAS
 def test_zeta_pair_fails_with_a_reduced_diagonal_in_its_window(golden_freq):
     # at eps 1 the window, the pivot diagonals' span widened by 2r, comes
     # within r of a reduced diagonal, where Q and G may have a pole

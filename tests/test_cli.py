@@ -29,6 +29,7 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+@pytest.mark.default_blas("a pinned output must not depend on the BLAS thread count")
 def test_validate_golden(tmp_path, capsys):
     rc = main(["validate", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -411,6 +412,7 @@ GOLDEN_SHA256 = {
 }
 
 
+@pytest.mark.default_blas("a pinned output must not depend on the BLAS thread count")
 @pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
 def test_golden_output_pinned(tmp_path, capsys, command):
     name, digest = GOLDEN_SHA256[command]
@@ -420,6 +422,7 @@ def test_golden_output_pinned(tmp_path, capsys, command):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.default_blas("a golden gap command must make the same solves at any BLAS thread count")
 @pytest.mark.parametrize("command, labels, solves", [
     ("gaps", 12, 6), ("verify-forward", 12, 6), ("verify-inverse", 2, 1)])
 def test_golden_gap_commands_solve_each_pair_once(tmp_path, capsys, monkeypatch,
@@ -444,6 +447,7 @@ def test_golden_gap_commands_solve_each_pair_once(tmp_path, capsys, monkeypatch,
     assert sorted(solved) == sorted(m for m in asked if m > tuple(-x for x in m))
 
 
+@pytest.mark.default_blas("a golden band point must take the same solve path at any BLAS thread count")
 def test_golden_band_factors_nothing(tmp_path, solve_paths):
     # every golden band energy is solved by the diagonal series alone: the
     # sites within 1000 r of v(0) (at k = 0.05 and 0.07, (3, -5) and
@@ -453,6 +457,7 @@ def test_golden_band_factors_nothing(tmp_path, solve_paths):
     assert set(total) == {"diagonal"}
 
 
+@pytest.mark.default_blas("a golden band point must take the same solve path at any BLAS thread count")
 def test_golden_paired_band_points_solve_two_energies(tmp_path, solve_paths):
     # a paired point's fixed point starts from its own pivot diagonal, the
     # root with no coupling: one energy to step from, one to confirm the root

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import GOLDEN, random_potential, restrict_reference
+from conftest import GOLDEN, count_calls, random_potential, restrict_reference
 from qpspec.cli import build_problem, load_config
 from qpspec import dual_operator
 from qpspec.dual_operator import (DualMatrix, _coupling_lookup, cocycle_check,
-                                  dense_spectrum, diagonal_value, host_block,
+                                  dense_spectrum, diagonal_value, host,
                                   reflection_conjugation_check, restrict)
 from qpspec.errors import ConvergenceError, QPSpecError, ReconciliationError, SiteBudgetError
 from qpspec.lattice import SiteSet, ball
 from qpspec.model import Frequency, Potential, Problem
 from qpspec.resonance import k_point
+from qpspec.schur import ReducedSolver
 from qpspec.spectral import paired_box
 
 TWO_PI_SQ = (2 * math.pi) ** 2
@@ -284,8 +285,8 @@ def test_restrict_on_a_memo_hit_is_couplings_plus_diagonal(generic_problem):
         off = got.entries.copy()
         np.fill_diagonal(off, 0)
         assert np.array_equal(off, _coupling_lookup(generic_problem, S)[0])
-    block, phases, _, stencil = host_block(generic_problem, S)
-    assert not any(a.flags.writeable for a in (block, phases, *stencil))
+    h = host(generic_problem, S)
+    assert not any(a.flags.writeable for a in (h.block, h.phases))
 
 
 def _one_harmonic(freq, c):
@@ -299,7 +300,7 @@ def test_host_memo_keeps_problems_apart(golden_freq):
     S = ball(3, 2)
     for i in range(1, 8):
         prob = _one_harmonic(golden_freq, 0.5 ** i)
-        block, *_ = host_block(prob, S)
+        block = host(prob, S).block
         assert np.array_equal(block, _coupling_lookup(prob, S)[0])
         assert block[S.index((0, 0)), S.index((0, 1))] == 1e-3 * 0.5 ** i
         del prob, block
@@ -307,18 +308,46 @@ def test_host_memo_keeps_problems_apart(golden_freq):
 
 
 def test_host_memo_holds_one_host(generic_problem, monkeypatch):
-    # a hit returns the held arrays, on the held set itself without
-    # comparing contents; another host replaces them
+    # an identity hit returns the held Host without comparing contents, and
+    # so does a content hit on an equal set; another host replaces it
     S, T = ball(2, 2), ball(3, 2)
-    first = host_block(generic_problem, S)
+    first = host(generic_problem, S)
     with monkeypatch.context() as m:
         m.setattr(SiteSet, "__eq__", lambda *args: pytest.fail("compared contents"))
-        assert all(a is b for a, b in zip(host_block(generic_problem, S), first))
-    assert all(a is b for a, b in zip(host_block(generic_problem, SiteSet(list(S))), first))
-    host_block(generic_problem, T)
-    assert dual_operator._host[1] == T
-    again = host_block(generic_problem, S)
-    assert again[0] is not first[0] and np.array_equal(again[0], first[0])
+        assert host(generic_problem, S) is first
+    equal = SiteSet(list(S))
+    assert equal is not S and host(generic_problem, equal) is first
+    host(generic_problem, T)
+    assert dual_operator._last.sites == T
+    again = host(generic_problem, S)
+    assert again is not first and np.array_equal(again.block, first.block)
+
+
+def test_only_a_host_at_or_above_the_line_builds_a_stencil(golden_freq, monkeypatch):
+    # the stencil is built for n >= 3 C + 60 sites, C the support's shifts,
+    # on first read and once; below that line no solver or restriction
+    # builds it
+    builds = count_calls(monkeypatch, dual_operator, "_stencil")
+    prob = _one_harmonic(golden_freq, 0.5)          # C = 4: the line is at 72 sites
+    for S in (ball(4, 2), ball(5, 2)):              # 41 and 61 sites
+        for k in (0.13, -0.41):
+            restrict(prob, S, k)
+            assert ReducedSolver(prob, S, k, [(0, 0)])._stencil is None
+        assert host(prob, S).stencil is None
+    assert not builds
+    S = ball(6, 2)                                  # 85 sites
+    solvers = [ReducedSolver(prob, S, k, [(0, 0)]) for k in (0.13, -0.41)]
+    h = host(prob, S)
+    assert all(s.host is h and s._stencil is h.stencil for s in solvers)
+    assert len(builds) == 1
+    nbr, values = h.stencil
+    assert nbr.shape == (4, len(S) + 1) and not (nbr.flags.writeable or values.flags.writeable)
+    with pytest.raises(ValueError):
+        nbr[0, 0] = 0
+    B = np.zeros((len(S) + 1, len(S) + 1), dtype=complex)
+    for c, v in enumerate(values):
+        B[np.arange(len(S) + 1), nbr[c]] += v
+    assert np.array_equal(B[:-1, :-1], h.block)
 
 
 def test_dual_matrix_refuses_non_finite_entries():
@@ -334,9 +363,9 @@ def test_site_budget_fires_on_a_memo_hit(generic_problem):
     prob = replace(generic_problem)
     S = ball(2, 2)
     restrict(prob, S, 0.3)
-    assert dual_operator._host[0] is prob and dual_operator._host[1] == S
+    assert dual_operator._last.problem is prob and dual_operator._last.sites is S
     object.__setattr__(prob, "site_budget", len(S) - 1)
     with pytest.raises(SiteBudgetError):
         restrict(prob, S, 0.3)
     with pytest.raises(SiteBudgetError):
-        host_block(prob, S)
+        host(prob, S)

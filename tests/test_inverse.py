@@ -216,6 +216,7 @@ MIRROR_CASES = [(2, seed, eps) for seed in (0, 1, 2) for eps in (1e-4, 1e-3)] + 
                [(3, seed, eps) for seed in (0, 1) for eps in (1e-4, 1e-3)]
 
 
+@pytest.mark.default_blas("a label's mirror, which gap tables copy, must solve to its edges")
 @pytest.mark.parametrize("nu, seed, eps", MIRROR_CASES,
                          ids=[f"nu{nu}-seed{seed}-eps{eps:g}" for nu, seed, eps in MIRROR_CASES])
 def test_a_label_and_its_mirror_solve_bit_identically(nu, seed, eps):

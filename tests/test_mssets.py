@@ -443,6 +443,8 @@ MULTISCALE_PINS = [
 ]
 
 
+@pytest.mark.default_blas("the symmetrized and paired sets, whose classification reads the "
+                          "window's phases from a float matrix product, must keep their pins")
 @pytest.mark.parametrize("ladder, kind, k, n0, digest", MULTISCALE_PINS)
 def test_golden_and_traj_multiscale_sets_pinned(geometry_problem, ladder, kind, k, n0, digest):
     problem = _golden_geometry_problem() if ladder == "golden" else geometry_problem

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpspec import spectral
-from qpspec.dual_operator import diagonal_value, host_block
+from qpspec import dual_operator
+from qpspec.dual_operator import diagonal_value, restrict
 from qpspec.errors import SingularBlockError
 from qpspec.inverse import recovered_bound
 from qpspec.lattice import SiteSet, ball
@@ -17,7 +18,7 @@ from qpspec.resonance import k_point
 from qpspec.schur import PIVOT_RTOL, THETA_MAX, UNIT_ROUNDOFF, ReducedSolver
 from qpspec.spectral import band, eigen_simple, paired_box, sized_gap
 
-from conftest import GOLDEN, count_solve_paths, random_potential
+from conftest import GOLDEN, count_calls, count_solve_paths, random_potential
 
 
 def q_at(problem, m0, S, k, E):
@@ -129,6 +130,7 @@ def test_eigenvalue_stays_within_eps_of_diagonal(generic_problem):
         assert 0 < abs(rec.E - v0) < eps
 
 
+@pytest.mark.default_blas("a one-pivot block must equal its one-column solve bit for bit")
 @pytest.mark.parametrize("pivots", [[(0, 0)], [(0, 0), (0, 1)], [(1, -1), (0, 0)],
                                     [(0, 0), (0, 1), (1, -1)],
                                     [(1, -1), (0, 0), (-1, 0), (0, 1)]])
@@ -237,14 +239,14 @@ def test_singular_block_with_couplings_is_refused(generic_problem):
 @pytest.mark.parametrize("pivots", [[(0, 0)], [(0, 0), (0, 1)], [(1, -1), (0, 0)]])
 def test_solver_holds_the_matrix_it_factors(generic_problem, pivots):
     # v, the pivot columns and the direct couplings, gathered from the
-    # memoized couplings and the diagonal, are full's entries exactly; the
-    # solver keeps the couplings, which its series and near block read
+    # host's couplings and the diagonal, are full's entries exactly; the
+    # solver keeps its host, whose couplings its series and near block read
     k = k_point(generic_problem.frequency, (0, 1)) + 1e-4
     solver = ReducedSolver(generic_problem, ball(4, 2), k, pivots)
     assert "full" not in vars(solver)     # built on first read only
     H, piv, rest = solver.full.entries, solver.piv, solver.rest
     assert solver.full.entries is H
-    assert np.array_equal(solver._couplings + np.diag(solver.diag), H)
+    assert np.array_equal(solver.host.block + np.diag(solver.diag), H)
     assert solver.sites is solver.full.sites
     assert solver.v == tuple(float(H[i, i].real) for i in piv)
     assert np.array_equal(solver.diag, H.diagonal().real)
@@ -252,6 +254,16 @@ def test_solver_holds_the_matrix_it_factors(generic_problem, pivots):
     direct = H[np.ix_(piv, piv)]
     np.fill_diagonal(direct, 0)
     assert np.array_equal(solver._direct, direct)
+
+
+def test_full_is_restrict_bit_for_bit(generic_problem, monkeypatch):
+    # a solver's dense H and restrict's are built one way, by the host
+    S, k = ball(4, 2), 0.29
+    built = count_calls(monkeypatch, dual_operator.Host, "matrix")
+    full = ReducedSolver(generic_problem, S, k, [(0, 0), (0, 1)]).full
+    H = restrict(generic_problem, S, k)
+    assert [args[1] for args in built] == [k, k] and built[0][0] is built[1][0]
+    assert np.array_equal(full.entries, H.entries) and full.sites == H.sites and full.k == H.k
 
 
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
@@ -340,6 +352,19 @@ def test_diagonal_solve_is_within_its_bound(golden_freq, seed, radius, n_piv, lo
 PRODUCT_C = 1.0
 
 
+def _raw_stencil(prob, S):
+    """Host.stencil's (nbr, values) built site by site, on a host of any
+    size: nbr[c, i] the position of S[i] + d_c in S, else len(S), and one
+    more column of len(S); values[c] = eps c0(d_c), d_c the support's
+    nonzero shifts in the potential's order."""
+    pot, pos = prob.potential, {s: i for i, s in enumerate(S)}
+    shifts = [d for d in pot.coefficients if any(d)]
+    nbr = [[pos.get(tuple(a + b for a, b in zip(s, d)), len(S)) for s in S] + [len(S)]
+           for d in shifts]
+    values = np.array([pot.epsilon * pot.coefficients[d] for d in shifts], dtype=complex)
+    return np.array(nbr, dtype=np.intp).reshape(len(shifts), len(S) + 1), values
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from(["ball", "pair", "site"]),
        st.integers(0, 45), st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2),
        st.sampled_from([None, 0, 1, 2, 3, 4]), st.floats(-0.5, 0.5))
@@ -350,9 +375,10 @@ def test_each_product_form_is_the_coupling_product(seed, nu, shape, radius, dens
     # stops it after one), x0 = K_D rhs with K_D 0 at the pivots, through
     # the dense block and through the stencil on the same host, against
     # B x0 in extended precision.  The hosts: balls and paired boxes in
-    # nu = 1 to 3 on both sides of the solver's rule, one site, and an
-    # empty support (density 0); the right-hand sides: a vector (width
-    # None) or 0 to 4 columns, 0 being recovered_bound's case.
+    # nu = 1 to 3 on both sides of Host.stencil's rule (below it the
+    # stencil is built here, and above it it must equal the host's), one
+    # site, and an empty support (density 0); the right-hand sides: a
+    # vector (width None) or 0 to 4 columns, 0 being recovered_bound's case.
     rng = np.random.default_rng(seed)
     omega = (1.0, GOLDEN, math.sqrt(2.0) - 1.0)[:nu] if nu > 1 else (GOLDEN,)
     prob = Problem(Frequency(omega, 0.1, nu + 1.0),
@@ -364,7 +390,9 @@ def test_each_product_form_is_the_coupling_product(seed, nu, shape, radius, dens
     pivots = [zero, one][:n_piv] if one in S else [zero][:n_piv]
     solver = ReducedSolver(prob, S, k, pivots)
     assume(len(solver.rest))
-    B, _, _, stencil = host_block(prob, S)
+    B, stencil = solver.host.block, _raw_stencil(prob, S)
+    if solver.host.stencil is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(solver.host.stencil, stencil))
     rest = solver.rest
     kd = rng.normal(size=len(S))
     kd[solver.piv] = 0.0

@@ -20,7 +20,7 @@ from qpspec.schur import ReducedSolver, near_pivots
 from qpspec.spectral import (band, decay_envelope, eigen_pair, eigen_simple,
                              feynman_derivative, gap_at, paired_box)
 
-from conftest import GOLDEN, pair_roots, random_potential
+from conftest import GOLDEN, count_calls, pair_roots, random_potential
 
 TWO_PI_SQ = (2 * math.pi) ** 2
 GOLDEN_CONFIG = Path(__file__).resolve().parents[1] / "examples_config" / "golden_mean.json"
@@ -559,7 +559,7 @@ def test_one_pivot_fixed_point_contracts_on_random_potentials(nu, seed, log_eps,
     host, zero = ball(radius if nu == 2 else min(radius, 4), nu), tuple([0] * nu)
     labels = [n for n in host if any(n)]
     n = labels[label % len(labels)]
-    r = dual_operator.host_block(prob, host)[2]
+    r = dual_operator.host(prob, host).row_sum
     fixed_point, steps = spectral._fixed_point, []
 
     def counting(step, E0, scale):
@@ -998,30 +998,18 @@ def test_truncation_residual_matches_a_dense_padded_restrict(nu):
         roots = spectral._pair_roots(prob, paired_box(prob, n0, R),
                                      k_point(prob.frequency, n0), [(0,) * nu, n0])
         widths.append(roots[1].E - roots[0].E)
-        got = spectral._truncation_residual(prob, roots)   # on the solve's own host
+        got = spectral._truncation_residual(roots)   # on the solve's own host
         want = max(_padded_residual(prob, rec) for rec in roots)
         assert 0 < want and abs(got - want) <= 64 * 2.0 ** -53 * want, (n0, R)
-        # the dense restrict built another host; the residual rebuilds the box's
-        assert spectral._truncation_residual(prob, roots) == got
+        # the dense restrict built another host; the residual reads the solver's
+        assert spectral._truncation_residual(roots) == got
     assert widths[1] > 0 and widths[2] == 0
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_band_points_derive_no_shell(generic_problem, monkeypatch):
-    monkeypatch.setattr(dual_operator, "_host", None)
-    lookups = _counting(monkeypatch, dual_operator, "_coupling_lookup")
-    shells = _counting(monkeypatch, dual_operator, "_shell")
+    monkeypatch.setattr(dual_operator, "_last", None)
+    lookups = count_calls(monkeypatch, dual_operator, "_coupling_lookup")
+    shells = count_calls(monkeypatch, dual_operator.Host, "shell")
     S = ball(8, 2)
     points = band(generic_problem, np.linspace(-0.5, 0.5, 10), lambda k: S)
     assert all(p.regime != "error" for p in points)
@@ -1032,10 +1020,10 @@ def test_a_gap_label_makes_one_lookup_and_one_shell_per_box(golden_freq, monkeyp
     # at eps 1e-2 the first radius is rejected, so several boxes are tried
     prob = _random_problem(golden_freq, 1e-2)
     for m in [(0, 1), (1, 1)]:
-        monkeypatch.setattr(dual_operator, "_host", None)
-        boxes = _counting(monkeypatch, spectral, "paired_box")
-        lookups = _counting(monkeypatch, dual_operator, "_coupling_lookup")
-        shells = _counting(monkeypatch, dual_operator, "_shell")
+        monkeypatch.setattr(dual_operator, "_last", None)
+        boxes = count_calls(monkeypatch, spectral, "paired_box")
+        lookups = count_calls(monkeypatch, dual_operator, "_coupling_lookup")
+        shells = count_calls(monkeypatch, dual_operator.Host, "shell")
         spectral.sized_gap(prob, m, 8)
         assert len(boxes) > 1
         assert len(lookups) == len(shells) == len(boxes)
@@ -1069,3 +1057,22 @@ def test_the_labelled_rank_is_the_nearest_pair_and_the_largest_overlap(nu, seed,
     overlap = evals[np.argmax(np.abs(evecs[rec.solver.piv[0]]))]
     (ranked,), _ = spectral._labelled(rec.solver, 1)
     assert ranked == pytest.approx(overlap, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3])
+def test_gap_edges_on_one_line_are_mathieu_characteristic_values(q):
+    # omega = 1 and c(+-1) = q pi^2 make H / pi^2 at k_r = -r / 2 the
+    # Mathieu matrix on j = 2 m - r: diagonal j^2, q between j and j +- 2,
+    # so gap r's edges are pi^2 b_r(q) and pi^2 a_r(q); each is held to the
+    # code's own bounds, the fixed point's tolerance plus the accepted
+    # box's truncation residual
+    from scipy.special import mathieu_a, mathieu_b
+    freq = Frequency((1.0,), 0.1, 2.0, window_n=50)
+    problem = Problem(freq, Potential({(1,): 0.6, (-1,): 0.6}, q * math.pi ** 2 / 0.6, 0.5))
+    for r in range(1, 6):
+        rec = spectral.sized_gap(problem, (r,), 20)
+        assert not rec.capped, r
+        scale = max(1.0, diagonal_value(problem, (0,), rec.k_point))
+        tol = spectral.FIXED_POINT_TOL * scale + rec.truncation_residual
+        for E, want in ((rec.E_minus, mathieu_b(r, q)), (rec.E_plus, mathieu_a(r, q))):
+            assert abs(E - math.pi ** 2 * want) <= tol, (r, E, math.pi ** 2 * want)

@@ -154,6 +154,8 @@ def _gamma(count):
     return count * u / (1 - count * u)
 
 
+@pytest.mark.default_blas("trajectory sums, which are BLAS vector-matrix products, must stay "
+                          "within their rounding bound of the path-by-path sum")
 @pytest.mark.parametrize("high", [False, True])
 @pytest.mark.parametrize("longest", [None, 7])
 def test_sum_enumerate_equals_path_by_path_sum(high, longest):
